@@ -11,7 +11,8 @@
 use voxolap_belief::model::{rounding_bucket, BeliefModel};
 use voxolap_belief::normal::Normal;
 use voxolap_bench::{experiment_candidates, flights_table, region_season_query};
-use voxolap_core::sampler::PlannerCore;
+use voxolap_core::holistic::HolisticConfig;
+use voxolap_core::sampler::{calibrated_sigma, ShardWorker};
 use voxolap_core::tree::{NodeKind, SpeechTree};
 use voxolap_engine::exact::evaluate;
 use voxolap_speech::candidates::CandidateGenerator;
@@ -29,14 +30,16 @@ fn main() {
     let renderer = Renderer::new(schema, &query);
     let constraints = SpeechConstraints { max_chars: 300, max_refinements: 1 };
 
-    let mut core = PlannerCore::with_resample_size(&table, &query, 42, 200);
-    let overall = core.warmup(200).unwrap();
-    let sigma = core.calibrate_sigma(overall, None);
+    let cfg = HolisticConfig { resample_size: 200, ..HolisticConfig::default() };
+    let mut worker = ShardWorker::solo(&table, &query, &cfg);
+    let overall = worker.warmup(200).unwrap();
+    let sigma = calibrated_sigma(overall, None);
+    worker.set_sigma(sigma);
     let model = BeliefModel::new(sigma);
-    let mut tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 300_000);
+    let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 300_000);
 
     for _ in 0..60_000 {
-        core.sample_once(&mut tree, SpeechTree::ROOT, 8);
+        worker.sample_once(&tree, SpeechTree::ROOT, false);
     }
 
     // Pick the best baseline, then rank its children.

@@ -25,7 +25,7 @@ use rand::{Rng, SeedableRng};
 
 use voxolap_core::approach::Vocalizer;
 use voxolap_core::holistic::{Holistic, HolisticConfig};
-use voxolap_core::sampler::PlannerCore;
+use voxolap_core::sampler::ShardWorker;
 use voxolap_core::voice::InstantVoice;
 use voxolap_data::dimension::LevelId;
 use voxolap_data::{DimId, Table};
@@ -178,8 +178,8 @@ fn replay_config(seed: u64) -> HolisticConfig {
 
 /// Mean relative error of the deterministic per-aggregate count estimator
 /// against the exact counts (aggregates with empty true scopes skipped).
-fn count_error(core: &PlannerCore<'_>, exact: &ExactResult) -> f64 {
-    let cache = core.cache();
+fn count_error(worker: &ShardWorker<'_>, exact: &ExactResult) -> f64 {
+    let cache = worker.cache();
     let nr_read = cache.nr_read();
     if nr_read == 0 {
         return f64::INFINITY;
@@ -203,16 +203,16 @@ fn count_error(core: &PlannerCore<'_>, exact: &ExactResult) -> f64 {
     }
 }
 
-/// Fresh rows a planner core needs before the count estimator's error
+/// Fresh rows a planning worker needs before the count estimator's error
 /// drops below `threshold` (chunked ingestion; stops at scan exhaustion).
-fn rows_to_threshold(core: &mut PlannerCore<'_>, exact: &ExactResult, threshold: f64) -> u64 {
+fn rows_to_threshold(worker: &mut ShardWorker<'_>, exact: &ExactResult, threshold: f64) -> u64 {
     const CHUNK: usize = 128;
     loop {
-        if count_error(core, exact) < threshold {
-            return core.rows_read();
+        if count_error(worker, exact) < threshold {
+            return worker.rows_read();
         }
-        if core.ingest_rows(CHUNK) == 0 {
-            return core.rows_read();
+        if worker.ingest_rows(CHUNK) == 0 {
+            return worker.rows_read();
         }
     }
 }
@@ -235,16 +235,17 @@ pub fn warm_start_report(table: &Table, seed: u64, donor_rows: usize) -> WarmSta
     let exact = evaluate(&target_q, table);
     let threshold = 0.05;
 
-    let mut donor = PlannerCore::new(table, &donor_q, seed);
+    let cfg = HolisticConfig { seed, ..HolisticConfig::default() };
+    let mut donor = ShardWorker::solo(table, &donor_q, &cfg);
     donor.enable_row_log(donor_rows);
     donor.ingest_rows(donor_rows);
-    let snapshot = donor.take_snapshot(seed).expect("donor snapshot fits its log");
+    let snapshot = donor.take_snapshot().expect("donor snapshot fits its log");
 
-    let mut cold = PlannerCore::new(table, &target_q, seed);
+    let mut cold = ShardWorker::solo(table, &target_q, &cfg);
     let cold_rows = rows_to_threshold(&mut cold, &exact, threshold);
 
-    let mut warm = PlannerCore::new(table, &target_q, seed);
-    assert!(warm.warm_start(&snapshot), "snapshot is compatible");
+    let mut warm = ShardWorker::solo(table, &target_q, &cfg);
+    warm.warm_start(&snapshot);
     let warm_fresh_rows = rows_to_threshold(&mut warm, &exact, threshold);
 
     WarmStartReport { donor_rows: snapshot.nr_read, threshold, cold_rows, warm_fresh_rows }

@@ -12,28 +12,29 @@
 //!    exploration when selecting the best child node"), speak it, and make
 //!    it the new sampling root so all previously collected statistics in
 //!    its subtree remain available ("we avoid redundant planning work").
+//!
+//! [`Holistic`] is the engine of [`crate::parallel`] in its cooperative
+//! single-thread mode: deterministic under a seed and paced by the voice.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use voxolap_data::Table;
 use voxolap_engine::query::{AggIdx, Query, ResultLayout};
-use voxolap_engine::repair::repair_snapshot;
-use voxolap_engine::semantic::{ExactAggregates, ExactLookup, SemanticCache};
+use voxolap_engine::semantic::{ExactAggregates, SemanticCache};
 use voxolap_faults::{DegradeReason, Resilience, RunState};
 use voxolap_mcts::NodeId;
-use voxolap_speech::candidates::{CandidateConfig, CandidateGenerator};
+use voxolap_speech::candidates::CandidateConfig;
 use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
 use crate::optimal::{plan_from_exact, OptimalConfig};
-use crate::outcome::VocalizationOutcome;
+use crate::parallel::ParallelHolistic;
 use crate::pipeline::cancel::CancelToken;
-use crate::pipeline::driver::{CoopSource, CoreSampler};
 use crate::pipeline::stream::{Buffered, SpeechStream};
 use crate::resilience::ResCtx;
-use crate::sampler::{PlannerCore, SelectionPolicy};
+use crate::sampler::SelectionPolicy;
 use crate::tree::{NodeKind, SpeechTree};
 use crate::uncertainty::UncertaintyMode;
 use crate::voice::VoiceOutput;
@@ -102,65 +103,38 @@ impl Default for HolisticConfig {
     }
 }
 
-/// The holistic vocalizer (paper §4).
-#[derive(Debug, Clone, Default)]
-pub struct Holistic {
-    config: HolisticConfig,
-    cache: Option<Arc<SemanticCache>>,
-    resilience: Option<Arc<Resilience>>,
+/// The holistic vocalizer (paper §4): the one engine at one planning
+/// thread. [`ParallelHolistic`] is the same code at `threads = N`.
+#[derive(Debug, Clone)]
+pub struct Holistic(ParallelHolistic);
+
+impl Default for Holistic {
+    fn default() -> Self {
+        Holistic::new(HolisticConfig::default())
+    }
 }
 
 impl Holistic {
     /// Create with the given configuration.
     pub fn new(config: HolisticConfig) -> Self {
-        Holistic { config, cache: None, resilience: None }
+        Holistic(ParallelHolistic { config, threads: 1, cache: None, resilience: None })
     }
 
-    /// Attach a cross-query semantic cache. Repeats of an exactly-answered
-    /// query skip sampling entirely; scope-compatible snapshots warm-start
-    /// the sample cache. With an empty cache the output is bit-identical to
-    /// a cacheless run.
-    pub fn with_cache(mut self, cache: Arc<SemanticCache>) -> Self {
-        self.cache = Some(cache);
-        self
+    /// Attach a cross-query semantic cache (see
+    /// [`ParallelHolistic::with_cache`]).
+    pub fn with_cache(self, cache: Arc<SemanticCache>) -> Self {
+        Holistic(self.0.with_cache(cache))
     }
 
-    /// Attach a resilience bundle: fault injection at the engine's fault
-    /// sites, the retry → circuit-breaker read ladder, and anytime-answer
-    /// degradation. Without an injector the hooks are inert and planning
-    /// stays byte-identical.
-    pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
-        self.resilience = Some(resilience);
-        self
+    /// Attach a resilience bundle (see
+    /// [`ParallelHolistic::with_resilience`]).
+    pub fn with_resilience(self, resilience: Arc<Resilience>) -> Self {
+        Holistic(self.0.with_resilience(resilience))
     }
 
     /// The active configuration.
     pub fn config(&self) -> &HolisticConfig {
-        &self.config
-    }
-
-    /// Vocalize over a pre-built per-aggregate row index
-    /// ([`voxolap_engine::stratified::AggregateIndex`]) so that rare
-    /// aggregates receive cache entries from the first rows streamed.
-    /// The index plays the role of the "specialized indexing structures"
-    /// the paper suggests for particularly small data subsets (§4.3);
-    /// building it costs a full scan, so it is meant to be prepared ahead
-    /// of queries, like a materialized view. AVG queries only.
-    pub fn vocalize_with_index(
-        &self,
-        table: &Table,
-        query: &Query,
-        index: &voxolap_engine::stratified::AggregateIndex,
-        voice: &mut dyn VoiceOutput,
-    ) -> VocalizationOutcome {
-        let core = PlannerCore::with_index(
-            table,
-            query,
-            index,
-            self.config.seed,
-            self.config.resample_size,
-        );
-        self.stream_with_core(table, query, voice, CancelToken::never(), core).drain()
+        self.0.config()
     }
 }
 
@@ -179,8 +153,6 @@ pub(crate) fn relevant_aggs(tree: &SpeechTree, node: NodeId, layout: &ResultLayo
 /// Speak a query answered entirely from cached exact aggregates: no table
 /// scan, no sampling — the preamble starts immediately and the speech is
 /// planned by exhaustive exact scoring (the Optimal variant's planner).
-/// Shared by [`Holistic`] and `ParallelHolistic` on semantic-cache exact
-/// hits.
 pub(crate) fn exact_hit_stream<'a>(
     table: &'a Table,
     query: &'a Query,
@@ -224,141 +196,7 @@ impl Vocalizer for Holistic {
         voice: &'a mut dyn VoiceOutput,
         cancel: CancelToken,
     ) -> SpeechStream<'a> {
-        let core = PlannerCore::with_resample_size(
-            table,
-            query,
-            self.config.seed,
-            self.config.resample_size,
-        );
-        self.stream_with_core(table, query, voice, cancel, core)
-    }
-}
-
-impl Holistic {
-    /// Algorithm 1's Ingest stage over an already-constructed planner
-    /// core: preamble, semantic-cache consultation, warm-up, σ
-    /// calibration, tree construction. The returned stream runs one
-    /// Plan/Sample → Commit round of the shared driver per sentence.
-    fn stream_with_core<'a>(
-        &self,
-        table: &'a Table,
-        query: &'a Query,
-        voice: &'a mut dyn VoiceOutput,
-        cancel: CancelToken,
-        mut core: PlannerCore<'a>,
-    ) -> SpeechStream<'a> {
-        let cfg = self.config.clone();
-        // One RunState per vocalization: the degrade ladder's per-run
-        // fault budget and first-cause tag. `None` keeps every hook inert.
-        let resil: Option<(Arc<Resilience>, Arc<RunState>)> =
-            self.resilience.as_ref().map(|res| (res.clone(), res.new_run()));
-        if let Some((res, run)) = &resil {
-            core.set_resilience(ResCtx::new(res.clone(), run.clone(), "table"));
-        }
-
-        // Semantic cache, layer 1: a repeat of an exactly-answered query
-        // skips sampling entirely and plans against stored aggregates.
-        // Entries from an older table version are served only when fresh
-        // data is unreachable (§12 stale-serve, marked `stale: true`);
-        // otherwise they are invalidated and the query replans fresh.
-        if let Some(cache) = &self.cache {
-            match cache.lookup_exact(&query.key(), table.version()) {
-                ExactLookup::Fresh(data) => {
-                    let run = resil.as_ref().map(|(_, run)| run.as_ref() as &RunState);
-                    return exact_hit_stream(
-                        table,
-                        query,
-                        voice,
-                        cancel,
-                        &data,
-                        &cfg.exact_cfg(),
-                        run,
-                    )
-                    .attach_resilience(resil);
-                }
-                ExactLookup::Stale(data) => {
-                    if serve_stale_exact(&cancel, resil.as_ref()) {
-                        cache.note_stale_serve();
-                        let run = resil.as_ref().map(|(_, run)| run.as_ref() as &RunState);
-                        return exact_hit_stream(
-                            table,
-                            query,
-                            voice,
-                            cancel,
-                            &data,
-                            &cfg.exact_cfg(),
-                            run,
-                        )
-                        .mark_stale()
-                        .attach_resilience(resil);
-                    }
-                    cache.invalidate_exact(&query.key());
-                }
-                ExactLookup::Miss => {}
-            }
-        }
-
-        let t0 = Instant::now();
-        let schema = table.schema();
-        let renderer = Renderer::new(schema, query);
-
-        // Start voice output of the preamble; everything below overlaps it.
-        let preamble = renderer.preamble();
-        voice.start(&preamble);
-        let latency = t0.elapsed();
-
-        // Semantic cache, layer 2: a snapshot with the same scope (measure
-        // + filters) seeds the sample cache with its uniform row prefix so
-        // sampling resumes where the donor query stopped. A version-stale
-        // snapshot is first *repaired* by scanning only the appended
-        // suffix (never a full rescan) and re-admitted. A cold run also
-        // starts logging in-scope rows for later snapshot admission.
-        if let Some(cache) = &self.cache {
-            core.enable_row_log(cache.snapshot_row_budget(table.schema().dimensions().len()));
-            let scope = query.key().scope();
-            let warmed = cache.lookup_snapshot(&scope, cfg.seed).is_some_and(|snap| {
-                let snap = if snap.version == table.version() {
-                    Some(snap)
-                } else {
-                    repair_snapshot(&snap, table, &scope).map(|out| {
-                        cache.note_repair(out.rows_read);
-                        core.note_repair_rows(out.rows_read);
-                        cache.admit_snapshot(&scope, out.snapshot.clone());
-                        Arc::new(out.snapshot)
-                    })
-                };
-                snap.is_some_and(|snap| core.warm_start(&snap))
-            });
-            if !warmed {
-                cache.record_miss();
-            }
-        }
-
-        core.set_policy(cfg.policy);
-        let Some(overall) = core.warmup(cfg.warmup_rows) else {
-            // Entire table streamed, not one row in scope: report that —
-            // and still admit the exhausted scan to the semantic cache.
-            let rows_read = core.rows_read();
-            let semantic = self.cache.clone();
-            let seed = cfg.seed;
-            let admit = move || admit_core(&semantic, seed, &core, query);
-            let source = Buffered::no_data(rows_read, Some(Box::new(admit)));
-            return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
-                .attach_resilience(resil);
-        };
-        core.calibrate_sigma(overall, cfg.sigma_override);
-
-        let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
-        let tree =
-            SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
-
-        let layout = query.layout();
-        let unit = schema.measure(query.measure()).unit;
-        let sampler = CoreSampler::new(core, cfg.rows_per_iteration, self.cache.clone(), cfg.seed);
-        let run = resil.as_ref().map(|(_, run)| run.clone());
-        let source = CoopSource::new(sampler, tree, renderer, cfg, layout, unit, run);
-        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
-            .attach_resilience(resil)
+        self.0.stream(table, query, voice, cancel)
     }
 }
 
@@ -386,25 +224,6 @@ pub(crate) fn serve_stale_exact(
             !ResCtx::new(res.clone(), run.clone(), "table").read_allowed()
         }
         _ => false,
-    }
-}
-
-/// Offer a run's results to the semantic cache: exact aggregates when the
-/// scan was exhausted (uncapped), and the logged uniform row prefix as a
-/// warm-start snapshot for scope-overlapping queries. Entries carry the
-/// run's pinned table version.
-pub(crate) fn admit_core(
-    semantic: &Option<Arc<SemanticCache>>,
-    seed: u64,
-    core: &PlannerCore<'_>,
-    query: &Query,
-) {
-    let Some(cache) = semantic else { return };
-    if let Some((counts, sums)) = core.cache().exact_result() {
-        cache.admit_exact(&query.key(), core.table_version(), counts, sums);
-    }
-    if let Some(snap) = core.take_snapshot(seed) {
-        cache.admit_snapshot(&query.key().scope(), snap);
     }
 }
 
@@ -526,49 +345,6 @@ mod tests {
             "warning appended: {:?}",
             outcome.sentences
         );
-    }
-
-    #[test]
-    fn stratified_index_covers_rare_scopes_faster() {
-        use voxolap_data::flights::FlightsConfig;
-        use voxolap_engine::stratified::AggregateIndex;
-        // Region x season on flights: the US-territories cells are rare.
-        let table = FlightsConfig { rows: 20_000, seed: 42 }.generate();
-        let q = Query::builder(AggFct::Avg)
-            .group_by(DimId(0), LevelId(1))
-            .group_by(DimId(1), LevelId(1))
-            .build(table.schema())
-            .unwrap();
-        let index = AggregateIndex::build(&table, &q, 42);
-        let holistic = Holistic::new(HolisticConfig {
-            min_samples_per_sentence: 400,
-            max_tree_nodes: 60_000,
-            ..HolisticConfig::default()
-        });
-        let mut voice = InstantVoice::default();
-        let outcome = holistic.vocalize_with_index(&table, &q, &index, &mut voice);
-        assert!(!outcome.sentences.is_empty());
-        assert!(outcome.speech.is_some());
-        // Same constraints as the shuffled path.
-        assert!(outcome.body_len() <= 300);
-    }
-
-    #[test]
-    #[should_panic(expected = "only unbiased for AVG")]
-    fn stratified_rejects_count_queries() {
-        use voxolap_engine::stratified::AggregateIndex;
-        let (table, _) = setup();
-        let q = Query::builder(AggFct::Count)
-            .group_by(DimId(0), LevelId(1))
-            .build(table.schema())
-            .unwrap();
-        let avg_q = Query::builder(AggFct::Avg)
-            .group_by(DimId(0), LevelId(1))
-            .build(table.schema())
-            .unwrap();
-        let index = AggregateIndex::build(&table, &avg_q, 1);
-        let mut voice = InstantVoice::default();
-        let _ = Holistic::default().vocalize_with_index(&table, &q, &index, &mut voice);
     }
 
     #[test]

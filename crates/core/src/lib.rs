@@ -19,10 +19,10 @@
 //!   compares against: enumerates the full result in value groups with
 //!   greedy scope merging and no length budget.
 //!
-//! [`parallel::ParallelHolistic`] is the multi-threaded deployment engine:
-//! the holistic algorithm with sharded row ingestion and lock-free UCT
-//! sampling across a configurable thread pool (single-threaded it
-//! reproduces [`holistic::Holistic`] exactly).
+//! [`parallel::ParallelHolistic`] is the same holistic engine with a
+//! configurable planning-thread count — sharded row ingestion and
+//! lock-free UCT sampling across scoped threads; [`holistic::Holistic`]
+//! is that engine at one thread, where it is deterministic under a seed.
 //!
 //! ```
 //! use voxolap_core::approach::Vocalizer;

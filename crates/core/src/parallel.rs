@@ -1,82 +1,74 @@
-//! Multi-threaded pipelined vocalization over the lock-free speech tree.
+//! The holistic engine — paper Algorithm 1 (`EvalVocal`) — over the
+//! lock-free speech tree, at one thread or many.
 //!
-//! [`Holistic`](crate::holistic::Holistic) interleaves sampling and voice
-//! output *cooperatively* on one thread: exact, deterministic, but bounded
-//! by a single core. [`ParallelHolistic`] implements the paper's literal
-//! architecture — "while the current sentence is spoken, we determine the
-//! best follow-up in the background" — and scales it across cores:
+//! There is one engine. [`Holistic`](crate::holistic::Holistic) is its
+//! `threads == 1` face, [`ParallelHolistic`] the same code at
+//! `threads = N`; [`ParallelHolistic::with_threads`] is the only selector.
 //!
-//! * **Morsel-driven row ingestion** — N workers claim whole chunks
+//! * **Cooperative mode (`threads == 1`)** — sampling and voice output
+//!   interleave on the calling thread: one worker samples while the
+//!   previous sentence plays, then the engine commits. Exact and
+//!   deterministic under a fixed seed; experiments and tests use it.
+//! * **Multi-thread mode** — the paper's literal architecture ("while
+//!   the current sentence is spoken, we determine the best follow-up in
+//!   the background") scaled across cores; outcomes depend on scheduling
+//!   and are **not** bit-reproducible. Interactive deployments use it.
+//!
+//! Both modes share every piece:
+//!
+//! * **Morsel-driven row ingestion** — workers claim whole chunks
 //!   (morsels) of the seeded two-level scan order from one shared
-//!   [`MorselPool`] ([`Table::scan_pooled`]) and stream them into one
-//!   shared [`ShardedSampleCache`] whose per-aggregate striped buckets
-//!   keep workers from serializing on a global cache lock. Claimed
-//!   morsels partition the order with zero overlap, so the union of
-//!   worker prefixes remains a uniform sample (see [`voxolap_data::chunk`]
-//!   for the uniformity argument).
+//!   [`MorselPool`](voxolap_data::MorselPool) ([`Table::scan_pooled`])
+//!   and stream them into one shared [`ShardedSampleCache`] whose
+//!   per-aggregate striped buckets keep workers from serializing on a
+//!   global cache lock. Claimed morsels partition the order with zero
+//!   overlap, so the union of worker prefixes remains a uniform sample
+//!   (see [`voxolap_data::chunk`] for the uniformity argument); a single
+//!   worker drains the pool in exactly the seeded order.
 //! * **Lock-free UCT sampling** — workers descend the pre-expanded speech
-//!   tree concurrently with virtual losses
-//!   ([`select_path_vloss`](voxolap_mcts::Tree::select_path_vloss)) and
-//!   commit visit/reward statistics with atomic CAS updates; no tree lock
-//!   exists at all.
-//! * **Commit thread** — the calling thread sleeps on voice output and, at
-//!   each sentence boundary, moves the shared sampling root to the child
-//!   with the best *mean* reward (Algorithm 1's exploitation-only commit).
-//!
-//! With `threads == 1` the engine runs the cooperative loop instead, using
-//! exactly the same pooled scanner (one scanner drains the pool in the
-//! seeded order), cache arithmetic, and RNG streams as [`PlannerCore`] — so a
-//! single-threaded run reproduces [`Holistic`] word for word under a fixed
-//! seed (guarded by tests). With more threads, outcomes depend on
-//! scheduling and are **not** bit-reproducible; experiments use the
-//! cooperative engine, interactive deployments use this one.
+//!   tree and commit visit/reward statistics with atomic CAS updates; no
+//!   tree lock exists at all. Teams of several add virtual losses
+//!   ([`select_path_vloss`](voxolap_mcts::Tree::select_path_vloss)) to
+//!   spread out.
+//! * **Commit** — at each sentence boundary the calling thread moves the
+//!   sampling root to the child with the best *mean* reward (Algorithm
+//!   1's exploitation-only commit), so all statistics collected in its
+//!   subtree remain available.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use voxolap_belief::model::rounding_bucket;
-use voxolap_belief::normal::Normal;
-use voxolap_data::table::RowScanner;
-use voxolap_data::{MorselPool, Table};
-use voxolap_engine::cache::ResampleScratch;
-use voxolap_engine::query::{AggFct, Query};
+use voxolap_data::Table;
+use voxolap_engine::query::Query;
 use voxolap_engine::repair::repair_snapshot;
-use voxolap_engine::semantic::{ExactLookup, LoggedRow, SampleSnapshot, SemanticCache};
+use voxolap_engine::semantic::{ExactLookup, SemanticCache};
 use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 use voxolap_faults::{Resilience, RunState};
-use voxolap_mcts::NodeId;
 use voxolap_speech::candidates::CandidateGenerator;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
 use crate::holistic::{exact_hit_stream, serve_stale_exact, HolisticConfig};
 use crate::pipeline::cancel::CancelToken;
-use crate::pipeline::driver::{CoopSource, MultiSource, ShardSampler};
+use crate::pipeline::driver::TeamSource;
 use crate::pipeline::stream::{Buffered, SpeechStream};
 use crate::resilience::ResCtx;
-use crate::sampler::{calibrated_sigma, RowLog, SelectionPolicy, SIGMA_FALLBACK};
+use crate::sampler::{calibrated_sigma, ShardWorker};
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
 
 /// How long the committing thread sleeps between `VO.IsPlaying` polls.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
-/// Stream separation constant for per-worker RNGs (an arbitrary odd
-/// multiplier); worker 0's seed is exactly [`PlannerCore`]'s so the
-/// single-threaded engine reproduces the sequential planner.
-const WORKER_STREAM: u64 = 0xd1b5_4a32_d192_ed03;
-
-/// The multi-threaded holistic vocalizer (see module docs).
+/// The holistic engine with a configurable planning-thread count (see
+/// module docs); defaults to one thread per core.
 #[derive(Debug, Clone)]
 pub struct ParallelHolistic {
-    config: HolisticConfig,
-    threads: usize,
-    cache: Option<Arc<SemanticCache>>,
-    resilience: Option<Arc<Resilience>>,
+    pub(crate) config: HolisticConfig,
+    pub(crate) threads: usize,
+    pub(crate) cache: Option<Arc<SemanticCache>>,
+    pub(crate) resilience: Option<Arc<Resilience>>,
 }
 
 impl Default for ParallelHolistic {
@@ -94,13 +86,12 @@ impl ParallelHolistic {
         ParallelHolistic { config, threads, cache: None, resilience: None }
     }
 
-    /// Attach a cross-query semantic cache (see
-    /// [`Holistic::with_cache`](crate::holistic::Holistic::with_cache)).
-    /// Snapshots record per-chunk morsel-pool progress: a warm start
-    /// requires a donor run with the same seed, but any thread count can
-    /// resume any donor's consumed prefix. With an empty cache,
-    /// `threads == 1` output remains bit-identical to
-    /// [`Holistic`](crate::holistic::Holistic).
+    /// Attach a cross-query semantic cache. Repeats of an exactly-answered
+    /// query skip sampling entirely; scope-compatible snapshots warm-start
+    /// the sample cache. Snapshots record per-chunk morsel-pool progress:
+    /// a warm start requires a donor run with the same seed, but any
+    /// thread count can resume any donor's consumed prefix. With an empty
+    /// cache, `threads == 1` output is bit-identical to a cacheless run.
     pub fn with_cache(mut self, cache: Arc<SemanticCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -130,198 +121,6 @@ impl ParallelHolistic {
     /// The configured number of planning threads.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-}
-
-/// One planning worker: a pooled morsel scanner and private RNG stream
-/// over the shared cache and tree.
-pub(crate) struct ShardWorker<'a> {
-    query: &'a Query,
-    cache: Arc<ShardedSampleCache>,
-    scanner: RowScanner<'a>,
-    rng: StdRng,
-    scratch: ResampleScratch,
-    /// Thread-local morsel accumulator for the group-commit ingest path
-    /// (`ShardedSampleCache::observe_batch`, DESIGN.md §14).
-    batch: IngestBatch,
-    /// Reused per-block aggregate-code buffer for the columnar kernel.
-    aggs: Vec<u32>,
-    sigma: f64,
-    rows_per_iteration: usize,
-    policy: SelectionPolicy,
-    /// In-scope row log for semantic-cache snapshot admission (only when a
-    /// cache is attached; logging consumes no RNG, preserving parity).
-    log: Option<RowLog>,
-    /// Rows the semantic cache pre-seeded before this run (worker 0 only);
-    /// warm-up tops up the difference instead of re-reading them.
-    seeded: u64,
-    /// Fault-injection / degradation context (`None` = inert).
-    res: Option<ResCtx>,
-}
-
-impl<'a> ShardWorker<'a> {
-    pub(crate) fn new(
-        table: &'a Table,
-        query: &'a Query,
-        cache: Arc<ShardedSampleCache>,
-        config: &HolisticConfig,
-        pool: Arc<MorselPool>,
-        worker: usize,
-    ) -> Self {
-        ShardWorker {
-            query,
-            cache,
-            scanner: table.scan_pooled(pool, query.measure()),
-            // Worker 0 gets PlannerCore's exact stream; others are split
-            // off by an odd multiplier.
-            rng: StdRng::seed_from_u64(
-                config.seed ^ 0x9e37_79b9_7f4a_7c15 ^ (worker as u64).wrapping_mul(WORKER_STREAM),
-            ),
-            scratch: ResampleScratch::new(),
-            batch: IngestBatch::new(query.n_aggregates()),
-            aggs: Vec::new(),
-            sigma: SIGMA_FALLBACK,
-            rows_per_iteration: config.rows_per_iteration,
-            policy: config.policy,
-            log: None,
-            seeded: 0,
-            res: None,
-        }
-    }
-
-    /// Attach a fault-injection / degradation context to this worker.
-    pub(crate) fn set_resilience(&mut self, res: ResCtx) {
-        self.res = Some(res);
-    }
-
-    /// Stream up to `k` rows of this worker's shard into the shared cache.
-    fn ingest_rows(&mut self, k: usize) -> usize {
-        if let Some(res) = &self.res {
-            if !res.read_allowed() {
-                // Breaker open: sample from what the shared cache holds.
-                return 0;
-            }
-        }
-        // Batched morsel ingest (DESIGN.md §14): per block, resolve all
-        // aggregate codes with the columnar kernel, accumulate into the
-        // thread-local batch, and group-commit once — one shared-counter
-        // add and at most one bucket lock per touched aggregate per
-        // block, instead of per row.
-        let layout = self.query.layout();
-        let mut read = 0;
-        while read < k {
-            let Some(block) = self.scanner.next_block(k - read) else { break };
-            layout.agg_of_block(block.dims, block.rows, &mut self.aggs);
-            if let Some(log) = self.log.as_mut() {
-                log.push_block(&block, &self.aggs);
-            }
-            for (i, &r) in block.rows.iter().enumerate() {
-                self.batch.push_resolved(self.aggs[i], block.values[r as usize]);
-            }
-            self.cache.observe_batch(&mut self.batch);
-            read += block.rows.len();
-        }
-        read
-    }
-
-    /// Warm-up on the worker's shard until an overall estimate exists.
-    /// Mirrors `PlannerCore::warmup` exactly — the threads=1 parity tests
-    /// guard the lockstep; see that method for the rationale of each step.
-    pub(crate) fn warmup(&mut self, min_rows: usize) -> Option<f64> {
-        let n_aggs = self.query.n_aggregates() as f64;
-        let per_aggregate = |est: f64, fct: AggFct| match fct {
-            AggFct::Avg => est,
-            _ => est / n_aggs,
-        };
-        // Seeded rows already count toward the warm-up quota; a cold run
-        // (seeded == 0) behaves byte-identically to before.
-        self.ingest_rows(min_rows.saturating_sub(self.seeded as usize));
-        let est = loop {
-            if let Some(est) = self.cache.overall_estimate(self.query.fct()) {
-                break est;
-            }
-            if self.ingest_rows(64) == 0 {
-                return self
-                    .cache
-                    .overall_estimate(self.query.fct())
-                    .map(|e| per_aggregate(e, self.query.fct()));
-            }
-        };
-        if est != 0.0 || self.query.fct() != AggFct::Avg {
-            return Some(per_aggregate(est, self.query.fct()));
-        }
-        let budget = min_rows.saturating_mul(50);
-        while self.scanner.rows_read() < budget {
-            if self.ingest_rows(256) == 0 {
-                break;
-            }
-            match self.cache.overall_estimate(self.query.fct()) {
-                Some(e) if e != 0.0 => return Some(e),
-                _ => {}
-            }
-        }
-        self.cache.overall_estimate(self.query.fct())
-    }
-
-    /// The query this worker samples for.
-    pub(crate) fn query(&self) -> &'a Query {
-        self.query
-    }
-
-    /// Extract this worker's row log for semantic-cache snapshot
-    /// admission (consumes the log; scan progress lives in the shared
-    /// morsel pool).
-    pub(crate) fn take_result(&mut self) -> Option<RowLog> {
-        self.log.take()
-    }
-
-    /// One sampling iteration against the shared tree — the parallel
-    /// counterpart of `PlannerCore::sample_once`, with the same RNG
-    /// consumption order so worker 0 in single-thread mode reproduces it.
-    /// `use_vloss` selects the virtual-loss descent that spreads
-    /// concurrent workers across the tree.
-    pub(crate) fn sample_once(&mut self, tree: &SpeechTree, from: NodeId, use_vloss: bool) -> f64 {
-        if let Some(res) = &self.res {
-            if res.sample_faulted() {
-                // Faulted iterations contribute no reward; the caller
-                // still counts them toward its iteration totals.
-                return 0.0;
-            }
-        }
-        self.ingest_rows(self.rows_per_iteration);
-
-        let layout = self.query.layout();
-        let Some(agg) = self.cache.pick_aggregate(self.query.fct(), &mut self.rng) else {
-            return 0.0;
-        };
-        let Some(estimate) = self.cache.estimate_with(agg, &mut self.rng, &mut self.scratch) else {
-            return 0.0;
-        };
-        let est = estimate.value(self.query.fct());
-
-        let t = tree.tree();
-        let path = match self.policy {
-            SelectionPolicy::Uct if use_vloss => t.select_path_vloss(from, &mut self.rng),
-            SelectionPolicy::Uct => t.select_path(from, &mut self.rng),
-            SelectionPolicy::UniformRandom => t.random_path(from, &mut self.rng),
-        };
-        let Some(&leaf) = path.last() else {
-            return 0.0;
-        };
-        let reward = if est.is_finite() {
-            let coords = layout.coords_of_agg(agg);
-            let mean = tree.mean_for(leaf, &coords);
-            let (lo, hi) = rounding_bucket(est, self.sigma / 10.0);
-            Normal::new(mean, self.sigma).prob_interval(lo, hi)
-        } else {
-            0.0
-        };
-        if use_vloss && self.policy == SelectionPolicy::Uct {
-            t.update_path_vloss(&path, reward);
-        } else {
-            t.update_path(&path, reward);
-        }
-        reward
     }
 }
 
@@ -371,7 +170,7 @@ pub fn sampling_throughput(
     let overall = workers[0].warmup(config.warmup_rows).unwrap_or(0.0);
     let sigma = calibrated_sigma(overall, config.sigma_override);
     for w in &mut workers {
-        w.sigma = sigma;
+        w.set_sigma(sigma);
     }
     let generator = CandidateGenerator::new(schema, query, config.candidates.clone());
     let tree = SpeechTree::build(
@@ -485,6 +284,9 @@ impl Vocalizer for ParallelHolistic {
         "holistic-parallel"
     }
 
+    /// Algorithm 1's Ingest stage: semantic-cache consultation, preamble,
+    /// warm-up, σ calibration, tree construction. The returned stream runs
+    /// one Plan/Sample → Commit round of the driver per sentence.
     fn stream<'a>(
         &self,
         table: &'a Table,
@@ -500,43 +302,28 @@ impl Vocalizer for ParallelHolistic {
 
         // Semantic cache, layer 1: a repeat of an exactly-answered query
         // skips sampling entirely and plans against stored aggregates.
-        // Version-stale entries are served only when fresh data is
-        // unreachable (§12 stale-serve, marked `stale: true`); otherwise
-        // they are invalidated and the query replans fresh.
+        // Entries from an older table version are served only when fresh
+        // data is unreachable (§12 stale-serve, marked `stale: true`);
+        // otherwise they are invalidated and the query replans fresh.
         if let Some(sem) = &self.cache {
-            match sem.lookup_exact(&query.key(), table.version()) {
-                ExactLookup::Fresh(data) => {
-                    let run = resil.as_ref().map(|(_, run)| run.as_ref() as &RunState);
-                    return exact_hit_stream(
-                        table,
-                        query,
-                        voice,
-                        cancel,
-                        &data,
-                        &cfg.exact_cfg(),
-                        run,
-                    )
-                    .attach_resilience(resil);
+            let hit = match sem.lookup_exact(&query.key(), table.version()) {
+                ExactLookup::Fresh(data) => Some((data, false)),
+                ExactLookup::Stale(data) if serve_stale_exact(&cancel, resil.as_ref()) => {
+                    sem.note_stale_serve();
+                    Some((data, true))
                 }
-                ExactLookup::Stale(data) => {
-                    if serve_stale_exact(&cancel, resil.as_ref()) {
-                        sem.note_stale_serve();
-                        let run = resil.as_ref().map(|(_, run)| run.as_ref() as &RunState);
-                        return exact_hit_stream(
-                            table,
-                            query,
-                            voice,
-                            cancel,
-                            &data,
-                            &cfg.exact_cfg(),
-                            run,
-                        )
-                        .mark_stale()
-                        .attach_resilience(resil);
-                    }
+                ExactLookup::Stale(_) => {
                     sem.invalidate_exact(&query.key());
+                    None
                 }
-                ExactLookup::Miss => {}
+                ExactLookup::Miss => None,
+            };
+            if let Some((data, stale)) = hit {
+                let run = resil.as_ref().map(|(_, run)| &**run);
+                let stream =
+                    exact_hit_stream(table, query, voice, cancel, &data, &cfg.exact_cfg(), run);
+                let stream = if stale { stream.mark_stale() } else { stream };
+                return stream.attach_resilience(resil);
             }
         }
 
@@ -568,24 +355,21 @@ impl Vocalizer for ParallelHolistic {
             }
         }
 
-        // Semantic cache, layer 2: seed the shared cache from a snapshot
-        // with the same scope and seed, then advance the shared morsel
-        // pool past the donor's consumed per-chunk prefixes — the donor's
-        // thread count is irrelevant, any team can resume any progress
-        // vector. Cold runs just start logging in-scope rows for later
-        // admission.
-        let mut donor_rows: Vec<LoggedRow> = Vec::new();
+        // Semantic cache, layer 2: a snapshot with the same scope (measure
+        // + filters) and seed seeds the shared cache with its uniform row
+        // prefix, and the shared morsel pool advances past the donor's
+        // consumed per-chunk prefixes, so sampling resumes where the donor
+        // stopped. A version-stale snapshot is first *repaired* by
+        // scanning only the appended suffix (never a full rescan; its cost
+        // counts as this run's rows read) and re-admitted. Every run logs
+        // its in-scope rows for later snapshot admission.
         let mut seeded_total = 0u64;
         if let Some(sem) = &self.cache {
-            // A version-stale snapshot is repaired first: only the
-            // appended suffix is scanned (its cost counts as this run's
-            // rows read), then the repaired snapshot seeds the run like
-            // a same-version one would.
-            let donor = sem.lookup_snapshot(&query.key().scope(), cfg.seed).and_then(|snap| {
+            let scope = query.key().scope();
+            let donor = sem.lookup_snapshot(&scope, cfg.seed).and_then(|snap| {
                 if snap.version == table.version() {
                     Some((snap, 0u64))
                 } else {
-                    let scope = query.key().scope();
                     repair_snapshot(&snap, table, &scope).map(|out| {
                         sem.note_repair(out.rows_read);
                         sem.admit_snapshot(&scope, out.snapshot.clone());
@@ -593,48 +377,32 @@ impl Vocalizer for ParallelHolistic {
                     })
                 }
             });
-            let warmed = match donor {
-                Some((snap, repair_rows)) => {
-                    cache.seed_rows(
-                        query.layout(),
-                        snap.rows.iter().map(|r| (&r.members[..], r.value)),
-                        snap.nr_read,
-                    );
-                    pool.resume(&snap.progress);
-                    workers[0].seeded = snap.nr_read;
-                    donor_rows = snap.rows.clone();
-                    // Repair-scanned rows stay inside `rows_read` (the
-                    // fresh-row accounting subtracts `seeded_total`).
-                    seeded_total = snap.nr_read - repair_rows;
-                    true
-                }
-                None => false,
-            };
-            if !warmed {
-                sem.record_miss();
-            }
             let budget = sem.snapshot_row_budget(schema.dimensions().len());
-            let per_worker = budget.saturating_sub(donor_rows.len()) / n_workers;
+            let donor_len = donor.as_ref().map_or(0, |(snap, _)| snap.rows.len());
+            let per_worker = budget.saturating_sub(donor_len) / n_workers;
             for worker in &mut workers {
-                worker.log = Some(RowLog::new(per_worker));
+                worker.enable_row_log(per_worker);
+            }
+            match donor {
+                Some((snap, repair_rows)) => {
+                    workers[0].warm_start(&snap);
+                    // Repair-scanned rows stay inside `rows_read`.
+                    seeded_total = snap.nr_read - repair_rows;
+                }
+                None => sem.record_miss(),
             }
         }
 
         // Warm up on worker 0's shard (a uniform sample of the table).
         let Some(overall) = workers[0].warmup(cfg.warmup_rows) else {
-            // Not one row in scope: report that, and still admit the
-            // (possibly exhausted) scan to the semantic cache at finish.
-            let results: Vec<Option<RowLog>> =
-                workers.iter_mut().map(|w| w.take_result()).collect();
+            // Entire table streamed, not one row in scope: report that —
+            // and still admit the exhausted scan to the semantic cache.
             let fresh = cache.nr_read().saturating_sub(seeded_total);
             let semantic = self.cache.clone();
-            let seed = cfg.seed;
-            let version = table.version();
-            let table_rows = table.row_count() as u64;
             let admit = move || {
-                admit_parallel(
-                    &semantic, seed, &cache, &pool, query, donor_rows, results, version, table_rows,
-                );
+                if let Some(sem) = &semantic {
+                    ShardWorker::admit(&mut workers, sem);
+                }
             };
             let source = Buffered::no_data(fresh, Some(Box::new(admit)));
             return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
@@ -642,104 +410,28 @@ impl Vocalizer for ParallelHolistic {
         };
         let sigma = calibrated_sigma(overall, cfg.sigma_override);
         for w in &mut workers {
-            w.sigma = sigma;
+            w.set_sigma(sigma);
         }
 
         let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
         let tree =
             SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
 
-        let layout = query.layout();
-        let unit = schema.measure(query.measure()).unit;
-
-        if n_workers == 1 {
-            // Cooperative deterministic mode: the shared driver loop on
-            // the calling thread, plain (vloss-free) descent — matches
-            // Holistic bit for bit under a fixed seed.
-            let Some(worker) = workers.pop() else { unreachable!("threads >= 1") };
-            let sampler = ShardSampler::new(
-                worker,
-                cache,
-                pool,
-                seeded_total,
-                donor_rows,
-                self.cache.clone(),
-                cfg.seed,
-                table.version(),
-                table.row_count() as u64,
-            );
-            let run = resil.as_ref().map(|(_, run)| run.clone());
-            let source = CoopSource::new(sampler, tree, renderer, cfg, layout, unit, run);
-            SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
-                .attach_resilience(resil)
-        } else {
-            let seed = cfg.seed;
-            let run = resil.as_ref().map(|(_, run)| run.clone());
-            let source = MultiSource::new(
-                workers,
-                cache,
-                pool,
-                tree,
-                renderer,
-                cfg,
-                layout,
-                unit,
-                seeded_total,
-                donor_rows,
-                self.cache.clone(),
-                seed,
-                query,
-                run,
-                table.version(),
-                table.row_count() as u64,
-            );
-            SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
-                .attach_resilience(resil)
-        }
+        let source = TeamSource {
+            workers,
+            tree,
+            renderer,
+            cfg,
+            current: SpeechTree::ROOT,
+            unit: schema.measure(query.measure()).unit,
+            samples: AtomicU64::new(0),
+            seeded_total,
+            semantic: self.cache.clone(),
+            run: resil.as_ref().map(|(_, run)| run.clone()),
+        };
+        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
+            .attach_resilience(resil)
     }
-}
-
-/// Offer a parallel run's results to the semantic cache: exact aggregates
-/// when the scan was exhausted, and the combined donor-prefix + fresh
-/// per-worker row logs as a warm-start snapshot. The snapshot carries the
-/// pool's per-chunk progress vector, so a later run with any thread count
-/// can resume the consumed prefix; `version`/`table_rows` pin the table
-/// revision the sample describes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn admit_parallel(
-    semantic: &Option<Arc<SemanticCache>>,
-    seed: u64,
-    shared: &ShardedSampleCache,
-    pool: &MorselPool,
-    query: &Query,
-    donor_rows: Vec<LoggedRow>,
-    worker_results: Vec<Option<RowLog>>,
-    version: u64,
-    table_rows: u64,
-) {
-    let Some(sem) = semantic else { return };
-    if let Some((counts, sums)) = shared.exact_result() {
-        sem.admit_exact(&query.key(), version, counts, sums);
-    }
-    let mut rows = donor_rows;
-    for log in worker_results {
-        let Some(log) = log else { return };
-        if log.overflowed() {
-            return;
-        }
-        rows.extend_from_slice(log.rows());
-    }
-    sem.admit_snapshot(
-        &query.key().scope(),
-        SampleSnapshot {
-            seed,
-            progress: pool.progress_vec(),
-            nr_read: shared.nr_read(),
-            rows,
-            version,
-            table_rows,
-        },
-    );
 }
 
 #[cfg(test)]
@@ -748,9 +440,9 @@ mod tests {
     use voxolap_data::dimension::LevelId;
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
+    use voxolap_engine::query::AggFct;
     use voxolap_speech::constraints::SpeechConstraints;
 
-    use crate::holistic::Holistic;
     use crate::uncertainty::UncertaintyMode;
     use crate::voice::InstantVoice;
 
@@ -796,42 +488,6 @@ mod tests {
             min_samples_per_sentence: 400,
             max_tree_nodes: 60_000,
             ..HolisticConfig::default()
-        }
-    }
-
-    #[test]
-    fn single_thread_reproduces_holistic_exactly() {
-        let (table, q) = setup();
-        let mut voice_seq = InstantVoice::default();
-        let seq = Holistic::new(fast_config()).vocalize(&table, &q, &mut voice_seq);
-        let mut voice_par = InstantVoice::default();
-        let par = ParallelHolistic::new(fast_config()).with_threads(1).vocalize(
-            &table,
-            &q,
-            &mut voice_par,
-        );
-        assert_eq!(par.sentences, seq.sentences, "same speech, sentence for sentence");
-        assert_eq!(par.preamble, seq.preamble);
-        assert_eq!(par.stats.samples, seq.stats.samples);
-        assert_eq!(par.stats.rows_read, seq.stats.rows_read);
-    }
-
-    #[test]
-    fn single_thread_parity_holds_across_seeds_and_constraints() {
-        let (table, q) = setup();
-        for seed in [3u64, 17, 2024] {
-            let cfg = HolisticConfig {
-                seed,
-                constraints: SpeechConstraints { max_chars: 300, max_refinements: 1 },
-                min_samples_per_sentence: 250,
-                max_tree_nodes: 40_000,
-                ..HolisticConfig::default()
-            };
-            let mut v1 = InstantVoice::default();
-            let seq = Holistic::new(cfg.clone()).vocalize(&table, &q, &mut v1);
-            let mut v2 = InstantVoice::default();
-            let par = ParallelHolistic::new(cfg).with_threads(1).vocalize(&table, &q, &mut v2);
-            assert_eq!(par.sentences, seq.sentences, "seed {seed}");
         }
     }
 
@@ -888,8 +544,12 @@ mod tests {
     fn multi_thread_baseline_lands_near_truth() {
         let (table, q) = setup();
         let mut voice = SleepyVoice::new(Duration::from_micros(100));
-        let outcome =
-            ParallelHolistic::new(fast_config()).with_threads(4).vocalize(&table, &q, &mut voice);
+        // The commit takes the best *mean*, and at a 400-sample floor a
+        // baseline visited once or twice can win on one lucky aggregate —
+        // which one depends on thread timing (≈40 % of solo runs landed
+        // outside the band). 20 000 samples put 100 of 100 runs in 75–100.
+        let cfg = HolisticConfig { min_samples_per_sentence: 20_000, ..fast_config() };
+        let outcome = ParallelHolistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
         let v = outcome.speech.unwrap().baseline.value;
         // Exact grand mean is ~88-92 K at one significant digit.
         assert!((70.0..=110.0).contains(&v), "baseline {v}");
@@ -911,23 +571,6 @@ mod tests {
             "warning appended: {:?}",
             outcome.sentences
         );
-    }
-
-    #[test]
-    fn single_thread_with_empty_cache_keeps_parity() {
-        let (table, q) = setup();
-        let mut voice_seq = InstantVoice::default();
-        let seq = Holistic::new(fast_config()).vocalize(&table, &q, &mut voice_seq);
-        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
-        let mut voice_par = InstantVoice::default();
-        let par = ParallelHolistic::new(fast_config()).with_threads(1).with_cache(cache).vocalize(
-            &table,
-            &q,
-            &mut voice_par,
-        );
-        assert_eq!(par.sentences, seq.sentences, "cold cache must not perturb planning");
-        assert_eq!(par.stats.samples, seq.stats.samples);
-        assert_eq!(par.stats.rows_read, seq.stats.rows_read);
     }
 
     #[test]
@@ -969,22 +612,6 @@ mod tests {
         );
         assert_eq!(cache.stats().warm_hits, 1);
         assert!(warm.speech.is_some());
-    }
-
-    #[test]
-    fn single_thread_inert_resilience_keeps_parity() {
-        let (table, q) = setup();
-        let mut voice_seq = InstantVoice::default();
-        let seq = Holistic::new(fast_config()).vocalize(&table, &q, &mut voice_seq);
-        let mut voice_par = InstantVoice::default();
-        let par = ParallelHolistic::new(fast_config())
-            .with_threads(1)
-            .with_resilience(Arc::new(Resilience::default()))
-            .vocalize(&table, &q, &mut voice_par);
-        assert_eq!(par.sentences, seq.sentences, "injector-free bundle must not perturb");
-        assert_eq!(par.stats.samples, seq.stats.samples);
-        assert_eq!(par.stats.rows_read, seq.stats.rows_read);
-        assert!(!par.stats.degraded);
     }
 
     #[test]

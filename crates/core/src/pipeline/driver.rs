@@ -1,232 +1,43 @@
-//! The shared Plan/Sample → Commit driver.
+//! The Plan/Sample → Commit driver of the holistic engine.
 //!
-//! Holistic, ParallelHolistic (both modes), and Unmerged used to carry
-//! near-identical control loops; this module owns the one loop they all
-//! share. A [`SampleStep`] abstracts the ingestion strategy — the
-//! sequential [`PlannerCore`] or a sharded [`ShardWorker`] — and
-//! [`plan_next_sentence`] runs Algorithm 1's per-sentence round against
-//! it: sample while the previous sentence plays (or until the progress
-//! floor), then commit to the best-mean child and render it. The
-//! multi-threaded engine gets its own [`MultiSource`] whose per-sentence
-//! round fans the same sampling out over scoped worker threads.
+//! [`TeamSource`] runs Algorithm 1's per-sentence round over a team of
+//! [`ShardWorker`]s: sample while the previous sentence plays (or until
+//! the progress floor), then commit to the best-mean child and render it.
+//! A team of one samples cooperatively on the calling thread — exact and
+//! deterministic; a larger team fans the same sampling out over scoped
+//! worker threads while the calling thread paces against the voice.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use voxolap_data::schema::MeasureUnit;
-use voxolap_data::MorselPool;
-use voxolap_engine::query::{Query, ResultLayout};
-use voxolap_engine::semantic::{LoggedRow, SemanticCache};
+use voxolap_engine::query::ResultLayout;
+use voxolap_engine::semantic::SemanticCache;
 use voxolap_engine::sharded::ShardedSampleCache;
 use voxolap_faults::RunState;
 use voxolap_mcts::NodeId;
 use voxolap_speech::render::Renderer;
 
-use crate::holistic::{admit_core, relevant_aggs, HolisticConfig};
-use crate::parallel::{admit_parallel, ShardWorker, POLL_INTERVAL};
+use crate::holistic::{relevant_aggs, HolisticConfig};
+use crate::parallel::POLL_INTERVAL;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{FinishInfo, SentenceSource};
 use crate::resilience::{round_status, RoundEnd};
-use crate::sampler::{PlannerCore, RowLog};
+use crate::sampler::ShardWorker;
 use crate::tree::SpeechTree;
-use crate::uncertainty::{annotate, ConfidenceSource, UncertaintyMode};
+use crate::uncertainty::{annotate, UncertaintyMode};
 use crate::voice::VoiceOutput;
-
-/// One sampling strategy driving the shared per-sentence loop.
-pub(crate) trait SampleStep {
-    /// One sampling iteration rooted at `from`.
-    fn step(&mut self, tree: &mut SpeechTree, from: NodeId);
-
-    /// Cumulative sampling iterations.
-    fn samples(&self) -> u64;
-
-    /// Cumulative (fresh) rows read.
-    fn rows_read(&self) -> u64;
-
-    /// The cache backing uncertainty annotations.
-    fn confidence(&self) -> &dyn ConfidenceSource;
-
-    /// Offer this run's results to the semantic cache (once, at finish).
-    fn admit(&mut self);
-}
-
-/// [`SampleStep`] over the sequential [`PlannerCore`] — the Holistic
-/// engine's ingestion strategy.
-pub(crate) struct CoreSampler<'a> {
-    core: PlannerCore<'a>,
-    rows_per_iteration: usize,
-    semantic: Option<Arc<SemanticCache>>,
-    seed: u64,
-}
-
-impl<'a> CoreSampler<'a> {
-    pub(crate) fn new(
-        core: PlannerCore<'a>,
-        rows_per_iteration: usize,
-        semantic: Option<Arc<SemanticCache>>,
-        seed: u64,
-    ) -> Self {
-        CoreSampler { core, rows_per_iteration, semantic, seed }
-    }
-}
-
-impl SampleStep for CoreSampler<'_> {
-    fn step(&mut self, tree: &mut SpeechTree, from: NodeId) {
-        self.core.sample_once(tree, from, self.rows_per_iteration);
-    }
-
-    fn samples(&self) -> u64 {
-        self.core.samples()
-    }
-
-    fn rows_read(&self) -> u64 {
-        self.core.rows_read()
-    }
-
-    fn confidence(&self) -> &dyn ConfidenceSource {
-        self.core.cache()
-    }
-
-    fn admit(&mut self) {
-        admit_core(&self.semantic, self.seed, &self.core, self.core.query());
-    }
-}
-
-/// [`SampleStep`] over a single [`ShardWorker`] — ParallelHolistic's
-/// deterministic cooperative mode (`threads == 1`), bit-identical to
-/// [`CoreSampler`] under a fixed seed.
-pub(crate) struct ShardSampler<'a> {
-    worker: ShardWorker<'a>,
-    cache: Arc<ShardedSampleCache>,
-    /// The worker's morsel pool — kept for snapshot admission, whose
-    /// progress vector is the warm-start resume point.
-    pool: Arc<MorselPool>,
-    samples: u64,
-    seeded_total: u64,
-    donor_rows: Vec<LoggedRow>,
-    semantic: Option<Arc<SemanticCache>>,
-    seed: u64,
-    /// Pinned table version + row count, stamped into admissions.
-    version: u64,
-    table_rows: u64,
-}
-
-impl<'a> ShardSampler<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        worker: ShardWorker<'a>,
-        cache: Arc<ShardedSampleCache>,
-        pool: Arc<MorselPool>,
-        seeded_total: u64,
-        donor_rows: Vec<LoggedRow>,
-        semantic: Option<Arc<SemanticCache>>,
-        seed: u64,
-        version: u64,
-        table_rows: u64,
-    ) -> Self {
-        ShardSampler {
-            worker,
-            cache,
-            pool,
-            samples: 0,
-            seeded_total,
-            donor_rows,
-            semantic,
-            seed,
-            version,
-            table_rows,
-        }
-    }
-}
-
-impl SampleStep for ShardSampler<'_> {
-    fn step(&mut self, tree: &mut SpeechTree, from: NodeId) {
-        self.worker.sample_once(tree, from, false);
-        self.samples += 1;
-    }
-
-    fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    fn rows_read(&self) -> u64 {
-        self.cache.nr_read().saturating_sub(self.seeded_total)
-    }
-
-    fn confidence(&self) -> &dyn ConfidenceSource {
-        &*self.cache
-    }
-
-    fn admit(&mut self) {
-        let results = vec![self.worker.take_result()];
-        admit_parallel(
-            &self.semantic,
-            self.seed,
-            &self.cache,
-            &self.pool,
-            self.worker.query(),
-            std::mem::take(&mut self.donor_rows),
-            results,
-            self.version,
-            self.table_rows,
-        );
-    }
-}
-
-/// One per-sentence round of Algorithm 1: sample while the previously
-/// started sentence plays (plus the progress floor for instant voices),
-/// then commit. Checking the round status *first* in each iteration
-/// keeps the voice polling sequence — and therefore the sampling
-/// iteration count — bit-identical to the pre-pipeline engines when the
-/// token never fires. An `Anytime` status breaks out to commit the best
-/// answer the tree holds right now instead of yielding nothing.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_next_sentence<S: SampleStep>(
-    sampler: &mut S,
-    tree: &mut SpeechTree,
-    current: &mut NodeId,
-    renderer: &Renderer<'_>,
-    cfg: &HolisticConfig,
-    voice: &mut dyn VoiceOutput,
-    cancel: &CancelToken,
-    layout: &ResultLayout,
-    unit: MeasureUnit,
-    run: Option<&RunState>,
-) -> Option<String> {
-    let at_root = *current == SpeechTree::ROOT;
-    let at_leaf = tree.tree().is_leaf(*current);
-    let mut iterations = 0u64;
-    loop {
-        match round_status(cancel, run, at_root, at_leaf) {
-            RoundEnd::Stop => return None,
-            RoundEnd::Anytime => break,
-            RoundEnd::Continue => {}
-        }
-        if !(voice.is_playing() || iterations < cfg.min_samples_per_sentence) {
-            // Mirror the pre-fault double-check: a token firing between
-            // the last poll and the commit still aborts cleanly.
-            match round_status(cancel, run, at_root, at_leaf) {
-                RoundEnd::Stop => return None,
-                _ => break,
-            }
-        }
-        sampler.step(tree, *current);
-        iterations += 1;
-    }
-    commit_and_render(tree, current, renderer, cfg, sampler.confidence(), layout, unit)
-}
 
 /// Advance `current` to its best-mean child and render that sentence
 /// (with the configured uncertainty annotation); `None` when the walk is
 /// finished. Committed nodes are never the root, so `tree.sentence` is
 /// always `Some`; a `None` ends the speech instead of panicking.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn commit_and_render(
+fn commit_and_render(
     tree: &SpeechTree,
     current: &mut NodeId,
     renderer: &Renderer<'_>,
     cfg: &HolisticConfig,
-    confidence: &dyn ConfidenceSource,
+    confidence: &ShardedSampleCache,
     layout: &ResultLayout,
     unit: MeasureUnit,
 ) -> Option<String> {
@@ -245,189 +56,99 @@ pub(crate) fn commit_and_render(
     Some(sentence)
 }
 
-/// Cooperative sentence source: the shared loop over one [`SampleStep`],
-/// on the calling thread. Used by Holistic and by ParallelHolistic at
-/// `threads == 1`.
-pub(crate) struct CoopSource<'a, S> {
-    sampler: S,
-    tree: SpeechTree,
-    renderer: Renderer<'a>,
-    cfg: HolisticConfig,
-    current: NodeId,
-    layout: &'a ResultLayout,
-    unit: MeasureUnit,
+/// The holistic engine's sentence source: one team of workers over one
+/// shared cache, morsel pool and speech tree (see module docs).
+pub(crate) struct TeamSource<'a> {
+    pub(crate) workers: Vec<ShardWorker<'a>>,
+    pub(crate) tree: SpeechTree,
+    pub(crate) renderer: Renderer<'a>,
+    pub(crate) cfg: HolisticConfig,
+    pub(crate) current: NodeId,
+    pub(crate) unit: MeasureUnit,
+    pub(crate) samples: AtomicU64,
+    /// Rows the semantic cache pre-seeded; not counted as read by this run.
+    pub(crate) seeded_total: u64,
+    pub(crate) semantic: Option<Arc<SemanticCache>>,
     /// Per-run degrade state (`None` = no resilience attached).
-    run: Option<Arc<RunState>>,
+    pub(crate) run: Option<Arc<RunState>>,
 }
 
-impl<'a, S> CoopSource<'a, S> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        sampler: S,
-        tree: SpeechTree,
-        renderer: Renderer<'a>,
-        cfg: HolisticConfig,
-        layout: &'a ResultLayout,
-        unit: MeasureUnit,
-        run: Option<Arc<RunState>>,
-    ) -> Self {
-        CoopSource { sampler, tree, renderer, cfg, current: SpeechTree::ROOT, layout, unit, run }
-    }
-}
-
-impl<'a, S: SampleStep> SentenceSource<'a> for CoopSource<'a, S> {
+impl<'a> SentenceSource<'a> for TeamSource<'a> {
+    /// One per-sentence round of Algorithm 1: sample while the previously
+    /// started sentence plays (plus the progress floor for instant
+    /// voices), then commit. An `Anytime` round status commits the best
+    /// answer the tree holds right now instead of yielding nothing.
     fn next(&mut self, voice: &mut dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
-        plan_next_sentence(
-            &mut self.sampler,
-            &mut self.tree,
-            &mut self.current,
-            &self.renderer,
-            &self.cfg,
-            voice,
-            cancel,
-            self.layout,
-            self.unit,
-            self.run.as_deref(),
-        )
-    }
-
-    fn samples(&self) -> u64 {
-        self.sampler.samples()
-    }
-
-    fn rows_read(&self) -> u64 {
-        self.sampler.rows_read()
-    }
-
-    fn finish(&mut self) -> FinishInfo {
-        self.sampler.admit();
-        FinishInfo {
-            speech: Some(self.tree.speech_at(self.current)),
-            tree_nodes: self.tree.tree().node_count(),
-            truncated: self.tree.truncated(),
-        }
-    }
-}
-
-/// Multi-threaded sentence source: each per-sentence round fans sampling
-/// out over scoped worker threads (virtual-loss UCT descent against the
-/// lock-free tree) while the calling thread paces against the voice
-/// output, then commits. Timing-dependent and not bit-reproducible —
-/// exactly like the engine it replaces.
-pub(crate) struct MultiSource<'a> {
-    workers: Vec<ShardWorker<'a>>,
-    cache: Arc<ShardedSampleCache>,
-    /// The workers' shared morsel pool — kept for snapshot admission.
-    pool: Arc<MorselPool>,
-    tree: SpeechTree,
-    renderer: Renderer<'a>,
-    cfg: HolisticConfig,
-    current: NodeId,
-    layout: &'a ResultLayout,
-    unit: MeasureUnit,
-    samples: AtomicU64,
-    seeded_total: u64,
-    donor_rows: Vec<LoggedRow>,
-    semantic: Option<Arc<SemanticCache>>,
-    seed: u64,
-    query: &'a Query,
-    /// Per-run degrade state (`None` = no resilience attached).
-    run: Option<Arc<RunState>>,
-    /// Pinned table version + row count, stamped into admissions.
-    version: u64,
-    table_rows: u64,
-}
-
-impl<'a> MultiSource<'a> {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        workers: Vec<ShardWorker<'a>>,
-        cache: Arc<ShardedSampleCache>,
-        pool: Arc<MorselPool>,
-        tree: SpeechTree,
-        renderer: Renderer<'a>,
-        cfg: HolisticConfig,
-        layout: &'a ResultLayout,
-        unit: MeasureUnit,
-        seeded_total: u64,
-        donor_rows: Vec<LoggedRow>,
-        semantic: Option<Arc<SemanticCache>>,
-        seed: u64,
-        query: &'a Query,
-        run: Option<Arc<RunState>>,
-        version: u64,
-        table_rows: u64,
-    ) -> Self {
-        MultiSource {
-            workers,
-            cache,
-            pool,
-            tree,
-            renderer,
-            cfg,
-            current: SpeechTree::ROOT,
-            layout,
-            unit,
-            samples: AtomicU64::new(0),
-            seeded_total,
-            donor_rows,
-            semantic,
-            seed,
-            query,
-            run,
-            version,
-            table_rows,
-        }
-    }
-}
-
-impl<'a> SentenceSource<'a> for MultiSource<'a> {
-    fn next(&mut self, voice: &mut dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
-        let floor = self.samples.load(Ordering::Relaxed) + self.cfg.min_samples_per_sentence;
-        let stop = AtomicBool::new(false);
         let tree = &self.tree;
         let current = self.current;
-        let samples = &self.samples;
         let at_root = current == SpeechTree::ROOT;
         let at_leaf = tree.tree().is_leaf(current);
         let run = self.run.as_deref();
-        std::thread::scope(|scope| {
-            for worker in self.workers.iter_mut() {
-                let stop = &stop;
-                scope.spawn(move || {
-                    while !stop.load(Ordering::Relaxed)
-                        && !cancel.fired()
-                        && !run.is_some_and(|r| r.budget_exhausted())
-                    {
-                        worker.sample_once(tree, current, true);
-                        samples.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-            // The calling thread paces: sleep while the previously
-            // started sentence plays, then until the progress floor. An
-            // exhausted fault budget ends the round early so the anytime
-            // path can commit whatever the tree holds.
-            let exhausted = || run.is_some_and(|r| r.budget_exhausted());
-            while !cancel.fired() && !exhausted() && voice.is_playing() {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            while !cancel.fired() && !exhausted() && samples.load(Ordering::Relaxed) < floor {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
-        match round_status(cancel, run, at_root, at_leaf) {
-            RoundEnd::Stop => return None,
-            RoundEnd::Anytime | RoundEnd::Continue => {}
+        let floor = self.cfg.min_samples_per_sentence;
+        let stop = if let [worker] = &mut self.workers[..] {
+            // Cooperative round. Checking the round status *first* in each
+            // iteration fixes the voice polling sequence — and therefore
+            // the sampling iteration count — under a seed.
+            let mut iterations = 0u64;
+            let stop = loop {
+                match round_status(cancel, run, at_root, at_leaf) {
+                    RoundEnd::Stop => break true,
+                    RoundEnd::Anytime => break false,
+                    RoundEnd::Continue => {}
+                }
+                if !(voice.is_playing() || iterations < floor) {
+                    // A token firing between the last poll and the commit
+                    // still aborts cleanly.
+                    break round_status(cancel, run, at_root, at_leaf) == RoundEnd::Stop;
+                }
+                worker.sample_once(tree, current, false);
+                iterations += 1;
+            };
+            *self.samples.get_mut() += iterations;
+            stop
+        } else {
+            let samples = &self.samples;
+            let target = samples.load(Ordering::Relaxed) + floor;
+            let halt = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                for worker in self.workers.iter_mut() {
+                    let halt = &halt;
+                    scope.spawn(move || {
+                        while !halt.load(Ordering::Relaxed)
+                            && !cancel.fired()
+                            && !run.is_some_and(|r| r.budget_exhausted())
+                        {
+                            worker.sample_once(tree, current, true);
+                            samples.fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                }
+                // The calling thread paces: sleep while the previously
+                // started sentence plays, then until the progress floor. An
+                // exhausted fault budget ends the round early so the anytime
+                // path can commit whatever the tree holds.
+                let exhausted = || run.is_some_and(|r| r.budget_exhausted());
+                while !cancel.fired() && !exhausted() && voice.is_playing() {
+                    std::thread::sleep(POLL_INTERVAL);
+                }
+                while !cancel.fired() && !exhausted() && samples.load(Ordering::Relaxed) < target {
+                    std::thread::sleep(POLL_INTERVAL);
+                }
+                halt.store(true, Ordering::Relaxed);
+            });
+            round_status(cancel, run, at_root, at_leaf) == RoundEnd::Stop
+        };
+        if stop {
+            return None;
         }
+        let lead = &self.workers[0];
         commit_and_render(
             &self.tree,
             &mut self.current,
             &self.renderer,
             &self.cfg,
-            &*self.cache,
-            self.layout,
+            lead.cache(),
+            lead.query().layout(),
             self.unit,
         )
     }
@@ -437,23 +158,13 @@ impl<'a> SentenceSource<'a> for MultiSource<'a> {
     }
 
     fn rows_read(&self) -> u64 {
-        self.cache.nr_read().saturating_sub(self.seeded_total)
+        self.workers[0].cache().nr_read().saturating_sub(self.seeded_total)
     }
 
     fn finish(&mut self) -> FinishInfo {
-        let results: Vec<Option<RowLog>> =
-            self.workers.iter_mut().map(|w| w.take_result()).collect();
-        admit_parallel(
-            &self.semantic,
-            self.seed,
-            &self.cache,
-            &self.pool,
-            self.query,
-            std::mem::take(&mut self.donor_rows),
-            results,
-            self.version,
-            self.table_rows,
-        );
+        if let Some(sem) = &self.semantic {
+            ShardWorker::admit(&mut self.workers, sem);
+        }
         FinishInfo {
             speech: Some(self.tree.speech_at(self.current)),
             tree_nodes: self.tree.tree().node_count(),

@@ -11,10 +11,10 @@
 //!   build the speech tree. (Optimal and PriorGreedy plug in here as an
 //!   exact-plan stage — their whole speech is planned up front.)
 //! * **Plan/Sample + Commit** run once per
-//!   [`SpeechStream::next_sentence`] call through the shared driver,
-//!   parameterized by a `SelectionPolicy` and an ingestion strategy
-//!   (sequential [`PlannerCore`](crate::sampler::PlannerCore), sharded
-//!   cooperative, or sharded multi-threaded).
+//!   [`SpeechStream::next_sentence`] call through the holistic engine's
+//!   driver: a team of [`ShardWorker`](crate::sampler::ShardWorker)s
+//!   sampling under a `SelectionPolicy`, cooperatively at one thread or
+//!   on scoped threads at several.
 //! * **Emit** is the pull: the caller decides when to ask for the next
 //!   sentence, and a [`CancelToken`] threaded through ingestion and UCT
 //!   sampling aborts planning within one iteration when the consumer is

@@ -1,10 +1,13 @@
-//! Shared planner core: row streaming, the sample cache, σ calibration,
-//! and the speech-evaluation sampling iteration (`ST.Sample` combining
-//! Algorithms 2 and 3).
+//! The planning worker: row streaming into the sample cache, σ
+//! calibration, and the speech-evaluation sampling iteration (`ST.Sample`
+//! combining Algorithms 2 and 3).
 //!
-//! Both the Holistic and the Unmerged planner drive this core; they differ
-//! only in *when* they sample (overlapped with voice output vs. a fixed
-//! pre-output budget).
+//! The holistic engine and the Unmerged planner drive the same
+//! [`ShardWorker`]; they differ only in *when* they sample (overlapped
+//! with voice output vs. a fixed pre-output budget) and in how many
+//! workers share one cache.
+
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -13,13 +16,14 @@ use voxolap_belief::model::rounding_bucket;
 use voxolap_belief::normal::Normal;
 use voxolap_data::dimension::MemberId;
 use voxolap_data::table::{RowBlock, RowScanner};
-use voxolap_data::Table;
-use voxolap_engine::cache::{ResampleScratch, SampleCache};
-use voxolap_engine::query::{decode_agg, Query, AGG_OUT_OF_SCOPE};
-use voxolap_engine::semantic::{LoggedRow, SampleSnapshot};
-use voxolap_engine::stratified::{AggregateIndex, StratifiedScanner};
+use voxolap_data::{MorselPool, Table};
+use voxolap_engine::cache::ResampleScratch;
+use voxolap_engine::query::{AggFct, Query, AGG_OUT_OF_SCOPE};
+use voxolap_engine::semantic::{LoggedRow, SampleSnapshot, SemanticCache};
+use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 use voxolap_mcts::NodeId;
 
+use crate::holistic::HolisticConfig;
 use crate::resilience::ResCtx;
 use crate::tree::SpeechTree;
 
@@ -28,24 +32,22 @@ use crate::tree::SpeechTree;
 /// Overflowing the cap drops the log (an oversized snapshot would be
 /// rejected by the cache anyway) but never affects the run itself.
 #[derive(Debug)]
-pub(crate) struct RowLog {
+struct RowLog {
     rows: Vec<LoggedRow>,
     cap: usize,
     overflowed: bool,
 }
 
 impl RowLog {
-    pub(crate) fn new(cap: usize) -> Self {
+    fn new(cap: usize) -> Self {
         RowLog { rows: Vec::new(), cap, overflowed: false }
     }
 
     /// Pre-fill with a warm-start donor's rows so the final snapshot covers
-    /// the whole observed prefix, not just this run's fresh rows.
-    pub(crate) fn seed(&mut self, rows: &[LoggedRow]) {
-        if self.rows.len() + rows.len() > self.cap {
-            self.overflow();
-            return;
-        }
+    /// the whole observed prefix, not just this run's fresh rows. The cap
+    /// bounds fresh rows only, so donor rows ride on top of it.
+    fn seed(&mut self, rows: &[LoggedRow]) {
+        self.cap += rows.len();
         self.rows.extend_from_slice(rows);
     }
 
@@ -55,7 +57,7 @@ impl RowLog {
     /// that would not fit drops the log in one step — observably the same
     /// as overflowing row-at-a-time, since an overflowed log is discarded
     /// wholesale either way.
-    pub(crate) fn push_block(&mut self, block: &RowBlock<'_>, aggs: &[u32]) {
+    fn push_block(&mut self, block: &RowBlock<'_>, aggs: &[u32]) {
         if self.overflowed {
             return;
         }
@@ -81,23 +83,14 @@ impl RowLog {
         self.overflowed = true;
         self.rows = Vec::new();
     }
-
-    pub(crate) fn overflowed(&self) -> bool {
-        self.overflowed
-    }
-
-    pub(crate) fn rows(&self) -> &[LoggedRow] {
-        &self.rows
-    }
 }
 
 /// Fallback σ when the measure's overall mean is zero or unavailable.
-pub(crate) const SIGMA_FALLBACK: f64 = 1.0;
+const SIGMA_FALLBACK: f64 = 1.0;
 
 /// The σ the paper calibrates for a run: an explicit override, or half the
-/// overall estimate (falling back to 1 for degenerate means). Shared by
-/// the sequential and parallel planners.
-pub(crate) fn calibrated_sigma(overall_estimate: f64, sigma_override: Option<f64>) -> f64 {
+/// overall estimate (falling back to 1 for degenerate means).
+pub fn calibrated_sigma(overall_estimate: f64, sigma_override: Option<f64>) -> f64 {
     match sigma_override {
         Some(s) => s,
         None => {
@@ -122,135 +115,84 @@ pub enum SelectionPolicy {
     UniformRandom,
 }
 
-/// The row source feeding the cache: the paper's shuffled stream, or a
-/// pre-built per-aggregate index streamed round-robin (the "specialized
-/// indexing structures" extension for rare sub-populations — AVG only,
-/// see [`voxolap_engine::stratified`]).
-enum RowSource<'a> {
-    Shuffled(RowScanner<'a>),
-    Stratified(StratifiedScanner<'a>),
-}
+/// Stream separation constant for per-worker RNGs (an arbitrary odd
+/// multiplier). Worker 0's stream is the cooperative engine's — the
+/// golden transcript in `tests/stream_parity.rs` pins it.
+const WORKER_STREAM: u64 = 0xd1b5_4a32_d192_ed03;
 
-impl<'a> RowSource<'a> {
-    fn rows_read(&self) -> usize {
-        match self {
-            RowSource::Shuffled(s) => s.rows_read(),
-            RowSource::Stratified(s) => s.rows_read(),
-        }
-    }
-}
-
-/// Row streaming + cache + sampling state for one vocalization run.
-pub struct PlannerCore<'a> {
+/// One planning worker: a pooled morsel scanner and private RNG stream
+/// over a sample cache and speech tree it may share with teammates. The
+/// holistic engine runs one worker cooperatively or a team of them on
+/// scoped threads; Unmerged drives a solo worker for a fixed budget.
+pub struct ShardWorker<'a> {
     query: &'a Query,
-    scanner: RowSource<'a>,
-    cache: SampleCache,
-    sigma: f64,
+    cache: Arc<ShardedSampleCache>,
+    scanner: RowScanner<'a>,
     rng: StdRng,
     /// Reused resample buffers — keeps the per-iteration estimate
-    /// allocation-free (see `SampleCache::estimate_with`).
+    /// allocation-free.
     scratch: ResampleScratch,
+    /// Thread-local morsel accumulator for the group-commit ingest path
+    /// (`ShardedSampleCache::observe_batch`, DESIGN.md §14).
+    batch: IngestBatch,
     /// Reused per-block aggregate-code buffer for the columnar kernel.
     aggs: Vec<u32>,
-    samples: u64,
+    sigma: f64,
+    rows_per_iteration: usize,
     policy: SelectionPolicy,
-    /// In-scope row log for semantic-cache snapshot admission
-    /// (`None` = logging disabled; never touches the RNG streams).
+    /// In-scope row log for semantic-cache snapshot admission (`None` =
+    /// logging disabled; logging never touches the RNG streams).
     log: Option<RowLog>,
     /// `nr_read` inherited from a warm-start donor (0 for cold runs);
-    /// warm-up targets shrink by this amount.
-    seeded_rows: u64,
-    /// Version of the table this core was built over — stamped into
-    /// admitted snapshots and exact results so the semantic cache can
-    /// invalidate or repair them after appends.
-    table_version: u64,
-    /// Row count of the pinned table (snapshot metadata).
-    table_rows: u64,
-    /// Rows a pre-planning snapshot repair scanned on this run's behalf;
-    /// counted into [`rows_read`](Self::rows_read) so stats cover the
-    /// full data cost of the answer.
-    repair_rows: u64,
+    /// warm-up tops up the difference instead of re-reading those rows.
+    seeded: u64,
     /// Fault-injection / degradation context (`None` = inert; the hooks
     /// consume no randomness and leave behavior byte-identical).
     res: Option<ResCtx>,
+    /// Run seed and pinned table version, stamped into snapshots and
+    /// exact admissions so the semantic cache can invalidate or repair
+    /// them after appends.
+    seed: u64,
+    version: u64,
 }
 
-impl<'a> PlannerCore<'a> {
-    /// Create the core; no rows are read yet.
-    pub fn new(table: &'a Table, query: &'a Query, seed: u64) -> Self {
-        Self::with_resample_size(table, query, seed, voxolap_engine::cache::DEFAULT_RESAMPLE_SIZE)
-    }
-
-    /// Create the core with an explicit cache resample size.
-    ///
-    /// The paper's fixed size of 10 works well for measures whose values
-    /// carry information individually (salaries); for 0/1 measures with a
-    /// low positive rate (cancellation flags) a 10-row resample is almost
-    /// always all-zero, so larger sizes restore estimator signal.
-    pub fn with_resample_size(
+impl<'a> ShardWorker<'a> {
+    /// Worker number `worker` of a team sharing `cache` and `pool`; no
+    /// rows are read yet.
+    pub fn new(
         table: &'a Table,
         query: &'a Query,
-        seed: u64,
-        resample_size: usize,
+        cache: Arc<ShardedSampleCache>,
+        config: &HolisticConfig,
+        pool: Arc<MorselPool>,
+        worker: usize,
     ) -> Self {
-        PlannerCore {
+        ShardWorker {
             query,
-            scanner: RowSource::Shuffled(table.scan_shuffled_measure(seed, query.measure())),
-            cache: SampleCache::new(query.n_aggregates(), table.row_count() as u64)
-                .with_resample_size(resample_size),
-            sigma: SIGMA_FALLBACK,
-            rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
+            cache,
+            scanner: table.scan_pooled(pool, query.measure()),
+            rng: StdRng::seed_from_u64(
+                config.seed ^ 0x9e37_79b9_7f4a_7c15 ^ (worker as u64).wrapping_mul(WORKER_STREAM),
+            ),
             scratch: ResampleScratch::new(),
+            batch: IngestBatch::new(query.n_aggregates()),
             aggs: Vec::new(),
-            samples: 0,
-            policy: SelectionPolicy::Uct,
+            sigma: SIGMA_FALLBACK,
+            rows_per_iteration: config.rows_per_iteration,
+            policy: config.policy,
             log: None,
-            seeded_rows: 0,
-            table_version: table.version(),
-            table_rows: table.row_count() as u64,
-            repair_rows: 0,
+            seeded: 0,
             res: None,
+            seed: config.seed,
+            version: table.version(),
         }
     }
 
-    /// Create the core over a pre-built [`AggregateIndex`] so rare
-    /// aggregates receive cache entries from the first rows streamed.
-    /// AVG queries only (stratified order biases count/sum estimators).
-    pub fn with_index(
-        table: &'a Table,
-        query: &'a Query,
-        index: &'a AggregateIndex,
-        seed: u64,
-        resample_size: usize,
-    ) -> Self {
-        assert_eq!(
-            query.fct(),
-            voxolap_engine::query::AggFct::Avg,
-            "stratified streaming is only unbiased for AVG queries"
-        );
-        PlannerCore {
-            query,
-            scanner: RowSource::Stratified(index.scan(table)),
-            cache: SampleCache::new(query.n_aggregates(), table.row_count() as u64)
-                .with_resample_size(resample_size),
-            sigma: SIGMA_FALLBACK,
-            rng: StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15),
-            scratch: ResampleScratch::new(),
-            aggs: Vec::new(),
-            samples: 0,
-            policy: SelectionPolicy::Uct,
-            log: None,
-            seeded_rows: 0,
-            table_version: table.version(),
-            table_rows: table.row_count() as u64,
-            repair_rows: 0,
-            res: None,
-        }
-    }
-
-    /// Override the tree-descent policy (default UCT).
-    pub fn set_policy(&mut self, policy: SelectionPolicy) {
-        self.policy = policy;
+    /// A team of one over its own fresh cache and morsel pool.
+    pub fn solo(table: &'a Table, query: &'a Query, config: &HolisticConfig) -> Self {
+        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
+            .with_resample_size(config.resample_size);
+        ShardWorker::new(table, query, Arc::new(cache), config, table.morsel_pool(config.seed), 0)
     }
 
     /// Attach a fault-injection / degradation context. Row ingestion then
@@ -260,80 +202,79 @@ impl<'a> PlannerCore<'a> {
         self.res = Some(res);
     }
 
-    /// Start logging in-scope rows (up to `cap`) so the run's sample can be
-    /// admitted to a semantic cache afterwards. Logging is a pure observer:
-    /// it consumes no randomness and never changes planning behavior.
+    /// Fix σ for this run (see [`calibrated_sigma`]).
+    pub fn set_sigma(&mut self, sigma: f64) {
+        self.sigma = sigma;
+    }
+
+    /// Start logging this worker's in-scope rows (up to `cap` fresh ones)
+    /// so the run's sample can be admitted to a semantic cache afterwards.
+    /// Logging is a pure observer: it consumes no randomness and never
+    /// changes planning behavior.
     pub fn enable_row_log(&mut self, cap: usize) {
         self.log = Some(RowLog::new(cap));
     }
 
-    /// Warm-start this core from a compatible [`SampleSnapshot`]: seed the
-    /// cache with the donor's re-bucketed rows, resume the seeded scan from
-    /// the donor's morsel-pool progress, and shrink future warm-up targets
-    /// accordingly. The donor's worker count does not matter — progress
-    /// describes the consumed set of the scan order itself. Returns `false`
-    /// (leaving the core cold) when the core streams from a stratified
-    /// index or rows were already read.
-    pub fn warm_start(&mut self, snapshot: &SampleSnapshot) -> bool {
-        let RowSource::Shuffled(scan) = &mut self.scanner else { return false };
-        if self.cache.nr_read() != 0 {
-            return false;
-        }
-        // A version-stale snapshot describes a different scan order; the
-        // caller must repair it (see `voxolap_engine::repair`) first.
-        if snapshot.version != self.table_version {
-            return false;
-        }
+    /// Warm-start this worker's team from a [`SampleSnapshot`] of the
+    /// same scope, seed and table version: seed the shared cache with the
+    /// donor's re-bucketed rows, resume the shared morsel pool past the
+    /// donor's consumed per-chunk prefixes, and shrink this worker's
+    /// warm-up target accordingly. The donor's thread count is irrelevant
+    /// — progress describes the consumed set of the scan order itself. A
+    /// version-stale snapshot describes a different scan order; repair it
+    /// first (see `voxolap_engine::repair`). Call before any row is read.
+    pub fn warm_start(&mut self, snapshot: &SampleSnapshot) {
+        debug_assert_eq!(snapshot.version, self.version, "repair stale snapshots first");
         self.cache.seed_rows(
             self.query.layout(),
             snapshot.rows.iter().map(|r| (&r.members[..], r.value)),
             snapshot.nr_read,
         );
-        scan.resume(&snapshot.progress);
-        self.seeded_rows = snapshot.nr_read;
+        self.scanner.resume(&snapshot.progress);
+        self.seeded = snapshot.nr_read;
         if let Some(log) = &mut self.log {
             log.seed(&snapshot.rows);
         }
-        true
     }
 
-    /// Extract the run's sample as a semantic-cache snapshot (donor rows +
-    /// this run's fresh rows). `None` when logging was off, the log
-    /// overflowed its cap, or rows streamed from a stratified index (whose
-    /// order is not the seeded scan's).
-    pub fn take_snapshot(&self, seed: u64) -> Option<SampleSnapshot> {
-        let log = self.log.as_ref()?;
-        let RowSource::Shuffled(scan) = &self.scanner else { return None };
-        if log.overflowed() {
-            return None;
-        }
-        Some(SampleSnapshot {
-            seed,
-            progress: scan.progress(),
+    /// Extract the sample this worker observed (donor prefix + its fresh
+    /// rows) as a semantic-cache snapshot; scan progress and `nr_read` are
+    /// the shared pool's and cache's. `None` when logging was off or the
+    /// log overflowed its cap.
+    pub fn take_snapshot(&mut self) -> Option<SampleSnapshot> {
+        let log = self.log.take()?;
+        (!log.overflowed).then(|| SampleSnapshot {
+            seed: self.seed,
+            progress: self.scanner.progress(),
             nr_read: self.cache.nr_read(),
-            rows: log.rows().to_vec(),
-            version: self.table_version,
-            table_rows: self.table_rows,
+            rows: log.rows,
+            version: self.version,
+            table_rows: self.cache.nr_rows_total(),
         })
     }
 
-    /// Account suffix rows a snapshot repair scanned before this run's
-    /// own streaming started (they appear in `rows_read`).
-    pub fn note_repair_rows(&mut self, rows: u64) {
-        self.repair_rows += rows;
+    /// Offer a finished run's results to the semantic cache: exact
+    /// aggregates when the scan was exhausted (uncapped), and the team's
+    /// combined row logs as a warm-start snapshot any later team can
+    /// resume. An overflowed log forfeits the snapshot only.
+    pub(crate) fn admit(team: &mut [ShardWorker<'_>], sem: &SemanticCache) {
+        let Some((lead, rest)) = team.split_first_mut() else { return };
+        let key = lead.query.key();
+        if let Some((counts, sums)) = lead.cache.exact_result() {
+            sem.admit_exact(&key, lead.version, counts, sums);
+        }
+        let Some(mut snap) = lead.take_snapshot() else { return };
+        for worker in rest {
+            match worker.log.take() {
+                Some(log) if !log.overflowed => snap.rows.extend(log.rows),
+                _ => return,
+            }
+        }
+        sem.admit_snapshot(&key.scope(), snap);
     }
 
-    /// The version of the table this core streams from.
-    pub fn table_version(&self) -> u64 {
-        self.table_version
-    }
-
-    /// Stream up to `k` rows into the cache; returns how many were read.
-    ///
-    /// The enum dispatch on the row source happens once per call, not once
-    /// per row — this is the hottest loop in the planner (every sampling
-    /// iteration ingests rows), and the per-row match prevented the
-    /// scanner accesses from staying in registers.
+    /// Stream up to `k` rows of this worker's share of the scan into the
+    /// cache; returns how many were read.
     pub fn ingest_rows(&mut self, k: usize) -> usize {
         if let Some(res) = &self.res {
             if !res.read_allowed() {
@@ -342,35 +283,24 @@ impl<'a> PlannerCore<'a> {
                 return 0;
             }
         }
+        // Batched morsel ingest (DESIGN.md §14): per block, resolve all
+        // aggregate codes with the columnar kernel, accumulate into the
+        // thread-local batch, and group-commit once — one shared-counter
+        // add and at most one bucket lock per touched aggregate per
+        // block, instead of per row.
         let layout = self.query.layout();
         let mut read = 0;
-        match &mut self.scanner {
-            RowSource::Shuffled(scan) => {
-                // Batched morsel ingest through the columnar kernel: each
-                // block's aggregate codes are resolved in per-column passes
-                // over the chunk's packed ids (no per-row `&[MemberId]`
-                // materialization), the row log reserves from the block
-                // size, and observes still hit the sequential cache in
-                // scan order, preserving its RNG and float association.
-                while read < k {
-                    let Some(block) = scan.next_block(k - read) else { break };
-                    layout.agg_of_block(block.dims, block.rows, &mut self.aggs);
-                    if let Some(log) = self.log.as_mut() {
-                        log.push_block(&block, &self.aggs);
-                    }
-                    for (i, &r) in block.rows.iter().enumerate() {
-                        self.cache.observe(decode_agg(self.aggs[i]), block.values[r as usize]);
-                    }
-                    read += block.rows.len();
-                }
+        while read < k {
+            let Some(block) = self.scanner.next_block(k - read) else { break };
+            layout.agg_of_block(block.dims, block.rows, &mut self.aggs);
+            if let Some(log) = self.log.as_mut() {
+                log.push_block(&block, &self.aggs);
             }
-            RowSource::Stratified(scan) => {
-                while read < k {
-                    let Some((agg, row)) = scan.next_row() else { break };
-                    self.cache.observe(Some(agg), row.value);
-                    read += 1;
-                }
+            for (i, &r) in block.rows.iter().enumerate() {
+                self.batch.push_resolved(self.aggs[i], block.values[r as usize]);
             }
+            self.cache.observe_batch(&mut self.batch);
+            read += block.rows.len();
         }
         read
     }
@@ -389,15 +319,15 @@ impl<'a> PlannerCore<'a> {
     /// reading (bounded by 50× `min_rows`) until the estimate turns
     /// non-zero or the table is exhausted.
     pub fn warmup(&mut self, min_rows: usize) -> Option<f64> {
-        let per_aggregate = |est: f64, fct: voxolap_engine::query::AggFct| match fct {
-            voxolap_engine::query::AggFct::Avg => est,
-            _ => est / self.query.n_aggregates() as f64,
+        let n_aggs = self.query.n_aggregates() as f64;
+        let per_aggregate = |est: f64, fct: AggFct| match fct {
+            AggFct::Avg => est,
+            _ => est / n_aggs,
         };
-        // A warm-started cache already holds `seeded_rows` rows' worth of
-        // signal; only the deficit is read. The deficit is computed from
-        // the seeded count alone, so cold runs (`seeded_rows == 0`) behave
-        // byte-identically to a core without warm-start support.
-        self.ingest_rows(min_rows.saturating_sub(self.seeded_rows as usize));
+        // A warm-started cache already holds `seeded` rows' worth of
+        // signal; only the deficit is read, so a cold run (`seeded == 0`)
+        // is untouched by warm-start support.
+        self.ingest_rows(min_rows.saturating_sub(self.seeded as usize));
         let est = loop {
             if let Some(est) = self.cache.overall_estimate(self.query.fct()) {
                 break est;
@@ -409,7 +339,7 @@ impl<'a> PlannerCore<'a> {
                     .map(|e| per_aggregate(e, self.query.fct()));
             }
         };
-        if est != 0.0 || self.query.fct() != voxolap_engine::query::AggFct::Avg {
+        if est != 0.0 || self.query.fct() != AggFct::Avg {
             return Some(per_aggregate(est, self.query.fct()));
         }
         let budget = min_rows.saturating_mul(50);
@@ -425,35 +355,22 @@ impl<'a> PlannerCore<'a> {
         self.cache.overall_estimate(self.query.fct())
     }
 
-    /// Fix σ for this run: an explicit override, or the paper's choice of
-    /// half the overall mean (falling back to 1 for degenerate means).
-    pub fn calibrate_sigma(&mut self, overall_estimate: f64, sigma_override: Option<f64>) -> f64 {
-        self.sigma = calibrated_sigma(overall_estimate, sigma_override);
-        self.sigma
-    }
-
     /// One sampling iteration (`ST.Sample`): ingest a few rows, pick an
     /// eligible aggregate, estimate its value from the cache, descend the
-    /// tree by UCT from `from`, reward the path by the probability the leaf
+    /// tree from `from`, reward the path by the probability the leaf
     /// speech's belief assigns to the estimate, and update statistics.
+    /// `use_vloss` selects the virtual-loss descent that spreads
+    /// concurrent workers across the tree.
     ///
-    /// Returns the observed reward (0 when nothing was evaluable yet).
-    pub fn sample_once(
-        &mut self,
-        tree: &mut SpeechTree,
-        from: NodeId,
-        rows_per_iteration: usize,
-    ) -> f64 {
+    /// Returns the observed reward (0 when nothing was evaluable yet, or
+    /// the iteration faulted — the caller still counts it).
+    pub fn sample_once(&mut self, tree: &SpeechTree, from: NodeId, use_vloss: bool) -> f64 {
         if let Some(res) = &self.res {
             if res.sample_faulted() {
-                // A faulted iteration still counts (the budget tracks
-                // attempts) but contributes no reward.
-                self.samples += 1;
                 return 0.0;
             }
         }
-        self.ingest_rows(rows_per_iteration);
-        self.samples += 1;
+        self.ingest_rows(self.rows_per_iteration);
 
         let layout = self.query.layout();
         let Some(agg) = self.cache.pick_aggregate(self.query.fct(), &mut self.rng) else {
@@ -464,9 +381,11 @@ impl<'a> PlannerCore<'a> {
         };
         let est = estimate.value(self.query.fct());
 
+        let t = tree.tree();
         let path = match self.policy {
-            SelectionPolicy::Uct => tree.tree().select_path(from, &mut self.rng),
-            SelectionPolicy::UniformRandom => tree.tree().random_path(from, &mut self.rng),
+            SelectionPolicy::Uct if use_vloss => t.select_path_vloss(from, &mut self.rng),
+            SelectionPolicy::Uct => t.select_path(from, &mut self.rng),
+            SelectionPolicy::UniformRandom => t.random_path(from, &mut self.rng),
         };
         let Some(&leaf) = path.last() else {
             return 0.0;
@@ -479,32 +398,26 @@ impl<'a> PlannerCore<'a> {
         } else {
             0.0
         };
-        tree.tree_mut().update_path(&path, reward);
+        if use_vloss && self.policy == SelectionPolicy::Uct {
+            t.update_path_vloss(&path, reward);
+        } else {
+            t.update_path(&path, reward);
+        }
         reward
     }
 
-    /// The calibrated σ.
-    pub fn sigma(&self) -> f64 {
-        self.sigma
-    }
-
-    /// Rows streamed so far (including any repair-scanned suffix rows).
+    /// Fresh rows this worker streamed (a warm-start prefix excluded).
     pub fn rows_read(&self) -> u64 {
-        self.scanner.rows_read() as u64 + self.repair_rows
+        self.scanner.rows_read() as u64
     }
 
-    /// Sampling iterations performed so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// The sample cache (for uncertainty annotations).
-    pub fn cache(&self) -> &SampleCache {
+    /// The sample cache this worker feeds.
+    pub fn cache(&self) -> &ShardedSampleCache {
         &self.cache
     }
 
-    /// The query being planned.
-    pub fn query(&self) -> &Query {
+    /// The query this worker samples for.
+    pub fn query(&self) -> &'a Query {
         self.query
     }
 }
@@ -515,7 +428,6 @@ mod tests {
     use voxolap_data::dimension::LevelId;
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
-    use voxolap_engine::query::AggFct;
     use voxolap_speech::candidates::{CandidateConfig, CandidateGenerator};
     use voxolap_speech::constraints::SpeechConstraints;
     use voxolap_speech::render::Renderer;
@@ -530,23 +442,30 @@ mod tests {
         (table, q)
     }
 
+    /// The paper's resample size of 10, and `rows` rows per iteration.
+    fn config(seed: u64, rows: usize) -> HolisticConfig {
+        HolisticConfig {
+            seed,
+            rows_per_iteration: rows,
+            resample_size: voxolap_engine::cache::DEFAULT_RESAMPLE_SIZE,
+            ..HolisticConfig::default()
+        }
+    }
+
     #[test]
     fn warmup_produces_overall_estimate() {
         let (table, q) = setup();
-        let mut core = PlannerCore::new(&table, &q, 7);
-        let est = core.warmup(50).unwrap();
+        let mut worker = ShardWorker::solo(&table, &q, &config(7, 8));
+        let est = worker.warmup(50).unwrap();
         assert!(est > 60.0 && est < 130.0, "estimate {est}");
-        assert!(core.rows_read() >= 50);
+        assert!(worker.rows_read() >= 50);
     }
 
     #[test]
     fn sigma_calibration_halves_mean() {
-        let (table, q) = setup();
-        let mut core = PlannerCore::new(&table, &q, 7);
-        assert_eq!(core.calibrate_sigma(88.0, None), 44.0);
-        assert_eq!(core.calibrate_sigma(88.0, Some(10.0)), 10.0);
-        assert_eq!(core.calibrate_sigma(0.0, None), SIGMA_FALLBACK);
-        assert_eq!(core.sigma(), SIGMA_FALLBACK);
+        assert_eq!(calibrated_sigma(88.0, None), 44.0);
+        assert_eq!(calibrated_sigma(88.0, Some(10.0)), 10.0);
+        assert_eq!(calibrated_sigma(0.0, None), SIGMA_FALLBACK);
     }
 
     #[test]
@@ -557,12 +476,12 @@ mod tests {
         let renderer = Renderer::new(schema, &q);
         // Baseline-only tree so the test isolates baseline selection.
         let constraints = SpeechConstraints { max_chars: 300, max_refinements: 0 };
-        let mut core = PlannerCore::new(&table, &q, 11);
-        let overall = core.warmup(100).unwrap();
-        core.calibrate_sigma(overall, None);
-        let mut tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 100_000);
+        let mut worker = ShardWorker::solo(&table, &q, &config(11, 4));
+        let overall = worker.warmup(100).unwrap();
+        worker.set_sigma(calibrated_sigma(overall, None));
+        let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 100_000);
         for _ in 0..4000 {
-            core.sample_once(&mut tree, SpeechTree::ROOT, 4);
+            worker.sample_once(&tree, SpeechTree::ROOT, false);
         }
         let best = tree.tree().best_child(SpeechTree::ROOT).unwrap();
         let speech = tree.speech_at(best);
@@ -572,7 +491,7 @@ mod tests {
             "picked baseline {}",
             speech.baseline.value
         );
-        assert_eq!(core.samples(), 4000);
+        assert_eq!(tree.tree().visits(SpeechTree::ROOT), 4000);
     }
 
     #[test]
@@ -582,43 +501,45 @@ mod tests {
         let gen = CandidateGenerator::new(schema, &q, CandidateConfig::default());
         let renderer = Renderer::new(schema, &q);
         let constraints = SpeechConstraints::paper_default();
-        let mut core = PlannerCore::new(&table, &q, 3);
-        let mut tree = SpeechTree::build(&gen, &renderer, &constraints, 88.0, 10_000);
         // rows_per_iteration = 0 keeps the cache empty: AVG has no eligible
         // aggregate and the reward must be 0 without panicking.
-        let r = core.sample_once(&mut tree, SpeechTree::ROOT, 0);
+        let mut worker = ShardWorker::solo(&table, &q, &config(3, 0));
+        let tree = SpeechTree::build(&gen, &renderer, &constraints, 88.0, 10_000);
+        let r = worker.sample_once(&tree, SpeechTree::ROOT, false);
         assert_eq!(r, 0.0);
     }
 
     #[test]
     fn warm_started_core_matches_cold_start_estimates_over_seeds() {
-        // Property behind warm starts (ISSUE satellite): a core seeded from
-        // a donor snapshot and a cold core that streamed the same seeded
-        // prefix itself must hold bit-identical caches, hence identical
-        // estimates under identical estimator RNG streams.
+        // Property behind warm starts: a worker seeded from a donor
+        // snapshot and a cold worker that streamed the same seeded prefix
+        // itself must hold bit-identical caches, hence identical estimates
+        // under identical estimator RNG streams.
         let (table, q) = setup();
         for seed in [3u64, 7, 11, 19, 23] {
-            let mut donor = PlannerCore::new(&table, &q, seed);
+            let cfg = config(seed, 8);
+            let mut donor = ShardWorker::solo(&table, &q, &cfg);
             donor.enable_row_log(10_000);
             donor.ingest_rows(80);
-            let snap = donor.take_snapshot(seed).expect("log intact");
+            let snap = donor.take_snapshot().expect("log intact");
             assert_eq!(snap.nr_read, 80);
 
-            let mut warm = PlannerCore::new(&table, &q, seed);
-            assert!(warm.warm_start(&snap));
-            let mut cold = PlannerCore::new(&table, &q, seed);
+            let mut warm = ShardWorker::solo(&table, &q, &cfg);
+            warm.warm_start(&snap);
+            let mut cold = ShardWorker::solo(&table, &q, &cfg);
             cold.ingest_rows(80);
             warm.ingest_rows(60);
             cold.ingest_rows(60);
             assert_eq!(warm.cache().nr_read(), cold.cache().nr_read());
             assert_eq!(warm.rows_read(), 60, "only fresh rows count as read");
+            let mut scratch = ResampleScratch::new();
             for agg in 0..q.n_aggregates() as u32 {
                 assert_eq!(warm.cache().size(agg), cold.cache().size(agg));
                 let mut rng_w = StdRng::seed_from_u64(seed ^ 0x77);
                 let mut rng_c = StdRng::seed_from_u64(seed ^ 0x77);
                 assert_eq!(
-                    warm.cache().estimate(agg, &mut rng_w),
-                    cold.cache().estimate(agg, &mut rng_c),
+                    warm.cache().estimate_with(agg, &mut rng_w, &mut scratch),
+                    cold.cache().estimate_with(agg, &mut rng_c, &mut scratch),
                     "seed {seed} agg {agg}"
                 );
             }
@@ -628,15 +549,16 @@ mod tests {
     #[test]
     fn warm_start_shrinks_warmup_reads() {
         let (table, q) = setup();
-        let mut donor = PlannerCore::new(&table, &q, 5);
+        let cfg = config(5, 8);
+        let mut donor = ShardWorker::solo(&table, &q, &cfg);
         donor.enable_row_log(10_000);
         donor.ingest_rows(120);
-        let snap = donor.take_snapshot(5).unwrap();
+        let snap = donor.take_snapshot().unwrap();
 
-        let mut warm = PlannerCore::new(&table, &q, 5);
-        assert!(warm.warm_start(&snap));
+        let mut warm = ShardWorker::solo(&table, &q, &cfg);
+        warm.warm_start(&snap);
         let warm_est = warm.warmup(150).unwrap();
-        let mut cold = PlannerCore::new(&table, &q, 5);
+        let mut cold = ShardWorker::solo(&table, &q, &cfg);
         let cold_est = cold.warmup(150).unwrap();
         assert!(
             warm.rows_read() < cold.rows_read(),
@@ -651,22 +573,15 @@ mod tests {
 
     #[test]
     fn warmup_on_empty_scope_returns_none_for_avg() {
-        // Filter to a region, then generate a table with rows only outside
-        // it — warmup must exhaust the table and give up gracefully.
+        // Filter start salary to a bin no row falls in — warmup must
+        // exhaust the table and give up gracefully.
         let table = SalaryConfig { rows: 8, seed: 1 }.generate();
         let schema = table.schema();
-        // All 8 institutions round-robin across 16 states, so some state
-        // has no rows; filter to an institutionless state's region is hard
-        // to construct — instead filter start salary to a bin with no rows.
         let start = schema.dimension(DimId(1));
-        let mut empty_bin = None;
-        for &bin in start.leaves() {
-            let has_rows = (0..table.row_count()).any(|row| table.member_at(DimId(1), row) == bin);
-            if !has_rows {
-                empty_bin = Some(bin);
-                break;
-            }
-        }
+        let empty_bin =
+            start.leaves().iter().copied().find(|&bin| {
+                !(0..table.row_count()).any(|row| table.member_at(DimId(1), row) == bin)
+            });
         let Some(bin) = empty_bin else {
             return; // all bins occupied at this seed; nothing to test
         };
@@ -675,7 +590,7 @@ mod tests {
             .group_by(DimId(0), LevelId(1))
             .build(schema)
             .unwrap();
-        let mut core = PlannerCore::new(&table, &q, 2);
-        assert_eq!(core.warmup(4), None);
+        let mut worker = ShardWorker::solo(&table, &q, &config(2, 8));
+        assert_eq!(worker.warmup(4), None);
     }
 }

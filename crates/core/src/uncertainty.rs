@@ -8,31 +8,9 @@
 //! confidence bounds are calculated is not specific to vocalization".
 
 use voxolap_data::schema::MeasureUnit;
-use voxolap_engine::cache::SampleCache;
 use voxolap_engine::query::{AggIdx, ResultLayout};
 use voxolap_engine::sharded::ShardedSampleCache;
 use voxolap_speech::verbalize::verbalize_value;
-
-/// Anything that can produce per-aggregate confidence intervals — the
-/// sequential sample cache and its sharded parallel counterpart both
-/// qualify, so the annotation logic is written once against this trait.
-pub trait ConfidenceSource {
-    /// Normal-approximation confidence interval for one aggregate's
-    /// average at `z` standard errors; `None` with too few samples.
-    fn confidence_interval(&self, agg: AggIdx, z: f64) -> Option<(f64, f64)>;
-}
-
-impl ConfidenceSource for SampleCache {
-    fn confidence_interval(&self, agg: AggIdx, z: f64) -> Option<(f64, f64)> {
-        SampleCache::confidence_interval(self, agg, z)
-    }
-}
-
-impl ConfidenceSource for ShardedSampleCache {
-    fn confidence_interval(&self, agg: AggIdx, z: f64) -> Option<(f64, f64)> {
-        ShardedSampleCache::confidence_interval(self, agg, z)
-    }
-}
 
 /// How uncertainty information is transmitted to the user.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -60,7 +38,7 @@ const Z95: f64 = 1.96;
 /// confidence is sufficient, or no aggregate has enough cached samples.
 pub fn annotate(
     mode: UncertaintyMode,
-    cache: &dyn ConfidenceSource,
+    cache: &ShardedSampleCache,
     _layout: &ResultLayout,
     aggs: &[AggIdx],
     unit: MeasureUnit,
@@ -110,13 +88,13 @@ mod tests {
     use voxolap_data::DimId;
     use voxolap_engine::query::{AggFct, Query};
 
-    fn filled_cache(rows: usize) -> (SampleCache, Query, voxolap_data::Table) {
+    fn filled_cache(rows: usize) -> (ShardedSampleCache, Query, voxolap_data::Table) {
         let table = SalaryConfig::paper_scale().generate();
         let q = Query::builder(AggFct::Avg)
             .group_by(DimId(0), LevelId(1))
             .build(table.schema())
             .unwrap();
-        let mut cache = SampleCache::new(q.n_aggregates(), table.row_count() as u64);
+        let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let mut scan = table.scan_shuffled(5);
         for _ in 0..rows {
             let Some(r) = scan.next_row() else { break };
@@ -184,7 +162,7 @@ mod tests {
     #[test]
     fn no_samples_means_no_bounds() {
         let (_, q, table) = filled_cache(0);
-        let empty = SampleCache::new(q.n_aggregates(), table.row_count() as u64);
+        let empty = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let aggs: Vec<u32> = (0..q.n_aggregates() as u32).collect();
         let out = annotate(
             UncertaintyMode::SpokenBounds,

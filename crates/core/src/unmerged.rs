@@ -17,9 +17,10 @@ use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
+use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
-use crate::sampler::PlannerCore;
+use crate::sampler::{calibrated_sigma, ShardWorker};
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
 
@@ -109,36 +110,40 @@ impl Vocalizer for Unmerged {
         let renderer = Renderer::new(schema, query);
         let preamble = renderer.preamble();
 
-        let mut core = PlannerCore::with_resample_size(table, query, cfg.seed, cfg.resample_size);
-        let Some(overall) = core.warmup(cfg.warmup_rows) else {
+        // The holistic engine's worker, solo: same sampling strategy, no
+        // overlap with voice output.
+        let mut worker = ShardWorker::solo(
+            table,
+            query,
+            &HolisticConfig {
+                seed: cfg.seed,
+                rows_per_iteration: cfg.rows_per_iteration,
+                resample_size: cfg.resample_size,
+                ..HolisticConfig::default()
+            },
+        );
+        let Some(overall) = worker.warmup(cfg.warmup_rows) else {
             let latency = t0.elapsed();
             voice.start(&preamble);
-            let source = Buffered::no_data(core.rows_read(), None);
+            let source = Buffered::no_data(worker.rows_read(), None);
             return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source));
         };
-        core.calibrate_sigma(overall, cfg.sigma_override);
+        worker.set_sigma(calibrated_sigma(overall, cfg.sigma_override));
 
         let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
-        let mut tree =
+        let tree =
             SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
 
         // Sample until the budget runs out (or the consumer cancels) —
         // no voice output yet.
-        match cfg.budget {
-            SamplingBudget::WallClock(d) => {
-                let deadline = t0 + d;
-                while Instant::now() < deadline && !cancel.fired() {
-                    core.sample_once(&mut tree, SpeechTree::ROOT, cfg.rows_per_iteration);
-                }
-            }
-            SamplingBudget::Iterations(n) => {
-                for _ in 0..n {
-                    if cancel.fired() {
-                        break;
-                    }
-                    core.sample_once(&mut tree, SpeechTree::ROOT, cfg.rows_per_iteration);
-                }
-            }
+        let mut samples = 0u64;
+        let within_budget = |samples: u64| match cfg.budget {
+            SamplingBudget::WallClock(d) => Instant::now() < t0 + d,
+            SamplingBudget::Iterations(n) => samples < n,
+        };
+        while within_budget(samples) && !cancel.fired() {
+            worker.sample_once(&tree, SpeechTree::ROOT, false);
+            samples += 1;
         }
 
         // Commit to the best path by mean reward; stop at unvisited nodes.
@@ -176,8 +181,8 @@ impl Vocalizer for Unmerged {
         let source = Buffered::planned(
             sentences,
             Some(tree.speech_at(current)),
-            core.samples(),
-            core.rows_read(),
+            samples,
+            worker.rows_read(),
             tree.tree().node_count(),
             tree.truncated(),
         );

@@ -16,6 +16,11 @@
 //!   aggregates with at least one cached row are eligible, for COUNT/SUM
 //!   *every* aggregate is (an empty bucket carries information once related
 //!   to `nr_read`).
+//!
+//! [`SampleCache`] is the sequential reference: the planners run on
+//! [`ShardedSampleCache`](crate::sharded::ShardedSampleCache), which shares
+//! the estimator code below and whose tests pin it against this cache
+//! observation for observation.
 
 use rand::Rng;
 

@@ -11,9 +11,11 @@
 //!
 //! * [`exact`] — a full scan with group-by, used by the *Optimal* planner
 //!   variant and by exact speech-quality computation;
-//! * [`cache`] — the continuously-filled sample cache of paper Algorithm 3,
-//!   supplying unbiased count/sum/average estimates from row samples, used
-//!   by the *Holistic* and *Unmerged* planners.
+//! * [`sharded`] — the continuously-filled sample cache of paper
+//!   Algorithm 3, supplying unbiased count/sum/average estimates from row
+//!   samples to the *Holistic* and *Unmerged* planners, at any thread
+//!   count. [`cache`] holds its estimator arithmetic and the sequential
+//!   [`SampleCache`] the sharded cache is defined (and tested) against.
 //!
 //! ```
 //! use voxolap_data::salary::SalaryConfig;

@@ -1,7 +1,9 @@
-//! Striped sample cache for parallel row ingestion.
+//! The planners' sample cache: striped for parallel row ingestion.
 //!
-//! [`ShardedSampleCache`] is the multi-threaded counterpart of
-//! [`SampleCache`](crate::cache::SampleCache): N ingestion workers claim
+//! [`ShardedSampleCache`] is the thread-safe, batch-ingesting form of the
+//! sequential reference [`SampleCache`](crate::cache::SampleCache), and the
+//! one every planner runs on (a single worker uses it uncontended): N
+//! ingestion workers claim
 //! disjoint morsels from a shared pool (see `Table::scan_pooled`) and
 //! stream them into one shared cache concurrently. Contention is kept off
 //! the hot path by striping state per aggregate:
@@ -854,7 +856,10 @@ mod tests {
     /// batches of `batch_rows` (accumulated via [`IngestBatch`]) into the
     /// other, then assert every observable — bucket contents (including
     /// reservoir-evicted state), offered counts, nr_read, scope
-    /// aggregates, estimates — is identical.
+    /// aggregates, estimates — is identical. The same scan also feeds the
+    /// sequential [`SampleCache`](crate::cache::SampleCache) row by row:
+    /// it is the reference the batched cache is defined against, so its
+    /// observables must match bit for bit too.
     fn assert_batch_matches_row_at_a_time(
         table: &voxolap_data::Table,
         q: &Query,
@@ -871,9 +876,17 @@ mod tests {
             }
         };
         let by_row = mk();
+        let mut reference =
+            crate::cache::SampleCache::new(q.n_aggregates(), table.row_count() as u64)
+                .with_resample_size(100_000);
+        if let Some(cap) = capacity {
+            reference = reference.with_bucket_capacity(cap);
+        }
         let mut scan = table.scan_shuffled(seed);
         while let Some(r) = scan.next_row() {
-            by_row.observe(q.layout().agg_of_row(r.members), r.value);
+            let agg = q.layout().agg_of_row(r.members);
+            by_row.observe(agg, r.value);
+            reference.observe(agg, r.value);
         }
 
         let by_batch = mk();
@@ -890,9 +903,12 @@ mod tests {
         }
 
         assert_eq!(by_batch.nr_read(), by_row.nr_read());
+        assert_eq!(by_batch.nr_read(), reference.nr_read());
         assert_eq!(by_batch.nonempty_count(), by_row.nonempty_count());
         for agg in 0..q.n_aggregates() as u32 {
             assert_eq!(by_batch.seen(agg), by_row.seen(agg), "offered, agg {agg}");
+            assert_eq!(by_batch.seen(agg), reference.seen(agg), "offered vs sequential, agg {agg}");
+            assert_eq!(by_batch.size(agg), reference.size(agg), "size vs sequential, agg {agg}");
             assert_eq!(
                 bucket_contents(&by_batch, agg).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 bucket_contents(&by_row, agg).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -907,16 +923,34 @@ mod tests {
                 by_row.estimate_with(agg, &mut rng_b, &mut s_b),
                 "estimates, agg {agg}"
             );
+            // Past capacity the two designs draw replacement slots from
+            // differently seeded RNGs (one per bucket here, one per cache
+            // there), so the surviving values — not the counts — differ.
+            let mut rng_a = StdRng::seed_from_u64(seed ^ 0xabc);
+            let mut rng_c = StdRng::seed_from_u64(seed ^ 0xabc);
+            let batched = by_batch.estimate_with(agg, &mut rng_a, &mut s_a);
+            let sequential = reference.estimate_with(agg, &mut rng_c, &mut s_b);
+            if capacity.is_none() {
+                assert_eq!(batched, sequential, "estimates vs sequential, agg {agg}");
+            } else {
+                assert_eq!(
+                    batched.map(|e| e.count.to_bits()),
+                    sequential.map(|e| e.count.to_bits()),
+                    "count estimates vs sequential, agg {agg}"
+                );
+            }
         }
         for fct in [AggFct::Avg, AggFct::Sum, AggFct::Count] {
-            let (a, b) = (by_batch.overall_estimate(fct), by_row.overall_estimate(fct));
-            assert_eq!(
-                a.map(f64::to_bits),
-                b.map(f64::to_bits),
-                "overall estimate bit-identical ({fct:?})"
-            );
+            let a = by_batch.overall_estimate(fct).map(f64::to_bits);
+            for (b, which) in [
+                (by_row.overall_estimate(fct), "row-at-a-time"),
+                (reference.overall_estimate(fct), "sequential"),
+            ] {
+                assert_eq!(a, b.map(f64::to_bits), "overall estimate vs {which} ({fct:?})");
+            }
         }
         assert_eq!(by_batch.exact_result(), by_row.exact_result());
+        assert_eq!(by_batch.exact_result(), reference.exact_result());
     }
 
     #[test]
@@ -936,7 +970,7 @@ mod tests {
         // the batch loop; bucket contents stay bit-identical because each
         // bucket's private RNG sees the same offer sequence either way.
         let (table, q) = salary_setup();
-        for seed in [5u64, 13, 29] {
+        for seed in [5u64, 13, 29, 37, 53] {
             for batch_rows in [7usize, 64, 320] {
                 assert_batch_matches_row_at_a_time(&table, &q, seed, batch_rows, Some(8));
             }

@@ -634,6 +634,17 @@ impl SessionCtx {
     }
 }
 
+/// The shutdown farewell, and the close site of every session connection
+/// still attached when `stop` flips — wherever it is at that moment: a
+/// reactor slot (`Reactor::teardown`), the return channel
+/// (`Reactor::drain_returns`, or `shutdown_within` once the reactor is
+/// gone), or the job queue (`reject_late`). A worker holding the socket
+/// parks it as usual, which lands it in the return channel.
+fn farewell(mut stream: &TcpStream, ctx: &SessionCtx, metrics: &HttpMetrics) {
+    let _ = stream.write_all(b"{\"type\":\"bye\",\"reason\":\"shutdown\"}\n");
+    ctx.closed(metrics);
+}
+
 /// A unit of work for the pool.
 enum Job {
     Request(RequestJob),
@@ -1175,18 +1186,12 @@ impl Reactor {
         let returned: Vec<Returned> = std::mem::take(&mut *self.shared.lock_returns());
         for conn in returned {
             if self.shared.stopped() {
-                self.farewell(conn);
+                if let Mode::Session { ctx, .. } = &conn.mode {
+                    farewell(&conn.stream, ctx, &self.shared.metrics);
+                }
                 continue;
             }
             self.insert(conn.stream, conn.mode, conn.leftover, conn.served);
-        }
-    }
-
-    fn farewell(&mut self, conn: Returned) {
-        if let Mode::Session { ctx, .. } = &conn.mode {
-            let mut s = conn.stream;
-            let _ = s.write_all(b"{\"type\":\"bye\",\"reason\":\"shutdown\"}\n");
-            ctx.closed(&self.shared.metrics);
         }
     }
 
@@ -1296,11 +1301,11 @@ impl Reactor {
 
     fn teardown(&mut self) {
         for idx in 0..self.slots.len() {
-            if let Some(slot) = self.slots[idx].as_mut() {
-                if matches!(slot.mode, Mode::Session { .. }) {
-                    let _ = slot.stream.write_all(b"{\"type\":\"bye\",\"reason\":\"shutdown\"}\n");
-                }
-                self.close_slot(idx);
+            // Vacating the slot closes a plain HTTP connection by drop.
+            if let Some(Slot { stream, mode: Mode::Session { ctx, .. }, .. }) =
+                self.take_for_dispatch(idx)
+            {
+                farewell(&stream, &ctx, &self.shared.metrics);
             }
         }
         // Connections still parked in the return channel when the reactor
@@ -1483,7 +1488,7 @@ fn handle_session_line(job: SessionLineJob, shared: &Shared) {
     let failed = sink.failed;
     HttpMetrics::add(&metrics.bytes_out, sink.bytes_out);
 
-    if verdict == SessionVerdict::Continue && !failed && !shared.stopped() {
+    if verdict == SessionVerdict::Continue && !failed {
         shared.park(Returned {
             stream,
             mode: Mode::Session { ctx, last_heartbeat: Instant::now() },
@@ -1560,9 +1565,7 @@ impl ServerHandle {
         // Connections workers handed back after the reactor exited.
         for conn in self.shared.lock_returns().drain(..) {
             if let Mode::Session { ctx, .. } = &conn.mode {
-                let mut s = &conn.stream;
-                let _ = s.write_all(b"{\"type\":\"bye\",\"reason\":\"shutdown\"}\n");
-                ctx.closed(&self.metrics);
+                farewell(&conn.stream, ctx, &self.metrics);
             }
         }
     }
@@ -1588,11 +1591,10 @@ fn reject_late(job: Job, shared: &Shared) {
             linger_close(stream, Instant::now() + shared.config.reject_linger);
         }
         Job::SessionLine(job) => {
-            let mut stream = job.stream;
+            let stream = job.stream;
             let _ = stream.set_nonblocking(false);
             let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-            let _ = stream.write_all(b"{\"type\":\"bye\",\"reason\":\"shutdown\"}\n");
-            job.ctx.closed(metrics);
+            farewell(&stream, &job.ctx, metrics);
         }
     }
 }

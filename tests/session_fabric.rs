@@ -295,22 +295,29 @@ fn utterance_deadline_degrades_instead_of_pinning_a_worker() {
 
 /// Server shutdown farewells attached sessions with `bye(reason=
 /// shutdown)` and closes them — a client blocked on its next event gets
-/// a clean goodbye, not a hang or a reset.
+/// a clean goodbye, not a hang or a reset. A hundred rounds (fresh server
+/// each, one shared table and cache) because the window is narrow: `stop`
+/// flips while a worker still holds the socket of the utterance the
+/// client just saw `done` for, and that connection must be farewelled too.
 #[test]
 fn shutdown_farewells_attached_sessions() {
-    let _guard = watchdog(60);
+    let _guard = watchdog(180);
     let state = Arc::new(AppState::new(small_table()));
-    let (handle, _metrics) = serve_state(ServerConfig::default(), state);
+    let config = ServerConfig::default();
+    assert!(config.threads >= 2, "the race needs a worker beside the reactor");
+    for round in 0..100 {
+        let (handle, _metrics) = serve_state(config.clone(), Arc::clone(&state));
 
-    let mut conn = SessionConn::attach(handle.addr, "interrupted");
-    let events = conn.utter("break down by region");
-    assert_eq!(events.last().unwrap()["type"], "done");
+        let mut conn = SessionConn::attach(handle.addr, &format!("interrupted-{round}"));
+        let events = conn.utter("break down by season");
+        assert_eq!(events.last().unwrap()["type"], "done", "round {round}");
 
-    handle.shutdown();
-    let bye = conn.next_event();
-    assert_eq!(bye["type"], "bye", "{bye:?}");
-    assert_eq!(bye["reason"], "shutdown");
-    let mut rest = Vec::new();
-    conn.reader.read_to_end(&mut rest).unwrap();
-    assert!(rest.is_empty(), "connection must close after the farewell");
+        handle.shutdown();
+        let bye = conn.next_event();
+        assert_eq!(bye["type"], "bye", "round {round}: {bye:?}");
+        assert_eq!(bye["reason"], "shutdown");
+        let mut rest = Vec::new();
+        conn.reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "connection must close after the farewell");
+    }
 }

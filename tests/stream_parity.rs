@@ -92,6 +92,32 @@ fn stream_matches_blocking_for_every_approach() {
     }
 }
 
+/// Golden pin of the cooperative engine: this transcript was captured
+/// from the former sequential planner (row-at-a-time `SampleCache`) at
+/// the commit before the sharded engine replaced it. It anchors worker
+/// 0's RNG stream, the seeded scan order and the cooperative polling
+/// sequence — any drift means `Holistic` no longer speaks what that
+/// planner spoke.
+#[test]
+fn holistic_seed_7_speaks_the_pinned_transcript() {
+    let t = table();
+    let q = region_season(&t);
+    let (preamble, sentences) = blocking(&Holistic::new(config(7)), &t, &q);
+    assert_eq!(
+        preamble,
+        "Considering flights starting from anywhere, flights scheduled in any date and \
+         flights operated by any airline. Results are broken down by region and season."
+    );
+    assert_eq!(
+        sentences,
+        [
+            "Around two point five percent is the average cancellation probability.",
+            "Values decrease by 50 percent for flights scheduled in Winter.",
+            "Values decrease by 10 percent for flights scheduled in Spring.",
+        ]
+    );
+}
+
 #[test]
 fn four_thread_stream_is_internally_consistent() {
     let t = table();
