@@ -4,11 +4,8 @@
 //! `EXPERIMENTS.md`-shaped report.
 
 pub mod ablations;
-pub mod cache;
 pub mod fig3;
-pub mod parallel;
 pub mod scaling;
-pub mod stream;
 pub mod tab11;
 pub mod tab12;
 pub mod tab2_tab10;

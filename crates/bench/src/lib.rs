@@ -47,52 +47,6 @@ pub mod experiments;
 /// at a fraction of the generation time).
 pub const DEFAULT_FLIGHTS_ROWS: usize = 200_000;
 
-/// Paper-scale flights row count (§5 of the paper evaluates 5.3 M rows).
-/// `--scale-rows` accepts anything from here up to ~50 M for synthetic
-/// scale-up sweeps.
-pub const PAPER_FLIGHTS_ROWS: usize = 5_300_000;
-
-/// Resolve the dataset size for a bench binary: `--scale-rows N` (the
-/// synthetic paper-scale sweep) takes precedence over `--rows N`.
-pub fn arg_rows(default: usize) -> usize {
-    match arg_usize("--scale-rows", 0) {
-        0 => arg_usize("--rows", default),
-        scaled => scaled,
-    }
-}
-
-/// Host facts stamped into every `BENCH_*.json` header so the artifacts
-/// are self-describing: scaling numbers measured on a 1-core CI container
-/// and on a 16-core workstation are meaningless to compare without them.
-#[derive(Debug, Clone, Copy)]
-pub struct HostInfo {
-    /// `std::thread::available_parallelism` at measurement time.
-    pub cores: usize,
-    /// Total physical memory in bytes (0 where undetectable).
-    pub ram_bytes: u64,
-}
-
-impl HostInfo {
-    /// Detect the current host.
-    pub fn detect() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        HostInfo { cores, ram_bytes: total_ram_bytes().unwrap_or(0) }
-    }
-}
-
-/// Total physical memory from `/proc/meminfo` (`None` off Linux).
-fn total_ram_bytes() -> Option<u64> {
-    let meminfo = std::fs::read_to_string("/proc/meminfo").ok()?;
-    let kb: u64 = meminfo
-        .lines()
-        .find(|l| l.starts_with("MemTotal:"))?
-        .split_whitespace()
-        .nth(1)?
-        .parse()
-        .ok()?;
-    Some(kb * 1024)
-}
-
 /// `true` when `--json` was passed (experiment binaries emit machine-
 /// readable records instead of markdown).
 pub fn arg_json() -> bool {

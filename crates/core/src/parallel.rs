@@ -662,4 +662,40 @@ mod tests {
         assert!(outcome.sentences[0].contains("No data"));
         assert!(outcome.speech.is_none());
     }
+
+    /// The CI multicore gate (run with `-- --ignored` on a ≥ 4-core
+    /// runner): 4 threads must buy ≥ 1.5× end-to-end samples/s and
+    /// ≥ 2.5× ingest-only rows/s over 1 thread on the flights
+    /// region × season query — the batched morsel path has no planning
+    /// work to hide behind, so it must scale harder. A host with fewer
+    /// cores cannot demonstrate thread scaling and returns early.
+    #[test]
+    #[ignore = "timing gate; needs >= 4 cores (CI `multicore` job)"]
+    fn four_threads_scale_sampling_and_ingest() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        if cores < 4 {
+            println!("SKIPPED: host has {cores} core(s), need >= 4 to demonstrate thread scaling");
+            return;
+        }
+        let table = voxolap_data::flights::FlightsConfig { rows: 200_000, seed: 42 }.generate();
+        let q = Query::builder(AggFct::Avg)
+            .group_by(DimId(0), LevelId(1))
+            .group_by(DimId(1), LevelId(1))
+            .build(table.schema())
+            .unwrap();
+        let cfg = HolisticConfig { seed: 42, ..HolisticConfig::default() };
+        let window = Duration::from_millis(1_500);
+        let samples =
+            |threads| sampling_throughput(&table, &q, &cfg, threads, window).samples_per_sec();
+        let ingest = |threads| ingest_throughput(&table, &q, 42, threads, window).rows_per_sec();
+        let (s1, i1) = (samples(1), ingest(1));
+        let (s4, i4) = (samples(4), ingest(4));
+        println!(
+            "{cores} cores: {:.2}x samples/s, {:.2}x ingest rows/s at 4 threads",
+            s4 / s1,
+            i4 / i1
+        );
+        assert!(s4 >= 1.5 * s1, "samples/s: {s4:.0} at 4 threads vs {s1:.0} at 1");
+        assert!(i4 >= 2.5 * i1, "ingest rows/s: {i4:.0} at 4 threads vs {i1:.0} at 1");
+    }
 }

@@ -86,21 +86,9 @@ pub struct AppState {
     /// approaches (`None` unless `--fault-plan` was given; a plan-less
     /// `Resilience` still enables retry/breaker/anytime machinery).
     resilience: Option<Arc<Resilience>>,
-    /// Per-query planning latencies in milliseconds, for `/stats`
-    /// percentiles.
-    latencies_ms: Arc<Mutex<Vec<f64>>>,
-    /// Planning latencies of answers that completed degraded, reported
-    /// separately under `/stats` `"degradation"`.
-    planning_degraded_ms: Arc<Mutex<Vec<f64>>>,
-    /// Planning latencies of answers that completed clean.
-    planning_clean_ms: Arc<Mutex<Vec<f64>>>,
-    /// Time-to-first-sentence samples in milliseconds, fed by both the
-    /// blocking and the streaming query paths.
-    ttfs_ms: Arc<Mutex<Vec<f64>>>,
-    /// Gaps between consecutive planned sentences, in milliseconds.
-    gap_ms: Arc<Mutex<Vec<f64>>>,
-    /// Streams aborted because the client hung up mid-stream.
-    stream_cancellations: Arc<AtomicU64>,
+    /// Latency distributions and stream counters behind `/stats`, shared
+    /// with in-flight streaming responses.
+    stats: Arc<AnswerStats>,
     /// Batches accepted by `POST /ingest`, for `/stats`.
     ingest_batches: AtomicU64,
     /// Rows appended by `POST /ingest`, for `/stats`.
@@ -265,25 +253,107 @@ fn make_vocalizer(
     }
 }
 
-/// The `p`-th percentile of `sorted` (nearest-rank on a pre-sorted slice).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
+/// Buckets per factor of two. Edges grow by 2^(1/8) ≈ 1.09, so a
+/// bucket's upper edge overstates any value inside it by less than 10 %.
+const DIST_PER_OCTAVE: usize = 8;
+/// Upper edge of bucket 0, in ms (≈ 1 µs). Smaller values land there too.
+const DIST_MIN_MS: f64 = 1.0 / 1024.0;
+/// 35 octaves above [`DIST_MIN_MS`]: the last edge is 2^25 ms ≈ 9 h, and
+/// larger values are counted at it.
+const DIST_BUCKETS: usize = 35 * DIST_PER_OCTAVE;
+
+/// A latency distribution in fixed memory: counts in log-spaced buckets.
+/// Recording is one relaxed add; percentiles are nearest-rank over the
+/// counts, reported as the bucket's upper edge.
+struct Dist {
+    counts: [AtomicU64; DIST_BUCKETS],
 }
 
-/// Count + p50/p90/p99 summary of one sample vector, for `/stats`.
-fn dist_json(samples: &Mutex<Vec<f64>>) -> Value {
-    let mut l = samples.lock().clone();
-    l.sort_by(|a, b| a.total_cmp(b));
-    Value::obj([
-        ("count", l.len().into()),
-        ("p50", percentile(&l, 50.0).into()),
-        ("p90", percentile(&l, 90.0).into()),
-        ("p99", percentile(&l, 99.0).into()),
-    ])
+impl Default for Dist {
+    fn default() -> Self {
+        Dist { counts: std::array::from_fn(|_| AtomicU64::new(0)) }
+    }
+}
+
+impl Dist {
+    fn upper_edge_ms(bucket: usize) -> f64 {
+        DIST_MIN_MS * (bucket as f64 / DIST_PER_OCTAVE as f64).exp2()
+    }
+
+    fn record(&self, ms: f64) {
+        // `as usize` saturates: NaN, zero and anything under the first
+        // edge count in bucket 0.
+        let bucket = ((ms / DIST_MIN_MS).log2() * DIST_PER_OCTAVE as f64).ceil() as usize;
+        self.counts[bucket.min(DIST_BUCKETS - 1)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// `count`, `p50`, `p90`, `p99` for `/stats`.
+    fn fields(&self) -> [(&'static str, Value); 4] {
+        let counts: [u64; DIST_BUCKETS] =
+            std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed));
+        let n: u64 = counts.iter().sum();
+        let percentile = |p: f64| {
+            if n == 0 {
+                return 0.0;
+            }
+            let rank = ((p / 100.0) * (n - 1) as f64).round() as u64;
+            let mut seen = 0;
+            let bucket = counts.iter().position(|&c| {
+                seen += c;
+                seen > rank
+            });
+            Self::upper_edge_ms(bucket.unwrap_or(DIST_BUCKETS - 1))
+        };
+        [
+            ("count", n.into()),
+            ("p50", percentile(50.0).into()),
+            ("p90", percentile(90.0).into()),
+            ("p99", percentile(99.0).into()),
+        ]
+    }
+
+    fn to_json(&self) -> Value {
+        Value::obj(self.fields())
+    }
+}
+
+/// What `/stats` reports about answers served, in milliseconds.
+#[derive(Default)]
+struct AnswerStats {
+    /// Planning latency of every answer.
+    planning: Dist,
+    /// Planning latency of answers that completed degraded, reported
+    /// separately under `/stats` `"degradation"`.
+    planning_degraded: Dist,
+    /// Planning latency of answers that completed clean.
+    planning_clean: Dist,
+    /// Time to first sentence, fed by the blocking, streaming and session
+    /// paths.
+    ttfs: Dist,
+    /// Gaps between consecutive planned sentences.
+    gap: Dist,
+    /// Streams aborted because the client hung up mid-stream.
+    stream_cancellations: AtomicU64,
+}
+
+impl AnswerStats {
+    fn record_planning(&self, outcome: &VocalizationOutcome) {
+        let ms = outcome.stats.planning_time.as_secs_f64() * 1e3;
+        self.planning.record(ms);
+        let split =
+            if outcome.stats.degraded { &self.planning_degraded } else { &self.planning_clean };
+        split.record(ms);
+    }
+
+    /// Record a sentence planned just now: time to first sentence since
+    /// `t0` when `last` is `None`, the gap since `last` otherwise.
+    fn record_sentence(&self, t0: Instant, last: &mut Option<Instant>) {
+        let now = Instant::now();
+        match last.replace(now) {
+            None => self.ttfs.record((now - t0).as_secs_f64() * 1e3),
+            Some(prev) => self.gap.record((now - prev).as_secs_f64() * 1e3),
+        }
+    }
 }
 
 impl AppState {
@@ -306,12 +376,7 @@ impl AppState {
             semantic: Some(Arc::new(SemanticCache::with_capacity_mb(DEFAULT_CACHE_MB))),
             vocalizers: Mutex::new(HashMap::new()),
             resilience: None,
-            latencies_ms: Arc::new(Mutex::new(Vec::new())),
-            planning_degraded_ms: Arc::new(Mutex::new(Vec::new())),
-            planning_clean_ms: Arc::new(Mutex::new(Vec::new())),
-            ttfs_ms: Arc::new(Mutex::new(Vec::new())),
-            gap_ms: Arc::new(Mutex::new(Vec::new())),
-            stream_cancellations: Arc::new(AtomicU64::new(0)),
+            stats: Arc::default(),
             ingest_batches: AtomicU64::new(0),
             ingest_rows: AtomicU64::new(0),
             http_metrics: None,
@@ -487,8 +552,8 @@ impl AppState {
             ("poison_recoveries", (s.poison_recoveries + http_recoveries).into()),
             ("degraded_answers", s.degraded_answers.into()),
             ("clean_answers", s.clean_answers.into()),
-            ("planning_ms_degraded", dist_json(&self.planning_degraded_ms)),
-            ("planning_ms_clean", dist_json(&self.planning_clean_ms)),
+            ("planning_ms_degraded", self.stats.planning_degraded.to_json()),
+            ("planning_ms_clean", self.stats.planning_clean.to_json()),
         ])
     }
 
@@ -576,28 +641,12 @@ impl AppState {
     /// the streaming counters (time-to-first-sentence, inter-sentence
     /// gaps, client-abort count).
     fn latency_json(&self) -> Value {
-        let mut l = self.latencies_ms.lock().clone();
-        l.sort_by(|a, b| a.total_cmp(b));
-        Value::obj([
-            ("count", l.len().into()),
-            ("p50", percentile(&l, 50.0).into()),
-            ("p90", percentile(&l, 90.0).into()),
-            ("p99", percentile(&l, 99.0).into()),
-            ("ttfs_ms", dist_json(&self.ttfs_ms)),
-            ("gap_ms", dist_json(&self.gap_ms)),
-            ("stream_cancellations", self.stream_cancellations.load(Ordering::Relaxed).into()),
-        ])
-    }
-
-    fn record_latency(&self, outcome: &VocalizationOutcome) {
-        let ms = outcome.stats.planning_time.as_secs_f64() * 1e3;
-        self.latencies_ms.lock().push(ms);
-        let split = if outcome.stats.degraded {
-            &self.planning_degraded_ms
-        } else {
-            &self.planning_clean_ms
-        };
-        split.lock().push(ms);
+        let stats = &self.stats;
+        Value::obj(stats.planning.fields().into_iter().chain([
+            ("ttfs_ms", stats.ttfs.to_json()),
+            ("gap_ms", stats.gap.to_json()),
+            ("stream_cancellations", stats.stream_cancellations.load(Ordering::Relaxed).into()),
+        ]))
     }
 
     /// Drain a sentence stream for a blocking endpoint, feeding the same
@@ -611,17 +660,9 @@ impl AppState {
     ) -> VocalizationOutcome {
         let t0 = Instant::now();
         let mut stream = vocalizer.stream(table, query, voice, CancelToken::never());
-        let mut last = t0;
-        let mut first = true;
+        let mut last = None;
         while stream.next_sentence().is_some() {
-            let now = Instant::now();
-            if first {
-                self.ttfs_ms.lock().push((now - t0).as_secs_f64() * 1e3);
-                first = false;
-            } else {
-                self.gap_ms.lock().push((now - last).as_secs_f64() * 1e3);
-            }
-            last = now;
+            self.stats.record_sentence(t0, &mut last);
         }
         stream.finish()
     }
@@ -753,7 +794,7 @@ impl AppState {
         };
         let mut voice = InstantVoice::default();
         let outcome = self.drive_stream(vocalizer.as_ref(), &table, &query, &mut voice);
-        self.record_latency(&outcome);
+        self.stats.record_planning(&outcome);
         Response::ok(AnswerResponse::from_outcome(approach, &outcome).to_json().to_string())
     }
 
@@ -778,12 +819,7 @@ impl AppState {
             Ok(q) => q,
             Err(e) => return Response::error(400, &e.to_string()),
         };
-        let latencies = Arc::clone(&self.latencies_ms);
-        let latencies_degraded = Arc::clone(&self.planning_degraded_ms);
-        let latencies_clean = Arc::clone(&self.planning_clean_ms);
-        let ttfs = Arc::clone(&self.ttfs_ms);
-        let gaps = Arc::clone(&self.gap_ms);
-        let cancellations = Arc::clone(&self.stream_cancellations);
+        let stats = Arc::clone(&self.stats);
         Response::streaming(move |w| {
             // The cooperative planners pace on a virtual voice (speaking
             // time measured in planner iterations); the multi-threaded
@@ -806,21 +842,13 @@ impl AppState {
             if !w.send(&format!("{head}\n")) {
                 cancel.cancel();
             }
-            let mut last = t0;
-            let mut first = true;
+            let mut last = None;
             loop {
                 if w.client_gone() {
                     cancel.cancel();
                 }
                 let Some(sentence) = stream.next_sentence() else { break };
-                let now = Instant::now();
-                if first {
-                    ttfs.lock().push((now - t0).as_secs_f64() * 1e3);
-                    first = false;
-                } else {
-                    gaps.lock().push((now - last).as_secs_f64() * 1e3);
-                }
-                last = now;
+                stats.record_sentence(t0, &mut last);
                 let line = Value::obj([
                     ("type", "sentence".into()),
                     ("index", sentence.index.into()),
@@ -835,12 +863,10 @@ impl AppState {
             }
             let cancelled = stream.is_cancelled();
             let outcome = stream.finish();
+            stats.record_planning(&outcome);
             let planning_ms = outcome.stats.planning_time.as_secs_f64() * 1e3;
-            latencies.lock().push(planning_ms);
-            let split = if outcome.stats.degraded { &latencies_degraded } else { &latencies_clean };
-            split.lock().push(planning_ms);
             if cancelled {
-                cancellations.fetch_add(1, Ordering::Relaxed);
+                stats.stream_cancellations.fetch_add(1, Ordering::Relaxed);
             }
             let mut fields = vec![
                 ("type", "done".into()),
@@ -905,7 +931,7 @@ impl AppState {
                 };
                 match session.vocalize_streaming(vocalizer.as_ref(), &mut voice, cancel, |_| {}) {
                     Ok(outcome) => {
-                        self.record_latency(&outcome);
+                        self.stats.record_planning(&outcome);
                         Response::ok(
                             AnswerResponse::from_outcome(approach, &outcome).to_json().to_string(),
                         )
@@ -1108,9 +1134,9 @@ impl AppState {
                 };
                 match outcome {
                     Ok(outcome) => {
-                        self.record_latency(&outcome);
+                        self.stats.record_planning(&outcome);
                         let ttfs = first_sentence_ms.unwrap_or(0.0);
-                        self.ttfs_ms.lock().push(ttfs);
+                        self.stats.ttfs.record(ttfs);
                         {
                             let mut sessions = self.sessions.lock();
                             let entry = sessions.entry(id.to_string()).or_default();
@@ -1449,6 +1475,37 @@ mod tests {
         assert_eq!(stats["ingest"]["batches"].as_u64(), Some(0));
     }
 
+    /// 100 000 seeded log-uniform latencies (10 µs … 100 s): every
+    /// percentile `Dist` reports is within 10 % of exact nearest-rank, and
+    /// the `/stats` body does not grow with them (bar the digits of `count`).
+    #[test]
+    fn dist_percentiles_within_ten_percent_in_fixed_memory() {
+        let s = state();
+        let few = get(&s, "/stats").body.len();
+        let mut x = 42u64;
+        let mut exact: Vec<f64> = (0..100_000)
+            .map(|_| {
+                // Knuth's 64-bit LCG; the high 53 bits make a unit float.
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let unit = (x >> 11) as f64 / (1u64 << 53) as f64;
+                10f64.powf(unit * 7.0 - 2.0)
+            })
+            .collect();
+        for &ms in &exact {
+            s.stats.ttfs.record(ms);
+        }
+        exact.sort_by(f64::total_cmp);
+        let body = get(&s, "/stats").body;
+        let ttfs = &Value::parse(&body).unwrap()["latency_ms"]["ttfs_ms"];
+        assert_eq!(ttfs["count"].as_u64(), Some(100_000));
+        for (key, p) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
+            let want = exact[(p * (exact.len() - 1) as f64).round() as usize];
+            let got = ttfs[key].as_f64().unwrap();
+            assert!((got / want - 1.0).abs() <= 0.10, "{key}: {got} vs exact {want}");
+        }
+        assert!(body.len() <= few + 64, "{} -> {} bytes", few, body.len());
+    }
+
     #[test]
     fn append_invalidates_exact_answers_and_repairs_snapshots() {
         let s = state();
@@ -1467,7 +1524,9 @@ mod tests {
         let cache = &stats["cache"];
         assert_eq!(cache["exact_invalidations"].as_u64(), Some(1), "{stats:?}");
         assert!(cache["snapshot_repairs"].as_u64().unwrap() >= 1, "{stats:?}");
-        assert!(cache["repair_rows_read"].as_u64().unwrap() >= 6, "{stats:?}");
+        // DESIGN §16's O(suffix) promise: repair happened, and read no
+        // more than what was appended.
+        assert!((1..=6).contains(&cache["repair_rows_read"].as_u64().unwrap()), "{stats:?}");
         assert_eq!(cache["stale_serves"].as_u64(), Some(0), "{stats:?}");
         // Same question again, no append in between: exact hit.
         assert_eq!(post(&s, "/ask", ask).status, 200);

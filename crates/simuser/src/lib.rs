@@ -17,19 +17,15 @@
 //! * [`preference`] — the exploratory preference study (Tables 8 and 9):
 //!   scripted analysis sessions, speech-length statistics, and a
 //!   length-driven preference model;
-//! * [`explore`] — fact extraction from vocalizations (Table 7 analogue);
-//! * [`sessions`] — seeded multi-turn utterance scripts for driving
-//!   thousands of live voice sessions against the server (DESIGN.md §15).
+//! * [`explore`] — fact extraction from vocalizations (Table 7 analogue).
 
 pub mod estimation;
 pub mod explore;
 pub mod listener;
 pub mod pilot;
 pub mod preference;
-pub mod sessions;
 
 pub use estimation::{EstimationResult, EstimationStudy};
 pub use listener::{ListenerConfig, SimulatedListener};
 pub use pilot::{PilotResult, PilotStudy};
 pub use preference::{PreferenceResult, PreferenceStudy};
-pub use sessions::{utterance_script, ScriptConfig};

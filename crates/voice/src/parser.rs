@@ -51,21 +51,53 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Find a dimension whose name occurs in `text` (case-insensitive).
-fn find_dimension(schema: &Schema, text: &str) -> Option<DimId> {
-    schema.dims().find(|(_, d)| text.contains(&d.name().to_lowercase())).map(|(id, _)| id)
+/// `text` lower-cased, with every run of non-alphanumeric characters
+/// collapsed to one space and a space at both ends: `" sum "` occurs in the
+/// result exactly when "sum" is one of the words of `text`.
+fn padded_words(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    out.push(' ');
+    for word in text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()) {
+        out.extend(word.chars().flat_map(char::to_lowercase));
+        out.push(' ');
+    }
+    out
 }
 
-/// Find a level (of any dimension) whose name occurs in `text`, together
-/// with the matched length. Longer names win so "rough start salary" beats
-/// the dimension "start salary".
-fn find_level(schema: &Schema, text: &str) -> Option<(DimId, LevelId, usize)> {
+/// Whether the words of `phrase` occur in `words` (from [`padded_words`])
+/// as consecutive whole words. The last one may carry a plural "s"
+/// ("clear filters", "by regions"); "summer" does not mention "sum".
+fn mentions(words: &str, phrase: &str) -> bool {
+    let mut phrase = padded_words(phrase);
+    if phrase == " " {
+        return false;
+    }
+    if words.contains(&phrase) {
+        return true;
+    }
+    phrase.insert(phrase.len() - 1, 's');
+    words.contains(&phrase)
+}
+
+fn mentions_any(words: &str, phrases: &[&str]) -> bool {
+    phrases.iter().any(|p| mentions(words, p))
+}
+
+/// Find a dimension whose name is mentioned in `words`.
+fn find_dimension(schema: &Schema, words: &str) -> Option<DimId> {
+    schema.dims().find(|(_, d)| mentions(words, d.name())).map(|(id, _)| id)
+}
+
+/// Find a level (of any dimension) whose name is mentioned in `words`,
+/// together with the matched length. Longer names win so "rough start
+/// salary" beats the dimension "start salary".
+fn find_level(schema: &Schema, words: &str) -> Option<(DimId, LevelId, usize)> {
     let mut best: Option<(DimId, LevelId, usize)> = None;
     for (id, d) in schema.dims() {
         for li in 1..d.level_count() {
             let level = LevelId(li as u8);
-            let name = d.level_name(level).to_lowercase();
-            if text.contains(&name) && best.is_none_or(|(_, _, l)| name.len() > l) {
+            let name = d.level_name(level);
+            if best.is_none_or(|(_, _, l)| name.len() > l) && mentions(words, name) {
                 best = Some((id, level, name.len()));
             }
         }
@@ -73,16 +105,16 @@ fn find_level(schema: &Schema, text: &str) -> Option<(DimId, LevelId, usize)> {
     best
 }
 
-/// Find a member (of any dimension) whose phrase occurs in `text`, together
-/// with the matched length. Longest phrase wins ("the North East" over
-/// "the North").
-fn find_member(schema: &Schema, text: &str) -> Option<(DimId, MemberId, usize)> {
+/// Find a member (of any dimension) whose phrase is mentioned in `words`,
+/// together with the matched length. Longest phrase wins ("the North East"
+/// over "the North").
+fn find_member(schema: &Schema, words: &str) -> Option<(DimId, MemberId, usize)> {
     let mut best: Option<(DimId, MemberId, usize)> = None;
     for (id, d) in schema.dims() {
         for mi in 1..d.member_count() {
             let m = MemberId(mi as u32);
-            let phrase = d.member(m).phrase.to_lowercase();
-            if text.contains(&phrase) && best.is_none_or(|(_, _, l)| phrase.len() > l) {
+            let phrase = &d.member(m).phrase;
+            if best.is_none_or(|(_, _, l)| phrase.len() > l) && mentions(words, phrase) {
                 best = Some((id, m, phrase.len()));
             }
         }
@@ -92,51 +124,57 @@ fn find_member(schema: &Schema, text: &str) -> Option<(DimId, MemberId, usize)> 
 
 /// Parse one utterance against a schema.
 ///
-/// Recognition order: explicit commands (help/quit/clear), aggregation
-/// keywords, structural verbs (drill/roll/remove) with a dimension mention,
-/// "break down"-style level mentions, then member mentions as filters.
+/// Keywords, schema names and member phrases match as whole words, never
+/// inside one — speech-to-text output is noisy, and "only summer" is a
+/// filter, not a `SUM`.
+///
+/// Recognition order: explicit commands (help/quit/clear), structural
+/// verbs (drill/roll/remove) with a dimension mention, "break down"-style
+/// level mentions, aggregation keywords, then bare level mentions as
+/// breakdowns and member mentions as filters.
 pub fn parse(schema: &Schema, input: &str) -> Result<Command, ParseError> {
-    let text = input.to_lowercase();
+    let words = padded_words(input);
+    let words = words.as_str();
     let unrecognized = || ParseError { input: input.to_string() };
 
-    if text.contains("help") {
+    if mentions(words, "help") {
         return Ok(Command::Help);
     }
-    if text.contains("quit") || text.contains("exit") || text.contains("goodbye") {
+    if mentions_any(words, &["quit", "exit", "goodbye"]) {
         return Ok(Command::Quit);
     }
-    if text.contains("clear filter") || text.contains("remove filter") {
+    if mentions_any(words, &["clear filter", "remove filter"]) {
         return Ok(Command::ClearFilters);
     }
-    if text.contains("drill down") || text.contains("drill into") {
-        return find_dimension(schema, &text).map(Command::DrillDown).ok_or_else(unrecognized);
+    if mentions_any(words, &["drill down", "drill into"]) {
+        return find_dimension(schema, words).map(Command::DrillDown).ok_or_else(unrecognized);
     }
-    if text.contains("roll up") {
-        return find_dimension(schema, &text).map(Command::RollUp).ok_or_else(unrecognized);
+    if mentions(words, "roll up") {
+        return find_dimension(schema, words).map(Command::RollUp).ok_or_else(unrecognized);
     }
-    if text.contains("remove") || text.contains("without") {
-        return find_dimension(schema, &text).map(Command::Remove).ok_or_else(unrecognized);
+    if mentions_any(words, &["remove", "without"]) {
+        return find_dimension(schema, words).map(Command::Remove).ok_or_else(unrecognized);
     }
-    if text.contains("break down by") || text.contains("group by") || text.contains(" by ") {
-        if let Some((d, l, _)) = find_level(schema, &text) {
+    if mentions(words, "by") {
+        if let Some((d, l, _)) = find_level(schema, words) {
             return Ok(Command::GroupBy(d, l));
         }
     }
     // Aggregation function switches.
-    if text.contains("how many") || text.contains("count") || text.contains("number of") {
+    if mentions_any(words, &["how many", "count", "number of"]) {
         return Ok(Command::SetFct(AggFct::Count));
     }
-    if text.contains("total") || text.contains("sum") {
+    if mentions_any(words, &["total", "sum"]) {
         return Ok(Command::SetFct(AggFct::Sum));
     }
-    if text.contains("average") || text.contains("mean") {
+    if mentions_any(words, &["average", "mean"]) {
         return Ok(Command::SetFct(AggFct::Avg));
     }
     // A bare level mention groups; a member mention filters. When both
     // match ("new york city" contains the level name "city"), the longer
     // match wins.
-    let level = find_level(schema, &text);
-    let member = find_member(schema, &text);
+    let level = find_level(schema, words);
+    let member = find_member(schema, words);
     match (level, member) {
         (Some((d, l, ll)), Some((_, _, ml))) if ll >= ml => Ok(Command::GroupBy(d, l)),
         (_, Some((d, m, _))) => Ok(Command::Filter(d, m)),
@@ -233,5 +271,87 @@ mod tests {
     fn drill_without_dimension_errors() {
         let s = schema();
         assert!(parse(&s, "drill down").is_err());
+    }
+
+    #[test]
+    fn keywords_match_whole_words_only() {
+        let s = schema();
+        let summer = s.dimension(DimId(1)).member_by_phrase("Summer").unwrap();
+        let ok: [(&str, Command); 8] = [
+            ("only summer", Command::Filter(DimId(1), summer)),
+            ("what about the Summer?", Command::Filter(DimId(1), summer)),
+            ("the sum, please", Command::SetFct(AggFct::Sum)),
+            ("count", Command::SetFct(AggFct::Count)),
+            ("counts per region", Command::SetFct(AggFct::Count)),
+            ("clear filters", Command::ClearFilters),
+            ("by regions", Command::GroupBy(DimId(0), LevelId(1))),
+            ("Help!", Command::Help),
+        ];
+        for (text, want) in ok {
+            assert_eq!(parse(&s, text), Ok(want), "{text:?}");
+        }
+        for text in ["county", "our country", "recount", "summary", "meaning", "helpful", "totally"]
+        {
+            assert!(parse(&s, text).is_err(), "{text:?} parsed as {:?}", parse(&s, text));
+        }
+    }
+
+    /// Everything `help_text` tells the user to say, on both datasets.
+    #[test]
+    fn every_help_text_phrase_parses() {
+        use voxolap_data::salary::SalaryConfig;
+        let tables = [
+            FlightsConfig { rows: 10, seed: 1 }.generate(),
+            SalaryConfig { rows: 8, seed: 1 }.generate(),
+        ];
+        for table in &tables {
+            let s = table.schema();
+            let help = crate::session::Session::new(table).help_text();
+            let mut cases = vec![
+                ("help".to_string(), Command::Help),
+                ("quit".to_string(), Command::Quit),
+                ("average".to_string(), Command::SetFct(AggFct::Avg)),
+                ("total".to_string(), Command::SetFct(AggFct::Sum)),
+                ("count".to_string(), Command::SetFct(AggFct::Count)),
+            ];
+            assert!(cases.iter().all(|(keyword, _)| help.contains(keyword)), "{help}");
+            for (id, d) in s.dims() {
+                assert!(help.contains(d.name()), "{help}");
+                cases.push((format!("drill down {}", d.name()), Command::DrillDown(id)));
+                cases.push((format!("roll up {}", d.name()), Command::RollUp(id)));
+                cases.push((format!("remove {}", d.name()), Command::Remove(id)));
+                for li in 1..d.level_count() {
+                    let level = LevelId(li as u8);
+                    assert!(help.contains(d.level_name(level)), "{help}");
+                    cases.push((
+                        format!("break down by {}", d.level_name(level)),
+                        Command::GroupBy(id, level),
+                    ));
+                }
+            }
+            for (text, want) in cases {
+                assert_eq!(parse(s, &text), Ok(want), "{text:?}");
+            }
+        }
+    }
+
+    /// `benchmark/src/script.rs` builds `session_drill` from the first
+    /// three states whose "only ‹state›" parses as a filter on that state.
+    /// Pin them, so the workload keeps asking the same questions.
+    #[test]
+    fn first_three_nameable_states_are_stable() {
+        let s = schema();
+        let dim = s.dimension(DimId(0));
+        let named: Vec<&str> = dim
+            .level_members(dim.level_by_name("state").unwrap())
+            .into_iter()
+            .filter(|&m| {
+                let text = format!("only {}", dim.member(m).phrase.to_lowercase());
+                parse(&s, &text) == Ok(Command::Filter(DimId(0), m))
+            })
+            .take(3)
+            .map(|m| dim.member(m).phrase.as_str())
+            .collect();
+        assert_eq!(named, ["New York", "Massachusetts", "Pennsylvania"]);
     }
 }

@@ -321,3 +321,48 @@ fn shutdown_farewells_attached_sessions() {
         assert!(rest.is_empty(), "connection must close after the farewell");
     }
 }
+
+/// The fleet gate: a thousand sessions attached at once (two fds each —
+/// client and server live in this process — so fewer where the fd limit
+/// is low), all held idle across a heartbeat, one in fifty speaking, and
+/// every one closed by its own `bye`. None may be dropped, reaped or
+/// lost to an I/O error on the way.
+#[test]
+fn thousand_attached_sessions_none_dropped() {
+    let _guard = watchdog(120);
+    let n = (voxolap_server::raise_nofile_limit().saturating_sub(128) / 2).min(1_000) as usize;
+    let config = ServerConfig { heartbeat: Duration::from_millis(250), ..ServerConfig::default() };
+    let (handle, metrics) = serve_state(config, Arc::new(AppState::new(small_table())));
+
+    let mut fleet: Vec<SessionConn> =
+        (0..n).map(|i| SessionConn::attach(handle.addr, &format!("fleet-{i}"))).collect();
+    for (i, conn) in fleet.iter_mut().enumerate() {
+        let ev = conn.next_event();
+        assert_eq!(ev["type"], "heartbeat", "session {i}: {ev:?}");
+    }
+    for (i, conn) in fleet.iter_mut().enumerate().step_by(50) {
+        let events = conn.utter("break down by region");
+        assert_eq!(events.last().unwrap()["type"], "done", "session {i}: {events:?}");
+    }
+    for (i, mut conn) in fleet.into_iter().enumerate() {
+        conn.send("{\"type\":\"bye\"}");
+        let bye = loop {
+            let ev = conn.next_event();
+            if ev["type"] != "heartbeat" {
+                break ev;
+            }
+        };
+        assert_eq!(bye["type"], "bye", "session {i}: {bye:?}");
+        assert_eq!(bye["reason"], "client", "session {i}: {bye:?}");
+        let mut rest = Vec::new();
+        conn.reader.read_to_end(&mut rest).unwrap();
+        assert!(rest.is_empty(), "session {i}: server must close after bye");
+    }
+
+    let snap = metrics.snapshot();
+    assert_eq!(snap.sessions_opened, n as u64, "{snap:?}");
+    assert_eq!(snap.sessions_closed, n as u64, "{snap:?}");
+    assert_eq!(snap.io_errors, 0, "{snap:?}");
+    assert_eq!(snap.idle_closed, 0, "{snap:?}");
+    handle.shutdown();
+}
