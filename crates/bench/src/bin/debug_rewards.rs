@@ -13,7 +13,7 @@ use voxolap_belief::normal::Normal;
 use voxolap_bench::{experiment_candidates, flights_table, region_season_query};
 use voxolap_core::holistic::HolisticConfig;
 use voxolap_core::sampler::{calibrated_sigma, ShardWorker};
-use voxolap_core::tree::{NodeKind, SpeechTree};
+use voxolap_core::tree::SpeechTree;
 use voxolap_engine::exact::evaluate;
 use voxolap_speech::candidates::CandidateGenerator;
 use voxolap_speech::constraints::SpeechConstraints;
@@ -71,10 +71,7 @@ fn main() {
                 n += 1;
             }
             let q = total / n as f64;
-            let label = match tree.tree().data(c) {
-                NodeKind::Refinement { ast, .. } => renderer.refinement_sentence(ast),
-                _ => "?".into(),
-            };
+            let label = tree.sentence(c, &renderer).unwrap_or_else(|| "?".into());
             (mean, q, tree.tree().visits(c), label)
         })
         .collect();

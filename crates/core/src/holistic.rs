@@ -2,9 +2,10 @@
 //!
 //! Combined query evaluation and result vocalization:
 //!
-//! 1. speak the preamble immediately (it needs no data);
-//! 2. while it plays, warm up the sample cache and expand the full speech
-//!    search tree;
+//! 1. speak the preamble immediately (it needs no data — `stream()` does
+//!    nothing else but look the query up in the semantic cache);
+//! 2. while it plays — on the stream's first pull — warm up the sample
+//!    cache and expand the full speech search tree;
 //! 3. while each sentence plays, refine speech-quality estimates by UCT
 //!    sampling (`ST.Sample`) rooted at the current node;
 //! 4. when a sentence finishes, commit to the child with the best **mean**
@@ -17,25 +18,23 @@
 //! single-thread mode: deterministic under a seed and paced by the voice.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use voxolap_data::Table;
 use voxolap_engine::query::{AggIdx, Query, ResultLayout};
-use voxolap_engine::semantic::{ExactAggregates, SemanticCache};
+use voxolap_engine::semantic::SemanticCache;
 use voxolap_faults::{DegradeReason, Resilience, RunState};
 use voxolap_mcts::NodeId;
 use voxolap_speech::candidates::CandidateConfig;
 use voxolap_speech::constraints::SpeechConstraints;
-use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
-use crate::optimal::{plan_from_exact, OptimalConfig};
+use crate::optimal::OptimalConfig;
 use crate::parallel::ParallelHolistic;
 use crate::pipeline::cancel::CancelToken;
-use crate::pipeline::stream::{Buffered, SpeechStream};
+use crate::pipeline::stream::SpeechStream;
 use crate::resilience::ResCtx;
 use crate::sampler::SelectionPolicy;
-use crate::tree::{NodeKind, SpeechTree};
+use crate::tree::SpeechTree;
 use crate::uncertainty::UncertaintyMode;
 use crate::voice::VoiceOutput;
 
@@ -48,8 +47,9 @@ pub struct HolisticConfig {
     pub candidates: CandidateConfig,
     /// RNG seed; same seed, same speech.
     pub seed: u64,
-    /// Rows ingested before the tree is built (overlapped with the
-    /// preamble; estimates seed the baseline value grid).
+    /// Rows ingested before the tree is built; their estimate seeds the
+    /// baseline value grid. Runs on the stream's first pull, after the
+    /// preamble is out, and overlaps it being spoken.
     pub warmup_rows: usize,
     /// Rows streamed into the cache per sampling iteration.
     pub rows_per_iteration: usize,
@@ -142,46 +142,11 @@ impl Holistic {
 /// for a baseline, the refinement scope otherwise. Used only for
 /// uncertainty annotations.
 pub(crate) fn relevant_aggs(tree: &SpeechTree, node: NodeId, layout: &ResultLayout) -> Vec<AggIdx> {
-    match tree.tree().data(node) {
-        NodeKind::Root | NodeKind::Baseline(_) => (0..layout.n_aggregates() as u32).collect(),
-        NodeKind::Refinement { scope, .. } => {
-            (0..layout.n_aggregates() as u32).filter(|&a| scope.contains(a, layout)).collect()
-        }
+    let all = 0..layout.n_aggregates() as u32;
+    match tree.refinement(node) {
+        None => all.collect(),
+        Some(entry) => all.filter(|&a| entry.scope.contains(a, layout)).collect(),
     }
-}
-
-/// Speak a query answered entirely from cached exact aggregates: no table
-/// scan, no sampling — the preamble starts immediately and the speech is
-/// planned by exhaustive exact scoring (the Optimal variant's planner).
-pub(crate) fn exact_hit_stream<'a>(
-    table: &'a Table,
-    query: &'a Query,
-    voice: &'a mut dyn VoiceOutput,
-    cancel: CancelToken,
-    data: &ExactAggregates,
-    cfg: &OptimalConfig,
-    run: Option<&RunState>,
-) -> SpeechStream<'a> {
-    let t0 = Instant::now();
-    let schema = table.schema();
-    let renderer = Renderer::new(schema, query);
-    let preamble = renderer.preamble();
-    voice.start(&preamble);
-    let latency = t0.elapsed();
-
-    let exact = data.to_result(query.fct());
-    let source = match plan_from_exact(schema, query, &exact, cfg, &cancel, run) {
-        Some(plan) => Buffered::planned(
-            plan.sentences,
-            Some(plan.speech),
-            0,
-            0,
-            plan.tree_nodes,
-            plan.truncated,
-        ),
-        None => Buffered::no_data(0, None),
-    };
-    SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
 }
 
 impl Vocalizer for Holistic {

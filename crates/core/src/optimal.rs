@@ -16,7 +16,7 @@ use voxolap_belief::normal::Normal;
 use voxolap_data::schema::Schema;
 use voxolap_data::Table;
 use voxolap_engine::exact::{evaluate, ExactResult};
-use voxolap_engine::query::Query;
+use voxolap_engine::query::{Query, ResultLayout};
 use voxolap_engine::semantic::SemanticCache;
 use voxolap_faults::{DegradeReason, RunState};
 use voxolap_mcts::NodeId;
@@ -82,33 +82,42 @@ impl Optimal {
     }
 }
 
+/// What scoring needs to know about one aggregate with a finite exact
+/// value — per-query facts, computed once before the node loop.
+struct Target {
+    /// The aggregate's decomposed coordinates.
+    coords: Vec<u32>,
+    /// The rounding bucket `[lo, hi)` around its exact value.
+    bucket: (f64, f64),
+}
+
+/// One [`Target`] per aggregate with a finite exact value, in aggregate
+/// order.
+fn scoring_targets(exact: &ExactResult, layout: &ResultLayout, sigma: f64) -> Vec<Target> {
+    (0..layout.n_aggregates() as u32)
+        .filter_map(|agg| {
+            let actual = exact.value(agg);
+            actual.is_finite().then(|| Target {
+                coords: layout.coords_of_agg(agg),
+                bucket: rounding_bucket(actual, sigma / 10.0),
+            })
+        })
+        .collect()
+}
+
 /// Exact quality (Definition 2.2) of the speech at `node`, using the
 /// tree's incremental belief means.
-fn node_quality(
-    tree: &SpeechTree,
-    node: NodeId,
-    exact: &ExactResult,
-    layout: &voxolap_engine::query::ResultLayout,
-    sigma: f64,
-) -> f64 {
+fn node_quality(tree: &SpeechTree, node: NodeId, targets: &[Target], sigma: f64) -> f64 {
+    if targets.is_empty() {
+        return 0.0;
+    }
     let mut total = 0.0;
-    let mut n = 0usize;
-    for agg in 0..layout.n_aggregates() as u32 {
-        let actual = exact.value(agg);
-        if !actual.is_finite() {
-            continue;
-        }
-        let coords = layout.coords_of_agg(agg);
-        let mean = tree.mean_for(node, &coords);
-        let (lo, hi) = rounding_bucket(actual, sigma / 10.0);
+    for target in targets {
+        let mean = tree.mean_for(node, &target.coords);
+        let (lo, hi) = target.bucket;
         total += Normal::new(mean, sigma).prob_interval(lo, hi);
-        n += 1;
     }
-    if n == 0 {
-        0.0
-    } else {
-        total / n as f64
-    }
+    total / targets.len() as f64
 }
 
 /// A fully planned speech derived from exact aggregate values.
@@ -119,13 +128,30 @@ pub(crate) struct ExactPlan {
     pub truncated: bool,
 }
 
+/// The source that speaks what [`plan_from_exact`] returned — the plan, or
+/// the no-data report when the query scope was empty — charged with
+/// `rows_read` rows.
+pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffered<'a> {
+    match plan {
+        Some(plan) => Buffered::planned(
+            plan.sentences,
+            Some(plan.speech),
+            0,
+            rows_read,
+            plan.tree_nodes,
+            plan.truncated,
+        ),
+        None => Buffered::no_data(rows_read, None),
+    }
+}
+
 /// Plan the best speech against exact aggregates — the Optimal variant's
 /// exhaustive scoring, shared with the Holistic engines' semantic-cache
 /// exact-hit path (which obtains the exact values without a table scan).
 /// Returns `None` when the grand mean is undefined (empty query scope).
 ///
 /// Scoring visits every node of the search space — over a wide breakdown
-/// that is minutes of work (500k nodes × one `node_quality` pass over
+/// that is seconds of work (500k nodes × one `node_quality` pass over
 /// every aggregate each). The `cancel` token is polled between nodes: a
 /// fired deadline keeps the best speech found so far (the anytime cut of
 /// the exhaustive search) and marks `run` degraded, so an exact-hit can
@@ -150,7 +176,7 @@ pub(crate) fn plan_from_exact(
 
     // Score every node (every speech in the search space T); ties go to
     // the shorter speech.
-    let layout = query.layout();
+    let targets = scoring_targets(exact, query.layout(), sigma);
     let mut best: Option<(NodeId, f64, usize)> = None;
     let mut since_poll = 0u32;
     for node in tree.all_nodes() {
@@ -167,8 +193,8 @@ pub(crate) fn plan_from_exact(
                 break;
             }
         }
-        let q = node_quality(&tree, node, exact, layout, sigma);
-        let frags = tree.speech_at(node).fragment_count();
+        let q = node_quality(&tree, node, &targets, sigma);
+        let frags = tree.fragment_count(node);
         let better = match best {
             None => true,
             Some((_, bq, bf)) => q > bq + 1e-12 || (q > bq - 1e-12 && frags < bf),
@@ -253,17 +279,8 @@ impl Vocalizer for Optimal {
         };
         let rows_read = if hit { 0 } else { table.row_count() as u64 };
 
-        let source = match plan_from_exact(schema, query, &exact, cfg, &cancel, None) {
-            Some(plan) => Buffered::planned(
-                plan.sentences,
-                Some(plan.speech),
-                0,
-                rows_read,
-                plan.tree_nodes,
-                plan.truncated,
-            ),
-            None => Buffered::no_data(rows_read, None),
-        };
+        let plan = plan_from_exact(schema, query, &exact, cfg, &cancel, None);
+        let source = plan_source(plan, rows_read);
 
         // Only now does output start: latency includes the full scan.
         let latency = t0.elapsed();
@@ -373,6 +390,68 @@ mod tests {
         assert_eq!(stats.exact_hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.admissions, 1);
+    }
+
+    /// The plans `plan_from_exact` chooses on the 200k flights table,
+    /// recorded at the commit before scoring targets were hoisted out of
+    /// the node loop and the fragment count came from the depth: scores,
+    /// tie-breaks and the chosen node must not move.
+    #[test]
+    fn exact_plans_on_flights_are_pinned() {
+        use voxolap_data::flights::FlightsConfig;
+        let table = FlightsConfig { rows: 200_000, seed: 42 }.generate();
+        let schema = table.schema();
+        let by = |groups: &[(u8, u8)]| {
+            let mut b = Query::builder(AggFct::Avg);
+            for &(d, l) in groups {
+                b = b.group_by(DimId(d), LevelId(l));
+            }
+            b.build(schema).unwrap()
+        };
+        let cases: [(&str, Query, usize, bool, [&str; 3]); 3] = [
+            (
+                "by season",
+                by(&[(1, 1)]),
+                30_210,
+                false,
+                [
+                    "Around one point five percent is the average cancellation probability.",
+                    "Values increase by 100 percent for flights scheduled in Winter.",
+                    "Values decrease by 5 percent for flights scheduled in Fall.",
+                ],
+            ),
+            (
+                "by month",
+                by(&[(1, 2)]),
+                500_000,
+                true,
+                [
+                    "Around one point five percent is the average cancellation probability.",
+                    "Values increase by 100 percent for flights scheduled in Winter.",
+                    "Values increase by 50 percent for flights scheduled in July.",
+                ],
+            ),
+            (
+                "region x season",
+                by(&[(0, 1), (1, 1)]),
+                178_110,
+                false,
+                [
+                    "One point five to two percent is the average cancellation probability.",
+                    "Values increase by 50 percent for flights starting from the North East.",
+                    "Values increase by 100 percent for flights scheduled in Winter.",
+                ],
+            ),
+        ];
+        for (name, q, tree_nodes, truncated, sentences) in &cases {
+            let exact = evaluate(q, &table);
+            let cfg = OptimalConfig::default();
+            let plan =
+                plan_from_exact(schema, q, &exact, &cfg, &CancelToken::never(), None).unwrap();
+            assert_eq!(plan.sentences, sentences, "{name}");
+            assert_eq!(plan.tree_nodes, *tree_nodes, "{name}");
+            assert_eq!(plan.truncated, *truncated, "{name}");
+        }
     }
 
     #[test]

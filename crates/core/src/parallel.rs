@@ -49,10 +49,11 @@ use voxolap_speech::candidates::CandidateGenerator;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
-use crate::holistic::{exact_hit_stream, serve_stale_exact, HolisticConfig};
+use crate::holistic::{serve_stale_exact, HolisticConfig};
+use crate::optimal::{plan_from_exact, plan_source};
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::driver::TeamSource;
-use crate::pipeline::stream::{Buffered, SpeechStream};
+use crate::pipeline::stream::{Buffered, Deferred, SentenceSource, SpeechStream};
 use crate::resilience::ResCtx;
 use crate::sampler::{calibrated_sigma, ShardWorker};
 use crate::tree::SpeechTree;
@@ -284,9 +285,12 @@ impl Vocalizer for ParallelHolistic {
         "holistic-parallel"
     }
 
-    /// Algorithm 1's Ingest stage: semantic-cache consultation, preamble,
-    /// warm-up, σ calibration, tree construction. The returned stream runs
-    /// one Plan/Sample → Commit round of the driver per sentence.
+    /// The part of Algorithm 1's Ingest stage that needs no data: the
+    /// semantic cache's exact lookup and the preamble. Everything else —
+    /// [`ParallelHolistic::ingest`], or the exhaustive plan of an exact
+    /// hit — is deferred to the stream's first pull, after which the
+    /// stream runs one Plan/Sample → Commit round of the driver per
+    /// sentence.
     fn stream<'a>(
         &self,
         table: &'a Table,
@@ -294,7 +298,6 @@ impl Vocalizer for ParallelHolistic {
         voice: &'a mut dyn VoiceOutput,
         cancel: CancelToken,
     ) -> SpeechStream<'a> {
-        let cfg = self.config.clone();
         // One RunState per vocalization: the degrade ladder's per-run
         // fault budget and first-cause tag. `None` keeps every hook inert.
         let resil: Option<(Arc<Resilience>, Arc<RunState>)> =
@@ -305,8 +308,8 @@ impl Vocalizer for ParallelHolistic {
         // Entries from an older table version are served only when fresh
         // data is unreachable (§12 stale-serve, marked `stale: true`);
         // otherwise they are invalidated and the query replans fresh.
-        if let Some(sem) = &self.cache {
-            let hit = match sem.lookup_exact(&query.key(), table.version()) {
+        let hit = self.cache.as_ref().and_then(|sem| {
+            match sem.lookup_exact(&query.key(), table.version()) {
                 ExactLookup::Fresh(data) => Some((data, false)),
                 ExactLookup::Stale(data) if serve_stale_exact(&cancel, resil.as_ref()) => {
                     sem.note_stale_serve();
@@ -317,26 +320,55 @@ impl Vocalizer for ParallelHolistic {
                     None
                 }
                 ExactLookup::Miss => None,
-            };
-            if let Some((data, stale)) = hit {
-                let run = resil.as_ref().map(|(_, run)| &**run);
-                let stream =
-                    exact_hit_stream(table, query, voice, cancel, &data, &cfg.exact_cfg(), run);
-                let stream = if stale { stream.mark_stale() } else { stream };
-                return stream.attach_resilience(resil);
             }
-        }
+        });
 
+        // Start voice output of the preamble; everything else overlaps it.
         let t0 = Instant::now();
-        let schema = table.schema();
-        let renderer = Renderer::new(schema, query);
-
-        // Start voice output of the preamble; everything below overlaps it.
-        let preamble = renderer.preamble();
+        let preamble = Renderer::new(table.schema(), query).preamble();
         voice.start(&preamble);
         let latency = t0.elapsed();
 
-        let n_workers = self.threads;
+        let stale = matches!(hit, Some((_, true)));
+        let source: Box<dyn SentenceSource<'a> + 'a> = match hit {
+            Some((data, _)) => {
+                let cfg = self.config.exact_cfg();
+                let run = resil.as_ref().map(|(_, run)| run.clone());
+                let plan = move |cancel: &CancelToken| -> Box<dyn SentenceSource<'a> + 'a> {
+                    let exact = data.to_result(query.fct());
+                    let schema = table.schema();
+                    let plan = plan_from_exact(schema, query, &exact, &cfg, cancel, run.as_deref());
+                    Box::new(plan_source(plan, 0))
+                };
+                Box::new(Deferred::new(plan))
+            }
+            None => {
+                let engine = self.clone();
+                let resil = resil.clone();
+                Box::new(Deferred::new(move |_: &CancelToken| engine.ingest(table, query, resil)))
+            }
+        };
+        let stream = SpeechStream::new(voice, cancel, t0, preamble, latency, source);
+        let stream = if stale { stream.mark_stale() } else { stream };
+        stream.attach_resilience(resil)
+    }
+}
+
+impl ParallelHolistic {
+    /// The data-dependent part of Algorithm 1's Ingest stage, run by the
+    /// stream's first pull while the preamble plays: snapshot repair and
+    /// warm start, warm-up, σ calibration, tree construction. Returns the
+    /// team that samples from then on (or the no-data report).
+    fn ingest<'a>(
+        self,
+        table: &'a Table,
+        query: &'a Query,
+        resil: Option<(Arc<Resilience>, Arc<RunState>)>,
+    ) -> Box<dyn SentenceSource<'a> + 'a> {
+        let ParallelHolistic { config: cfg, threads: n_workers, cache: semantic, .. } = self;
+        let schema = table.schema();
+        let renderer = Renderer::new(schema, query);
+
         let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
             .with_resample_size(cfg.resample_size);
         if let Some((res, _)) = &resil {
@@ -364,7 +396,7 @@ impl Vocalizer for ParallelHolistic {
         // counts as this run's rows read) and re-admitted. Every run logs
         // its in-scope rows for later snapshot admission.
         let mut seeded_total = 0u64;
-        if let Some(sem) = &self.cache {
+        if let Some(sem) = &semantic {
             let scope = query.key().scope();
             let donor = sem.lookup_snapshot(&scope, cfg.seed).and_then(|snap| {
                 if snap.version == table.version() {
@@ -398,15 +430,12 @@ impl Vocalizer for ParallelHolistic {
             // Entire table streamed, not one row in scope: report that —
             // and still admit the exhausted scan to the semantic cache.
             let fresh = cache.nr_read().saturating_sub(seeded_total);
-            let semantic = self.cache.clone();
             let admit = move || {
                 if let Some(sem) = &semantic {
                     ShardWorker::admit(&mut workers, sem);
                 }
             };
-            let source = Buffered::no_data(fresh, Some(Box::new(admit)));
-            return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
-                .attach_resilience(resil);
+            return Box::new(Buffered::no_data(fresh, Some(Box::new(admit))));
         };
         let sigma = calibrated_sigma(overall, cfg.sigma_override);
         for w in &mut workers {
@@ -417,7 +446,7 @@ impl Vocalizer for ParallelHolistic {
         let tree =
             SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
 
-        let source = TeamSource {
+        Box::new(TeamSource {
             workers,
             tree,
             renderer,
@@ -426,11 +455,9 @@ impl Vocalizer for ParallelHolistic {
             unit: schema.measure(query.measure()).unit,
             samples: AtomicU64::new(0),
             seeded_total,
-            semantic: self.cache.clone(),
-            run: resil.as_ref().map(|(_, run)| run.clone()),
-        };
-        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
-            .attach_resilience(resil)
+            semantic,
+            run: resil.map(|(_, run)| run),
+        })
     }
 }
 
@@ -587,6 +614,57 @@ mod tests {
         assert_eq!(hit.stats.samples, 0, "repeat skips sampling");
         assert!(hit.speech.is_some());
         assert_eq!(cache.stats().exact_hits, 1);
+    }
+
+    #[test]
+    fn a_stream_nobody_pulls_from_runs_no_ingest() {
+        let (table, q) = setup();
+        let fired = CancelToken::new();
+        fired.cancel();
+        for (cancel, pull) in [(CancelToken::never(), false), (fired.clone(), false), (fired, true)]
+        {
+            let cache = Arc::new(SemanticCache::with_capacity_mb(4));
+            let engine =
+                ParallelHolistic::new(fast_config()).with_threads(1).with_cache(cache.clone());
+            let mut voice = InstantVoice::default();
+            let mut stream = engine.stream(&table, &q, &mut voice, cancel);
+            let preamble = stream.preamble().to_string();
+            assert!(preamble.starts_with("Considering"));
+            if pull {
+                assert!(stream.next_sentence().is_none(), "the client is already gone");
+            }
+            let outcome = stream.finish();
+            assert_eq!(outcome.stats.rows_read, 0);
+            assert_eq!(outcome.stats.samples, 0);
+            assert_eq!(outcome.stats.tree_nodes, 0);
+            assert!(outcome.sentences.is_empty() && outcome.speech.is_none());
+            assert_eq!(voice.transcript(), [preamble], "only the preamble was spoken");
+            let stats = cache.stats();
+            assert_eq!((stats.admissions, stats.misses, stats.warm_hits), (0, 0, 0), "{stats:?}");
+        }
+    }
+
+    #[test]
+    fn an_exact_hit_plans_on_the_first_pull_not_in_stream() {
+        let (table, q) = setup();
+        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
+        let engine = ParallelHolistic::new(fast_config()).with_threads(1).with_cache(cache.clone());
+        let cold = engine.vocalize(&table, &q, &mut InstantVoice::default());
+        assert_eq!(cold.stats.rows_read, 320, "cold run exhausts the table and admits it");
+
+        // The lookup is eager; the exhaustive plan is not.
+        let mut voice = InstantVoice::default();
+        let unpulled = engine.stream(&table, &q, &mut voice, CancelToken::never()).finish();
+        assert_eq!(cache.stats().exact_hits, 1);
+        assert_eq!(unpulled.stats.tree_nodes, 0);
+        assert!(unpulled.sentences.is_empty());
+
+        let mut voice = InstantVoice::default();
+        let mut stream = engine.stream(&table, &q, &mut voice, CancelToken::never());
+        assert!(stream.next_sentence().is_some());
+        let pulled = stream.drain();
+        assert!(pulled.stats.tree_nodes > 0);
+        assert_eq!(pulled.stats.rows_read, 0, "an exact hit reads no row");
     }
 
     #[test]

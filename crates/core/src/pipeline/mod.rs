@@ -6,10 +6,14 @@
 //! Ingest ──► Plan/Sample ──► Commit ──► Emit
 //! ```
 //!
-//! * **Ingest** happens at stream construction: start the preamble,
-//!   consult the semantic cache, warm up the sample cache, calibrate σ,
-//!   build the speech tree. (Optimal and PriorGreedy plug in here as an
-//!   exact-plan stage — their whole speech is planned up front.)
+//! * **Ingest** is split at the preamble. Stream construction does what
+//!   needs no data: consult the semantic cache's exact entries, start the
+//!   preamble. The holistic engine's data-dependent part — snapshot
+//!   repair and warm start, warm-up, σ calibration, the speech tree, or
+//!   the whole exhaustive plan of an exact hit — is
+//!   [`Deferred`](stream) to the first pull, where it overlaps the
+//!   preamble being spoken. (Optimal, Unmerged and PriorGreedy plan their
+//!   whole speech before output starts: that is their definition.)
 //! * **Plan/Sample + Commit** run once per
 //!   [`SpeechStream::next_sentence`] call through the holistic engine's
 //!   driver: a team of [`ShardWorker`](crate::sampler::ShardWorker)s

@@ -1,12 +1,20 @@
 //! The pull-based speech stream: sentences surface as they are planned.
 //!
 //! [`SpeechStream`] is the primary API of every vocalizer. Construction
-//! runs the Ingest stage (preamble start, cache warm-up, tree build);
-//! each [`next_sentence`](SpeechStream::next_sentence) call runs one
-//! Plan/Sample → Commit round and returns the committed sentence together
-//! with that round's planner deltas; [`finish`](SpeechStream::finish)
-//! runs the terminal stage (semantic-cache admission) and folds the
-//! per-sentence history into the classic [`VocalizationOutcome`].
+//! does only what needs no data — the semantic cache's exact lookup and
+//! starting the preamble — so the preamble is available (and on the
+//! holistic engine's wire) within microseconds. The rest of the Ingest
+//! stage (snapshot repair, warm start, warm-up, σ, tree build; the whole
+//! exhaustive plan on an exact hit) is [`Deferred`] to the first
+//! [`next_sentence`](SpeechStream::next_sentence) call, where it overlaps
+//! the preamble being spoken. Each call runs one Plan/Sample → Commit
+//! round and returns the committed sentence together with that round's
+//! planner deltas (the first sentence's include Ingest);
+//! [`finish`](SpeechStream::finish) runs the terminal stage
+//! (semantic-cache admission) and folds the per-sentence history into the
+//! classic [`VocalizationOutcome`]. A stream finished, or cancelled by its
+//! client, before the first pull never runs Ingest: it reads no row,
+//! builds no node and admits nothing.
 //! `Vocalizer::vocalize()` is just [`drain`](SpeechStream::drain).
 
 use std::sync::Arc;
@@ -72,10 +80,10 @@ pub(crate) trait SentenceSource<'a> {
     fn finish(&mut self) -> FinishInfo;
 }
 
-/// A source whose sentences were fully planned at construction time:
-/// Optimal, PriorGreedy, Unmerged, the semantic-cache exact-hit path, and
-/// the no-data report. Emission still goes sentence-by-sentence through
-/// the stream, but no sampling happens between sentences.
+/// A source whose sentences were all planned before the first one is
+/// emitted: Optimal, PriorGreedy, Unmerged, the semantic-cache exact-hit
+/// path, and the no-data report. Emission still goes sentence-by-sentence
+/// through the stream, but no sampling happens between sentences.
 pub(crate) struct Buffered<'a> {
     queued: std::collections::VecDeque<String>,
     speech: Option<Speech>,
@@ -153,12 +161,64 @@ impl<'a> SentenceSource<'a> for Buffered<'a> {
     }
 }
 
+/// A source whose Ingest stage has not run yet: `ingest` — everything
+/// between the preamble and the first round that needs data or builds the
+/// search space — runs on the first pull and yields the source that plans
+/// from then on. Nothing that needs data happens before the preamble is
+/// out, and a stream nobody pulls from costs nothing.
+pub(crate) struct Deferred<'a, F> {
+    ingest: Option<F>,
+    source: Option<Box<dyn SentenceSource<'a> + 'a>>,
+}
+
+impl<'a, F> Deferred<'a, F>
+where
+    F: FnOnce(&CancelToken) -> Box<dyn SentenceSource<'a> + 'a>,
+{
+    pub(crate) fn new(ingest: F) -> Self {
+        Deferred { ingest: Some(ingest), source: None }
+    }
+}
+
+impl<'a, F> SentenceSource<'a> for Deferred<'a, F>
+where
+    F: FnOnce(&CancelToken) -> Box<dyn SentenceSource<'a> + 'a>,
+{
+    fn next(&mut self, voice: &mut dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
+        if let Some(ingest) = self.ingest.take() {
+            // A client gone before the first pull gets no Ingest at all. A
+            // passed deadline still does: the anytime answer needs a tree
+            // to commit a baseline from.
+            if cancel.fired_kind() == Some(CancelKind::Client) {
+                return None;
+            }
+            self.source = Some(ingest(cancel));
+        }
+        self.source.as_mut()?.next(voice, cancel)
+    }
+
+    fn samples(&self) -> u64 {
+        self.source.as_ref().map_or(0, |s| s.samples())
+    }
+
+    fn rows_read(&self) -> u64 {
+        self.source.as_ref().map_or(0, |s| s.rows_read())
+    }
+
+    fn finish(&mut self) -> FinishInfo {
+        match &mut self.source {
+            Some(source) => source.finish(),
+            None => FinishInfo { speech: None, tree_nodes: 0, truncated: false },
+        }
+    }
+}
+
 /// A speech being planned and spoken, one sentence at a time.
 ///
 /// By the time a stream exists, the preamble has already been started on
-/// the voice output (it needs no data) and the Ingest stage — cache
-/// warm-up, σ calibration, speech-tree construction — has run. Pull
-/// sentences with [`next_sentence`](SpeechStream::next_sentence); each
+/// the voice output (it needs no data); the holistic engine's Ingest stage
+/// — cache warm-up, σ calibration, speech-tree construction — runs inside
+/// the first [`next_sentence`](SpeechStream::next_sentence) call. Each
 /// call overlaps sampling with the previously started sentence exactly
 /// like the blocking engines did, then starts the new sentence on the
 /// voice. Call [`finish`](SpeechStream::finish) (or

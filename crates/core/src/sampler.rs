@@ -137,6 +137,10 @@ pub struct ShardWorker<'a> {
     batch: IngestBatch,
     /// Reused per-block aggregate-code buffer for the columnar kernel.
     aggs: Vec<u32>,
+    /// Decomposed coordinates of every aggregate, indexed by aggregate —
+    /// a per-query table, so an iteration looks its aggregate up instead
+    /// of allocating `coords_of_agg`.
+    coords: Vec<Vec<u32>>,
     sigma: f64,
     rows_per_iteration: usize,
     policy: SelectionPolicy,
@@ -177,6 +181,9 @@ impl<'a> ShardWorker<'a> {
             scratch: ResampleScratch::new(),
             batch: IngestBatch::new(query.n_aggregates()),
             aggs: Vec::new(),
+            coords: (0..query.n_aggregates() as u32)
+                .map(|agg| query.layout().coords_of_agg(agg))
+                .collect(),
             sigma: SIGMA_FALLBACK,
             rows_per_iteration: config.rows_per_iteration,
             policy: config.policy,
@@ -372,7 +379,6 @@ impl<'a> ShardWorker<'a> {
         }
         self.ingest_rows(self.rows_per_iteration);
 
-        let layout = self.query.layout();
         let Some(agg) = self.cache.pick_aggregate(self.query.fct(), &mut self.rng) else {
             return 0.0;
         };
@@ -391,8 +397,7 @@ impl<'a> ShardWorker<'a> {
             return 0.0;
         };
         let reward = if est.is_finite() {
-            let coords = layout.coords_of_agg(agg);
-            let mean = tree.mean_for(leaf, &coords);
+            let mean = tree.mean_for(leaf, &self.coords[agg as usize]);
             let (lo, hi) = rounding_bucket(est, self.sigma / 10.0);
             Normal::new(mean, self.sigma).prob_interval(lo, hi)
         } else {

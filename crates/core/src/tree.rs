@@ -3,9 +3,18 @@
 //! The tree is generated **in its entirety** during preprocessing — an
 //! unusual choice for MCTS that the paper justifies by the user-preference
 //! bound on speech length: the tree's height is at most the fragment budget
-//! and its size `O(m^k)` (Theorem A.4). Node payloads store only the
-//! *increment* each node adds to its parent's speech (a baseline value or a
-//! compiled refinement), so a path's belief mean for one aggregate is
+//! and its size `O(m^k)` (Theorem A.4). That is only cheap if a node costs
+//! next to nothing, and a query has just `m` distinct refinements however
+//! many nodes repeat them. So everything that depends on the refinement
+//! alone — AST, scope masks, rendered length, predicate-set id — is
+//! compiled once per query into a [`RefinementCatalogue`] the tree owns,
+//! and a node stores only its *increment* over the parent's speech: a
+//! baseline value, or a catalogue index plus the additive delta and the
+//! implied value that depend on the path (reference chaining, §3.4).
+//! Expansion is then an index loop with no allocation per node: "already
+//! used" is a predicate-set-id compare against the path, validity an
+//! addition of sentence lengths, and the node arena is sized once from an
+//! upper bound on the node count. A path's belief mean for one aggregate is
 //! recovered in `O(k)` by walking ancestors (Lemma A.2).
 //!
 //! A configurable node cap guards against degenerate configurations
@@ -13,13 +22,11 @@
 //! marks the tree as truncated in the planner statistics.
 
 use voxolap_data::schema::Schema;
-use voxolap_engine::query::ResultLayout;
 use voxolap_mcts::{NodeId, Tree};
-use voxolap_speech::ast::{Baseline, Refinement, Speech};
-use voxolap_speech::candidates::CandidateGenerator;
+use voxolap_speech::ast::{Baseline, Speech};
+use voxolap_speech::candidates::{CandidateGenerator, CatalogueEntry, RefinementCatalogue};
 use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::render::Renderer;
-use voxolap_speech::scope::RefinementScope;
 
 /// Payload of one search-tree node: the increment over the parent's speech.
 #[derive(Debug, Clone)]
@@ -28,14 +35,12 @@ pub enum NodeKind {
     Root,
     /// A baseline statement with its claimed value.
     Baseline(Baseline),
-    /// A refinement with its resolved scope and additive delta
-    /// (delta already accounts for reference chaining through subsuming
-    /// ancestors, paper §3.4).
+    /// A refinement (delta already accounts for reference chaining through
+    /// subsuming ancestors, paper §3.4).
     Refinement {
-        /// The grammar-level refinement.
-        ast: Refinement,
-        /// Its aggregate scope.
-        scope: RefinementScope,
+        /// Index of the refinement in the tree's
+        /// [`catalogue`](SpeechTree::catalogue).
+        entry: u32,
         /// Additive change applied to in-scope aggregates.
         delta: f64,
         /// The aggregate value this refinement implies for its scope —
@@ -48,8 +53,21 @@ pub enum NodeKind {
 #[derive(Debug)]
 pub struct SpeechTree {
     tree: Tree<NodeKind>,
+    catalogue: RefinementCatalogue,
     truncated: bool,
     n_aggs: usize,
+}
+
+/// What `ST.Expand` carries down one root-to-leaf path while it builds.
+struct Expansion<'a> {
+    schema: &'a Schema,
+    constraints: &'a SpeechConstraints,
+    max_nodes: usize,
+    /// The current path's baseline value.
+    baseline: f64,
+    /// `(catalogue index, implied value)` of the refinements on the
+    /// current path, outermost first.
+    path: Vec<(u32, f64)>,
 }
 
 impl SpeechTree {
@@ -66,89 +84,117 @@ impl SpeechTree {
         overall_estimate: f64,
         max_nodes: usize,
     ) -> Self {
-        let schema = generator.schema();
-        let layout = generator.query().layout();
+        let catalogue = RefinementCatalogue::compile(generator, renderer);
+        let baselines = generator.baselines(overall_estimate);
+        // Every baseline over every sequence of refinements, ignoring what
+        // the character budget and used predicates rule out: an upper
+        // bound that sizes the node arena once.
+        let m = catalogue.entries().len();
+        let per_baseline = (0..constraints.max_refinements)
+            .fold(1usize, |below, _| below.saturating_mul(m).saturating_add(1));
+        let bound = baselines.len().saturating_mul(per_baseline).saturating_add(1);
         let mut st = SpeechTree {
-            tree: Tree::new(NodeKind::Root),
+            tree: Tree::with_capacity(NodeKind::Root, bound.min(max_nodes)),
+            catalogue,
             truncated: false,
-            n_aggs: layout.n_aggregates(),
+            n_aggs: generator.query().layout().n_aggregates(),
         };
-        for b in generator.baselines(overall_estimate) {
+        let mut exp = Expansion {
+            schema: generator.schema(),
+            constraints,
+            max_nodes,
+            baseline: 0.0,
+            path: Vec::with_capacity(constraints.max_refinements),
+        };
+        for b in baselines {
             if st.tree.node_count() >= max_nodes {
                 st.truncated = true;
                 break;
             }
             let speech = Speech { baseline: b, refinements: Vec::new() };
-            if !constraints.is_valid(renderer, &speech) {
+            let chars = renderer.baseline_sentence(&speech).chars().count();
+            if chars > constraints.max_chars {
                 continue;
             }
             let node = st.tree.add_child(Self::ROOT, NodeKind::Baseline(b));
-            st.expand(node, generator, renderer, constraints, schema, layout, max_nodes);
+            exp.baseline = b.value;
+            st.expand(node, chars, &mut exp);
         }
         st
     }
 
-    /// Recursive expansion below `node` (paper Algorithm 2 `ST.Expand`).
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &mut self,
-        node: NodeId,
-        generator: &CandidateGenerator<'_>,
-        renderer: &Renderer<'_>,
-        constraints: &SpeechConstraints,
-        schema: &Schema,
-        layout: &ResultLayout,
-        max_nodes: usize,
-    ) {
-        let prefix = self.speech_at(node);
-        if constraints.at_fragment_limit(&prefix) {
+    /// Recursive expansion below `node` (paper Algorithm 2 `ST.Expand`),
+    /// whose speech body is `prefix_chars` characters long: one child per
+    /// catalogue entry, in catalogue order, whose predicates the path has
+    /// not used yet and whose sentence still fits the character budget.
+    fn expand(&mut self, node: NodeId, prefix_chars: usize, exp: &mut Expansion<'_>) {
+        if exp.path.len() >= exp.constraints.max_refinements {
             return;
         }
-        for r in generator.refinements(&prefix) {
-            if self.tree.node_count() >= max_nodes {
+        for index in 0..self.catalogue.entries().len() as u32 {
+            let entry = self.catalogue.entry(index);
+            let used = |&(anc, _): &(u32, f64)| {
+                self.catalogue.entry(anc).predicate_set == entry.predicate_set
+            };
+            if exp.path.iter().any(used) {
+                continue;
+            }
+            if self.tree.node_count() >= exp.max_nodes {
                 self.truncated = true;
                 return;
             }
-            let candidate = prefix.with_refinement(r.clone());
-            if !constraints.is_valid(renderer, &candidate) {
+            // Sentences are joined by one space.
+            let chars = prefix_chars + 1 + entry.chars;
+            if chars > exp.constraints.max_chars {
                 continue;
             }
-            let (delta, implied) = self.resolve_reference(node, &r, schema);
-            let scope = RefinementScope::compile(&r, layout, schema);
-            let child = self.tree.add_child(
-                node,
-                NodeKind::Refinement { ast: r, scope, delta, implied_value: implied },
-            );
-            self.expand(child, generator, renderer, constraints, schema, layout, max_nodes);
+            let (delta, implied_value) = self.resolve_reference(entry, exp);
+            let child = self
+                .tree
+                .add_child(node, NodeKind::Refinement { entry: index, delta, implied_value });
+            exp.path.push((index, implied_value));
+            self.expand(child, chars, exp);
+            exp.path.pop();
         }
     }
 
-    /// Resolve the reference value for a new refinement under `parent`:
-    /// the implied value of the nearest ancestor refinement whose scope
-    /// subsumes the new one, or the path's baseline value.
-    fn resolve_reference(&self, parent: NodeId, r: &Refinement, schema: &Schema) -> (f64, f64) {
+    /// Resolve the reference value for `entry` appended to the current
+    /// path: the implied value of the nearest refinement on the path whose
+    /// scope subsumes the new one, or the path's baseline value. Returns
+    /// `(delta, implied value)`.
+    fn resolve_reference(&self, entry: &CatalogueEntry, exp: &Expansion<'_>) -> (f64, f64) {
         let is_anc =
             |dim: voxolap_data::DimId, a: voxolap_data::MemberId, d: voxolap_data::MemberId| {
-                schema.dimension(dim).is_ancestor_or_self(a, d)
+                exp.schema.dimension(dim).is_ancestor_or_self(a, d)
             };
-        let mut reference = None;
-        let mut cur = Some(parent);
-        let mut baseline = 0.0;
-        while let Some(n) = cur {
-            match self.tree.data(n) {
-                NodeKind::Refinement { ast, implied_value, .. } => {
-                    if reference.is_none() && ast.subsumes(r, is_anc) {
-                        reference = Some(*implied_value);
-                    }
-                }
-                NodeKind::Baseline(b) => baseline = b.value,
-                NodeKind::Root => {}
-            }
-            cur = self.tree.parent(n);
-        }
-        let reference = reference.unwrap_or(baseline);
-        let implied = reference * r.change.factor();
+        let reference = exp
+            .path
+            .iter()
+            .rev()
+            .find(|&&(anc, _)| self.catalogue.entry(anc).ast.subsumes(&entry.ast, is_anc))
+            .map_or(exp.baseline, |&(_, implied)| implied);
+        let implied = reference * entry.ast.change.factor();
         (implied - reference, implied)
+    }
+
+    /// The per-query refinement catalogue the nodes index into.
+    pub fn catalogue(&self) -> &RefinementCatalogue {
+        &self.catalogue
+    }
+
+    /// The catalogue entry of a refinement node (`None` for the root and
+    /// for baselines).
+    pub fn refinement(&self, node: NodeId) -> Option<&CatalogueEntry> {
+        match self.tree.data(node) {
+            NodeKind::Refinement { entry, .. } => Some(self.catalogue.entry(*entry)),
+            NodeKind::Root | NodeKind::Baseline(_) => None,
+        }
+    }
+
+    /// Number of speech fragments at `node` — its depth: the baseline plus
+    /// each refinement on the path (0 for the root).
+    pub fn fragment_count(&self, node: NodeId) -> usize {
+        std::iter::successors(self.tree.parent(node), |&n| self.tree.parent(n)).count()
     }
 
     /// Reconstruct the speech a node represents by walking to the root.
@@ -158,7 +204,9 @@ impl SpeechTree {
         let mut cur = Some(node);
         while let Some(n) = cur {
             match self.tree.data(n) {
-                NodeKind::Refinement { ast, .. } => refinements.push(ast.clone()),
+                NodeKind::Refinement { entry, .. } => {
+                    refinements.push(self.catalogue.entry(*entry).ast.clone())
+                }
                 NodeKind::Baseline(b) => baseline = *b,
                 NodeKind::Root => {}
             }
@@ -176,7 +224,8 @@ impl SpeechTree {
         let mut cur = Some(node);
         while let Some(nid) = cur {
             match self.tree.data(nid) {
-                NodeKind::Refinement { scope, delta, .. } => {
+                NodeKind::Refinement { entry, delta, .. } => {
+                    let scope = &self.catalogue.entry(*entry).scope;
                     let m = scope.size() as f64;
                     if scope.contains_coords(coords) {
                         mean += delta;
@@ -201,7 +250,9 @@ impl SpeechTree {
                 let speech = Speech { baseline: *b, refinements: Vec::new() };
                 Some(renderer.baseline_sentence(&speech))
             }
-            NodeKind::Refinement { ast, .. } => Some(renderer.refinement_sentence(ast)),
+            NodeKind::Refinement { entry, .. } => {
+                Some(renderer.refinement_sentence(&self.catalogue.entry(*entry).ast))
+            }
         }
     }
 
@@ -261,6 +312,246 @@ mod tests {
         let gen = CandidateGenerator::new(schema, q, CandidateConfig::default());
         let renderer = Renderer::new(schema, q);
         SpeechTree::build(&gen, &renderer, &constraints, 88.0, max_nodes)
+    }
+
+    /// One node of the reference expansion, in creation order.
+    #[derive(Debug, PartialEq)]
+    struct RefNode {
+        parent: usize,
+        speech: Speech,
+        /// `(delta, implied value)` as bits; `None` for baselines.
+        increment: Option<(u64, u64)>,
+    }
+
+    /// The expansion this module replaced, kept as the oracle: per node it
+    /// re-enumerates `generator.refinements(prefix)` and re-renders the
+    /// whole body through `constraints.is_valid`.
+    struct Reference<'a> {
+        generator: &'a CandidateGenerator<'a>,
+        renderer: &'a Renderer<'a>,
+        constraints: SpeechConstraints,
+        max_nodes: usize,
+        /// Index 0 is the root.
+        nodes: Vec<RefNode>,
+        truncated: bool,
+    }
+
+    impl Reference<'_> {
+        fn build(mut self, overall_estimate: f64) -> Self {
+            self.nodes.push(RefNode {
+                parent: 0,
+                speech: Speech::baseline_only(0.0),
+                increment: None,
+            });
+            for b in self.generator.baselines(overall_estimate) {
+                if self.nodes.len() >= self.max_nodes {
+                    self.truncated = true;
+                    break;
+                }
+                let speech = Speech { baseline: b, refinements: Vec::new() };
+                if !self.constraints.is_valid(self.renderer, &speech) {
+                    continue;
+                }
+                self.nodes.push(RefNode { parent: 0, speech, increment: None });
+                self.expand(self.nodes.len() - 1, &[]);
+            }
+            self
+        }
+
+        /// `implied` holds the implied values of the prefix's refinements.
+        fn expand(&mut self, node: usize, implied: &[f64]) {
+            let prefix = self.nodes[node].speech.clone();
+            if self.constraints.at_fragment_limit(&prefix) {
+                return;
+            }
+            let schema = self.generator.schema();
+            for r in self.generator.refinements(&prefix) {
+                if self.nodes.len() >= self.max_nodes {
+                    self.truncated = true;
+                    return;
+                }
+                let candidate = prefix.with_refinement(r.clone());
+                if !self.constraints.is_valid(self.renderer, &candidate) {
+                    continue;
+                }
+                let is_anc = |dim: DimId, a, d| schema.dimension(dim).is_ancestor_or_self(a, d);
+                let reference = (0..prefix.refinements.len())
+                    .rev()
+                    .find(|&i| prefix.refinements[i].subsumes(&r, is_anc))
+                    .map_or(prefix.baseline.value, |i| implied[i]);
+                let implied_value = reference * r.change.factor();
+                let delta = implied_value - reference;
+                self.nodes.push(RefNode {
+                    parent: node,
+                    speech: candidate,
+                    increment: Some((delta.to_bits(), implied_value.to_bits())),
+                });
+                let mut below = implied.to_vec();
+                below.push(implied_value);
+                self.expand(self.nodes.len() - 1, &below);
+            }
+        }
+    }
+
+    /// Node by node in creation order: payload, path, child lists, and
+    /// the truncation flag.
+    fn assert_matches_reference(st: &SpeechTree, reference: &Reference<'_>, what: &str) {
+        assert_eq!(st.truncated(), reference.truncated, "{what}");
+        assert_eq!(st.tree().node_count(), reference.nodes.len(), "{what}");
+        let mut children = vec![Vec::new(); reference.nodes.len()];
+        for (n, want) in st.all_nodes().zip(&reference.nodes).skip(1) {
+            let got = RefNode {
+                parent: st.tree().parent(n).map_or(0, NodeId::index),
+                speech: st.speech_at(n),
+                increment: match st.tree().data(n) {
+                    NodeKind::Refinement { delta, implied_value, .. } => {
+                        Some((delta.to_bits(), implied_value.to_bits()))
+                    }
+                    _ => None,
+                },
+            };
+            assert_eq!(&got, want, "{what}: node {n:?}");
+            children[want.parent].push(n);
+        }
+        for n in st.all_nodes() {
+            assert_eq!(st.tree().children(n), &children[n.index()][..], "{what}: under {n:?}");
+        }
+    }
+
+    /// Salary and flights × {one, two group-bys} × {with, without a filter},
+    /// each with an overall estimate to span the baselines. Salary by state
+    /// offers region *and* state predicates (references chain through
+    /// subsuming ancestors) and, like flights by region and airline,
+    /// overflows the 500 000-node cap.
+    fn differential_queries() -> Vec<(voxolap_data::Table, Vec<Query>, f64)> {
+        use voxolap_data::flights::FlightsConfig;
+        type Shape = (&'static [(u8, u8)], bool);
+        let queries = |table: &voxolap_data::Table, shapes: [Shape; 4]| -> Vec<Query> {
+            let schema = table.schema();
+            let ne = schema.dimension(DimId(0)).member_by_phrase("the North East").unwrap();
+            shapes
+                .iter()
+                .map(|&(groups, filtered)| {
+                    let mut b = Query::builder(AggFct::Avg);
+                    for &(d, l) in groups {
+                        b = b.group_by(DimId(d), LevelId(l));
+                    }
+                    if filtered {
+                        b = b.filter(DimId(0), ne);
+                    }
+                    b.build(schema).unwrap()
+                })
+                .collect()
+        };
+        let salary = SalaryConfig::paper_scale().generate();
+        let salary_queries = queries(
+            &salary,
+            [
+                (&[(0, 2)], false),
+                (&[(0, 1), (1, 1)], false),
+                (&[(0, 2)], true),
+                (&[(0, 2), (1, 1)], true),
+            ],
+        );
+        let flights = FlightsConfig { rows: 100, seed: 1 }.generate();
+        let flights_queries = queries(
+            &flights,
+            [
+                (&[(0, 1)], false),
+                (&[(0, 1), (2, 1)], false),
+                (&[(0, 2)], true),
+                (&[(0, 2), (1, 1)], true),
+            ],
+        );
+        vec![(salary, salary_queries, 88.0), (flights, flights_queries, 0.0145)]
+    }
+
+    #[test]
+    fn catalogue_tree_equals_the_reference_expansion_node_for_node() {
+        let mut compared = 0usize;
+        for (table, queries, estimate) in differential_queries() {
+            let schema = table.schema();
+            for q in &queries {
+                let generator = CandidateGenerator::new(schema, q, CandidateConfig::default());
+                let renderer = Renderer::new(schema, q);
+                // Build both trees under one cap, compare them, and return
+                // the size when the cap did not cut it.
+                let mut compare = |constraints: SpeechConstraints, max_nodes: usize| {
+                    let st =
+                        SpeechTree::build(&generator, &renderer, &constraints, estimate, max_nodes);
+                    let reference = Reference {
+                        generator: &generator,
+                        renderer: &renderer,
+                        constraints,
+                        max_nodes,
+                        nodes: Vec::new(),
+                        truncated: false,
+                    }
+                    .build(estimate);
+                    let what = format!("{:?} {constraints:?} cap {max_nodes}", q.key());
+                    assert_matches_reference(&st, &reference, &what);
+                    compared += reference.nodes.len();
+                    (!reference.truncated).then_some(reference.nodes.len())
+                };
+                for max_refinements in 0..=2 {
+                    // 130 characters reject some sentences of both
+                    // datasets, 300 reject none.
+                    for max_chars in [130, 300] {
+                        let constraints = SpeechConstraints { max_chars, max_refinements };
+                        compare(constraints, 50);
+                        if let Some(size) = compare(constraints, 5_000) {
+                            // The cap exactly at and one below the full
+                            // size: `truncated` depends on where in the
+                            // loop the cap is checked.
+                            compare(constraints, size);
+                            compare(constraints, size - 1);
+                        }
+                        // The full expansion runs once per query shape;
+                        // the small caps cover every budget.
+                        if max_refinements == 2 && max_chars == 300 {
+                            compare(constraints, 500_000);
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 1_000_000, "compared {compared} nodes");
+    }
+
+    #[test]
+    fn additive_lengths_agree_with_the_renderer() {
+        for (table, queries, estimate) in differential_queries() {
+            let schema = table.schema();
+            for q in &queries {
+                let generator = CandidateGenerator::new(schema, q, CandidateConfig::default());
+                let renderer = Renderer::new(schema, q);
+                let constraints = SpeechConstraints { max_chars: 200, max_refinements: 2 };
+                let st = SpeechTree::build(&generator, &renderer, &constraints, estimate, 20_000);
+                assert!(!st.catalogue().entries().is_empty());
+                for entry in st.catalogue().entries() {
+                    assert_eq!(
+                        entry.chars,
+                        renderer.refinement_sentence(&entry.ast).chars().count(),
+                        "{:?}",
+                        entry.ast
+                    );
+                }
+                for node in st.all_nodes().skip(1) {
+                    let speech = st.speech_at(node);
+                    assert!(constraints.is_valid(&renderer, &speech), "{speech:?}");
+                    assert_eq!(st.fragment_count(node), speech.fragment_count());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_node_is_an_increment_not_a_copy() {
+        assert!(
+            std::mem::size_of::<NodeKind>() <= 40,
+            "NodeKind grew to {} bytes",
+            std::mem::size_of::<NodeKind>()
+        );
     }
 
     #[test]

@@ -156,6 +156,15 @@ impl<T> Tree<T> {
         Tree { nodes: vec![Node::new(root_data, None)] }
     }
 
+    /// Create a tree holding only a root, with room for `nodes` nodes: a
+    /// caller that can bound the size of its pre-expanded tree gets one
+    /// arena allocation instead of a doubling series of reallocations.
+    pub fn with_capacity(root_data: T, nodes: usize) -> Self {
+        let mut arena = Vec::with_capacity(nodes.max(1));
+        arena.push(Node::new(root_data, None));
+        Tree { nodes: arena }
+    }
+
     /// Add a child under `parent` (paper `ST.AddChild`), returning its id.
     pub fn add_child(&mut self, parent: NodeId, data: T) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);

@@ -17,7 +17,7 @@ use voxolap_json::Value;
 use voxolap_core::approach::Vocalizer;
 use voxolap_core::holistic::{Holistic, HolisticConfig};
 use voxolap_core::optimal::Optimal;
-use voxolap_core::outcome::VocalizationOutcome;
+use voxolap_core::outcome::{PlanStats, VocalizationOutcome};
 use voxolap_core::parallel::ParallelHolistic;
 use voxolap_core::prior::PriorGreedy;
 use voxolap_core::unmerged::{Unmerged, UnmergedConfig};
@@ -154,10 +154,24 @@ struct AnswerResponse {
     sentences: Vec<String>,
     latency_ms: f64,
     chars: usize,
-    rows_sampled: u64,
-    planner_iterations: u64,
-    degraded: bool,
-    stale: bool,
+    stats: PlanStats,
+}
+
+/// Append the answer flags to a JSON object under construction. Each
+/// appears only when set, so clients that predate a flag see the answers
+/// they always saw: `degraded` (the answer was cut short or fell back),
+/// `stale` (a version-stale cached result was served because a fault or
+/// the deadline blocked a fresh plan), `truncated` (the speech was chosen
+/// from a search space cut at the node cap — the last baselines have no
+/// refinements under them).
+fn push_flags(fields: &mut Vec<(&'static str, Value)>, stats: &PlanStats) {
+    let flags =
+        [("degraded", stats.degraded), ("stale", stats.stale), ("truncated", stats.truncated)];
+    for (name, set) in flags {
+        if set {
+            fields.push((name, true.into()));
+        }
+    }
 }
 
 impl AnswerResponse {
@@ -169,10 +183,7 @@ impl AnswerResponse {
             sentences: outcome.sentences.clone(),
             latency_ms: outcome.latency.as_secs_f64() * 1e3,
             chars: outcome.body_len(),
-            rows_sampled: outcome.stats.rows_read,
-            planner_iterations: outcome.stats.samples,
-            degraded: outcome.stats.degraded,
-            stale: outcome.stats.stale,
+            stats: outcome.stats.clone(),
         }
     }
 
@@ -184,19 +195,10 @@ impl AnswerResponse {
             ("sentences", self.sentences.clone().into()),
             ("latency_ms", self.latency_ms.into()),
             ("chars", self.chars.into()),
-            ("rows_sampled", self.rows_sampled.into()),
-            ("planner_iterations", self.planner_iterations.into()),
+            ("rows_sampled", self.stats.rows_read.into()),
+            ("planner_iterations", self.stats.samples.into()),
         ];
-        // Wire-compatible with pre-resilience clients: the field appears
-        // only on answers that actually degraded.
-        if self.degraded {
-            fields.push(("degraded", true.into()));
-        }
-        // Likewise only present when a version-stale cached result was
-        // served (fault or deadline blocked a fresh replan).
-        if self.stale {
-            fields.push(("stale", true.into()));
-        }
+        push_flags(&mut fields, &self.stats);
         Value::obj(fields)
     }
 }
@@ -334,6 +336,8 @@ struct AnswerStats {
     gap: Dist,
     /// Streams aborted because the client hung up mid-stream.
     stream_cancellations: AtomicU64,
+    /// Answers planned over a search space cut at the node cap.
+    truncated_plans: AtomicU64,
 }
 
 impl AnswerStats {
@@ -343,6 +347,9 @@ impl AnswerStats {
         let split =
             if outcome.stats.degraded { &self.planning_degraded } else { &self.planning_clean };
         split.record(ms);
+        if outcome.stats.truncated {
+            self.truncated_plans.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Record a sentence planned just now: time to first sentence since
@@ -639,13 +646,14 @@ impl AppState {
 
     /// Planning-latency percentiles over the queries served so far, plus
     /// the streaming counters (time-to-first-sentence, inter-sentence
-    /// gaps, client-abort count).
+    /// gaps, client-abort count) and how many plans hit the node cap.
     fn latency_json(&self) -> Value {
         let stats = &self.stats;
         Value::obj(stats.planning.fields().into_iter().chain([
             ("ttfs_ms", stats.ttfs.to_json()),
             ("gap_ms", stats.gap.to_json()),
             ("stream_cancellations", stats.stream_cancellations.load(Ordering::Relaxed).into()),
+            ("truncated_plans", stats.truncated_plans.load(Ordering::Relaxed).into()),
         ]))
     }
 
@@ -876,14 +884,7 @@ impl AppState {
                 ("planning_ms", planning_ms.into()),
                 ("cancelled", cancelled.into()),
             ];
-            // Wire-compatible with pre-resilience clients: present only
-            // when the answer actually degraded.
-            if outcome.stats.degraded {
-                fields.push(("degraded", true.into()));
-            }
-            if outcome.stats.stale {
-                fields.push(("stale", true.into()));
-            }
+            push_flags(&mut fields, &outcome.stats);
             let done = Value::obj(fields);
             w.send(&format!("{done}\n"));
         })
@@ -1155,14 +1156,7 @@ impl AppState {
                             ("ttfs_ms", ttfs.into()),
                             ("scope_warm", scope_warm.into()),
                         ];
-                        // Mirror `/ask`: the field appears only on answers
-                        // that were cut short (deadline → anytime path).
-                        if outcome.stats.degraded {
-                            done.push(("degraded", true.into()));
-                        }
-                        if outcome.stats.stale {
-                            done.push(("stale", true.into()));
-                        }
+                        push_flags(&mut done, &outcome.stats);
                         sink.send_line(&Value::obj(done).to_string());
                         SessionVerdict::Continue
                     }

@@ -817,6 +817,12 @@ impl Reactor {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nonblocking(true);
+                    // Every event is written and flushed on its own. With
+                    // Nagle on, a line that follows another within the
+                    // peer's delayed-ACK window (the preamble right behind
+                    // the response head on a reused connection) would sit
+                    // in the kernel for ~40 ms.
+                    let _ = stream.set_nodelay(true);
                     if self.live >= shared.config.max_connections {
                         // No slot capacity: best-effort immediate 503,
                         // never blocking the accept path.

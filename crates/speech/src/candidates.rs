@@ -12,12 +12,22 @@
 //!
 //! The pool size bounds `m`, the branching factor of the search tree; the
 //! paper's complexity results (Theorems A.3/A.4) are stated in terms of it.
+//!
+//! A query has only `m` distinct refinements however large its search tree
+//! grows, so everything that depends on the refinement alone — its scope
+//! masks, its rendered length, which other refinements share its predicates
+//! — is compiled once into a [`RefinementCatalogue`] that the tree refers
+//! to by index.
 
 use voxolap_data::dimension::{LevelId, MemberId};
 use voxolap_data::schema::{DimId, Schema};
 use voxolap_engine::query::Query;
 
+use std::collections::HashMap;
+
 use crate::ast::{Baseline, Change, Direction, Predicate, Refinement, Speech};
+use crate::render::Renderer;
+use crate::scope::RefinementScope;
 use crate::verbalize::baseline_grid;
 
 /// Configuration of the candidate space.
@@ -157,6 +167,72 @@ impl<'a> CandidateGenerator<'a> {
     /// The query this generator plans for.
     pub fn query(&self) -> &Query {
         self.query
+    }
+}
+
+/// One distinct refinement of a query's candidate space, with the
+/// per-query facts the search would otherwise re-derive at every node.
+#[derive(Debug, Clone)]
+pub struct CatalogueEntry {
+    /// The grammar-level refinement.
+    pub ast: Refinement,
+    /// Its aggregate scope over the query's result layout.
+    pub scope: RefinementScope,
+    /// Length in characters of its rendered sentence. A speech body is its
+    /// sentences joined by single spaces, so body lengths are sums of these.
+    pub chars: usize,
+    /// Identifies the predicate set: two entries carry the same id exactly
+    /// when their predicates are equal (they differ in the change only), so
+    /// `SG.Refinements`' "already used in the prefix" test is an id compare.
+    pub predicate_set: u32,
+}
+
+/// Every refinement [`CandidateGenerator::refinements`] can offer for one
+/// query, enumerated once in the generator's order. The refinements
+/// offered after a prefix are this list minus the entries whose
+/// `predicate_set` the prefix already used — in the same relative order.
+#[derive(Debug, Clone)]
+pub struct RefinementCatalogue {
+    entries: Vec<CatalogueEntry>,
+}
+
+impl RefinementCatalogue {
+    /// Enumerate and compile the refinements of `generator`'s query.
+    pub fn compile(generator: &CandidateGenerator<'_>, renderer: &Renderer<'_>) -> Self {
+        let schema = generator.schema();
+        let layout = generator.query().layout();
+        let asts = generator.refinements(&Speech::baseline_only(0.0));
+        let sets: Vec<u32> = {
+            let mut ids: HashMap<&[Predicate], u32> = HashMap::new();
+            asts.iter()
+                .map(|r| {
+                    let next = ids.len() as u32;
+                    *ids.entry(r.predicates.as_slice()).or_insert(next)
+                })
+                .collect()
+        };
+        let entries = asts
+            .into_iter()
+            .zip(sets)
+            .map(|(ast, predicate_set)| CatalogueEntry {
+                scope: RefinementScope::compile(&ast, layout, schema),
+                chars: renderer.refinement_sentence(&ast).chars().count(),
+                predicate_set,
+                ast,
+            })
+            .collect();
+        RefinementCatalogue { entries }
+    }
+
+    /// All entries, in the generator's enumeration order.
+    pub fn entries(&self) -> &[CatalogueEntry] {
+        &self.entries
+    }
+
+    /// The entry at `index` (an index into [`entries`](Self::entries)).
+    #[inline]
+    pub fn entry(&self, index: u32) -> &CatalogueEntry {
+        &self.entries[index as usize]
     }
 }
 

@@ -10,7 +10,8 @@
 //! * [`scope`] — compilation of refinement predicates into aggregate-scope
 //!   masks over a query's [`ResultLayout`](voxolap_engine::ResultLayout);
 //! * [`candidates`] — enumeration of baseline and refinement candidates
-//!   (the `SG.Refinements` speech-generation function);
+//!   (the `SG.Refinements` speech-generation function) and the per-query
+//!   refinement catalogue the search tree indexes into;
 //! * [`constraints`] — user-preference limits on speech length (characters)
 //!   and fragment count (`SG.IsValid`).
 //!
@@ -51,7 +52,7 @@ pub mod scope;
 pub mod verbalize;
 
 pub use ast::{Baseline, Change, Direction, Predicate, Refinement, Speech};
-pub use candidates::{CandidateConfig, CandidateGenerator};
+pub use candidates::{CandidateConfig, CandidateGenerator, CatalogueEntry, RefinementCatalogue};
 pub use constraints::SpeechConstraints;
 pub use parse::{parse_body, SpeechParseError};
 pub use render::{aggregate_phrase, render_unit, Renderer};

@@ -54,7 +54,7 @@ impl std::error::Error for ParseError {}
 /// `text` lower-cased, with every run of non-alphanumeric characters
 /// collapsed to one space and a space at both ends: `" sum "` occurs in the
 /// result exactly when "sum" is one of the words of `text`.
-fn padded_words(text: &str) -> String {
+pub(crate) fn padded_words(text: &str) -> String {
     let mut out = String::with_capacity(text.len() + 2);
     out.push(' ');
     for word in text.split(|c: char| !c.is_alphanumeric()).filter(|w| !w.is_empty()) {
@@ -67,7 +67,7 @@ fn padded_words(text: &str) -> String {
 /// Whether the words of `phrase` occur in `words` (from [`padded_words`])
 /// as consecutive whole words. The last one may carry a plural "s"
 /// ("clear filters", "by regions"); "summer" does not mention "sum".
-fn mentions(words: &str, phrase: &str) -> bool {
+pub(crate) fn mentions(words: &str, phrase: &str) -> bool {
     let mut phrase = padded_words(phrase);
     if phrase == " " {
         return false;
@@ -79,7 +79,7 @@ fn mentions(words: &str, phrase: &str) -> bool {
     words.contains(&phrase)
 }
 
-fn mentions_any(words: &str, phrases: &[&str]) -> bool {
+pub(crate) fn mentions_any(words: &str, phrases: &[&str]) -> bool {
     phrases.iter().any(|p| mentions(words, p))
 }
 

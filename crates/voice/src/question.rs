@@ -21,7 +21,7 @@ use voxolap_data::schema::Schema;
 use voxolap_engine::error::EngineError;
 use voxolap_engine::query::{AggFct, Query};
 
-use crate::parser::ParseError;
+use crate::parser::{mentions_any, padded_words, ParseError};
 
 /// Errors from question parsing.
 #[derive(Debug)]
@@ -47,10 +47,12 @@ impl std::error::Error for QuestionError {}
 pub fn parse_question(schema: &Schema, question: &str) -> Result<Query, QuestionError> {
     let text = question.to_lowercase();
 
-    // Aggregation function from keywords.
-    let fct = if text.contains("how many") || text.contains("number of") || text.contains("count") {
+    // Aggregation function from keywords, matched as whole words: a
+    // "county" level or a "discount" measure is not a count.
+    let words = padded_words(question);
+    let fct = if mentions_any(&words, &["how many", "number of", "count"]) {
         AggFct::Count
-    } else if text.contains("total") || text.contains("sum of") {
+    } else if mentions_any(&words, &["total", "sum of"]) {
         AggFct::Sum
     } else {
         AggFct::Avg
@@ -183,6 +185,70 @@ mod tests {
         let q = parse_question(&schema, "how many flights by airline?").unwrap();
         assert_eq!(q.fct(), AggFct::Count);
         assert_eq!(q.group_by(), &[(DimId(2), LevelId(1))]);
+    }
+
+    /// A schema whose names contain the aggregation keywords as
+    /// substrings: a "county" level, "discount" and "subtotal" measures.
+    fn shop_schema() -> Schema {
+        use voxolap_data::dimension::DimensionBuilder;
+        use voxolap_data::schema::{Measure, MeasureUnit};
+        let mut b = DimensionBuilder::new("store location", "stores in", "any place");
+        let county = b.add_level("county");
+        for name in ["Kent", "Essex"] {
+            b.add_member(county, b.root(), name);
+        }
+        Schema::with_measures(
+            "orders",
+            vec![b.build()],
+            vec![
+                Measure { name: "discount".into(), unit: MeasureUnit::Fraction },
+                Measure { name: "subtotal".into(), unit: MeasureUnit::Plain },
+            ],
+        )
+    }
+
+    #[test]
+    fn aggregation_keywords_match_whole_words_only() {
+        let schema = shop_schema();
+        let cases = [
+            ("average discount by county", AggFct::Avg),
+            ("subtotal by county", AggFct::Avg),
+            ("discounts in Kent by county", AggFct::Avg),
+            ("how many orders by county", AggFct::Count),
+            ("number of orders by county", AggFct::Count),
+            ("count of orders by county", AggFct::Count),
+            ("the counts by county", AggFct::Count),
+            ("total discount by county", AggFct::Sum),
+            ("sum of the subtotal by county", AggFct::Sum),
+        ];
+        for (question, fct) in cases {
+            let q = parse_question(&schema, question).unwrap();
+            assert_eq!(q.fct(), fct, "{question:?}");
+            assert_eq!(q.group_by(), &[(DimId(0), LevelId(1))], "{question:?}");
+        }
+    }
+
+    /// The questions `benchmark/src/script.rs` asks (texts copied): a
+    /// drifting keyword parser would silently change the workloads.
+    #[test]
+    fn benchmark_questions_stay_averages_of_their_sizes() {
+        let schema = FlightsConfig::schema();
+        let cases = [
+            ("cancellation probability by season", 4),
+            ("cancellation probability by region", 5),
+            ("cancellation probability by region and season", 20),
+            ("cancellation probability in winter by region", 5),
+            ("cancellation probability in the north east by season", 4),
+            ("cancellation probability by region and airline", 70),
+            ("cancellation probability by season and airline", 56),
+            ("cancellation probability in the north east by season and airline", 56),
+            ("cancellation probability in fall by region", 5),
+        ];
+        for (question, aggregates) in cases {
+            let q = parse_question(&schema, question).unwrap();
+            assert_eq!(q.fct(), AggFct::Avg, "{question:?}");
+            assert_eq!(q.n_aggregates(), aggregates, "{question:?}");
+        }
     }
 
     #[test]

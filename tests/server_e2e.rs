@@ -181,6 +181,43 @@ fn streaming_endpoint_delivers_sentences_incrementally() {
     handle.shutdown();
 }
 
+/// A plan over a search space cut at the node cap says so —
+/// `"truncated":true`, present only when set, like `degraded` and `stale` —
+/// on `/ask` and on the stream's `done` line, and `/stats` counts it.
+#[test]
+fn truncated_search_spaces_are_flagged() {
+    let _guard = watchdog(120);
+    let state = Arc::new(AppState::new(small_table()));
+    let handle = serve("127.0.0.1:0", move |req| state.handle(req)).unwrap();
+    let addr = handle.addr;
+    let ask = |question: &str| {
+        let (status, body) =
+            request(addr, "POST", "/ask", &format!("{{\"question\": \"{question}\"}}"));
+        assert_eq!(status, 200, "{body}");
+        body
+    };
+
+    // 19 predicates × 12 changes, two deep, under 11 baselines: far past
+    // the 500 000-node cap.
+    let body = ask("cancellation probability by region and airline");
+    let v = voxolap_json::Value::parse(&body).unwrap();
+    assert_eq!(v["truncated"].as_bool(), Some(true), "{body}");
+    let body = ask("cancellation probability by season");
+    assert!(!body.contains("\"truncated\""), "{body}");
+
+    let mut s = open_stream(addr, "cancellation probability by season and airline");
+    let mut text = String::new();
+    s.read_to_string(&mut text).unwrap();
+    let done = text.lines().find(|l| l.contains("\"type\":\"done\"")).expect("done line");
+    assert!(done.contains("\"truncated\":true"), "{done}");
+
+    let (_, body) = request(addr, "GET", "/stats", "");
+    let v = voxolap_json::Value::parse(&body).unwrap();
+    assert_eq!(v["latency_ms"]["truncated_plans"].as_u64(), Some(2), "{body}");
+
+    handle.shutdown();
+}
+
 /// Hanging up mid-stream fires the server-side cancel token: sampling
 /// stops at the next sentence boundary and the abort shows up in /stats.
 #[test]
