@@ -25,6 +25,8 @@
 //!                           skipping it (lenient-skip is the default)
 //!   --fault-plan SPEC       deterministic fault injection + degradation
 //!                           ladder, e.g. "seed=7,read=0.05,budget=64"
+//!                           (holistic and parallel; the other approaches
+//!                           have no fault sites and ignore it)
 //!   --data-dir PATH         recover ingested batches from a durable store
 //!                           (WAL + snapshots, DESIGN.md §17) on top of the
 //!                           generated/loaded seed before answering; a
@@ -36,13 +38,8 @@ use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use voxolap_core::approach::Vocalizer;
-use voxolap_core::holistic::{Holistic, HolisticConfig};
-use voxolap_core::optimal::Optimal;
-use voxolap_core::parallel::ParallelHolistic;
-use voxolap_core::prior::PriorGreedy;
+use voxolap_core::approach::{self, ApproachOptions, Vocalizer};
 use voxolap_core::uncertainty::UncertaintyMode;
-use voxolap_core::unmerged::Unmerged;
 use voxolap_core::voice::{InstantVoice, VoiceOutput};
 use voxolap_core::CancelToken;
 use voxolap_data::flights::FlightsConfig;
@@ -53,7 +50,7 @@ use voxolap_engine::query::Query;
 use voxolap_engine::semantic::SemanticCache;
 use voxolap_faults::Resilience;
 use voxolap_voice::question::parse_question;
-use voxolap_voice::session::{Response, Session, StreamEvent};
+use voxolap_voice::session::{Response, Session};
 use voxolap_voice::tts::RealTimeVoice;
 
 /// Parsed command-line options.
@@ -91,6 +88,7 @@ fn usage() -> &'static str {
        --strict                fail on the first malformed CSV row (default: skip + count)\n\
        --fault-plan SPEC       fault injection + degradation ladder, e.g.\n\
                                \"seed=7,read=0.05,sample=0.01,budget=64,breaker=5\"\n\
+                               (holistic and parallel; ignored by the others)\n\
        --data-dir PATH         recover durable ingest state (WAL + snapshots) over the seed\n\
        --fsync-mode MODE       always|batch|off (default batch); with --data-dir"
 }
@@ -219,87 +217,30 @@ fn load_table(opts: &Options) -> Result<Table, String> {
     }
 }
 
-/// Build the semantic cache shared across the queries of one invocation
-/// (every repl question reuses it; `--cache-mb 0` turns it off).
-fn make_cache(opts: &Options) -> Option<Arc<SemanticCache>> {
-    (opts.cache_mb > 0).then(|| Arc::new(SemanticCache::with_capacity_mb(opts.cache_mb)))
-}
-
-/// Build the resilience bundle from `--fault-plan` (shared by every query
-/// of one invocation, like the semantic cache). `None` without the flag —
-/// the engines then carry no fault hooks at all.
-fn make_resilience(opts: &Options) -> Result<Option<Arc<Resilience>>, String> {
-    match &opts.fault_plan {
-        Some(spec) => Ok(Some(Arc::new(Resilience::from_spec(spec)?))),
-        None => Ok(None),
+/// This invocation's seed, uncertainty mode and thread count for the
+/// workspace's approach factory; no cache, no fault plan.
+fn approach_options(opts: &Options) -> ApproachOptions {
+    ApproachOptions {
+        seed: opts.seed,
+        uncertainty: opts.uncertainty,
+        threads: opts.threads,
+        ..ApproachOptions::default()
     }
 }
 
-fn make_vocalizer(
-    opts: &Options,
-    cache: Option<&Arc<SemanticCache>>,
-    resilience: Option<&Arc<Resilience>>,
-) -> Result<Box<dyn Vocalizer>, String> {
-    let config = HolisticConfig {
-        seed: opts.seed,
-        uncertainty: opts.uncertainty,
-        // The CLI's datasets include the 0/1 flights measure; a larger
-        // resample keeps estimates informative (see DESIGN.md).
-        resample_size: 200,
-        // With an instant voice (--chars-per-sec 0) there is no speaking
-        // time to overlap, so give each sentence a real sampling floor
-        // (~tens of milliseconds of planning).
-        min_samples_per_sentence: 8_000,
-        ..HolisticConfig::default()
-    };
-    Ok(match opts.approach.as_str() {
-        "holistic" => {
-            let mut engine = Holistic::new(config);
-            if let Some(cache) = cache {
-                engine = engine.with_cache(cache.clone());
-            }
-            if let Some(res) = resilience {
-                engine = engine.with_resilience(res.clone());
-            }
-            Box::new(engine)
-        }
-        // "concurrent" kept as an alias for the pre-parallel engine name.
-        "parallel" | "concurrent" => {
-            let mut engine = ParallelHolistic::new(config);
-            if let Some(n) = opts.threads {
-                engine = engine.with_threads(n);
-            }
-            if let Some(cache) = cache {
-                engine = engine.with_cache(cache.clone());
-            }
-            if let Some(res) = resilience {
-                engine = engine.with_resilience(res.clone());
-            }
-            Box::new(engine)
-        }
-        "optimal" => {
-            let mut engine = Optimal::default();
-            if let Some(cache) = cache {
-                engine = engine.with_cache(cache.clone());
-            }
-            Box::new(engine)
-        }
-        "unmerged" => Box::new(Unmerged::new(voxolap_core::unmerged::UnmergedConfig {
-            seed: opts.seed,
-            // Same estimator configuration as the holistic approach so the
-            // in-CLI comparison isolates the planning strategy.
-            resample_size: 200,
-            ..Default::default()
-        })),
-        "prior" => Box::new(PriorGreedy),
-        other => return Err(format!("unknown --approach {other:?}")),
-    })
-}
-
-/// The approaches that carry the resilience bundle; the rest plan their
-/// whole speech up front and have no fault sites to inject into.
-fn supports_resilience(approach: &str) -> bool {
-    matches!(approach, "holistic" | "parallel" | "concurrent")
+/// Build `--approach` with what every query of one invocation shares: the
+/// semantic cache (repeated and scope-overlapping repl questions get
+/// faster as the session goes on; `--cache-mb 0` turns it off) and the
+/// `--fault-plan` resilience bundle (without the flag the engines carry
+/// no fault hooks at all).
+fn shared_vocalizer(opts: &Options) -> Result<Box<dyn Vocalizer>, String> {
+    let mut options = approach_options(opts);
+    options.cache =
+        (opts.cache_mb > 0).then(|| Arc::new(SemanticCache::with_capacity_mb(opts.cache_mb)));
+    if let Some(spec) = &opts.fault_plan {
+        options.resilience = Some(Arc::new(Resilience::from_spec(spec)?));
+    }
+    approach::vocalizer(&opts.approach, &options)
 }
 
 fn make_voice(opts: &Options) -> Box<dyn VoiceOutput> {
@@ -343,12 +284,7 @@ fn speak_stream(
 fn cmd_ask(opts: &Options, table: &Table) -> Result<(), String> {
     let question = opts.args.first().ok_or("ask needs a quoted question")?;
     let query = parse_question(table.schema(), question).map_err(|e| e.to_string())?;
-    let cache = make_cache(opts);
-    let resilience = make_resilience(opts)?;
-    if resilience.is_some() && !supports_resilience(&opts.approach) {
-        eprintln!("warning: --fault-plan is ignored by --approach {}", opts.approach);
-    }
-    let vocalizer = make_vocalizer(opts, cache.as_ref(), resilience.as_ref())?;
+    let vocalizer = shared_vocalizer(opts)?;
     let mut voice = make_voice(opts);
     speak_stream(vocalizer.as_ref(), table, &query, voice.as_mut());
     Ok(())
@@ -358,10 +294,9 @@ fn cmd_compare(opts: &Options, table: &Table) -> Result<(), String> {
     let question = opts.args.first().ok_or("compare needs a quoted question")?;
     let query = parse_question(table.schema(), question).map_err(|e| e.to_string())?;
     for name in ["holistic", "optimal", "unmerged", "prior"] {
-        let sub = Options { approach: name.into(), ..clone_options(opts) };
         // No shared cache or fault plan in compare mode: each approach
         // plans cold so the side-by-side isolates the planning strategies.
-        let vocalizer = make_vocalizer(&sub, None, None)?;
+        let vocalizer = approach::vocalizer(name, &approach_options(opts))?;
         let mut voice: Box<dyn VoiceOutput> = Box::new(InstantVoice::default());
         let outcome = vocalizer.vocalize(table, &query, voice.as_mut());
         println!("\n== {name} (latency {:?}, {} chars) ==", outcome.latency, outcome.body_len());
@@ -375,26 +310,6 @@ fn cmd_compare(opts: &Options, table: &Table) -> Result<(), String> {
     Ok(())
 }
 
-fn clone_options(o: &Options) -> Options {
-    Options {
-        data: o.data.clone(),
-        rows: o.rows,
-        csv: o.csv.clone(),
-        approach: o.approach.clone(),
-        threads: o.threads,
-        chars_per_sec: o.chars_per_sec,
-        uncertainty: o.uncertainty,
-        seed: o.seed,
-        cache_mb: o.cache_mb,
-        strict: o.strict,
-        fault_plan: o.fault_plan.clone(),
-        data_dir: o.data_dir.clone(),
-        fsync_mode: o.fsync_mode,
-        command: o.command.clone(),
-        args: o.args.clone(),
-    }
-}
-
 fn cmd_stats(table: &Table) {
     let s = DatasetStats::of(table);
     println!("dataset:    {}", s.name);
@@ -404,14 +319,7 @@ fn cmd_stats(table: &Table) {
 }
 
 fn cmd_repl(opts: &Options, table: &Table) -> Result<(), String> {
-    // One cache for the whole session: repeated and scope-overlapping
-    // questions get faster as the session goes on.
-    let cache = make_cache(opts);
-    let resilience = make_resilience(opts)?;
-    if resilience.is_some() && !supports_resilience(&opts.approach) {
-        eprintln!("warning: --fault-plan is ignored by --approach {}", opts.approach);
-    }
-    let vocalizer = make_vocalizer(opts, cache.as_ref(), resilience.as_ref())?;
+    let vocalizer = shared_vocalizer(opts)?;
     let mut voice = make_voice(opts);
     let mut session = Session::new(table);
     eprintln!("voxolap repl — say \"help\" for keywords, \"quit\" to leave.");
@@ -444,21 +352,10 @@ fn cmd_repl(opts: &Options, table: &Table) -> Result<(), String> {
         match session.input(&line) {
             Ok(Response::Quit) => break,
             Ok(Response::Help(text)) => println!("{text}"),
-            Ok(Response::Updated) => {
-                let streamed = session.vocalize_streaming(
-                    vocalizer.as_ref(),
-                    voice.as_mut(),
-                    CancelToken::never(),
-                    |ev| match ev {
-                        StreamEvent::Preamble(p) => println!("{p}"),
-                        StreamEvent::Sentence(s) => println!("{}", s.text),
-                    },
-                );
-                match streamed {
-                    Ok(outcome) => speak_stats(&outcome),
-                    Err(e) => eprintln!("error: {e}"),
-                }
-            }
+            Ok(Response::Updated) => match session.query() {
+                Ok(query) => speak_stream(vocalizer.as_ref(), table, &query, voice.as_mut()),
+                Err(e) => eprintln!("error: {e}"),
+            },
             Err(e) => eprintln!("error: {e}"),
         }
     }

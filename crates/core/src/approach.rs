@@ -1,10 +1,21 @@
-//! The common interface all vocalization approaches implement.
+//! The common interface all vocalization approaches implement, and the
+//! factory that builds one from the name a front end was given.
+
+use std::sync::Arc;
 
 use voxolap_data::Table;
 use voxolap_engine::query::Query;
+use voxolap_engine::semantic::SemanticCache;
+use voxolap_faults::Resilience;
 
+use crate::holistic::{Holistic, HolisticConfig};
+use crate::optimal::Optimal;
 use crate::outcome::VocalizationOutcome;
+use crate::parallel::ParallelHolistic;
 use crate::pipeline::{CancelToken, SpeechStream};
+use crate::prior::PriorGreedy;
+use crate::uncertainty::UncertaintyMode;
+use crate::unmerged::{Unmerged, UnmergedConfig};
 use crate::voice::VoiceOutput;
 
 /// A query-evaluation-and-vocalization approach (paper §5 compares
@@ -41,5 +52,116 @@ pub trait Vocalizer: Send + Sync {
         voice: &mut dyn VoiceOutput,
     ) -> VocalizationOutcome {
         self.stream(table, query, voice, CancelToken::never()).drain()
+    }
+}
+
+/// What a front end (server, CLI) supplies besides the approach's name
+/// when it asks [`vocalizer`] for one.
+#[derive(Debug, Clone)]
+pub struct ApproachOptions {
+    /// RNG seed; same seed, same speech (at one planning thread).
+    pub seed: u64,
+    /// Uncertainty transmission mode of the holistic engines (paper §4.4).
+    pub uncertainty: UncertaintyMode,
+    /// Planning threads of the `parallel` approach (`None`: one per core).
+    pub threads: Option<usize>,
+    /// Cross-query semantic cache, for the approaches that can use one
+    /// (`holistic`, `parallel`, `optimal`).
+    pub cache: Option<Arc<SemanticCache>>,
+    /// Fault injection + degradation ladder. Only `holistic` and
+    /// `parallel` have fault sites; the other approaches plan their whole
+    /// speech up front and ignore it.
+    pub resilience: Option<Arc<Resilience>>,
+}
+
+impl Default for ApproachOptions {
+    fn default() -> Self {
+        ApproachOptions {
+            seed: HolisticConfig::default().seed,
+            uncertainty: UncertaintyMode::Off,
+            threads: None,
+            cache: None,
+            resilience: None,
+        }
+    }
+}
+
+impl ApproachOptions {
+    /// The planner configuration the holistic engines are served with.
+    pub fn holistic_config(&self) -> HolisticConfig {
+        HolisticConfig {
+            seed: self.seed,
+            uncertainty: self.uncertainty,
+            // The served datasets include the 0/1 flights measure; a larger
+            // resample keeps its estimates informative (DESIGN.md §2).
+            resample_size: 200,
+            // Under an instant voice there is no speaking time to overlap,
+            // so each sentence gets a real sampling floor (tens of
+            // milliseconds of planning).
+            min_samples_per_sentence: 8_000,
+            ..HolisticConfig::default()
+        }
+    }
+}
+
+/// Build the vocalizer a front end names in its `approach` field or
+/// `--approach` flag: `holistic`, `parallel` (alias `concurrent`, the
+/// pre-parallel engine's name), `optimal`, `unmerged` or `prior`. The one
+/// place that decides which approach gets which configuration, the cache
+/// and the resilience bundle.
+pub fn vocalizer(name: &str, opts: &ApproachOptions) -> Result<Box<dyn Vocalizer>, String> {
+    let engine = |threads: Option<usize>| {
+        let mut engine = ParallelHolistic::new(opts.holistic_config());
+        if let Some(n) = threads {
+            engine = engine.with_threads(n);
+        }
+        engine.cache = opts.cache.clone();
+        engine.resilience = opts.resilience.clone();
+        engine
+    };
+    Ok(match name {
+        "holistic" => Box::new(Holistic(engine(Some(1)))),
+        "parallel" | "concurrent" => Box::new(engine(opts.threads)),
+        "optimal" => Box::new(match &opts.cache {
+            Some(cache) => Optimal::default().with_cache(cache.clone()),
+            None => Optimal::default(),
+        }),
+        "unmerged" => Box::new(Unmerged::new(UnmergedConfig {
+            seed: opts.seed,
+            // The holistic estimator configuration, so a side-by-side
+            // comparison isolates the planning strategy.
+            resample_size: 200,
+            ..UnmergedConfig::default()
+        })),
+        "prior" => Box::new(PriorGreedy),
+        other => {
+            return Err(format!(
+                "unknown approach {other:?} (holistic|parallel|optimal|unmerged|prior)"
+            ))
+        }
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_name_builds_its_approach_and_unknown_names_are_errors() {
+        let opts = ApproachOptions { threads: Some(2), ..ApproachOptions::default() };
+        for (name, reports) in [
+            ("holistic", "holistic"),
+            ("parallel", "holistic-parallel"),
+            ("concurrent", "holistic-parallel"),
+            ("optimal", "optimal"),
+            ("unmerged", "unmerged"),
+            ("prior", "prior"),
+        ] {
+            assert_eq!(vocalizer(name, &opts).unwrap().name(), reports, "{name}");
+        }
+        assert!(vocalizer("quantum", &opts).err().unwrap().contains("quantum"));
+        // The serving configuration is the defaults plus these three.
+        let cfg = ApproachOptions { seed: 9, ..opts }.holistic_config();
+        assert_eq!((cfg.seed, cfg.resample_size, cfg.min_samples_per_sentence), (9, 200, 8_000));
     }
 }

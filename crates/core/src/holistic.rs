@@ -106,7 +106,7 @@ impl Default for HolisticConfig {
 /// The holistic vocalizer (paper §4): the one engine at one planning
 /// thread. [`ParallelHolistic`] is the same code at `threads = N`.
 #[derive(Debug, Clone)]
-pub struct Holistic(ParallelHolistic);
+pub struct Holistic(pub(crate) ParallelHolistic);
 
 impl Default for Holistic {
     fn default() -> Self {

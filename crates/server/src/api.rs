@@ -5,6 +5,12 @@
 //! the `approach` field switches vocalization methods per request, the
 //! mechanism behind the paper's Table 8 study ("users can switch freely
 //! between the two compared vocalization methods for each single query").
+//!
+//! The four answer routes (`/ask`, `/query/stream`, `/session/<id>/input`
+//! and `utter` on an attached session) are one path — `AppState::resolve`
+//! → `AppState::speak` → one encoder per event (DESIGN.md §11) — and
+//! differ only in where the words come from, the voice that paces
+//! planning, and the sink the events go to.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,15 +20,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use voxolap_json::Value;
 
-use voxolap_core::approach::Vocalizer;
-use voxolap_core::holistic::{Holistic, HolisticConfig};
-use voxolap_core::optimal::Optimal;
+use voxolap_core::approach::{self, ApproachOptions, Vocalizer};
 use voxolap_core::outcome::{PlanStats, VocalizationOutcome};
-use voxolap_core::parallel::ParallelHolistic;
-use voxolap_core::prior::PriorGreedy;
-use voxolap_core::unmerged::{Unmerged, UnmergedConfig};
 use voxolap_core::voice::{InstantVoice, VirtualVoice, VoiceOutput};
-use voxolap_core::CancelToken;
+use voxolap_core::{CancelKind, CancelToken, PlannedSentence};
 use voxolap_data::stats::DatasetStats;
 use voxolap_data::{DataError, DimValue, DurableTable, IngestRow, Table};
 use voxolap_engine::query::Query;
@@ -32,7 +33,7 @@ use voxolap_voice::question::parse_question;
 use voxolap_voice::session::{Response as SessionResponse, Session};
 use voxolap_voice::tts::RealTimeVoice;
 
-use crate::http::{HttpMetrics, Request, Response, SessionSink, SessionUpgrade, SessionVerdict};
+use crate::http::{HttpMetrics, LineSink, Request, Response, SessionUpgrade, SessionVerdict};
 
 /// Default semantic-cache budget when `--cache-mb` is not given.
 const DEFAULT_CACHE_MB: usize = 64;
@@ -56,8 +57,12 @@ pub struct SessionEntry {
     pub last_scope: Option<String>,
 }
 
-/// Per-session state table, keyed by session id.
-pub type SessionStore = Mutex<HashMap<String, SessionEntry>>;
+/// Per-session state table, keyed by session id. The map lock is held
+/// only to find, create or remove an entry — never while a turn plans, so
+/// `GET /stats` and every other session stay responsive; a turn holds its
+/// own entry's lock from log replay to log append, which keeps turns on
+/// one session in order whichever transports they arrive on.
+pub type SessionStore = Mutex<HashMap<String, Arc<Mutex<SessionEntry>>>>;
 
 /// Shared application state.
 pub struct AppState {
@@ -102,68 +107,80 @@ pub struct AppState {
     /// transport's `hello` event — set from the serving layer's config so
     /// clients learn the cadence to expect.
     session_timing: (u64, u64),
-    /// Per-utterance planning deadline on the session transport. A wide
-    /// scope (say, a city-level drill-down crossed with another breakdown)
-    /// can take minutes to converge; unbounded, one such utterance pins a
-    /// worker and starves the pool. Past the deadline the planner commits
-    /// the §12 anytime answer and the `done` event carries
-    /// `"degraded":true`. `None` = run to convergence.
+    /// Planning deadline of every turn, on every route. A wide scope (say,
+    /// a city-level drill-down crossed with another breakdown) can take
+    /// minutes to converge; unbounded, one such turn pins a worker and
+    /// starves the pool. Past the deadline the planner commits the §12
+    /// anytime answer and the answer carries `"degraded":true`. `None` =
+    /// run to convergence.
     utterance_deadline: Option<Duration>,
 }
 
-/// `POST /ask` body.
-#[derive(Debug)]
-struct AskRequest {
-    question: String,
-    approach: Option<String>,
-}
-
-impl AskRequest {
-    fn from_body(body: &[u8]) -> Option<Self> {
-        let v = Value::parse_slice(body).ok()?;
-        Some(AskRequest {
-            question: v["question"].as_str()?.to_string(),
-            approach: v["approach"].as_str().map(str::to_string),
-        })
-    }
-}
-
-/// `POST /session/<id>/input` body.
-#[derive(Debug)]
-struct InputRequest {
-    text: String,
-    approach: Option<String>,
-}
-
-impl InputRequest {
-    fn from_body(body: &[u8]) -> Option<Self> {
-        let v = Value::parse_slice(body).ok()?;
-        Some(InputRequest {
-            text: v["text"].as_str()?.to_string(),
-            approach: v["approach"].as_str().map(str::to_string),
-        })
-    }
-}
-
-/// A spoken answer.
-#[derive(Debug)]
-struct AnswerResponse {
+/// One answer turn, resolved: the vocalizer to plan with, the revision
+/// pinned for the whole turn, and the query parsed against that revision's
+/// dictionaries. What all four answer routes hand to [`AppState::speak`].
+struct Turn {
     approach: String,
-    text: String,
-    preamble: String,
-    sentences: Vec<String>,
-    latency_ms: f64,
-    chars: usize,
-    stats: PlanStats,
+    vocalizer: Arc<dyn Vocalizer>,
+    table: Arc<Table>,
+    query: Query,
+}
+
+/// Where a turn's query comes from.
+enum Words<'a> {
+    /// A full question (`POST /ask`, `POST /query/stream`).
+    Question(&'a str),
+    /// A keyword command on top of a session's applied-command log (both
+    /// session transports).
+    Command { log: &'a [String], text: &'a str },
+}
+
+/// Why a turn produced no speech.
+enum Stop {
+    /// The utterance was `help`: the keyword listing to read out.
+    Help(String),
+    /// The utterance was `quit`: the session is over.
+    Quit,
+    /// Malformed request, unknown approach, unparseable words.
+    Error(String),
+}
+
+impl Stop {
+    fn error(e: impl ToString) -> Stop {
+        Stop::Error(e.to_string())
+    }
+}
+
+/// A spoken answer: what [`AppState::speak`] made of a [`Turn`].
+struct Answer {
+    approach: String,
+    outcome: VocalizationOutcome,
+}
+
+/// The words (under `key`) and the approach (default holistic) of a
+/// request body or an `utter` event.
+fn turn_fields(v: &Value, key: &str) -> Option<(String, String)> {
+    let approach = v["approach"].as_str().unwrap_or("holistic");
+    Some((v[key].as_str()?.to_string(), approach.to_string()))
+}
+
+/// [`turn_fields`] of an HTTP request body.
+fn body_fields(req: &Request, key: &str) -> Result<(String, String), Stop> {
+    let fields = Value::parse_slice(&req.body).ok().and_then(|v| turn_fields(&v, key));
+    fields.ok_or_else(|| Stop::Error(format!("expected {{\"{key}\": \"...\"}}")))
+}
+
+fn millis(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 /// Append the answer flags to a JSON object under construction. Each
 /// appears only when set, so clients that predate a flag see the answers
-/// they always saw: `degraded` (the answer was cut short or fell back),
-/// `stale` (a version-stale cached result was served because a fault or
-/// the deadline blocked a fresh plan), `truncated` (the speech was chosen
-/// from a search space cut at the node cap — the last baselines have no
-/// refinements under them).
+/// they always saw: `degraded` (the answer was cut short — the deadline
+/// included — or fell back), `stale` (a version-stale cached result was
+/// served because a fault or the deadline blocked a fresh plan),
+/// `truncated` (the speech was chosen from a search space cut at the node
+/// cap — the last baselines have no refinements under them).
 fn push_flags(fields: &mut Vec<(&'static str, Value)>, stats: &PlanStats) {
     let flags =
         [("degraded", stats.degraded), ("stale", stats.stale), ("truncated", stats.truncated)];
@@ -174,85 +191,78 @@ fn push_flags(fields: &mut Vec<(&'static str, Value)>, stats: &PlanStats) {
     }
 }
 
-impl AnswerResponse {
-    fn from_outcome(approach: &str, outcome: &VocalizationOutcome) -> Self {
-        AnswerResponse {
-            approach: approach.to_string(),
-            text: outcome.full_text(),
-            preamble: outcome.preamble.clone(),
-            sentences: outcome.sentences.clone(),
-            latency_ms: outcome.latency.as_secs_f64() * 1e3,
-            chars: outcome.body_len(),
-            stats: outcome.stats.clone(),
-        }
-    }
+// The event schema (DESIGN.md §11): one encoder per event, shared by the
+// chunked-body and the session transport.
 
-    fn to_json(&self) -> Value {
-        let mut fields = vec![
-            ("approach", self.approach.as_str().into()),
-            ("text", self.text.as_str().into()),
-            ("preamble", self.preamble.as_str().into()),
-            ("sentences", self.sentences.clone().into()),
-            ("latency_ms", self.latency_ms.into()),
-            ("chars", self.chars.into()),
-            ("rows_sampled", self.stats.rows_read.into()),
-            ("planner_iterations", self.stats.samples.into()),
-        ];
-        push_flags(&mut fields, &self.stats);
-        Value::obj(fields)
-    }
+fn preamble_event(text: &str, latency: Duration) -> Value {
+    Value::obj([
+        ("type", "preamble".into()),
+        ("text", text.into()),
+        ("latency_ms", millis(latency).into()),
+    ])
 }
 
-/// Build the requested vocalizer (default: holistic). The semantic cache
-/// attaches to the approaches that can use it (holistic, parallel,
-/// optimal).
-fn make_vocalizer(
-    approach: &str,
-    threads: usize,
-    semantic: Option<&Arc<SemanticCache>>,
-    resilience: Option<&Arc<Resilience>>,
-) -> Result<Box<dyn Vocalizer>, String> {
-    let holistic_config = HolisticConfig {
-        min_samples_per_sentence: 8_000,
-        resample_size: 200,
-        ..HolisticConfig::default()
+fn sentence_event(sentence: &PlannedSentence) -> Value {
+    Value::obj([
+        ("type", "sentence".into()),
+        ("index", sentence.index.into()),
+        ("text", sentence.text.as_str().into()),
+        ("samples", sentence.stats.samples.into()),
+        ("rows_read", sentence.stats.rows_read.into()),
+        ("elapsed_ms", millis(sentence.stats.elapsed).into()),
+    ])
+}
+
+/// `cancelled` is the client's doing only (it hung up mid-turn); a
+/// deadline cut shows as `degraded`. `scope_warm` exists on session turns.
+fn done_event(
+    outcome: &VocalizationOutcome,
+    ttfs_ms: Option<f64>,
+    cancelled: bool,
+    scope_warm: Option<bool>,
+) -> Value {
+    let mut fields = vec![
+        ("type", "done".into()),
+        ("sentences", outcome.sentences.len().into()),
+        ("samples", outcome.stats.samples.into()),
+        ("rows_read", outcome.stats.rows_read.into()),
+        ("planning_ms", millis(outcome.stats.planning_time).into()),
+        ("ttfs_ms", ttfs_ms.unwrap_or(0.0).into()),
+        ("cancelled", cancelled.into()),
+    ];
+    fields.extend(scope_warm.map(|warm| ("scope_warm", warm.into())));
+    push_flags(&mut fields, &outcome.stats);
+    Value::obj(fields)
+}
+
+fn error_event(message: &str) -> Value {
+    Value::obj([("type", "error".into()), ("message", message.into())])
+}
+
+/// The body the two blocking routes answer with: a turn's outcome, or the
+/// reason there is none.
+fn blocking_reply(reply: Result<Answer, Stop>) -> Response {
+    let Answer { approach, outcome } = match reply {
+        Ok(answer) => answer,
+        Err(Stop::Help(text)) => {
+            return Response::ok(format!("{{\"help\":{}}}", voxolap_json::escape(&text)))
+        }
+        Err(Stop::Quit) => return Response::ok("{\"ended\":true}".to_string()),
+        Err(Stop::Error(message)) => return Response::error(400, &message),
     };
-    match approach {
-        "holistic" => {
-            let mut v = Holistic::new(holistic_config);
-            if let Some(cache) = semantic {
-                v = v.with_cache(cache.clone());
-            }
-            if let Some(res) = resilience {
-                v = v.with_resilience(res.clone());
-            }
-            Ok(Box::new(v))
-        }
-        // "concurrent" kept as an alias for the pre-parallel engine name.
-        "parallel" | "concurrent" => {
-            let mut v = ParallelHolistic::new(holistic_config).with_threads(threads);
-            if let Some(cache) = semantic {
-                v = v.with_cache(cache.clone());
-            }
-            if let Some(res) = resilience {
-                v = v.with_resilience(res.clone());
-            }
-            Ok(Box::new(v))
-        }
-        "optimal" => {
-            let mut v = Optimal::default();
-            if let Some(cache) = semantic {
-                v = v.with_cache(cache.clone());
-            }
-            Ok(Box::new(v))
-        }
-        "unmerged" => Ok(Box::new(Unmerged::new(UnmergedConfig {
-            resample_size: 200,
-            ..UnmergedConfig::default()
-        }))),
-        "prior" => Ok(Box::new(PriorGreedy)),
-        other => Err(format!("unknown approach {other:?}")),
-    }
+    let (text, chars) = (outcome.full_text(), outcome.body_len());
+    let mut fields = vec![
+        ("approach", approach.into()),
+        ("text", text.into()),
+        ("preamble", outcome.preamble.into()),
+        ("sentences", outcome.sentences.into()),
+        ("latency_ms", millis(outcome.latency).into()),
+        ("chars", chars.into()),
+        ("rows_sampled", outcome.stats.rows_read.into()),
+        ("planner_iterations", outcome.stats.samples.into()),
+    ];
+    push_flags(&mut fields, &outcome.stats);
+    Response::ok(Value::obj(fields).to_string())
 }
 
 /// Buckets per factor of two. Edges grow by 2^(1/8) ≈ 1.09, so a
@@ -319,7 +329,9 @@ impl Dist {
     }
 }
 
-/// What `/stats` reports about answers served, in milliseconds.
+/// What `/stats` reports about answers served, in milliseconds. Fed by
+/// [`AppState::speak`] alone, so every counter means the same on every
+/// route.
 #[derive(Default)]
 struct AnswerStats {
     /// Planning latency of every answer.
@@ -329,20 +341,19 @@ struct AnswerStats {
     planning_degraded: Dist,
     /// Planning latency of answers that completed clean.
     planning_clean: Dist,
-    /// Time to first sentence, fed by the blocking, streaming and session
-    /// paths.
+    /// Time to first sentence, of turns that produced one.
     ttfs: Dist,
     /// Gaps between consecutive planned sentences.
     gap: Dist,
-    /// Streams aborted because the client hung up mid-stream.
+    /// Turns aborted because the client hung up mid-turn.
     stream_cancellations: AtomicU64,
     /// Answers planned over a search space cut at the node cap.
     truncated_plans: AtomicU64,
 }
 
 impl AnswerStats {
-    fn record_planning(&self, outcome: &VocalizationOutcome) {
-        let ms = outcome.stats.planning_time.as_secs_f64() * 1e3;
+    fn record_turn(&self, outcome: &VocalizationOutcome, cancelled: bool) {
+        let ms = millis(outcome.stats.planning_time);
         self.planning.record(ms);
         let split =
             if outcome.stats.degraded { &self.planning_degraded } else { &self.planning_clean };
@@ -350,15 +361,8 @@ impl AnswerStats {
         if outcome.stats.truncated {
             self.truncated_plans.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// Record a sentence planned just now: time to first sentence since
-    /// `t0` when `last` is `None`, the gap since `last` otherwise.
-    fn record_sentence(&self, t0: Instant, last: &mut Option<Instant>) {
-        let now = Instant::now();
-        match last.replace(now) {
-            None => self.ttfs.record((now - t0).as_secs_f64() * 1e3),
-            Some(prev) => self.gap.record((now - prev).as_secs_f64() * 1e3),
+        if cancelled {
+            self.stream_cancellations.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -401,10 +405,10 @@ impl AppState {
         self
     }
 
-    /// Bound each session utterance's planning time: past the deadline the
-    /// answer is committed through the anytime path (DESIGN.md §12) and
-    /// the `done` event reports `"degraded":true`. Keeps one wide-scope
-    /// utterance from monopolizing a serving worker for minutes.
+    /// Bound every turn's planning time, on all four answer routes: past
+    /// the deadline the answer is committed through the anytime path
+    /// (DESIGN.md §12) and reports `"degraded":true`. Keeps one wide-scope
+    /// turn from monopolizing a serving worker for minutes.
     pub fn with_utterance_deadline(mut self, deadline: Duration) -> Self {
         self.utterance_deadline = Some(deadline);
         // The anytime commit and the `degraded` marking live in the
@@ -491,13 +495,18 @@ impl AppState {
             ("GET", "/debug/panic") if self.debug_routes => {
                 panic!("debug route: deliberate handler panic")
             }
-            ("POST", "/ask") => self.handle_ask(req),
+            ("POST", "/ask") => blocking_reply(self.question_turn(req).map(|turn| {
+                let mut voice = InstantVoice::default();
+                self.speak(turn, &mut voice, None, None)
+            })),
             ("POST", "/ingest") => self.handle_ingest(req),
             ("POST", "/query/stream") => self.handle_query_stream(req),
             ("POST", path) => {
                 match path.strip_prefix("/session/").and_then(|rest| rest.strip_suffix("/input")) {
                     Some(id) if !id.is_empty() && !id.contains('/') => {
-                        self.handle_session_input(id, req)
+                        blocking_reply(body_fields(req, "text").and_then(|(text, approach)| {
+                            self.session_turn(id, &text, &approach, None)
+                        }))
                     }
                     _ => Response::error(404, "not found"),
                 }
@@ -597,32 +606,7 @@ impl AppState {
     /// Serving-layer counters for `/stats` (`null` when the state runs
     /// without an attached HTTP pool).
     fn http_json(&self) -> Value {
-        let Some(metrics) = &self.http_metrics else { return Value::Null };
-        let s = metrics.snapshot();
-        Value::obj([
-            ("accepted", s.accepted.into()),
-            ("rejected", s.rejected.into()),
-            ("requests", s.requests.into()),
-            ("responses_2xx", s.responses_2xx.into()),
-            ("responses_4xx", s.responses_4xx.into()),
-            ("responses_5xx", s.responses_5xx.into()),
-            ("timeouts", s.timeouts.into()),
-            ("panics", s.panics.into()),
-            ("parse_errors", s.parse_errors.into()),
-            ("io_errors", s.io_errors.into()),
-            ("reject_write_failures", s.reject_write_failures.into()),
-            ("keepalive_reuses", s.keepalive_reuses.into()),
-            ("sessions_opened", s.sessions_opened.into()),
-            ("sessions_closed", s.sessions_closed.into()),
-            ("session_lines", s.session_lines.into()),
-            ("heartbeats_sent", s.heartbeats_sent.into()),
-            ("idle_closed", s.idle_closed.into()),
-            ("bytes_in", s.bytes_in.into()),
-            ("bytes_out", s.bytes_out.into()),
-            ("queue_wait_ms_total", (s.queue_wait_us as f64 / 1e3).into()),
-            ("handler_ms_total", (s.handle_us as f64 / 1e3).into()),
-            ("poison_recoveries", s.poison_recoveries.into()),
-        ])
+        self.http_metrics.as_ref().map_or(Value::Null, |m| m.snapshot().to_json())
     }
 
     /// Look up (or lazily build) the shared vocalizer for `approach`.
@@ -634,12 +618,13 @@ impl AppState {
         if let Some(v) = cache.get(key) {
             return Ok(Arc::clone(v));
         }
-        let v: Arc<dyn Vocalizer> = Arc::from(make_vocalizer(
-            key,
-            self.threads,
-            self.semantic.as_ref(),
-            self.resilience.as_ref(),
-        )?);
+        let options = ApproachOptions {
+            threads: Some(self.threads),
+            cache: self.semantic.clone(),
+            resilience: self.resilience.clone(),
+            ..ApproachOptions::default()
+        };
+        let v: Arc<dyn Vocalizer> = Arc::from(approach::vocalizer(key, &options)?);
         cache.insert(key.to_string(), Arc::clone(&v));
         Ok(v)
     }
@@ -657,22 +642,146 @@ impl AppState {
         ]))
     }
 
-    /// Drain a sentence stream for a blocking endpoint, feeding the same
-    /// time-to-first-sentence and gap counters as the streaming path.
-    fn drive_stream(
+    /// **Resolve**: turn a route's words into a [`Turn`], or the reason
+    /// there is none. The revision is pinned *before* parsing — the
+    /// query's result layout must match the dictionaries it was parsed
+    /// against — and serves the whole turn, however many ingest batches
+    /// land while its sentences are still playing.
+    fn resolve(&self, words: Words<'_>, approach: &str) -> Result<Turn, Stop> {
+        let vocalizer = self.vocalizer_for(approach).map_err(Stop::Error)?;
+        let table = self.live.snapshot();
+        let query = match words {
+            Words::Question(question) => {
+                parse_question(table.schema(), question).map_err(Stop::error)?
+            }
+            Words::Command { log, text } => {
+                // Replay the session's applied commands, then the new one
+                // (sessions are small — tens of commands).
+                let mut session = Session::new(&table);
+                for cmd in log {
+                    let _ = session.input(cmd);
+                }
+                match session.input(text).map_err(Stop::error)? {
+                    SessionResponse::Help(help) => return Err(Stop::Help(help)),
+                    SessionResponse::Quit => return Err(Stop::Quit),
+                    SessionResponse::Updated => session.query().map_err(Stop::error)?,
+                }
+            }
+        };
+        Ok(Turn { approach: approach.to_string(), vocalizer, table, query })
+    }
+
+    /// [`resolve`](Self::resolve) the question in a one-shot request body.
+    fn question_turn(&self, req: &Request) -> Result<Turn, Stop> {
+        let (question, approach) = body_fields(req, "question")?;
+        self.resolve(Words::Question(&question), &approach)
+    }
+
+    /// **Speak**: Algorithm 1's output loop, the only consumer of a
+    /// [`SpeechStream`](voxolap_core::SpeechStream) in this crate. Starts
+    /// the stream, puts the preamble on the sink before the first sentence
+    /// is pulled (it needs no data; Ingest runs inside that first pull),
+    /// then pulls, records and sends sentence by sentence, and closes with
+    /// `done`. A route without a sink (the blocking ones) gets the same
+    /// loop and the same `/stats` bookkeeping, minus the writes.
+    ///
+    /// The configured deadline, if any, bounds the turn on every route. A
+    /// client that hung up (polled between sentences) or cannot be written
+    /// to cancels the turn: sampling stops within one iteration budget.
+    fn speak(
         &self,
-        vocalizer: &dyn Vocalizer,
-        table: &Table,
-        query: &Query,
+        turn: Turn,
         voice: &mut dyn VoiceOutput,
-    ) -> VocalizationOutcome {
+        mut sink: Option<&mut LineSink<'_>>,
+        scope_warm: Option<bool>,
+    ) -> Answer {
         let t0 = Instant::now();
-        let mut stream = vocalizer.stream(table, query, voice, CancelToken::never());
-        let mut last = None;
-        while stream.next_sentence().is_some() {
-            self.stats.record_sentence(t0, &mut last);
+        let cancel = match self.utterance_deadline {
+            Some(d) => CancelToken::with_deadline(t0 + d),
+            None => CancelToken::new(),
+        };
+        // Events are only built for a route that has somewhere to send them.
+        let send = |sink: &mut Option<&mut LineSink<'_>>, event: &dyn Fn() -> Value| {
+            if sink.as_mut().is_some_and(|sink| !sink.send_line(&event().to_string())) {
+                cancel.cancel();
+            }
+        };
+        let mut stream = turn.vocalizer.stream(&turn.table, &turn.query, voice, cancel.clone());
+        send(&mut sink, &|| preamble_event(stream.preamble(), stream.latency()));
+        let mut ttfs_ms = None;
+        let mut last = t0;
+        loop {
+            if sink.as_mut().is_some_and(|sink| sink.client_gone()) {
+                cancel.cancel();
+            }
+            let Some(sentence) = stream.next_sentence() else { break };
+            let now = Instant::now();
+            let since_last = millis(now - last);
+            last = now;
+            let dist = if ttfs_ms.is_none() { &self.stats.ttfs } else { &self.stats.gap };
+            dist.record(since_last);
+            ttfs_ms.get_or_insert(since_last);
+            send(&mut sink, &|| sentence_event(&sentence));
         }
-        stream.finish()
+        let cancelled = cancel.fired_kind() == Some(CancelKind::Client);
+        let outcome = stream.finish();
+        self.stats.record_turn(&outcome, cancelled);
+        send(&mut sink, &|| done_event(&outcome, ttfs_ms, cancelled, scope_warm));
+        Answer { approach: turn.approach, outcome }
+    }
+
+    /// `POST /query/stream`: the answer as newline-delimited JSON over
+    /// chunked transfer encoding. Malformed requests fail fast with a
+    /// plain `400` before the stream starts.
+    fn handle_query_stream(self: &Arc<Self>, req: &Request) -> Response {
+        let turn = match self.question_turn(req) {
+            Ok(turn) => turn,
+            Err(stop) => return blocking_reply(Err(stop)),
+        };
+        let state = Arc::clone(self);
+        Response::streaming(move |sink| {
+            // The cooperative planners pace on a virtual voice (speaking
+            // time measured in planner iterations); the multi-threaded
+            // planner paces its workers on the wall clock, so it gets a
+            // fast real-time voice instead.
+            let mut voice: Box<dyn VoiceOutput> = if turn.vocalizer.name() == "holistic-parallel" {
+                Box::new(RealTimeVoice::new(STREAM_CHARS_PER_SEC))
+            } else {
+                Box::new(VirtualVoice::default())
+            };
+            state.speak(turn, voice.as_mut(), Some(sink), None);
+        })
+    }
+
+    /// One turn on session `id`, from either session transport: replay
+    /// the log, apply `text`, speak the result (onto `sink`, if the
+    /// transport has one), append `text` to the log. The entry's own lock
+    /// is held throughout; the store's only to find or remove the entry.
+    fn session_turn(
+        &self,
+        id: &str,
+        text: &str,
+        approach: &str,
+        sink: Option<&mut LineSink<'_>>,
+    ) -> Result<Answer, Stop> {
+        let entry = Arc::clone(self.sessions.lock().entry(id.to_string()).or_default());
+        let mut entry = entry.lock();
+        let turn = match self.resolve(Words::Command { log: &entry.log, text }, approach) {
+            Err(Stop::Quit) => {
+                self.sessions.lock().remove(id);
+                return Err(Stop::Quit);
+            }
+            resolved => resolved?,
+        };
+        // An in-scope follow-up (same measure + filters, e.g. a different
+        // breakdown) warm-starts from cached samples (DESIGN.md §9).
+        let scope = Some(format!("{:?}", turn.query.key().scope()));
+        let scope_warm = self.semantic.is_some() && scope == entry.last_scope;
+        let mut voice = InstantVoice::default();
+        let answer = self.speak(turn, &mut voice, sink, Some(scope_warm));
+        entry.log.push(text.to_string());
+        entry.last_scope = scope;
+        Ok(answer)
     }
 
     /// `POST /ingest`: append a batch of fact rows to the live table,
@@ -784,166 +893,6 @@ impl AppState {
         }
     }
 
-    fn handle_ask(&self, req: &Request) -> Response {
-        let Some(ask) = AskRequest::from_body(&req.body) else {
-            return Response::error(400, "expected {\"question\": \"...\"}");
-        };
-        let approach = ask.approach.as_deref().unwrap_or("holistic");
-        let vocalizer = match self.vocalizer_for(approach) {
-            Ok(v) => v,
-            Err(e) => return Response::error(400, &e),
-        };
-        // Pin one revision for parse + plan: the query's result layout
-        // must match the dictionaries it was parsed against.
-        let table = self.live.snapshot();
-        let query = match parse_question(table.schema(), &ask.question) {
-            Ok(q) => q,
-            Err(e) => return Response::error(400, &e.to_string()),
-        };
-        let mut voice = InstantVoice::default();
-        let outcome = self.drive_stream(vocalizer.as_ref(), &table, &query, &mut voice);
-        self.stats.record_planning(&outcome);
-        Response::ok(AnswerResponse::from_outcome(approach, &outcome).to_json().to_string())
-    }
-
-    /// `POST /query/stream`: plan and emit sentences incrementally as
-    /// newline-delimited JSON over chunked transfer encoding, paced by a
-    /// [`VirtualVoice`]. The planner keeps sampling while each sentence
-    /// "plays"; a client hang-up fires the [`CancelToken`] and stops
-    /// sampling within one sentence's iteration budget.
-    fn handle_query_stream(&self, req: &Request) -> Response {
-        let Some(ask) = AskRequest::from_body(&req.body) else {
-            return Response::error(400, "expected {\"question\": \"...\"}");
-        };
-        let approach = ask.approach.as_deref().unwrap_or("holistic").to_string();
-        let vocalizer = match self.vocalizer_for(&approach) {
-            Ok(v) => v,
-            Err(e) => return Response::error(400, &e),
-        };
-        // One pinned revision serves the whole stream, even if ingest
-        // batches land while sentences are still playing.
-        let table = self.live.snapshot();
-        let query = match parse_question(table.schema(), &ask.question) {
-            Ok(q) => q,
-            Err(e) => return Response::error(400, &e.to_string()),
-        };
-        let stats = Arc::clone(&self.stats);
-        Response::streaming(move |w| {
-            // The cooperative planners pace on a virtual voice (speaking
-            // time measured in planner iterations); the multi-threaded
-            // planner paces its workers on the wall clock, so it gets a
-            // fast real-time voice instead.
-            let mut voice: Box<dyn VoiceOutput> = if vocalizer.name() == "holistic-parallel" {
-                Box::new(RealTimeVoice::new(STREAM_CHARS_PER_SEC))
-            } else {
-                Box::new(VirtualVoice::default())
-            };
-            let voice = voice.as_mut();
-            let cancel = CancelToken::new();
-            let t0 = Instant::now();
-            let mut stream = vocalizer.stream(&table, &query, voice, cancel.clone());
-            let head = Value::obj([
-                ("type", "preamble".into()),
-                ("text", stream.preamble().into()),
-                ("latency_ms", (stream.latency().as_secs_f64() * 1e3).into()),
-            ]);
-            if !w.send(&format!("{head}\n")) {
-                cancel.cancel();
-            }
-            let mut last = None;
-            loop {
-                if w.client_gone() {
-                    cancel.cancel();
-                }
-                let Some(sentence) = stream.next_sentence() else { break };
-                stats.record_sentence(t0, &mut last);
-                let line = Value::obj([
-                    ("type", "sentence".into()),
-                    ("index", sentence.index.into()),
-                    ("text", sentence.text.as_str().into()),
-                    ("samples", sentence.stats.samples.into()),
-                    ("rows_read", sentence.stats.rows_read.into()),
-                    ("elapsed_ms", (sentence.stats.elapsed.as_secs_f64() * 1e3).into()),
-                ]);
-                if !w.send(&format!("{line}\n")) {
-                    cancel.cancel();
-                }
-            }
-            let cancelled = stream.is_cancelled();
-            let outcome = stream.finish();
-            stats.record_planning(&outcome);
-            let planning_ms = outcome.stats.planning_time.as_secs_f64() * 1e3;
-            if cancelled {
-                stats.stream_cancellations.fetch_add(1, Ordering::Relaxed);
-            }
-            let mut fields = vec![
-                ("type", "done".into()),
-                ("sentences", outcome.sentences.len().into()),
-                ("samples", outcome.stats.samples.into()),
-                ("rows_read", outcome.stats.rows_read.into()),
-                ("planning_ms", planning_ms.into()),
-                ("cancelled", cancelled.into()),
-            ];
-            push_flags(&mut fields, &outcome.stats);
-            let done = Value::obj(fields);
-            w.send(&format!("{done}\n"));
-        })
-    }
-
-    fn handle_session_input(&self, id: &str, req: &Request) -> Response {
-        let Some(input) = InputRequest::from_body(&req.body) else {
-            return Response::error(400, "expected {\"text\": \"...\"}");
-        };
-        let approach = input.approach.as_deref().unwrap_or("holistic");
-        let vocalizer = match self.vocalizer_for(approach) {
-            Ok(v) => v,
-            Err(e) => return Response::error(400, &e),
-        };
-
-        // Replay the session's applied commands, then the new one. The
-        // lock is held across vocalization to keep per-session ordering;
-        // distinct sessions on distinct connections still run one request
-        // at a time here (matching the paper's per-worker sessions).
-        let table = self.live.snapshot();
-        let mut sessions = self.sessions.lock();
-        let entry = sessions.entry(id.to_string()).or_default();
-        let mut session = Session::new(&table);
-        for cmd in entry.log.iter() {
-            let _ = session.input(cmd);
-        }
-        match session.input(&input.text) {
-            Ok(SessionResponse::Help(text)) => {
-                Response::ok(format!("{{\"help\":{}}}", voxolap_json::escape(&text)))
-            }
-            Ok(SessionResponse::Quit) => {
-                sessions.remove(id);
-                Response::ok("{\"ended\":true}".to_string())
-            }
-            Ok(SessionResponse::Updated) => {
-                entry.log.push(input.text.clone());
-                entry.last_scope = session.query().ok().map(|q| format!("{:?}", q.key().scope()));
-                let mut voice = InstantVoice::default();
-                // Same per-utterance bound as the session transport: past
-                // the deadline the anytime answer commits, marked
-                // degraded, instead of pinning this worker for minutes.
-                let cancel = match self.utterance_deadline {
-                    Some(d) => CancelToken::with_deadline(Instant::now() + d),
-                    None => CancelToken::never(),
-                };
-                match session.vocalize_streaming(vocalizer.as_ref(), &mut voice, cancel, |_| {}) {
-                    Ok(outcome) => {
-                        self.stats.record_planning(&outcome);
-                        Response::ok(
-                            AnswerResponse::from_outcome(approach, &outcome).to_json().to_string(),
-                        )
-                    }
-                    Err(e) => Response::error(400, &e.to_string()),
-                }
-            }
-            Err(e) => Response::error(400, &e.to_string()),
-        }
-    }
-
     /// `GET /session/<id>/attach`: upgrade the connection to the
     /// long-lived NDJSON session transport (DESIGN.md §15). The client
     /// then writes one JSON line per utterance:
@@ -955,10 +904,11 @@ impl AppState {
     /// ```
     ///
     /// and receives `hello`, `preamble`/`sentence`/`done` (one §11 speech
-    /// stream per utterance), `help`, `pong`, `error`, `heartbeat`, and
-    /// `bye` events. Dialogue state lives server-side under the session
-    /// id, shared with `POST /session/<id>/input`, so transports can be
-    /// mixed and a dropped connection can re-attach and resume.
+    /// stream per utterance, the events of `POST /query/stream`), `help`,
+    /// `pong`, `error`, `heartbeat`, and `bye` events. Dialogue state
+    /// lives server-side under the session id, shared with
+    /// `POST /session/<id>/input`, so transports can be mixed and a
+    /// dropped connection can re-attach and resume.
     fn handle_session_attach(self: &Arc<Self>, id: &str) -> Response {
         // Materialize the entry so re-attach after disconnect resumes
         // rather than restarts, and /stats counts the session as active.
@@ -986,191 +936,35 @@ impl AppState {
     }
 
     /// Handle one NDJSON line from an attached session connection.
-    fn session_line(
-        self: &Arc<Self>,
-        id: &str,
-        line: &str,
-        sink: &mut SessionSink<'_>,
-    ) -> SessionVerdict {
-        let Ok(v) = Value::parse(line) else {
-            sink.send_line(
-                &Value::obj([
-                    ("type", "error".into()),
-                    ("message", "expected one JSON object per line".into()),
-                ])
-                .to_string(),
-            );
-            return SessionVerdict::Continue;
-        };
-        match v["type"].as_str().unwrap_or("") {
-            "ping" => {
-                sink.send_line("{\"type\":\"pong\"}");
-                SessionVerdict::Continue
-            }
-            "bye" => {
-                sink.send_line("{\"type\":\"bye\",\"reason\":\"client\"}");
-                SessionVerdict::Close
-            }
-            "utter" => {
-                let Some(text) = v["text"].as_str() else {
-                    sink.send_line(
-                        &Value::obj([
-                            ("type", "error".into()),
-                            ("message", "utter events need a \"text\" field".into()),
-                        ])
-                        .to_string(),
-                    );
-                    return SessionVerdict::Continue;
-                };
-                let approach = v["approach"].as_str().unwrap_or("holistic").to_string();
-                self.session_utterance(id, text, &approach, sink)
-            }
-            other => {
-                sink.send_line(
-                    &Value::obj([
-                        ("type", "error".into()),
-                        ("message", format!("unknown event type {other:?}").as_str().into()),
-                    ])
-                    .to_string(),
-                );
-                SessionVerdict::Continue
-            }
-        }
-    }
-
-    /// Run one utterance through the dialogue machine and stream the
-    /// resulting speech events onto the session connection.
-    fn session_utterance(
-        &self,
-        id: &str,
-        text: &str,
-        approach: &str,
-        sink: &mut SessionSink<'_>,
-    ) -> SessionVerdict {
-        let send_error = |sink: &mut SessionSink<'_>, message: &str| {
-            sink.send_line(
-                &Value::obj([("type", "error".into()), ("message", message.into())]).to_string(),
-            );
-        };
-        let vocalizer = match self.vocalizer_for(approach) {
-            Ok(v) => v,
-            Err(e) => {
-                send_error(sink, &e);
-                return SessionVerdict::Continue;
-            }
-        };
-        // Snapshot the dialogue state, then release the lock for the
-        // whole vocalization: one global lock must not serialize planning
-        // across thousands of concurrent sessions. Per-session ordering
-        // still holds — a session's connection carries one line at a time.
-        let (log, last_scope) = {
-            let mut sessions = self.sessions.lock();
-            let entry = sessions.entry(id.to_string()).or_default();
-            (entry.log.clone(), entry.last_scope.clone())
-        };
-        let table = self.live.snapshot();
-        let mut session = Session::new(&table);
-        for cmd in log.iter() {
-            let _ = session.input(cmd);
-        }
-        match session.input(text) {
-            Ok(SessionResponse::Help(help)) => {
-                sink.send_line(
-                    &Value::obj([("type", "help".into()), ("text", help.as_str().into())])
-                        .to_string(),
-                );
-                SessionVerdict::Continue
-            }
-            Ok(SessionResponse::Quit) => {
-                self.sessions.lock().remove(id);
-                sink.send_line("{\"type\":\"bye\",\"reason\":\"quit\"}");
-                SessionVerdict::Close
-            }
-            Ok(SessionResponse::Updated) => {
-                let scope = session.query().ok().map(|q| format!("{:?}", q.key().scope()));
-                // An in-scope follow-up (same measure + filters, e.g. a
-                // different breakdown) warm-starts from cached samples.
-                let scope_warm = scope.is_some() && scope == last_scope && self.semantic.is_some();
-                let t0 = Instant::now();
-                let mut first_sentence_ms: Option<f64> = None;
-                let mut voice = InstantVoice::default();
-                let cancel = match self.utterance_deadline {
-                    Some(d) => CancelToken::with_deadline(t0 + d),
-                    None => CancelToken::new(),
-                };
-                let outcome = {
-                    use voxolap_voice::session::StreamEvent;
-                    session.vocalize_streaming(
-                        vocalizer.as_ref(),
-                        &mut voice,
-                        cancel.clone(),
-                        |event| match event {
-                            StreamEvent::Preamble(preamble) => {
-                                sink.send_line(
-                                    &Value::obj([
-                                        ("type", "preamble".into()),
-                                        ("text", preamble.into()),
-                                    ])
-                                    .to_string(),
-                                );
-                            }
-                            StreamEvent::Sentence(sentence) => {
-                                if first_sentence_ms.is_none() {
-                                    first_sentence_ms = Some(t0.elapsed().as_secs_f64() * 1e3);
-                                }
-                                if !sink.send_line(
-                                    &Value::obj([
-                                        ("type", "sentence".into()),
-                                        ("index", sentence.index.into()),
-                                        ("text", sentence.text.as_str().into()),
-                                        ("samples", sentence.stats.samples.into()),
-                                    ])
-                                    .to_string(),
-                                ) {
-                                    cancel.cancel();
-                                }
-                            }
-                        },
-                    )
-                };
-                match outcome {
-                    Ok(outcome) => {
-                        self.stats.record_planning(&outcome);
-                        let ttfs = first_sentence_ms.unwrap_or(0.0);
-                        self.stats.ttfs.record(ttfs);
-                        {
-                            let mut sessions = self.sessions.lock();
-                            let entry = sessions.entry(id.to_string()).or_default();
-                            entry.log.push(text.to_string());
-                            entry.last_scope = scope;
+    fn session_line(&self, id: &str, line: &str, sink: &mut LineSink<'_>) -> SessionVerdict {
+        use SessionVerdict::{Close, Continue};
+        let bye = |reason: &str| Value::obj([("type", "bye".into()), ("reason", reason.into())]);
+        let (reply, verdict) = match Value::parse(line) {
+            Err(_) => (error_event("expected one JSON object per line"), Continue),
+            Ok(v) => match v["type"].as_str().unwrap_or("") {
+                "ping" => (Value::obj([("type", "pong".into())]), Continue),
+                "bye" => (bye("client"), Close),
+                "utter" => {
+                    let turn = turn_fields(&v, "text")
+                        .ok_or_else(|| Stop::error("utter events need a \"text\" field"))
+                        .and_then(|(text, approach)| {
+                            self.session_turn(id, &text, &approach, Some(sink))
+                        });
+                    match turn {
+                        // The whole answer, `done` included, is already out.
+                        Ok(_) => return Continue,
+                        Err(Stop::Help(text)) => {
+                            (Value::obj([("type", "help".into()), ("text", text.into())]), Continue)
                         }
-                        let mut done = vec![
-                            ("type", "done".into()),
-                            ("sentences", outcome.sentences.len().into()),
-                            ("samples", outcome.stats.samples.into()),
-                            ("rows_read", outcome.stats.rows_read.into()),
-                            (
-                                "planning_ms",
-                                (outcome.stats.planning_time.as_secs_f64() * 1e3).into(),
-                            ),
-                            ("ttfs_ms", ttfs.into()),
-                            ("scope_warm", scope_warm.into()),
-                        ];
-                        push_flags(&mut done, &outcome.stats);
-                        sink.send_line(&Value::obj(done).to_string());
-                        SessionVerdict::Continue
-                    }
-                    Err(e) => {
-                        send_error(sink, &e.to_string());
-                        SessionVerdict::Continue
+                        Err(Stop::Quit) => (bye("quit"), Close),
+                        Err(Stop::Error(message)) => (error_event(&message), Continue),
                     }
                 }
-            }
-            Err(e) => {
-                send_error(sink, &e.to_string());
-                SessionVerdict::Continue
-            }
-        }
+                other => (error_event(&format!("unknown event type {other:?}")), Continue),
+            },
+        };
+        sink.send_line(&reply.to_string());
+        verdict
     }
 }
 
@@ -1299,6 +1093,33 @@ mod tests {
         assert!(help.body.contains("\"help\""));
         let quit = post(&s, "/session/w1/input", "{\"text\": \"quit\"}");
         assert!(quit.body.contains("\"ended\":true"));
+    }
+
+    /// A planning turn holds up nothing but its own session. Every
+    /// sentence of the `POST /session/a/input` below is stalled 400 ms by
+    /// a latency-only Emit fault; while it is in flight `/stats` answers
+    /// and a turn on session `b` completes.
+    #[test]
+    fn a_planning_session_turn_blocks_neither_stats_nor_other_sessions() {
+        let plan = "seed=1,emit=1.0,latency_us=400000,latency_only";
+        let s = Arc::new(raw_state().with_fault_plan(plan).unwrap());
+        let slow = {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || {
+                post(&s, "/session/a/input", "{\"text\": \"break down by region\"}").status
+            })
+        };
+        // Session `a` is listed from the moment its turn starts.
+        let active =
+            || Value::parse(&get(&s, "/stats").body).unwrap()["sessions"]["active"].as_u64();
+        while active() != Some(1) {
+            std::thread::yield_now();
+        }
+        // `prior` has no Emit site, so this turn is not stalled itself.
+        let other = "{\"text\": \"break down by season\", \"approach\": \"prior\"}";
+        assert_eq!(post(&s, "/session/b/input", other).status, 200);
+        assert!(!slow.is_finished(), "/stats and session b had to wait for session a's turn");
+        assert_eq!(slow.join().unwrap(), 200);
     }
 
     #[test]

@@ -40,6 +40,7 @@ use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
 use voxolap_engine::poison::RecoveringMutex;
+use voxolap_json::Value;
 
 use crate::reactor::{Event, Interest, Poller};
 
@@ -86,7 +87,7 @@ impl Request {
 }
 
 /// A callback producing a chunked response body incrementally.
-pub type StreamBody = Box<dyn FnOnce(&mut BodyWriter<'_>) + Send>;
+pub type StreamBody = Box<dyn FnOnce(&mut LineSink<'_>) + Send>;
 
 /// What a session-line handler decides about the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,7 +100,7 @@ pub enum SessionVerdict {
 
 /// Per-line callback of an upgraded session connection: receives one
 /// NDJSON line from the client and writes reply events through the sink.
-pub type SessionCallback = Arc<dyn Fn(&str, &mut SessionSink<'_>) -> SessionVerdict + Send + Sync>;
+pub type SessionCallback = Arc<dyn Fn(&str, &mut LineSink<'_>) -> SessionVerdict + Send + Sync>;
 
 /// Everything the serving layer needs to run a long-lived session
 /// connection after the HTTP upgrade (see [`Response::upgrade_session`]).
@@ -125,8 +126,8 @@ pub struct Response {
     /// Response body (JSON). Ignored when `stream` is set.
     pub body: String,
     /// When set, the response is sent `Transfer-Encoding: chunked` and
-    /// this callback writes the body through a [`BodyWriter`], one chunk
-    /// per call, flushed to the socket as it is produced.
+    /// this callback writes the body through a [`LineSink`], one chunk
+    /// per line, flushed to the socket as it is produced.
     pub stream: Option<StreamBody>,
     /// When set, the response is a `101 Switching Protocols` handshake
     /// and the connection becomes a long-lived NDJSON session.
@@ -163,7 +164,7 @@ impl Response {
     /// A 200 response whose body is produced incrementally by `body` and
     /// delivered with chunked transfer encoding as it is written — used
     /// for NDJSON sentence streams.
-    pub fn streaming(body: impl FnOnce(&mut BodyWriter<'_>) + Send + 'static) -> Self {
+    pub fn streaming(body: impl FnOnce(&mut LineSink<'_>) + Send + 'static) -> Self {
         Response { status: 200, body: String::new(), stream: Some(Box::new(body)), session: None }
     }
 
@@ -193,44 +194,44 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// Incremental body writer handed to [`Response::streaming`] callbacks.
-///
-/// Each [`send`](BodyWriter::send) call becomes one HTTP chunk, flushed
-/// immediately so the client sees every sentence the moment it is
-/// planned. [`client_gone`](BodyWriter::client_gone) lets the producer
-/// poll for a disconnected consumer and abort planning early.
-pub struct BodyWriter<'a> {
+/// NDJSON line writer handed to [`Response::streaming`] callbacks and to
+/// [`SessionCallback`]s: one event per [`send_line`](LineSink::send_line),
+/// flushed immediately so the client sees every sentence the moment it is
+/// planned. The two transports differ only in framing — a streaming
+/// response wraps each line in an HTTP chunk, an upgraded session
+/// connection (which left HTTP at the `101`) writes it raw.
+pub struct LineSink<'a> {
     stream: &'a mut TcpStream,
+    chunked: bool,
     bytes_out: u64,
     failed: bool,
 }
 
-impl BodyWriter<'_> {
-    /// Send one chunk (hex-length framed) and flush it to the socket.
-    /// Returns `false` once the client is unreachable; subsequent sends
-    /// are no-ops.
-    pub fn send(&mut self, chunk: &str) -> bool {
-        if self.failed || chunk.is_empty() {
-            return !self.failed;
+impl LineSink<'_> {
+    /// Write one event line (a trailing `\n` is appended) and flush it to
+    /// the socket. Returns `false` once the client is unreachable;
+    /// subsequent sends are no-ops.
+    pub fn send_line(&mut self, line: &str) -> bool {
+        if self.failed {
+            return false;
         }
-        let framed = format!("{:x}\r\n{chunk}\r\n", chunk.len());
+        let framed = if self.chunked {
+            format!("{:x}\r\n{line}\n\r\n", line.len() + 1)
+        } else {
+            format!("{line}\n")
+        };
         match self.stream.write_all(framed.as_bytes()).and_then(|()| self.stream.flush()) {
-            Ok(()) => {
-                self.bytes_out += chunk.len() as u64;
-                true
-            }
-            Err(_) => {
-                self.failed = true;
-                false
-            }
+            Ok(()) => self.bytes_out += line.len() as u64 + 1,
+            Err(_) => self.failed = true,
         }
+        !self.failed
     }
 
-    /// Whether the client has hung up. Clients of a streaming response
-    /// send nothing after the request, so a readable EOF (or a reset)
-    /// means the peer is gone; a would-block read means it is still
-    /// listening. The check is a nonblocking 1-byte peek — cheap enough
-    /// to poll between sentences.
+    /// Whether the client has hung up: a nonblocking 1-byte peek, cheap
+    /// enough to poll between sentences, that lets the producer abort
+    /// planning early. A readable EOF (or a reset) means the peer is gone;
+    /// a would-block read, or pending bytes (a pipelined request, the next
+    /// utterance), means it is still there.
     pub fn client_gone(&mut self) -> bool {
         self.failed |= peer_hung_up(self.stream);
         self.failed
@@ -254,45 +255,8 @@ fn peer_hung_up(stream: &mut TcpStream) -> bool {
     gone
 }
 
-/// Line writer handed to [`SessionCallback`]s on upgraded connections:
-/// raw NDJSON, no chunk framing (the connection left HTTP at the `101`).
-pub struct SessionSink<'a> {
-    stream: &'a mut TcpStream,
-    bytes_out: u64,
-    failed: bool,
-}
-
-impl SessionSink<'_> {
-    /// Write one event line (a trailing `\n` is appended) and flush.
-    /// Returns `false` once the client is unreachable.
-    pub fn send_line(&mut self, line: &str) -> bool {
-        if self.failed {
-            return false;
-        }
-        let framed = format!("{line}\n");
-        match self.stream.write_all(framed.as_bytes()).and_then(|()| self.stream.flush()) {
-            Ok(()) => {
-                self.bytes_out += framed.len() as u64;
-                true
-            }
-            Err(_) => {
-                self.failed = true;
-                false
-            }
-        }
-    }
-
-    /// Whether the peer has closed or reset the connection. Unlike the
-    /// HTTP variant, pending readable bytes are expected here (the next
-    /// utterance may already have arrived) and do not mean "gone".
-    pub fn client_gone(&mut self) -> bool {
-        self.failed |= peer_hung_up(self.stream);
-        self.failed
-    }
-}
-
 /// Send a chunked streaming response: status line + headers, then each
-/// chunk as the handler produces it, then the terminal zero-length chunk.
+/// line as the handler produces it, then the terminal zero-length chunk.
 /// Returns the body bytes successfully written and whether the response
 /// completed (terminal chunk delivered) so the connection may be reused.
 fn write_streaming(
@@ -309,11 +273,10 @@ fn write_streaming(
     if stream.write_all(header.as_bytes()).and_then(|()| stream.flush()).is_err() {
         return (0, false);
     }
-    let mut writer = BodyWriter { stream, bytes_out: 0, failed: false };
-    body(&mut writer);
-    let bytes = writer.bytes_out;
-    let complete = !writer.failed && writer.stream.write_all(b"0\r\n\r\n").is_ok();
-    (bytes, complete)
+    let mut sink = LineSink { stream, chunked: true, bytes_out: 0, failed: false };
+    body(&mut sink);
+    let complete = !sink.failed && sink.stream.write_all(b"0\r\n\r\n").is_ok();
+    (sink.bytes_out, complete)
 }
 
 /// Serialize a plain (non-streaming) response with the given connection
@@ -353,9 +316,6 @@ pub struct ServerConfig {
     pub write_timeout: Duration,
     /// Emit one structured log line per request to stderr.
     pub log_requests: bool,
-    /// Honor `Connection: keep-alive` and park idle connections for
-    /// reuse. When `false` every response closes (the §10 behaviour).
-    pub keep_alive: bool,
     /// Parked keep-alive connections idle longer than this are closed.
     pub idle_timeout: Duration,
     /// Upgraded session connections idle longer than this are reaped
@@ -381,7 +341,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             log_requests: false,
-            keep_alive: true,
             idle_timeout: Duration::from_secs(30),
             session_idle_timeout: Duration::from_secs(120),
             heartbeat: Duration::from_secs(15),
@@ -400,85 +359,97 @@ impl ServerConfig {
     }
 }
 
-/// Monotonic serving-layer counters, shared between the server and
-/// whoever renders `GET /stats`. All updates are relaxed atomics — the
-/// counters are observability, not synchronization.
-#[derive(Debug, Default)]
-pub struct HttpMetrics {
+/// Declares the serving counters once: the shared atomic block, its
+/// plain-integer snapshot and the `"http"` object of `GET /stats` are all
+/// generated from this one list. `=> "key" / d` renames a counter in
+/// `/stats` and divides it (the two microsecond totals are served in ms).
+macro_rules! http_counters {
+    ($($(#[$doc:meta])* $name:ident $(=> $key:literal / $div:literal)?,)*) => {
+        /// Monotonic serving-layer counters, shared between the server and
+        /// whoever renders `GET /stats`. All updates are relaxed atomics —
+        /// the counters are observability, not synchronization.
+        #[derive(Debug, Default)]
+        pub struct HttpMetrics {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A plain-integer copy of [`HttpMetrics`] at one point in time.
+        #[derive(Debug, Clone, Copy, Default)]
+        pub struct HttpMetricsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl HttpMetrics {
+            /// Read every counter (relaxed; values are monotonic but
+            /// mutually unsynchronized).
+            pub fn snapshot(&self) -> HttpMetricsSnapshot {
+                HttpMetricsSnapshot { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+        }
+
+        impl HttpMetricsSnapshot {
+            /// The `"http"` object of `GET /stats`.
+            pub fn to_json(&self) -> Value {
+                Value::obj([$(http_counters!(@field self $name $($key $div)?),)*])
+            }
+        }
+    };
+    (@field $s:ident $name:ident) => {
+        (stringify!($name), $s.$name.into())
+    };
+    (@field $s:ident $name:ident $key:literal $div:literal) => {
+        ($key, ($s.$name as f64 / $div).into())
+    };
+}
+
+http_counters! {
     /// Connections accepted and parked in the reactor.
-    pub accepted: AtomicU64,
+    accepted,
     /// Requests answered `503` (queue full, connection cap, shutdown).
-    pub rejected: AtomicU64,
+    rejected,
     /// Requests successfully parsed and dispatched to the handler.
-    pub requests: AtomicU64,
+    requests,
     /// Responses by status class (1xx/2xx count together).
-    pub responses_2xx: AtomicU64,
+    responses_2xx,
     /// 4xx responses (including parse rejections and timeouts).
-    pub responses_4xx: AtomicU64,
+    responses_4xx,
     /// 5xx responses (including panics and admission rejections).
-    pub responses_5xx: AtomicU64,
+    responses_5xx,
     /// Connections answered `408` after a read deadline expired.
-    pub timeouts: AtomicU64,
+    timeouts,
     /// Handler panics converted into `500`s (or session error events).
-    pub panics: AtomicU64,
+    panics,
     /// Requests rejected at the parsing layer (`400`/`413`/`431`).
-    pub parse_errors: AtomicU64,
+    parse_errors,
     /// Connections dropped on unrecoverable I/O errors (no response sent).
-    pub io_errors: AtomicU64,
+    io_errors,
     /// Rejection/error responses whose write failed or timed out before
     /// the client got the bytes (the connection was closed at the linger
     /// deadline).
-    pub reject_write_failures: AtomicU64,
+    reject_write_failures,
     /// Follow-up requests served on a reused keep-alive connection.
-    pub keepalive_reuses: AtomicU64,
+    keepalive_reuses,
     /// Connections upgraded to long-lived NDJSON sessions.
-    pub sessions_opened: AtomicU64,
+    sessions_opened,
     /// Session connections closed (any reason).
-    pub sessions_closed: AtomicU64,
+    sessions_closed,
     /// NDJSON lines received from session clients.
-    pub session_lines: AtomicU64,
+    session_lines,
     /// Heartbeat events written to parked sessions.
-    pub heartbeats_sent: AtomicU64,
+    heartbeats_sent,
     /// Connections reaped by the idle sweeps (keep-alive + session).
-    pub idle_closed: AtomicU64,
+    idle_closed,
     /// Request body bytes read.
-    pub bytes_in: AtomicU64,
+    bytes_in,
     /// Response body bytes written.
-    pub bytes_out: AtomicU64,
+    bytes_out,
     /// Total time requests spent queued, in microseconds.
-    pub queue_wait_us: AtomicU64,
+    queue_wait_us => "queue_wait_ms_total" / 1e3,
     /// Total time spent handling + responding, in microseconds.
-    pub handle_us: AtomicU64,
+    handle_us => "handler_ms_total" / 1e3,
     /// Shared-state locks (job queue, return lane) found poisoned or torn
     /// and rebuilt by the next locker instead of crashing the pool.
-    pub poison_recoveries: AtomicU64,
-}
-
-/// A plain-integer copy of [`HttpMetrics`] at one point in time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HttpMetricsSnapshot {
-    pub accepted: u64,
-    pub rejected: u64,
-    pub requests: u64,
-    pub responses_2xx: u64,
-    pub responses_4xx: u64,
-    pub responses_5xx: u64,
-    pub timeouts: u64,
-    pub panics: u64,
-    pub parse_errors: u64,
-    pub io_errors: u64,
-    pub reject_write_failures: u64,
-    pub keepalive_reuses: u64,
-    pub sessions_opened: u64,
-    pub sessions_closed: u64,
-    pub session_lines: u64,
-    pub heartbeats_sent: u64,
-    pub idle_closed: u64,
-    pub bytes_in: u64,
-    pub bytes_out: u64,
-    pub queue_wait_us: u64,
-    pub handle_us: u64,
-    pub poison_recoveries: u64,
+    poison_recoveries,
 }
 
 impl HttpMetrics {
@@ -498,36 +469,6 @@ impl HttpMetrics {
             _ => &self.responses_5xx,
         };
         Self::add(class, 1);
-    }
-
-    /// Read every counter (relaxed; values are monotonic but mutually
-    /// unsynchronized).
-    pub fn snapshot(&self) -> HttpMetricsSnapshot {
-        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        HttpMetricsSnapshot {
-            accepted: get(&self.accepted),
-            rejected: get(&self.rejected),
-            requests: get(&self.requests),
-            responses_2xx: get(&self.responses_2xx),
-            responses_4xx: get(&self.responses_4xx),
-            responses_5xx: get(&self.responses_5xx),
-            timeouts: get(&self.timeouts),
-            panics: get(&self.panics),
-            parse_errors: get(&self.parse_errors),
-            io_errors: get(&self.io_errors),
-            reject_write_failures: get(&self.reject_write_failures),
-            keepalive_reuses: get(&self.keepalive_reuses),
-            sessions_opened: get(&self.sessions_opened),
-            sessions_closed: get(&self.sessions_closed),
-            session_lines: get(&self.session_lines),
-            heartbeats_sent: get(&self.heartbeats_sent),
-            idle_closed: get(&self.idle_closed),
-            bytes_in: get(&self.bytes_in),
-            bytes_out: get(&self.bytes_out),
-            queue_wait_us: get(&self.queue_wait_us),
-            handle_us: get(&self.handle_us),
-            poison_recoveries: get(&self.poison_recoveries),
-        }
     }
 }
 
@@ -1412,9 +1353,9 @@ where
     }
 
     metrics.count_status(response.status);
-    // Keep-alive only when the client asked, the config allows it, and
-    // the response isn't a serving-layer failure.
-    let keep = config.keep_alive && req.keep_alive && !shared.stopped() && response.status < 500;
+    // Keep-alive only when the client asked and the response isn't a
+    // serving-layer failure.
+    let keep = req.keep_alive && !shared.stopped() && response.status < 500;
     let mut bytes_out = 0u64;
     let mut reusable = keep;
     match response.stream.take() {
@@ -1482,7 +1423,7 @@ fn handle_session_line(job: SessionLineJob, shared: &Shared) {
         return;
     }
 
-    let mut sink = SessionSink { stream: &mut stream, bytes_out: 0, failed: false };
+    let mut sink = LineSink { stream: &mut stream, chunked: false, bytes_out: 0, failed: false };
     let verdict = match catch_unwind(AssertUnwindSafe(|| (ctx.on_line)(&line, &mut sink))) {
         Ok(v) => v,
         Err(_) => {
@@ -1960,8 +1901,8 @@ mod tests {
     fn streaming_response_is_chunked_with_terminal_chunk() {
         let server = serve("127.0.0.1:0", |_req| {
             Response::streaming(|w| {
-                assert!(w.send("{\"n\":1}\n"));
-                assert!(w.send("{\"n\":2}\n"));
+                assert!(w.send_line("{\"n\":1}"));
+                assert!(w.send_line("{\"n\":2}"));
             })
         })
         .unwrap();
@@ -1985,7 +1926,7 @@ mod tests {
         let server = serve("127.0.0.1:0", move |_req| {
             let tx = tx.lock().unwrap_or_else(|e| e.into_inner()).clone();
             Response::streaming(move |w| {
-                assert!(w.send("{\"n\":1}\n"));
+                assert!(w.send_line("{\"n\":1}"));
                 let deadline = Instant::now() + Duration::from_secs(5);
                 let mut gone = false;
                 while !gone && Instant::now() < deadline {

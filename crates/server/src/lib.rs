@@ -15,14 +15,18 @@
 //! |---|---|---|
 //! | `GET /health` | — | `{"status":"ok"}` |
 //! | `GET /stats` | — | dataset statistics |
+//! | `POST /ingest` | NDJSON fact rows | append report (see DESIGN.md §16) |
 //! | `POST /ask` | `{"question": "...", "approach": "holistic"?}` | spoken answer + planner stats |
-//! | `POST /query/stream` | `{"question": "...", "approach": ...?}` | chunked NDJSON sentence stream (see DESIGN.md §11) |
-//! | `POST /session/<id>/input` | `{"text": "...", "approach": ...?}` | per-session keyword command → spoken answer |
-//! | `GET /session/<id>/attach` | — | `101` upgrade to a long-lived NDJSON session (see DESIGN.md §15) |
+//! | `POST /query/stream` | `{"question": "...", "approach": ...?}` | the answer as chunked NDJSON events |
+//! | `POST /session/<id>/input` | `{"text": "...", "approach": ...?}` | per-session keyword command → spoken answer, same body as `/ask` |
+//! | `GET /session/<id>/attach` | — | `101` upgrade to a long-lived NDJSON session (see DESIGN.md §15); each `utter` line is answered with the events of `/query/stream` |
 //!
-//! Sessions accumulate drill-down state per id, exactly like the paper's
-//! per-worker sessions; the `approach` field switches vocalization method
-//! per request, enabling the Table 8 comparison workflow.
+//! The four answer routes are one path — resolve → speak → encode
+//! (DESIGN.md §11) — and differ only in where the words come from, the
+//! voice that paces planning, and the sink the events go to. Sessions
+//! accumulate drill-down state per id, exactly like the paper's per-worker
+//! sessions; the `approach` field switches vocalization method per
+//! request, enabling the Table 8 comparison workflow.
 
 pub mod api;
 pub mod http;
@@ -30,7 +34,7 @@ pub mod reactor;
 
 pub use api::{AppState, SessionEntry, SessionStore};
 pub use http::{
-    serve, serve_with, BodyWriter, HttpMetrics, HttpMetricsSnapshot, Request, Response,
-    ServerConfig, ServerHandle, SessionSink, SessionUpgrade, SessionVerdict, StreamBody,
+    serve, serve_with, HttpMetrics, HttpMetricsSnapshot, LineSink, Request, Response, ServerConfig,
+    ServerHandle, SessionUpgrade, SessionVerdict, StreamBody,
 };
 pub use reactor::{install_shutdown_signals, raise_nofile_limit};

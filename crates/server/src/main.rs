@@ -5,7 +5,7 @@
 //!                [--scale-rows N] [--threads N] [--cache-mb N]
 //!                [--fault-plan SPEC] [--http-threads N] [--http-queue N]
 //!                [--http-timeout-ms N] [--http-idle-ms N] [--max-conns N]
-//!                [--session-idle-ms N] [--heartbeat-ms N] [--no-keep-alive]
+//!                [--session-idle-ms N] [--heartbeat-ms N]
 //!                [--utterance-deadline-ms N] [--data-dir PATH]
 //!                [--fsync-mode always|batch|off] [--snapshot-every N]
 //!                [--shutdown-drain-ms N]
@@ -41,15 +41,15 @@
 //! clients get `503` + `Retry-After` (default 64), `--http-timeout-ms`
 //! the stalled-request timeout before a `408` (default 5000),
 //! `--http-idle-ms` how long a parked keep-alive connection may idle
-//! (default 30000), `--max-conns` the open-connection cap, and
-//! `--no-keep-alive` restores close-per-response. Long-lived session
+//! (default 30000; keep-alive is the client's choice, per request), and
+//! `--max-conns` the open-connection cap. Long-lived session
 //! connections (`GET /session/<id>/attach`, NDJSON both ways) heartbeat
 //! every `--heartbeat-ms` (default 15000) and are reaped after
 //! `--session-idle-ms` of silence (default 120000).
-//! `--utterance-deadline-ms` bounds each session utterance's planning
-//! time — past it the answer is committed through the §12 anytime path
-//! with `"degraded":true` (default: run to convergence), keeping one
-//! wide-scope utterance from pinning a serving worker. Each request is
+//! `--utterance-deadline-ms` bounds the planning time of every turn on
+//! every answer route — past it the answer is committed through the §12
+//! anytime path with `"degraded":true` (default: run to convergence),
+//! keeping one wide-scope turn from pinning a serving worker. Each request is
 //! logged to stderr with its status, byte counts, queue wait, and
 //! handler latency; the same counters are served under `"http"` in
 //! `GET /stats`.
@@ -109,9 +109,6 @@ fn main() {
     }
     if let Some(n) = arg("--max-conns").and_then(|v| v.parse().ok()) {
         config.max_connections = n;
-    }
-    if std::env::args().any(|a| a == "--no-keep-alive") {
-        config.keep_alive = false;
     }
     // Thousands of parked sessions need thousands of fds; the default
     // soft limit is often 1024.
@@ -212,12 +209,11 @@ fn main() {
     })
     .expect("bind server port");
     eprintln!(
-        "voxolap-server listening on http://{} (workers={} queue={} timeout={}ms keep_alive={} fd_limit={})",
+        "voxolap-server listening on http://{} (workers={} queue={} timeout={}ms fd_limit={})",
         handle.addr,
         config.threads,
         config.queue,
         config.read_timeout.as_millis(),
-        config.keep_alive,
         fd_limit,
     );
 

@@ -26,5 +26,5 @@ pub mod tts;
 
 pub use parser::{parse, Command};
 pub use question::parse_question;
-pub use session::{Session, StreamEvent};
+pub use session::Session;
 pub use tts::RealTimeVoice;

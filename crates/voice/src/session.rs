@@ -7,9 +7,7 @@
 
 use voxolap_core::approach::Vocalizer;
 use voxolap_core::outcome::VocalizationOutcome;
-use voxolap_core::pipeline::PlannedSentence;
 use voxolap_core::voice::VoiceOutput;
-use voxolap_core::CancelToken;
 use voxolap_data::dimension::{LevelId, MemberId};
 use voxolap_data::schema::DimId;
 use voxolap_data::Table;
@@ -52,17 +50,6 @@ impl std::error::Error for SessionError {}
 /// The tentative session state a command produces: breakdown levels,
 /// filters, and aggregation function.
 type TentativeState = (Vec<(DimId, LevelId)>, Vec<(DimId, MemberId)>, AggFct);
-
-/// One event from [`Session::vocalize_streaming`], delivered as soon as
-/// the planner produces it (the preamble right after query compilation,
-/// each sentence as it is committed).
-#[derive(Debug)]
-pub enum StreamEvent<'a> {
-    /// The up-front result description.
-    Preamble(&'a str),
-    /// One committed sentence with its planner statistics.
-    Sentence(&'a PlannedSentence),
-}
 
 /// An interactive voice-OLAP session over one table.
 #[derive(Debug)]
@@ -186,27 +173,6 @@ impl<'a> Session<'a> {
     ) -> Result<VocalizationOutcome, EngineError> {
         let query = self.query()?;
         Ok(vocalizer.vocalize(self.table, &query, voice))
-    }
-
-    /// Vocalize the current result, delivering the preamble and each
-    /// committed sentence to `on_event` as planning progresses instead of
-    /// blocking until the full transcript exists. The `cancel` token stops
-    /// planning early (e.g. when the user interrupts); the returned
-    /// outcome then covers the sentences spoken so far.
-    pub fn vocalize_streaming(
-        &self,
-        vocalizer: &dyn Vocalizer,
-        voice: &mut dyn VoiceOutput,
-        cancel: CancelToken,
-        mut on_event: impl FnMut(StreamEvent<'_>),
-    ) -> Result<VocalizationOutcome, EngineError> {
-        let query = self.query()?;
-        let mut stream = vocalizer.stream(self.table, &query, voice, cancel);
-        on_event(StreamEvent::Preamble(stream.preamble()));
-        while let Some(sentence) = stream.next_sentence() {
-            on_event(StreamEvent::Sentence(&sentence));
-        }
-        Ok(stream.finish())
     }
 
     /// Help text listing all available keywords (read out on request).
@@ -364,55 +330,6 @@ mod tests {
         let mut voice = InstantVoice::default();
         let outcome = s.vocalize_with(&holistic, &mut voice).unwrap();
         assert!(outcome.preamble.contains("broken down by region and season"));
-    }
-
-    #[test]
-    fn streaming_vocalization_matches_blocking_transcript() {
-        let t = table();
-        let mut s = Session::new(&t);
-        s.input("break down by region").unwrap();
-        let holistic = Holistic::new(HolisticConfig {
-            min_samples_per_sentence: 200,
-            ..HolisticConfig::default()
-        });
-        let mut voice = InstantVoice::default();
-        let blocking = s.vocalize_with(&holistic, &mut voice).unwrap();
-        let mut preamble = String::new();
-        let mut streamed = Vec::new();
-        let outcome = s
-            .vocalize_streaming(&holistic, &mut voice, CancelToken::never(), |ev| match ev {
-                StreamEvent::Preamble(p) => preamble = p.to_string(),
-                StreamEvent::Sentence(sent) => streamed.push(sent.text.clone()),
-            })
-            .unwrap();
-        assert_eq!(preamble, blocking.preamble);
-        assert_eq!(streamed, blocking.sentences);
-        assert_eq!(outcome.sentences, blocking.sentences);
-    }
-
-    #[test]
-    fn cancelled_streaming_stops_early() {
-        let t = table();
-        let mut s = Session::new(&t);
-        s.input("break down by region").unwrap();
-        s.input("break down by season").unwrap();
-        let holistic = Holistic::new(HolisticConfig {
-            min_samples_per_sentence: 200,
-            ..HolisticConfig::default()
-        });
-        let mut voice = InstantVoice::default();
-        let cancel = CancelToken::new();
-        let mut n = 0usize;
-        let outcome = s
-            .vocalize_streaming(&holistic, &mut voice, cancel.clone(), |ev| {
-                if matches!(ev, StreamEvent::Sentence(_)) {
-                    n += 1;
-                    cancel.cancel();
-                }
-            })
-            .unwrap();
-        assert_eq!(n, 1, "no sentence may follow the cancellation");
-        assert_eq!(outcome.sentences.len(), 1);
     }
 
     #[test]

@@ -106,6 +106,30 @@ impl SessionConn {
     }
 }
 
+/// One `Connection: close` request. Returns the status and the JSON
+/// lines of the body: one for a plain body, one per event for a chunked
+/// NDJSON body (the chunk-size lines between them are dropped).
+fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Vec<Value>) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    write!(
+        stream,
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut raw = String::new();
+    stream.read_to_string(&mut raw).unwrap();
+    let status = raw.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
+    let (_, body) = raw.split_once("\r\n\r\n").expect("header end");
+    let lines = body.lines().filter(|l| l.starts_with('{'));
+    (status, lines.map(|l| Value::parse(l).unwrap_or_else(|e| panic!("{l:?}: {e:?}"))).collect())
+}
+
+fn count_sentences(events: &[Value]) -> usize {
+    events.iter().filter(|e| e["type"] == "sentence").count()
+}
+
 fn serve_state(
     config: ServerConfig,
     state: Arc<AppState>,
@@ -165,6 +189,122 @@ fn utterance_streams_speech_and_warm_starts_in_scope_follow_ups() {
     assert_eq!(snap.sessions_opened, 1);
     assert_eq!(snap.sessions_closed, 1);
     assert!(snap.session_lines >= 4, "{snap:?}");
+    handle.shutdown();
+}
+
+/// `/stats` `latency_ms` means the same whichever route answered: one
+/// turn through each of the four on one state records four first-sentence
+/// times, one gap per later sentence, four planning times, and no
+/// cancellation.
+#[test]
+fn all_four_answer_routes_feed_the_same_latency_counters() {
+    let _guard = watchdog(120);
+    let (handle, _metrics) =
+        serve_state(ServerConfig::default(), Arc::new(AppState::new(small_table())));
+    let addr = handle.addr;
+    let question = "{\"question\": \"cancellation probability by region and season\"}";
+
+    let (status, body) = request(addr, "POST", "/ask", question);
+    assert_eq!(status, 200, "{body:?}");
+    let mut sentences = vec![body[0]["sentences"].as_array().unwrap().len()];
+    let (status, events) = request(addr, "POST", "/query/stream", question);
+    assert_eq!(status, 200, "{events:?}");
+    sentences.push(count_sentences(&events));
+    let (status, body) =
+        request(addr, "POST", "/session/mixed/input", "{\"text\": \"break down by region\"}");
+    assert_eq!(status, 200, "{body:?}");
+    sentences.push(body[0]["sentences"].as_array().unwrap().len());
+    let mut conn = SessionConn::attach(addr, "mixed");
+    sentences.push(count_sentences(&conn.utter("break down by season")));
+    conn.send("{\"type\":\"bye\"}");
+    assert!(sentences.iter().all(|&n| n >= 1), "{sentences:?}");
+
+    let (_, stats) = request(addr, "GET", "/stats", "");
+    let latency = &stats[0]["latency_ms"];
+    assert_eq!(latency["count"].as_u64(), Some(4), "{latency:?}");
+    assert_eq!(latency["ttfs_ms"]["count"].as_u64(), Some(4), "{latency:?}");
+    let gaps: usize = sentences.iter().map(|n| n - 1).sum();
+    assert_eq!(latency["gap_ms"]["count"].as_u64(), Some(gaps as u64), "{sentences:?} {latency:?}");
+    assert_eq!(latency["stream_cancellations"].as_u64(), Some(0), "{latency:?}");
+    handle.shutdown();
+}
+
+/// Hanging up mid-utterance cancels the turn exactly as it does on
+/// `/query/stream`: the planner stops at the next sentence boundary and
+/// `/stats` counts one client cancellation.
+#[test]
+fn hanging_up_mid_utterance_cancels_the_turn_and_counts() {
+    let _guard = watchdog(120);
+    let (handle, _metrics) =
+        serve_state(ServerConfig::default(), Arc::new(AppState::new(small_table())));
+
+    let mut conn = SessionConn::attach(handle.addr, "fickle");
+    conn.send("{\"type\":\"utter\",\"text\":\"cancellation probability by region and season\"}");
+    assert_eq!(conn.next_event()["type"], "preamble");
+    drop(conn); // gone with the whole speech still unplanned
+
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let (_, stats) = request(handle.addr, "GET", "/stats", "");
+        let latency = &stats[0]["latency_ms"];
+        if latency["count"].as_u64() == Some(1) {
+            assert_eq!(latency["stream_cancellations"].as_u64(), Some(1), "{latency:?}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "the turn never finished: {latency:?}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    handle.shutdown();
+}
+
+/// The wire contract: the same question through `/query/stream` and
+/// through `attach` + `utter` yields the same event types in the same
+/// order with the same keys (`scope_warm` is the one session-only key),
+/// and the two blocking routes answer with the same body keys.
+#[test]
+fn both_event_transports_and_both_blocking_routes_share_one_schema() {
+    let _guard = watchdog(120);
+    let (handle, _metrics) =
+        serve_state(ServerConfig::default(), Arc::new(AppState::new(small_table())));
+    let addr = handle.addr;
+    fn keys(v: &Value) -> Vec<String> {
+        let Value::Object(fields) = v else { panic!("not an object: {v:?}") };
+        let mut keys: Vec<String> = fields.iter().map(|(k, _)| k.clone()).collect();
+        keys.sort();
+        keys
+    }
+    // (type, keys) per event, runs of sentences collapsed to one entry.
+    fn shape(events: &[Value]) -> Vec<(String, Vec<String>)> {
+        let mut shape: Vec<_> =
+            events.iter().map(|e| (e["type"].as_str().unwrap().to_string(), keys(e))).collect();
+        shape.dedup();
+        shape
+    }
+
+    let text = "cancellation probability by region";
+    let (status, streamed) =
+        request(addr, "POST", "/query/stream", &format!("{{\"question\": \"{text}\"}}"));
+    assert_eq!(status, 200, "{streamed:?}");
+    let mut conn = SessionConn::attach(addr, "contract");
+    let mut uttered = conn.utter(text);
+    conn.send("{\"type\":\"bye\"}");
+    let types: Vec<_> = shape(&streamed).into_iter().map(|(kind, _)| kind).collect();
+    assert_eq!(types, ["preamble", "sentence", "done"], "{streamed:?}");
+    assert!(streamed.last().unwrap().get("scope_warm").is_none(), "{streamed:?}");
+    let Some(Value::Object(done)) = uttered.last_mut() else { panic!("{uttered:?}") };
+    let before = done.len();
+    done.retain(|(key, _)| key != "scope_warm");
+    assert_eq!(done.len(), before - 1, "session `done` carries scope_warm");
+    assert_eq!(shape(&streamed), shape(&uttered));
+    for key in ["sentences", "samples", "rows_read", "planning_ms", "ttfs_ms", "cancelled"] {
+        assert!(streamed.last().unwrap().get(key).is_some(), "done lacks {key}: {streamed:?}");
+    }
+
+    let (_, asked) = request(addr, "POST", "/ask", &format!("{{\"question\": \"{text}\"}}"));
+    let (_, input) =
+        request(addr, "POST", "/session/contract/input", &format!("{{\"text\": \"{text}\"}}"));
+    assert_eq!(keys(&asked[0]), keys(&input[0]));
+    assert!(asked[0].get("text").is_some() && asked[0].get("approach").is_some(), "{asked:?}");
     handle.shutdown();
 }
 
@@ -263,11 +403,12 @@ fn idle_sessions_heartbeat_then_reap() {
     handle.shutdown();
 }
 
-/// A session utterance's planning time is bounded by the configured
-/// deadline: past it the answer commits through the anytime path and the
-/// `done` event says `degraded`. Without the bound, a wide-scope
-/// utterance (e.g. a city-level drill-down) converges for minutes while
-/// pinning a serving worker — starving every other session on the pool.
+/// A turn's planning time is bounded by the configured deadline on every
+/// route: past it the answer commits through the anytime path and says
+/// `degraded` — not `cancelled`, which is the client's doing only. Without
+/// the bound, a wide-scope utterance (e.g. a city-level drill-down)
+/// converges for minutes while pinning a serving worker — starving every
+/// other session on the pool.
 #[test]
 fn utterance_deadline_degrades_instead_of_pinning_a_worker() {
     let _guard = watchdog(120);
@@ -281,6 +422,7 @@ fn utterance_deadline_degrades_instead_of_pinning_a_worker() {
     let done = events.last().unwrap();
     assert_eq!(done["type"], "done", "{events:?}");
     assert_eq!(done["degraded"].as_bool(), Some(true), "{done:?}");
+    assert_eq!(done["cancelled"].as_bool(), Some(false), "{done:?}");
     // "Bounded" means seconds, not the minutes an unbounded convergence
     // can take — generous margin for a loaded CI host.
     assert!(t0.elapsed() < Duration::from_secs(30), "{:?}", t0.elapsed());
@@ -290,6 +432,12 @@ fn utterance_deadline_degrades_instead_of_pinning_a_worker() {
     let done = events.last().unwrap();
     assert_eq!(done["type"], "done", "{events:?}");
     conn.send("{\"type\":\"bye\"}");
+
+    // The same scope over the blocking one-shot route: same bound.
+    let ask = "{\"question\": \"cancellation probability by region\"}";
+    let (status, body) = request(handle.addr, "POST", "/ask", ask);
+    assert_eq!(status, 200, "{body:?}");
+    assert_eq!(body[0]["degraded"].as_bool(), Some(true), "{body:?}");
     handle.shutdown();
 }
 

@@ -130,6 +130,21 @@ fn four_thread_stream_is_internally_consistent() {
     assert!(!sentences.is_empty());
 }
 
+/// Cancelling between two pulls ends the speech at the sentence already
+/// spoken: the next pull yields nothing and `finish()` covers that much.
+#[test]
+fn no_sentence_follows_a_cancel() {
+    let t = table();
+    let q = region_season(&t);
+    let mut voice = InstantVoice::default();
+    let cancel = CancelToken::new();
+    let mut stream = Holistic::new(config(7)).stream(&t, &q, &mut voice, cancel.clone());
+    assert!(stream.next_sentence().is_some());
+    cancel.cancel();
+    assert!(stream.next_sentence().is_none(), "no sentence may follow the cancellation");
+    assert_eq!(stream.finish().sentences.len(), 1);
+}
+
 /// A semantic cache holding the exact result of `q` (admitted by the
 /// optimal approach, which always evaluates exactly).
 fn cache_with_exact(t: &Table, q: &Query) -> Arc<SemanticCache> {
