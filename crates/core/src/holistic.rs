@@ -193,7 +193,7 @@ pub(crate) fn serve_stale_exact(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use voxolap_data::dimension::LevelId;
     use voxolap_data::salary::SalaryConfig;
@@ -379,7 +379,7 @@ mod tests {
 
     /// Ingest rows that duplicate the table's own prefix — valid under
     /// the existing dictionaries, so appends need no new members.
-    fn echo_rows(table: &voxolap_data::Table, n: usize) -> Vec<voxolap_data::IngestRow> {
+    pub(crate) fn echo_rows(table: &voxolap_data::Table, n: usize) -> Vec<voxolap_data::IngestRow> {
         use voxolap_data::schema::MeasureId;
         use voxolap_data::{DimValue, IngestRow};
         let schema = table.schema();
@@ -435,6 +435,54 @@ mod tests {
         assert_eq!(hit.stats.rows_read, 0, "repeat serves the re-admitted entry");
         assert!(!hit.stats.stale);
         assert_eq!(cache.stats().exact_hits, 1);
+    }
+
+    #[test]
+    fn a_live_table_repairs_from_its_last_repair_not_its_first_admission() {
+        // ROADMAP item 5: when the repaired snapshot could not be
+        // re-admitted (it outgrew a cache shard), the donor froze at its
+        // first version and round r re-read everything appended since.
+        let (mut table, q) = setup();
+        let cache = Arc::new(SemanticCache::new(8 * 16 * 1024));
+        let holistic = Holistic::new(fast_config()).with_cache(cache.clone());
+        let cold = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        assert_eq!(cold.stats.rows_read, 320, "cold run exhausts the table");
+        for round in 1..=10u64 {
+            table = table.append_rows(&echo_rows(&table, 80)).unwrap().0;
+            let warm = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+            assert_eq!(warm.stats.rows_read, 80, "round {round} reads its own suffix only");
+            let stats = cache.stats();
+            assert_eq!(stats.repair_rows_read, 80 * round, "{stats:?}");
+            assert!(stats.bytes_used < 1024, "a snapshot holds no row: {stats:?}");
+        }
+    }
+
+    #[test]
+    fn a_warm_start_replay_walks_the_read_ladder() {
+        use std::time::Duration;
+        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
+        // A cached snapshot of the current version, no exact entry for the
+        // follow-up, and a dead source: the replay is refused like any
+        // other read, so there is nothing to plan on.
+        let (table, _) = setup();
+        let schema = table.schema();
+        let donor =
+            Query::builder(AggFct::Avg).group_by(DimId(0), LevelId(1)).build(schema).unwrap();
+        let target =
+            Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(1)).build(schema).unwrap();
+        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
+        let holistic = Holistic::new(fast_config()).with_cache(cache.clone());
+        let _ = holistic.vocalize(&table, &donor, &mut InstantVoice::default());
+
+        let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
+        let res = Arc::new(Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600)));
+        let outcome =
+            holistic.with_resilience(res).vocalize(&table, &target, &mut InstantVoice::default());
+        assert!(outcome.stats.degraded, "a refused replay degrades the answer");
+        assert_eq!(outcome.stats.rows_read, 0, "no row was readable");
+        assert!(outcome.sentences[0].contains("No data"), "{:?}", outcome.sentences);
+        let stats = cache.stats();
+        assert_eq!((stats.warm_hits, stats.replayed_rows), (1, 0), "{stats:?}");
     }
 
     #[test]

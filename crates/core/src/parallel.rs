@@ -388,13 +388,14 @@ impl ParallelHolistic {
         }
 
         // Semantic cache, layer 2: a snapshot with the same scope (measure
-        // + filters) and seed seeds the shared cache with its uniform row
-        // prefix, and the shared morsel pool advances past the donor's
-        // consumed per-chunk prefixes, so sampling resumes where the donor
-        // stopped. A version-stale snapshot is first *repaired* by
-        // scanning only the appended suffix (never a full rescan; its cost
-        // counts as this run's rows read) and re-admitted. Every run logs
-        // its in-scope rows for later snapshot admission.
+        // + filters) and seed names the donor's uniform row prefix. Worker
+        // 0 replays those rows from the pinned revision into the shared
+        // cache and the shared morsel pool advances past them, so sampling
+        // resumes where the donor stopped. A version-stale snapshot is
+        // first *repaired* — rebased onto the grown scan order with a
+        // proportional prefix of the appended suffix added, never a full
+        // rescan — and re-admitted; the suffix rows the repair added count
+        // as this run's rows read, the rest of the replay does not.
         let mut seeded_total = 0u64;
         if let Some(sem) = &semantic {
             let scope = query.key().scope();
@@ -409,17 +410,11 @@ impl ParallelHolistic {
                     })
                 }
             });
-            let budget = sem.snapshot_row_budget(schema.dimensions().len());
-            let donor_len = donor.as_ref().map_or(0, |(snap, _)| snap.rows.len());
-            let per_worker = budget.saturating_sub(donor_len) / n_workers;
-            for worker in &mut workers {
-                worker.enable_row_log(per_worker);
-            }
             match donor {
                 Some((snap, repair_rows)) => {
-                    workers[0].warm_start(&snap);
-                    // Repair-scanned rows stay inside `rows_read`.
-                    seeded_total = snap.nr_read - repair_rows;
+                    let replayed = workers[0].warm_start(&snap);
+                    sem.note_replay(replayed);
+                    seeded_total = replayed.saturating_sub(repair_rows);
                 }
                 None => sem.record_miss(),
             }
@@ -432,7 +427,7 @@ impl ParallelHolistic {
             let fresh = cache.nr_read().saturating_sub(seeded_total);
             let admit = move || {
                 if let Some(sem) = &semantic {
-                    ShardWorker::admit(&mut workers, sem);
+                    workers[0].admit(sem);
                 }
             };
             return Box::new(Buffered::no_data(fresh, Some(Box::new(admit))));

@@ -66,7 +66,7 @@ pub(crate) struct TeamSource<'a> {
     pub(crate) current: NodeId,
     pub(crate) unit: MeasureUnit,
     pub(crate) samples: AtomicU64,
-    /// Rows the semantic cache pre-seeded; not counted as read by this run.
+    /// Donor rows a warm start replayed; not counted as read by this run.
     pub(crate) seeded_total: u64,
     pub(crate) semantic: Option<Arc<SemanticCache>>,
     /// Per-run degrade state (`None` = no resilience attached).
@@ -163,7 +163,7 @@ impl<'a> SentenceSource<'a> for TeamSource<'a> {
 
     fn finish(&mut self) -> FinishInfo {
         if let Some(sem) = &self.semantic {
-            ShardWorker::admit(&mut self.workers, sem);
+            self.workers[0].admit(sem);
         }
         FinishInfo {
             speech: Some(self.tree.speech_at(self.current)),

@@ -7,8 +7,9 @@
 //!    deterministic jitter;
 //! 2. **circuit breaker** — repeated consecutive failures trip the
 //!    source's breaker; while it is open, reads are skipped entirely and
-//!    planning continues on whatever the sample cache already holds
-//!    (warm-start rows make this fallback literal);
+//!    planning continues on whatever the sample cache already holds (a
+//!    warm start's replay is itself such a read: a source that is down
+//!    from the start leaves only the exact and stale-exact rungs);
 //! 3. **anytime answer** — when the run's deadline passes or its fault
 //!    budget is exhausted mid-plan, the driver commits what it has: a
 //!    shortened but grammar-valid speech tagged `degraded: true`.

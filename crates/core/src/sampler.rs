@@ -14,76 +14,17 @@ use rand::SeedableRng;
 
 use voxolap_belief::model::rounding_bucket;
 use voxolap_belief::normal::Normal;
-use voxolap_data::dimension::MemberId;
-use voxolap_data::table::{RowBlock, RowScanner};
+use voxolap_data::table::RowScanner;
 use voxolap_data::{MorselPool, Table};
 use voxolap_engine::cache::ResampleScratch;
-use voxolap_engine::query::{AggFct, Query, AGG_OUT_OF_SCOPE};
-use voxolap_engine::semantic::{LoggedRow, SampleSnapshot, SemanticCache};
+use voxolap_engine::query::{AggFct, Query};
+use voxolap_engine::semantic::{SampleSnapshot, SemanticCache};
 use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 use voxolap_mcts::NodeId;
 
 use crate::holistic::HolisticConfig;
 use crate::resilience::ResCtx;
 use crate::tree::SpeechTree;
-
-/// Capacity-bounded log of the in-scope rows a run observed, kept so the
-/// sample can be admitted to the semantic cache as a warm-start snapshot.
-/// Overflowing the cap drops the log (an oversized snapshot would be
-/// rejected by the cache anyway) but never affects the run itself.
-#[derive(Debug)]
-struct RowLog {
-    rows: Vec<LoggedRow>,
-    cap: usize,
-    overflowed: bool,
-}
-
-impl RowLog {
-    fn new(cap: usize) -> Self {
-        RowLog { rows: Vec::new(), cap, overflowed: false }
-    }
-
-    /// Pre-fill with a warm-start donor's rows so the final snapshot covers
-    /// the whole observed prefix, not just this run's fresh rows. The cap
-    /// bounds fresh rows only, so donor rows ride on top of it.
-    fn seed(&mut self, rows: &[LoggedRow]) {
-        self.cap += rows.len();
-        self.rows.extend_from_slice(rows);
-    }
-
-    /// Log one scan block's in-scope rows (`aggs` are the block's resolved
-    /// aggregate codes, see `ResultLayout::agg_of_block`), pre-reserving
-    /// capacity from the block size instead of growing per row. A block
-    /// that would not fit drops the log in one step — observably the same
-    /// as overflowing row-at-a-time, since an overflowed log is discarded
-    /// wholesale either way.
-    fn push_block(&mut self, block: &RowBlock<'_>, aggs: &[u32]) {
-        if self.overflowed {
-            return;
-        }
-        let in_scope = aggs.iter().filter(|&&a| a != AGG_OUT_OF_SCOPE).count();
-        if in_scope == 0 {
-            return;
-        }
-        if self.rows.len() + in_scope > self.cap {
-            self.overflow();
-            return;
-        }
-        self.rows.reserve(in_scope);
-        for (i, &r) in block.rows.iter().enumerate() {
-            if aggs[i] == AGG_OUT_OF_SCOPE {
-                continue;
-            }
-            let members: Box<[MemberId]> = block.dims.iter().map(|d| d.get(r as usize)).collect();
-            self.rows.push(LoggedRow { members, value: block.values[r as usize] });
-        }
-    }
-
-    fn overflow(&mut self) {
-        self.overflowed = true;
-        self.rows = Vec::new();
-    }
-}
 
 /// Fallback σ when the measure's overall mean is zero or unavailable.
 const SIGMA_FALLBACK: f64 = 1.0;
@@ -125,6 +66,7 @@ const WORKER_STREAM: u64 = 0xd1b5_4a32_d192_ed03;
 /// holistic engine runs one worker cooperatively or a team of them on
 /// scoped threads; Unmerged drives a solo worker for a fixed budget.
 pub struct ShardWorker<'a> {
+    table: &'a Table,
     query: &'a Query,
     cache: Arc<ShardedSampleCache>,
     scanner: RowScanner<'a>,
@@ -144,11 +86,8 @@ pub struct ShardWorker<'a> {
     sigma: f64,
     rows_per_iteration: usize,
     policy: SelectionPolicy,
-    /// In-scope row log for semantic-cache snapshot admission (`None` =
-    /// logging disabled; logging never touches the RNG streams).
-    log: Option<RowLog>,
-    /// `nr_read` inherited from a warm-start donor (0 for cold runs);
-    /// warm-up tops up the difference instead of re-reading those rows.
+    /// Rows a warm start replayed into the cache (0 for cold runs);
+    /// warm-up tops up the difference instead of reading that many more.
     seeded: u64,
     /// Fault-injection / degradation context (`None` = inert; the hooks
     /// consume no randomness and leave behavior byte-identical).
@@ -172,6 +111,7 @@ impl<'a> ShardWorker<'a> {
         worker: usize,
     ) -> Self {
         ShardWorker {
+            table,
             query,
             cache,
             scanner: table.scan_pooled(pool, query.measure()),
@@ -187,7 +127,6 @@ impl<'a> ShardWorker<'a> {
             sigma: SIGMA_FALLBACK,
             rows_per_iteration: config.rows_per_iteration,
             policy: config.policy,
-            log: None,
             seeded: 0,
             res: None,
             seed: config.seed,
@@ -214,70 +153,53 @@ impl<'a> ShardWorker<'a> {
         self.sigma = sigma;
     }
 
-    /// Start logging this worker's in-scope rows (up to `cap` fresh ones)
-    /// so the run's sample can be admitted to a semantic cache afterwards.
-    /// Logging is a pure observer: it consumes no randomness and never
-    /// changes planning behavior.
-    pub fn enable_row_log(&mut self, cap: usize) {
-        self.log = Some(RowLog::new(cap));
-    }
-
     /// Warm-start this worker's team from a [`SampleSnapshot`] of the
-    /// same scope, seed and table version: seed the shared cache with the
-    /// donor's re-bucketed rows, resume the shared morsel pool past the
-    /// donor's consumed per-chunk prefixes, and shrink this worker's
+    /// same scope, seed and table version: replay exactly the rows the
+    /// snapshot names from the pinned revision into the shared cache, then
+    /// resume the shared morsel pool past them and shrink this worker's
     /// warm-up target accordingly. The donor's thread count is irrelevant
     /// — progress describes the consumed set of the scan order itself. A
     /// version-stale snapshot describes a different scan order; repair it
     /// first (see `voxolap_engine::repair`). Call before any row is read.
-    pub fn warm_start(&mut self, snapshot: &SampleSnapshot) {
+    ///
+    /// The replay is a read like any other: it takes the
+    /// [`ShardWorker::ingest_rows`] path, read ladder included. Returns the
+    /// rows it delivered — all the snapshot names, or none when the ladder
+    /// refused the read, in which case the run stays cold.
+    pub fn warm_start(&mut self, snapshot: &SampleSnapshot) -> u64 {
         debug_assert_eq!(snapshot.version, self.version, "repair stale snapshots first");
-        self.cache.seed_rows(
-            self.query.layout(),
-            snapshot.rows.iter().map(|r| (&r.members[..], r.value)),
-            snapshot.nr_read,
-        );
-        self.scanner.resume(&snapshot.progress);
-        self.seeded = snapshot.nr_read;
-        if let Some(log) = &mut self.log {
-            log.seed(&snapshot.rows);
+        let replay = self.table.scan_consumed(self.seed, self.query.measure(), &snapshot.progress);
+        let live = std::mem::replace(&mut self.scanner, replay);
+        self.seeded = self.ingest_rows(usize::MAX) as u64;
+        self.scanner = live;
+        if self.seeded > 0 {
+            self.scanner.resume(&snapshot.progress);
         }
+        self.seeded
     }
 
-    /// Extract the sample this worker observed (donor prefix + its fresh
-    /// rows) as a semantic-cache snapshot; scan progress and `nr_read` are
-    /// the shared pool's and cache's. `None` when logging was off or the
-    /// log overflowed its cap.
-    pub fn take_snapshot(&mut self) -> Option<SampleSnapshot> {
-        let log = self.log.take()?;
-        (!log.overflowed).then(|| SampleSnapshot {
+    /// The sample this worker's team holds (a donor's replayed rows plus
+    /// its fresh ones) as a semantic-cache snapshot: the shared pool's
+    /// scan progress and the shared cache's `nr_read`, whatever their size.
+    pub fn take_snapshot(&self) -> SampleSnapshot {
+        SampleSnapshot {
             seed: self.seed,
             progress: self.scanner.progress(),
             nr_read: self.cache.nr_read(),
-            rows: log.rows,
             version: self.version,
             table_rows: self.cache.nr_rows_total(),
-        })
+        }
     }
 
     /// Offer a finished run's results to the semantic cache: exact
     /// aggregates when the scan was exhausted (uncapped), and the team's
-    /// combined row logs as a warm-start snapshot any later team can
-    /// resume. An overflowed log forfeits the snapshot only.
-    pub(crate) fn admit(team: &mut [ShardWorker<'_>], sem: &SemanticCache) {
-        let Some((lead, rest)) = team.split_first_mut() else { return };
-        let key = lead.query.key();
-        if let Some((counts, sums)) = lead.cache.exact_result() {
-            sem.admit_exact(&key, lead.version, counts, sums);
+    /// consumed set as a warm-start snapshot any later team can replay.
+    pub(crate) fn admit(&self, sem: &SemanticCache) {
+        let key = self.query.key();
+        if let Some((counts, sums)) = self.cache.exact_result() {
+            sem.admit_exact(&key, self.version, counts, sums);
         }
-        let Some(mut snap) = lead.take_snapshot() else { return };
-        for worker in rest {
-            match worker.log.take() {
-                Some(log) if !log.overflowed => snap.rows.extend(log.rows),
-                _ => return,
-            }
-        }
-        sem.admit_snapshot(&key.scope(), snap);
+        sem.admit_snapshot(&key.scope(), self.take_snapshot());
     }
 
     /// Stream up to `k` rows of this worker's share of the scan into the
@@ -286,7 +208,7 @@ impl<'a> ShardWorker<'a> {
         if let Some(res) = &self.res {
             if !res.read_allowed() {
                 // Breaker open: the run continues on whatever the cache
-                // already holds (warm-start rows or earlier reads).
+                // already holds.
                 return 0;
             }
         }
@@ -300,9 +222,6 @@ impl<'a> ShardWorker<'a> {
         while read < k {
             let Some(block) = self.scanner.next_block(k - read) else { break };
             layout.agg_of_block(block.dims, block.rows, &mut self.aggs);
-            if let Some(log) = self.log.as_mut() {
-                log.push_block(&block, &self.aggs);
-            }
             for (i, &r) in block.rows.iter().enumerate() {
                 self.batch.push_resolved(self.aggs[i], block.values[r as usize]);
             }
@@ -433,9 +352,12 @@ mod tests {
     use voxolap_data::dimension::LevelId;
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
+    use voxolap_engine::repair::repair_snapshot;
     use voxolap_speech::candidates::{CandidateConfig, CandidateGenerator};
     use voxolap_speech::constraints::SpeechConstraints;
     use voxolap_speech::render::Renderer;
+
+    use crate::holistic::tests::echo_rows;
 
     fn setup() -> (voxolap_data::Table, Query) {
         let table = SalaryConfig::paper_scale().generate();
@@ -514,19 +436,61 @@ mod tests {
         assert_eq!(r, 0.0);
     }
 
+    /// The oracle a warm-started cache is judged against: per aggregate,
+    /// the sorted values of every row `snap` names in `table`, by brute
+    /// force over the scan order's reference definition.
+    fn named_values(table: &Table, q: &Query, snap: &SampleSnapshot) -> Vec<Vec<f64>> {
+        let order = table.scan_order(snap.seed);
+        let mut per_agg = vec![Vec::new(); q.n_aggregates()];
+        for (pos, &done) in snap.progress.iter().enumerate() {
+            for rank in 0..done {
+                let row = order.row_at(pos, rank);
+                if let Some(agg) = q.layout().agg_of_row(&table.row_members(row)) {
+                    per_agg[agg as usize].push(table.measure_value(q.measure(), row));
+                }
+            }
+        }
+        per_agg.iter_mut().for_each(|v| v.sort_by(f64::total_cmp));
+        per_agg
+    }
+
+    /// Warm-start a solo worker from `snap` and check its cache holds
+    /// exactly the rows the snapshot names: same `nr_read`, same count and
+    /// same values (hence sums) per aggregate.
+    fn warm_cache_holds_the_named_rows<'a>(
+        table: &'a Table,
+        q: &'a Query,
+        snap: &SampleSnapshot,
+    ) -> ShardWorker<'a> {
+        // A resample that large copies the bucket out verbatim.
+        let cfg = HolisticConfig { resample_size: usize::MAX, ..config(snap.seed, 8) };
+        let mut warm = ShardWorker::solo(table, q, &cfg);
+        assert_eq!(warm.warm_start(snap), snap.nr_read, "the replay delivers the whole set");
+        assert_eq!(warm.cache().nr_read(), snap.nr_read);
+        assert_eq!(warm.rows_read(), 0, "replayed rows are not fresh reads");
+        let mut scratch = ResampleScratch::new();
+        let mut rng = StdRng::seed_from_u64(0);
+        for (agg, want) in named_values(table, q, snap).iter().enumerate() {
+            assert_eq!(warm.cache().seen(agg as u32), want.len() as u64, "agg {agg}");
+            let mut got = warm.cache().resample_into(agg as u32, &mut rng, &mut scratch).to_vec();
+            got.sort_by(f64::total_cmp);
+            assert_eq!(&got, want, "agg {agg}");
+        }
+        warm
+    }
+
     #[test]
     fn warm_started_core_matches_cold_start_estimates_over_seeds() {
-        // Property behind warm starts: a worker seeded from a donor
-        // snapshot and a cold worker that streamed the same seeded prefix
-        // itself must hold bit-identical caches, hence identical estimates
-        // under identical estimator RNG streams.
+        // Property behind warm starts: a worker that replayed a donor's
+        // snapshot and a cold worker that streamed the same prefix itself
+        // must hold bit-identical caches, hence identical estimates under
+        // identical estimator RNG streams.
         let (table, q) = setup();
         for seed in [3u64, 7, 11, 19, 23] {
             let cfg = config(seed, 8);
             let mut donor = ShardWorker::solo(&table, &q, &cfg);
-            donor.enable_row_log(10_000);
             donor.ingest_rows(80);
-            let snap = donor.take_snapshot().expect("log intact");
+            let snap = donor.take_snapshot();
             assert_eq!(snap.nr_read, 80);
 
             let mut warm = ShardWorker::solo(&table, &q, &cfg);
@@ -548,7 +512,42 @@ mod tests {
                     "seed {seed} agg {agg}"
                 );
             }
+
+            // A repaired donor (table grown by 25 %) has no cold twin — a
+            // cold prefix of the grown table holds no appended row — so it
+            // is judged against the rows its progress vector names.
+            let (grown, _) = table.append_rows(&echo_rows(&table, 80)).unwrap();
+            let scope = q.key().scope();
+            let repaired = repair_snapshot(&snap, &grown, &scope).expect("repairable").snapshot;
+            assert_eq!(repaired.progress, [80, 20], "donor prefix + round(80 * 80/320)");
+            warm_cache_holds_the_named_rows(&grown, &q, &repaired);
         }
+    }
+
+    #[test]
+    fn warm_start_replays_a_two_thread_donors_ragged_frontier() {
+        // Two workers on one pool leave partial watermarks on two chunk
+        // positions at once; the replay must deliver exactly that set and
+        // the resumed scan exactly its complement.
+        let table = SalaryConfig { rows: 200_000, seed: 42 }.generate();
+        let q = Query::builder(AggFct::Avg)
+            .group_by(DimId(0), LevelId(1))
+            .build(table.schema())
+            .unwrap();
+        let cfg = config(13, 8);
+        let cache = Arc::new(ShardedSampleCache::new(q.n_aggregates(), 200_000));
+        let pool = table.morsel_pool(cfg.seed);
+        let mut team: Vec<ShardWorker<'_>> = (0..2)
+            .map(|w| ShardWorker::new(&table, &q, cache.clone(), &cfg, pool.clone(), w))
+            .collect();
+        team[0].ingest_rows(70_000);
+        team[1].ingest_rows(30_000);
+        let snap = team[0].take_snapshot();
+        assert_eq!(snap.progress, [65_536, 4_464, 30_000]);
+        assert_eq!(snap.nr_read, 100_000);
+
+        let mut warm = warm_cache_holds_the_named_rows(&table, &q, &snap);
+        assert_eq!(warm.ingest_rows(usize::MAX), 100_000, "the resumed scan is the complement");
     }
 
     #[test]
@@ -556,9 +555,8 @@ mod tests {
         let (table, q) = setup();
         let cfg = config(5, 8);
         let mut donor = ShardWorker::solo(&table, &q, &cfg);
-        donor.enable_row_log(10_000);
         donor.ingest_rows(120);
-        let snap = donor.take_snapshot().unwrap();
+        let snap = donor.take_snapshot();
 
         let mut warm = ShardWorker::solo(&table, &q, &cfg);
         warm.warm_start(&snap);

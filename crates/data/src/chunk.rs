@@ -35,7 +35,9 @@
 //! claims whole chunk positions ("morsels"). Workers then stream their
 //! morsel privately — no shared memory stream, no per-row coordination —
 //! and publish per-position progress so a stopped scan can be snapshotted
-//! and later resumed by any number of workers.
+//! and later resumed by any number of workers — or replayed: the progress
+//! vector names the consumed rows exactly, and a [`MorselPool::consumed`]
+//! pool delivers those rows and no others.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -307,8 +309,11 @@ pub struct Morsel {
     pub pos: usize,
     /// First global row of the chunk.
     pub base: usize,
-    /// Rows in the chunk.
+    /// Rows in the chunk (column slices cover all of them).
     pub len: u32,
+    /// Scan rank to stop before: `len`, except on a
+    /// [`MorselPool::consumed`] pool, where it is the recorded watermark.
+    pub end: u32,
     /// Next in-chunk scan rank to deliver (non-zero when resuming).
     pub off: u32,
     /// The chunk's seeded bijection.
@@ -339,13 +344,25 @@ pub struct MorselPool {
     /// Rows consumed per scan position (in-chunk scan ranks `< progress`
     /// are done). Written by the position's owner, read at snapshot time.
     progress: Box<[Watermark]>,
+    /// `Some` on a consumed-set pool: the rank each position stops before.
+    ends: Option<Box<[u32]>>,
 }
 
 impl MorselPool {
     /// A fresh pool over `order`.
     pub fn new(order: ScanOrder) -> Self {
         let progress = (0..order.n_chunks()).map(|_| Watermark(AtomicU32::new(0))).collect();
-        MorselPool { order, next: AtomicUsize::new(0), progress }
+        MorselPool { order, next: AtomicUsize::new(0), progress, ends: None }
+    }
+
+    /// A pool over exactly the consumed set an earlier scan of `order`
+    /// recorded ([`MorselPool::progress_vec`]): position `pos` delivers
+    /// ranks `0..progress[pos]` and nothing else, so draining it replays
+    /// the rows that scan read — in the order one scanner read them — and
+    /// a [`MorselPool::resume`]d pool continues with the complement.
+    pub fn consumed(order: ScanOrder, progress: &[u32]) -> Self {
+        assert!(progress.len() <= order.n_chunks(), "snapshot from a different geometry");
+        MorselPool { ends: Some(progress.into()), ..MorselPool::new(order) }
     }
 
     /// The scan order this pool distributes.
@@ -367,18 +384,21 @@ impl MorselPool {
     /// Claim the next morsel with unconsumed rows, or `None` when the
     /// order is fully claimed.
     pub fn claim(&self) -> Option<Morsel> {
+        let positions = self.ends.as_ref().map_or(self.order.n_chunks(), |e| e.len());
         loop {
             let pos = self.next.fetch_add(1, Ordering::Relaxed);
-            if pos >= self.order.n_chunks() {
+            if pos >= positions {
                 return None;
             }
             let len = self.order.chunk_len(pos);
+            let end = self.ends.as_ref().map_or(len, |e| e[pos].min(len));
             let done = self.progress[pos].0.load(Ordering::Relaxed);
-            if done < len {
+            if done < end {
                 return Some(Morsel {
                     pos,
                     base: self.order.chunk_base(pos),
                     len,
+                    end,
                     off: done,
                     perm: self.order.perm(pos),
                 });
@@ -407,11 +427,6 @@ impl MorselPool {
     /// Total rows consumed across all positions.
     pub fn rows_consumed(&self) -> u64 {
         self.progress.iter().map(|p| p.0.load(Ordering::Acquire) as u64).sum()
-    }
-
-    /// Bytes held by the pool (chunk permutation + progress watermarks).
-    pub fn approx_bytes(&self) -> usize {
-        self.order.approx_bytes() + self.progress.len() * std::mem::size_of::<Watermark>()
     }
 }
 

@@ -423,6 +423,15 @@ impl Table {
         }
     }
 
+    /// Create a scanner delivering exactly the rows an earlier scan under
+    /// `seed` consumed: `progress` is its [`RowScanner::progress`], taken
+    /// against this revision or one it grew from (old positions survive
+    /// appends). Rows come position by position, rank by rank — the order
+    /// a single scanner read them in.
+    pub fn scan_consumed(&self, seed: u64, m: MeasureId, progress: &[u32]) -> RowScanner<'_> {
+        self.scan_pooled(Arc::new(MorselPool::consumed(self.scan_order(seed), progress)), m)
+    }
+
     /// Create a scanner over the primary measure in storage order.
     pub fn scan_sequential(&self) -> RowScanner<'_> {
         let pool = Arc::new(MorselPool::new(ScanOrder::sequential(self.row_count())));
@@ -485,7 +494,7 @@ impl<'a> RowScanner<'a> {
     pub fn next_row(&mut self) -> Option<Row<'_>> {
         loop {
             if let Some(m) = self.cur.as_mut() {
-                if m.off < m.len {
+                if m.off < m.end {
                     let r = m.base + m.perm.apply(m.off) as usize;
                     m.off += 1;
                     self.pool.record(m.pos, m.off);
@@ -511,47 +520,6 @@ impl<'a> RowScanner<'a> {
         }
     }
 
-    /// Stream up to `max_rows` rows through `f`, morsel by morsel — the
-    /// vectorized ingest path. Column accesses inside one batch stay
-    /// within a single chunk's contiguous slices, and pool progress is
-    /// published once per batch instead of once per row. Returns the
-    /// number of rows delivered (less than `max_rows` only on exhaustion).
-    pub fn for_each_row(&mut self, max_rows: usize, mut f: impl FnMut(&[MemberId], f64)) -> usize {
-        let mvals: &[f64] = &self.table.measures[self.measure.index()];
-        let mut delivered = 0usize;
-        while delivered < max_rows {
-            let Some(m) = self.cur.as_mut() else {
-                if self.done {
-                    break;
-                }
-                match self.pool.claim() {
-                    Some(c) => self.cur = Some(c),
-                    None => self.done = true,
-                }
-                continue;
-            };
-            if m.off >= m.len {
-                self.cur = None;
-                continue;
-            }
-            let n = ((m.len - m.off) as usize).min(max_rows - delivered);
-            let chunk_vals = &mvals[m.base..m.base + m.len as usize];
-            for _ in 0..n {
-                let j = m.perm.apply(m.off) as usize;
-                m.off += 1;
-                let r = m.base + j;
-                for (d, col) in self.table.dim_cols.iter().enumerate() {
-                    self.buf[d] = col.get(r);
-                }
-                f(&self.buf, chunk_vals[j]);
-            }
-            self.pool.record(m.pos, m.off);
-            delivered += n;
-        }
-        self.read += delivered;
-        delivered
-    }
-
     /// Deliver the next batch of up to `max_rows` rows as a columnar
     /// [`RowBlock`], or `None` on exhaustion. A block never crosses a
     /// chunk boundary, so its `dims` and `values` are contiguous slices of
@@ -564,8 +532,8 @@ impl<'a> RowScanner<'a> {
         }
         loop {
             if let Some(m) = self.cur.as_mut() {
-                if m.off < m.len {
-                    let n = ((m.len - m.off) as usize).min(max_rows);
+                if m.off < m.end {
+                    let n = ((m.end - m.off) as usize).min(max_rows);
                     self.idx_buf.clear();
                     self.idx_buf.reserve(n);
                     for _ in 0..n {
@@ -869,18 +837,51 @@ mod tests {
     }
 
     #[test]
-    fn batch_scan_delivers_the_same_rows_as_next_row() {
-        let t = tiny_table();
-        let mut by_row = t.scan_shuffled(5);
-        let mut expect = Vec::new();
-        while let Some(r) = by_row.next_row() {
-            expect.push((r.members.to_vec(), r.value));
+    fn consumed_set_scan_delivers_exactly_the_rows_progress_names() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut gen = StdRng::seed_from_u64(0xc0a5);
+        for _ in 0..32 {
+            let segs: Vec<usize> =
+                (0..gen.gen_range(1..4)).map(|_| gen.gen_range(1usize..400)).collect();
+            let order = ScanOrder::segmented(&segs, gen.gen(), gen.gen_range(1usize..150));
+            // A ragged frontier: any watermark on the claimed positions.
+            let progress: Vec<u32> = (0..gen.gen_range(0..=order.n_chunks()))
+                .map(|pos| gen.gen_range(0..=order.chunk_len(pos)))
+                .collect();
+            // value = row index, so a delivered value names its row.
+            let mut tb = TableBuilder::new(tiny_table().schema().clone());
+            for row in 0..order.rows() {
+                tb.push_row(&[MemberId(1)], row as f64).unwrap();
+            }
+            let t = tb.build();
+            let pooled = |pool| t.scan_pooled(Arc::new(pool), MeasureId::PRIMARY);
+            let want: Vec<f64> = (0..progress.len())
+                .flat_map(|pos| (0..progress[pos]).map(move |rank| (pos, rank)))
+                .map(|(pos, rank)| order.row_at(pos, rank) as f64)
+                .collect();
+            let mut by_row = Vec::new();
+            let mut scan = pooled(MorselPool::consumed(order.clone(), &progress));
+            while let Some(r) = scan.next_row() {
+                by_row.push(r.value);
+            }
+            let mut by_block = Vec::new();
+            let mut scan = pooled(MorselPool::consumed(order.clone(), &progress));
+            while let Some(b) = scan.next_block(7) {
+                by_block.extend(b.rows.iter().map(|&r| b.values[r as usize]));
+            }
+            assert_eq!(by_row, want, "segments {segs:?}, progress {progress:?}");
+            assert_eq!(by_block, want, "block path == row path");
+            assert_eq!(scan.rows_read(), want.len());
+            // The resumed scan delivers the complement: nothing twice.
+            let mut rest = pooled(MorselPool::new(order));
+            rest.resume(&progress);
+            while let Some(r) = rest.next_row() {
+                by_row.push(r.value);
+            }
+            by_row.sort_by(f64::total_cmp);
+            assert!(by_row.iter().enumerate().all(|(i, &v)| v == i as f64), "not a partition");
+            assert_eq!(by_row.len(), t.row_count());
         }
-        let mut batched = t.scan_shuffled(5);
-        let mut got = Vec::new();
-        // Odd batch size exercises the mid-morsel resume of the loop.
-        while batched.for_each_row(3, |m, v| got.push((m.to_vec(), v))) > 0 {}
-        assert_eq!(got, expect);
-        assert_eq!(batched.rows_read(), expect.len());
     }
 }

@@ -202,30 +202,6 @@ impl SampleCache {
         self.observe(layout.agg_of_row(members), value);
     }
 
-    /// Warm-start a fresh cache from rows another query sampled over the
-    /// **same scope** (same measure, same filters, same seeded scan): each
-    /// cached in-scope row is re-bucketed through this query's `layout`,
-    /// then `nr_read` is set to the scan-prefix length the rows were drawn
-    /// from (which counts out-of-scope rows too). Because the donor's rows
-    /// are a prefix of the same seeded pseudo-random order, the seeded cache
-    /// is bit-identical to one that had streamed that prefix itself, and the
-    /// uniform-sample invariant of Algorithm 3 is preserved.
-    ///
-    /// Must be called on a cache that has not observed any row yet.
-    pub fn seed_rows<'r, I>(&mut self, layout: &ResultLayout, rows: I, nr_read: u64)
-    where
-        I: IntoIterator<Item = (&'r [MemberId], f64)>,
-    {
-        assert_eq!(self.nr_read, 0, "seed_rows requires a fresh cache");
-        let mut in_scope = 0u64;
-        for (members, value) in rows {
-            self.observe(layout.agg_of_row(members), value);
-            in_scope += 1;
-        }
-        debug_assert!(nr_read >= in_scope, "prefix shorter than its in-scope rows");
-        self.nr_read = nr_read;
-    }
-
     /// The exact per-aggregate `(counts, sums)` of the query, available
     /// once the scanner streamed the **whole table** into an **uncapped**
     /// cache: every in-scope row was offered exactly once, so `offered` is
@@ -560,56 +536,6 @@ mod tests {
     fn confidence_interval_needs_two_entries() {
         let cache = SampleCache::new(2, 10);
         assert_eq!(cache.confidence_interval(0, 1.96), None);
-    }
-
-    #[test]
-    fn warm_started_cache_is_identical_to_cold_start_over_seeds() {
-        // Property behind semantic-cache warm starts: re-bucketing a donor
-        // query's logged in-scope rows (same scope, different group-by)
-        // into a fresh cache must reproduce, bit for bit, the cache a cold
-        // start would have built from the same seeded row prefix — hence
-        // identical estimates under the same estimator RNG stream.
-        let table = SalaryConfig::paper_scale().generate();
-        let donor = Query::builder(AggFct::Avg)
-            .group_by(DimId(0), LevelId(1))
-            .build(table.schema())
-            .unwrap();
-        let target = Query::builder(AggFct::Avg)
-            .group_by(DimId(1), LevelId(2))
-            .build(table.schema())
-            .unwrap();
-        for seed in 0..20u64 {
-            let prefix = 64 + (seed as usize) * 7;
-            // Donor pass: stream the prefix, logging in-scope rows.
-            let mut log: Vec<(Vec<MemberId>, f64)> = Vec::new();
-            let mut scan = table.scan_shuffled(seed);
-            for _ in 0..prefix {
-                let Some(r) = scan.next_row() else { break };
-                if donor.layout().agg_of_row(r.members).is_some() {
-                    log.push((r.members.to_vec(), r.value));
-                }
-            }
-            let nr_read = scan.rows_read() as u64;
-            // Cold target cache over the same prefix.
-            let cold = fill_cache(&table, &target, prefix, seed);
-            // Warm target cache seeded from the donor's log.
-            let mut warm = SampleCache::new(target.n_aggregates(), table.row_count() as u64);
-            warm.seed_rows(target.layout(), log.iter().map(|(m, v)| (m.as_slice(), *v)), nr_read);
-            assert_eq!(warm.nr_read(), cold.nr_read());
-            assert_eq!(warm.nonempty_count(), cold.nonempty_count());
-            for agg in 0..target.n_aggregates() as u32 {
-                assert_eq!(warm.size(agg), cold.size(agg), "seed {seed} agg {agg}");
-                assert_eq!(warm.seen(agg), cold.seen(agg));
-                let mut rng_w = StdRng::seed_from_u64(seed ^ 0xabc);
-                let mut rng_c = StdRng::seed_from_u64(seed ^ 0xabc);
-                assert_eq!(
-                    warm.estimate(agg, &mut rng_w),
-                    cold.estimate(agg, &mut rng_c),
-                    "estimates identical in distribution (same RNG stream)"
-                );
-            }
-            assert_eq!(warm.overall_estimate(AggFct::Avg), cold.overall_estimate(AggFct::Avg));
-        }
     }
 
     #[test]

@@ -52,8 +52,6 @@ pub use query::{
     AGG_OUT_OF_SCOPE,
 };
 pub use repair::{repair_snapshot, RepairOutcome};
-pub use semantic::{
-    CacheStats, ExactAggregates, ExactLookup, LoggedRow, SampleSnapshot, SemanticCache,
-};
+pub use semantic::{CacheStats, ExactAggregates, ExactLookup, SampleSnapshot, SemanticCache};
 pub use sharded::{IngestBatch, ShardedSampleCache};
 pub use stratified::{AggregateIndex, StratifiedScanner};

@@ -12,14 +12,15 @@
 //!   that exhausts its scanner ends up with them in the sample cache), an
 //!   identical repeat query skips sampling entirely and plans its speech
 //!   against the exact aggregates.
-//! * **Sample snapshots** — the in-scope rows a run sampled, together with
-//!   the scan seed and per-shard read counts. A *new* query over the same
-//!   scope (same measure and filters — group-by only partitions the scope)
-//!   re-buckets those rows through its own `ResultLayout` and resumes the
-//!   seeded scan where the donor left off, instead of starting from
-//!   `nr_read = 0`. Because rows stream in a seeded pseudo-random order,
-//!   the donor's prefix is a uniform sample for *any* query over the same
-//!   scope, preserving the invariant of paper Algorithm 3.
+//! * **Sample snapshots** — *which* rows a run sampled: the scan seed and
+//!   its morsel pool's per-chunk progress, a few hundred bytes at any
+//!   table size, never a copy of a row. A *new* query over the same scope
+//!   (same measure and filters — group-by only partitions the scope)
+//!   replays exactly those rows from the pinned revision through its own
+//!   `ResultLayout` and resumes the seeded scan where the donor left off.
+//!   Because rows stream in a seeded pseudo-random order, the donor's
+//!   prefix is a uniform sample for *any* query over the same scope,
+//!   preserving the invariant of paper Algorithm 3.
 //!
 //! The cache is shard-locked (entries hash to one of a few independently
 //! locked shards) with a per-shard byte budget and least-recently-used
@@ -31,8 +32,6 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use voxolap_data::dimension::MemberId;
-
 use crate::exact::ExactResult;
 use crate::poison::RecoveringMutex;
 use crate::query::{AggFct, QueryKey, ScopeKey};
@@ -43,25 +42,10 @@ const N_SHARDS: usize = 8;
 /// Approximate fixed overhead of one cache entry (map slot, key, header).
 const ENTRY_OVERHEAD: usize = 128;
 
-/// One sampled in-scope row retained for warm starts: its leaf members
-/// (one per dimension) and measure value.
-#[derive(Debug, Clone)]
-pub struct LoggedRow {
-    /// Leaf member per dimension, in schema order.
-    pub members: Box<[MemberId]>,
-    /// Value of the query's measure.
-    pub value: f64,
-}
-
-impl LoggedRow {
-    fn approx_bytes(&self) -> usize {
-        self.members.len() * std::mem::size_of::<MemberId>()
-            + std::mem::size_of::<f64>()
-            + 2 * std::mem::size_of::<usize>()
-    }
-}
-
-/// Snapshot of a finished run's uniform sample over one query scope.
+/// Snapshot of a finished run's uniform sample over one query scope: the
+/// consumed set of its seeded scan. It holds no row — the table revision
+/// is immutable and in memory, so `(seed, progress)` names the sample and
+/// a warm start reads it back (`Table::scan_consumed`).
 #[derive(Debug, Clone)]
 pub struct SampleSnapshot {
     /// Scan seed the rows were drawn under; warm starts require an exact
@@ -74,13 +58,11 @@ pub struct SampleSnapshot {
     /// property of the scan order, not of the donor's thread layout.
     pub progress: Vec<u32>,
     /// Total rows read (the sum of `progress`), including out-of-scope
-    /// ones — the `nr_read` denominator the seeded cache starts from.
+    /// ones — the `nr_read` denominator a replayed cache starts from.
     pub nr_read: u64,
-    /// Every in-scope row observed within the prefix.
-    pub rows: Vec<LoggedRow>,
     /// Table version the sample was drawn against. A snapshot whose
-    /// version trails the live table is *repaired* — only the appended
-    /// suffix is scanned (see [`crate::repair`]) — never discarded.
+    /// version trails the live table is *repaired* — rebased onto the
+    /// grown scan order (see [`crate::repair`]) — never discarded.
     pub version: u64,
     /// Row count of that table version; repair uses it to locate the
     /// appended suffix and size the proportional suffix read.
@@ -89,13 +71,8 @@ pub struct SampleSnapshot {
 
 impl SampleSnapshot {
     fn approx_bytes(&self) -> usize {
-        let row = self.rows.first().map_or(0, LoggedRow::approx_bytes);
-        // Version + table-row stamps are counted so cache byte budgets
-        // stay honest after the versioned-ingest refactor.
-        self.rows.len() * row
-            + self.progress.len() * 4
-            + 2 * std::mem::size_of::<u64>()
-            + ENTRY_OVERHEAD
+        // Watermarks plus the version and table-row stamps.
+        self.progress.len() * 4 + 2 * std::mem::size_of::<u64>() + ENTRY_OVERHEAD
     }
 }
 
@@ -128,6 +105,9 @@ pub struct CacheStats {
     pub exact_hits: u64,
     /// Snapshot lookups that found a compatible warm-start donor.
     pub warm_hits: u64,
+    /// Rows warm starts replayed from the pinned revision: the read cost
+    /// `rows_read` leaves out (a repair's suffix rows are in both).
+    pub replayed_rows: u64,
     /// Queries that found neither (reported by the engines).
     pub misses: u64,
     /// Entries admitted (exact results + snapshots).
@@ -140,9 +120,10 @@ pub struct CacheStats {
     pub poison_recoveries: u64,
     /// Exact entries dropped because the table moved past their version.
     pub exact_invalidations: u64,
-    /// Sample snapshots repaired by a suffix-only scan after an append.
+    /// Sample snapshots rebased onto a grown table after an append.
     pub snapshot_repairs: u64,
-    /// Suffix rows scanned by snapshot repairs (the repair cost).
+    /// Suffix rows repairs added to their snapshots (the repair cost: the
+    /// following warm start reads them).
     pub repair_rows_read: u64,
     /// Version-stale exact results served under §12 degradation, always
     /// marked `stale` in the answer.
@@ -227,6 +208,7 @@ pub struct SemanticCache {
     tick: AtomicU64,
     exact_hits: AtomicU64,
     warm_hits: AtomicU64,
+    replayed_rows: AtomicU64,
     misses: AtomicU64,
     admissions: AtomicU64,
     evictions: AtomicU64,
@@ -256,6 +238,7 @@ impl SemanticCache {
             tick: AtomicU64::new(0),
             exact_hits: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
+            replayed_rows: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             admissions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -275,17 +258,6 @@ impl SemanticCache {
     /// Total byte budget.
     pub fn capacity_bytes(&self) -> usize {
         self.capacity_bytes
-    }
-
-    /// Largest number of rows a snapshot may hold and still be admissible
-    /// (one shard's budget); engines cap their row logs at this so an
-    /// oversized sample is dropped at the source instead of thrashing the
-    /// cache.
-    pub fn snapshot_row_budget(&self, members_per_row: usize) -> usize {
-        let row = members_per_row * std::mem::size_of::<MemberId>()
-            + std::mem::size_of::<f64>()
-            + 2 * std::mem::size_of::<usize>();
-        self.shard_budget / row.max(1)
     }
 
     fn shard_of<K: Hash>(&self, key: &K) -> &RecoveringMutex<Shard> {
@@ -347,10 +319,15 @@ impl SemanticCache {
         }
     }
 
-    /// Record a snapshot repair and the suffix rows it scanned.
+    /// Record a snapshot repair and the suffix rows it added.
     pub fn note_repair(&self, rows_read: u64) {
         self.snapshot_repairs.fetch_add(1, Ordering::Relaxed);
         self.repair_rows_read.fetch_add(rows_read, Ordering::Relaxed);
+    }
+
+    /// Record the rows one warm start replayed.
+    pub fn note_replay(&self, rows: u64) {
+        self.replayed_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// Record that a version-stale exact result was served (marked) under
@@ -442,6 +419,7 @@ impl SemanticCache {
         CacheStats {
             exact_hits: self.exact_hits.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
+            replayed_rows: self.replayed_rows.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             admissions: self.admissions.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
@@ -458,7 +436,7 @@ impl SemanticCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use voxolap_data::dimension::LevelId;
+    use voxolap_data::dimension::{LevelId, MemberId};
     use voxolap_data::schema::MeasureId;
     use voxolap_data::DimId;
 
@@ -588,9 +566,6 @@ mod tests {
             seed: 1,
             progress: vec![64; 16],
             nr_read: 1_024,
-            rows: (0..64)
-                .map(|i| LoggedRow { members: Box::new([MemberId(i)]), value: i as f64 })
-                .collect(),
             version: 9,
             table_rows: 10_000,
         };
@@ -612,6 +587,22 @@ mod tests {
     }
 
     #[test]
+    fn paper_scale_snapshot_is_under_a_kibibyte() {
+        // A full scan of 5.3M rows: 81 chunk watermarks and four stamps.
+        let progress =
+            vec![voxolap_data::CHUNK_ROWS as u32; 5_300_000 / voxolap_data::CHUNK_ROWS + 1];
+        assert_eq!(progress.len(), 81);
+        let snap = SampleSnapshot {
+            seed: 42,
+            progress,
+            nr_read: 5_300_000,
+            version: 0,
+            table_rows: 5_300_000,
+        };
+        assert!(snap.approx_bytes() < 1024, "{} bytes", snap.approx_bytes());
+    }
+
+    #[test]
     fn snapshot_compatibility_requires_seed() {
         let cache = SemanticCache::with_capacity_mb(1);
         let scope = key(0).scope();
@@ -619,7 +610,6 @@ mod tests {
             seed: 42,
             progress: vec![100],
             nr_read: 100,
-            rows: vec![LoggedRow { members: Box::new([MemberId(1)]), value: 1.0 }],
             version: 0,
             table_rows: 100,
         };
@@ -658,7 +648,6 @@ mod tests {
             seed: 42,
             progress: vec![nr_read as u32],
             nr_read,
-            rows: Vec::new(),
             version: 0,
             table_rows: 1_000,
         };
@@ -680,7 +669,6 @@ mod tests {
             seed: 42,
             progress: vec![50],
             nr_read: 50,
-            rows: Vec::new(),
             version,
             table_rows,
         };

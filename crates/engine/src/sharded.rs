@@ -33,7 +33,6 @@ use std::sync::{Arc, MutexGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use voxolap_data::dimension::MemberId;
 use voxolap_faults::{DegradeStats, FaultInjector, FaultSite};
 
 use crate::cache::{
@@ -41,7 +40,7 @@ use crate::cache::{
     DEFAULT_RESAMPLE_SIZE,
 };
 use crate::poison::RecoveringMutex;
-use crate::query::{AggFct, AggIdx, ResultLayout, AGG_OUT_OF_SCOPE};
+use crate::query::{AggFct, AggIdx, AGG_OUT_OF_SCOPE};
 
 /// Add `delta` to an `f64` held as bits in an [`AtomicU64`].
 ///
@@ -332,11 +331,6 @@ impl ShardedSampleCache {
         }
     }
 
-    /// Observe a raw fact row, resolving its aggregate through `layout`.
-    pub fn observe_row(&self, layout: &ResultLayout, members: &[MemberId], value: f64) {
-        self.observe(layout.agg_of_row(members), value);
-    }
-
     /// Group-commit one accumulated morsel batch and clear it — the
     /// batched counterpart of per-row [`ShardedSampleCache::observe`]
     /// (DESIGN.md §14). Per batch this costs: one `Relaxed` add to
@@ -418,25 +412,6 @@ impl ShardedSampleCache {
             }
         }
         batch.clear();
-    }
-
-    /// Warm-start a fresh cache from rows another query sampled over the
-    /// same scope under the same seeded scan — the sharded counterpart of
-    /// `SampleCache::seed_rows`: re-bucket each logged in-scope row through
-    /// this query's `layout`, then set `nr_read` to the donor's scan-prefix
-    /// length (which counts out-of-scope rows too). Call before any worker
-    /// starts observing.
-    pub fn seed_rows<'r, I>(&self, layout: &ResultLayout, rows: I, nr_read: u64)
-    where
-        I: IntoIterator<Item = (&'r [MemberId], f64)>,
-    {
-        assert_eq!(self.nr_read(), 0, "seed_rows requires a fresh cache");
-        for (members, value) in rows {
-            self.observe(layout.agg_of_row(members), value);
-        }
-        // Relaxed: seeding happens before any worker thread is spawned,
-        // and the spawn itself is the happens-before edge publishing it.
-        self.nr_read.store(nr_read, Ordering::Relaxed);
     }
 
     /// The exact per-aggregate `(counts, sums)` of the query once the whole
@@ -720,35 +695,6 @@ mod tests {
         }
         let offered: u64 = (0..q.n_aggregates() as u32).map(|a| cache.seen(a)).sum();
         assert_eq!(offered, table.row_count() as u64, "offered counts survive eviction");
-    }
-
-    #[test]
-    fn seeded_sharded_cache_matches_cold_ingest() {
-        let (table, q) = salary_setup();
-        // Donor pass: single-shard scan prefix, logging in-scope rows.
-        let prefix = 120usize;
-        let mut log: Vec<(Vec<MemberId>, f64)> = Vec::new();
-        let mut scan = table.scan_shuffled(7);
-        for _ in 0..prefix {
-            let r = scan.next_row().unwrap();
-            if q.layout().agg_of_row(r.members).is_some() {
-                log.push((r.members.to_vec(), r.value));
-            }
-        }
-        let warm = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        warm.seed_rows(q.layout(), log.iter().map(|(m, v)| (m.as_slice(), *v)), prefix as u64);
-        // Cold pass over the same prefix.
-        let cold = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        let mut scan = table.scan_shuffled(7);
-        for _ in 0..prefix {
-            let r = scan.next_row().unwrap();
-            cold.observe(q.layout().agg_of_row(r.members), r.value);
-        }
-        assert_eq!(warm.nr_read(), cold.nr_read());
-        for agg in 0..q.n_aggregates() as u32 {
-            assert_eq!(warm.size(agg), cold.size(agg));
-            assert_eq!(warm.seen(agg), cold.seen(agg));
-        }
     }
 
     #[test]

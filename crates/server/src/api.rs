@@ -530,6 +530,7 @@ impl AppState {
         Value::obj([
             ("exact_hits", s.exact_hits.into()),
             ("warm_hits", s.warm_hits.into()),
+            ("replayed_rows", s.replayed_rows.into()),
             ("misses", s.misses.into()),
             ("admissions", s.admissions.into()),
             ("evictions", s.evictions.into()),
@@ -1017,6 +1018,21 @@ mod tests {
             stats["latency_ms"]["p99"].as_f64().unwrap()
                 >= stats["latency_ms"]["p50"].as_f64().unwrap()
         );
+    }
+
+    #[test]
+    fn stats_counts_the_rows_a_warm_start_replays() {
+        let s = state();
+        let ask = |q: &str| post(&s, "/ask", &format!("{{\"question\": \"{q}\"}}")).status;
+        let cache = || Value::parse(&get(&s, "/stats").body).unwrap()["cache"].clone();
+        assert_eq!(ask("cancellation probability by season"), 200);
+        assert_eq!(cache()["replayed_rows"].as_u64(), Some(0), "a cold answer replays nothing");
+        // Same scope, other group-by: the follow-up replays the rows the
+        // first answer's snapshot names — the cost `rows_read` leaves out.
+        assert_eq!(ask("cancellation probability by region"), 200);
+        let cache = cache();
+        assert_eq!(cache["warm_hits"].as_u64(), Some(1), "{cache:?}");
+        assert!((1..=8000).contains(&cache["replayed_rows"].as_u64().unwrap()), "{cache:?}");
     }
 
     #[test]

@@ -366,6 +366,88 @@ fn append_chaos_never_serves_wrong_version_results_unmarked() {
     assert!(stale_total > 0, "no schedule forced a stale exact serve");
 }
 
+/// ROADMAP item 5 under fire: one table that keeps growing while the same
+/// scope is asked again and again, through a cache too small to hold a
+/// copy of the sample. Every repair must start from the previous repair,
+/// whatever the fault plan did to the run in between — so over a seed's
+/// rounds the repairs together cover each appended row at most once — and
+/// no answer may count a version-stale exact entry as a fresh hit (every
+/// round appends first, so there is never a fresh one).
+#[test]
+fn append_rounds_under_chaos_repair_each_suffix_at_most_once() {
+    use voxolap_data::schema::MeasureId;
+    use voxolap_data::{DimValue, IngestRow, LiveTable};
+    use voxolap_engine::semantic::SemanticCache;
+
+    const ROUNDS: u64 = 12;
+    let base = table();
+    let schema = base.schema();
+    let echo = |row: usize| IngestRow {
+        dims: (0..schema.dimensions().len())
+            .map(|d| {
+                let id = DimId(d as u8);
+                let member = base.member_at(id, row % base.row_count());
+                DimValue::Phrase(schema.dimension(id).member(member).phrase.clone())
+            })
+            .collect(),
+        values: (0..schema.measures().len())
+            .map(|m| base.measure_value(MeasureId(m as u8), row % base.row_count()))
+            .collect(),
+    };
+
+    let mut repairs_total = 0u64;
+    for seed in 0..20u64 {
+        let mut gen = StdRng::seed_from_u64(seed ^ 0x5eed_1173);
+        let live = LiveTable::new(base.clone());
+        let cache = Arc::new(SemanticCache::new(8 * 16 * 1024));
+        let engine = ParallelHolistic::new(HolisticConfig {
+            min_samples_per_sentence: 200,
+            max_tree_nodes: 30_000,
+            seed,
+            ..HolisticConfig::default()
+        })
+        .with_threads(1 + (seed % 2) as usize)
+        .with_cache(Arc::clone(&cache));
+        // Fault-free cold answer: the scope's first snapshot.
+        {
+            let snap = live.snapshot();
+            engine.vocalize(&snap, &query(&snap, true), &mut InstantVoice::default());
+        }
+        let mut appended = 0u64;
+        for round in 0..ROUNDS {
+            let start = gen.gen_range(0..base.row_count());
+            let len = gen.gen_range(1usize..=300);
+            let batch: Vec<IngestRow> = (start..start + len).map(echo).collect();
+            live.append_rows(&batch).expect("append");
+            appended += batch.len() as u64;
+            let snap = live.snapshot();
+            // Alternating group-bys share the one unfiltered scope.
+            let q = query(&snap, round % 2 == 0);
+            let faulty = engine.clone().with_resilience(chaos_resilience(seed * ROUNDS + round));
+            std::panic::catch_unwind(AssertUnwindSafe(|| {
+                faulty.vocalize(&snap, &q, &mut InstantVoice::default())
+            }))
+            .unwrap_or_else(|e| {
+                record_failure_seed(seed, "panic escaped an append round");
+                std::panic::resume_unwind(e);
+            });
+            let stats = cache.stats();
+            let broken = if stats.exact_hits != 0 {
+                "a version-stale exact entry was counted as a fresh hit"
+            } else if stats.repair_rows_read > appended {
+                "repairs re-covered rows an earlier repair had covered"
+            } else {
+                continue;
+            };
+            record_failure_seed(seed, broken);
+            panic!("seed {seed} round {round}: {broken} ({appended} rows appended, {stats:?})");
+        }
+        repairs_total += cache.stats().snapshot_repairs;
+    }
+    // Most rounds must get as far as a repair, or the bound is vacuous.
+    assert!(repairs_total > 20 * ROUNDS / 2, "only {repairs_total} repairs in 240 rounds");
+}
+
 #[test]
 fn inert_resilience_is_bit_identical_to_no_resilience() {
     // The zero-cost-when-disabled guarantee, end to end: an attached but

@@ -290,15 +290,15 @@ fn segmented_scan_order_visits_grown_tables_exactly_once() {
     }
 }
 
-/// Repairing a version-stale snapshot (scanning only the appended suffix
-/// at the donor's inclusion rate) must leave a sample as good as a fresh
-/// scan of the grown table: across 50 seeds, the repaired sample mean
-/// stays within the estimator's 4σ bound of the grown table's true mean,
-/// and the cross-seed average is unbiased.
+/// Repairing a version-stale snapshot (adding a prefix of the appended
+/// suffix at the donor's inclusion rate) must leave a sample as good as a
+/// fresh scan of the grown table: across 50 seeds, the mean of the rows the
+/// repaired snapshot names stays within the estimator's 4σ bound of the
+/// grown table's true mean, and the cross-seed average is unbiased.
 #[test]
 fn repaired_snapshot_estimates_match_the_fresh_sample_bound() {
     use voxolap_engine::repair::repair_snapshot;
-    use voxolap_engine::semantic::{LoggedRow, SampleSnapshot};
+    use voxolap_engine::semantic::SampleSnapshot;
 
     let old = SalaryConfig { rows: 20_000, seed: 9 }.generate();
     // Append a 4,000-row suffix echoing early rows (no new members).
@@ -322,7 +322,7 @@ fn repaired_snapshot_estimates_match_the_fresh_sample_bound() {
     let truth = values.iter().sum::<f64>() / n as f64;
     let var = values.iter().map(|v| (v - truth).powi(2)).sum::<f64>() / n as f64;
 
-    // Unfiltered scope: every scanned row lands in the snapshot's row log.
+    // Unfiltered scope: every row the snapshot names is in scope.
     let scope = Query::builder(AggFct::Avg)
         .group_by(DimId(0), LevelId(1))
         .build(old.schema())
@@ -338,24 +338,26 @@ fn repaired_snapshot_estimates_match_the_fresh_sample_bound() {
     let mut means = Vec::with_capacity(50);
     for seed in 0..50u64 {
         let mut scan = old.scan_shuffled_measure(seed, scope.measure());
-        let mut rows = Vec::new();
         for _ in 0..k0 {
-            let r = scan.next_row().expect("old table has k0 rows");
-            rows.push(LoggedRow { members: r.members.into(), value: r.value });
+            scan.next_row().expect("old table has k0 rows");
         }
         let donor = SampleSnapshot {
             seed,
             progress: scan.progress(),
             nr_read: k0,
-            rows,
             version: old.version(),
             table_rows: old.row_count() as u64,
         };
         let out = repair_snapshot(&donor, &new, &scope).expect("repairable");
         assert_eq!(out.snapshot.nr_read, k, "proportional suffix read");
         assert!(out.rows_read <= 4_000, "repair read past the suffix");
-        let mean =
-            out.snapshot.rows.iter().map(|r| r.value).sum::<f64>() / out.snapshot.rows.len() as f64;
+        let mut named = new.scan_consumed(seed, scope.measure(), &out.snapshot.progress);
+        let mut sum = 0.0;
+        while let Some(r) = named.next_row() {
+            sum += r.value;
+        }
+        assert_eq!(named.rows_read() as u64, k, "the snapshot names nr_read rows");
+        let mean = sum / k as f64;
         assert!(
             (mean - truth).abs() <= 4.0 * se,
             "seed {seed}: repaired mean {mean} vs true mean {truth} (4 sigma = {:.4})",
