@@ -19,7 +19,7 @@
 
 use std::io::{Read, Write as _};
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,11 +64,10 @@ fn http(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(u1
     let mut buf = Vec::new();
     stream.read_to_end(&mut buf)?;
     let text = String::from_utf8_lossy(&buf).into_owned();
-    let status: u16 = text
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line"))?;
+    let status: u16 =
+        text.split_whitespace().nth(1).and_then(|s| s.parse().ok()).ok_or_else(|| {
+            std::io::Error::new(std::io::ErrorKind::InvalidData, "bad status line")
+        })?;
     let payload = text.split_once("\r\n\r\n").map(|(_, b)| b.to_string()).unwrap_or_default();
     Ok((status, payload))
 }
@@ -84,7 +83,7 @@ fn wait_health(addr: &str, deadline: Duration) -> bool {
     false
 }
 
-fn spawn_server(bin: &PathBuf, port: usize, rows: usize, dir: &PathBuf, log: &PathBuf) -> Child {
+fn spawn_server(bin: &Path, port: usize, rows: usize, dir: &Path, log: &Path) -> Child {
     let logfile = std::fs::File::create(log).expect("create server log");
     let logfile2 = logfile.try_clone().expect("clone log handle");
     Command::new(bin)
@@ -179,8 +178,7 @@ fn main() {
     let mut acked_rows = 0u64;
     let mut last_acked_version = 0u64;
     for b in 0..batches {
-        let body: String =
-            (0..batch).map(|i| echo_line(&table, b * batch + i) + "\n").collect();
+        let body: String = (0..batch).map(|i| echo_line(&table, b * batch + i) + "\n").collect();
         match http(&addr, "POST", "/ingest", &body) {
             Ok((200, resp)) => {
                 let v = Value::parse(&resp).expect("ingest ack json");
@@ -255,7 +253,7 @@ fn main() {
         }
         let replayed = durability["replayed_batches"].as_u64().unwrap_or(0);
         let snapshots = durability["snapshots_written"].as_u64();
-        if replayed == 0 && acked_batches % 8 != 0 {
+        if replayed == 0 && !acked_batches.is_multiple_of(8) {
             failures.push("recovery replayed no WAL batches".to_string());
         }
         eprintln!(
@@ -301,10 +299,7 @@ fn main() {
         ("recovered_version", recovered_version.into()),
         ("recovered_rows", recovered_rows.into()),
         ("clean_start_after_sigterm", clean_start.into()),
-        (
-            "failures",
-            Value::Array(failures.iter().map(|f| Value::Str(f.clone())).collect()),
-        ),
+        ("failures", Value::Array(failures.iter().map(|f| Value::Str(f.clone())).collect())),
     ]);
     std::fs::write(&out, format!("{record}\n")).expect("write crash smoke record");
     eprintln!("wrote {out}");

@@ -13,10 +13,6 @@
 //!    Quantifies the substitution note in DESIGN.md.
 //! 4. **σ calibration** — the belief σ as a fraction of the overall mean
 //!    (paper: 0.5), swept to show the quality metric's sensitivity.
-//! 5. **Stratified sampling** — cache coverage of rare aggregates after a
-//!    fixed row budget, shuffled streaming vs. the pre-built
-//!    [`AggregateIndex`](voxolap_engine::stratified::AggregateIndex)
-//!    (the paper's "specialized indexing structures" extension).
 
 use voxolap_core::approach::Vocalizer;
 use voxolap_core::holistic::{Holistic, HolisticConfig};
@@ -24,17 +20,7 @@ use voxolap_core::sampler::SelectionPolicy;
 use voxolap_core::voice::VirtualVoice;
 use voxolap_data::Table;
 
-use crate::{experiment_candidates, markdown_table, outcome_quality, region_season_query};
-
-fn base_config(seed: u64) -> HolisticConfig {
-    HolisticConfig {
-        candidates: experiment_candidates(),
-        seed,
-        max_tree_nodes: 300_000,
-        resample_size: 400,
-        ..HolisticConfig::default()
-    }
-}
+use crate::{experiment_config, markdown_table, outcome_quality, region_season_query};
 
 /// Average holistic quality over `seeds` runs with a given config and
 /// voice budget.
@@ -64,7 +50,7 @@ pub fn run(table: &Table, seed: u64) -> String {
     // 1. Pipelining budget.
     let mut rows = Vec::new();
     for ipc in [0.0, 50.0, 200.0, 600.0, 2000.0] {
-        let q = mean_quality(table, base_config, ipc, &seeds);
+        let q = mean_quality(table, experiment_config, ipc, &seeds);
         rows.push(vec![format!("{ipc:.0}"), format!("{q:.3}")]);
     }
     out.push_str("#### Pipelining: sampling iterations per spoken character\n\n");
@@ -75,7 +61,12 @@ pub fn run(table: &Table, seed: u64) -> String {
     for (name, policy) in
         [("UCT", SelectionPolicy::Uct), ("uniform random", SelectionPolicy::UniformRandom)]
     {
-        let q = mean_quality(table, |s| HolisticConfig { policy, ..base_config(s) }, 200.0, &seeds);
+        let q = mean_quality(
+            table,
+            |s| HolisticConfig { policy, ..experiment_config(s) },
+            200.0,
+            &seeds,
+        );
         rows.push(vec![name.to_string(), format!("{q:.3}")]);
     }
     out.push_str("\n#### Tree-descent policy (200 iterations/char)\n\n");
@@ -86,7 +77,7 @@ pub fn run(table: &Table, seed: u64) -> String {
     for rs in [10usize, 50, 100, 400, 1000] {
         let q = mean_quality(
             table,
-            |s| HolisticConfig { resample_size: rs, ..base_config(s) },
+            |s| HolisticConfig { resample_size: rs, ..experiment_config(s) },
             600.0,
             &seeds,
         );
@@ -103,7 +94,7 @@ pub fn run(table: &Table, seed: u64) -> String {
     for frac in [0.25, 0.5, 1.0, 2.0] {
         let q = mean_quality(
             table,
-            |s| HolisticConfig { sigma_override: Some(grand.abs() * frac), ..base_config(s) },
+            |s| HolisticConfig { sigma_override: Some(grand.abs() * frac), ..experiment_config(s) },
             600.0,
             &seeds,
         );
@@ -116,58 +107,5 @@ pub fn run(table: &Table, seed: u64) -> String {
          sigma sweep shows planner robustness to mis-calibrated sampling beliefs, not \
          listener-model changes.\n",
     );
-
-    // 5. Stratified streaming: non-empty cache buckets and minimum bucket
-    // size after a fixed row budget.
-    out.push_str("\n#### Stratified vs shuffled streaming (cache coverage after N rows)\n\n");
-    out.push_str(&stratified_coverage(table, seed));
     out
-}
-
-/// Compare cache coverage under shuffled vs stratified streaming on the
-/// region x season query, whose smallest cell (US territories in Fall)
-/// holds ~0.2 % of rows.
-fn stratified_coverage(table: &Table, seed: u64) -> String {
-    use voxolap_engine::cache::SampleCache;
-    use voxolap_engine::stratified::AggregateIndex;
-
-    let query = region_season_query(table);
-    let n_aggs = query.n_aggregates();
-    let index = AggregateIndex::build(table, &query, seed);
-
-    let mut rows_md = Vec::new();
-    for budget in [20usize, 100, 1_000, 10_000] {
-        // Shuffled streaming.
-        let mut shuffled = SampleCache::new(n_aggs, table.row_count() as u64);
-        let mut scan = table.scan_shuffled(seed);
-        for _ in 0..budget {
-            let Some(r) = scan.next_row() else { break };
-            shuffled.observe(query.layout().agg_of_row(r.members), r.value);
-        }
-        // Stratified streaming.
-        let mut strat = SampleCache::new(n_aggs, table.row_count() as u64);
-        let mut scan = index.scan(table);
-        for _ in 0..budget {
-            let Some((_, r)) = scan.next_row() else { break };
-            strat.observe(query.layout().agg_of_row(r.members), r.value);
-        }
-        let min_bucket = |c: &SampleCache| (0..n_aggs as u32).map(|a| c.size(a)).min().unwrap_or(0);
-        rows_md.push(vec![
-            budget.to_string(),
-            format!("{}/{}", shuffled.nonempty_count(), n_aggs),
-            format!("{}/{}", strat.nonempty_count(), n_aggs),
-            min_bucket(&shuffled).to_string(),
-            min_bucket(&strat).to_string(),
-        ]);
-    }
-    markdown_table(
-        &[
-            "rows streamed",
-            "non-empty buckets (shuffled)",
-            "non-empty buckets (stratified)",
-            "min bucket (shuffled)",
-            "min bucket (stratified)",
-        ],
-        &rows_md,
-    )
 }

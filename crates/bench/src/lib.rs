@@ -1,7 +1,7 @@
 //! # voxolap-bench
 //!
 //! Experiment harnesses regenerating every table and figure of the paper's
-//! evaluation (§5 and Appendix B), plus Criterion micro-benchmarks.
+//! evaluation (§5 and Appendix B).
 //!
 //! Each `expX` binary prints the rows/series the corresponding paper
 //! artifact reports:
@@ -22,14 +22,12 @@
 //! Run with `--release`; the optimal approach exhaustively scores large
 //! speech trees by design.
 
-use std::time::Duration;
-
 use voxolap_belief::model::BeliefModel;
 use voxolap_belief::quality::speech_quality;
 use voxolap_core::holistic::{Holistic, HolisticConfig};
-use voxolap_core::optimal::{Optimal, OptimalConfig};
+use voxolap_core::optimal::Optimal;
 use voxolap_core::outcome::VocalizationOutcome;
-use voxolap_core::unmerged::{SamplingBudget, Unmerged, UnmergedConfig};
+use voxolap_core::unmerged::{SamplingBudget, Unmerged};
 use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::salary::SalaryConfig;
@@ -37,7 +35,6 @@ use voxolap_data::{DimId, Table};
 use voxolap_engine::exact::evaluate;
 use voxolap_engine::query::{AggFct, Query};
 use voxolap_speech::candidates::CandidateConfig;
-use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::scope::CompiledSpeech;
 
 pub mod experiments;
@@ -152,9 +149,10 @@ pub fn experiment_candidates() -> CandidateConfig {
     CandidateConfig { quantifiers: vec![5, 20, 50, 100, 200], ..CandidateConfig::default() }
 }
 
-/// Experiment-calibrated approach constructors.
-pub fn experiment_holistic(seed: u64) -> Holistic {
-    Holistic::new(HolisticConfig {
+/// The experiment-calibrated planner configuration all three approaches
+/// are built from.
+pub fn experiment_config(seed: u64) -> HolisticConfig {
+    HolisticConfig {
         candidates: experiment_candidates(),
         seed,
         max_tree_nodes: 300_000,
@@ -165,29 +163,22 @@ pub fn experiment_holistic(seed: u64) -> Holistic {
         // DESIGN.md's substitution notes).
         resample_size: 400,
         ..HolisticConfig::default()
-    })
+    }
+}
+
+/// The holistic approach over [`experiment_config`].
+pub fn experiment_holistic(seed: u64) -> Holistic {
+    Holistic::new(experiment_config(seed))
 }
 
 /// The unmerged approach at the paper's 500 ms budget.
 pub fn experiment_unmerged(seed: u64) -> Unmerged {
-    Unmerged::new(UnmergedConfig {
-        candidates: experiment_candidates(),
-        seed,
-        budget: SamplingBudget::WallClock(Duration::from_millis(500)),
-        max_tree_nodes: 300_000,
-        resample_size: 400,
-        ..UnmergedConfig::default()
-    })
+    Unmerged::new(experiment_config(seed), SamplingBudget::PAPER)
 }
 
-/// The optimal approach over the same candidate space.
+/// The optimal approach over the same candidate space (it reads no seed).
 pub fn experiment_optimal() -> Optimal {
-    Optimal::new(OptimalConfig {
-        candidates: experiment_candidates(),
-        max_tree_nodes: 300_000,
-        constraints: SpeechConstraints { max_chars: 300, max_refinements: 2 },
-        ..OptimalConfig::default()
-    })
+    Optimal::new(experiment_config(0))
 }
 
 /// Exact speech quality of an outcome's speech (Definition 2.2), measured

@@ -15,7 +15,7 @@ use crate::parallel::ParallelHolistic;
 use crate::pipeline::{CancelToken, SpeechStream};
 use crate::prior::PriorGreedy;
 use crate::uncertainty::UncertaintyMode;
-use crate::unmerged::{Unmerged, UnmergedConfig};
+use crate::unmerged::{SamplingBudget, Unmerged};
 use crate::voice::VoiceOutput;
 
 /// A query-evaluation-and-vocalization approach (paper §5 compares
@@ -87,7 +87,9 @@ impl Default for ApproachOptions {
 }
 
 impl ApproachOptions {
-    /// The planner configuration the holistic engines are served with.
+    /// The planner configuration every approach is served with — one
+    /// speech space and one estimator, so a side-by-side isolates the
+    /// evaluation strategy.
     pub fn holistic_config(&self) -> HolisticConfig {
         HolisticConfig {
             seed: self.seed,
@@ -102,13 +104,22 @@ impl ApproachOptions {
             ..HolisticConfig::default()
         }
     }
+
+    fn optimal(&self) -> Optimal {
+        Optimal { config: self.holistic_config(), cache: self.cache.clone() }
+    }
+
+    fn unmerged(&self) -> Unmerged {
+        Unmerged::new(self.holistic_config(), SamplingBudget::PAPER)
+    }
 }
 
 /// Build the vocalizer a front end names in its `approach` field or
 /// `--approach` flag: `holistic`, `parallel` (alias `concurrent`, the
-/// pre-parallel engine's name), `optimal`, `unmerged` or `prior`. The one
-/// place that decides which approach gets which configuration, the cache
-/// and the resilience bundle.
+/// pre-parallel engine's name), `optimal`, `unmerged` or `prior`. Every
+/// configurable approach gets [`ApproachOptions::holistic_config`]; this is
+/// the one place that decides which of them also gets the cache and the
+/// resilience bundle.
 pub fn vocalizer(name: &str, opts: &ApproachOptions) -> Result<Box<dyn Vocalizer>, String> {
     let engine = |threads: Option<usize>| {
         let mut engine = ParallelHolistic::new(opts.holistic_config());
@@ -122,17 +133,8 @@ pub fn vocalizer(name: &str, opts: &ApproachOptions) -> Result<Box<dyn Vocalizer
     Ok(match name {
         "holistic" => Box::new(Holistic(engine(Some(1)))),
         "parallel" | "concurrent" => Box::new(engine(opts.threads)),
-        "optimal" => Box::new(match &opts.cache {
-            Some(cache) => Optimal::default().with_cache(cache.clone()),
-            None => Optimal::default(),
-        }),
-        "unmerged" => Box::new(Unmerged::new(UnmergedConfig {
-            seed: opts.seed,
-            // The holistic estimator configuration, so a side-by-side
-            // comparison isolates the planning strategy.
-            resample_size: 200,
-            ..UnmergedConfig::default()
-        })),
+        "optimal" => Box::new(opts.optimal()),
+        "unmerged" => Box::new(opts.unmerged()),
         "prior" => Box::new(PriorGreedy),
         other => {
             return Err(format!(
@@ -160,8 +162,13 @@ mod tests {
             assert_eq!(vocalizer(name, &opts).unwrap().name(), reports, "{name}");
         }
         assert!(vocalizer("quantum", &opts).err().unwrap().contains("quantum"));
-        // The serving configuration is the defaults plus these three.
-        let cfg = ApproachOptions { seed: 9, ..opts }.holistic_config();
+        // The serving configuration is the defaults plus these three, and
+        // the comparison approaches carry it too — not a default.
+        let opts = ApproachOptions { seed: 9, ..opts };
+        let cfg = opts.holistic_config();
         assert_eq!((cfg.seed, cfg.resample_size, cfg.min_samples_per_sentence), (9, 200, 8_000));
+        for served in [opts.optimal().config(), opts.unmerged().config()] {
+            assert_eq!((served.seed, served.resample_size), (9, 200));
+        }
     }
 }

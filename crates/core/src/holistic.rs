@@ -16,6 +16,8 @@
 //!
 //! [`Holistic`] is the engine of [`crate::parallel`] in its cooperative
 //! single-thread mode: deterministic under a seed and paced by the voice.
+//! [`HolisticConfig`], declared here, is the configuration of every
+//! approach, not only this one.
 
 use std::sync::Arc;
 
@@ -28,7 +30,6 @@ use voxolap_speech::candidates::CandidateConfig;
 use voxolap_speech::constraints::SpeechConstraints;
 
 use crate::approach::Vocalizer;
-use crate::optimal::OptimalConfig;
 use crate::parallel::ParallelHolistic;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::SpeechStream;
@@ -38,51 +39,47 @@ use crate::tree::SpeechTree;
 use crate::uncertainty::UncertaintyMode;
 use crate::voice::VoiceOutput;
 
-/// Configuration of the holistic planner.
+/// The planner configuration — the one every approach takes, so a
+/// side-by-side of [`Holistic`], [`Unmerged`](crate::unmerged::Unmerged) and
+/// [`Optimal`](crate::optimal::Optimal) compares evaluation strategies over
+/// the same speech space and the same estimator. Each field names its
+/// readers: *all* is those three; *sampling* is Holistic (at any thread
+/// count) and Unmerged, which draw rows and UCT samples where Optimal
+/// evaluates exactly.
 #[derive(Debug, Clone)]
 pub struct HolisticConfig {
-    /// User-preference constraints (speech length, fragment count).
+    /// User-preference constraints (speech length, fragment count). *All.*
     pub constraints: SpeechConstraints,
-    /// Candidate-space configuration (quantifier menu, predicate pool).
+    /// Candidate space (quantifier menu, predicate pool). *All.*
     pub candidates: CandidateConfig,
-    /// RNG seed; same seed, same speech.
+    /// RNG seed; same seed, same speech. *Sampling.*
     pub seed: u64,
     /// Rows ingested before the tree is built; their estimate seeds the
-    /// baseline value grid. Runs on the stream's first pull, after the
-    /// preamble is out, and overlaps it being spoken.
+    /// baseline value grid (Optimal uses the exact grand mean instead).
+    /// Holistic reads them on the stream's first pull, after the preamble
+    /// is out; Unmerged inside its budget. *Sampling.*
     pub warmup_rows: usize,
-    /// Rows streamed into the cache per sampling iteration.
+    /// Rows streamed into the cache per sampling iteration. *Sampling.*
     pub rows_per_iteration: usize,
     /// Minimum sampling iterations per sentence even when voice output has
     /// already finished (guarantees progress under instant voices).
+    /// *Holistic only* — Unmerged samples for its budget instead.
     pub min_samples_per_sentence: u64,
-    /// Hard cap on search-tree size; expansion truncates beyond it.
+    /// Hard cap on search-tree size; expansion truncates beyond it. *All.*
     pub max_tree_nodes: usize,
-    /// Override the belief σ (default: half the overall estimate).
+    /// Override the belief σ (default: half the overall estimate, see
+    /// [`calibrated_sigma`](crate::sampler::calibrated_sigma)). *All.*
     pub sigma_override: Option<f64>,
-    /// Uncertainty transmission mode (paper §4.4).
+    /// Uncertainty transmission mode (paper §4.4). *Holistic only.*
     pub uncertainty: UncertaintyMode,
     /// Fixed resample size of the cache estimator. The paper uses 10; the
     /// planner default is 100 because low-rate 0/1 measures (cancellation
     /// flags) make 10-row resamples almost always all-zero, biasing
-    /// baseline selection low. Still O(1) per iteration.
+    /// baseline selection low. Still O(1) per iteration. *Sampling.*
     pub resample_size: usize,
     /// Tree-descent policy during sampling (UCT by default; uniform random
-    /// is the no-prioritization ablation).
+    /// is the no-prioritization ablation). *Sampling.*
     pub policy: SelectionPolicy,
-}
-
-impl HolisticConfig {
-    /// The [`OptimalConfig`] equivalent of these settings, used by the
-    /// semantic-cache exact-hit path (exhaustive scoring, no sampling).
-    pub(crate) fn exact_cfg(&self) -> OptimalConfig {
-        OptimalConfig {
-            constraints: self.constraints,
-            candidates: self.candidates.clone(),
-            max_tree_nodes: self.max_tree_nodes,
-            sigma_override: self.sigma_override,
-        }
-    }
 }
 
 impl Default for HolisticConfig {

@@ -24,6 +24,13 @@
 //! lock-free UCT sampling across scoped threads; [`holistic::Holistic`]
 //! is that engine at one thread, where it is deterministic under a seed.
 //!
+//! Holistic, Optimal and Unmerged take one planner configuration,
+//! [`HolisticConfig`] (Unmerged adds its
+//! [`SamplingBudget`](unmerged::SamplingBudget)), and open their plan —
+//! σ calibration and tree expansion around the overall value — through one
+//! function, so the paper's comparison holds the speech space and the
+//! estimator fixed by construction.
+//!
 //! ```
 //! use voxolap_core::approach::Vocalizer;
 //! use voxolap_core::holistic::{Holistic, HolisticConfig};

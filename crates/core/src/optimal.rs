@@ -7,6 +7,12 @@
 //! nor in the plan space" — its latency is therefore far above the 500 ms
 //! interactivity threshold on large data, which is the point Figure 3
 //! makes.
+//!
+//! It is configured by the same [`HolisticConfig`] as the sampled
+//! approaches and scores the tree they would sample: the space is opened
+//! around the exact grand mean instead of a warm-up estimate, with the same
+//! σ calibration. The holistic engine's exact cache hit runs the same
+//! scoring over cached aggregates.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -21,50 +27,26 @@ use voxolap_engine::semantic::SemanticCache;
 use voxolap_faults::{DegradeReason, RunState};
 use voxolap_mcts::NodeId;
 use voxolap_speech::ast::Speech;
-use voxolap_speech::candidates::{CandidateConfig, CandidateGenerator};
-use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
+use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
 
-/// Configuration of the optimal planner.
-#[derive(Debug, Clone)]
-pub struct OptimalConfig {
-    /// User-preference constraints.
-    pub constraints: SpeechConstraints,
-    /// Candidate-space configuration.
-    pub candidates: CandidateConfig,
-    /// Hard cap on search-tree size.
-    pub max_tree_nodes: usize,
-    /// Override the belief σ.
-    pub sigma_override: Option<f64>,
-}
-
-impl Default for OptimalConfig {
-    fn default() -> Self {
-        OptimalConfig {
-            constraints: SpeechConstraints { max_chars: 300, max_refinements: 2 },
-            candidates: CandidateConfig::default(),
-            max_tree_nodes: 500_000,
-            sigma_override: None,
-        }
-    }
-}
-
 /// The optimal vocalizer.
 #[derive(Debug, Clone, Default)]
 pub struct Optimal {
-    config: OptimalConfig,
-    cache: Option<Arc<SemanticCache>>,
+    pub(crate) config: HolisticConfig,
+    pub(crate) cache: Option<Arc<SemanticCache>>,
 }
 
 impl Optimal {
-    /// Create with the given configuration.
-    pub fn new(config: OptimalConfig) -> Self {
+    /// Create with the given configuration (the fields marked *all* in
+    /// [`HolisticConfig`] are the ones read).
+    pub fn new(config: HolisticConfig) -> Self {
         Optimal { config, cache: None }
     }
 
@@ -77,7 +59,7 @@ impl Optimal {
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &OptimalConfig {
+    pub fn config(&self) -> &HolisticConfig {
         &self.config
     }
 }
@@ -160,7 +142,7 @@ pub(crate) fn plan_from_exact(
     schema: &Schema,
     query: &Query,
     exact: &ExactResult,
-    cfg: &OptimalConfig,
+    cfg: &HolisticConfig,
     cancel: &CancelToken,
     run: Option<&RunState>,
 ) -> Option<ExactPlan> {
@@ -168,11 +150,8 @@ pub(crate) fn plan_from_exact(
     if !grand.is_finite() {
         return None;
     }
-    let sigma = cfg.sigma_override.unwrap_or_else(|| (grand.abs() * 0.5).max(1e-12));
+    let (sigma, tree) = SpeechTree::open(schema, query, cfg, grand);
     let renderer = Renderer::new(schema, query);
-    let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
-    let tree =
-        SpeechTree::build(&generator, &renderer, &cfg.constraints, grand, cfg.max_tree_nodes);
 
     // Score every node (every speech in the search space T); ties go to
     // the shorter speech.
@@ -238,7 +217,6 @@ impl Vocalizer for Optimal {
         voice: &'a mut dyn VoiceOutput,
         cancel: CancelToken,
     ) -> SpeechStream<'a> {
-        let cfg = &self.config;
         let t0 = Instant::now();
         let schema = table.schema();
         let renderer = Renderer::new(schema, query);
@@ -279,7 +257,7 @@ impl Vocalizer for Optimal {
         };
         let rows_read = if hit { 0 } else { table.row_count() as u64 };
 
-        let plan = plan_from_exact(schema, query, &exact, cfg, &cancel, None);
+        let plan = plan_from_exact(schema, query, &exact, &self.config, &cancel, None);
         let source = plan_source(plan, rows_read);
 
         // Only now does output start: latency includes the full scan.
@@ -298,6 +276,7 @@ mod tests {
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
     use voxolap_engine::query::AggFct;
+    use voxolap_speech::ast::Baseline;
     use voxolap_speech::scope::CompiledSpeech;
 
     use crate::voice::InstantVoice;
@@ -445,13 +424,44 @@ mod tests {
         ];
         for (name, q, tree_nodes, truncated, sentences) in &cases {
             let exact = evaluate(q, &table);
-            let cfg = OptimalConfig::default();
+            let cfg = HolisticConfig::default();
             let plan =
                 plan_from_exact(schema, q, &exact, &cfg, &CancelToken::never(), None).unwrap();
             assert_eq!(plan.sentences, sentences, "{name}");
             assert_eq!(plan.tree_nodes, *tree_nodes, "{name}");
             assert_eq!(plan.truncated, *truncated, "{name}");
         }
+    }
+
+    /// The one input where σ calibration has an edge: a grand mean of
+    /// exactly zero takes `calibrated_sigma`'s 1.0 fallback on the sampled
+    /// and the exhaustive path alike, and `baselines(0.0)` offers a single
+    /// candidate — so every path speaks the same zero baseline.
+    #[test]
+    fn an_all_zero_measure_speaks_one_zero_baseline_on_every_path() {
+        use crate::holistic::Holistic;
+        let (salaries, _) = setup();
+        let mut tb = voxolap_data::TableBuilder::new(salaries.schema().clone());
+        for row in 0..salaries.row_count() {
+            tb.push_row(&salaries.row_members(row), 0.0).unwrap();
+        }
+        let table = tb.build();
+        let q = Query::builder(AggFct::Avg)
+            .group_by(DimId(0), LevelId(1))
+            .build(table.schema())
+            .unwrap();
+
+        let optimal = Optimal::default().vocalize(&table, &q, &mut InstantVoice::default());
+        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
+        let holistic = Holistic::default().with_cache(cache.clone());
+        let cold = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        let hit = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        assert_eq!(cache.stats().exact_hits, 1, "the repeat is an exact hit");
+        for outcome in [&optimal, &cold, &hit] {
+            assert_eq!(outcome.speech.as_ref().unwrap().baseline, Baseline::point(0.0));
+            assert_eq!(outcome.sentences[0], optimal.sentences[0]);
+        }
+        assert_eq!(hit.sentences, optimal.sentences, "exact hit and Optimal are one planner");
     }
 
     #[test]

@@ -45,7 +45,6 @@ use voxolap_engine::repair::repair_snapshot;
 use voxolap_engine::semantic::{ExactLookup, SemanticCache};
 use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 use voxolap_faults::{Resilience, RunState};
-use voxolap_speech::candidates::CandidateGenerator;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
@@ -55,7 +54,7 @@ use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::driver::TeamSource;
 use crate::pipeline::stream::{Buffered, Deferred, SentenceSource, SpeechStream};
 use crate::resilience::ResCtx;
-use crate::sampler::{calibrated_sigma, ShardWorker};
+use crate::sampler::ShardWorker;
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
 
@@ -158,8 +157,6 @@ pub fn sampling_throughput(
     duration: Duration,
 ) -> ThroughputReport {
     let threads = threads.max(1);
-    let schema = table.schema();
-    let renderer = Renderer::new(schema, query);
     let cache = Arc::new(
         ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
             .with_resample_size(config.resample_size),
@@ -169,18 +166,10 @@ pub fn sampling_throughput(
         .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w))
         .collect();
     let overall = workers[0].warmup(config.warmup_rows).unwrap_or(0.0);
-    let sigma = calibrated_sigma(overall, config.sigma_override);
+    let (sigma, tree) = SpeechTree::open(table.schema(), query, config, overall);
     for w in &mut workers {
         w.set_sigma(sigma);
     }
-    let generator = CandidateGenerator::new(schema, query, config.candidates.clone());
-    let tree = SpeechTree::build(
-        &generator,
-        &renderer,
-        &config.constraints,
-        overall,
-        config.max_tree_nodes,
-    );
 
     let samples = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
@@ -332,7 +321,7 @@ impl Vocalizer for ParallelHolistic {
         let stale = matches!(hit, Some((_, true)));
         let source: Box<dyn SentenceSource<'a> + 'a> = match hit {
             Some((data, _)) => {
-                let cfg = self.config.exact_cfg();
+                let cfg = self.config.clone();
                 let run = resil.as_ref().map(|(_, run)| run.clone());
                 let plan = move |cancel: &CancelToken| -> Box<dyn SentenceSource<'a> + 'a> {
                     let exact = data.to_result(query.fct());
@@ -367,7 +356,6 @@ impl ParallelHolistic {
     ) -> Box<dyn SentenceSource<'a> + 'a> {
         let ParallelHolistic { config: cfg, threads: n_workers, cache: semantic, .. } = self;
         let schema = table.schema();
-        let renderer = Renderer::new(schema, query);
 
         let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
             .with_resample_size(cfg.resample_size);
@@ -432,19 +420,15 @@ impl ParallelHolistic {
             };
             return Box::new(Buffered::no_data(fresh, Some(Box::new(admit))));
         };
-        let sigma = calibrated_sigma(overall, cfg.sigma_override);
+        let (sigma, tree) = SpeechTree::open(schema, query, &cfg, overall);
         for w in &mut workers {
             w.set_sigma(sigma);
         }
 
-        let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
-        let tree =
-            SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
-
         Box::new(TeamSource {
             workers,
             tree,
-            renderer,
+            renderer: Renderer::new(schema, query),
             cfg,
             current: SpeechTree::ROOT,
             unit: schema.measure(query.measure()).unit,

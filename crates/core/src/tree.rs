@@ -22,11 +22,15 @@
 //! marks the tree as truncated in the planner statistics.
 
 use voxolap_data::schema::Schema;
+use voxolap_engine::query::Query;
 use voxolap_mcts::{NodeId, Tree};
 use voxolap_speech::ast::{Baseline, Speech};
 use voxolap_speech::candidates::{CandidateGenerator, CatalogueEntry, RefinementCatalogue};
 use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::render::Renderer;
+
+use crate::holistic::HolisticConfig;
+use crate::sampler::calibrated_sigma;
 
 /// Payload of one search-tree node: the increment over the parent's speech.
 #[derive(Debug, Clone)]
@@ -73,6 +77,24 @@ struct Expansion<'a> {
 impl SpeechTree {
     /// The root node (represents the preamble).
     pub const ROOT: NodeId = Tree::<NodeKind>::ROOT;
+
+    /// Open a plan: calibrate σ from `overall` (a warm-up estimate, or the
+    /// exact grand mean) and expand `cfg`'s speech space around it. Every
+    /// approach — sampled or exhaustive — opens through here, so they plan
+    /// over the same space under the same belief model. Returns `(σ, tree)`.
+    pub(crate) fn open(
+        schema: &Schema,
+        query: &Query,
+        cfg: &HolisticConfig,
+        overall: f64,
+    ) -> (f64, Self) {
+        let sigma = calibrated_sigma(overall, cfg.sigma_override);
+        let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
+        let renderer = Renderer::new(schema, query);
+        let tree =
+            SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
+        (sigma, tree)
+    }
 
     /// Expand the full tree (`ST.Expand` from the root): one child per
     /// baseline candidate around `overall_estimate`, then recursively one

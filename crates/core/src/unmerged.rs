@@ -1,9 +1,11 @@
 //! The "unmerged" comparison approach (paper §5.1).
 //!
-//! Identical sampling strategy to the holistic planner, but **without**
-//! merging vocalization, sampling, and planning: it samples for a fixed
-//! budget (the 500 ms interactivity threshold), then commits to the speech
-//! with the highest quality estimates and speaks it in one go. Because it
+//! Identical sampling strategy to the holistic planner — the same
+//! [`HolisticConfig`], the same worker, the same plan opening — but
+//! **without** merging vocalization, sampling, and planning: it samples for
+//! a fixed budget (the 500 ms interactivity threshold), then commits to the
+//! speech with the highest quality estimates and speaks it in one go.
+//! Because it
 //! "cannot overlap sampling and planning time with vocalization, it has
 //! less time to read data and explore the search space" — which is exactly
 //! the quality gap Figure 3 shows.
@@ -12,82 +14,55 @@ use std::time::{Duration, Instant};
 
 use voxolap_data::Table;
 use voxolap_engine::query::Query;
-use voxolap_speech::candidates::{CandidateConfig, CandidateGenerator};
-use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
 use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
-use crate::sampler::{calibrated_sigma, ShardWorker};
+use crate::sampler::ShardWorker;
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
 
 /// How long the unmerged planner may sample before it must speak.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SamplingBudget {
-    /// Wall-clock budget (the paper uses 500 ms).
+    /// Wall-clock budget.
     WallClock(Duration),
     /// Fixed number of sampling iterations — deterministic, for tests and
     /// reproducible experiments.
     Iterations(u64),
 }
 
-/// Configuration of the unmerged planner.
+impl SamplingBudget {
+    /// The paper's budget: the 500 ms interactivity threshold.
+    pub const PAPER: SamplingBudget = SamplingBudget::WallClock(Duration::from_millis(500));
+}
+
+/// The unmerged vocalizer: the shared planner configuration (the fields
+/// marked *all* and *sampling* in [`HolisticConfig`]) plus the one value
+/// it owns, the sampling budget before output starts.
 #[derive(Debug, Clone)]
-pub struct UnmergedConfig {
-    /// User-preference constraints.
-    pub constraints: SpeechConstraints,
-    /// Candidate-space configuration.
-    pub candidates: CandidateConfig,
-    /// RNG seed.
-    pub seed: u64,
-    /// Warm-up rows before tree construction (counted inside the budget).
-    pub warmup_rows: usize,
-    /// Rows ingested per sampling iteration.
-    pub rows_per_iteration: usize,
-    /// The sampling budget before output starts.
-    pub budget: SamplingBudget,
-    /// Hard cap on search-tree size.
-    pub max_tree_nodes: usize,
-    /// Override the belief σ.
-    pub sigma_override: Option<f64>,
-    /// Fixed resample size of the cache estimator (paper: 10; planner
-    /// default 100 — see `HolisticConfig::resample_size`).
-    pub resample_size: usize,
-}
-
-impl Default for UnmergedConfig {
-    fn default() -> Self {
-        UnmergedConfig {
-            constraints: SpeechConstraints { max_chars: 300, max_refinements: 2 },
-            candidates: CandidateConfig::default(),
-            seed: 42,
-            warmup_rows: 200,
-            rows_per_iteration: 8,
-            budget: SamplingBudget::WallClock(Duration::from_millis(500)),
-            max_tree_nodes: 500_000,
-            sigma_override: None,
-            resample_size: 100,
-        }
-    }
-}
-
-/// The unmerged vocalizer.
-#[derive(Debug, Clone, Default)]
 pub struct Unmerged {
-    config: UnmergedConfig,
+    config: HolisticConfig,
+    budget: SamplingBudget,
+}
+
+impl Default for Unmerged {
+    /// The default configuration at [`SamplingBudget::PAPER`].
+    fn default() -> Self {
+        Unmerged::new(HolisticConfig::default(), SamplingBudget::PAPER)
+    }
 }
 
 impl Unmerged {
-    /// Create with the given configuration.
-    pub fn new(config: UnmergedConfig) -> Self {
-        Unmerged { config }
+    /// Create with the given configuration and sampling budget.
+    pub fn new(config: HolisticConfig, budget: SamplingBudget) -> Self {
+        Unmerged { config, budget }
     }
 
     /// The active configuration.
-    pub fn config(&self) -> &UnmergedConfig {
+    pub fn config(&self) -> &HolisticConfig {
         &self.config
     }
 }
@@ -112,32 +87,20 @@ impl Vocalizer for Unmerged {
 
         // The holistic engine's worker, solo: same sampling strategy, no
         // overlap with voice output.
-        let mut worker = ShardWorker::solo(
-            table,
-            query,
-            &HolisticConfig {
-                seed: cfg.seed,
-                rows_per_iteration: cfg.rows_per_iteration,
-                resample_size: cfg.resample_size,
-                ..HolisticConfig::default()
-            },
-        );
+        let mut worker = ShardWorker::solo(table, query, cfg);
         let Some(overall) = worker.warmup(cfg.warmup_rows) else {
             let latency = t0.elapsed();
             voice.start(&preamble);
             let source = Buffered::no_data(worker.rows_read(), None);
             return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source));
         };
-        worker.set_sigma(calibrated_sigma(overall, cfg.sigma_override));
-
-        let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
-        let tree =
-            SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
+        let (sigma, tree) = SpeechTree::open(schema, query, cfg, overall);
+        worker.set_sigma(sigma);
 
         // Sample until the budget runs out (or the consumer cancels) —
         // no voice output yet.
         let mut samples = 0u64;
-        let within_budget = |samples: u64| match cfg.budget {
+        let within_budget = |samples: u64| match self.budget {
             SamplingBudget::WallClock(d) => Instant::now() < t0 + d,
             SamplingBudget::Iterations(n) => samples < n,
         };
@@ -210,19 +173,18 @@ mod tests {
         (table, q)
     }
 
-    fn fast_config(iterations: u64) -> UnmergedConfig {
-        UnmergedConfig {
-            budget: SamplingBudget::Iterations(iterations),
-            max_tree_nodes: 60_000,
-            ..UnmergedConfig::default()
-        }
+    fn fast(budget: SamplingBudget) -> Unmerged {
+        Unmerged::new(
+            HolisticConfig { max_tree_nodes: 60_000, ..HolisticConfig::default() },
+            budget,
+        )
     }
 
     #[test]
     fn speaks_whole_speech_after_budget() {
         let (table, q) = setup();
         let mut voice = InstantVoice::default();
-        let outcome = Unmerged::new(fast_config(800)).vocalize(&table, &q, &mut voice);
+        let outcome = fast(SamplingBudget::Iterations(800)).vocalize(&table, &q, &mut voice);
         assert!(outcome.speech.is_some());
         assert!(!outcome.sentences.is_empty());
         assert_eq!(outcome.stats.samples, 800);
@@ -235,7 +197,7 @@ mod tests {
         let (table, q) = setup();
         let run = || {
             let mut voice = InstantVoice::default();
-            Unmerged::new(fast_config(500)).vocalize(&table, &q, &mut voice).body_text()
+            fast(SamplingBudget::Iterations(500)).vocalize(&table, &q, &mut voice).body_text()
         };
         assert_eq!(run(), run());
     }
@@ -243,13 +205,9 @@ mod tests {
     #[test]
     fn wall_clock_budget_dominates_latency() {
         let (table, q) = setup();
-        let cfg = UnmergedConfig {
-            budget: SamplingBudget::WallClock(Duration::from_millis(60)),
-            max_tree_nodes: 60_000,
-            ..UnmergedConfig::default()
-        };
+        let unmerged = fast(SamplingBudget::WallClock(Duration::from_millis(60)));
         let mut voice = InstantVoice::default();
-        let outcome = Unmerged::new(cfg).vocalize(&table, &q, &mut voice);
+        let outcome = unmerged.vocalize(&table, &q, &mut voice);
         assert!(
             outcome.latency >= Duration::from_millis(60),
             "latency {:?} at least the budget",
@@ -261,7 +219,7 @@ mod tests {
     fn zero_budget_still_speaks_a_baseline() {
         let (table, q) = setup();
         let mut voice = InstantVoice::default();
-        let outcome = Unmerged::new(fast_config(0)).vocalize(&table, &q, &mut voice);
+        let outcome = fast(SamplingBudget::Iterations(0)).vocalize(&table, &q, &mut voice);
         assert_eq!(outcome.sentences.len(), 1, "fallback baseline spoken");
         let speech = outcome.speech.unwrap();
         // Nearest grid value to the warm-up estimate (~88-92 K).
@@ -272,7 +230,7 @@ mod tests {
     fn tiny_budget_still_commits_to_visited_nodes_only() {
         let (table, q) = setup();
         let mut voice = InstantVoice::default();
-        let outcome = Unmerged::new(fast_config(3)).vocalize(&table, &q, &mut voice);
+        let outcome = fast(SamplingBudget::Iterations(3)).vocalize(&table, &q, &mut voice);
         // With 3 samples the committed path may be short, but every spoken
         // sentence corresponds to a visited node (no blind commitments).
         assert!(outcome.sentences.len() <= 3);

@@ -385,7 +385,8 @@ impl DurableTable {
         let Some(store) = &self.store else { return Ok(()) };
         let mut state = store.state.lock();
         state.wal.flush_and_sync()?;
-        let marker = format!("version={} wal_len={}\n", state.wal.last_version(), state.wal.bytes());
+        let marker =
+            format!("version={} wal_len={}\n", state.wal.last_version(), state.wal.bytes());
         let io = |e: std::io::Error| DataError::Wal { op: "marker", message: e.to_string() };
         let tmp = store.dir.join("clean.tmp");
         let mut f = File::create(&tmp).map_err(io)?;
@@ -475,7 +476,7 @@ fn snapshots_newest_first(dir: &Path) -> std::io::Result<Vec<(PathBuf, TableVers
         };
         found.push((path, version));
     }
-    found.sort_by(|a, b| b.1.cmp(&a.1));
+    found.sort_by_key(|&(_, version)| std::cmp::Reverse(version));
     Ok(found)
 }
 
@@ -564,8 +565,11 @@ mod tests {
     }
 
     fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("voxolap_{tag}_{}_{:?}", std::process::id(), std::thread::current().id()));
+        let dir = std::env::temp_dir().join(format!(
+            "voxolap_{tag}_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         dir
@@ -685,8 +689,7 @@ mod tests {
         let stats = t.stats().unwrap();
         assert!(stats.snapshot_failures > 0, "seed 5 should fail at least one snapshot");
         drop(t);
-        let (t2, _) =
-            DurableTable::open(seed_table(), &dir, DurabilityOptions::default()).unwrap();
+        let (t2, _) = DurableTable::open(seed_table(), &dir, DurabilityOptions::default()).unwrap();
         assert_eq!(t2.version(), 10);
         assert_eq!(t2.snapshot().row_count(), 12);
         std::fs::remove_dir_all(&dir).ok();

@@ -45,10 +45,10 @@ pub use durable::{
 };
 pub use error::DataError;
 pub use live::{AppendReport, LiveTable};
-pub use wal::{FsyncMode, WalBatch};
 pub use schema::{DimId, Schema};
 pub use star::{DimensionTable, FactTable, StarSchema};
 pub use stats::DatasetStats;
 pub use table::{
     DimSlice, DimValue, IngestRow, Row, RowBlock, RowScanner, Table, TableBuilder, TableVersion,
 };
+pub use wal::{FsyncMode, WalBatch};

@@ -336,8 +336,14 @@ impl Wal {
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Wal, DataError> {
         let io = |e: std::io::Error| DataError::Wal { op: "open", message: e.to_string() };
-        let mut file =
-            OpenOptions::new().create(true).read(true).write(true).open(path).map_err(io)?;
+        let mut file = OpenOptions::new()
+            .create(true)
+            // The log is the acknowledged batches: reopening keeps it.
+            .truncate(false)
+            .read(true)
+            .write(true)
+            .open(path)
+            .map_err(io)?;
         let len = file.metadata().map_err(io)?.len();
         let bytes = if len < MAGIC.len() as u64 {
             file.set_len(0).map_err(io)?;
@@ -622,8 +628,11 @@ mod tests {
     }
 
     fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("voxolap_{tag}_{}_{:?}", std::process::id(), std::thread::current().id()));
+        let dir = std::env::temp_dir().join(format!(
+            "voxolap_{tag}_{}_{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

@@ -51,11 +51,7 @@ fn echo_rows(table: &Table, start: usize, n: usize) -> Vec<IngestRow> {
 }
 
 fn opts() -> DurabilityOptions {
-    DurabilityOptions {
-        fsync_mode: FsyncMode::Off,
-        snapshot_every_batches: 3,
-        faults: None,
-    }
+    DurabilityOptions { fsync_mode: FsyncMode::Off, snapshot_every_batches: 3, faults: None }
 }
 
 fn append_junk(path: &Path, bytes: &[u8]) {
@@ -190,11 +186,7 @@ fn every_byte_truncation_recovers_exactly_a_whole_batch_prefix() {
         let (t2, rec) = DurableTable::open(seed.clone(), &scratch, no_snap.clone()).unwrap();
         let whole = boundaries.iter().filter(|&&(len, _, _)| len <= cut).count();
         let expect_rows = if whole == 0 { 0 } else { boundaries[whole - 1].2 };
-        assert_eq!(
-            t2.snapshot().row_count(),
-            seed.row_count() + expect_rows,
-            "cut at byte {cut}"
-        );
+        assert_eq!(t2.snapshot().row_count(), seed.row_count() + expect_rows, "cut at byte {cut}");
         if whole > 0 {
             assert_eq!(t2.version(), boundaries[whole - 1].1, "cut at byte {cut}");
         }

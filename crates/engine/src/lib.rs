@@ -42,7 +42,6 @@ pub mod query;
 pub mod repair;
 pub mod semantic;
 pub mod sharded;
-pub mod stratified;
 
 pub use cache::{CacheEstimate, ResampleScratch, SampleCache};
 pub use error::EngineError;
@@ -54,4 +53,3 @@ pub use query::{
 pub use repair::{repair_snapshot, RepairOutcome};
 pub use semantic::{CacheStats, ExactAggregates, ExactLookup, SampleSnapshot, SemanticCache};
 pub use sharded::{IngestBatch, ShardedSampleCache};
-pub use stratified::{AggregateIndex, StratifiedScanner};

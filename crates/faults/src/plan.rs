@@ -327,10 +327,9 @@ mod tests {
         assert_eq!(plan.site(FaultSite::WalFsync).unwrap().probability, 0.1);
         assert_eq!(plan.site(FaultSite::SnapshotWrite).unwrap().probability, 0.5);
         assert!(plan.site(FaultSite::DataRead).is_none());
-        let inj = FaultInjector::new(FaultPlan::new(1).with_site(
-            FaultSite::WalFsync,
-            SiteSchedule::error(1.0),
-        ));
+        let inj = FaultInjector::new(
+            FaultPlan::new(1).with_site(FaultSite::WalFsync, SiteSchedule::error(1.0)),
+        );
         assert!(inj.roll(FaultSite::WalFsync).is_some());
         assert!(inj.roll(FaultSite::WalAppend).is_none(), "storage sites roll independently");
     }

@@ -104,6 +104,28 @@ fn select_path_always_ends_at_leaf() {
     }
 }
 
+/// Theorems A.4 and A.3 as counts: a uniform tree of branching `m` and
+/// depth `k` has `Σᵢ₌₀ᵏ mⁱ` nodes, and one UCT descent touches `k + 1`
+/// nodes whose child lists sum to `k·m` — whatever the node count
+/// (111 → 27 931 here).
+#[test]
+fn expansion_is_m_to_the_k_and_a_descent_weighs_k_times_m_children() {
+    for (m, k) in [(10u8, 2usize), (30, 2), (10, 3), (30, 3)] {
+        let tree = build_tree(&vec![m; k]);
+        let m = m as usize;
+        assert_eq!(tree.node_count(), (0..=k as u32).map(|i| m.pow(i)).sum::<usize>());
+        // Pre-visit so the UCT formula, not unvisited-first, picks the path.
+        let mut rng = StdRng::seed_from_u64(1);
+        for _ in 0..tree.node_count() {
+            tree.sample(Tree::<u32>::ROOT, &mut rng, |&v| (v % 30) as f64 / 30.0);
+        }
+        let path = tree.select_path(Tree::<u32>::ROOT, &mut rng);
+        assert_eq!(path.len(), k + 1, "m {m} k {k}");
+        let weighed: usize = path.iter().map(|&n| tree.children(n).len()).sum();
+        assert_eq!(weighed, k * m, "m {m} k {k}");
+    }
+}
+
 #[test]
 fn mean_rewards_are_bounded_by_observations() {
     let mut gen = StdRng::seed_from_u64(0xfeed_0004);

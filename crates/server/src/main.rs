@@ -124,16 +124,14 @@ fn main() {
 
     // The fault plan is parsed before the durable table opens so the
     // storage sites (wal/fsync/snap) share the planner's injector.
-    let resilience = arg("--fault-plan").map(|spec| {
-        match Resilience::from_spec(&spec) {
-            Ok(r) => {
-                eprintln!("fault plan attached: {spec}");
-                Arc::new(r)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+    let resilience = arg("--fault-plan").map(|spec| match Resilience::from_spec(&spec) {
+        Ok(r) => {
+            eprintln!("fault plan attached: {spec}");
+            Arc::new(r)
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
     });
 
@@ -141,15 +139,14 @@ fn main() {
     // observe a partially recovered table.
     let durable = match arg("--data-dir") {
         Some(dir) => {
-            let fsync_mode = match FsyncMode::parse(
-                arg("--fsync-mode").as_deref().unwrap_or("batch"),
-            ) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            };
+            let fsync_mode =
+                match FsyncMode::parse(arg("--fsync-mode").as_deref().unwrap_or("batch")) {
+                    Ok(m) => m,
+                    Err(e) => {
+                        eprintln!("error: {e}");
+                        std::process::exit(2);
+                    }
+                };
             let options = DurabilityOptions {
                 fsync_mode,
                 snapshot_every_batches: arg("--snapshot-every")
@@ -222,8 +219,9 @@ fn main() {
     while !shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(Duration::from_millis(100));
     }
-    let drain =
-        Duration::from_millis(arg("--shutdown-drain-ms").and_then(|v| v.parse().ok()).unwrap_or(2000));
+    let drain = Duration::from_millis(
+        arg("--shutdown-drain-ms").and_then(|v| v.parse().ok()).unwrap_or(2000),
+    );
     eprintln!("shutdown: draining in-flight requests (up to {}ms)...", drain.as_millis());
     handle.shutdown_within(drain);
     match state_for_shutdown.shutdown_durability() {

@@ -62,11 +62,8 @@ fn echo_line(table: &Table, row: usize) -> String {
 fn graceful_shutdown_writes_the_clean_marker_and_the_next_boot_skips_the_scan() {
     let table = small_table();
     let dir = tempdir("graceful");
-    let opts = DurabilityOptions {
-        fsync_mode: FsyncMode::Batch,
-        snapshot_every_batches: 0,
-        faults: None,
-    };
+    let opts =
+        DurabilityOptions { fsync_mode: FsyncMode::Batch, snapshot_every_batches: 0, faults: None };
 
     // Boot one: serve over real TCP, ingest over HTTP, drain, shut down.
     let (durable, recovery) = DurableTable::open(table.clone(), &dir, opts.clone()).unwrap();

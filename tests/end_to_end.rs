@@ -5,7 +5,7 @@ use voxolap_core::approach::Vocalizer;
 use voxolap_core::holistic::{Holistic, HolisticConfig};
 use voxolap_core::optimal::Optimal;
 use voxolap_core::prior::PriorGreedy;
-use voxolap_core::unmerged::{SamplingBudget, Unmerged, UnmergedConfig};
+use voxolap_core::unmerged::{SamplingBudget, Unmerged};
 use voxolap_core::voice::{InstantVoice, VirtualVoice, VoiceOutput as _};
 use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
@@ -36,11 +36,10 @@ fn all_approaches_answer_the_same_query() {
     let approaches: Vec<Box<dyn Vocalizer>> = vec![
         Box::new(fast_holistic(1)),
         Box::new(Optimal::default()),
-        Box::new(Unmerged::new(UnmergedConfig {
-            budget: SamplingBudget::Iterations(600),
-            max_tree_nodes: 50_000,
-            ..UnmergedConfig::default()
-        })),
+        Box::new(Unmerged::new(
+            HolisticConfig { max_tree_nodes: 50_000, ..HolisticConfig::default() },
+            SamplingBudget::Iterations(600),
+        )),
         Box::new(PriorGreedy),
     ];
     for approach in &approaches {

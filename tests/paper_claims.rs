@@ -14,7 +14,7 @@ use voxolap_core::approach::Vocalizer;
 use voxolap_core::holistic::{Holistic, HolisticConfig};
 use voxolap_core::optimal::Optimal;
 use voxolap_core::prior::PriorGreedy;
-use voxolap_core::unmerged::{SamplingBudget, Unmerged, UnmergedConfig};
+use voxolap_core::unmerged::{SamplingBudget, Unmerged};
 use voxolap_core::voice::{InstantVoice, VirtualVoice};
 use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
@@ -106,12 +106,10 @@ fn figure_3_shape_small_scale() {
     let mut voice = InstantVoice::default();
     // A starved unmerged run (few iterations ~ tight time budget at the
     // paper's data scale).
-    let unmerged = Unmerged::new(UnmergedConfig {
-        budget: SamplingBudget::Iterations(150),
-        resample_size: 200,
-        seed: 42,
-        ..UnmergedConfig::default()
-    })
+    let unmerged = Unmerged::new(
+        HolisticConfig { resample_size: 200, seed: 42, ..HolisticConfig::default() },
+        SamplingBudget::Iterations(150),
+    )
     .vocalize(&table, &query, &mut voice);
 
     // Latency ordering: holistic starts speaking immediately; optimal pays

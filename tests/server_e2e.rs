@@ -42,7 +42,8 @@ impl Drop for Watchdog {
     }
 }
 
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+/// Connect and send one request; the response is still to be read.
+fn send(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> TcpStream {
     let mut s = TcpStream::connect(addr).unwrap();
     write!(
         s,
@@ -50,12 +51,50 @@ fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> 
         body.len()
     )
     .unwrap();
+    s
+}
+
+/// Read the whole response to a [`send`]: status and body.
+fn response(mut s: TcpStream) -> (u16, String) {
     let mut out = String::new();
     s.read_to_string(&mut out).unwrap();
     let status: u16 =
         out.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
     let body = out.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
     (status, body)
+}
+
+fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
+    response(send(addr, method, path, body))
+}
+
+/// Saturate a `threads: 1, queue: 1` server with two `/health` requests —
+/// one in the worker, one in the queue slot — and return the threads
+/// waiting for their answers (both must be `200`).
+///
+/// `metrics.accepted` counts connections parked in the reactor. It proves
+/// the reactor holds the connection; it does not prove a worker has taken
+/// its request off the queue. So occupant 2 is sent only once `requests`
+/// shows a worker dequeued occupant 1 — sent any earlier it can find
+/// occupant 1 still in the one queue slot and be 503'd. For occupant 2
+/// itself `accepted` is enough: its request is written before the wait, so
+/// the one reactor thread reads and queues it before the request of any
+/// connection made after this returns.
+fn saturate(
+    addr: std::net::SocketAddr,
+    metrics: &HttpMetrics,
+) -> Vec<std::thread::JoinHandle<(u16, String)>> {
+    fn wait_for(reached: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !reached() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    let in_worker = std::thread::spawn(move || request(addr, "GET", "/health", ""));
+    wait_for(|| metrics.snapshot().requests >= 1);
+    let queued = send(addr, "GET", "/health", "");
+    wait_for(|| metrics.snapshot().accepted >= 2);
+    vec![in_worker, std::thread::spawn(move || response(queued))]
 }
 
 fn small_table() -> voxolap_data::Table {
@@ -334,17 +373,7 @@ fn saturation_yields_503s_and_counts_rejections() {
     let addr = handle.addr;
 
     // Occupy the worker, then the queue slot.
-    let mut slow = Vec::new();
-    slow.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while metrics.snapshot().requests < 1 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    slow.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while metrics.snapshot().accepted < 2 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let slow = saturate(addr, &metrics);
 
     // Both capacity slots taken: the next connection is turned away.
     let mut s = TcpStream::connect(addr).unwrap();
@@ -456,14 +485,7 @@ fn slowloris_rejects_do_not_delay_healthy_accepts() {
     let addr = handle.addr;
 
     // Saturate: one request in the worker, one in the queue.
-    let mut occupants = Vec::new();
-    for _ in 0..2 {
-        occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().accepted < occupants.len() as u64 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
+    let occupants = saturate(addr, &metrics);
 
     // A crowd of slowloris clients: send a request, never read the 503.
     let slowloris: Vec<TcpStream> = (0..8)
@@ -586,15 +608,7 @@ fn client_reset_during_rejection_is_counted_not_fatal() {
     .unwrap();
     let addr = handle.addr;
 
-    // Saturate.
-    let mut occupants = Vec::new();
-    for _ in 0..2 {
-        occupants.push(std::thread::spawn(move || request(addr, "GET", "/health", "")));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().accepted < occupants.len() as u64 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
+    let occupants = saturate(addr, &metrics);
 
     // Doomed clients: send a request, give the 503 time to land in the
     // receive buffer, then close without reading it. Closing with unread

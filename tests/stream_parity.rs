@@ -12,7 +12,7 @@ use voxolap_core::holistic::{Holistic, HolisticConfig};
 use voxolap_core::optimal::Optimal;
 use voxolap_core::parallel::ParallelHolistic;
 use voxolap_core::prior::PriorGreedy;
-use voxolap_core::unmerged::{SamplingBudget, Unmerged, UnmergedConfig};
+use voxolap_core::unmerged::{SamplingBudget, Unmerged};
 use voxolap_core::voice::{InstantVoice, VoiceOutput as _};
 use voxolap_core::CancelToken;
 use voxolap_data::dimension::LevelId;
@@ -77,11 +77,10 @@ fn stream_matches_blocking_for_every_approach() {
         Box::new(Holistic::new(config(7))),
         Box::new(ParallelHolistic::new(config(7)).with_threads(1)),
         Box::new(Optimal::default()),
-        Box::new(Unmerged::new(UnmergedConfig {
-            budget: SamplingBudget::Iterations(600),
-            seed: 7,
-            ..UnmergedConfig::default()
-        })),
+        Box::new(Unmerged::new(
+            HolisticConfig { seed: 7, ..HolisticConfig::default() },
+            SamplingBudget::Iterations(600),
+        )),
         Box::new(PriorGreedy),
     ];
     for v in &approaches {
