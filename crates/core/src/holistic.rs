@@ -75,7 +75,11 @@ pub struct HolisticConfig {
     /// Fixed resample size of the cache estimator. The paper uses 10; the
     /// planner default is 100 because low-rate 0/1 measures (cancellation
     /// flags) make 10-row resamples almost always all-zero, biasing
-    /// baseline selection low. Still O(1) per iteration. *Sampling.*
+    /// baseline selection low. Still constant cost per iteration,
+    /// however full the cache: the estimator touches O(`resample_size`)
+    /// slots of a persistent index pool
+    /// (`voxolap_engine::resample::ResampleScratch`), never the whole
+    /// bucket. *Sampling.*
     pub resample_size: usize,
     /// Tree-descent policy during sampling (UCT by default; uniform random
     /// is the no-prioritization ablation). *Sampling.*

@@ -16,8 +16,8 @@ use voxolap_belief::model::rounding_bucket;
 use voxolap_belief::normal::Normal;
 use voxolap_data::table::RowScanner;
 use voxolap_data::{MorselPool, Table};
-use voxolap_engine::cache::ResampleScratch;
 use voxolap_engine::query::{AggFct, Query};
+use voxolap_engine::resample::ResampleScratch;
 use voxolap_engine::semantic::{SampleSnapshot, SemanticCache};
 use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 use voxolap_mcts::NodeId;
@@ -74,6 +74,8 @@ pub struct ShardWorker<'a> {
     /// Reused resample buffers — keeps the per-iteration estimate
     /// allocation-free.
     scratch: ResampleScratch,
+    /// Reused descent path, for the same reason.
+    path: Vec<NodeId>,
     /// Thread-local morsel accumulator for the group-commit ingest path
     /// (`ShardedSampleCache::observe_batch`, DESIGN.md §14).
     batch: IngestBatch,
@@ -119,6 +121,7 @@ impl<'a> ShardWorker<'a> {
                 config.seed ^ 0x9e37_79b9_7f4a_7c15 ^ (worker as u64).wrapping_mul(WORKER_STREAM),
             ),
             scratch: ResampleScratch::new(),
+            path: Vec::new(),
             batch: IngestBatch::new(query.n_aggregates()),
             aggs: Vec::new(),
             coords: (0..query.n_aggregates() as u32)
@@ -307,14 +310,15 @@ impl<'a> ShardWorker<'a> {
         let est = estimate.value(self.query.fct());
 
         let t = tree.tree();
-        let path = match self.policy {
-            SelectionPolicy::Uct if use_vloss => t.select_path_vloss(from, &mut self.rng),
-            SelectionPolicy::Uct => t.select_path(from, &mut self.rng),
-            SelectionPolicy::UniformRandom => t.random_path(from, &mut self.rng),
-        };
-        let Some(&leaf) = path.last() else {
-            return 0.0;
-        };
+        let path = &mut self.path;
+        match self.policy {
+            SelectionPolicy::Uct if use_vloss => {
+                t.select_path_vloss_into(from, &mut self.rng, path)
+            }
+            SelectionPolicy::Uct => t.select_path_into(from, &mut self.rng, path),
+            SelectionPolicy::UniformRandom => t.random_path_into(from, &mut self.rng, path),
+        }
+        let leaf = *path.last().expect("a descent starts at `from`");
         let reward = if est.is_finite() {
             let mean = tree.mean_for(leaf, &self.coords[agg as usize]);
             let (lo, hi) = rounding_bucket(est, self.sigma / 10.0);
@@ -323,9 +327,9 @@ impl<'a> ShardWorker<'a> {
             0.0
         };
         if use_vloss && self.policy == SelectionPolicy::Uct {
-            t.update_path_vloss(&path, reward);
+            t.update_path_vloss(path, reward);
         } else {
-            t.update_path(&path, reward);
+            t.update_path(path, reward);
         }
         reward
     }
@@ -374,7 +378,7 @@ mod tests {
         HolisticConfig {
             seed,
             rows_per_iteration: rows,
-            resample_size: voxolap_engine::cache::DEFAULT_RESAMPLE_SIZE,
+            resample_size: voxolap_engine::resample::DEFAULT_RESAMPLE_SIZE,
             ..HolisticConfig::default()
         }
     }

@@ -19,8 +19,8 @@
 //!
 //! [`SampleCache`] is the sequential reference: the planners run on
 //! [`ShardedSampleCache`](crate::sharded::ShardedSampleCache), which shares
-//! the estimator code below and whose tests pin it against this cache
-//! observation for observation.
+//! the estimator code ([`crate::resample`]) and whose tests pin it against
+//! this cache observation for observation.
 
 use rand::Rng;
 
@@ -28,84 +28,11 @@ use voxolap_data::dimension::MemberId;
 
 use crate::query::{AggFct, AggIdx, ResultLayout};
 
-/// Default size of the fixed resample (paper §4.3: "we use a fixed size of
-/// 10 samples").
-pub const DEFAULT_RESAMPLE_SIZE: usize = 10;
-
-/// Reusable buffers for [`SampleCache::resample_into`] /
-/// [`SampleCache::estimate_with`]: the planner's inner loop calls these
-/// thousands of times per second, and reusing one scratch keeps the hot
-/// path allocation-free (the buffers grow to the working size once and are
-/// recycled).
-#[derive(Debug, Clone, Default)]
-pub struct ResampleScratch {
-    /// Partial-Fisher–Yates index pool over the bucket.
-    pub(crate) indices: Vec<u32>,
-    /// The drawn resample values.
-    pub(crate) out: Vec<f64>,
-}
-
-impl ResampleScratch {
-    /// A fresh scratch; buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Draw `amount` values from `bucket` uniformly without replacement into
-/// `scratch.out` (all of them when the bucket is smaller), via a partial
-/// Fisher–Yates shuffle over a reused index pool. No allocation after the
-/// scratch reaches steady-state capacity.
-pub(crate) fn resample_into_scratch<R: Rng + ?Sized>(
-    bucket: &[f64],
-    amount: usize,
-    rng: &mut R,
-    scratch: &mut ResampleScratch,
-) {
-    scratch.out.clear();
-    if bucket.len() <= amount {
-        scratch.out.extend_from_slice(bucket);
-        return;
-    }
-    let ix = &mut scratch.indices;
-    ix.clear();
-    ix.extend(0..bucket.len() as u32);
-    for i in 0..amount {
-        let j = rng.gen_range(i..bucket.len());
-        ix.swap(i, j);
-        scratch.out.push(bucket[ix[i] as usize]);
-    }
-}
-
-/// Combine the count estimate `e_c` with a resample `v` into the full
-/// estimate triple (shared by the sequential and sharded caches).
-pub(crate) fn estimate_from_resample(e_c: f64, v: &[f64]) -> CacheEstimate {
-    let mean = if v.is_empty() { f64::NAN } else { v.iter().sum::<f64>() / v.len() as f64 };
-    let e_s = if v.is_empty() { 0.0 } else { e_c * mean };
-    CacheEstimate { count: e_c, sum: e_s, avg: mean }
-}
-
-/// A cache-based estimate of one aggregate's count, sum, and average.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheEstimate {
-    /// Estimated row count of the aggregate's scope (`e_C`).
-    pub count: f64,
-    /// Estimated measure sum (`e_S`).
-    pub sum: f64,
-    /// Estimated average (`e_A`); `NaN` when no entry is cached.
-    pub avg: f64,
-}
-
-impl CacheEstimate {
-    /// The estimate for a given aggregation function.
-    pub fn value(&self, fct: AggFct) -> f64 {
-        match fct {
-            AggFct::Count => self.count,
-            AggFct::Sum => self.sum,
-            AggFct::Avg => self.avg,
-        }
-    }
-}
+// The fixed-size resample and the estimator arithmetic live in
+// `crate::resample`; re-exported so `voxolap_engine::cache::*` keeps
+// resolving.
+use crate::resample::{estimate_from_resample, resample_into_scratch};
+pub use crate::resample::{CacheEstimate, ResampleScratch, DEFAULT_RESAMPLE_SIZE};
 
 /// Sample cache for one query (see module docs).
 #[derive(Debug, Clone)]
@@ -557,14 +484,6 @@ mod tests {
             capped.observe(q.layout().agg_of_row(r.members), r.value);
         }
         assert!(capped.exact_result().is_none(), "eviction forfeits exactness");
-    }
-
-    #[test]
-    fn estimate_value_dispatches_on_fct() {
-        let e = CacheEstimate { count: 10.0, sum: 55.0, avg: 5.5 };
-        assert_eq!(e.value(AggFct::Count), 10.0);
-        assert_eq!(e.value(AggFct::Sum), 55.0);
-        assert_eq!(e.value(AggFct::Avg), 5.5);
     }
 }
 

@@ -14,8 +14,9 @@
 //! * [`sharded`] — the continuously-filled sample cache of paper
 //!   Algorithm 3, supplying unbiased count/sum/average estimates from row
 //!   samples to the *Holistic* and *Unmerged* planners, at any thread
-//!   count. [`cache`] holds its estimator arithmetic and the sequential
-//!   [`SampleCache`] the sharded cache is defined (and tested) against.
+//!   count. [`resample`] holds the fixed-size resample and the estimator
+//!   arithmetic, [`cache`] the sequential [`SampleCache`] the sharded cache
+//!   is defined (and tested) against.
 //!
 //! ```
 //! use voxolap_data::salary::SalaryConfig;
@@ -40,10 +41,11 @@ pub mod exact;
 pub mod poison;
 pub mod query;
 pub mod repair;
+pub mod resample;
 pub mod semantic;
 pub mod sharded;
 
-pub use cache::{CacheEstimate, ResampleScratch, SampleCache};
+pub use cache::SampleCache;
 pub use error::EngineError;
 pub use exact::{evaluate, ExactResult};
 pub use query::{
@@ -51,5 +53,6 @@ pub use query::{
     AGG_OUT_OF_SCOPE,
 };
 pub use repair::{repair_snapshot, RepairOutcome};
+pub use resample::{CacheEstimate, ResampleScratch};
 pub use semantic::{CacheStats, ExactAggregates, ExactLookup, SampleSnapshot, SemanticCache};
 pub use sharded::{IngestBatch, ShardedSampleCache};

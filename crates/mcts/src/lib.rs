@@ -342,13 +342,27 @@ impl<T> Tree<T> {
     /// on every fragment on the path, not just the leaf) use this together
     /// with [`Tree::update_path`].
     pub fn select_path<R: Rng + ?Sized>(&self, from: NodeId, rng: &mut R) -> Vec<NodeId> {
-        let mut path = vec![from];
+        let mut path = Vec::new();
+        self.select_path_into(from, rng, &mut path);
+        path
+    }
+
+    /// [`Tree::select_path`] into a caller-owned buffer (cleared first), so
+    /// a sampling loop reuses one allocation for every descent. Same
+    /// choices, same RNG draws.
+    pub fn select_path_into<R: Rng + ?Sized>(
+        &self,
+        from: NodeId,
+        rng: &mut R,
+        path: &mut Vec<NodeId>,
+    ) {
+        path.clear();
+        path.push(from);
         let mut cur = from;
         while let Some(next) = self.max_uct_child(cur, rng) {
             path.push(next);
             cur = next;
         }
-        path
     }
 
     /// [`Tree::select_path`] for concurrent samplers: every node on the
@@ -357,7 +371,21 @@ impl<T> Tree<T> {
     /// The path MUST be committed with [`Tree::update_path_vloss`], which
     /// releases the virtual losses.
     pub fn select_path_vloss<R: Rng + ?Sized>(&self, from: NodeId, rng: &mut R) -> Vec<NodeId> {
-        let mut path = vec![from];
+        let mut path = Vec::new();
+        self.select_path_vloss_into(from, rng, &mut path);
+        path
+    }
+
+    /// [`Tree::select_path_vloss`] into a caller-owned buffer (cleared
+    /// first); the same commit obligation applies.
+    pub fn select_path_vloss_into<R: Rng + ?Sized>(
+        &self,
+        from: NodeId,
+        rng: &mut R,
+        path: &mut Vec<NodeId>,
+    ) {
+        path.clear();
+        path.push(from);
         self.nodes[from.index()].vloss.fetch_add(1, Ordering::AcqRel);
         let mut cur = from;
         while let Some(next) = self.uct_child(cur, rng, true) {
@@ -365,19 +393,31 @@ impl<T> Tree<T> {
             path.push(next);
             cur = next;
         }
-        path
     }
 
     /// Descend from `from` choosing children uniformly at random — the
     /// no-prioritization ablation of UCT (pure Monte-Carlo sampling without
     /// the exploration/exploitation balance the paper argues for).
     pub fn random_path<R: Rng + ?Sized>(&self, from: NodeId, rng: &mut R) -> Vec<NodeId> {
-        let mut path = vec![from];
+        let mut path = Vec::new();
+        self.random_path_into(from, rng, &mut path);
+        path
+    }
+
+    /// [`Tree::random_path`] into a caller-owned buffer (cleared first).
+    pub fn random_path_into<R: Rng + ?Sized>(
+        &self,
+        from: NodeId,
+        rng: &mut R,
+        path: &mut Vec<NodeId>,
+    ) {
+        path.clear();
+        path.push(from);
         let mut cur = from;
         loop {
             let children = self.children(cur);
             if children.is_empty() {
-                return path;
+                return;
             }
             cur = children[rng.gen_range(0..children.len())];
             path.push(cur);
@@ -612,6 +652,34 @@ mod tests {
             // Commit only the vloss path so the tree advances identically
             // for both rngs (update_path_vloss == update_path + release).
             t.update_path_vloss(&vloss, (i % 5) as f64 / 5.0);
+        }
+    }
+
+    #[test]
+    fn into_descents_reuse_a_dirty_buffer_and_match_the_vec_forms() {
+        let mut t = Tree::new(());
+        for _ in 0..3 {
+            let c = t.add_child(Tree::<()>::ROOT, ());
+            for _ in 0..2 {
+                t.add_child(c, ());
+            }
+        }
+        let (mut r1, mut r2) = (rng(13), rng(13));
+        // Starts dirty, and stays so: each descent leaves its path behind
+        // for the next one to clear.
+        let mut path = vec![NodeId(7); 5];
+        for i in 0..40 {
+            t.random_path_into(Tree::<()>::ROOT, &mut r1, &mut path);
+            assert_eq!(path, t.random_path(Tree::<()>::ROOT, &mut r2), "random, iteration {i}");
+            t.select_path_into(Tree::<()>::ROOT, &mut r1, &mut path);
+            assert_eq!(path, t.select_path(Tree::<()>::ROOT, &mut r2), "uct, iteration {i}");
+            // The vloss descent mutates the tree, so its twin runs on a
+            // clone; committing it then moves the statistics on for the
+            // next iteration's UCT choices.
+            let vloss = t.clone().select_path_vloss(Tree::<()>::ROOT, &mut r2);
+            t.select_path_vloss_into(Tree::<()>::ROOT, &mut r1, &mut path);
+            assert_eq!(path, vloss, "vloss, iteration {i}");
+            t.update_path_vloss(&path, (i % 5) as f64 / 5.0);
         }
     }
 }
