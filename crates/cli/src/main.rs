@@ -25,8 +25,8 @@
 //!                           skipping it (lenient-skip is the default)
 //!   --fault-plan SPEC       deterministic fault injection + degradation
 //!                           ladder, e.g. "seed=7,read=0.05,budget=64"
-//!                           (holistic and parallel; the other approaches
-//!                           have no fault sites and ignore it)
+//!                           (every approach but prior, which has no
+//!                           planning loop and no fault site)
 //!   --data-dir PATH         recover ingested batches from a durable store
 //!                           (WAL + snapshots, DESIGN.md §17) on top of the
 //!                           generated/loaded seed before answering; a
@@ -88,7 +88,7 @@ fn usage() -> &'static str {
        --strict                fail on the first malformed CSV row (default: skip + count)\n\
        --fault-plan SPEC       fault injection + degradation ladder, e.g.\n\
                                \"seed=7,read=0.05,sample=0.01,budget=64,breaker=5\"\n\
-                               (holistic and parallel; ignored by the others)\n\
+                               (every approach but prior)\n\
        --data-dir PATH         recover durable ingest state (WAL + snapshots) over the seed\n\
        --fsync-mode MODE       always|batch|off (default batch); with --data-dir"
 }
@@ -231,14 +231,14 @@ fn approach_options(opts: &Options) -> ApproachOptions {
 /// Build `--approach` with what every query of one invocation shares: the
 /// semantic cache (repeated and scope-overlapping repl questions get
 /// faster as the session goes on; `--cache-mb 0` turns it off) and the
-/// `--fault-plan` resilience bundle (without the flag the engines carry
-/// no fault hooks at all).
+/// `--fault-plan` resilience bundle (without the flag the bundle is the
+/// inert default: no injector, nothing rolls).
 fn shared_vocalizer(opts: &Options) -> Result<Box<dyn Vocalizer>, String> {
     let mut options = approach_options(opts);
     options.cache =
         (opts.cache_mb > 0).then(|| Arc::new(SemanticCache::with_capacity_mb(opts.cache_mb)));
     if let Some(spec) = &opts.fault_plan {
-        options.resilience = Some(Arc::new(Resilience::from_spec(spec)?));
+        options.resilience = Arc::new(Resilience::from_spec(spec)?);
     }
     approach::vocalizer(&opts.approach, &options)
 }

@@ -68,10 +68,15 @@ pub struct ApproachOptions {
     /// Cross-query semantic cache, for the approaches that can use one
     /// (`holistic`, `parallel`, `optimal`).
     pub cache: Option<Arc<SemanticCache>>,
-    /// Fault injection + degradation ladder. Only `holistic` and
-    /// `parallel` have fault sites; the other approaches plan their whole
-    /// speech up front and ignore it.
-    pub resilience: Option<Arc<Resilience>>,
+    /// The degradation ladder of every approach with a planning loop
+    /// (`holistic`, `parallel`, `optimal`, `unmerged`), inert by default: a
+    /// deadline cut commits the anytime answer marked `degraded`, and each
+    /// answer is counted clean or degraded in its `DegradeStats`. With an
+    /// injector, the row-reading approaches (all but `optimal`) roll its
+    /// read and sample sites and every stream its Emit site. `prior`
+    /// computes its whole answer before output and has nothing to cut: it
+    /// takes no bundle and its answers are not counted here.
+    pub resilience: Arc<Resilience>,
 }
 
 impl Default for ApproachOptions {
@@ -81,7 +86,7 @@ impl Default for ApproachOptions {
             uncertainty: UncertaintyMode::Off,
             threads: None,
             cache: None,
-            resilience: None,
+            resilience: Arc::default(),
         }
     }
 }
@@ -106,11 +111,16 @@ impl ApproachOptions {
     }
 
     fn optimal(&self) -> Optimal {
-        Optimal { config: self.holistic_config(), cache: self.cache.clone() }
+        Optimal {
+            config: self.holistic_config(),
+            cache: self.cache.clone(),
+            resilience: self.resilience.clone(),
+        }
     }
 
     fn unmerged(&self) -> Unmerged {
         Unmerged::new(self.holistic_config(), SamplingBudget::PAPER)
+            .with_resilience(self.resilience.clone())
     }
 }
 

@@ -24,14 +24,14 @@ use std::sync::Arc;
 use voxolap_data::Table;
 use voxolap_engine::query::{AggIdx, Query, ResultLayout};
 use voxolap_engine::semantic::SemanticCache;
-use voxolap_faults::{DegradeReason, Resilience, RunState};
+use voxolap_faults::{DegradeReason, Resilience};
 use voxolap_mcts::NodeId;
 use voxolap_speech::candidates::CandidateConfig;
 use voxolap_speech::constraints::SpeechConstraints;
 
 use crate::approach::Vocalizer;
 use crate::parallel::ParallelHolistic;
-use crate::pipeline::cancel::CancelToken;
+use crate::pipeline::cancel::{CancelKind, CancelToken};
 use crate::pipeline::stream::SpeechStream;
 use crate::resilience::ResCtx;
 use crate::sampler::SelectionPolicy;
@@ -118,7 +118,8 @@ impl Default for Holistic {
 impl Holistic {
     /// Create with the given configuration.
     pub fn new(config: HolisticConfig) -> Self {
-        Holistic(ParallelHolistic { config, threads: 1, cache: None, resilience: None })
+        let resilience = Arc::default();
+        Holistic(ParallelHolistic { config, threads: 1, cache: None, resilience })
     }
 
     /// Attach a cross-query semantic cache (see
@@ -127,7 +128,7 @@ impl Holistic {
         Holistic(self.0.with_cache(cache))
     }
 
-    /// Attach a resilience bundle (see
+    /// Replace the resilience bundle (see
     /// [`ParallelHolistic::with_resilience`]).
     pub fn with_resilience(self, resilience: Arc<Resilience>) -> Self {
         Holistic(self.0.with_resilience(resilience))
@@ -173,24 +174,14 @@ impl Vocalizer for Holistic {
 /// invalidates the entry and replans fresh. Serving marks the run
 /// degraded; without an injector the ladder always allows reads, so the
 /// decision consumes nothing and appendless runs stay byte-identical.
-pub(crate) fn serve_stale_exact(
-    cancel: &CancelToken,
-    resil: Option<&(Arc<Resilience>, Arc<RunState>)>,
-) -> bool {
-    if cancel.fired_kind() == Some(crate::pipeline::cancel::CancelKind::Deadline) {
-        if let Some((_, run)) = resil {
-            run.mark_degraded(DegradeReason::Deadline);
-        }
+pub(crate) fn serve_stale_exact(cancel: &CancelToken, res: &ResCtx) -> bool {
+    if cancel.fired_kind() == Some(CancelKind::Deadline) {
+        res.run.mark_degraded(DegradeReason::Deadline);
         return true;
     }
-    match resil {
-        Some((res, run)) if res.injector().is_some() => {
-            // `read_allowed` walks the full retry → breaker ladder; its
-            // fallback path already marks the run degraded.
-            !ResCtx::new(res.clone(), run.clone(), "table").read_allowed()
-        }
-        _ => false,
-    }
+    // `read_allowed` walks the full retry → breaker ladder; its fallback
+    // path already marks the run degraded.
+    !res.read_allowed()
 }
 
 #[cfg(test)]
@@ -513,24 +504,6 @@ pub(crate) mod tests {
         let stats = cache.stats();
         assert_eq!(stats.stale_serves, 1, "{stats:?}");
         assert_eq!(stats.exact_invalidations, 0, "the entry stays cached");
-    }
-
-    #[test]
-    fn inert_resilience_keeps_output_identical() {
-        let (table, q) = setup();
-        let mut v1 = InstantVoice::default();
-        let plain = Holistic::new(fast_config()).vocalize(&table, &q, &mut v1);
-        let mut v2 = InstantVoice::default();
-        let res = Arc::new(Resilience::default());
-        let resilient =
-            Holistic::new(fast_config()).with_resilience(res.clone()).vocalize(&table, &q, &mut v2);
-        assert_eq!(resilient.sentences, plain.sentences, "no injector, no perturbation");
-        assert_eq!(resilient.stats.samples, plain.stats.samples);
-        assert_eq!(resilient.stats.rows_read, plain.stats.rows_read);
-        assert!(!resilient.stats.degraded);
-        let snap = res.stats().snapshot();
-        assert_eq!(snap.clean_answers, 1);
-        assert_eq!(snap.degraded_answers, 0);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use voxolap_data::Table;
 use voxolap_engine::exact::{evaluate, ExactResult};
 use voxolap_engine::query::{Query, ResultLayout};
 use voxolap_engine::semantic::SemanticCache;
-use voxolap_faults::{DegradeReason, RunState};
+use voxolap_faults::{DegradeReason, Resilience, RunState};
 use voxolap_mcts::NodeId;
 use voxolap_speech::ast::Speech;
 use voxolap_speech::render::Renderer;
@@ -33,6 +33,7 @@ use crate::approach::Vocalizer;
 use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
+use crate::resilience::ResCtx;
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
 
@@ -41,13 +42,23 @@ use crate::voice::VoiceOutput;
 pub struct Optimal {
     pub(crate) config: HolisticConfig,
     pub(crate) cache: Option<Arc<SemanticCache>>,
+    /// Inert unless replaced; see [`Optimal::with_resilience`].
+    pub(crate) resilience: Arc<Resilience>,
 }
 
 impl Optimal {
     /// Create with the given configuration (the fields marked *all* in
     /// [`HolisticConfig`] are the ones read).
     pub fn new(config: HolisticConfig) -> Self {
-        Optimal { config, cache: None }
+        Optimal { config, cache: None, resilience: Arc::default() }
+    }
+
+    /// Replace the resilience bundle the answers are counted in. Optimal
+    /// reads no fault site before output, but its scoring loop is cut by a
+    /// deadline like any other planning loop, and the cut is marked.
+    pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
+        self.resilience = resilience;
+        self
     }
 
     /// Attach a cross-query semantic cache: exact results are looked up
@@ -135,16 +146,16 @@ pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffer
 /// Scoring visits every node of the search space — over a wide breakdown
 /// that is seconds of work (500k nodes × one `node_quality` pass over
 /// every aggregate each). The `cancel` token is polled between nodes: a
-/// fired deadline keeps the best speech found so far (the anytime cut of
-/// the exhaustive search) and marks `run` degraded, so an exact-hit can
-/// never outlast the deadline that bounds the sampled path.
+/// fired token keeps the best speech found so far (the anytime cut of
+/// the exhaustive search) and marks `run` degraded, so neither Optimal nor
+/// an exact hit can outlast the deadline that bounds the sampled path.
 pub(crate) fn plan_from_exact(
     schema: &Schema,
     query: &Query,
     exact: &ExactResult,
     cfg: &HolisticConfig,
     cancel: &CancelToken,
-    run: Option<&RunState>,
+    run: &RunState,
 ) -> Option<ExactPlan> {
     let grand = exact.grand_mean();
     if !grand.is_finite() {
@@ -166,9 +177,7 @@ pub(crate) fn plan_from_exact(
         if since_poll >= 32 {
             since_poll = 0;
             if cancel.fired() {
-                if let Some(run) = run {
-                    run.mark_degraded(DegradeReason::Deadline);
-                }
+                run.mark_degraded(DegradeReason::Deadline);
                 break;
             }
         }
@@ -224,8 +233,8 @@ impl Vocalizer for Optimal {
 
         // Exact aggregates: from the semantic cache on a repeat query,
         // otherwise a full scan — the expensive part on large data. A
-        // version-stale entry is invalidated and recomputed: Optimal has
-        // no degradation ladder, so it never serves stale data.
+        // version-stale entry is invalidated and recomputed: Optimal
+        // always evaluates exactly, so it never serves stale data.
         let key = self.cache.as_ref().map(|_| query.key());
         let cached = match (&self.cache, &key) {
             (Some(cache), Some(key)) => match cache.lookup_exact(key, table.version()) {
@@ -257,13 +266,14 @@ impl Vocalizer for Optimal {
         };
         let rows_read = if hit { 0 } else { table.row_count() as u64 };
 
-        let plan = plan_from_exact(schema, query, &exact, &self.config, &cancel, None);
+        let res = ResCtx::new(&self.resilience);
+        let plan = plan_from_exact(schema, query, &exact, &self.config, &cancel, &res.run);
         let source = plan_source(plan, rows_read);
 
         // Only now does output start: latency includes the full scan.
         let latency = t0.elapsed();
         voice.start(&preamble);
-        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
+        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source), res)
     }
 }
 
@@ -425,8 +435,9 @@ mod tests {
         for (name, q, tree_nodes, truncated, sentences) in &cases {
             let exact = evaluate(q, &table);
             let cfg = HolisticConfig::default();
+            let run = RunState::default();
             let plan =
-                plan_from_exact(schema, q, &exact, &cfg, &CancelToken::never(), None).unwrap();
+                plan_from_exact(schema, q, &exact, &cfg, &CancelToken::never(), &run).unwrap();
             assert_eq!(plan.sentences, sentences, "{name}");
             assert_eq!(plan.tree_nodes, *tree_nodes, "{name}");
             assert_eq!(plan.truncated, *truncated, "{name}");

@@ -19,7 +19,8 @@ pub struct PlanStats {
     pub planning_time: Duration,
     /// `true` when the answer was degraded (anytime commit after a
     /// deadline or exhausted fault budget, cache fallback, or a failed
-    /// emission) — always `false` without an attached resilience bundle.
+    /// emission). A deadline cut sets it on every approach; the other
+    /// causes need a fault plan.
     pub degraded: bool,
     /// `true` when the answer was served from a version-stale cached
     /// exact result (the table grew since the entry was computed and the

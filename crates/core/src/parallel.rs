@@ -44,7 +44,7 @@ use voxolap_engine::query::Query;
 use voxolap_engine::repair::repair_snapshot;
 use voxolap_engine::semantic::{ExactLookup, SemanticCache};
 use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
-use voxolap_faults::{Resilience, RunState};
+use voxolap_faults::Resilience;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
@@ -68,7 +68,9 @@ pub struct ParallelHolistic {
     pub(crate) config: HolisticConfig,
     pub(crate) threads: usize,
     pub(crate) cache: Option<Arc<SemanticCache>>,
-    pub(crate) resilience: Option<Arc<Resilience>>,
+    /// The degradation ladder every run of this engine opens its
+    /// [`ResCtx`] on; inert (no injector) unless replaced.
+    pub(crate) resilience: Arc<Resilience>,
 }
 
 impl Default for ParallelHolistic {
@@ -83,7 +85,7 @@ impl ParallelHolistic {
     /// threads as the machine has cores.
     pub fn new(config: HolisticConfig) -> Self {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        ParallelHolistic { config, threads, cache: None, resilience: None }
+        ParallelHolistic { config, threads, cache: None, resilience: Arc::default() }
     }
 
     /// Attach a cross-query semantic cache. Repeats of an exactly-answered
@@ -104,12 +106,15 @@ impl ParallelHolistic {
         self
     }
 
-    /// Attach a resilience bundle: fault injection at the engine's fault
-    /// sites, the retry → circuit-breaker read ladder, and anytime-answer
-    /// degradation. Without an injector the hooks are inert and planning
-    /// stays byte-identical.
+    /// Replace the engine's resilience bundle (an inert one of its own by
+    /// default): fault injection at the engine's fault sites, the retry →
+    /// circuit-breaker read ladder, and the [`DegradeStats`] its answers
+    /// are counted in. Anytime-answer degradation needs no injector — a
+    /// deadline cut commits the best baseline, marked degraded, on either.
+    ///
+    /// [`DegradeStats`]: voxolap_faults::DegradeStats
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
-        self.resilience = Some(resilience);
+        self.resilience = resilience;
         self
     }
 
@@ -162,8 +167,9 @@ pub fn sampling_throughput(
             .with_resample_size(config.resample_size),
     );
     let pool = table.morsel_pool(config.seed);
+    let res = ResCtx::inert();
     let mut workers: Vec<ShardWorker<'_>> = (0..threads)
-        .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w))
+        .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w, &res))
         .collect();
     let overall = workers[0].warmup(config.warmup_rows).unwrap_or(0.0);
     let (sigma, tree) = SpeechTree::open(table.schema(), query, config, overall);
@@ -287,10 +293,9 @@ impl Vocalizer for ParallelHolistic {
         voice: &'a mut dyn VoiceOutput,
         cancel: CancelToken,
     ) -> SpeechStream<'a> {
-        // One RunState per vocalization: the degrade ladder's per-run
-        // fault budget and first-cause tag. `None` keeps every hook inert.
-        let resil: Option<(Arc<Resilience>, Arc<RunState>)> =
-            self.resilience.as_ref().map(|res| (res.clone(), res.new_run()));
+        // One run per vocalization: the degrade ladder's per-run fault
+        // budget and first-cause tag.
+        let res = ResCtx::new(&self.resilience);
 
         // Semantic cache, layer 1: a repeat of an exactly-answered query
         // skips sampling entirely and plans against stored aggregates.
@@ -300,7 +305,7 @@ impl Vocalizer for ParallelHolistic {
         let hit = self.cache.as_ref().and_then(|sem| {
             match sem.lookup_exact(&query.key(), table.version()) {
                 ExactLookup::Fresh(data) => Some((data, false)),
-                ExactLookup::Stale(data) if serve_stale_exact(&cancel, resil.as_ref()) => {
+                ExactLookup::Stale(data) if serve_stale_exact(&cancel, &res) => {
                     sem.note_stale_serve();
                     Some((data, true))
                 }
@@ -322,24 +327,24 @@ impl Vocalizer for ParallelHolistic {
         let source: Box<dyn SentenceSource<'a> + 'a> = match hit {
             Some((data, _)) => {
                 let cfg = self.config.clone();
-                let run = resil.as_ref().map(|(_, run)| run.clone());
+                let run = res.run.clone();
                 let plan = move |cancel: &CancelToken| -> Box<dyn SentenceSource<'a> + 'a> {
                     let exact = data.to_result(query.fct());
                     let schema = table.schema();
-                    let plan = plan_from_exact(schema, query, &exact, &cfg, cancel, run.as_deref());
+                    let plan = plan_from_exact(schema, query, &exact, &cfg, cancel, &run);
                     Box::new(plan_source(plan, 0))
                 };
                 Box::new(Deferred::new(plan))
             }
             None => {
                 let engine = self.clone();
-                let resil = resil.clone();
-                Box::new(Deferred::new(move |_: &CancelToken| engine.ingest(table, query, resil)))
+                let res = res.clone();
+                Box::new(Deferred::new(move |_: &CancelToken| engine.ingest(table, query, res)))
             }
         };
-        let stream = SpeechStream::new(voice, cancel, t0, preamble, latency, source);
-        let stream = if stale { stream.mark_stale() } else { stream };
-        stream.attach_resilience(resil)
+        let mut stream = SpeechStream::new(voice, cancel, t0, preamble, latency, source, res);
+        stream.stale = stale;
+        stream
     }
 }
 
@@ -352,28 +357,21 @@ impl ParallelHolistic {
         self,
         table: &'a Table,
         query: &'a Query,
-        resil: Option<(Arc<Resilience>, Arc<RunState>)>,
+        res: ResCtx,
     ) -> Box<dyn SentenceSource<'a> + 'a> {
         let ParallelHolistic { config: cfg, threads: n_workers, cache: semantic, .. } = self;
         let schema = table.schema();
 
         let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
             .with_resample_size(cfg.resample_size);
-        if let Some((res, _)) = &resil {
-            if let Some(inj) = res.injector() {
-                shared = shared.with_faults(inj.clone(), res.stats().clone());
-            }
+        if let Some(inj) = res.bundle.injector() {
+            shared = shared.with_faults(inj.clone(), res.bundle.stats().clone());
         }
         let cache = Arc::new(shared);
         let pool = table.morsel_pool(cfg.seed);
         let mut workers: Vec<ShardWorker<'a>> = (0..n_workers)
-            .map(|w| ShardWorker::new(table, query, cache.clone(), &cfg, pool.clone(), w))
+            .map(|w| ShardWorker::new(table, query, cache.clone(), &cfg, pool.clone(), w, &res))
             .collect();
-        if let Some((res, run)) = &resil {
-            for worker in &mut workers {
-                worker.set_resilience(ResCtx::new(res.clone(), run.clone(), "table"));
-            }
-        }
 
         // Semantic cache, layer 2: a snapshot with the same scope (measure
         // + filters) and seed names the donor's uniform row prefix. Worker
@@ -435,7 +433,7 @@ impl ParallelHolistic {
             samples: AtomicU64::new(0),
             seeded_total,
             semantic,
-            run: resil.map(|(_, run)| run),
+            run: res.run,
         })
     }
 }

@@ -49,7 +49,7 @@ fn commit_and_render(
     *current = next;
     if !matches!(cfg.uncertainty, UncertaintyMode::Off) {
         let aggs = relevant_aggs(tree, next, layout);
-        if let Some(extra) = annotate(cfg.uncertainty, confidence, layout, &aggs, unit) {
+        if let Some(extra) = annotate(cfg.uncertainty, confidence, &aggs, unit) {
             sentence = format!("{sentence} {extra}");
         }
     }
@@ -69,8 +69,8 @@ pub(crate) struct TeamSource<'a> {
     /// Donor rows a warm start replayed; not counted as read by this run.
     pub(crate) seeded_total: u64,
     pub(crate) semantic: Option<Arc<SemanticCache>>,
-    /// Per-run degrade state (`None` = no resilience attached).
-    pub(crate) run: Option<Arc<RunState>>,
+    /// This run's degrade state.
+    pub(crate) run: Arc<RunState>,
 }
 
 impl<'a> SentenceSource<'a> for TeamSource<'a> {
@@ -83,7 +83,7 @@ impl<'a> SentenceSource<'a> for TeamSource<'a> {
         let current = self.current;
         let at_root = current == SpeechTree::ROOT;
         let at_leaf = tree.tree().is_leaf(current);
-        let run = self.run.as_deref();
+        let run = &*self.run;
         let floor = self.cfg.min_samples_per_sentence;
         let stop = if let [worker] = &mut self.workers[..] {
             // Cooperative round. Checking the round status *first* in each
@@ -116,7 +116,7 @@ impl<'a> SentenceSource<'a> for TeamSource<'a> {
                     scope.spawn(move || {
                         while !halt.load(Ordering::Relaxed)
                             && !cancel.fired()
-                            && !run.is_some_and(|r| r.budget_exhausted())
+                            && !run.budget_exhausted()
                         {
                             worker.sample_once(tree, current, true);
                             samples.fetch_add(1, Ordering::Relaxed);
@@ -127,11 +127,11 @@ impl<'a> SentenceSource<'a> for TeamSource<'a> {
                 // started sentence plays, then until the progress floor. An
                 // exhausted fault budget ends the round early so the anytime
                 // path can commit whatever the tree holds.
-                let exhausted = || run.is_some_and(|r| r.budget_exhausted());
-                while !cancel.fired() && !exhausted() && voice.is_playing() {
+                let cut = || cancel.fired() || run.budget_exhausted();
+                while !cut() && voice.is_playing() {
                     std::thread::sleep(POLL_INTERVAL);
                 }
-                while !cancel.fired() && !exhausted() && samples.load(Ordering::Relaxed) < target {
+                while !cut() && samples.load(Ordering::Relaxed) < target {
                     std::thread::sleep(POLL_INTERVAL);
                 }
                 halt.store(true, Ordering::Relaxed);

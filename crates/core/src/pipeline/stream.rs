@@ -17,14 +17,15 @@
 //! builds no node and admits nothing.
 //! `Vocalizer::vocalize()` is just [`drain`](SpeechStream::drain).
 
-use std::sync::Arc;
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use voxolap_faults::{DegradeReason, FaultSite, Resilience, RunState};
+use voxolap_faults::{DegradeReason, FaultSite};
 use voxolap_speech::ast::Speech;
 
 use crate::outcome::{PlanStats, VocalizationOutcome};
 use crate::pipeline::cancel::{CancelKind, CancelToken};
+use crate::resilience::ResCtx;
 use crate::voice::VoiceOutput;
 
 /// Planner-work deltas attributable to one sentence.
@@ -234,12 +235,13 @@ pub struct SpeechStream<'a> {
     next_index: usize,
     done: bool,
     source: Box<dyn SentenceSource<'a> + 'a>,
-    /// Fault injection at the Emit site plus per-run degrade state
-    /// (`None` keeps emission byte-identical to the pre-fault stream).
-    resilience: Option<(Arc<Resilience>, Arc<RunState>)>,
+    /// This run's degrade state and its engine's bundle: emission
+    /// consults the Emit fault site, `finish` tags and counts the outcome.
+    res: ResCtx,
     /// `true` when the answer comes from a version-stale cached exact
-    /// result (§12 stale-serve); surfaces as `PlanStats::stale`.
-    stale: bool,
+    /// result (§12 stale-serve); surfaces as `PlanStats::stale`. Never set
+    /// on the fresh-planning paths.
+    pub(crate) stale: bool,
 }
 
 impl<'a> SpeechStream<'a> {
@@ -250,6 +252,7 @@ impl<'a> SpeechStream<'a> {
         preamble: String,
         latency: Duration,
         source: Box<dyn SentenceSource<'a> + 'a>,
+        res: ResCtx,
     ) -> Self {
         SpeechStream {
             voice,
@@ -261,38 +264,9 @@ impl<'a> SpeechStream<'a> {
             next_index: 0,
             done: false,
             source,
-            resilience: None,
+            res,
             stale: false,
         }
-    }
-
-    /// Tag this stream's answer as served from a version-stale cached
-    /// exact result. Never set on the fresh-planning paths.
-    pub(crate) fn mark_stale(mut self) -> Self {
-        self.stale = true;
-        self
-    }
-
-    /// Attach the engine's resilience bundle and this run's degrade
-    /// state; emission then consults the Emit fault site and `finish`
-    /// tags the outcome. `None` leaves the stream untouched.
-    pub(crate) fn attach_resilience(
-        mut self,
-        resilience: Option<(Arc<Resilience>, Arc<RunState>)>,
-    ) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// Whether this run's answer is (so far) tagged degraded.
-    pub fn degraded(&self) -> bool {
-        self.resilience.as_ref().is_some_and(|(_, run)| run.degraded())
-    }
-
-    /// Whether this answer is served from a version-stale cached exact
-    /// result (see [`crate::outcome::PlanStats::stale`]).
-    pub fn stale(&self) -> bool {
-        self.stale
     }
 
     /// The preamble, already started on the voice output.
@@ -303,11 +277,6 @@ impl<'a> SpeechStream<'a> {
     /// Time from stream construction to the preamble starting.
     pub fn latency(&self) -> Duration {
         self.latency
-    }
-
-    /// Whether this stream's cancellation token has fired.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancel.fired()
     }
 
     /// Plan, commit, and start speaking the next sentence. `None` when
@@ -328,15 +297,13 @@ impl<'a> SpeechStream<'a> {
         // voice; an error fault cuts the speech short — except for the
         // very first body sentence (the baseline), which must always be
         // delivered for the answer to remain grammar-valid.
-        if let Some((res, run)) = &self.resilience {
-            if let Some(fault) = res.roll(FaultSite::Emit) {
-                run.note_fault();
-                fault.stall();
-                if fault.error && self.next_index > 0 {
-                    run.mark_degraded(DegradeReason::EmitFailure);
-                    self.done = true;
-                    return None;
-                }
+        if let Some(fault) = self.res.bundle.roll(FaultSite::Emit) {
+            self.res.run.note_fault();
+            fault.stall();
+            if fault.error && self.next_index > 0 {
+                self.res.run.mark_degraded(DegradeReason::EmitFailure);
+                self.done = true;
+                return None;
             }
         }
         self.voice.start(&text);
@@ -356,19 +323,10 @@ impl<'a> SpeechStream<'a> {
     /// cancellation, the outcome covers what was spoken so far.
     pub fn finish(mut self) -> VocalizationOutcome {
         let info = self.source.finish();
-        let degraded = match &self.resilience {
-            Some((res, run)) => {
-                let degraded = run.degraded();
-                let stats = res.stats();
-                if degraded {
-                    stats.degraded_answers.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                } else {
-                    stats.clean_answers.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                }
-                degraded
-            }
-            None => false,
-        };
+        let degraded = self.res.run.degraded();
+        let stats = self.res.bundle.stats();
+        let tally = if degraded { &stats.degraded_answers } else { &stats.clean_answers };
+        tally.fetch_add(1, Ordering::Relaxed);
         VocalizationOutcome {
             speech: info.speech,
             preamble: self.preamble,

@@ -33,6 +33,7 @@ use voxolap_speech::verbalize::{round_significant, verbalize_value};
 use crate::approach::Vocalizer;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
+use crate::resilience::ResCtx;
 use crate::voice::VoiceOutput;
 
 /// A (partial) scope description: one optional coordinate index per
@@ -184,7 +185,9 @@ impl Vocalizer for PriorGreedy {
         let latency = t0.elapsed();
         voice.start(&preamble);
         let source = Buffered::planned(sentences, None, 0, table.row_count() as u64, 0, false);
-        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
+        // No planning loop a deadline could cut and no fault site: the run
+        // is its own, always clean, and counted in nobody's bundle.
+        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source), ResCtx::inert())
     }
 }
 

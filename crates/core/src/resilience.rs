@@ -1,7 +1,8 @@
 //! Engine-side graceful degradation (DESIGN.md §12).
 //!
-//! The planners thread a per-run [`ResCtx`] through their ingestion and
-//! sampling hot paths. Each data-read batch walks the degradation ladder:
+//! Every run opens a [`ResCtx`] on its engine's bundle and threads it
+//! through ingestion, sampling and emission. Each data-read batch walks
+//! the degradation ladder:
 //!
 //! 1. **retry** — a failed read is retried with exponential backoff and
 //!    deterministic jitter;
@@ -14,32 +15,39 @@
 //!    budget is exhausted mid-plan, the driver commits what it has: a
 //!    shortened but grammar-valid speech tagged `degraded: true`.
 //!
-//! With no injector attached every hook is an `Option` branch that
-//! consumes no randomness, so fault-free runs stay bit-identical to the
-//! pre-fault engines (guarded by parity tests).
+//! The engine has two states, not three: a bundle without an injector
+//! (the default of every engine) and one with. Without an injector the
+//! fault sites roll nothing and consume no randomness, so fault-free runs
+//! stay bit-identical to the pre-fault engines (guarded by parity tests);
+//! rung 3 needs no injector, so a deadline means the same thing on both.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use voxolap_faults::{CircuitBreaker, DegradeReason, FaultSite, Resilience, RunState};
+use voxolap_faults::{DegradeReason, FaultSite, Resilience, RunState};
 
 use crate::pipeline::cancel::{CancelKind, CancelToken};
 
-/// Per-run resilience context: the engine's shared [`Resilience`] bundle,
-/// this run's [`RunState`], and the breaker guarding the run's data
-/// source. Cloned per worker thread; all state is shared through `Arc`s.
+/// One run's resilience context: the engine's shared [`Resilience`] bundle
+/// and this run's [`RunState`]. Opened once per vocalization; the stream,
+/// the sentence source and every worker hold a clone.
 #[derive(Debug, Clone)]
 pub(crate) struct ResCtx {
-    res: Arc<Resilience>,
-    run: Arc<RunState>,
-    breaker: Arc<CircuitBreaker>,
+    pub(crate) bundle: Arc<Resilience>,
+    pub(crate) run: Arc<RunState>,
 }
 
 impl ResCtx {
-    /// Build the context for a run reading from `source`.
-    pub(crate) fn new(res: Arc<Resilience>, run: Arc<RunState>, source: &str) -> Self {
-        let breaker = res.breaker(source);
-        ResCtx { res, run, breaker }
+    /// Open a run on `bundle`, with a fresh degrade state carrying its
+    /// fault budget.
+    pub(crate) fn new(bundle: &Arc<Resilience>) -> Self {
+        ResCtx { bundle: bundle.clone(), run: bundle.new_run() }
+    }
+
+    /// A run on an inert bundle of its own, for planning outside any
+    /// engine (the prior baseline, solo workers of tests and tools).
+    pub(crate) fn inert() -> Self {
+        ResCtx::new(&Arc::default())
     }
 
     /// Gate one read batch through the degradation ladder. `true` means
@@ -51,33 +59,34 @@ impl ResCtx {
     /// with backoff, and even an exhausted retry budget only counts one
     /// consecutive failure against the breaker before trying afresh.
     pub(crate) fn read_allowed(&self) -> bool {
-        if self.res.injector().is_none() {
+        if self.bundle.injector().is_none() {
             return true;
         }
+        let breaker = self.bundle.breaker();
         loop {
-            if !self.breaker.allow() {
+            if !breaker.allow() {
                 self.fallback();
                 return false;
             }
-            let Some(fault) = self.res.roll(FaultSite::DataRead) else {
-                self.breaker.on_success();
+            let Some(fault) = self.bundle.roll(FaultSite::DataRead) else {
+                breaker.on_success();
                 return true;
             };
             self.run.note_fault();
             fault.stall();
             if !fault.error {
-                self.breaker.on_success();
+                breaker.on_success();
                 return true;
             }
             // The read failed: retry with exponential backoff before
             // declaring this attempt a consecutive failure.
-            let retry = self.res.retry();
-            let stats = self.res.stats();
+            let retry = self.bundle.retry();
+            let stats = self.bundle.stats();
             let mut recovered = false;
             for attempt in 0..retry.max_retries {
                 stats.retries.fetch_add(1, Ordering::Relaxed);
                 std::thread::sleep(retry.delay(attempt, fault.token));
-                match self.res.roll(FaultSite::DataRead) {
+                match self.bundle.roll(FaultSite::DataRead) {
                     None => {
                         recovered = true;
                         break;
@@ -93,10 +102,10 @@ impl ResCtx {
                 }
             }
             if recovered {
-                self.breaker.on_success();
+                breaker.on_success();
                 return true;
             }
-            if self.breaker.on_failure() {
+            if breaker.on_failure() {
                 stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
             }
             // Not tripped yet: take another full attempt at the source.
@@ -107,7 +116,7 @@ impl ResCtx {
     /// run) and tag the answer degraded.
     fn fallback(&self) {
         if self.run.note_fallback() {
-            self.res.stats().cache_fallbacks.fetch_add(1, Ordering::Relaxed);
+            self.bundle.stats().cache_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
         self.run.mark_degraded(DegradeReason::CacheFallback);
     }
@@ -116,7 +125,7 @@ impl ResCtx {
     /// `true` means the iteration is lost (the caller still counts it, so
     /// progress floors terminate); a latency-only fault just stalls.
     pub(crate) fn sample_faulted(&self) -> bool {
-        let Some(fault) = self.res.roll(FaultSite::Sample) else {
+        let Some(fault) = self.bundle.roll(FaultSite::Sample) else {
             return false;
         };
         self.run.note_fault();
@@ -130,7 +139,7 @@ impl ResCtx {
 pub(crate) enum RoundEnd {
     /// Keep sampling.
     Continue,
-    /// Hard stop: yield no further sentence.
+    /// Stop: yield no further sentence.
     Stop,
     /// Commit what the tree holds right now — the anytime answer.
     Anytime,
@@ -140,37 +149,29 @@ pub(crate) enum RoundEnd {
 /// budget. `at_root` means no body sentence was committed yet (an anytime
 /// commit is needed for the answer to contain at least a baseline);
 /// `at_leaf` means the speech is already complete (nothing is lost, so
-/// nothing is marked degraded). Without a [`RunState`] this reduces
-/// exactly to the pre-fault `cancel.fired()` check.
+/// nothing is marked degraded). A client cancel always stops unmarked: the
+/// consumer is gone.
 pub(crate) fn round_status(
     cancel: &CancelToken,
-    run: Option<&RunState>,
+    run: &RunState,
     at_root: bool,
     at_leaf: bool,
 ) -> RoundEnd {
-    if let Some(kind) = cancel.fired_kind() {
-        return match (kind, run) {
-            (CancelKind::Deadline, Some(run)) if !at_leaf => {
-                run.mark_degraded(DegradeReason::Deadline);
-                if at_root {
-                    RoundEnd::Anytime
-                } else {
-                    RoundEnd::Stop
-                }
-            }
-            _ => RoundEnd::Stop,
-        };
+    let cut = match cancel.fired_kind() {
+        Some(CancelKind::Client) => return RoundEnd::Stop,
+        Some(CancelKind::Deadline) => DegradeReason::Deadline,
+        None if run.budget_exhausted() => DegradeReason::FaultBudget,
+        None => return RoundEnd::Continue,
+    };
+    if at_leaf {
+        return RoundEnd::Stop;
     }
-    if let Some(run) = run {
-        if run.budget_exhausted() {
-            if at_leaf {
-                return RoundEnd::Stop;
-            }
-            run.mark_degraded(DegradeReason::FaultBudget);
-            return if at_root { RoundEnd::Anytime } else { RoundEnd::Stop };
-        }
+    run.mark_degraded(cut);
+    if at_root {
+        RoundEnd::Anytime
+    } else {
+        RoundEnd::Stop
     }
-    RoundEnd::Continue
 }
 
 #[cfg(test)]
@@ -180,10 +181,8 @@ mod tests {
     use voxolap_faults::{FaultPlan, SiteSchedule};
 
     fn ctx(res: Resilience) -> (Arc<Resilience>, Arc<RunState>, ResCtx) {
-        let res = Arc::new(res);
-        let run = res.new_run();
-        let rc = ResCtx::new(res.clone(), run.clone(), "table");
-        (res, run, rc)
+        let rc = ResCtx::new(&Arc::new(res));
+        (rc.bundle.clone(), rc.run.clone(), rc)
     }
 
     #[test]
@@ -268,32 +267,22 @@ mod tests {
     }
 
     #[test]
-    fn round_status_matches_prefault_semantics_without_run() {
-        let live = CancelToken::new();
-        assert_eq!(round_status(&live, None, true, false), RoundEnd::Continue);
-        live.cancel();
-        assert_eq!(round_status(&live, None, true, false), RoundEnd::Stop);
-        let late = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
-        assert_eq!(round_status(&late, None, true, false), RoundEnd::Stop);
-    }
-
-    #[test]
     fn deadline_with_run_yields_anytime_at_root_only() {
         let late = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         let run = RunState::default();
-        assert_eq!(round_status(&late, Some(&run), true, false), RoundEnd::Anytime);
+        assert_eq!(round_status(&late, &run, true, false), RoundEnd::Anytime);
         assert_eq!(run.reason(), Some(DegradeReason::Deadline));
         let run = RunState::default();
-        assert_eq!(round_status(&late, Some(&run), false, false), RoundEnd::Stop);
+        assert_eq!(round_status(&late, &run, false, false), RoundEnd::Stop);
         assert!(run.degraded(), "mid-speech deadline still degrades the answer");
         let run = RunState::default();
-        assert_eq!(round_status(&late, Some(&run), false, true), RoundEnd::Stop);
+        assert_eq!(round_status(&late, &run, false, true), RoundEnd::Stop);
         assert!(!run.degraded(), "a complete speech is never degraded");
-        // A client cancel is a hard stop even with a run attached.
+        // A client cancel stops unmarked.
         let client = CancelToken::new();
         client.cancel();
         let run = RunState::default();
-        assert_eq!(round_status(&client, Some(&run), true, false), RoundEnd::Stop);
+        assert_eq!(round_status(&client, &run, true, false), RoundEnd::Stop);
         assert!(!run.degraded());
     }
 
@@ -302,13 +291,13 @@ mod tests {
         let live = CancelToken::new();
         let run = RunState::new(2);
         run.note_fault();
-        assert_eq!(round_status(&live, Some(&run), true, false), RoundEnd::Continue);
+        assert_eq!(round_status(&live, &run, true, false), RoundEnd::Continue);
         run.note_fault();
-        assert_eq!(round_status(&live, Some(&run), true, false), RoundEnd::Anytime);
+        assert_eq!(round_status(&live, &run, true, false), RoundEnd::Anytime);
         assert_eq!(run.reason(), Some(DegradeReason::FaultBudget));
         let run = RunState::new(1);
         run.note_fault();
-        assert_eq!(round_status(&live, Some(&run), false, false), RoundEnd::Stop);
-        assert_eq!(round_status(&live, Some(&run), false, true), RoundEnd::Stop);
+        assert_eq!(round_status(&live, &run, false, false), RoundEnd::Stop);
+        assert_eq!(round_status(&live, &run, false, true), RoundEnd::Stop);
     }
 }

@@ -91,9 +91,10 @@ pub struct ShardWorker<'a> {
     /// Rows a warm start replayed into the cache (0 for cold runs);
     /// warm-up tops up the difference instead of reading that many more.
     seeded: u64,
-    /// Fault-injection / degradation context (`None` = inert; the hooks
-    /// consume no randomness and leave behavior byte-identical).
-    res: Option<ResCtx>,
+    /// This run's degradation context: the read ladder in front of row
+    /// ingestion and the Sample fault site (inert without an injector —
+    /// the hooks consume no randomness).
+    res: ResCtx,
     /// Run seed and pinned table version, stamped into snapshots and
     /// exact admissions so the semantic cache can invalidate or repair
     /// them after appends.
@@ -102,15 +103,16 @@ pub struct ShardWorker<'a> {
 }
 
 impl<'a> ShardWorker<'a> {
-    /// Worker number `worker` of a team sharing `cache` and `pool`; no
-    /// rows are read yet.
-    pub fn new(
+    /// Worker number `worker` of a team sharing `cache`, `pool` and the
+    /// run `res`; no rows are read yet.
+    pub(crate) fn new(
         table: &'a Table,
         query: &'a Query,
         cache: Arc<ShardedSampleCache>,
         config: &HolisticConfig,
         pool: Arc<MorselPool>,
         worker: usize,
+        res: &ResCtx,
     ) -> Self {
         ShardWorker {
             table,
@@ -131,24 +133,29 @@ impl<'a> ShardWorker<'a> {
             rows_per_iteration: config.rows_per_iteration,
             policy: config.policy,
             seeded: 0,
-            res: None,
+            res: res.clone(),
             seed: config.seed,
             version: table.version(),
         }
     }
 
-    /// A team of one over its own fresh cache and morsel pool.
+    /// A team of one over its own fresh cache and morsel pool, outside
+    /// any engine's run (tests and tools).
     pub fn solo(table: &'a Table, query: &'a Query, config: &HolisticConfig) -> Self {
-        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
-            .with_resample_size(config.resample_size);
-        ShardWorker::new(table, query, Arc::new(cache), config, table.morsel_pool(config.seed), 0)
+        ShardWorker::solo_in(table, query, config, &ResCtx::inert())
     }
 
-    /// Attach a fault-injection / degradation context. Row ingestion then
-    /// runs the read ladder (retry → circuit breaker → fallback) and
-    /// sampling iterations consult the Sample fault site.
-    pub(crate) fn set_resilience(&mut self, res: ResCtx) {
-        self.res = Some(res);
+    /// [`ShardWorker::solo`] inside the run `res`.
+    pub(crate) fn solo_in(
+        table: &'a Table,
+        query: &'a Query,
+        config: &HolisticConfig,
+        res: &ResCtx,
+    ) -> Self {
+        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
+            .with_resample_size(config.resample_size);
+        let pool = table.morsel_pool(config.seed);
+        ShardWorker::new(table, query, Arc::new(cache), config, pool, 0, res)
     }
 
     /// Fix σ for this run (see [`calibrated_sigma`]).
@@ -208,12 +215,10 @@ impl<'a> ShardWorker<'a> {
     /// Stream up to `k` rows of this worker's share of the scan into the
     /// cache; returns how many were read.
     pub fn ingest_rows(&mut self, k: usize) -> usize {
-        if let Some(res) = &self.res {
-            if !res.read_allowed() {
-                // Breaker open: the run continues on whatever the cache
-                // already holds.
-                return 0;
-            }
+        if !self.res.read_allowed() {
+            // Breaker open: the run continues on whatever the cache
+            // already holds.
+            return 0;
         }
         // Batched morsel ingest (DESIGN.md §14): per block, resolve all
         // aggregate codes with the columnar kernel, accumulate into the
@@ -294,10 +299,8 @@ impl<'a> ShardWorker<'a> {
     /// Returns the observed reward (0 when nothing was evaluable yet, or
     /// the iteration faulted — the caller still counts it).
     pub fn sample_once(&mut self, tree: &SpeechTree, from: NodeId, use_vloss: bool) -> f64 {
-        if let Some(res) = &self.res {
-            if res.sample_faulted() {
-                return 0.0;
-            }
+        if self.res.sample_faulted() {
+            return 0.0;
         }
         self.ingest_rows(self.rows_per_iteration);
 
@@ -541,8 +544,9 @@ mod tests {
         let cfg = config(13, 8);
         let cache = Arc::new(ShardedSampleCache::new(q.n_aggregates(), 200_000));
         let pool = table.morsel_pool(cfg.seed);
+        let res = ResCtx::inert();
         let mut team: Vec<ShardWorker<'_>> = (0..2)
-            .map(|w| ShardWorker::new(&table, &q, cache.clone(), &cfg, pool.clone(), w))
+            .map(|w| ShardWorker::new(&table, &q, cache.clone(), &cfg, pool.clone(), w, &res))
             .collect();
         team[0].ingest_rows(70_000);
         team[1].ingest_rows(30_000);

@@ -8,7 +8,7 @@
 //! confidence bounds are calculated is not specific to vocalization".
 
 use voxolap_data::schema::MeasureUnit;
-use voxolap_engine::query::{AggIdx, ResultLayout};
+use voxolap_engine::query::AggIdx;
 use voxolap_engine::sharded::ShardedSampleCache;
 use voxolap_speech::verbalize::verbalize_value;
 
@@ -39,7 +39,6 @@ const Z95: f64 = 1.96;
 pub fn annotate(
     mode: UncertaintyMode,
     cache: &ShardedSampleCache,
-    _layout: &ResultLayout,
     aggs: &[AggIdx],
     unit: MeasureUnit,
 ) -> Option<String> {
@@ -108,13 +107,7 @@ mod tests {
     fn off_mode_annotates_nothing() {
         let (cache, q, table) = filled_cache(100);
         let aggs: Vec<u32> = (0..q.n_aggregates() as u32).collect();
-        let out = annotate(
-            UncertaintyMode::Off,
-            &cache,
-            q.layout(),
-            &aggs,
-            table.schema().measure_unit(),
-        );
+        let out = annotate(UncertaintyMode::Off, &cache, &aggs, table.schema().measure_unit());
         assert_eq!(out, None);
     }
 
@@ -124,22 +117,12 @@ mod tests {
         let aggs: Vec<u32> = (0..q.n_aggregates() as u32).collect();
         let unit = table.schema().measure_unit();
         // Salary spreads are ~10%; a generous threshold stays silent...
-        let silent = annotate(
-            UncertaintyMode::Warning { max_relative_width: 2.0 },
-            &cache,
-            q.layout(),
-            &aggs,
-            unit,
-        );
+        let silent =
+            annotate(UncertaintyMode::Warning { max_relative_width: 2.0 }, &cache, &aggs, unit);
         assert_eq!(silent, None);
         // ...a strict one warns.
-        let warned = annotate(
-            UncertaintyMode::Warning { max_relative_width: 0.0001 },
-            &cache,
-            q.layout(),
-            &aggs,
-            unit,
-        );
+        let warned =
+            annotate(UncertaintyMode::Warning { max_relative_width: 0.0001 }, &cache, &aggs, unit);
         assert!(warned.unwrap().contains("confidence"));
     }
 
@@ -147,14 +130,9 @@ mod tests {
     fn spoken_bounds_verbalize_interval() {
         let (cache, q, table) = filled_cache(320);
         let aggs: Vec<u32> = (0..q.n_aggregates() as u32).collect();
-        let text = annotate(
-            UncertaintyMode::SpokenBounds,
-            &cache,
-            q.layout(),
-            &aggs,
-            table.schema().measure_unit(),
-        )
-        .unwrap();
+        let text =
+            annotate(UncertaintyMode::SpokenBounds, &cache, &aggs, table.schema().measure_unit())
+                .unwrap();
         assert!(text.starts_with("With 95 percent confidence"));
         assert!(text.contains(" K"), "dollar values verbalized: {text}");
     }
@@ -164,13 +142,8 @@ mod tests {
         let (_, q, table) = filled_cache(0);
         let empty = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let aggs: Vec<u32> = (0..q.n_aggregates() as u32).collect();
-        let out = annotate(
-            UncertaintyMode::SpokenBounds,
-            &empty,
-            q.layout(),
-            &aggs,
-            table.schema().measure_unit(),
-        );
+        let out =
+            annotate(UncertaintyMode::SpokenBounds, &empty, &aggs, table.schema().measure_unit());
         assert_eq!(out, None);
     }
 }

@@ -10,16 +10,19 @@
 //! less time to read data and explore the search space" — which is exactly
 //! the quality gap Figure 3 shows.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use voxolap_data::Table;
 use voxolap_engine::query::Query;
+use voxolap_faults::Resilience;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
 use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
+use crate::resilience::{round_status, ResCtx, RoundEnd};
 use crate::sampler::ShardWorker;
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
@@ -46,6 +49,8 @@ impl SamplingBudget {
 pub struct Unmerged {
     config: HolisticConfig,
     budget: SamplingBudget,
+    /// Inert unless replaced; see [`Unmerged::with_resilience`].
+    resilience: Arc<Resilience>,
 }
 
 impl Default for Unmerged {
@@ -58,7 +63,15 @@ impl Default for Unmerged {
 impl Unmerged {
     /// Create with the given configuration and sampling budget.
     pub fn new(config: HolisticConfig, budget: SamplingBudget) -> Self {
-        Unmerged { config, budget }
+        Unmerged { config, budget, resilience: Arc::default() }
+    }
+
+    /// Replace the resilience bundle: the worker is the holistic engine's,
+    /// so its reads walk the same ladder and its sampling loop is cut —
+    /// and the cut marked — by the same deadline and fault budget.
+    pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
+        self.resilience = resilience;
+        self
     }
 
     /// The active configuration.
@@ -87,24 +100,29 @@ impl Vocalizer for Unmerged {
 
         // The holistic engine's worker, solo: same sampling strategy, no
         // overlap with voice output.
-        let mut worker = ShardWorker::solo(table, query, cfg);
+        let res = ResCtx::new(&self.resilience);
+        let mut worker = ShardWorker::solo_in(table, query, cfg, &res);
         let Some(overall) = worker.warmup(cfg.warmup_rows) else {
             let latency = t0.elapsed();
             voice.start(&preamble);
             let source = Buffered::no_data(worker.rows_read(), None);
-            return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source));
+            return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source), res);
         };
         let (sigma, tree) = SpeechTree::open(schema, query, cfg, overall);
         worker.set_sigma(sigma);
 
-        // Sample until the budget runs out (or the consumer cancels) —
-        // no voice output yet.
+        // Sample until the budget runs out — no voice output yet. A gone
+        // consumer, a passed deadline or an exhausted fault budget ends the
+        // loop early; the latter two mark the run degraded, and the commit
+        // below is their anytime answer.
         let mut samples = 0u64;
         let within_budget = |samples: u64| match self.budget {
             SamplingBudget::WallClock(d) => Instant::now() < t0 + d,
             SamplingBudget::Iterations(n) => samples < n,
         };
-        while within_budget(samples) && !cancel.fired() {
+        while within_budget(samples)
+            && round_status(&cancel, &res.run, true, false) == RoundEnd::Continue
+        {
             worker.sample_once(&tree, SpeechTree::ROOT, false);
             samples += 1;
         }
@@ -149,7 +167,7 @@ impl Vocalizer for Unmerged {
             tree.tree().node_count(),
             tree.truncated(),
         );
-        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source))
+        SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source), res)
     }
 }
 

@@ -1,8 +1,7 @@
 //! The resilience bundle an engine carries, and per-run degrade state.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::breaker::CircuitBreaker;
@@ -34,21 +33,12 @@ impl DegradeReason {
             _ => None,
         }
     }
-
-    /// Stable wire name (surfaced in logs and stats).
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradeReason::Deadline => "deadline",
-            DegradeReason::FaultBudget => "fault_budget",
-            DegradeReason::CacheFallback => "cache_fallback",
-            DegradeReason::EmitFailure => "emit_failure",
-        }
-    }
 }
 
 /// Per-run degrade state: the fault tally against the budget, and the
-/// degraded flag the answer is tagged with. Shared (via `Arc`) between
-/// the samplers, the sentence source, and the emitting stream of one run.
+/// degraded flag the answer is tagged with. Every run has one, shared
+/// (via `Arc`) between the samplers, the sentence source, and the
+/// emitting stream.
 #[derive(Debug)]
 pub struct RunState {
     faults: AtomicU64,
@@ -113,20 +103,19 @@ impl Default for RunState {
 }
 
 /// Everything an engine needs to degrade gracefully, bundled: the
-/// (optional) fault injector, the retry policy, per-source circuit
-/// breakers, the per-run fault budget, and the process-wide
-/// [`DegradeStats`]. Engines hold it behind an `Arc`; with no injector it
-/// is inert — every roll is a `None` branch and no planner randomness or
-/// iteration count changes.
+/// (optional) fault injector, the retry policy, the data source's circuit
+/// breaker, the per-run fault budget, and the process-wide
+/// [`DegradeStats`]. Every engine holds one behind an `Arc`; the default
+/// has no injector and is inert — every roll is a `None` branch and no
+/// planner randomness or iteration count changes — but a deadline cut is
+/// still committed through the anytime path and marked degraded.
 #[derive(Debug)]
 pub struct Resilience {
     injector: Option<Arc<FaultInjector>>,
     retry: RetryPolicy,
-    breaker_threshold: u32,
-    breaker_cooldown: Duration,
+    breaker: CircuitBreaker,
     fault_budget: u64,
     stats: Arc<DegradeStats>,
-    breakers: Mutex<HashMap<String, Arc<CircuitBreaker>>>,
 }
 
 impl Default for Resilience {
@@ -135,17 +124,18 @@ impl Default for Resilience {
     }
 }
 
+/// Default breaker trip threshold and cooldown.
+const BREAKER_DEFAULTS: (u32, Duration) = (5, Duration::from_millis(10));
+
 impl Resilience {
     /// A bundle with default ladder settings; `plan` enables injection.
     pub fn new(plan: Option<FaultPlan>) -> Self {
         Resilience {
             injector: plan.map(|p| Arc::new(FaultInjector::new(p))),
             retry: RetryPolicy::default(),
-            breaker_threshold: 5,
-            breaker_cooldown: Duration::from_millis(10),
+            breaker: CircuitBreaker::new(BREAKER_DEFAULTS.0, BREAKER_DEFAULTS.1),
             fault_budget: 256,
             stats: Arc::new(DegradeStats::default()),
-            breakers: Mutex::new(HashMap::new()),
         }
     }
 
@@ -156,6 +146,7 @@ impl Resilience {
     pub fn from_spec(spec: &str) -> Result<Resilience, String> {
         let mut plan_parts: Vec<&str> = Vec::new();
         let mut out = Resilience::new(None);
+        let (mut threshold, mut cooldown) = BREAKER_DEFAULTS;
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
             let bad = |what: &str| format!("fault-plan: bad {what} in {part:?}");
             match part.split_once('=').map(|(k, v)| (k.trim(), v.trim())) {
@@ -167,11 +158,10 @@ impl Resilience {
                     out.retry.base = Duration::from_micros(v.parse().map_err(|_| bad("backoff"))?);
                 }
                 Some(("breaker", v)) => {
-                    out.breaker_threshold = v.parse().map_err(|_| bad("breaker threshold"))?;
+                    threshold = v.parse().map_err(|_| bad("breaker threshold"))?;
                 }
                 Some(("cooldown_ms", v)) => {
-                    out.breaker_cooldown =
-                        Duration::from_millis(v.parse().map_err(|_| bad("cooldown"))?);
+                    cooldown = Duration::from_millis(v.parse().map_err(|_| bad("cooldown"))?);
                 }
                 _ => plan_parts.push(part),
             }
@@ -180,19 +170,13 @@ impl Resilience {
         if !plan.is_empty() || plan.seed != 0 {
             out.injector = Some(Arc::new(FaultInjector::new(plan)));
         }
-        Ok(out)
+        Ok(out.with_breaker(threshold, cooldown))
     }
 
-    /// Override the retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Override breaker trip threshold and cooldown.
+    /// Rebuild the data-source breaker with this trip threshold and
+    /// cooldown.
     pub fn with_breaker(mut self, threshold: u32, cooldown: Duration) -> Self {
-        self.breaker_threshold = threshold;
-        self.breaker_cooldown = cooldown;
+        self.breaker = CircuitBreaker::new(threshold, cooldown);
         self
     }
 
@@ -224,19 +208,9 @@ impl Resilience {
         Arc::new(RunState::new(self.fault_budget))
     }
 
-    /// The breaker guarding `source`, created on first use. The registry
-    /// lock itself recovers from poisoning — the map only ever grows, so
-    /// a panicked holder cannot leave it torn.
-    pub fn breaker(&self, source: &str) -> Arc<CircuitBreaker> {
-        let mut map = self.breakers.lock().unwrap_or_else(|poisoned| {
-            self.breakers.clear_poison();
-            poisoned.into_inner()
-        });
-        map.entry(source.to_string())
-            .or_insert_with(|| {
-                Arc::new(CircuitBreaker::new(self.breaker_threshold, self.breaker_cooldown))
-            })
-            .clone()
+    /// The breaker guarding the data source, shared by every run.
+    pub fn breaker(&self) -> &CircuitBreaker {
+        &self.breaker
     }
 
     /// The shared degradation counters.
@@ -257,16 +231,6 @@ mod tests {
         for site in FaultSite::ALL {
             assert!(r.roll(site).is_none());
         }
-    }
-
-    #[test]
-    fn breakers_are_per_source_and_cached() {
-        let r = Resilience::default();
-        let a = r.breaker("table");
-        let b = r.breaker("table");
-        assert!(Arc::ptr_eq(&a, &b), "same source, same breaker");
-        let c = r.breaker("other");
-        assert!(!Arc::ptr_eq(&a, &c));
     }
 
     #[test]

@@ -18,12 +18,14 @@
 //!
 //! 1. [`RetryPolicy`] — exponential backoff with deterministic full
 //!    jitter around data-source reads;
-//! 2. [`CircuitBreaker`] — per-source closed → open → half-open breaker;
-//!    while open, ingestion stops and planning continues on the sample
-//!    cache already built (semantic-cache warm rows included);
+//! 2. [`CircuitBreaker`] — the data source's closed → open → half-open
+//!    breaker; while open, ingestion stops and planning continues on the
+//!    sample cache already built (semantic-cache warm rows included);
 //! 3. the *anytime answer*: when a deadline or the run's fault budget
 //!    ([`RunState`]) is exhausted mid-plan, the planner commits the best
-//!    baseline it has and stops, tagging the answer `degraded`.
+//!    baseline it has and stops, tagging the answer `degraded`. Every run
+//!    has a [`RunState`], injector or not, so a deadline means this on
+//!    every engine.
 //!
 //! [`DegradeStats`] aggregates what happened across runs for
 //! observability (`GET /stats`).

@@ -87,10 +87,10 @@ pub struct AppState {
     /// subsequent request (vocalizers are stateless apart from shared
     /// caches, so one instance serves all connections).
     vocalizers: Mutex<HashMap<String, Arc<dyn Vocalizer>>>,
-    /// Fault-injection + degradation policy shared by the resilient
-    /// approaches (`None` unless `--fault-plan` was given; a plan-less
-    /// `Resilience` still enables retry/breaker/anytime machinery).
-    resilience: Option<Arc<Resilience>>,
+    /// Degradation policy shared by every vocalizer built here: inert
+    /// (deadline cuts and the clean/degraded tally only) unless
+    /// `--fault-plan` attached an injecting one.
+    resilience: Arc<Resilience>,
     /// Latency distributions and stream counters behind `/stats`, shared
     /// with in-flight streaming responses.
     stats: Arc<AnswerStats>,
@@ -386,7 +386,7 @@ impl AppState {
             threads,
             semantic: Some(Arc::new(SemanticCache::with_capacity_mb(DEFAULT_CACHE_MB))),
             vocalizers: Mutex::new(HashMap::new()),
-            resilience: None,
+            resilience: Arc::default(),
             stats: Arc::default(),
             ingest_batches: AtomicU64::new(0),
             ingest_rows: AtomicU64::new(0),
@@ -411,13 +411,6 @@ impl AppState {
     /// turn from monopolizing a serving worker for minutes.
     pub fn with_utterance_deadline(mut self, deadline: Duration) -> Self {
         self.utterance_deadline = Some(deadline);
-        // The anytime commit and the `degraded` marking live in the
-        // resilience machinery (DESIGN.md §12); an inert policy enables
-        // them without injecting any faults. A deadline with no run state
-        // would be a hard stop instead of an anytime answer.
-        if self.resilience.is_none() {
-            self.resilience = Some(Arc::new(Resilience::default()));
-        }
         self
     }
 
@@ -435,21 +428,15 @@ impl AppState {
         self
     }
 
-    /// Parse and attach a fault plan / degradation policy (the server's
-    /// `--fault-plan` flag; see `voxolap_faults::Resilience::from_spec`
-    /// for the spec grammar). Resilient approaches built after this call
-    /// retry faulted reads, trip per-source breakers, and finish with
-    /// anytime answers when the fault budget runs out.
-    pub fn with_fault_plan(mut self, spec: &str) -> Result<Self, String> {
-        self.resilience = Some(Arc::new(Resilience::from_spec(spec)?));
-        Ok(self)
-    }
-
-    /// Attach an already-built resilience policy. The server binary uses
-    /// this to share one fault injector between the durability layer
-    /// (which needs it before the table opens) and the planner.
+    /// Replace the degradation policy (the server's `--fault-plan` flag;
+    /// see `voxolap_faults::Resilience::from_spec` for the spec grammar).
+    /// Vocalizers built after this call retry faulted reads, trip the data
+    /// source's breaker, and finish with anytime answers when the fault
+    /// budget runs out. The server binary builds the policy itself, to
+    /// share one fault injector between the durability layer (which needs
+    /// it before the table opens) and the planner.
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
-        self.resilience = Some(resilience);
+        self.resilience = resilience;
         self
     }
 
@@ -551,12 +538,10 @@ impl AppState {
         ])
     }
 
-    /// Degradation-ladder counters for `/stats` (`null` unless a fault
-    /// plan / resilience policy is attached): how often each rung fired,
-    /// plus planning-latency percentiles split degraded vs clean.
+    /// Degradation-ladder counters for `/stats`: how often each rung
+    /// fired, plus planning-latency percentiles split degraded vs clean.
     fn degradation_json(&self) -> Value {
-        let Some(res) = &self.resilience else { return Value::Null };
-        let s = res.stats().snapshot();
+        let s = self.resilience.stats().snapshot();
         // Serving-layer lock recoveries (http pool) count under the same
         // stat as engine-side ones: one number answers "how often did a
         // poisoned lock get rebuilt instead of crashing something".
@@ -982,6 +967,11 @@ mod tests {
         Arc::new(raw_state())
     }
 
+    /// What `--fault-plan <spec>` serves.
+    fn faulty_state(spec: &str) -> AppState {
+        raw_state().with_resilience(Arc::new(Resilience::from_spec(spec).unwrap()))
+    }
+
     fn post(state: &Arc<AppState>, path: &str, body: &str) -> Response {
         state.handle(&Request::new("POST", path, body.as_bytes()))
     }
@@ -1118,7 +1108,7 @@ mod tests {
     #[test]
     fn a_planning_session_turn_blocks_neither_stats_nor_other_sessions() {
         let plan = "seed=1,emit=1.0,latency_us=400000,latency_only";
-        let s = Arc::new(raw_state().with_fault_plan(plan).unwrap());
+        let s = Arc::new(faulty_state(plan));
         let slow = {
             let s = Arc::clone(&s);
             std::thread::spawn(move || {
@@ -1207,9 +1197,7 @@ mod tests {
 
     #[test]
     fn fault_plan_degrades_answers_and_stats_report_the_ladder() {
-        let s = Arc::new(
-            raw_state().with_fault_plan("seed=7,read=1.0,breaker=2,cooldown_ms=60000").unwrap(),
-        );
+        let s = Arc::new(faulty_state("seed=7,read=1.0,breaker=2,cooldown_ms=60000"));
         let r = post(&s, "/ask", "{\"question\": \"cancellation probability by season\"}");
         assert_eq!(r.status, 200, "{}", r.body);
         let v = Value::parse(&r.body).unwrap();
@@ -1230,7 +1218,7 @@ mod tests {
     fn fault_free_plan_counts_clean_answers_and_omits_degraded_field() {
         // A plan with a seed but no fault sites: the resilience machinery
         // is live yet every answer completes clean.
-        let s = Arc::new(raw_state().with_fault_plan("seed=1").unwrap());
+        let s = Arc::new(faulty_state("seed=1"));
         let r = post(&s, "/ask", "{\"question\": \"cancellation probability by season\"}");
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(!r.body.contains("\"degraded\""), "{}", r.body);
@@ -1242,12 +1230,35 @@ mod tests {
     }
 
     #[test]
-    fn stats_degradation_is_null_without_a_fault_plan() {
+    fn stats_degradation_counts_clean_answers_without_a_fault_plan() {
         let s = state();
+        for approach in ["holistic", "optimal"] {
+            let ask = format!("{{\"question\": \"by season\", \"approach\": \"{approach}\"}}");
+            assert_eq!(post(&s, "/ask", &ask).status, 200);
+        }
         let stats = Value::parse(&get(&s, "/stats").body).unwrap();
-        assert!(stats["degradation"].is_null(), "{stats:?}");
-        // And a malformed spec is rejected up front.
-        assert!(raw_state().with_fault_plan("read=not-a-prob").is_err());
+        let d = &stats["degradation"];
+        for rung in ["retries", "breaker_trips", "cache_fallbacks", "degraded_answers"] {
+            assert_eq!(d[rung].as_u64(), Some(0), "{rung}: {stats:?}");
+        }
+        assert_eq!(d["clean_answers"].as_u64(), Some(2), "{stats:?}");
+        assert_eq!(stats["latency_ms"]["count"].as_u64(), Some(2), "every answer served");
+    }
+
+    /// A deadline cut is marked on every approach, not only the holistic
+    /// engines: `optimal`'s scoring loop is cut and says so.
+    #[test]
+    fn a_deadline_cut_on_optimal_is_marked_degraded() {
+        let s = Arc::new(raw_state().with_utterance_deadline(Duration::from_millis(1)));
+        let ask = "{\"question\": \"cancellation probability by region and season\", \
+                   \"approach\": \"optimal\"}";
+        let r = post(&s, "/ask", ask);
+        assert_eq!(r.status, 200, "{}", r.body);
+        let v = Value::parse(&r.body).unwrap();
+        assert_eq!(v["degraded"].as_bool(), Some(true), "{}", r.body);
+        assert!(v["text"].as_str().unwrap().contains("cancellation probability"), "{}", r.body);
+        let stats = Value::parse(&get(&s, "/stats").body).unwrap();
+        assert_eq!(stats["degradation"]["degraded_answers"].as_u64(), Some(1), "{stats:?}");
     }
 
     /// One NDJSON ingest line that clones `row` of the pinned table, so

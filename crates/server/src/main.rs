@@ -30,10 +30,11 @@
 //! `--threads` bounds the planning threads used by the `parallel`
 //! approach (default: all cores). `--cache-mb` sizes the cross-query
 //! semantic cache shared by all requests (default 64; `0` disables it).
-//! `--fault-plan` attaches a deterministic fault-injection schedule plus
-//! degradation policy (e.g. `seed=7,read=0.2,budget=64`; DESIGN.md §12);
-//! degraded answers carry `"degraded":true` and `GET /stats` gains a
-//! `"degradation"` section.
+//! `--fault-plan` attaches a deterministic fault-injection schedule to
+//! the degradation policy every vocalizer carries (e.g.
+//! `seed=7,read=0.2,budget=64`; DESIGN.md §12); degraded answers carry
+//! `"degraded":true` and the `"degradation"` section of `GET /stats`
+//! (always present) counts the ladder's rungs.
 //!
 //! The serving layer is an epoll reactor feeding a bounded worker pool
 //! (DESIGN.md §15): `--http-threads` sets the pool size (default 8),
@@ -47,7 +48,8 @@
 //! every `--heartbeat-ms` (default 15000) and are reaped after
 //! `--session-idle-ms` of silence (default 120000).
 //! `--utterance-deadline-ms` bounds the planning time of every turn on
-//! every answer route — past it the answer is committed through the §12
+//! every answer route and every approach with a planning loop (`optimal`
+//! and `unmerged` too) — past it the answer is committed through the §12
 //! anytime path with `"degraded":true` (default: run to convergence),
 //! keeping one wide-scope turn from pinning a serving worker. Each request is
 //! logged to stderr with its status, byte counts, queue wait, and
@@ -124,16 +126,19 @@ fn main() {
 
     // The fault plan is parsed before the durable table opens so the
     // storage sites (wal/fsync/snap) share the planner's injector.
-    let resilience = arg("--fault-plan").map(|spec| match Resilience::from_spec(&spec) {
-        Ok(r) => {
-            eprintln!("fault plan attached: {spec}");
-            Arc::new(r)
-        }
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-    });
+    let resilience = match arg("--fault-plan") {
+        None => Arc::default(),
+        Some(spec) => match Resilience::from_spec(&spec) {
+            Ok(r) => {
+                eprintln!("fault plan attached: {spec}");
+                Arc::new(r)
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        },
+    };
 
     // Recovery runs here, before the listener exists: no request can
     // observe a partially recovered table.
@@ -152,7 +157,7 @@ fn main() {
                 snapshot_every_batches: arg("--snapshot-every")
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(32),
-                faults: resilience.as_ref().and_then(|r| r.injector().cloned()),
+                faults: resilience.injector().cloned(),
             };
             match DurableTable::open(table, &dir, options) {
                 Ok((durable, recovery)) => {
@@ -194,10 +199,7 @@ fn main() {
     if let Some(mb) = arg("--cache-mb").and_then(|v| v.parse().ok()) {
         state = state.with_cache_mb(mb);
     }
-    if let Some(resilience) = resilience {
-        state = state.with_resilience(resilience);
-    }
-    let state = Arc::new(state);
+    let state = Arc::new(state.with_resilience(resilience));
     let state_for_shutdown = Arc::clone(&state);
 
     let shutdown = voxolap_server::install_shutdown_signals();

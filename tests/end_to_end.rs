@@ -218,3 +218,65 @@ fn parallel_single_thread_matches_holistic_on_flights() {
     assert_eq!(par.sentences, seq.sentences);
     assert_eq!(par.stats.samples, seq.stats.samples);
 }
+
+/// One deadline means one thing on every approach (DESIGN.md §12): a
+/// planning loop the deadline cuts commits its anytime answer — at least
+/// the baseline — and the answer says `degraded`; an uncut answer never
+/// does; and every answer of an approach that carries the front end's
+/// bundle is counted in it exactly once.
+#[test]
+fn the_deadline_matrix() {
+    use std::sync::Arc;
+    use std::time::Instant;
+    use voxolap_core::approach::{vocalizer, ApproachOptions};
+    use voxolap_core::CancelToken;
+    use voxolap_faults::Resilience;
+
+    let table = FlightsConfig { rows: 50_000, seed: 42 }.generate();
+    let query = Query::builder(AggFct::Avg)
+        .group_by(DimId(0), LevelId(1))
+        .group_by(DimId(1), LevelId(1))
+        .build(table.schema())
+        .unwrap();
+    let bundle = Arc::new(Resilience::default());
+    let opts = ApproachOptions {
+        threads: Some(2),
+        resilience: bundle.clone(),
+        ..ApproachOptions::default()
+    };
+    let answered = || {
+        let s = bundle.stats().snapshot();
+        s.clean_answers + s.degraded_answers
+    };
+
+    // (name, approach, has a planning loop, counted in `bundle`): `prior`
+    // has no loop to cut and takes no bundle; the bare engine has a loop
+    // and an inert bundle of its own.
+    let built = |name| vocalizer(name, &opts).unwrap();
+    let bare: Box<dyn Vocalizer> = Box::new(Holistic::new(opts.holistic_config()));
+    let approaches = [
+        ("holistic", built("holistic"), true, true),
+        ("parallel", built("parallel"), true, true),
+        ("optimal", built("optimal"), true, true),
+        ("unmerged", built("unmerged"), true, true),
+        ("prior", built("prior"), false, false),
+        ("bare holistic", bare, true, false),
+    ];
+
+    for (name, approach, has_loop, shares_bundle) in &approaches {
+        for expired in [true, false] {
+            let cancel = match expired {
+                true => CancelToken::with_deadline(Instant::now()),
+                false => CancelToken::never(),
+            };
+            let before = answered();
+            let mut voice = InstantVoice::default();
+            let outcome = approach.stream(&table, &query, &mut voice, cancel).drain();
+            let cell = format!("{name}, expired: {expired}: {:?}", outcome.sentences);
+            let baseline = outcome.sentences.first().unwrap_or_else(|| panic!("{cell}"));
+            assert!(baseline.contains("is the average cancellation probability"), "{cell}");
+            assert_eq!(outcome.stats.degraded, expired && *has_loop, "{cell}");
+            assert_eq!(answered() - before, u64::from(*shares_bundle), "{cell}");
+        }
+    }
+}
