@@ -47,9 +47,12 @@ impl Normal {
         0.5 * (1.0 + erf((x - self.mean) / (self.sigma * std::f64::consts::SQRT_2)))
     }
 
-    /// Probability mass of the interval `[lo, hi]`.
+    /// Probability mass between `lo` and `hi`. The distribution is
+    /// continuous, so the half-open `[lo, hi)` that
+    /// [`rounding_bucket`](crate::model::rounding_bucket) hands it carries
+    /// the same mass as the closed interval.
     pub fn prob_interval(&self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(lo <= hi, "interval bounds out of order: [{lo}, {hi}]");
+        debug_assert!(lo <= hi, "interval bounds out of order: [{lo}, {hi})");
         (self.cdf(hi) - self.cdf(lo)).max(0.0)
     }
 

@@ -104,6 +104,23 @@ impl Default for HolisticConfig {
     }
 }
 
+impl HolisticConfig {
+    /// Fingerprint of what the speech space of `query` depends on besides
+    /// the aggregates it is opened around: the fields marked *all*, and the
+    /// GROUP BY list in the order it was written — the refinement catalogue
+    /// enumerates predicates in that order, while the cache key sorts it, so
+    /// both orders meet in one cache entry. The semantic cache stamps a kept
+    /// plan with it; a path of catalogue ids means nothing under another.
+    pub(crate) fn plan_fingerprint(&self, query: &Query) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        (self.constraints, &self.candidates, self.max_tree_nodes).hash(&mut h);
+        self.sigma_override.map(f64::to_bits).hash(&mut h);
+        query.group_by().hash(&mut h);
+        h.finish()
+    }
+}
+
 /// The holistic vocalizer (paper §4): the one engine at one planning
 /// thread. [`ParallelHolistic`] is the same code at `threads = N`.
 #[derive(Debug, Clone)]

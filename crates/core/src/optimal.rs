@@ -9,10 +9,21 @@
 //! makes.
 //!
 //! It is configured by the same [`HolisticConfig`] as the sampled
-//! approaches and scores the tree they would sample: the space is opened
-//! around the exact grand mean instead of a warm-up estimate, with the same
-//! σ calibration. The holistic engine's exact cache hit runs the same
+//! approaches and scores the space they would sample: it is opened around
+//! the exact grand mean instead of a warm-up estimate, with the same σ
+//! calibration. The holistic engine's exact cache hit runs the same
 //! scoring over cached aggregates.
+//!
+//! Scoring happens *while* the space is enumerated (`tree::SpeechSpace::walk`):
+//! no tree is stored. A node's belief means are sums of per-depth
+//! contribution rows carried down the walk, and the probability mass of a
+//! rounding bucket under a mean is memoized — a path's means are sums of a
+//! few dozen distinct contributions and one-significant-digit rounding
+//! leaves a handful of distinct buckets, so a few percent of the
+//! (node, aggregate) pairs ever reach `erf`. The widest space (500 000
+//! nodes × 12 aggregates) scores in tens of milliseconds; a repeat of a
+//! scored query reads the chosen plan back from beside its aggregates
+//! ([`SemanticCache::lookup_plan`]) and scores nothing.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -23,18 +34,16 @@ use voxolap_data::schema::Schema;
 use voxolap_data::Table;
 use voxolap_engine::exact::{evaluate, ExactResult};
 use voxolap_engine::query::{Query, ResultLayout};
-use voxolap_engine::semantic::SemanticCache;
+use voxolap_engine::semantic::{ExactAggregates, ExactLookup, PlanRecord, SemanticCache};
 use voxolap_faults::{DegradeReason, Resilience, RunState};
-use voxolap_mcts::NodeId;
-use voxolap_speech::ast::Speech;
-use voxolap_speech::render::Renderer;
+use voxolap_speech::ast::{Baseline, Speech};
 
 use crate::approach::Vocalizer;
 use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
 use crate::resilience::ResCtx;
-use crate::tree::SpeechTree;
+use crate::tree::{SpaceVisitor, SpeechSpace};
 use crate::voice::VoiceOutput;
 
 /// The optimal vocalizer.
@@ -75,42 +84,218 @@ impl Optimal {
     }
 }
 
-/// What scoring needs to know about one aggregate with a finite exact
-/// value — per-query facts, computed once before the node loop.
-struct Target {
-    /// The aggregate's decomposed coordinates.
-    coords: Vec<u32>,
-    /// The rounding bucket `[lo, hi)` around its exact value.
-    bucket: (f64, f64),
+/// Slots of the bucket-mass memo: direct-mapped, a power of two, 24 bytes
+/// a slot (192 KiB, cache-resident). On flights 200k it computes 12 % of
+/// the masses looked up by season (30 210 nodes × 4 aggregates), 3.9 % by
+/// month (500 000 × 12) and 1.7 % by region and airline (500 000 × 70);
+/// eight times the slots would compute 12 %, 2.1 % and 0.9 % and run no
+/// faster.
+const MEMO_SLOTS: usize = 8192;
+
+/// Exact quality (Definition 2.2) of the speech at the walk's current
+/// node, from what the walk carried down to it.
+struct Scorer {
+    sigma: f64,
+    /// The distinct rounding buckets `[lo, hi)` of the targets.
+    buckets: Vec<(f64, f64)>,
+    /// Per target — an aggregate with a finite exact value, in aggregate
+    /// order — the index of its bucket.
+    bucket_of: Vec<u32>,
+    /// `entries × targets`: is the target in the entry's scope?
+    in_scope: Vec<bool>,
+    /// Per entry `(m, n − m)`: its scope size and the aggregates outside
+    /// it, the two factors of Lemma A.2's out-of-scope compensation.
+    outside: Vec<(f64, f64)>,
+    /// `depths × targets`: what the fragment at each depth of the current
+    /// path adds to each target's belief mean.
+    rows: Vec<f64>,
+    /// `(bucket, mean bits, mass)`; `u32::MAX` marks a free slot.
+    memo: Vec<(u32, u64, f64)>,
+    /// Bucket masses computed (memo misses).
+    evaluations: u64,
 }
 
-/// One [`Target`] per aggregate with a finite exact value, in aggregate
-/// order.
-fn scoring_targets(exact: &ExactResult, layout: &ResultLayout, sigma: f64) -> Vec<Target> {
-    (0..layout.n_aggregates() as u32)
-        .filter_map(|agg| {
+impl Scorer {
+    fn new(
+        space: &SpeechSpace<'_>,
+        sigma: f64,
+        exact: &ExactResult,
+        layout: &ResultLayout,
+    ) -> Self {
+        let mut buckets = Vec::new();
+        let mut bucket_of = Vec::new();
+        let mut coords = Vec::new();
+        for agg in 0..layout.n_aggregates() as u32 {
             let actual = exact.value(agg);
-            actual.is_finite().then(|| Target {
-                coords: layout.coords_of_agg(agg),
-                bucket: rounding_bucket(actual, sigma / 10.0),
-            })
-        })
-        .collect()
+            if !actual.is_finite() {
+                continue;
+            }
+            let bucket = rounding_bucket(actual, sigma / 10.0);
+            let id = buckets.iter().position(|&b| b == bucket).unwrap_or_else(|| {
+                buckets.push(bucket);
+                buckets.len() - 1
+            });
+            bucket_of.push(id as u32);
+            coords.push(layout.coords_of_agg(agg));
+        }
+        let entries = space.catalogue().entries();
+        let n = layout.n_aggregates() as f64;
+        Scorer {
+            sigma,
+            buckets,
+            in_scope: entries
+                .iter()
+                .flat_map(|e| coords.iter().map(|c| e.scope.contains_coords(c)))
+                .collect(),
+            outside: entries
+                .iter()
+                .map(|e| (e.scope.size() as f64, n - e.scope.size() as f64))
+                .collect(),
+            rows: vec![0.0; space.max_depth() * bucket_of.len()],
+            bucket_of,
+            memo: vec![(u32::MAX, 0, 0.0); MEMO_SLOTS],
+            evaluations: 0,
+        }
+    }
+
+    /// The path now starts at a baseline claiming `value`.
+    fn enter_baseline(&mut self, value: f64) {
+        let targets = self.bucket_of.len();
+        self.rows[..targets].fill(value);
+    }
+
+    /// The path's fragment at `depth` is now catalogue entry `entry` with
+    /// additive change `delta`: in scope it adds `delta`, out of scope the
+    /// compensation that keeps the baseline consistent (Lemma A.2).
+    fn enter_refinement(&mut self, depth: usize, entry: u32, delta: f64) {
+        let targets = self.bucket_of.len();
+        let (m, rest) = self.outside[entry as usize];
+        // A scope of all `n` aggregates has nothing outside it.
+        let out = if rest > 0.0 { -(m * delta / rest) } else { 0.0 };
+        let member = &self.in_scope[entry as usize * targets..][..targets];
+        let row = &mut self.rows[(depth - 1) * targets..][..targets];
+        for (slot, &inside) in row.iter_mut().zip(member) {
+            *slot = if inside { delta } else { out };
+        }
+    }
+
+    /// Quality of the speech the first `depth` fragments of the path make:
+    /// each target's mean summed deepest fragment first, baseline last —
+    /// the order an ancestor walk from the node adds them in, so the sums
+    /// (and therefore the masses and their mean) are bit for bit those of
+    /// `SpeechTree::mean_for` and one `prob_interval` per pair.
+    fn quality(&mut self, depth: usize) -> f64 {
+        let targets = self.bucket_of.len();
+        if targets == 0 {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for t in 0..targets {
+            let mut mean = 0.0;
+            for d in (0..depth).rev() {
+                mean += self.rows[d * targets + t];
+            }
+            total += self.mass(self.bucket_of[t], mean);
+        }
+        total / targets as f64
+    }
+
+    /// `P(bucket | N(mean, σ))`, a pure function of its two arguments:
+    /// looked up by `(bucket, mean.to_bits())`, computed on a miss.
+    fn mass(&mut self, bucket: u32, mean: f64) -> f64 {
+        let bits = mean.to_bits();
+        let hash = (bits ^ u64::from(bucket)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let slot = &mut self.memo[(hash >> (64 - MEMO_SLOTS.trailing_zeros())) as usize];
+        if (slot.0, slot.1) != (bucket, bits) {
+            let (lo, hi) = self.buckets[bucket as usize];
+            *slot = (bucket, bits, Normal::new(mean, self.sigma).prob_interval(lo, hi));
+            self.evaluations += 1;
+        }
+        slot.2
+    }
 }
 
-/// Exact quality (Definition 2.2) of the speech at `node`, using the
-/// tree's incremental belief means.
-fn node_quality(tree: &SpeechTree, node: NodeId, targets: &[Target], sigma: f64) -> f64 {
-    if targets.is_empty() {
-        return 0.0;
+/// The walk's consumer that keeps only the best speech seen: ties go to
+/// the shorter speech, then to the earlier one.
+struct Chooser<'a> {
+    scorer: Scorer,
+    cancel: &'a CancelToken,
+    run: &'a RunState,
+    since_poll: u32,
+    /// The deadline fired: no later node is scored.
+    cut: bool,
+    /// The current path: baseline ordinal, then catalogue entry ids.
+    path: Vec<u32>,
+    /// The best speech so far: its quality and its path (see
+    /// [`PlanRecord::path`]).
+    best: Option<(f64, Vec<u32>)>,
+}
+
+impl<'a> Chooser<'a> {
+    fn new(
+        space: &SpeechSpace<'_>,
+        sigma: f64,
+        exact: &ExactResult,
+        layout: &ResultLayout,
+        cancel: &'a CancelToken,
+        run: &'a RunState,
+    ) -> Self {
+        Chooser {
+            scorer: Scorer::new(space, sigma, exact, layout),
+            cancel,
+            run,
+            since_poll: 0,
+            cut: false,
+            path: vec![0; space.max_depth()],
+            best: None,
+        }
     }
-    let mut total = 0.0;
-    for target in targets {
-        let mean = tree.mean_for(node, &target.coords);
-        let (lo, hi) = target.bucket;
-        total += Normal::new(mean, sigma).prob_interval(lo, hi);
+
+    /// Whether the node being entered is still scored. The token is polled
+    /// every 32 nodes; once it has fired the walk only counts.
+    fn live(&mut self) -> bool {
+        if self.cut {
+            return false;
+        }
+        self.since_poll += 1;
+        if self.since_poll >= 32 {
+            self.since_poll = 0;
+            if self.cancel.fired() {
+                self.run.mark_degraded(DegradeReason::Deadline);
+                self.cut = true;
+            }
+        }
+        !self.cut
     }
-    total / targets.len() as f64
+
+    fn consider(&mut self, depth: usize) {
+        let q = self.scorer.quality(depth);
+        let better = match &self.best {
+            None => true,
+            Some((bq, best)) => q > bq + 1e-12 || (q > bq - 1e-12 && depth < best.len()),
+        };
+        if better {
+            self.best = Some((q, self.path[..depth].to_vec()));
+        }
+    }
+}
+
+impl SpaceVisitor for Chooser<'_> {
+    fn baseline(&mut self, ordinal: u32, baseline: Baseline) {
+        if self.live() {
+            self.path[0] = ordinal;
+            self.scorer.enter_baseline(baseline.value);
+            self.consider(1);
+        }
+    }
+
+    fn refinement(&mut self, depth: usize, entry: u32, delta: f64, _implied_value: f64) {
+        if self.live() {
+            self.path[depth - 1] = entry;
+            self.scorer.enter_refinement(depth, entry, delta);
+            self.consider(depth);
+        }
+    }
 }
 
 /// A fully planned speech derived from exact aggregate values.
@@ -139,16 +324,17 @@ pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffer
 }
 
 /// Plan the best speech against exact aggregates — the Optimal variant's
-/// exhaustive scoring, shared with the Holistic engines' semantic-cache
-/// exact-hit path (which obtains the exact values without a table scan).
-/// Returns `None` when the grand mean is undefined (empty query scope).
+/// exhaustive scoring: every speech of the search space T is scored as the
+/// walk enumerates it. Returns `None` when the grand mean is undefined
+/// (empty query scope).
 ///
-/// Scoring visits every node of the search space — over a wide breakdown
-/// that is seconds of work (500k nodes × one `node_quality` pass over
-/// every aggregate each). The `cancel` token is polled between nodes: a
-/// fired token keeps the best speech found so far (the anytime cut of
-/// the exhaustive search) and marks `run` degraded, so neither Optimal nor
-/// an exact hit can outlast the deadline that bounds the sampled path.
+/// The `cancel` token is polled between nodes: a fired token keeps the best
+/// speech found so far (the anytime cut of the exhaustive search) and marks
+/// `run` degraded. The rest of the walk scores nothing but still counts, so
+/// a cut answer reports the `tree_nodes` and `truncated` of the whole space
+/// like any other: neither Optimal nor an exact hit outlasts the deadline
+/// that bounds the sampled path by more than one bare enumeration (6 ms at
+/// the 500 000-node cap; DESIGN §12).
 pub(crate) fn plan_from_exact(
     schema: &Schema,
     query: &Query,
@@ -157,61 +343,47 @@ pub(crate) fn plan_from_exact(
     cancel: &CancelToken,
     run: &RunState,
 ) -> Option<ExactPlan> {
+    plan_exact(schema, query, exact, None, cfg, cancel, run)
+}
+
+/// [`plan_from_exact`] for a semantic-cache exact hit, whose aggregates
+/// came out of `slot`'s entry without a table scan: so does the plan when
+/// an earlier hit under the same configuration and GROUP BY order
+/// ([`HolisticConfig::plan_fingerprint`]) left it beside them. Otherwise
+/// the hit is scored and its plan kept for the next one — unless the
+/// deadline cut it: an anytime answer is not the plan.
+pub(crate) fn plan_exact(
+    schema: &Schema,
+    query: &Query,
+    exact: &ExactResult,
+    slot: Option<(&SemanticCache, &Arc<ExactAggregates>)>,
+    cfg: &HolisticConfig,
+    cancel: &CancelToken,
+    run: &RunState,
+) -> Option<ExactPlan> {
     let grand = exact.grand_mean();
     if !grand.is_finite() {
         return None;
     }
-    let (sigma, tree) = SpeechTree::open(schema, query, cfg, grand);
-    let renderer = Renderer::new(schema, query);
-
-    // Score every node (every speech in the search space T); ties go to
-    // the shorter speech.
-    let targets = scoring_targets(exact, query.layout(), sigma);
-    let mut best: Option<(NodeId, f64, usize)> = None;
-    let mut since_poll = 0u32;
-    for node in tree.all_nodes() {
-        if node == SpeechTree::ROOT {
-            continue;
-        }
-        since_poll += 1;
-        if since_poll >= 32 {
-            since_poll = 0;
-            if cancel.fired() {
-                run.mark_degraded(DegradeReason::Deadline);
-                break;
-            }
-        }
-        let q = node_quality(&tree, node, &targets, sigma);
-        let frags = tree.fragment_count(node);
-        let better = match best {
-            None => true,
-            Some((_, bq, bf)) => q > bq + 1e-12 || (q > bq - 1e-12 && frags < bf),
-        };
-        if better {
-            best = Some((node, q, frags));
-        }
+    let (sigma, space) = SpeechSpace::open(schema, query, cfg, grand);
+    let spoken = |path: &[u32], tree_nodes, truncated| {
+        let (speech, sentences) = space.speak(path);
+        Some(ExactPlan { speech, sentences, tree_nodes, truncated })
+    };
+    let fingerprint = cfg.plan_fingerprint(query);
+    if let Some(kept) = slot.and_then(|(cache, data)| cache.lookup_plan(data, fingerprint)) {
+        return spoken(&kept.path, kept.tree_nodes, kept.truncated);
     }
-
-    let (best_node, _, _) = best.unwrap_or((SpeechTree::ROOT, 0.0, 0));
-    // Walk root -> best to emit sentences in speaking order.
-    let mut chain = Vec::new();
-    let mut cur = Some(best_node);
-    while let Some(n) = cur {
-        if n != SpeechTree::ROOT {
-            chain.push(n);
-        }
-        cur = tree.tree().parent(n);
+    let mut chooser = Chooser::new(&space, sigma, exact, query.layout(), cancel, run);
+    let (tree_nodes, truncated) = space.walk(&mut chooser);
+    // No node scored (no baseline fits the budgets): the empty path.
+    let path = chooser.best.map_or(Vec::new(), |(_, path)| path);
+    let plan = spoken(&path, tree_nodes, truncated);
+    if let (Some((cache, data)), false) = (slot, chooser.cut) {
+        let record = PlanRecord { path, tree_nodes, truncated, fingerprint };
+        cache.admit_plan(&query.key(), data, record);
     }
-    chain.reverse();
-    let sentences: Vec<String> =
-        chain.iter().filter_map(|&n| tree.sentence(n, &renderer)).collect();
-
-    Some(ExactPlan {
-        speech: tree.speech_at(best_node),
-        sentences,
-        tree_nodes: tree.tree().node_count(),
-        truncated: tree.truncated(),
-    })
+    plan
 }
 
 impl Vocalizer for Optimal {
@@ -228,47 +400,41 @@ impl Vocalizer for Optimal {
     ) -> SpeechStream<'a> {
         let t0 = Instant::now();
         let schema = table.schema();
-        let renderer = Renderer::new(schema, query);
-        let preamble = renderer.preamble();
+        let preamble = voxolap_speech::render::Renderer::new(schema, query).preamble();
 
         // Exact aggregates: from the semantic cache on a repeat query,
         // otherwise a full scan — the expensive part on large data. A
         // version-stale entry is invalidated and recomputed: Optimal
         // always evaluates exactly, so it never serves stale data.
-        let key = self.cache.as_ref().map(|_| query.key());
-        let cached = match (&self.cache, &key) {
-            (Some(cache), Some(key)) => match cache.lookup_exact(key, table.version()) {
-                voxolap_engine::semantic::ExactLookup::Fresh(data) => Some(data),
-                voxolap_engine::semantic::ExactLookup::Stale(_) => {
+        let cache = self.cache.as_deref().map(|cache| (cache, query.key()));
+        let hit = cache.as_ref().and_then(|(cache, key)| {
+            match cache.lookup_exact(key, table.version()) {
+                ExactLookup::Fresh(data) => Some((*cache, data)),
+                ExactLookup::Stale(_) => {
                     cache.invalidate_exact(key);
                     None
                 }
-                voxolap_engine::semantic::ExactLookup::Miss => None,
-            },
-            _ => None,
-        };
-        let hit = cached.is_some();
-        let exact = match cached {
-            Some(data) => data.to_result(query.fct()),
+                ExactLookup::Miss => None,
+            }
+        });
+        let res = ResCtx::new(&self.resilience);
+        let cfg = &self.config;
+        let source = match hit {
+            Some((cache, data)) => {
+                let (exact, slot) = (data.to_result(query.fct()), Some((cache, &data)));
+                plan_source(plan_exact(schema, query, &exact, slot, cfg, &cancel, &res.run), 0)
+            }
             None => {
                 let exact = evaluate(query, table);
-                if let (Some(cache), Some(key)) = (&self.cache, &key) {
+                if let Some((cache, key)) = &cache {
                     cache.record_miss();
-                    cache.admit_exact(
-                        key,
-                        table.version(),
-                        exact.counts().to_vec(),
-                        exact.sums().to_vec(),
-                    );
+                    let (counts, sums) = (exact.counts().to_vec(), exact.sums().to_vec());
+                    cache.admit_exact(key, table.version(), counts, sums);
                 }
-                exact
+                let plan = plan_from_exact(schema, query, &exact, cfg, &cancel, &res.run);
+                plan_source(plan, table.row_count() as u64)
             }
         };
-        let rows_read = if hit { 0 } else { table.row_count() as u64 };
-
-        let res = ResCtx::new(&self.resilience);
-        let plan = plan_from_exact(schema, query, &exact, &self.config, &cancel, &res.run);
-        let source = plan_source(plan, rows_read);
 
         // Only now does output start: latency includes the full scan.
         let latency = t0.elapsed();
@@ -286,10 +452,178 @@ mod tests {
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
     use voxolap_engine::query::AggFct;
-    use voxolap_speech::ast::Baseline;
+    use voxolap_mcts::NodeId;
     use voxolap_speech::scope::CompiledSpeech;
 
+    use crate::tree::SpeechTree;
     use crate::voice::InstantVoice;
+
+    /// What the oracle needs to know about one aggregate with a finite
+    /// exact value.
+    struct Target {
+        coords: Vec<u32>,
+        /// The rounding bucket `[lo, hi)` around its exact value.
+        bucket: (f64, f64),
+    }
+
+    fn scoring_targets(exact: &ExactResult, layout: &ResultLayout, sigma: f64) -> Vec<Target> {
+        (0..layout.n_aggregates() as u32)
+            .filter_map(|agg| {
+                let actual = exact.value(agg);
+                actual.is_finite().then(|| Target {
+                    coords: layout.coords_of_agg(agg),
+                    bucket: rounding_bucket(actual, sigma / 10.0),
+                })
+            })
+            .collect()
+    }
+
+    /// The scorer this module replaced, kept as the oracle: exact quality
+    /// of the speech at `node` of a stored tree — an ancestor walk per
+    /// aggregate (`SpeechTree::mean_for`) and one `prob_interval` per call.
+    fn node_quality(tree: &SpeechTree, node: NodeId, targets: &[Target], sigma: f64) -> f64 {
+        if targets.is_empty() {
+            return 0.0;
+        }
+        let mut total = 0.0;
+        for target in targets {
+            let mean = tree.mean_for(node, &target.coords);
+            let (lo, hi) = target.bucket;
+            total += Normal::new(mean, sigma).prob_interval(lo, hi);
+        }
+        total / targets.len() as f64
+    }
+
+    /// The planner this module replaced: build the whole tree, score every
+    /// node of it, walk back from the winner.
+    fn oracle_plan(
+        schema: &Schema,
+        query: &Query,
+        exact: &ExactResult,
+        cfg: &HolisticConfig,
+    ) -> ExactPlan {
+        let (sigma, tree) = SpeechTree::open(schema, query, cfg, exact.grand_mean());
+        let renderer = voxolap_speech::render::Renderer::new(schema, query);
+        let targets = scoring_targets(exact, query.layout(), sigma);
+        let mut best: Option<(NodeId, f64, usize)> = None;
+        for node in tree.all_nodes().skip(1) {
+            let q = node_quality(&tree, node, &targets, sigma);
+            let frags = tree.fragment_count(node);
+            let better = match best {
+                None => true,
+                Some((_, bq, bf)) => q > bq + 1e-12 || (q > bq - 1e-12 && frags < bf),
+            };
+            if better {
+                best = Some((node, q, frags));
+            }
+        }
+        let (best_node, _, _) = best.unwrap_or((SpeechTree::ROOT, 0.0, 0));
+        let mut chain: Vec<NodeId> =
+            std::iter::successors(Some(best_node), |&n| tree.tree().parent(n)).collect();
+        chain.reverse();
+        ExactPlan {
+            speech: tree.speech_at(best_node),
+            sentences: chain.iter().filter_map(|&n| tree.sentence(n, &renderer)).collect(),
+            tree_nodes: tree.tree().node_count(),
+            truncated: tree.truncated(),
+        }
+    }
+
+    /// A walk consumer that records every node's quality.
+    struct Recorder {
+        scorer: Scorer,
+        bits: Vec<u64>,
+    }
+
+    impl SpaceVisitor for Recorder {
+        fn baseline(&mut self, _ordinal: u32, baseline: Baseline) {
+            self.scorer.enter_baseline(baseline.value);
+            self.bits.push(self.scorer.quality(1).to_bits());
+        }
+
+        fn refinement(&mut self, depth: usize, entry: u32, delta: f64, _implied_value: f64) {
+            self.scorer.enter_refinement(depth, entry, delta);
+            self.bits.push(self.scorer.quality(depth).to_bits());
+        }
+    }
+
+    #[test]
+    fn every_node_scores_bit_for_bit_what_the_oracle_scores() {
+        let mut compared = 0usize;
+        for (table, queries, estimate) in crate::tree::tests::differential_queries() {
+            let schema = table.schema();
+            for q in &queries {
+                let cfg = HolisticConfig { max_tree_nodes: 5_000, ..HolisticConfig::default() };
+                let exact = evaluate(q, &table);
+                let (sigma, tree) = SpeechTree::open(schema, q, &cfg, estimate);
+                let targets = scoring_targets(&exact, q.layout(), sigma);
+                let want: Vec<u64> = tree
+                    .all_nodes()
+                    .skip(1)
+                    .map(|n| node_quality(&tree, n, &targets, sigma).to_bits())
+                    .collect();
+
+                let (_, space) = SpeechSpace::open(schema, q, &cfg, estimate);
+                let scorer = Scorer::new(&space, sigma, &exact, q.layout());
+                let mut recorder = Recorder { scorer, bits: Vec::new() };
+                let counted = space.walk(&mut recorder);
+                assert_eq!(counted, (tree.tree().node_count(), tree.truncated()), "{:?}", q.key());
+                assert_eq!(recorder.bits, want, "{:?}", q.key());
+                compared += want.len();
+            }
+        }
+        assert!(compared > 30_000, "compared {compared} nodes");
+    }
+
+    /// Six group-by shapes × {no filter, three states, one region} on the
+    /// 200k flights table (the combinations the query builder accepts),
+    /// and the salary table: the planner and the oracle loop must agree on
+    /// everything a plan says. The 100 000-node cap keeps the oracle's
+    /// debug-build cost near ten seconds; `exact_plans_on_flights_are_pinned`
+    /// pins three of the shapes at the full one.
+    #[test]
+    fn plans_equal_the_oracle_loops_on_the_flights_matrix_and_salaries() {
+        use voxolap_data::flights::FlightsConfig;
+        let flights = FlightsConfig { rows: 200_000, seed: 42 }.generate();
+        let (salaries, salary_query) = setup();
+        let airport = flights.schema().dimension(DimId(0));
+        let places = ["Pennsylvania", "New York", "Massachusetts", "the North East"];
+        let filters: Vec<_> = std::iter::once(None)
+            .chain(places.iter().map(|p| Some(airport.member_by_phrase(p).unwrap())))
+            .collect();
+        let shapes: [&[(u8, u8)]; 6] =
+            [&[(1, 1)], &[(1, 2)], &[(0, 1), (1, 1)], &[(0, 1), (2, 1)], &[(0, 2)], &[(2, 1)]];
+        let mut cases: Vec<(&voxolap_data::Table, Query)> = vec![(&salaries, salary_query)];
+        for groups in shapes {
+            for &filter in &filters {
+                let mut b = Query::builder(AggFct::Avg);
+                for &(d, l) in groups {
+                    b = b.group_by(DimId(d), LevelId(l));
+                }
+                if let Some(member) = filter {
+                    b = b.filter(DimId(0), member);
+                }
+                cases.extend(b.build(flights.schema()).ok().map(|q| (&flights, q)));
+            }
+        }
+        assert!(cases.len() > 21, "{} cases", cases.len());
+        let cfg = HolisticConfig { max_tree_nodes: 100_000, ..HolisticConfig::default() };
+        for (table, q) in &cases {
+            let exact = evaluate(q, table);
+            let want = oracle_plan(table.schema(), q, &exact, &cfg);
+            let run = RunState::default();
+            let got = plan_from_exact(table.schema(), q, &exact, &cfg, &CancelToken::never(), &run)
+                .unwrap();
+            assert_eq!(got.speech, want.speech, "{:?}", q.key());
+            assert_eq!(got.sentences, want.sentences, "{:?}", q.key());
+            assert_eq!(
+                (got.tree_nodes, got.truncated),
+                (want.tree_nodes, want.truncated),
+                "{:?}",
+                q.key()
+            );
+        }
+    }
 
     fn setup() -> (voxolap_data::Table, Query) {
         let table = SalaryConfig::paper_scale().generate();
@@ -379,6 +713,168 @@ mod tests {
         assert_eq!(stats.exact_hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.admissions, 1);
+    }
+
+    /// Under 12 aggregates the 500 000-node by-month space looks a bucket
+    /// mass up six million times; the memo must leave `erf` under an
+    /// eighth of them (measured: 3.9 %). A count, not a clock.
+    #[test]
+    fn by_month_computes_under_an_eighth_of_its_bucket_masses() {
+        use voxolap_data::flights::FlightsConfig;
+        let table = FlightsConfig { rows: 200_000, seed: 42 }.generate();
+        let schema = table.schema();
+        let q = Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(2)).build(schema).unwrap();
+        let exact = evaluate(&q, &table);
+        let cfg = HolisticConfig::default();
+        let (sigma, space) = SpeechSpace::open(schema, &q, &cfg, exact.grand_mean());
+        let (never, run) = (CancelToken::never(), RunState::default());
+        let mut chooser = Chooser::new(&space, sigma, &exact, q.layout(), &never, &run);
+        assert_eq!(space.walk(&mut chooser), (500_000, true));
+        let lookups = 499_999 * 12;
+        let computed = chooser.scorer.evaluations;
+        assert!(computed > 0 && computed * 8 <= lookups, "{computed} of {lookups}");
+    }
+
+    fn cached_holistic() -> (Arc<SemanticCache>, crate::holistic::Holistic) {
+        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
+        let cfg = HolisticConfig { min_samples_per_sentence: 400, ..HolisticConfig::default() };
+        (cache.clone(), crate::holistic::Holistic::new(cfg).with_cache(cache))
+    }
+
+    /// Everything an outcome says but how long it took.
+    fn untimed(o: &crate::outcome::VocalizationOutcome) -> impl PartialEq + std::fmt::Debug {
+        let stats =
+            crate::outcome::PlanStats { planning_time: Default::default(), ..o.stats.clone() };
+        (o.speech.clone(), o.preamble.clone(), o.sentences.clone(), stats)
+    }
+
+    /// No hit stores a tree: `plan_exact` names no `SpeechTree`, and it
+    /// still borrows the `SpeechSpace` to speak after the walk, which
+    /// `into_tree` would have consumed.
+    #[test]
+    fn a_kept_plan_says_what_the_rescored_hit_said() {
+        let (table, q) = setup();
+        let (cache, holistic) = cached_holistic();
+        let cold = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        assert_eq!(cold.stats.rows_read, 320, "cold run exhausts the table and admits it");
+        let rescored = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        let kept = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        let stats = cache.stats();
+        assert_eq!((stats.exact_hits, stats.plan_hits), (2, 1), "{stats:?}");
+        assert!(rescored.stats.tree_nodes > 1_000, "the space was still walked and counted");
+        assert_eq!(untimed(&kept), untimed(&rescored));
+    }
+
+    #[test]
+    fn a_cut_hit_speaks_the_anytime_best_and_keeps_no_plan() {
+        let (table, q) = setup();
+        let (cache, holistic) = cached_holistic();
+        holistic.vocalize(&table, &q, &mut InstantVoice::default());
+
+        let expired = CancelToken::with_deadline(Instant::now());
+        let cut = holistic.stream(&table, &q, &mut InstantVoice::default(), expired).drain();
+        assert!(cut.stats.degraded, "a cut hit is marked");
+        assert!(!cut.sentences.is_empty(), "and still speaks the best of what it scored");
+
+        let full = holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        assert_eq!(cache.stats().plan_hits, 0, "the cut left the slot empty");
+        assert!(!full.stats.degraded);
+        assert_ne!(full.sentences, cut.sentences, "31 scored nodes do not hold the optimum");
+        assert_eq!((full.stats.tree_nodes, full.stats.truncated), (cut.stats.tree_nodes, false));
+
+        // Even an expired deadline cannot cut a plan that needs no scoring.
+        let expired = CancelToken::with_deadline(Instant::now());
+        let kept = holistic.stream(&table, &q, &mut InstantVoice::default(), expired).drain();
+        assert_eq!(cache.stats().plan_hits, 1);
+        assert_eq!(untimed(&kept), untimed(&full));
+    }
+
+    #[test]
+    fn a_stale_serve_keeps_and_reads_the_plan_of_its_own_entry() {
+        use crate::holistic::tests::echo_rows;
+        use std::time::Duration;
+        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
+        let (table, q) = setup();
+        let (cache, holistic) = cached_holistic();
+        holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        let (grown, _) = table.append_rows(&echo_rows(&table, 40)).unwrap();
+
+        // A dead data source: the version-stale entry is served (§12), and
+        // the plan scored on its aggregates is kept beside them.
+        let dead = || {
+            let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
+            Arc::new(Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600)))
+        };
+        let serve = || {
+            let engine = holistic.clone().with_resilience(dead());
+            engine.vocalize(&grown, &q, &mut InstantVoice::default())
+        };
+        let rescored = serve();
+        let kept = serve();
+        let stats = cache.stats();
+        assert_eq!((stats.stale_serves, stats.plan_hits), (2, 1), "{stats:?}");
+        assert!(rescored.stats.stale && kept.stats.stale, "a kept plan is no fresher");
+        assert_eq!(untimed(&kept), untimed(&rescored));
+    }
+
+    #[test]
+    fn another_configuration_rescans_and_takes_the_slot_over() {
+        use voxolap_speech::constraints::SpeechConstraints;
+        let (table, q) = setup();
+        let (cache, wide) = cached_holistic();
+        let narrow = crate::holistic::Holistic::new(HolisticConfig {
+            constraints: SpeechConstraints { max_chars: 300, max_refinements: 1 },
+            ..wide.config().clone()
+        })
+        .with_cache(cache.clone());
+        let ask = |engine: &crate::holistic::Holistic| {
+            engine.vocalize(&table, &q, &mut InstantVoice::default())
+        };
+        ask(&wide);
+        let wide_plan = ask(&wide);
+        assert_eq!(wide_plan.speech.as_ref().unwrap().refinements.len(), 2);
+
+        let narrow_plan = ask(&narrow);
+        assert_eq!(cache.stats().plan_hits, 0, "a plan under other constraints is not reused");
+        assert_eq!(narrow_plan.speech.as_ref().unwrap().refinements.len(), 1);
+        assert_eq!(untimed(&ask(&narrow)), untimed(&narrow_plan));
+        assert_eq!(cache.stats().plan_hits, 1, "the rescored plan replaced the other one");
+        assert_eq!(untimed(&ask(&wide)), untimed(&wide_plan));
+        assert_eq!(cache.stats().plan_hits, 1, "and was replaced in turn");
+    }
+
+    /// The cache key sorts the GROUP BY list, the refinement catalogue
+    /// enumerates predicates in the order it was written: both orders share
+    /// one entry, and a path of catalogue ids means another speech under the
+    /// other order.
+    #[test]
+    fn a_plan_kept_under_one_group_order_is_rescored_under_the_other() {
+        let (table, region_first) = setup();
+        let bins_first = Query::builder(AggFct::Avg)
+            .group_by(DimId(1), LevelId(1))
+            .group_by(DimId(0), LevelId(1))
+            .build(table.schema())
+            .unwrap();
+        assert_eq!(region_first.key(), bins_first.key());
+        let (cache, holistic) = cached_holistic();
+        let ask = |q: &Query| holistic.vocalize(&table, q, &mut InstantVoice::default());
+        ask(&region_first);
+        ask(&region_first);
+        let kept = ask(&region_first);
+        assert_eq!(cache.stats().plan_hits, 1, "the slot holds the region-first plan");
+
+        let exact = evaluate(&bins_first, &table);
+        let want = oracle_plan(table.schema(), &bins_first, &exact, holistic.config());
+        let other = ask(&bins_first);
+        assert_eq!(cache.stats().plan_hits, 1, "which the other order does not replay");
+        assert_eq!(
+            (other.speech.as_ref(), &other.sentences),
+            (Some(&want.speech), &want.sentences)
+        );
+        assert_eq!(untimed(&ask(&bins_first)), untimed(&other));
+        assert_eq!(cache.stats().plan_hits, 2, "its own plan took the slot over");
+        assert_eq!(untimed(&ask(&region_first)), untimed(&kept));
+        assert_eq!(cache.stats().exact_hits, 5, "one entry served both orders");
     }
 
     /// The plans `plan_from_exact` chooses on the 200k flights table,

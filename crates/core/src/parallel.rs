@@ -49,7 +49,7 @@ use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
 use crate::holistic::{serve_stale_exact, HolisticConfig};
-use crate::optimal::{plan_from_exact, plan_source};
+use crate::optimal::{plan_exact, plan_source};
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::driver::TeamSource;
 use crate::pipeline::stream::{Buffered, Deferred, SentenceSource, SpeechStream};
@@ -304,10 +304,10 @@ impl Vocalizer for ParallelHolistic {
         // otherwise they are invalidated and the query replans fresh.
         let hit = self.cache.as_ref().and_then(|sem| {
             match sem.lookup_exact(&query.key(), table.version()) {
-                ExactLookup::Fresh(data) => Some((data, false)),
+                ExactLookup::Fresh(data) => Some((sem.clone(), data, false)),
                 ExactLookup::Stale(data) if serve_stale_exact(&cancel, &res) => {
                     sem.note_stale_serve();
-                    Some((data, true))
+                    Some((sem.clone(), data, true))
                 }
                 ExactLookup::Stale(_) => {
                     sem.invalidate_exact(&query.key());
@@ -323,15 +323,14 @@ impl Vocalizer for ParallelHolistic {
         voice.start(&preamble);
         let latency = t0.elapsed();
 
-        let stale = matches!(hit, Some((_, true)));
+        let stale = matches!(hit, Some((.., true)));
         let source: Box<dyn SentenceSource<'a> + 'a> = match hit {
-            Some((data, _)) => {
+            Some((sem, data, _)) => {
                 let cfg = self.config.clone();
                 let run = res.run.clone();
                 let plan = move |cancel: &CancelToken| -> Box<dyn SentenceSource<'a> + 'a> {
-                    let exact = data.to_result(query.fct());
-                    let schema = table.schema();
-                    let plan = plan_from_exact(schema, query, &exact, &cfg, cancel, &run);
+                    let (exact, slot) = (data.to_result(query.fct()), Some((&*sem, &data)));
+                    let plan = plan_exact(table.schema(), query, &exact, slot, &cfg, cancel, &run);
                     Box::new(plan_source(plan, 0))
                 };
                 Box::new(Deferred::new(plan))

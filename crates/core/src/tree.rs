@@ -62,11 +62,40 @@ pub struct SpeechTree {
     n_aggs: usize,
 }
 
-/// What `ST.Expand` carries down one root-to-leaf path while it builds.
-struct Expansion<'a> {
+/// A query's speech space, compiled but not expanded: the baseline
+/// candidates, the refinement catalogue and the budgets that bound their
+/// combinations. [`SpeechSpace::walk`] enumerates it — `ST.Expand`, once —
+/// for whoever consumes the nodes: [`SpeechSpace::into_tree`] stores them in
+/// an arena for the sampled approaches, the exhaustive scorer
+/// (`crate::optimal`) scores each as it goes by and stores none.
+pub(crate) struct SpeechSpace<'a> {
     schema: &'a Schema,
-    constraints: &'a SpeechConstraints,
+    renderer: Renderer<'a>,
+    catalogue: RefinementCatalogue,
+    baselines: Vec<Baseline>,
+    constraints: SpeechConstraints,
     max_nodes: usize,
+    n_aggs: usize,
+}
+
+/// What [`SpeechSpace::walk`] tells its consumer, node by node in creation
+/// order. A node's depth is its fragment count: the baseline plus each
+/// refinement on the path.
+pub(crate) trait SpaceVisitor {
+    /// The `ordinal`-th baseline candidate opens a path (depth 1).
+    fn baseline(&mut self, ordinal: u32, baseline: Baseline);
+    /// Catalogue entry `entry` extends the current path to `depth`
+    /// fragments, replacing whatever the path held at that depth or below.
+    fn refinement(&mut self, depth: usize, entry: u32, delta: f64, implied_value: f64);
+}
+
+/// What `ST.Expand` carries down one root-to-leaf path.
+struct Walk<'s, V> {
+    space: &'s SpeechSpace<'s>,
+    visitor: &'s mut V,
+    /// Nodes created so far, the root included.
+    nodes: usize,
+    truncated: bool,
     /// The current path's baseline value.
     baseline: f64,
     /// `(catalogue index, implied value)` of the refinements on the
@@ -74,26 +103,209 @@ struct Expansion<'a> {
     path: Vec<(u32, f64)>,
 }
 
-impl SpeechTree {
-    /// The root node (represents the preamble).
-    pub const ROOT: NodeId = Tree::<NodeKind>::ROOT;
-
+impl<'a> SpeechSpace<'a> {
     /// Open a plan: calibrate σ from `overall` (a warm-up estimate, or the
-    /// exact grand mean) and expand `cfg`'s speech space around it. Every
+    /// exact grand mean) and compile `cfg`'s speech space around it. Every
     /// approach — sampled or exhaustive — opens through here, so they plan
-    /// over the same space under the same belief model. Returns `(σ, tree)`.
+    /// over the same space under the same belief model. Returns `(σ, space)`.
     pub(crate) fn open(
-        schema: &Schema,
-        query: &Query,
+        schema: &'a Schema,
+        query: &'a Query,
         cfg: &HolisticConfig,
         overall: f64,
     ) -> (f64, Self) {
         let sigma = calibrated_sigma(overall, cfg.sigma_override);
         let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
         let renderer = Renderer::new(schema, query);
-        let tree =
-            SpeechTree::build(&generator, &renderer, &cfg.constraints, overall, cfg.max_tree_nodes);
-        (sigma, tree)
+        let max_nodes = cfg.max_tree_nodes;
+        (sigma, SpeechSpace::compile(&generator, &renderer, &cfg.constraints, overall, max_nodes))
+    }
+
+    fn compile(
+        generator: &CandidateGenerator<'a>,
+        renderer: &Renderer<'a>,
+        constraints: &SpeechConstraints,
+        overall_estimate: f64,
+        max_nodes: usize,
+    ) -> Self {
+        SpeechSpace {
+            schema: generator.schema(),
+            renderer: *renderer,
+            catalogue: RefinementCatalogue::compile(generator, renderer),
+            baselines: generator.baselines(overall_estimate),
+            constraints: *constraints,
+            max_nodes,
+            n_aggs: generator.query().layout().n_aggregates(),
+        }
+    }
+
+    /// The per-query refinement catalogue.
+    pub(crate) fn catalogue(&self) -> &RefinementCatalogue {
+        &self.catalogue
+    }
+
+    /// Deepest path the fragment budget allows: a baseline and
+    /// `max_refinements` refinements.
+    pub(crate) fn max_depth(&self) -> usize {
+        1 + self.constraints.max_refinements
+    }
+
+    /// Enumerate the space (`ST.Expand` from the root): one node per
+    /// baseline candidate, then recursively one per valid refinement,
+    /// bounded by the constraints and the node cap. Returns the node count
+    /// (the root included) and whether the cap cut the enumeration.
+    pub(crate) fn walk<V: SpaceVisitor>(&self, visitor: &mut V) -> (usize, bool) {
+        let mut walk = Walk {
+            space: self,
+            visitor,
+            nodes: 1,
+            truncated: false,
+            baseline: 0.0,
+            path: Vec::with_capacity(self.constraints.max_refinements),
+        };
+        for (ordinal, &b) in self.baselines.iter().enumerate() {
+            if walk.nodes >= self.max_nodes {
+                walk.truncated = true;
+                break;
+            }
+            let speech = Speech { baseline: b, refinements: Vec::new() };
+            let chars = self.renderer.baseline_sentence(&speech).chars().count();
+            if chars > self.constraints.max_chars {
+                continue;
+            }
+            walk.nodes += 1;
+            walk.visitor.baseline(ordinal as u32, b);
+            walk.baseline = b.value;
+            walk.expand(chars);
+        }
+        (walk.nodes, walk.truncated)
+    }
+
+    /// Store every node of the walk: the arena the sampled approaches
+    /// descend and update.
+    fn into_tree(self) -> SpeechTree {
+        // Every baseline over every sequence of refinements, ignoring what
+        // the character budget and used predicates rule out: an upper
+        // bound that sizes the node arena once.
+        let m = self.catalogue.entries().len();
+        let per_baseline = (0..self.constraints.max_refinements)
+            .fold(1usize, |below, _| below.saturating_mul(m).saturating_add(1));
+        let bound = self.baselines.len().saturating_mul(per_baseline).saturating_add(1);
+        let mut arena = Arena {
+            tree: Tree::with_capacity(NodeKind::Root, bound.min(self.max_nodes)),
+            path: vec![SpeechTree::ROOT; 1 + self.max_depth()],
+        };
+        let (_, truncated) = self.walk(&mut arena);
+        SpeechTree { tree: arena.tree, catalogue: self.catalogue, truncated, n_aggs: self.n_aggs }
+    }
+
+    /// The speech and sentences of one path of the walk — a baseline
+    /// ordinal followed by catalogue entry ids, in speaking order. The
+    /// empty path is the root: no sentence.
+    pub(crate) fn speak(&self, path: &[u32]) -> (Speech, Vec<String>) {
+        let Some((&ordinal, entries)) = path.split_first() else {
+            return (Speech::baseline_only(0.0), Vec::new());
+        };
+        let mut speech =
+            Speech { baseline: self.baselines[ordinal as usize], refinements: Vec::new() };
+        let mut sentences = vec![self.renderer.baseline_sentence(&speech)];
+        for &entry in entries {
+            let ast = &self.catalogue.entry(entry).ast;
+            sentences.push(self.renderer.refinement_sentence(ast));
+            speech.refinements.push(ast.clone());
+        }
+        (speech, sentences)
+    }
+}
+
+impl<V: SpaceVisitor> Walk<'_, V> {
+    /// Recursive expansion below the current path (paper Algorithm 2
+    /// `ST.Expand`), whose speech body is `prefix_chars` characters long:
+    /// one child per catalogue entry, in catalogue order, whose predicates
+    /// the path has not used yet and whose sentence still fits the
+    /// character budget.
+    fn expand(&mut self, prefix_chars: usize) {
+        let SpeechSpace { catalogue, constraints, max_nodes, .. } = self.space;
+        if self.path.len() >= constraints.max_refinements {
+            return;
+        }
+        for index in 0..catalogue.entries().len() as u32 {
+            let entry = catalogue.entry(index);
+            let used =
+                |&(anc, _): &(u32, f64)| catalogue.entry(anc).predicate_set == entry.predicate_set;
+            if self.path.iter().any(used) {
+                continue;
+            }
+            if self.nodes >= *max_nodes {
+                self.truncated = true;
+                return;
+            }
+            // Sentences are joined by one space.
+            let chars = prefix_chars + 1 + entry.chars;
+            if chars > constraints.max_chars {
+                continue;
+            }
+            let (delta, implied_value) = self.resolve_reference(entry);
+            self.nodes += 1;
+            self.path.push((index, implied_value));
+            self.visitor.refinement(1 + self.path.len(), index, delta, implied_value);
+            self.expand(chars);
+            self.path.pop();
+        }
+    }
+
+    /// Resolve the reference value for `entry` appended to the current
+    /// path: the implied value of the nearest refinement on the path whose
+    /// scope subsumes the new one, or the path's baseline value. Returns
+    /// `(delta, implied value)`.
+    fn resolve_reference(&self, entry: &CatalogueEntry) -> (f64, f64) {
+        let SpeechSpace { schema, catalogue, .. } = self.space;
+        let is_anc =
+            |dim: voxolap_data::DimId, a: voxolap_data::MemberId, d: voxolap_data::MemberId| {
+                schema.dimension(dim).is_ancestor_or_self(a, d)
+            };
+        let reference = self
+            .path
+            .iter()
+            .rev()
+            .find(|&&(anc, _)| catalogue.entry(anc).ast.subsumes(&entry.ast, is_anc))
+            .map_or(self.baseline, |&(_, implied)| implied);
+        let implied = reference * entry.ast.change.factor();
+        (implied - reference, implied)
+    }
+}
+
+/// The walk's consumer that keeps every node.
+struct Arena {
+    tree: Tree<NodeKind>,
+    /// The node at each depth of the current path, the root first.
+    path: Vec<NodeId>,
+}
+
+impl SpaceVisitor for Arena {
+    fn baseline(&mut self, _ordinal: u32, baseline: Baseline) {
+        self.path[1] = self.tree.add_child(SpeechTree::ROOT, NodeKind::Baseline(baseline));
+    }
+
+    fn refinement(&mut self, depth: usize, entry: u32, delta: f64, implied_value: f64) {
+        let kind = NodeKind::Refinement { entry, delta, implied_value };
+        self.path[depth] = self.tree.add_child(self.path[depth - 1], kind);
+    }
+}
+
+impl SpeechTree {
+    /// The root node (represents the preamble).
+    pub const ROOT: NodeId = Tree::<NodeKind>::ROOT;
+
+    /// [`SpeechSpace::open`], expanded into the arena. Returns `(σ, tree)`.
+    pub(crate) fn open(
+        schema: &Schema,
+        query: &Query,
+        cfg: &HolisticConfig,
+        overall: f64,
+    ) -> (f64, Self) {
+        let (sigma, space) = SpeechSpace::open(schema, query, cfg, overall);
+        (sigma, space.into_tree())
     }
 
     /// Expand the full tree (`ST.Expand` from the root): one child per
@@ -106,97 +318,8 @@ impl SpeechTree {
         overall_estimate: f64,
         max_nodes: usize,
     ) -> Self {
-        let catalogue = RefinementCatalogue::compile(generator, renderer);
-        let baselines = generator.baselines(overall_estimate);
-        // Every baseline over every sequence of refinements, ignoring what
-        // the character budget and used predicates rule out: an upper
-        // bound that sizes the node arena once.
-        let m = catalogue.entries().len();
-        let per_baseline = (0..constraints.max_refinements)
-            .fold(1usize, |below, _| below.saturating_mul(m).saturating_add(1));
-        let bound = baselines.len().saturating_mul(per_baseline).saturating_add(1);
-        let mut st = SpeechTree {
-            tree: Tree::with_capacity(NodeKind::Root, bound.min(max_nodes)),
-            catalogue,
-            truncated: false,
-            n_aggs: generator.query().layout().n_aggregates(),
-        };
-        let mut exp = Expansion {
-            schema: generator.schema(),
-            constraints,
-            max_nodes,
-            baseline: 0.0,
-            path: Vec::with_capacity(constraints.max_refinements),
-        };
-        for b in baselines {
-            if st.tree.node_count() >= max_nodes {
-                st.truncated = true;
-                break;
-            }
-            let speech = Speech { baseline: b, refinements: Vec::new() };
-            let chars = renderer.baseline_sentence(&speech).chars().count();
-            if chars > constraints.max_chars {
-                continue;
-            }
-            let node = st.tree.add_child(Self::ROOT, NodeKind::Baseline(b));
-            exp.baseline = b.value;
-            st.expand(node, chars, &mut exp);
-        }
-        st
-    }
-
-    /// Recursive expansion below `node` (paper Algorithm 2 `ST.Expand`),
-    /// whose speech body is `prefix_chars` characters long: one child per
-    /// catalogue entry, in catalogue order, whose predicates the path has
-    /// not used yet and whose sentence still fits the character budget.
-    fn expand(&mut self, node: NodeId, prefix_chars: usize, exp: &mut Expansion<'_>) {
-        if exp.path.len() >= exp.constraints.max_refinements {
-            return;
-        }
-        for index in 0..self.catalogue.entries().len() as u32 {
-            let entry = self.catalogue.entry(index);
-            let used = |&(anc, _): &(u32, f64)| {
-                self.catalogue.entry(anc).predicate_set == entry.predicate_set
-            };
-            if exp.path.iter().any(used) {
-                continue;
-            }
-            if self.tree.node_count() >= exp.max_nodes {
-                self.truncated = true;
-                return;
-            }
-            // Sentences are joined by one space.
-            let chars = prefix_chars + 1 + entry.chars;
-            if chars > exp.constraints.max_chars {
-                continue;
-            }
-            let (delta, implied_value) = self.resolve_reference(entry, exp);
-            let child = self
-                .tree
-                .add_child(node, NodeKind::Refinement { entry: index, delta, implied_value });
-            exp.path.push((index, implied_value));
-            self.expand(child, chars, exp);
-            exp.path.pop();
-        }
-    }
-
-    /// Resolve the reference value for `entry` appended to the current
-    /// path: the implied value of the nearest refinement on the path whose
-    /// scope subsumes the new one, or the path's baseline value. Returns
-    /// `(delta, implied value)`.
-    fn resolve_reference(&self, entry: &CatalogueEntry, exp: &Expansion<'_>) -> (f64, f64) {
-        let is_anc =
-            |dim: voxolap_data::DimId, a: voxolap_data::MemberId, d: voxolap_data::MemberId| {
-                exp.schema.dimension(dim).is_ancestor_or_self(a, d)
-            };
-        let reference = exp
-            .path
-            .iter()
-            .rev()
-            .find(|&&(anc, _)| self.catalogue.entry(anc).ast.subsumes(&entry.ast, is_anc))
-            .map_or(exp.baseline, |&(_, implied)| implied);
-        let implied = reference * entry.ast.change.factor();
-        (implied - reference, implied)
+        SpeechSpace::compile(generator, renderer, constraints, overall_estimate, max_nodes)
+            .into_tree()
     }
 
     /// The per-query refinement catalogue the nodes index into.
@@ -305,7 +428,7 @@ impl SpeechTree {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use voxolap_data::dimension::LevelId;
     use voxolap_data::salary::SalaryConfig;
@@ -445,7 +568,7 @@ mod tests {
     /// offers region *and* state predicates (references chain through
     /// subsuming ancestors) and, like flights by region and airline,
     /// overflows the 500 000-node cap.
-    fn differential_queries() -> Vec<(voxolap_data::Table, Vec<Query>, f64)> {
+    pub(crate) fn differential_queries() -> Vec<(voxolap_data::Table, Vec<Query>, f64)> {
         use voxolap_data::flights::FlightsConfig;
         type Shape = (&'static [(u8, u8)], bool);
         let queries = |table: &voxolap_data::Table, shapes: [Shape; 4]| -> Vec<Query> {
@@ -538,6 +661,50 @@ mod tests {
             }
         }
         assert!(compared > 1_000_000, "compared {compared} nodes");
+    }
+
+    /// A consumer that stores nothing.
+    struct Count;
+
+    impl SpaceVisitor for Count {
+        fn baseline(&mut self, _: u32, _: Baseline) {}
+        fn refinement(&mut self, _: usize, _: u32, _: f64, _: f64) {}
+    }
+
+    #[test]
+    fn a_walk_that_stores_nothing_counts_what_build_counts() {
+        let mut uncut = 0;
+        for (table, queries, estimate) in differential_queries() {
+            let schema = table.schema();
+            for q in &queries {
+                let counts = |max_refinements: usize, max_tree_nodes: usize| {
+                    let cfg = HolisticConfig {
+                        constraints: SpeechConstraints { max_chars: 300, max_refinements },
+                        max_tree_nodes,
+                        ..HolisticConfig::default()
+                    };
+                    let (_, tree) = SpeechTree::open(schema, q, &cfg, estimate);
+                    let (_, space) = SpeechSpace::open(schema, q, &cfg, estimate);
+                    let built = (tree.tree().node_count(), tree.truncated());
+                    let what =
+                        format!("{:?} depth {max_refinements} cap {max_tree_nodes}", q.key());
+                    assert_eq!(space.walk(&mut Count), built, "{what}");
+                    built
+                };
+                counts(2, 500_000);
+                for max_refinements in [1, 2] {
+                    assert!(counts(max_refinements, 50).1, "50 nodes cut every shape");
+                    // Where the cap is checked decides `truncated` at the
+                    // exact size and one below it.
+                    if let (size, false) = counts(max_refinements, 5_000) {
+                        assert_eq!(counts(max_refinements, size), (size, false));
+                        assert_eq!(counts(max_refinements, size - 1), (size - 1, true));
+                        uncut += 1;
+                    }
+                }
+            }
+        }
+        assert!(uncut >= 8, "{uncut} spaces fit under 5 000 nodes");
     }
 
     #[test]

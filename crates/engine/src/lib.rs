@@ -54,5 +54,7 @@ pub use query::{
 };
 pub use repair::{repair_snapshot, RepairOutcome};
 pub use resample::{CacheEstimate, ResampleScratch};
-pub use semantic::{CacheStats, ExactAggregates, ExactLookup, SampleSnapshot, SemanticCache};
+pub use semantic::{
+    CacheStats, ExactAggregates, ExactLookup, PlanRecord, SampleSnapshot, SemanticCache,
+};
 pub use sharded::{IngestBatch, ShardedSampleCache};

@@ -11,7 +11,9 @@
 //!   are known (the Optimal variant always computes them; a Holistic run
 //!   that exhausts its scanner ends up with them in the sample cache), an
 //!   identical repeat query skips sampling entirely and plans its speech
-//!   against the exact aggregates.
+//!   against the exact aggregates. The plan chosen is then kept beside the
+//!   aggregates it was scored on ([`PlanRecord`]), so the next repeat
+//!   skips the scoring too.
 //! * **Sample snapshots** — *which* rows a run sampled: the scan seed and
 //!   its morsel pool's per-chunk progress, a few hundred bytes at any
 //!   table size, never a copy of a row. A *new* query over the same scope
@@ -30,7 +32,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::exact::ExactResult;
 use crate::poison::RecoveringMutex;
@@ -76,6 +78,31 @@ impl SampleSnapshot {
     }
 }
 
+/// The speech an exhaustive scorer chose against one entry's aggregates,
+/// as indices into the speech space the planner re-derives from those same
+/// aggregates — this crate knows no speech. It is a pure function of the
+/// aggregates it sits beside and of what `fingerprint` names — everything
+/// else the planner's space depends on — so it needs no version stamp: it
+/// is dropped with its entry and never outlives the numbers it was scored
+/// on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PlanRecord {
+    /// The winning path in speaking order: the baseline candidate's
+    /// ordinal, then refinement catalogue ids. Empty when the space held no
+    /// valid speech.
+    pub path: Vec<u32>,
+    /// Size of the scored search space (the root included).
+    pub tree_nodes: usize,
+    /// Whether the node cap cut the space.
+    pub truncated: bool,
+    /// Fingerprint of what the space was opened and scored under besides
+    /// the aggregates: the planner configuration, and whatever of the query
+    /// its [`QueryKey`] canonicalizes away but the planner's enumeration
+    /// order follows (the GROUP BY order as written). A reader whose
+    /// fingerprint differs rescores.
+    pub fingerprint: u64,
+}
+
 /// Exact per-aggregate aggregates of a completed query, sufficient to
 /// reconstruct the [`ExactResult`] of any aggregation function over the
 /// same layout.
@@ -85,16 +112,25 @@ pub struct ExactAggregates {
     pub counts: Vec<u64>,
     /// Per-aggregate measure sums, in layout order.
     pub sums: Vec<f64>,
+    /// The plan slot: set at most once per value, by
+    /// [`SemanticCache::admit_plan`].
+    plan: OnceLock<PlanRecord>,
 }
 
 impl ExactAggregates {
+    fn new(counts: Vec<u64>, sums: Vec<f64>) -> Self {
+        ExactAggregates { counts, sums, plan: OnceLock::new() }
+    }
+
     /// Rebuild the exact result for an aggregation function.
     pub fn to_result(&self, fct: AggFct) -> ExactResult {
         ExactResult::from_parts(fct, self.counts.clone(), self.sums.clone())
     }
 
+    /// The plan slot is inline, so an entry is charged for it from
+    /// admission on; the path's few ids ride in the overhead.
     fn approx_bytes(&self) -> usize {
-        self.counts.len() * 16 + ENTRY_OVERHEAD
+        self.counts.len() * 16 + std::mem::size_of::<OnceLock<PlanRecord>>() + ENTRY_OVERHEAD
     }
 }
 
@@ -103,6 +139,9 @@ impl ExactAggregates {
 pub struct CacheStats {
     /// Exact-result lookups that found an entry.
     pub exact_hits: u64,
+    /// Exact hits answered from the entry's plan slot; the other
+    /// `exact_hits − plan_hits` were rescored.
+    pub plan_hits: u64,
     /// Snapshot lookups that found a compatible warm-start donor.
     pub warm_hits: u64,
     /// Rows warm starts replayed from the pinned revision: the read cost
@@ -207,6 +246,7 @@ pub struct SemanticCache {
     /// Logical clock driving LRU ordering.
     tick: AtomicU64,
     exact_hits: AtomicU64,
+    plan_hits: AtomicU64,
     warm_hits: AtomicU64,
     replayed_rows: AtomicU64,
     misses: AtomicU64,
@@ -237,6 +277,7 @@ impl SemanticCache {
             capacity_bytes,
             tick: AtomicU64::new(0),
             exact_hits: AtomicU64::new(0),
+            plan_hits: AtomicU64::new(0),
             warm_hits: AtomicU64::new(0),
             replayed_rows: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -319,6 +360,35 @@ impl SemanticCache {
         }
     }
 
+    /// The plan kept beside `data`, if one was scored under what
+    /// `fingerprint` names ([`PlanRecord::fingerprint`]); counted as a plan
+    /// hit.
+    pub fn lookup_plan<'d>(
+        &self,
+        data: &'d ExactAggregates,
+        fingerprint: u64,
+    ) -> Option<&'d PlanRecord> {
+        let plan = data.plan.get().filter(|p| p.fingerprint == fingerprint)?;
+        self.plan_hits.fetch_add(1, Ordering::Relaxed);
+        Some(plan)
+    }
+
+    /// Keep `plan` beside the aggregates it was scored on, if `data` is
+    /// still `key`'s entry — a plan lives and dies with its entry. An empty
+    /// slot is set in place; a slot filled under another fingerprint is
+    /// overwritten by swapping in a copy of the aggregates that carries
+    /// `plan` (values already handed out keep the plan they had).
+    pub fn admit_plan(&self, key: &QueryKey, data: &Arc<ExactAggregates>, plan: PlanRecord) {
+        let mut shard = self.lock_shard(self.shard_of(key));
+        let Some(entry) = shard.exact.get_mut(key).filter(|e| Arc::ptr_eq(&e.data, data)) else {
+            return;
+        };
+        if let Err(plan) = data.plan.set(plan) {
+            let (counts, sums) = (data.counts.clone(), data.sums.clone());
+            entry.data = Arc::new(ExactAggregates { counts, sums, plan: OnceLock::from(plan) });
+        }
+    }
+
     /// Record a snapshot repair and the suffix rows it added.
     pub fn note_repair(&self, rows_read: u64) {
         self.snapshot_repairs.fetch_add(1, Ordering::Relaxed);
@@ -364,7 +434,7 @@ impl SemanticCache {
     /// Admit the exact per-aggregate counts and sums of a completed query,
     /// stamped with the table version they were computed against.
     pub fn admit_exact(&self, key: &QueryKey, version: u64, counts: Vec<u64>, sums: Vec<f64>) {
-        let data = Arc::new(ExactAggregates { counts, sums });
+        let data = Arc::new(ExactAggregates::new(counts, sums));
         // The version stamp is counted toward the budget like any other
         // entry metadata.
         let bytes = data.approx_bytes() + std::mem::size_of::<u64>();
@@ -418,6 +488,7 @@ impl SemanticCache {
         let bytes_used: usize = self.shards.iter().map(|s| self.lock_shard(s).bytes).sum();
         CacheStats {
             exact_hits: self.exact_hits.load(Ordering::Relaxed),
+            plan_hits: self.plan_hits.load(Ordering::Relaxed),
             warm_hits: self.warm_hits.load(Ordering::Relaxed),
             replayed_rows: self.replayed_rows.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -504,6 +575,43 @@ mod tests {
         assert_eq!(cache.stats().exact_invalidations, 1);
     }
 
+    fn plan(fingerprint: u64) -> PlanRecord {
+        PlanRecord { path: vec![3, 17, 4], tree_nodes: 30_210, truncated: false, fingerprint }
+    }
+
+    #[test]
+    fn a_plan_lives_and_dies_with_its_entry() {
+        let cache = SemanticCache::with_capacity_mb(1);
+        let k = key(0);
+        let (counts, sums) = exact_payload(4);
+        cache.admit_exact(&k, 0, counts.clone(), sums.clone());
+        let bytes = cache.stats().bytes_used;
+        let first = fresh(cache.lookup_exact(&k, 0)).unwrap();
+        assert_eq!(cache.lookup_plan(&first, 1), None, "a new entry holds no plan");
+        cache.admit_plan(&k, &first, plan(1));
+        assert_eq!(cache.lookup_plan(&first, 1), Some(&plan(1)));
+        assert_eq!(cache.lookup_plan(&first, 2), None, "another configuration's plan is no hit");
+        assert_eq!(cache.stats().plan_hits, 1);
+        assert_eq!(cache.stats().bytes_used, bytes, "the slot was charged at admission");
+
+        // A plan under another configuration takes the slot over for later
+        // lookups; the value already handed out keeps what it had.
+        cache.admit_plan(&k, &first, plan(2));
+        let second = fresh(cache.lookup_exact(&k, 0)).unwrap();
+        assert_eq!(cache.lookup_plan(&second, 2), Some(&plan(2)));
+        assert_eq!(cache.lookup_plan(&first, 1), Some(&plan(1)));
+        assert_eq!((&second.counts, &second.sums), (&counts, &sums));
+
+        // Re-admitting the key drops the plan with the entry, and a plan
+        // scored on the old aggregates is not attached to the new ones.
+        cache.admit_exact(&k, 1, counts, sums);
+        let third = fresh(cache.lookup_exact(&k, 1)).unwrap();
+        cache.admit_plan(&k, &second, plan(3));
+        assert_eq!(cache.lookup_plan(&third, 2), None);
+        assert_eq!(cache.lookup_plan(&third, 3), None);
+        assert_eq!(cache.stats().bytes_used, bytes);
+    }
+
     #[test]
     fn repair_and_stale_serve_counters_accumulate() {
         let cache = SemanticCache::with_capacity_mb(1);
@@ -522,7 +630,7 @@ mod tests {
         // single-key-shard workload the third admission must evict the
         // least recently *used* entry, not the oldest inserted.
         let (counts, sums) = exact_payload(64);
-        let probe = ExactAggregates { counts: counts.clone(), sums: sums.clone() };
+        let probe = ExactAggregates::new(counts.clone(), sums.clone());
         // Admitted entries carry an extra version stamp.
         let entry_bytes = probe.approx_bytes() + std::mem::size_of::<u64>();
         let cache = SemanticCache::new(entry_bytes * 2 * N_SHARDS + N_SHARDS);

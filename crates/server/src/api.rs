@@ -516,6 +516,7 @@ impl AppState {
         let s = cache.stats();
         Value::obj([
             ("exact_hits", s.exact_hits.into()),
+            ("plan_hits", s.plan_hits.into()),
             ("warm_hits", s.warm_hits.into()),
             ("replayed_rows", s.replayed_rows.into()),
             ("misses", s.misses.into()),
@@ -999,6 +1000,7 @@ mod tests {
         assert_eq!(post(&s, "/ask", ask).status, 200);
         let stats = Value::parse(&get(&s, "/stats").body).unwrap();
         assert_eq!(stats["cache"]["exact_hits"].as_u64().unwrap(), 1, "{stats:?}");
+        assert_eq!(stats["cache"]["plan_hits"].as_u64(), Some(0), "the first hit is rescored");
         assert_eq!(stats["cache"]["misses"].as_u64().unwrap(), 1);
         assert_eq!(stats["cache"]["admissions"].as_u64().unwrap(), 1);
         assert!(stats["cache"]["capacity_bytes"].as_u64().unwrap() > 0);
@@ -1371,9 +1373,24 @@ mod tests {
         assert!((1..=6).contains(&cache["repair_rows_read"].as_u64().unwrap()), "{stats:?}");
         assert_eq!(cache["stale_serves"].as_u64(), Some(0), "{stats:?}");
         // Same question again, no append in between: exact hit.
-        assert_eq!(post(&s, "/ask", ask).status, 200);
+        let rescored = post(&s, "/ask", ask);
+        assert_eq!(rescored.status, 200);
         let stats = Value::parse(&get(&s, "/stats").body).unwrap();
         assert_eq!(stats["cache"]["exact_hits"].as_u64(), Some(1), "{stats:?}");
+        assert_eq!(stats["cache"]["plan_hits"].as_u64(), Some(0), "{stats:?}");
+        // And again: the plan scored a moment ago is beside the aggregates,
+        // and the answer is the same in everything but its timing.
+        let kept = post(&s, "/ask", ask);
+        let stats = Value::parse(&get(&s, "/stats").body).unwrap();
+        assert_eq!(stats["cache"]["exact_hits"].as_u64(), Some(2), "{stats:?}");
+        assert_eq!(stats["cache"]["plan_hits"].as_u64(), Some(1), "{stats:?}");
+        let untimed = |r: &Response| {
+            let Value::Object(fields) = Value::parse(&r.body).unwrap() else {
+                panic!("{}", r.body)
+            };
+            fields.into_iter().filter(|(k, _)| k != "latency_ms").collect::<Vec<_>>()
+        };
+        assert_eq!(untimed(&kept), untimed(&rescored));
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::scope::RefinementScope;
 use crate::verbalize::baseline_grid;
 
 /// Configuration of the candidate space.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CandidateConfig {
     /// Change quantifiers, in percent.
     pub quantifiers: Vec<u32>,
@@ -160,7 +160,7 @@ impl<'a> CandidateGenerator<'a> {
     }
 
     /// The schema this generator renders against.
-    pub fn schema(&self) -> &Schema {
+    pub fn schema(&self) -> &'a Schema {
         self.schema
     }
 

@@ -9,7 +9,7 @@ use crate::ast::Speech;
 use crate::render::Renderer;
 
 /// Threshold constraints on speech length and fragment count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SpeechConstraints {
     /// Maximum number of characters of the speech body (without preamble).
     pub max_chars: usize,
