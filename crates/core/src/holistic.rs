@@ -24,16 +24,15 @@ use std::sync::Arc;
 use voxolap_data::Table;
 use voxolap_engine::query::{AggIdx, Query, ResultLayout};
 use voxolap_engine::semantic::SemanticCache;
-use voxolap_faults::{DegradeReason, Resilience};
+use voxolap_faults::Resilience;
 use voxolap_mcts::NodeId;
 use voxolap_speech::candidates::CandidateConfig;
 use voxolap_speech::constraints::SpeechConstraints;
 
 use crate::approach::Vocalizer;
 use crate::parallel::ParallelHolistic;
-use crate::pipeline::cancel::{CancelKind, CancelToken};
+use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::SpeechStream;
-use crate::resilience::ResCtx;
 use crate::sampler::SelectionPolicy;
 use crate::tree::SpeechTree;
 use crate::uncertainty::UncertaintyMode;
@@ -59,8 +58,6 @@ pub struct HolisticConfig {
     /// Holistic reads them on the stream's first pull, after the preamble
     /// is out; Unmerged inside its budget. *Sampling.*
     pub warmup_rows: usize,
-    /// Rows streamed into the cache per sampling iteration. *Sampling.*
-    pub rows_per_iteration: usize,
     /// Minimum sampling iterations per sentence even when voice output has
     /// already finished (guarantees progress under instant voices).
     /// *Holistic only* — Unmerged samples for its budget instead.
@@ -93,7 +90,6 @@ impl Default for HolisticConfig {
             candidates: CandidateConfig::default(),
             seed: 42,
             warmup_rows: 200,
-            rows_per_iteration: 8,
             min_samples_per_sentence: 64,
             max_tree_nodes: 500_000,
             sigma_override: None,
@@ -182,23 +178,6 @@ impl Vocalizer for Holistic {
     ) -> SpeechStream<'a> {
         self.0.stream(table, query, voice, cancel)
     }
-}
-
-/// §12 stale-serve decision for a version-stale exact cache entry: serve
-/// it (marked `stale: true`) only when fresh data is unreachable — the
-/// run's deadline has already fired, or the data source's read ladder
-/// refuses the read (breaker open / dead source). Otherwise the caller
-/// invalidates the entry and replans fresh. Serving marks the run
-/// degraded; without an injector the ladder always allows reads, so the
-/// decision consumes nothing and appendless runs stay byte-identical.
-pub(crate) fn serve_stale_exact(cancel: &CancelToken, res: &ResCtx) -> bool {
-    if cancel.fired_kind() == Some(CancelKind::Deadline) {
-        res.run.mark_degraded(DegradeReason::Deadline);
-        return true;
-    }
-    // `read_allowed` walks the full retry → breaker ladder; its fallback
-    // path already marks the run degraded.
-    !res.read_allowed()
 }
 
 #[cfg(test)]

@@ -24,6 +24,12 @@
 //! nodes × 12 aggregates) scores in tens of milliseconds; a repeat of a
 //! scored query reads the chosen plan back from beside its aggregates
 //! ([`SemanticCache::lookup_plan`]) and scores nothing.
+//!
+//! There is one exact path. `ExactHit::lookup` is the semantic cache's
+//! entry protocol for both Optimal and the holistic engine, and
+//! `plan_exact` plans on the aggregates whichever way they came: a hit, or
+//! Optimal's full scan, whose admitted entry keeps its plan as a hit's
+//! does.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -37,10 +43,11 @@ use voxolap_engine::query::{Query, ResultLayout};
 use voxolap_engine::semantic::{ExactAggregates, ExactLookup, PlanRecord, SemanticCache};
 use voxolap_faults::{DegradeReason, Resilience, RunState};
 use voxolap_speech::ast::{Baseline, Speech};
+use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
 use crate::holistic::HolisticConfig;
-use crate::pipeline::cancel::CancelToken;
+use crate::pipeline::cancel::{CancelKind, CancelToken};
 use crate::pipeline::stream::{Buffered, SpeechStream};
 use crate::resilience::ResCtx;
 use crate::tree::{SpaceVisitor, SpeechSpace};
@@ -306,8 +313,8 @@ pub(crate) struct ExactPlan {
     pub truncated: bool,
 }
 
-/// The source that speaks what [`plan_from_exact`] returned — the plan, or
-/// the no-data report when the query scope was empty — charged with
+/// The source that speaks what [`plan_exact`] returned — the plan, or the
+/// no-data report when the query scope was empty — charged with
 /// `rows_read` rows.
 pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffered<'a> {
     match plan {
@@ -328,6 +335,14 @@ pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffer
 /// walk enumerates it. Returns `None` when the grand mean is undefined
 /// (empty query scope).
 ///
+/// `slot` is the semantic-cache entry the aggregates are: a hit's, or the
+/// one Optimal just admitted. The plan comes out of it when an earlier run
+/// under the same configuration and GROUP BY order
+/// ([`HolisticConfig::plan_fingerprint`]) left it there; otherwise the
+/// space is scored and its plan kept for the next run — unless the deadline
+/// cut it: an anytime answer is not the plan. Without a slot (no cache)
+/// nothing is read or kept.
+///
 /// The `cancel` token is polled between nodes: a fired token keeps the best
 /// speech found so far (the anytime cut of the exhaustive search) and marks
 /// `run` degraded. The rest of the walk scores nothing but still counts, so
@@ -335,23 +350,6 @@ pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffer
 /// like any other: neither Optimal nor an exact hit outlasts the deadline
 /// that bounds the sampled path by more than one bare enumeration (6 ms at
 /// the 500 000-node cap; DESIGN §12).
-pub(crate) fn plan_from_exact(
-    schema: &Schema,
-    query: &Query,
-    exact: &ExactResult,
-    cfg: &HolisticConfig,
-    cancel: &CancelToken,
-    run: &RunState,
-) -> Option<ExactPlan> {
-    plan_exact(schema, query, exact, None, cfg, cancel, run)
-}
-
-/// [`plan_from_exact`] for a semantic-cache exact hit, whose aggregates
-/// came out of `slot`'s entry without a table scan: so does the plan when
-/// an earlier hit under the same configuration and GROUP BY order
-/// ([`HolisticConfig::plan_fingerprint`]) left it beside them. Otherwise
-/// the hit is scored and its plan kept for the next one — unless the
-/// deadline cut it: an anytime answer is not the plan.
 pub(crate) fn plan_exact(
     schema: &Schema,
     query: &Query,
@@ -386,6 +384,78 @@ pub(crate) fn plan_exact(
     plan
 }
 
+/// A semantic-cache exact entry a run plans on instead of scanning.
+pub(crate) struct ExactHit {
+    cache: Arc<SemanticCache>,
+    data: Arc<ExactAggregates>,
+    /// A version-stale entry served under §12 degradation: the caller marks
+    /// its stream `stale`.
+    pub(crate) stale: bool,
+}
+
+impl ExactHit {
+    /// The exact path's entry protocol: look `query` up at the table
+    /// `version`. A fresh entry is a hit. A version-stale one is a hit,
+    /// counted as a stale serve, when `serve_stale()` allows it — the
+    /// holistic engine asks [`serve_stale_exact`]; Optimal, which always
+    /// evaluates exactly, passes `|| false` — and is invalidated otherwise.
+    /// `None` (no cache, a miss, or an invalidated entry) sends the caller
+    /// down its own miss path.
+    pub(crate) fn lookup(
+        cache: Option<&Arc<SemanticCache>>,
+        query: &Query,
+        version: u64,
+        serve_stale: impl FnOnce() -> bool,
+    ) -> Option<Self> {
+        let cache = cache?;
+        let key = query.key();
+        let (data, stale) = match cache.lookup_exact(&key, version) {
+            ExactLookup::Fresh(data) => (data, false),
+            ExactLookup::Stale(data) if serve_stale() => {
+                cache.note_stale_serve();
+                (data, true)
+            }
+            ExactLookup::Stale(_) => {
+                cache.invalidate_exact(&key);
+                return None;
+            }
+            ExactLookup::Miss => return None,
+        };
+        Some(ExactHit { cache: cache.clone(), data, stale })
+    }
+
+    /// [`plan_exact`] on the hit's aggregates and plan slot; reads no row.
+    pub(crate) fn plan<'a>(
+        &self,
+        schema: &Schema,
+        query: &Query,
+        cfg: &HolisticConfig,
+        cancel: &CancelToken,
+        run: &RunState,
+    ) -> Buffered<'a> {
+        let exact = self.data.to_result(query.fct());
+        let slot = Some((&*self.cache, &self.data));
+        plan_source(plan_exact(schema, query, &exact, slot, cfg, cancel, run), 0)
+    }
+}
+
+/// §12 stale-serve decision for a version-stale exact cache entry: serve
+/// it (marked `stale: true`) only when fresh data is unreachable — the
+/// run's deadline has already fired, or the data source's read ladder
+/// refuses the read (breaker open / dead source). Otherwise the entry is
+/// invalidated and the query replans fresh. Serving marks the run
+/// degraded; without an injector the ladder always allows reads, so the
+/// decision consumes nothing and appendless runs stay byte-identical.
+pub(crate) fn serve_stale_exact(cancel: &CancelToken, res: &ResCtx) -> bool {
+    if cancel.fired_kind() == Some(CancelKind::Deadline) {
+        res.run.mark_degraded(DegradeReason::Deadline);
+        return true;
+    }
+    // `read_allowed` walks the full retry → breaker ladder; its fallback
+    // path already marks the run degraded.
+    !res.read_allowed()
+}
+
 impl Vocalizer for Optimal {
     fn name(&self) -> &'static str {
         "optimal"
@@ -400,38 +470,27 @@ impl Vocalizer for Optimal {
     ) -> SpeechStream<'a> {
         let t0 = Instant::now();
         let schema = table.schema();
-        let preamble = voxolap_speech::render::Renderer::new(schema, query).preamble();
+        let preamble = Renderer::new(schema, query).preamble();
+        let res = ResCtx::new(&self.resilience);
+        let cfg = &self.config;
 
         // Exact aggregates: from the semantic cache on a repeat query,
         // otherwise a full scan — the expensive part on large data. A
         // version-stale entry is invalidated and recomputed: Optimal
         // always evaluates exactly, so it never serves stale data.
-        let cache = self.cache.as_deref().map(|cache| (cache, query.key()));
-        let hit = cache.as_ref().and_then(|(cache, key)| {
-            match cache.lookup_exact(key, table.version()) {
-                ExactLookup::Fresh(data) => Some((*cache, data)),
-                ExactLookup::Stale(_) => {
-                    cache.invalidate_exact(key);
-                    None
-                }
-                ExactLookup::Miss => None,
-            }
-        });
-        let res = ResCtx::new(&self.resilience);
-        let cfg = &self.config;
-        let source = match hit {
-            Some((cache, data)) => {
-                let (exact, slot) = (data.to_result(query.fct()), Some((cache, &data)));
-                plan_source(plan_exact(schema, query, &exact, slot, cfg, &cancel, &res.run), 0)
-            }
+        let source = match ExactHit::lookup(self.cache.as_ref(), query, table.version(), || false) {
+            Some(hit) => hit.plan(schema, query, cfg, &cancel, &res.run),
             None => {
                 let exact = evaluate(query, table);
-                if let Some((cache, key)) = &cache {
+                // Scored on the entry just admitted, the plan is kept
+                // beside it: the first repeat reads it back.
+                let admitted = self.cache.as_deref().map(|cache| {
                     cache.record_miss();
                     let (counts, sums) = (exact.counts().to_vec(), exact.sums().to_vec());
-                    cache.admit_exact(key, table.version(), counts, sums);
-                }
-                let plan = plan_from_exact(schema, query, &exact, cfg, &cancel, &res.run);
+                    (cache, cache.admit_exact(&query.key(), table.version(), counts, sums))
+                });
+                let slot = admitted.as_ref().map(|(cache, data)| (*cache, data));
+                let plan = plan_exact(schema, query, &exact, slot, cfg, &cancel, &res.run);
                 plan_source(plan, table.row_count() as u64)
             }
         };
@@ -612,8 +671,9 @@ mod tests {
             let exact = evaluate(q, table);
             let want = oracle_plan(table.schema(), q, &exact, &cfg);
             let run = RunState::default();
-            let got = plan_from_exact(table.schema(), q, &exact, &cfg, &CancelToken::never(), &run)
-                .unwrap();
+            let got =
+                plan_exact(table.schema(), q, &exact, None, &cfg, &CancelToken::never(), &run)
+                    .unwrap();
             assert_eq!(got.speech, want.speech, "{:?}", q.key());
             assert_eq!(got.sentences, want.sentences, "{:?}", q.key());
             assert_eq!(
@@ -711,8 +771,37 @@ mod tests {
         assert_eq!(first.body_text(), second.body_text());
         let stats = cache.stats();
         assert_eq!(stats.exact_hits, 1);
+        assert_eq!(stats.plan_hits, 1, "the miss kept its plan for the first repeat");
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.admissions, 1);
+    }
+
+    /// Optimal always evaluates exactly: even with its data source dead, a
+    /// version-stale entry is invalidated, never served, and the rescan
+    /// keeps the plan its repeat reads.
+    #[test]
+    fn optimal_rescans_a_grown_table_under_a_dead_source_and_keeps_its_plan() {
+        use crate::holistic::tests::echo_rows;
+        use std::time::Duration;
+        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
+        let (table, q) = setup();
+        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
+        let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
+        let dead = Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600));
+        let optimal = Optimal::default().with_cache(cache.clone()).with_resilience(Arc::new(dead));
+        optimal.vocalize(&table, &q, &mut InstantVoice::default());
+        let (grown, _) = table.append_rows(&echo_rows(&table, 40)).unwrap();
+
+        let rescan = optimal.vocalize(&grown, &q, &mut InstantVoice::default());
+        let stats = cache.stats();
+        assert_eq!((stats.exact_invalidations, stats.stale_serves), (1, 0), "{stats:?}");
+        assert!(!rescan.stats.stale);
+        assert_eq!(rescan.stats.rows_read, grown.row_count() as u64);
+
+        let repeat = optimal.vocalize(&grown, &q, &mut InstantVoice::default());
+        assert_eq!(cache.stats().plan_hits, 1, "the rescan kept its plan");
+        assert_eq!(repeat.stats.rows_read, 0);
+        assert_eq!((&repeat.speech, &repeat.sentences), (&rescan.speech, &rescan.sentences));
     }
 
     /// Under 12 aggregates the 500 000-node by-month space looks a bucket
@@ -877,7 +966,7 @@ mod tests {
         assert_eq!(cache.stats().exact_hits, 5, "one entry served both orders");
     }
 
-    /// The plans `plan_from_exact` chooses on the 200k flights table,
+    /// The plans `plan_exact` chooses on the 200k flights table,
     /// recorded at the commit before scoring targets were hoisted out of
     /// the node loop and the fragment count came from the depth: scores,
     /// tie-breaks and the chosen node must not move.
@@ -933,7 +1022,7 @@ mod tests {
             let cfg = HolisticConfig::default();
             let run = RunState::default();
             let plan =
-                plan_from_exact(schema, q, &exact, &cfg, &CancelToken::never(), &run).unwrap();
+                plan_exact(schema, q, &exact, None, &cfg, &CancelToken::never(), &run).unwrap();
             assert_eq!(plan.sentences, sentences, "{name}");
             assert_eq!(plan.tree_nodes, *tree_nodes, "{name}");
             assert_eq!(plan.truncated, *truncated, "{name}");

@@ -42,14 +42,14 @@ use std::time::{Duration, Instant};
 use voxolap_data::Table;
 use voxolap_engine::query::Query;
 use voxolap_engine::repair::repair_snapshot;
-use voxolap_engine::semantic::{ExactLookup, SemanticCache};
+use voxolap_engine::semantic::SemanticCache;
 use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 use voxolap_faults::Resilience;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
-use crate::holistic::{serve_stale_exact, HolisticConfig};
-use crate::optimal::{plan_exact, plan_source};
+use crate::holistic::HolisticConfig;
+use crate::optimal::{serve_stale_exact, ExactHit};
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::driver::TeamSource;
 use crate::pipeline::stream::{Buffered, Deferred, SentenceSource, SpeechStream};
@@ -302,20 +302,8 @@ impl Vocalizer for ParallelHolistic {
         // Entries from an older table version are served only when fresh
         // data is unreachable (§12 stale-serve, marked `stale: true`);
         // otherwise they are invalidated and the query replans fresh.
-        let hit = self.cache.as_ref().and_then(|sem| {
-            match sem.lookup_exact(&query.key(), table.version()) {
-                ExactLookup::Fresh(data) => Some((sem.clone(), data, false)),
-                ExactLookup::Stale(data) if serve_stale_exact(&cancel, &res) => {
-                    sem.note_stale_serve();
-                    Some((sem.clone(), data, true))
-                }
-                ExactLookup::Stale(_) => {
-                    sem.invalidate_exact(&query.key());
-                    None
-                }
-                ExactLookup::Miss => None,
-            }
-        });
+        let serve_stale = || serve_stale_exact(&cancel, &res);
+        let hit = ExactHit::lookup(self.cache.as_ref(), query, table.version(), serve_stale);
 
         // Start voice output of the preamble; everything else overlaps it.
         let t0 = Instant::now();
@@ -323,15 +311,13 @@ impl Vocalizer for ParallelHolistic {
         voice.start(&preamble);
         let latency = t0.elapsed();
 
-        let stale = matches!(hit, Some((.., true)));
+        let stale = hit.as_ref().is_some_and(|hit| hit.stale);
         let source: Box<dyn SentenceSource<'a> + 'a> = match hit {
-            Some((sem, data, _)) => {
+            Some(hit) => {
                 let cfg = self.config.clone();
                 let run = res.run.clone();
                 let plan = move |cancel: &CancelToken| -> Box<dyn SentenceSource<'a> + 'a> {
-                    let (exact, slot) = (data.to_result(query.fct()), Some((&*sem, &data)));
-                    let plan = plan_exact(table.schema(), query, &exact, slot, &cfg, cancel, &run);
-                    Box::new(plan_source(plan, 0))
+                    Box::new(hit.plan(table.schema(), query, &cfg, cancel, &run))
                 };
                 Box::new(Deferred::new(plan))
             }

@@ -28,9 +28,10 @@ use crate::tree::SpeechTree;
 use crate::uncertainty::{annotate, UncertaintyMode};
 use crate::voice::VoiceOutput;
 
-/// Advance `current` to its best-mean child and render that sentence
-/// (with the configured uncertainty annotation); `None` when the walk is
-/// finished. Committed nodes are never the root, so `tree.sentence` is
+/// Advance `current` to the child [`SpeechTree::commit_child`] picks and
+/// render that sentence (with the configured uncertainty annotation);
+/// `None` when the walk is finished or nothing below `current` was
+/// sampled. Committed nodes are never the root, so `tree.sentence` is
 /// always `Some`; a `None` ends the speech instead of panicking.
 fn commit_and_render(
     tree: &SpeechTree,
@@ -44,7 +45,7 @@ fn commit_and_render(
     if tree.tree().is_leaf(*current) {
         return None;
     }
-    let next = tree.tree().best_child(*current)?;
+    let next = tree.commit_child(*current)?;
     let mut sentence = tree.sentence(next, renderer)?;
     *current = next;
     if !matches!(cfg.uncertainty, UncertaintyMode::Off) {

@@ -29,6 +29,9 @@ use crate::tree::SpeechTree;
 /// Fallback σ when the measure's overall mean is zero or unavailable.
 const SIGMA_FALLBACK: f64 = 1.0;
 
+/// Rows streamed into the cache per sampling iteration.
+const ROWS_PER_ITERATION: usize = 8;
+
 /// The σ the paper calibrates for a run: an explicit override, or half the
 /// overall estimate (falling back to 1 for degenerate means).
 pub fn calibrated_sigma(overall_estimate: f64, sigma_override: Option<f64>) -> f64 {
@@ -86,7 +89,6 @@ pub struct ShardWorker<'a> {
     /// of allocating `coords_of_agg`.
     coords: Vec<Vec<u32>>,
     sigma: f64,
-    rows_per_iteration: usize,
     policy: SelectionPolicy,
     /// Rows a warm start replayed into the cache (0 for cold runs);
     /// warm-up tops up the difference instead of reading that many more.
@@ -130,7 +132,6 @@ impl<'a> ShardWorker<'a> {
                 .map(|agg| query.layout().coords_of_agg(agg))
                 .collect(),
             sigma: SIGMA_FALLBACK,
-            rows_per_iteration: config.rows_per_iteration,
             policy: config.policy,
             seeded: 0,
             res: res.clone(),
@@ -302,7 +303,7 @@ impl<'a> ShardWorker<'a> {
         if self.res.sample_faulted() {
             return 0.0;
         }
-        self.ingest_rows(self.rows_per_iteration);
+        self.ingest_rows(ROWS_PER_ITERATION);
 
         let Some(agg) = self.cache.pick_aggregate(self.query.fct(), &mut self.rng) else {
             return 0.0;
@@ -376,11 +377,10 @@ mod tests {
         (table, q)
     }
 
-    /// The paper's resample size of 10, and `rows` rows per iteration.
-    fn config(seed: u64, rows: usize) -> HolisticConfig {
+    /// The paper's resample size of 10.
+    fn config(seed: u64) -> HolisticConfig {
         HolisticConfig {
             seed,
-            rows_per_iteration: rows,
             resample_size: voxolap_engine::resample::DEFAULT_RESAMPLE_SIZE,
             ..HolisticConfig::default()
         }
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn warmup_produces_overall_estimate() {
         let (table, q) = setup();
-        let mut worker = ShardWorker::solo(&table, &q, &config(7, 8));
+        let mut worker = ShardWorker::solo(&table, &q, &config(7));
         let est = worker.warmup(50).unwrap();
         assert!(est > 60.0 && est < 130.0, "estimate {est}");
         assert!(worker.rows_read() >= 50);
@@ -410,7 +410,7 @@ mod tests {
         let renderer = Renderer::new(schema, &q);
         // Baseline-only tree so the test isolates baseline selection.
         let constraints = SpeechConstraints { max_chars: 300, max_refinements: 0 };
-        let mut worker = ShardWorker::solo(&table, &q, &config(11, 4));
+        let mut worker = ShardWorker::solo(&table, &q, &config(11));
         let overall = worker.warmup(100).unwrap();
         worker.set_sigma(calibrated_sigma(overall, None));
         let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 100_000);
@@ -428,19 +428,41 @@ mod tests {
         assert_eq!(tree.tree().visits(SpeechTree::ROOT), 4000);
     }
 
+    /// An 8-row salary table and an AVG query filtered to a start-salary
+    /// bin no row falls in.
+    fn empty_scope() -> (voxolap_data::Table, Query) {
+        let table = SalaryConfig { rows: 8, seed: 1 }.generate();
+        let schema = table.schema();
+        let start = schema.dimension(DimId(1));
+        let bin = start
+            .leaves()
+            .iter()
+            .copied()
+            .find(|&bin| !(0..table.row_count()).any(|row| table.member_at(DimId(1), row) == bin))
+            .expect("8 rows leave a start-salary bin empty");
+        let q = Query::builder(AggFct::Avg)
+            .filter(DimId(1), bin)
+            .group_by(DimId(0), LevelId(1))
+            .build(schema)
+            .unwrap();
+        (table, q)
+    }
+
     #[test]
     fn sample_before_any_row_is_harmless_for_avg() {
-        let (table, q) = setup();
+        let (table, q) = empty_scope();
         let schema = table.schema();
         let gen = CandidateGenerator::new(schema, &q, CandidateConfig::default());
         let renderer = Renderer::new(schema, &q);
         let constraints = SpeechConstraints::paper_default();
-        // rows_per_iteration = 0 keeps the cache empty: AVG has no eligible
-        // aggregate and the reward must be 0 without panicking.
-        let mut worker = ShardWorker::solo(&table, &q, &config(3, 0));
+        // The iteration reads rows, but none is in scope, so the cache
+        // stays empty: AVG has no eligible aggregate and the reward must be
+        // 0 without panicking.
+        let mut worker = ShardWorker::solo(&table, &q, &config(3));
         let tree = SpeechTree::build(&gen, &renderer, &constraints, 88.0, 10_000);
         let r = worker.sample_once(&tree, SpeechTree::ROOT, false);
         assert_eq!(r, 0.0);
+        assert!(worker.rows_read() > 0 && worker.cache().nonempty_count() == 0);
     }
 
     /// The oracle a warm-started cache is judged against: per aggregate,
@@ -470,7 +492,7 @@ mod tests {
         snap: &SampleSnapshot,
     ) -> ShardWorker<'a> {
         // A resample that large copies the bucket out verbatim.
-        let cfg = HolisticConfig { resample_size: usize::MAX, ..config(snap.seed, 8) };
+        let cfg = HolisticConfig { resample_size: usize::MAX, ..config(snap.seed) };
         let mut warm = ShardWorker::solo(table, q, &cfg);
         assert_eq!(warm.warm_start(snap), snap.nr_read, "the replay delivers the whole set");
         assert_eq!(warm.cache().nr_read(), snap.nr_read);
@@ -494,7 +516,7 @@ mod tests {
         // identical estimator RNG streams.
         let (table, q) = setup();
         for seed in [3u64, 7, 11, 19, 23] {
-            let cfg = config(seed, 8);
+            let cfg = config(seed);
             let mut donor = ShardWorker::solo(&table, &q, &cfg);
             donor.ingest_rows(80);
             let snap = donor.take_snapshot();
@@ -541,7 +563,7 @@ mod tests {
             .group_by(DimId(0), LevelId(1))
             .build(table.schema())
             .unwrap();
-        let cfg = config(13, 8);
+        let cfg = config(13);
         let cache = Arc::new(ShardedSampleCache::new(q.n_aggregates(), 200_000));
         let pool = table.morsel_pool(cfg.seed);
         let res = ResCtx::inert();
@@ -561,7 +583,7 @@ mod tests {
     #[test]
     fn warm_start_shrinks_warmup_reads() {
         let (table, q) = setup();
-        let cfg = config(5, 8);
+        let cfg = config(5);
         let mut donor = ShardWorker::solo(&table, &q, &cfg);
         donor.ingest_rows(120);
         let snap = donor.take_snapshot();
@@ -584,24 +606,10 @@ mod tests {
 
     #[test]
     fn warmup_on_empty_scope_returns_none_for_avg() {
-        // Filter start salary to a bin no row falls in — warmup must
-        // exhaust the table and give up gracefully.
-        let table = SalaryConfig { rows: 8, seed: 1 }.generate();
-        let schema = table.schema();
-        let start = schema.dimension(DimId(1));
-        let empty_bin =
-            start.leaves().iter().copied().find(|&bin| {
-                !(0..table.row_count()).any(|row| table.member_at(DimId(1), row) == bin)
-            });
-        let Some(bin) = empty_bin else {
-            return; // all bins occupied at this seed; nothing to test
-        };
-        let q = Query::builder(AggFct::Avg)
-            .filter(DimId(1), bin)
-            .group_by(DimId(0), LevelId(1))
-            .build(schema)
-            .unwrap();
-        let mut worker = ShardWorker::solo(&table, &q, &config(2, 8));
+        // No row is in scope — warmup must exhaust the table and give up
+        // gracefully.
+        let (table, q) = empty_scope();
+        let mut worker = ShardWorker::solo(&table, &q, &config(2));
         assert_eq!(worker.warmup(4), None);
     }
 }

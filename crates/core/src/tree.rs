@@ -60,6 +60,8 @@ pub struct SpeechTree {
     catalogue: RefinementCatalogue,
     truncated: bool,
     n_aggs: usize,
+    /// The estimate the baseline candidates were generated around.
+    opened_around: f64,
 }
 
 /// A query's speech space, compiled but not expanded: the baseline
@@ -73,6 +75,8 @@ pub(crate) struct SpeechSpace<'a> {
     renderer: Renderer<'a>,
     catalogue: RefinementCatalogue,
     baselines: Vec<Baseline>,
+    /// The estimate `baselines` were generated around.
+    opened_around: f64,
     constraints: SpeechConstraints,
     max_nodes: usize,
     n_aggs: usize,
@@ -133,6 +137,7 @@ impl<'a> SpeechSpace<'a> {
             renderer: *renderer,
             catalogue: RefinementCatalogue::compile(generator, renderer),
             baselines: generator.baselines(overall_estimate),
+            opened_around: overall_estimate,
             constraints: *constraints,
             max_nodes,
             n_aggs: generator.query().layout().n_aggregates(),
@@ -196,7 +201,13 @@ impl<'a> SpeechSpace<'a> {
             path: vec![SpeechTree::ROOT; 1 + self.max_depth()],
         };
         let (_, truncated) = self.walk(&mut arena);
-        SpeechTree { tree: arena.tree, catalogue: self.catalogue, truncated, n_aggs: self.n_aggs }
+        SpeechTree {
+            tree: arena.tree,
+            catalogue: self.catalogue,
+            truncated,
+            n_aggs: self.n_aggs,
+            opened_around: self.opened_around,
+        }
     }
 
     /// The speech and sentences of one path of the walk — a baseline
@@ -384,6 +395,25 @@ impl SpeechTree {
             cur = self.tree.parent(nid);
         }
         mean
+    }
+
+    /// The child of `node` a sampled plan commits to — the one rule of the
+    /// holistic rounds and of Unmerged. With a visited child, the best mean
+    /// reward among the visited ones (`Tree::best_child`: the last of equal
+    /// maxima). With none, at the root, the baseline candidate nearest the
+    /// estimate the tree was opened around (the first of equal distances),
+    /// so a run cut before its first sample still says something
+    /// defensible; below the root, nothing.
+    pub fn commit_child(&self, node: NodeId) -> Option<NodeId> {
+        let best = self.tree.best_child(node)?;
+        if self.tree.visits(best) > 0 {
+            return Some(best);
+        }
+        if node != SpeechTree::ROOT {
+            return None;
+        }
+        let distance = |n: &NodeId| (self.speech_at(*n).baseline.value - self.opened_around).abs();
+        self.tree.children(node).iter().min_by(|a, b| distance(a).total_cmp(&distance(b))).copied()
     }
 
     /// The sentence a node contributes when spoken (baseline or refinement

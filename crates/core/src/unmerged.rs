@@ -127,33 +127,16 @@ impl Vocalizer for Unmerged {
             samples += 1;
         }
 
-        // Commit to the best path by mean reward; stop at unvisited nodes.
+        // Commit to the best path by mean reward down to the last sampled
+        // node. A budget too tight to sample even once (huge trees eat it
+        // during expansion) still commits the baseline nearest the warm-up
+        // estimate.
         let mut current = SpeechTree::ROOT;
         let mut sentences = Vec::new();
-        while let Some(next) = tree.tree().best_child(current) {
-            if tree.tree().visits(next) == 0 {
-                break;
-            }
+        while let Some(next) = tree.commit_child(current) {
             let Some(sentence) = tree.sentence(next, &renderer) else { break };
             current = next;
             sentences.push(sentence);
-        }
-        // A budget too tight to sample even once (huge trees eat it during
-        // expansion) must still produce output: fall back to the baseline
-        // candidate nearest the warm-up estimate.
-        if current == SpeechTree::ROOT {
-            let nearest =
-                tree.tree().children(SpeechTree::ROOT).iter().copied().min_by(|&a, &b| {
-                    let da = (tree.speech_at(a).baseline.value - overall).abs();
-                    let db = (tree.speech_at(b).baseline.value - overall).abs();
-                    da.total_cmp(&db)
-                });
-            if let Some(node) = nearest {
-                if let Some(sentence) = tree.sentence(node, &renderer) {
-                    current = node;
-                    sentences.push(sentence);
-                }
-            }
         }
 
         // Only now does output start: latency includes the whole budget.

@@ -37,24 +37,14 @@ pub use crate::resample::{CacheEstimate, ResampleScratch, DEFAULT_RESAMPLE_SIZE}
 /// Sample cache for one query (see module docs).
 #[derive(Debug, Clone)]
 pub struct SampleCache {
+    /// Every in-scope row read, per aggregate: a bucket's length is its
+    /// count statistic.
     buckets: Vec<Vec<f64>>,
-    /// Rows offered to each bucket (≥ bucket length once eviction kicks
-    /// in); drives the reservoir-sampling replacement probability and the
-    /// per-aggregate count statistics.
-    offered: Vec<u64>,
     /// Aggregates with ≥ 1 cached entry, for O(1) uniform random picks.
     nonempty: Vec<AggIdx>,
     nr_read: u64,
     nr_rows_total: u64,
     resample_size: usize,
-    /// Optional cap on entries kept per bucket. The paper notes that
-    /// "old cache entries can be discarded periodically" to bound memory;
-    /// we implement the statistically clean variant — reservoir sampling —
-    /// so a capped bucket is always a uniform sample of the rows offered
-    /// to it.
-    bucket_capacity: Option<usize>,
-    /// Deterministic RNG for reservoir replacement decisions.
-    evict_rng: rand::rngs::StdRng,
     /// Running statistics over the whole query scope, for baseline
     /// candidate generation.
     scope_count: u64,
@@ -65,16 +55,12 @@ impl SampleCache {
     /// Create an empty cache for a query with `n_aggregates` result fields
     /// over a table of `nr_rows_total` rows.
     pub fn new(n_aggregates: usize, nr_rows_total: u64) -> Self {
-        use rand::SeedableRng;
         SampleCache {
             buckets: vec![Vec::new(); n_aggregates],
-            offered: vec![0; n_aggregates],
             nonempty: Vec::new(),
             nr_read: 0,
             nr_rows_total,
             resample_size: DEFAULT_RESAMPLE_SIZE,
-            bucket_capacity: None,
-            evict_rng: rand::rngs::StdRng::seed_from_u64(0x5eed_cafe),
             scope_count: 0,
             scope_sum: 0.0,
         }
@@ -88,37 +74,16 @@ impl SampleCache {
         self
     }
 
-    /// Bound memory: keep at most `capacity` entries per aggregate bucket,
-    /// maintained as a uniform reservoir sample of all rows offered.
-    pub fn with_bucket_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "bucket capacity must be positive");
-        self.bucket_capacity = Some(capacity);
-        self
-    }
-
     /// Observe one streamed row: `agg` is its aggregate (or `None` when the
     /// row falls outside the query scope), `value` its measure.
     pub fn observe(&mut self, agg: Option<AggIdx>, value: f64) {
-        use rand::Rng;
         self.nr_read += 1;
         if let Some(a) = agg {
             let bucket = &mut self.buckets[a as usize];
             if bucket.is_empty() {
                 self.nonempty.push(a);
             }
-            self.offered[a as usize] += 1;
-            match self.bucket_capacity {
-                Some(cap) if bucket.len() >= cap => {
-                    // Reservoir replacement: the new row displaces a random
-                    // cached one with probability cap / offered.
-                    let offered = self.offered[a as usize];
-                    let slot = self.evict_rng.gen_range(0..offered);
-                    if (slot as usize) < cap {
-                        bucket[slot as usize] = value;
-                    }
-                }
-                _ => bucket.push(value),
-            }
+            bucket.push(value);
             self.scope_count += 1;
             self.scope_sum += value;
         }
@@ -130,16 +95,17 @@ impl SampleCache {
     }
 
     /// The exact per-aggregate `(counts, sums)` of the query, available
-    /// once the scanner streamed the **whole table** into an **uncapped**
-    /// cache: every in-scope row was offered exactly once, so `offered` is
-    /// the exact count and each bucket's sum the exact sum. `None` while
-    /// the scan is partial or rows may have been evicted.
+    /// once the scanner streamed the **whole table** into the cache: every
+    /// in-scope row was kept exactly once, so each bucket's length is the
+    /// exact count and its sum the exact sum. `None` while the scan is
+    /// partial.
     pub fn exact_result(&self) -> Option<(Vec<u64>, Vec<f64>)> {
-        if self.bucket_capacity.is_some() || self.nr_read < self.nr_rows_total {
+        if self.nr_read < self.nr_rows_total {
             return None;
         }
+        let counts = self.buckets.iter().map(|b| b.len() as u64).collect();
         let sums = self.buckets.iter().map(|b| b.iter().sum()).collect();
-        Some((self.offered.clone(), sums))
+        Some((counts, sums))
     }
 
     /// Number of cached entries for one aggregate (`CA.SIZE`).
@@ -147,12 +113,10 @@ impl SampleCache {
         self.buckets[agg as usize].len()
     }
 
-    /// Total rows ever offered to one aggregate's bucket. Equal to
-    /// [`SampleCache::size`] without eviction; with a bucket capacity this
-    /// keeps counting, so count estimates stay unbiased ("the cache keeps
-    /// track of counts during insertions").
+    /// Total rows offered to one aggregate's bucket — the count the
+    /// estimators use; [`SampleCache::size`] as a `u64`.
     pub fn seen(&self, agg: AggIdx) -> u64 {
-        self.offered[agg as usize]
+        self.buckets[agg as usize].len() as u64
     }
 
     /// Total rows considered so far (`CA.NRREAD`).
@@ -194,19 +158,8 @@ impl SampleCache {
     }
 
     /// Fixed-size uniform subsample of one aggregate's cached entries
-    /// (`CA.RESAMPLE`). Returns all entries if fewer than the resample size
-    /// are cached.
-    ///
-    /// Allocates a fresh `Vec` per call; the planner's hot path uses
-    /// [`SampleCache::resample_into`] with a reused scratch instead.
-    pub fn resample<R: Rng + ?Sized>(&self, agg: AggIdx, rng: &mut R) -> Vec<f64> {
-        let mut scratch = ResampleScratch::new();
-        self.resample_into(agg, rng, &mut scratch);
-        scratch.out
-    }
-
-    /// Allocation-free [`SampleCache::resample`]: draws into `scratch` and
-    /// returns the drawn slice.
+    /// (`CA.RESAMPLE`), drawn into `scratch`: returns the drawn slice, all
+    /// entries if fewer than the resample size are cached.
     pub fn resample_into<'s, R: Rng + ?Sized>(
         &self,
         agg: AggIdx,
@@ -223,14 +176,8 @@ impl SampleCache {
     /// * `e_S = e_C · mean(V)` over a fixed-size resample `V`
     /// * `e_A = e_S / e_C = mean(V)`
     ///
-    /// Returns `None` before any row was read.
-    pub fn estimate<R: Rng + ?Sized>(&self, agg: AggIdx, rng: &mut R) -> Option<CacheEstimate> {
-        let mut scratch = ResampleScratch::new();
-        self.estimate_with(agg, rng, &mut scratch)
-    }
-
-    /// [`SampleCache::estimate`] with a caller-provided scratch, keeping
-    /// the per-iteration planner loop allocation-free.
+    /// `scratch` keeps the per-iteration loop allocation-free. Returns
+    /// `None` before any row was read.
     pub fn estimate_with<R: Rng + ?Sized>(
         &self,
         agg: AggIdx,
@@ -345,8 +292,9 @@ mod tests {
         let exact = evaluate(&q, &table);
         let cache = fill_cache(&table, &q, 320, 3); // full table cached
         let mut rng = StdRng::seed_from_u64(1);
+        let mut scratch = ResampleScratch::new();
         for agg in 0..q.n_aggregates() as u32 {
-            let est = cache.estimate(agg, &mut rng).unwrap();
+            let est = cache.estimate_with(agg, &mut rng, &mut scratch).unwrap();
             // Count estimate is exact with full scan.
             assert!((est.count - exact.count(agg) as f64).abs() < 1e-6);
             // Average from a resample of 10 is noisy but in range.
@@ -378,8 +326,9 @@ mod tests {
         let (table, q) = salary_setup();
         let cache = fill_cache(&table, &q, 320, 3);
         let mut rng = StdRng::seed_from_u64(5);
+        let mut scratch = ResampleScratch::new();
         for agg in 0..q.n_aggregates() as u32 {
-            let v = cache.resample(agg, &mut rng);
+            let v = cache.resample_into(agg, &mut rng, &mut scratch);
             assert!(v.len() <= DEFAULT_RESAMPLE_SIZE);
             if cache.size(agg) >= DEFAULT_RESAMPLE_SIZE {
                 assert_eq!(v.len(), DEFAULT_RESAMPLE_SIZE);
@@ -471,114 +420,11 @@ mod tests {
         let partial = fill_cache(&table, &q, 100, 3);
         assert!(partial.exact_result().is_none(), "partial scan is not exact");
         let full = fill_cache(&table, &q, 320, 3);
-        let (counts, sums) = full.exact_result().expect("full uncapped scan is exact");
+        let (counts, sums) = full.exact_result().expect("full scan is exact");
         let exact = evaluate(&q, &table);
         for agg in 0..q.n_aggregates() as u32 {
             assert_eq!(counts[agg as usize], exact.count(agg));
             assert!((sums[agg as usize] - exact.sum(agg)).abs() < 1e-9);
         }
-        let mut capped =
-            SampleCache::new(q.n_aggregates(), table.row_count() as u64).with_bucket_capacity(4);
-        let mut scan = table.scan_shuffled(3);
-        while let Some(r) = scan.next_row() {
-            capped.observe(q.layout().agg_of_row(r.members), r.value);
-        }
-        assert!(capped.exact_result().is_none(), "eviction forfeits exactness");
-    }
-}
-
-#[cfg(test)]
-mod eviction_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use voxolap_data::dimension::LevelId;
-    use voxolap_data::salary::SalaryConfig;
-    use voxolap_data::DimId;
-
-    use crate::query::Query;
-
-    #[test]
-    fn bucket_capacity_bounds_memory() {
-        let table = SalaryConfig::paper_scale().generate();
-        let q = Query::builder(AggFct::Avg)
-            .group_by(DimId(0), LevelId(1))
-            .build(table.schema())
-            .unwrap();
-        let mut cache =
-            SampleCache::new(q.n_aggregates(), table.row_count() as u64).with_bucket_capacity(16);
-        let mut scan = table.scan_shuffled(3);
-        while let Some(r) = scan.next_row() {
-            cache.observe(q.layout().agg_of_row(r.members), r.value);
-        }
-        for agg in 0..q.n_aggregates() as u32 {
-            assert!(cache.size(agg) <= 16, "bucket {agg} capped");
-            assert!(cache.seen(agg) as usize >= cache.size(agg));
-        }
-        // Offered counts still cover the whole table.
-        let offered: u64 = (0..q.n_aggregates() as u32).map(|a| cache.seen(a)).sum();
-        assert_eq!(offered, 320);
-    }
-
-    #[test]
-    fn count_estimates_survive_eviction() {
-        let table = SalaryConfig::paper_scale().generate();
-        let q = Query::builder(AggFct::Count)
-            .group_by(DimId(0), LevelId(1))
-            .build(table.schema())
-            .unwrap();
-        let mut capped =
-            SampleCache::new(q.n_aggregates(), table.row_count() as u64).with_bucket_capacity(4);
-        let mut scan = table.scan_shuffled(3);
-        while let Some(r) = scan.next_row() {
-            capped.observe(q.layout().agg_of_row(r.members), r.value);
-        }
-        let exact = crate::exact::evaluate(&q, &table);
-        let mut rng = StdRng::seed_from_u64(1);
-        for agg in 0..q.n_aggregates() as u32 {
-            let est = capped.estimate(agg, &mut rng).unwrap();
-            assert!(
-                (est.count - exact.count(agg) as f64).abs() < 1e-9,
-                "full-scan count estimate exact despite eviction: {} vs {}",
-                est.count,
-                exact.count(agg)
-            );
-        }
-    }
-
-    #[test]
-    fn reservoir_keeps_value_distribution_unbiased() {
-        // Stream a known sequence into a capped bucket many times; the
-        // retained sample's mean must track the stream's mean.
-        let n_streams = 400;
-        let stream: Vec<f64> = (0..200).map(|i| i as f64).collect();
-        let true_mean = stream.iter().sum::<f64>() / stream.len() as f64;
-        let mut acc = 0.0;
-        for seed in 0..n_streams {
-            let mut cache = SampleCache::new(1, 200).with_bucket_capacity(8);
-            // Individualize eviction decisions via a distinct insertion
-            // order per stream.
-            let mut order: Vec<usize> = (0..stream.len()).collect();
-            use rand::seq::SliceRandom;
-            let mut rng = StdRng::seed_from_u64(seed);
-            order.shuffle(&mut rng);
-            for &i in &order {
-                cache.observe(Some(0), stream[i]);
-            }
-            let mut rng = StdRng::seed_from_u64(seed ^ 7);
-            let v = cache.resample(0, &mut rng);
-            acc += v.iter().sum::<f64>() / v.len() as f64;
-        }
-        let mean_of_means = acc / n_streams as f64;
-        assert!(
-            (mean_of_means - true_mean).abs() < true_mean * 0.08,
-            "reservoir mean {mean_of_means} vs stream mean {true_mean}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "bucket capacity must be positive")]
-    fn zero_capacity_rejected() {
-        let _ = SampleCache::new(1, 10).with_bucket_capacity(0);
     }
 }

@@ -432,17 +432,24 @@ impl SemanticCache {
     }
 
     /// Admit the exact per-aggregate counts and sums of a completed query,
-    /// stamped with the table version they were computed against.
-    pub fn admit_exact(&self, key: &QueryKey, version: u64, counts: Vec<u64>, sums: Vec<f64>) {
+    /// stamped with the table version they were computed against. Returns
+    /// the admitted entry, whose plan slot a caller that scores on it can
+    /// fill ([`SemanticCache::admit_plan`]).
+    pub fn admit_exact(
+        &self,
+        key: &QueryKey,
+        version: u64,
+        counts: Vec<u64>,
+        sums: Vec<f64>,
+    ) -> Arc<ExactAggregates> {
         let data = Arc::new(ExactAggregates::new(counts, sums));
         // The version stamp is counted toward the budget like any other
         // entry metadata.
         let bytes = data.approx_bytes() + std::mem::size_of::<u64>();
         let tick = self.next_tick();
         let mut shard = self.lock_shard(self.shard_of(key));
-        if let Some(old) =
-            shard.exact.insert(key.clone(), ExactEntry { data, version, bytes, last_used: tick })
-        {
+        let entry = ExactEntry { data: data.clone(), version, bytes, last_used: tick };
+        if let Some(old) = shard.exact.insert(key.clone(), entry) {
             shard.bytes -= old.bytes;
         }
         shard.bytes += bytes;
@@ -450,6 +457,7 @@ impl SemanticCache {
         drop(shard);
         self.admissions.fetch_add(1, Ordering::Relaxed);
         self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        data
     }
 
     /// Admit a sample snapshot for a query scope. An existing snapshot for

@@ -30,8 +30,7 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use voxolap_faults::{DegradeStats, FaultInjector, FaultSite};
 
@@ -61,14 +60,6 @@ fn fetch_add_f64(cell: &AtomicU64, delta: f64) {
 
 /// Sentinel marking a reserved-but-not-yet-written `nonempty` slot.
 const UNPUBLISHED: u32 = u32::MAX;
-
-/// One aggregate's mutable state: the cached values plus the reservoir
-/// RNG for eviction decisions. Locked independently of all other buckets.
-#[derive(Debug)]
-struct Bucket {
-    values: Vec<f64>,
-    evict_rng: StdRng,
-}
 
 /// Thread-local accumulator for one morsel's rows, drained into the cache
 /// by [`ShardedSampleCache::observe_batch`] — the group-commit half of the
@@ -156,11 +147,13 @@ impl IngestBatch {
 /// Concurrent, per-aggregate-striped sample cache (see module docs).
 #[derive(Debug)]
 pub struct ShardedSampleCache {
-    /// Per-aggregate value buckets. Poison-recovering: a holder dying
-    /// mid-update (real panic or injected tear) costs that bucket its
-    /// cached values on the next access — never the whole cache.
-    buckets: Vec<RecoveringMutex<Bucket>>,
-    /// Rows offered per aggregate (drives count estimates + reservoir).
+    /// Per-aggregate value buckets, each locked independently of all the
+    /// others. Poison-recovering: a holder dying mid-update (real panic or
+    /// injected tear) costs that bucket its cached values on the next
+    /// access — never the whole cache.
+    buckets: Vec<RecoveringMutex<Vec<f64>>>,
+    /// Rows offered per aggregate: the count estimates. Equal to the
+    /// bucket's length unless the bucket was rebuilt after poisoning.
     ///
     /// Ordering: `Relaxed`. A monotonic statistical counter — nothing is
     /// published through it; the bucket contents it describes sit behind
@@ -194,7 +187,6 @@ pub struct ShardedSampleCache {
     nr_read: AtomicU64,
     nr_rows_total: u64,
     resample_size: usize,
-    bucket_capacity: Option<usize>,
     /// In-scope row count across all aggregates (overall estimates).
     ///
     /// Ordering: `Relaxed`, same monotonic-counter argument as `nr_read`.
@@ -214,16 +206,7 @@ impl ShardedSampleCache {
     /// over a table of `nr_rows_total` rows.
     pub fn new(n_aggregates: usize, nr_rows_total: u64) -> Self {
         ShardedSampleCache {
-            buckets: (0..n_aggregates)
-                .map(|a| {
-                    RecoveringMutex::new(Bucket {
-                        values: Vec::new(),
-                        // Same base seed as the sequential cache, distinct
-                        // stream per stripe.
-                        evict_rng: StdRng::seed_from_u64(0x5eed_cafe ^ a as u64),
-                    })
-                })
-                .collect(),
+            buckets: (0..n_aggregates).map(|_| RecoveringMutex::new(Vec::new())).collect(),
             offered: (0..n_aggregates).map(|_| AtomicU64::new(0)).collect(),
             listed: (0..n_aggregates).map(|_| AtomicBool::new(false)).collect(),
             nonempty: (0..n_aggregates).map(|_| AtomicU32::new(UNPUBLISHED)).collect(),
@@ -231,7 +214,6 @@ impl ShardedSampleCache {
             nr_read: AtomicU64::new(0),
             nr_rows_total,
             resample_size: DEFAULT_RESAMPLE_SIZE,
-            bucket_capacity: None,
             scope_count: AtomicU64::new(0),
             scope_sum_bits: AtomicU64::new(0f64.to_bits()),
             poison_recoveries: AtomicU64::new(0),
@@ -252,11 +234,11 @@ impl ShardedSampleCache {
     /// Lock one aggregate's bucket, rebuilding it first if its previous
     /// holder died mid-update. A rebuilt bucket loses its cached values
     /// (the atomic `offered` counts survive, so count estimates stay
-    /// unbiased — exactly as if every entry had been evicted) and is
-    /// counted in [`poison_recoveries`](ShardedSampleCache::poison_recoveries).
-    fn bucket(&self, a: usize) -> MutexGuard<'_, Bucket> {
+    /// unbiased) and is counted in
+    /// [`poison_recoveries`](ShardedSampleCache::poison_recoveries).
+    fn bucket(&self, a: usize) -> MutexGuard<'_, Vec<f64>> {
         self.buckets[a].lock_recovering(|bucket| {
-            bucket.values = Vec::new();
+            *bucket = Vec::new();
             self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
             if let Some(stats) = &self.degrade_stats {
                 stats.poison_recoveries.fetch_add(1, Ordering::Relaxed);
@@ -273,14 +255,6 @@ impl ShardedSampleCache {
     pub fn with_resample_size(mut self, size: usize) -> Self {
         assert!(size > 0, "resample size must be positive");
         self.resample_size = size;
-        self
-    }
-
-    /// Bound memory: at most `capacity` entries per aggregate bucket,
-    /// maintained as a uniform reservoir sample of the rows offered to it.
-    pub fn with_bucket_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "bucket capacity must be positive");
-        self.bucket_capacity = Some(capacity);
         self
     }
 
@@ -301,21 +275,8 @@ impl ShardedSampleCache {
                 }
             }
         }
-        let offered = self.offered[a as usize].fetch_add(1, Ordering::Relaxed) + 1;
-        {
-            let bucket = &mut *self.bucket(a as usize);
-            match self.bucket_capacity {
-                Some(cap) if bucket.values.len() >= cap => {
-                    // Reservoir replacement: the new row displaces a random
-                    // cached one with probability cap / offered.
-                    let slot = bucket.evict_rng.gen_range(0..offered);
-                    if (slot as usize) < cap {
-                        bucket.values[slot as usize] = value;
-                    }
-                }
-                _ => bucket.values.push(value),
-            }
-        }
+        self.offered[a as usize].fetch_add(1, Ordering::Relaxed);
+        self.bucket(a as usize).push(value);
         self.publish_nonempty(a);
         self.scope_count.fetch_add(1, Ordering::Relaxed);
         fetch_add_f64(&self.scope_sum_bits, value);
@@ -340,10 +301,8 @@ impl ShardedSampleCache {
     /// row-at-a-time path.
     ///
     /// Equivalence with row-at-a-time ingest: each bucket receives its
-    /// rows in scan order with the same running `offered` count per offer,
-    /// so reservoir decisions consume that bucket's private RNG stream
-    /// identically (per-bucket streams are independent, making the
-    /// cross-bucket interleaving irrelevant); the scope sum is folded over
+    /// rows in scan order (a bucket depends on no other, so the
+    /// cross-bucket interleaving is irrelevant); the scope sum is folded over
     /// `scope_vals` in scan order starting from the current global value,
     /// reproducing the sequential association bit for bit when only one
     /// writer is active. Counters advance at batch rather than row
@@ -367,26 +326,8 @@ impl ShardedSampleCache {
                     }
                 }
             }
-            let offered0 = self.offered[a as usize].fetch_add(vals.len() as u64, Ordering::Relaxed);
-            {
-                let bucket = &mut *self.bucket(a as usize);
-                match self.bucket_capacity {
-                    Some(cap) => {
-                        for (i, &value) in vals.iter().enumerate() {
-                            let offered = offered0 + i as u64 + 1;
-                            if bucket.values.len() >= cap {
-                                let slot = bucket.evict_rng.gen_range(0..offered);
-                                if (slot as usize) < cap {
-                                    bucket.values[slot as usize] = value;
-                                }
-                            } else {
-                                bucket.values.push(value);
-                            }
-                        }
-                    }
-                    None => bucket.values.extend_from_slice(vals),
-                }
-            }
+            self.offered[a as usize].fetch_add(vals.len() as u64, Ordering::Relaxed);
+            self.bucket(a as usize).extend_from_slice(vals);
             self.publish_nonempty(a);
         }
         if !batch.scope_vals.is_empty() {
@@ -415,11 +356,10 @@ impl ShardedSampleCache {
     }
 
     /// The exact per-aggregate `(counts, sums)` of the query once the whole
-    /// table was streamed into an uncapped cache; `None` while the scan is
-    /// partial or rows may have been evicted (see
-    /// `SampleCache::exact_result`).
+    /// table was streamed into the cache; `None` while the scan is partial
+    /// or after a bucket was rebuilt (see `SampleCache::exact_result`).
     pub fn exact_result(&self) -> Option<(Vec<u64>, Vec<f64>)> {
-        if self.bucket_capacity.is_some() || self.nr_read() < self.nr_rows_total {
+        if self.nr_read() < self.nr_rows_total {
             return None;
         }
         // A rebuilt bucket lost values: sums would silently undercount,
@@ -430,8 +370,7 @@ impl ShardedSampleCache {
         // Relaxed: callers only get a `Some` after the ingest threads were
         // joined (nr_read == total), and the join orders their stores.
         let counts = self.offered.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        let sums: Vec<f64> =
-            (0..self.buckets.len()).map(|a| self.bucket(a).values.iter().sum()).collect();
+        let sums: Vec<f64> = (0..self.buckets.len()).map(|a| self.bucket(a).iter().sum()).collect();
         // Re-check: a tear recovered *while* summing also voids exactness.
         if self.poison_recoveries() > 0 {
             return None;
@@ -441,11 +380,11 @@ impl ShardedSampleCache {
 
     /// Number of cached entries for one aggregate (`CA.SIZE`).
     pub fn size(&self, agg: AggIdx) -> usize {
-        self.bucket(agg as usize).values.len()
+        self.bucket(agg as usize).len()
     }
 
-    /// Total rows ever offered to one aggregate's bucket (counting past
-    /// evictions, so count estimates stay unbiased).
+    /// Total rows ever offered to one aggregate's bucket (counting rows a
+    /// rebuilt bucket lost, so count estimates stay unbiased).
     pub fn seen(&self, agg: AggIdx) -> u64 {
         self.offered[agg as usize].load(Ordering::Relaxed)
     }
@@ -506,7 +445,7 @@ impl ShardedSampleCache {
         scratch: &'s mut ResampleScratch,
     ) -> &'s [f64] {
         let bucket = self.bucket(agg as usize);
-        resample_into_scratch(&bucket.values, self.resample_size, rng, scratch);
+        resample_into_scratch(&bucket, self.resample_size, rng, scratch);
         drop(bucket);
         &scratch.out
     }
@@ -561,8 +500,7 @@ impl ShardedSampleCache {
     /// Normal-approximation confidence interval for one aggregate's
     /// average at `z` standard errors, over all cached entries.
     pub fn confidence_interval(&self, agg: AggIdx, z: f64) -> Option<(f64, f64)> {
-        let bucket = self.bucket(agg as usize);
-        let values = &bucket.values;
+        let values = self.bucket(agg as usize);
         if values.len() < 2 {
             return None;
         }
@@ -596,8 +534,46 @@ mod tests {
         (table, q)
     }
 
-    /// Ingest the whole table from `n_workers` scanners sharing one
-    /// morsel pool.
+    /// Ingest the whole table into `cache` from `n_workers` scanners
+    /// sharing one morsel pool: row at a time, or a block per
+    /// `observe_batch` when `batched`.
+    fn fill(
+        cache: ShardedSampleCache,
+        table: &voxolap_data::Table,
+        q: &Query,
+        n_workers: usize,
+        seed: u64,
+        batched: bool,
+    ) -> ShardedSampleCache {
+        let pool = table.morsel_pool(seed);
+        std::thread::scope(|scope| {
+            for _ in 0..n_workers {
+                let (cache, pool) = (&cache, pool.clone());
+                scope.spawn(move || {
+                    let mut scan =
+                        table.scan_pooled(pool, voxolap_data::schema::MeasureId::PRIMARY);
+                    if !batched {
+                        while let Some(r) = scan.next_row() {
+                            cache.observe(q.layout().agg_of_row(r.members), r.value);
+                        }
+                        return;
+                    }
+                    let mut batch = IngestBatch::new(q.n_aggregates());
+                    let mut aggs = Vec::new();
+                    while let Some(b) = scan.next_block(usize::MAX) {
+                        q.layout().agg_of_block(b.dims, b.rows, &mut aggs);
+                        for (i, &r) in b.rows.iter().enumerate() {
+                            batch.push_resolved(aggs[i], b.values[r as usize]);
+                        }
+                        cache.observe_batch(&mut batch);
+                    }
+                });
+            }
+        });
+        cache
+    }
+
+    /// [`fill`] a fresh cache row at a time.
     fn parallel_fill(
         table: &voxolap_data::Table,
         q: &Query,
@@ -605,21 +581,7 @@ mod tests {
         seed: u64,
     ) -> ShardedSampleCache {
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        let pool = table.morsel_pool(seed);
-        std::thread::scope(|scope| {
-            for _ in 0..n_workers {
-                let cache = &cache;
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    let mut scan =
-                        table.scan_pooled(pool, voxolap_data::schema::MeasureId::PRIMARY);
-                    while let Some(r) = scan.next_row() {
-                        cache.observe(q.layout().agg_of_row(r.members), r.value);
-                    }
-                });
-            }
-        });
-        cache
+        fill(cache, table, q, n_workers, seed, false)
     }
 
     #[test]
@@ -667,38 +629,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_capacity_bounds_memory_under_concurrency() {
-        let (table, q) = salary_setup();
-        let cache = {
-            let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
-                .with_bucket_capacity(8);
-            let pool = table.morsel_pool(11);
-            std::thread::scope(|scope| {
-                for _ in 0..4 {
-                    let cache = &cache;
-                    let table = &table;
-                    let q = &q;
-                    let pool = pool.clone();
-                    scope.spawn(move || {
-                        let mut scan =
-                            table.scan_pooled(pool, voxolap_data::schema::MeasureId::PRIMARY);
-                        while let Some(r) = scan.next_row() {
-                            cache.observe(q.layout().agg_of_row(r.members), r.value);
-                        }
-                    });
-                }
-            });
-            cache
-        };
-        for agg in 0..q.n_aggregates() as u32 {
-            assert!(cache.size(agg) <= 8, "bucket {agg} capped");
-            assert!(cache.seen(agg) as usize >= cache.size(agg));
-        }
-        let offered: u64 = (0..q.n_aggregates() as u32).map(|a| cache.seen(a)).sum();
-        assert_eq!(offered, table.row_count() as u64, "offered counts survive eviction");
-    }
-
-    #[test]
     fn exact_result_after_full_parallel_ingest() {
         let (table, q) = salary_setup();
         let partial = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
@@ -722,22 +652,7 @@ mod tests {
         let stats = Arc::new(DegradeStats::default());
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
             .with_faults(injector.clone(), stats.clone());
-        let pool = table.morsel_pool(7);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = &cache;
-                let table = &table;
-                let q = &q;
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    let mut scan =
-                        table.scan_pooled(pool, voxolap_data::schema::MeasureId::PRIMARY);
-                    while let Some(r) = scan.next_row() {
-                        cache.observe(q.layout().agg_of_row(r.members), r.value);
-                    }
-                });
-            }
-        });
+        let cache = fill(cache, &table, &q, 4, 7, false);
         assert!(injector.injected(FaultSite::CacheShard) > 0, "faults actually fired");
         assert!(cache.poison_recoveries() > 0, "torn buckets were rebuilt");
         assert_eq!(
@@ -749,7 +664,7 @@ mod tests {
         // exactness...
         assert!(cache.exact_result().is_none(), "recovered cache never claims exactness");
         assert_eq!(cache.nr_read(), table.row_count() as u64);
-        // ...while the atomic offered counts stay exact (like eviction).
+        // ...while the atomic offered counts stay exact.
         let exact = evaluate(&q, &table);
         for agg in 0..q.n_aggregates() as u32 {
             assert_eq!(cache.seen(agg), exact.count(agg), "offered counts survive tears");
@@ -801,9 +716,8 @@ mod tests {
 
     /// Ingest the whole shuffled table row-at-a-time into one cache and in
     /// batches of `batch_rows` (accumulated via [`IngestBatch`]) into the
-    /// other, then assert every observable — bucket contents (including
-    /// reservoir-evicted state), offered counts, nr_read, scope
-    /// aggregates, estimates — is identical. The same scan also feeds the
+    /// other, then assert every observable — bucket contents, offered
+    /// counts, nr_read, scope aggregates, estimates — is identical. The same scan also feeds the
     /// sequential [`SampleCache`](crate::cache::SampleCache) row by row:
     /// it is the reference the batched cache is defined against, so its
     /// observables must match bit for bit too.
@@ -812,23 +726,15 @@ mod tests {
         q: &Query,
         seed: u64,
         batch_rows: usize,
-        capacity: Option<usize>,
     ) {
         let mk = || {
-            let c = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
-                .with_resample_size(100_000);
-            match capacity {
-                Some(cap) => c.with_bucket_capacity(cap),
-                None => c,
-            }
+            ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
+                .with_resample_size(100_000)
         };
         let by_row = mk();
         let mut reference =
             crate::cache::SampleCache::new(q.n_aggregates(), table.row_count() as u64)
                 .with_resample_size(100_000);
-        if let Some(cap) = capacity {
-            reference = reference.with_bucket_capacity(cap);
-        }
         let mut scan = table.scan_shuffled(seed);
         while let Some(r) = scan.next_row() {
             let agg = q.layout().agg_of_row(r.members);
@@ -859,7 +765,7 @@ mod tests {
             assert_eq!(
                 bucket_contents(&by_batch, agg).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 bucket_contents(&by_row, agg).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "bucket contents, agg {agg} (cap {capacity:?}, batch {batch_rows})"
+                "bucket contents, agg {agg} (batch {batch_rows})"
             );
             let mut rng_a = StdRng::seed_from_u64(seed ^ 0xabc);
             let mut rng_b = StdRng::seed_from_u64(seed ^ 0xabc);
@@ -870,22 +776,13 @@ mod tests {
                 by_row.estimate_with(agg, &mut rng_b, &mut s_b),
                 "estimates, agg {agg}"
             );
-            // Past capacity the two designs draw replacement slots from
-            // differently seeded RNGs (one per bucket here, one per cache
-            // there), so the surviving values — not the counts — differ.
             let mut rng_a = StdRng::seed_from_u64(seed ^ 0xabc);
             let mut rng_c = StdRng::seed_from_u64(seed ^ 0xabc);
-            let batched = by_batch.estimate_with(agg, &mut rng_a, &mut s_a);
-            let sequential = reference.estimate_with(agg, &mut rng_c, &mut s_b);
-            if capacity.is_none() {
-                assert_eq!(batched, sequential, "estimates vs sequential, agg {agg}");
-            } else {
-                assert_eq!(
-                    batched.map(|e| e.count.to_bits()),
-                    sequential.map(|e| e.count.to_bits()),
-                    "count estimates vs sequential, agg {agg}"
-                );
-            }
+            assert_eq!(
+                by_batch.estimate_with(agg, &mut rng_a, &mut s_a),
+                reference.estimate_with(agg, &mut rng_c, &mut s_b),
+                "estimates vs sequential, agg {agg}"
+            );
         }
         for fct in [AggFct::Avg, AggFct::Sum, AggFct::Count] {
             let a = by_batch.overall_estimate(fct).map(f64::to_bits);
@@ -906,20 +803,7 @@ mod tests {
         for seed in [3u64, 7, 11, 19, 41] {
             // Batch sizes below, at, and above typical bucket traffic.
             for batch_rows in [1usize, 3, 17, 64, 1000] {
-                assert_batch_matches_row_at_a_time(&table, &q, seed, batch_rows, None);
-            }
-        }
-    }
-
-    #[test]
-    fn observe_batch_matches_row_at_a_time_past_reservoir_capacity() {
-        // Capacity 8 on a 320-row table forces reservoir evictions inside
-        // the batch loop; bucket contents stay bit-identical because each
-        // bucket's private RNG sees the same offer sequence either way.
-        let (table, q) = salary_setup();
-        for seed in [5u64, 13, 29, 37, 53] {
-            for batch_rows in [7usize, 64, 320] {
-                assert_batch_matches_row_at_a_time(&table, &q, seed, batch_rows, Some(8));
+                assert_batch_matches_row_at_a_time(&table, &q, seed, batch_rows);
             }
         }
     }
@@ -936,7 +820,7 @@ mod tests {
             .group_by(DimId(1), LevelId(1))
             .build(schema)
             .unwrap();
-        assert_batch_matches_row_at_a_time(&table, &q, 23, 113, None);
+        assert_batch_matches_row_at_a_time(&table, &q, 23, 113);
     }
 
     #[test]
@@ -949,34 +833,13 @@ mod tests {
         let stats = Arc::new(DegradeStats::default());
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
             .with_faults(injector.clone(), stats.clone());
-        let pool = table.morsel_pool(7);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = &cache;
-                let table = &table;
-                let q = &q;
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    let mut scan =
-                        table.scan_pooled(pool, voxolap_data::schema::MeasureId::PRIMARY);
-                    let mut batch = IngestBatch::new(q.n_aggregates());
-                    let mut aggs = Vec::new();
-                    while let Some(b) = scan.next_block(usize::MAX) {
-                        q.layout().agg_of_block(b.dims, b.rows, &mut aggs);
-                        for (i, &r) in b.rows.iter().enumerate() {
-                            batch.push_resolved(aggs[i], b.values[r as usize]);
-                        }
-                        cache.observe_batch(&mut batch);
-                    }
-                });
-            }
-        });
+        let cache = fill(cache, &table, &q, 4, 7, true);
         assert!(injector.injected(FaultSite::CacheShard) > 0, "tear site fires in batch path");
         assert!(cache.poison_recoveries() > 0, "torn buckets rebuilt");
         assert_eq!(stats.snapshot().poison_recoveries, cache.poison_recoveries());
         assert!(cache.exact_result().is_none(), "recovered cache never claims exactness");
         assert_eq!(cache.nr_read(), table.row_count() as u64);
-        // Offered counts stay exact through tears (same as eviction).
+        // Offered counts stay exact through tears.
         let exact = evaluate(&q, &table);
         for agg in 0..q.n_aggregates() as u32 {
             assert_eq!(cache.seen(agg), exact.count(agg), "offered counts survive tears");
@@ -992,28 +855,7 @@ mod tests {
     fn parallel_batched_ingest_counts_are_exact() {
         let (table, q) = salary_setup();
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        let pool = table.morsel_pool(7);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let cache = &cache;
-                let table = &table;
-                let q = &q;
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    let mut scan =
-                        table.scan_pooled(pool, voxolap_data::schema::MeasureId::PRIMARY);
-                    let mut batch = IngestBatch::new(q.n_aggregates());
-                    let mut aggs = Vec::new();
-                    while let Some(b) = scan.next_block(usize::MAX) {
-                        q.layout().agg_of_block(b.dims, b.rows, &mut aggs);
-                        for (i, &r) in b.rows.iter().enumerate() {
-                            batch.push_resolved(aggs[i], b.values[r as usize]);
-                        }
-                        cache.observe_batch(&mut batch);
-                    }
-                });
-            }
-        });
+        let cache = fill(cache, &table, &q, 4, 7, true);
         assert_eq!(cache.nr_read(), table.row_count() as u64);
         let (counts, sums) = cache.exact_result().expect("full batched ingest is exact");
         let exact = evaluate(&q, &table);

@@ -1000,7 +1000,7 @@ mod tests {
         assert_eq!(post(&s, "/ask", ask).status, 200);
         let stats = Value::parse(&get(&s, "/stats").body).unwrap();
         assert_eq!(stats["cache"]["exact_hits"].as_u64().unwrap(), 1, "{stats:?}");
-        assert_eq!(stats["cache"]["plan_hits"].as_u64(), Some(0), "the first hit is rescored");
+        assert_eq!(stats["cache"]["plan_hits"].as_u64(), Some(1), "the miss kept its plan");
         assert_eq!(stats["cache"]["misses"].as_u64().unwrap(), 1);
         assert_eq!(stats["cache"]["admissions"].as_u64().unwrap(), 1);
         assert!(stats["cache"]["capacity_bytes"].as_u64().unwrap() > 0);

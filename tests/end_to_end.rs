@@ -223,7 +223,9 @@ fn parallel_single_thread_matches_holistic_on_flights() {
 /// planning loop the deadline cuts commits its anytime answer — at least
 /// the baseline — and the answer says `degraded`; an uncut answer never
 /// does; and every answer of an approach that carries the front end's
-/// bundle is counted in it exactly once.
+/// bundle is counted in it exactly once. A sampled approach cut before its
+/// first sample commits by one rule (`SpeechTree::commit_child`): the
+/// baseline nearest its warm-up estimate, the same sentence on all four.
 #[test]
 fn the_deadline_matrix() {
     use std::sync::Arc;
@@ -263,6 +265,7 @@ fn the_deadline_matrix() {
         ("bare holistic", bare, true, false),
     ];
 
+    let mut cut_before_sampling = Vec::new();
     for (name, approach, has_loop, shares_bundle) in &approaches {
         for expired in [true, false] {
             let cancel = match expired {
@@ -277,6 +280,12 @@ fn the_deadline_matrix() {
             assert!(baseline.contains("is the average cancellation probability"), "{cell}");
             assert_eq!(outcome.stats.degraded, expired && *has_loop, "{cell}");
             assert_eq!(answered() - before, u64::from(*shares_bundle), "{cell}");
+            if expired && !matches!(*name, "optimal" | "prior") {
+                cut_before_sampling.push((*name, baseline.clone()));
+            }
         }
     }
+    assert_eq!(cut_before_sampling.len(), 4);
+    let (_, first) = &cut_before_sampling[0];
+    assert!(cut_before_sampling.iter().all(|(_, s)| s == first), "{cut_before_sampling:?}");
 }
