@@ -86,6 +86,7 @@ mod tests {
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
     use voxolap_engine::query::{AggFct, Query};
+    use voxolap_engine::sharded::IngestBatch;
 
     fn filled_cache(rows: usize) -> (ShardedSampleCache, Query, voxolap_data::Table) {
         let table = SalaryConfig::paper_scale().generate();
@@ -94,12 +95,13 @@ mod tests {
             .build(table.schema())
             .unwrap();
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
+        let mut batch = IngestBatch::new(q.n_aggregates());
         let mut scan = table.scan_shuffled(5);
         for _ in 0..rows {
             let Some(r) = scan.next_row() else { break };
-            let agg = q.layout().agg_of_row(r.members);
-            cache.observe(agg, r.value);
+            batch.push(q.layout().agg_of_row(r.members), r.value);
         }
+        cache.observe_batch(&mut batch);
         (cache, q, table)
     }
 

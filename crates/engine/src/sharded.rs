@@ -41,23 +41,6 @@ use crate::resample::{
     DEFAULT_RESAMPLE_SIZE,
 };
 
-/// Add `delta` to an `f64` held as bits in an [`AtomicU64`].
-///
-/// All-`Relaxed`: the cell is a pure accumulator — no other memory is
-/// published through it, and the CAS's read-modify-write atomicity alone
-/// guarantees no increment is lost.
-#[inline]
-fn fetch_add_f64(cell: &AtomicU64, delta: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + delta).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(actual) => cur = actual,
-        }
-    }
-}
-
 /// Sentinel marking a reserved-but-not-yet-written `nonempty` slot.
 const UNPUBLISHED: u32 = u32::MAX;
 
@@ -191,7 +174,8 @@ pub struct ShardedSampleCache {
     ///
     /// Ordering: `Relaxed`, same monotonic-counter argument as `nr_read`.
     scope_count: AtomicU64,
-    /// In-scope measure sum as `f64` bits (see [`fetch_add_f64`]).
+    /// In-scope measure sum as `f64` bits, advanced by a CAS fold (see
+    /// [`ShardedSampleCache::observe_batch`]).
     scope_sum_bits: AtomicU64,
     /// Buckets rebuilt after lock poisoning / torn state.
     poison_recoveries: AtomicU64,
@@ -223,7 +207,7 @@ impl ShardedSampleCache {
     }
 
     /// Attach a fault injector (CacheShard site) and the degradation
-    /// counters recoveries feed. Without this, the observe hot path pays
+    /// counters recoveries feed. Without this, the ingest hot path pays
     /// a single `Option` branch.
     pub fn with_faults(mut self, injector: Arc<FaultInjector>, stats: Arc<DegradeStats>) -> Self {
         self.faults = Some(injector);
@@ -258,30 +242,6 @@ impl ShardedSampleCache {
         self
     }
 
-    /// Observe one streamed row (callable from any worker thread
-    /// concurrently): `agg` is its aggregate (`None` when out of scope),
-    /// `value` its measure.
-    pub fn observe(&self, agg: Option<AggIdx>, value: f64) {
-        self.nr_read.fetch_add(1, Ordering::Relaxed);
-        let Some(a) = agg else { return };
-        // CacheShard fault site: model a worker dying while holding this
-        // bucket's lock — the bucket is marked torn and the very next
-        // locker (often this call) rebuilds it.
-        if let Some(inj) = &self.faults {
-            if let Some(fault) = inj.roll(FaultSite::CacheShard) {
-                fault.stall();
-                if fault.error {
-                    self.buckets[a as usize].mark_torn();
-                }
-            }
-        }
-        self.offered[a as usize].fetch_add(1, Ordering::Relaxed);
-        self.bucket(a as usize).push(value);
-        self.publish_nonempty(a);
-        self.scope_count.fetch_add(1, Ordering::Relaxed);
-        fetch_add_f64(&self.scope_sum_bits, value);
-    }
-
     /// Add aggregate `a` to the `nonempty` array exactly once (first
     /// in-scope row wins the `listed` claim).
     #[inline]
@@ -292,13 +252,13 @@ impl ShardedSampleCache {
         }
     }
 
-    /// Group-commit one accumulated morsel batch and clear it — the
-    /// batched counterpart of per-row [`ShardedSampleCache::observe`]
-    /// (DESIGN.md §14). Per batch this costs: one `Relaxed` add to
-    /// `nr_read`; per *touched aggregate* one fault roll, one `offered`
-    /// add, and one bucket-lock acquisition; one `scope_count` add; and a
-    /// single scope-sum CAS — versus one of each **per row** on the
-    /// row-at-a-time path.
+    /// Group-commit one accumulated morsel batch and clear it — the one
+    /// way rows enter the cache, callable from any worker thread
+    /// concurrently (DESIGN.md §14). Per batch this costs: one `Relaxed`
+    /// add to `nr_read`; per *touched aggregate* one fault roll, one
+    /// `offered` add, and one bucket-lock acquisition; one `scope_count`
+    /// add; and a single scope-sum CAS — versus one of each **per row**
+    /// when rows are committed one at a time.
     ///
     /// Equivalence with row-at-a-time ingest: each bucket receives its
     /// rows in scan order (a bucket depends on no other, so the
@@ -519,7 +479,8 @@ mod tests {
     use rand::SeedableRng;
     use voxolap_data::dimension::LevelId;
     use voxolap_data::salary::SalaryConfig;
-    use voxolap_data::DimId;
+    use voxolap_data::schema::MeasureId;
+    use voxolap_data::{DimId, RowScanner};
 
     use crate::exact::evaluate;
     use crate::query::Query;
@@ -534,46 +495,45 @@ mod tests {
         (table, q)
     }
 
+    /// Commit every row `scan` has left into `cache`, one `observe_batch`
+    /// per scan block of at most `block_rows` rows (1: a row at a time).
+    fn ingest(cache: &ShardedSampleCache, scan: &mut RowScanner<'_>, q: &Query, block_rows: usize) {
+        let mut batch = IngestBatch::new(q.n_aggregates());
+        let mut aggs = Vec::new();
+        while let Some(b) = scan.next_block(block_rows) {
+            q.layout().agg_of_block(b.dims, b.rows, &mut aggs);
+            for (i, &r) in b.rows.iter().enumerate() {
+                batch.push_resolved(aggs[i], b.values[r as usize]);
+            }
+            cache.observe_batch(&mut batch);
+            assert!(batch.is_empty(), "commit drains the batch");
+        }
+    }
+
     /// Ingest the whole table into `cache` from `n_workers` scanners
-    /// sharing one morsel pool: row at a time, or a block per
-    /// `observe_batch` when `batched`.
+    /// sharing one morsel pool, in blocks of at most `block_rows` rows.
     fn fill(
         cache: ShardedSampleCache,
         table: &voxolap_data::Table,
         q: &Query,
         n_workers: usize,
         seed: u64,
-        batched: bool,
+        block_rows: usize,
     ) -> ShardedSampleCache {
         let pool = table.morsel_pool(seed);
         std::thread::scope(|scope| {
             for _ in 0..n_workers {
                 let (cache, pool) = (&cache, pool.clone());
                 scope.spawn(move || {
-                    let mut scan =
-                        table.scan_pooled(pool, voxolap_data::schema::MeasureId::PRIMARY);
-                    if !batched {
-                        while let Some(r) = scan.next_row() {
-                            cache.observe(q.layout().agg_of_row(r.members), r.value);
-                        }
-                        return;
-                    }
-                    let mut batch = IngestBatch::new(q.n_aggregates());
-                    let mut aggs = Vec::new();
-                    while let Some(b) = scan.next_block(usize::MAX) {
-                        q.layout().agg_of_block(b.dims, b.rows, &mut aggs);
-                        for (i, &r) in b.rows.iter().enumerate() {
-                            batch.push_resolved(aggs[i], b.values[r as usize]);
-                        }
-                        cache.observe_batch(&mut batch);
-                    }
+                    let mut scan = table.scan_pooled(pool, MeasureId::PRIMARY);
+                    ingest(cache, &mut scan, q, block_rows);
                 });
             }
         });
         cache
     }
 
-    /// [`fill`] a fresh cache row at a time.
+    /// [`fill`] a fresh cache a row at a time.
     fn parallel_fill(
         table: &voxolap_data::Table,
         q: &Query,
@@ -581,7 +541,7 @@ mod tests {
         seed: u64,
     ) -> ShardedSampleCache {
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        fill(cache, table, q, n_workers, seed, false)
+        fill(cache, table, q, n_workers, seed, 1)
     }
 
     #[test]
@@ -643,41 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn injected_tears_rebuild_buckets_and_void_exactness() {
-        use voxolap_faults::{FaultPlan, SiteSchedule};
-        let (table, q) = salary_setup();
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::new(77).with_site(FaultSite::CacheShard, SiteSchedule::error(0.05)),
-        ));
-        let stats = Arc::new(DegradeStats::default());
-        let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
-            .with_faults(injector.clone(), stats.clone());
-        let cache = fill(cache, &table, &q, 4, 7, false);
-        assert!(injector.injected(FaultSite::CacheShard) > 0, "faults actually fired");
-        assert!(cache.poison_recoveries() > 0, "torn buckets were rebuilt");
-        assert_eq!(
-            stats.snapshot().poison_recoveries,
-            cache.poison_recoveries(),
-            "recoveries mirrored into shared stats"
-        );
-        // Full scan, but values were lost: the cache must not claim
-        // exactness...
-        assert!(cache.exact_result().is_none(), "recovered cache never claims exactness");
-        assert_eq!(cache.nr_read(), table.row_count() as u64);
-        // ...while the atomic offered counts stay exact.
-        let exact = evaluate(&q, &table);
-        for agg in 0..q.n_aggregates() as u32 {
-            assert_eq!(cache.seen(agg), exact.count(agg), "offered counts survive tears");
-        }
-        // Estimators keep functioning on the surviving values.
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut scratch = ResampleScratch::new();
-        for agg in 0..q.n_aggregates() as u32 {
-            assert!(cache.estimate_with(agg, &mut rng, &mut scratch).is_some());
-        }
-    }
-
-    #[test]
     fn zero_probability_faults_change_nothing() {
         use voxolap_faults::{FaultPlan, SiteSchedule};
         let (table, q) = salary_setup();
@@ -688,15 +613,8 @@ mod tests {
         let faulted = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
             .with_faults(injector, stats);
         let plain = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        let mut scan = table.scan_shuffled(7);
-        while let Some(r) = scan.next_row() {
-            let agg = q.layout().agg_of_row(r.members);
-            faulted.observe(agg, r.value);
-        }
-        let mut scan = table.scan_shuffled(7);
-        while let Some(r) = scan.next_row() {
-            plain.observe(q.layout().agg_of_row(r.members), r.value);
-        }
+        ingest(&faulted, &mut table.scan_shuffled(7), &q, 1);
+        ingest(&plain, &mut table.scan_shuffled(7), &q, 1);
         assert_eq!(faulted.poison_recoveries(), 0);
         for agg in 0..q.n_aggregates() as u32 {
             assert_eq!(faulted.size(agg), plain.size(agg));
@@ -714,13 +632,14 @@ mod tests {
         cache.resample_into(agg, &mut rng, &mut scratch).to_vec()
     }
 
-    /// Ingest the whole shuffled table row-at-a-time into one cache and in
+    /// Ingest the whole shuffled table a row at a time into one cache and in
     /// batches of `batch_rows` (accumulated via [`IngestBatch`]) into the
     /// other, then assert every observable — bucket contents, offered
-    /// counts, nr_read, scope aggregates, estimates — is identical. The same scan also feeds the
-    /// sequential [`SampleCache`](crate::cache::SampleCache) row by row:
-    /// it is the reference the batched cache is defined against, so its
-    /// observables must match bit for bit too.
+    /// counts, nr_read, scope aggregates, estimates — is identical. The
+    /// same scan order also feeds the sequential
+    /// [`SampleCache`](crate::cache::SampleCache) row by row: it is the
+    /// reference the batched cache is defined against, so its observables
+    /// must match bit for bit too.
     fn assert_batch_matches_row_at_a_time(
         table: &voxolap_data::Table,
         q: &Query,
@@ -731,29 +650,17 @@ mod tests {
             ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
                 .with_resample_size(100_000)
         };
-        let by_row = mk();
         let mut reference =
             crate::cache::SampleCache::new(q.n_aggregates(), table.row_count() as u64)
                 .with_resample_size(100_000);
         let mut scan = table.scan_shuffled(seed);
         while let Some(r) = scan.next_row() {
-            let agg = q.layout().agg_of_row(r.members);
-            by_row.observe(agg, r.value);
-            reference.observe(agg, r.value);
+            reference.observe(q.layout().agg_of_row(r.members), r.value);
         }
-
+        let by_row = mk();
+        ingest(&by_row, &mut table.scan_shuffled(seed), q, 1);
         let by_batch = mk();
-        let mut scan = table.scan_shuffled(seed);
-        let mut batch = IngestBatch::new(q.n_aggregates());
-        let mut aggs = Vec::new();
-        while let Some(b) = scan.next_block(batch_rows) {
-            q.layout().agg_of_block(b.dims, b.rows, &mut aggs);
-            for (i, &r) in b.rows.iter().enumerate() {
-                batch.push_resolved(aggs[i], b.values[r as usize]);
-            }
-            by_batch.observe_batch(&mut batch);
-            assert!(batch.is_empty(), "commit drains the batch");
-        }
+        ingest(&by_batch, &mut table.scan_shuffled(seed), q, batch_rows);
 
         assert_eq!(by_batch.nr_read(), by_row.nr_read());
         assert_eq!(by_batch.nr_read(), reference.nr_read());
@@ -833,7 +740,7 @@ mod tests {
         let stats = Arc::new(DegradeStats::default());
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
             .with_faults(injector.clone(), stats.clone());
-        let cache = fill(cache, &table, &q, 4, 7, true);
+        let cache = fill(cache, &table, &q, 4, 7, usize::MAX);
         assert!(injector.injected(FaultSite::CacheShard) > 0, "tear site fires in batch path");
         assert!(cache.poison_recoveries() > 0, "torn buckets rebuilt");
         assert_eq!(stats.snapshot().poison_recoveries, cache.poison_recoveries());
@@ -855,7 +762,7 @@ mod tests {
     fn parallel_batched_ingest_counts_are_exact() {
         let (table, q) = salary_setup();
         let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        let cache = fill(cache, &table, &q, 4, 7, true);
+        let cache = fill(cache, &table, &q, 4, 7, usize::MAX);
         assert_eq!(cache.nr_read(), table.row_count() as u64);
         let (counts, sums) = cache.exact_result().expect("full batched ingest is exact");
         let exact = evaluate(&q, &table);

@@ -103,10 +103,6 @@ pub struct AppState {
     http_metrics: Option<Arc<HttpMetrics>>,
     /// Expose `GET /debug/panic` (panic-isolation testing).
     debug_routes: bool,
-    /// `(heartbeat_ms, idle_timeout_ms)` advertised in the session
-    /// transport's `hello` event — set from the serving layer's config so
-    /// clients learn the cadence to expect.
-    session_timing: (u64, u64),
     /// Planning deadline of every turn, on every route. A wide scope (say,
     /// a city-level drill-down crossed with another breakdown) can take
     /// minutes to converge; unbounded, one such turn pins a worker and
@@ -392,17 +388,8 @@ impl AppState {
             ingest_rows: AtomicU64::new(0),
             http_metrics: None,
             debug_routes: false,
-            session_timing: (15_000, 120_000),
             utterance_deadline: None,
         }
-    }
-
-    /// Advertise the session transport's heartbeat interval and idle
-    /// timeout (milliseconds) in `hello` events; wire these from the
-    /// [`crate::http::ServerConfig`] actually serving the state.
-    pub fn with_session_timing(mut self, heartbeat_ms: u64, idle_timeout_ms: u64) -> Self {
-        self.session_timing = (heartbeat_ms, idle_timeout_ms);
-        self
     }
 
     /// Bound every turn's planning time, on all four answer routes: past
@@ -900,25 +887,14 @@ impl AppState {
         // Materialize the entry so re-attach after disconnect resumes
         // rather than restarts, and /stats counts the session as active.
         self.sessions.lock().entry(id.to_string()).or_default();
-        let (heartbeat_ms, idle_ms) = self.session_timing;
-        let hello = Value::obj([
-            ("type", "hello".into()),
-            ("session", id.into()),
-            ("heartbeat_ms", heartbeat_ms.into()),
-            ("idle_timeout_ms", idle_ms.into()),
-        ]);
+        // Dialogue state deliberately survives the connection: the session
+        // can re-attach (or fall back to the POST route). The transport
+        // writes the `hello` with its own heartbeat and idle timeout.
         let state = Arc::clone(self);
-        let line_state = Arc::clone(self);
         let line_id = id.to_string();
         Response::upgrade_session(SessionUpgrade {
             id: id.to_string(),
-            hello: Some(hello.to_string()),
-            on_line: Arc::new(move |line, sink| line_state.session_line(&line_id, line, sink)),
-            // Dialogue state deliberately survives the connection: the
-            // session can re-attach (or fall back to the POST route).
-            on_close: Arc::new(move |_id| {
-                let _ = &state; // keep the state alive as long as the session
-            }),
+            on_line: Arc::new(move |line, sink| state.session_line(&line_id, line, sink)),
         })
     }
 

@@ -40,13 +40,16 @@
 //! (DESIGN.md §15): `--http-threads` sets the pool size (default 8),
 //! `--http-queue` the pending-request queue capacity beyond which
 //! clients get `503` + `Retry-After` (default 64), `--http-timeout-ms`
-//! the stalled-request timeout before a `408` (default 5000),
-//! `--http-idle-ms` how long a parked keep-alive connection may idle
-//! (default 30000; keep-alive is the client's choice, per request), and
-//! `--max-conns` the open-connection cap. Long-lived session
-//! connections (`GET /session/<id>/attach`, NDJSON both ways) heartbeat
-//! every `--heartbeat-ms` (default 15000) and are reaped after
-//! `--session-idle-ms` of silence (default 120000).
+//! the one socket timeout — a stalled request gets a `408` after it, a
+//! write to a client that stops reading fails after it (default 5000,
+//! at least 1) — `--http-idle-ms` how long a parked keep-alive connection
+//! may idle (default 30000; keep-alive is the client's choice, per
+//! request), and `--max-conns` the open-connection cap. Long-lived
+//! session connections (`GET /session/<id>/attach`, NDJSON both ways)
+//! heartbeat every `--heartbeat-ms` (default 15000) and are reaped after
+//! `--session-idle-ms` of silence (default 120000); the transport's
+//! `hello` announces both values. `POST /ingest` bodies may be up to
+//! 1 MiB, every other request body up to 64 KiB.
 //! `--utterance-deadline-ms` bounds the planning time of every turn on
 //! every answer route and every approach with a planning loop (`optimal`
 //! and `unmerged` too) — past it the answer is committed through the §12
@@ -185,11 +188,7 @@ fn main() {
     };
 
     let metrics = HttpMetrics::new();
-    let mut state =
-        AppState::durable(durable).with_http_metrics(metrics.clone()).with_session_timing(
-            config.heartbeat.as_millis() as u64,
-            config.session_idle_timeout.as_millis() as u64,
-        );
+    let mut state = AppState::durable(durable).with_http_metrics(metrics.clone());
     if let Some(threads) = arg("--threads").and_then(|v| v.parse().ok()) {
         state = state.with_threads(threads);
     }
@@ -212,7 +211,7 @@ fn main() {
         handle.addr,
         config.threads,
         config.queue,
-        config.read_timeout.as_millis(),
+        config.timeout.as_millis(),
         fd_limit,
     );
 

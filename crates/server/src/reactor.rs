@@ -11,7 +11,7 @@
 //!
 //! Registration is level-triggered: the reactor re-arms interest
 //! explicitly per connection phase (read vs write), which keeps the state
-//! machine in `http.rs` free of edge-trigger starvation bugs at the cost
+//! machine in `http/reactor.rs` free of edge-trigger starvation bugs at the cost
 //! of one `epoll_ctl` per phase change — negligible against a planner
 //! dispatch.
 

@@ -4,58 +4,22 @@
 //! the CRC tail scan entirely. A dropped (crashed) handle must *not*
 //! leave that marker behind.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+mod support;
+
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use voxolap_data::flights::FlightsConfig;
-use voxolap_data::schema::MeasureId;
-use voxolap_data::{DimId, DurabilityOptions, DurableTable, FsyncMode, Table};
+use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode};
 use voxolap_json::Value;
 use voxolap_server::{serve, AppState};
 
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut s = TcpStream::connect(addr).unwrap();
-    write!(
-        s,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut out = String::new();
-    s.read_to_string(&mut out).unwrap();
-    let status: u16 =
-        out.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
-    let body = out.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
-}
-
-fn small_table() -> Table {
-    FlightsConfig { rows: 2_000, seed: 42 }.generate()
-}
+use support::{echo_line, request, small_table};
 
 fn tempdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("voxolap-dur-e2e-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// A valid ingest NDJSON line echoing an existing row of `table`.
-fn echo_line(table: &Table, row: usize) -> String {
-    let schema = table.schema();
-    let row = row % table.row_count();
-    let dims: Vec<Value> = (0..schema.dimensions().len())
-        .map(|d| {
-            let id = DimId(d as u8);
-            Value::Str(schema.dimension(id).member(table.member_at(id, row)).phrase.clone())
-        })
-        .collect();
-    let values: Vec<Value> = (0..schema.measures().len())
-        .map(|m| Value::Num(table.measure_value(MeasureId(m as u8), row)))
-        .collect();
-    Value::obj([("dims", Value::Array(dims)), ("values", Value::Array(values))]).to_string()
 }
 
 #[test]

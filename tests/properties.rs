@@ -17,9 +17,9 @@ use rand::{Rng, SeedableRng};
 use voxolap_data::dimension::LevelId;
 use voxolap_data::salary::SalaryConfig;
 use voxolap_data::DimId;
-use voxolap_engine::cache::SampleCache;
 use voxolap_engine::exact::evaluate;
 use voxolap_engine::query::{AggFct, Query};
+use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 use voxolap_speech::ast::{Baseline, Change, Direction, Predicate, Refinement, Speech};
 use voxolap_speech::parse::parse_body;
 use voxolap_speech::render::Renderer;
@@ -176,14 +176,16 @@ fn cache_counts_are_exact_on_any_prefix() {
     for _ in 0..CASES {
         let prefix_len = gen.gen_range(1usize..64);
         let seed = gen.gen_range(0u64..32);
-        let mut cache = SampleCache::new(q.n_aggregates(), table.row_count() as u64);
+        let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
+        let mut batch = IngestBatch::new(q.n_aggregates());
         let mut scan = table.scan_shuffled(seed);
         let mut observed = 0;
         for _ in 0..prefix_len {
             let Some(r) = scan.next_row() else { break };
-            cache.observe(q.layout().agg_of_row(r.members), r.value);
+            batch.push(q.layout().agg_of_row(r.members), r.value);
             observed += 1;
         }
+        cache.observe_batch(&mut batch);
         assert_eq!(cache.nr_read(), observed as u64);
         // Sizes sum to in-scope rows (all of them for this query).
         let total: usize = (0..q.n_aggregates() as u32).map(|a| cache.size(a)).sum();

@@ -6,67 +6,17 @@
 //! test exceeds its deadline, so a reintroduced hang (e.g. a stalled
 //! client wedging the accept path) fails CI instead of stalling it.
 
+mod support;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use voxolap_data::flights::FlightsConfig;
-use voxolap_server::{serve, serve_with, AppState, HttpMetrics, ServerConfig};
+use voxolap_json::Value;
+use voxolap_server::{serve, serve_with, AppState, HttpMetrics, Response, ServerConfig};
 
-/// Abort the whole test process if the caller is still running after
-/// `secs` — a hard per-test timeout (std's harness has none).
-struct Watchdog(Arc<AtomicBool>);
-
-fn watchdog(secs: u64) -> Watchdog {
-    let done = Arc::new(AtomicBool::new(false));
-    let observer = done.clone();
-    std::thread::spawn(move || {
-        let deadline = Instant::now() + Duration::from_secs(secs);
-        while Instant::now() < deadline {
-            if observer.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        eprintln!("watchdog: test exceeded {secs}s hard timeout — aborting");
-        std::process::abort();
-    });
-    Watchdog(done)
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Connect and send one request; the response is still to be read.
-fn send(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> TcpStream {
-    let mut s = TcpStream::connect(addr).unwrap();
-    write!(
-        s,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    s
-}
-
-/// Read the whole response to a [`send`]: status and body.
-fn response(mut s: TcpStream) -> (u16, String) {
-    let mut out = String::new();
-    s.read_to_string(&mut out).unwrap();
-    let status: u16 =
-        out.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
-    let body = out.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
-    (status, body)
-}
-
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    response(send(addr, method, path, body))
-}
+use support::{echo_line, request, response, send, small_table, watchdog};
 
 /// Saturate a `threads: 1, queue: 1` server with two `/health` requests —
 /// one in the worker, one in the queue slot — and return the threads
@@ -95,10 +45,6 @@ fn saturate(
     let queued = send(addr, "GET", "/health", "");
     wait_for(|| metrics.snapshot().accepted >= 2);
     vec![in_worker, std::thread::spawn(move || response(queued))]
-}
-
-fn small_table() -> voxolap_data::Table {
-    FlightsConfig { rows: 6_000, seed: 42 }.generate()
 }
 
 #[test]
@@ -640,5 +586,108 @@ fn client_reset_during_rejection_is_counted_not_fatal() {
         assert!(Instant::now() < deadline, "rejects not recorded: {body}");
         std::thread::sleep(Duration::from_millis(25));
     }
+    handle.shutdown();
+}
+
+/// Send `raw` on a fresh connection and require the first bytes back to be
+/// exactly `expected`; the connection is returned for what follows.
+fn exchange(addr: std::net::SocketAddr, raw: &str, expected: &str) -> TcpStream {
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    s.write_all(raw.as_bytes()).unwrap();
+    let mut got = vec![0; expected.len()];
+    s.read_exact(&mut got).unwrap();
+    assert_eq!(String::from_utf8_lossy(&got), expected);
+    s
+}
+
+/// Require the server to have closed `s` with nothing more to say.
+fn assert_closed(mut s: TcpStream) {
+    let mut rest = Vec::new();
+    s.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "{:?}", String::from_utf8_lossy(&rest));
+}
+
+/// The bytes on the wire, pinned: a plain `200` with either connection
+/// disposition, a `503` with its `Retry-After`, a chunked NDJSON line and
+/// the terminal chunk, and the session handshake with the `hello` the
+/// default config announces.
+#[test]
+fn wire_bytes_are_pinned() {
+    let _guard = watchdog(60);
+    let state = Arc::new(AppState::new(small_table()));
+    let handle = serve("127.0.0.1:0", move |req| match req.path.as_str() {
+        "/busy" => Response::error(503, "busy"),
+        "/stream" => Response::streaming(|sink| {
+            sink.send_line("{\"n\":1}");
+        }),
+        _ => state.handle(req),
+    })
+    .unwrap();
+    let addr = handle.addr;
+    let health = |connection: &str| {
+        format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 15\r\n\
+             Connection: {connection}\r\n\r\n{{\"status\":\"ok\"}}"
+        )
+    };
+    assert_closed(exchange(addr, "GET /health HTTP/1.1\r\n\r\n", &health("close")));
+    let keep_alive = "GET /health HTTP/1.1\r\nConnection: keep-alive\r\n\r\n";
+    drop(exchange(addr, keep_alive, &health("keep-alive")));
+    assert_closed(exchange(
+        addr,
+        "GET /busy HTTP/1.1\r\n\r\n",
+        "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+         Content-Length: 16\r\nConnection: close\r\nRetry-After: 1\r\n\r\n{\"error\":\"busy\"}",
+    ));
+    assert_closed(exchange(
+        addr,
+        "GET /stream HTTP/1.1\r\n\r\n",
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nTransfer-Encoding: chunked\r\n\
+         Connection: close\r\n\r\n8\r\n{\"n\":1}\n\r\n0\r\n\r\n",
+    ));
+    drop(exchange(
+        addr,
+        "GET /session/s1/attach HTTP/1.1\r\n\r\n",
+        "HTTP/1.1 101 Switching Protocols\r\nUpgrade: voxolap-session\r\nConnection: Upgrade\r\n\r\n\
+         {\"type\":\"hello\",\"session\":\"s1\",\"heartbeat_ms\":15000,\"idle_timeout_ms\":120000}\n",
+    ));
+    handle.shutdown();
+}
+
+/// `POST /ingest` has its own 1 MiB body cap, so the 2 000-row batch the
+/// workloads are built around is appended as one version. Every other
+/// route keeps 64 KiB, and an oversized declared length is refused before
+/// any body byte is read.
+#[test]
+fn ingest_takes_a_two_thousand_row_batch_while_other_routes_keep_64_kib() {
+    let _guard = watchdog(120);
+    let table = small_table();
+    let state = Arc::new(AppState::new(table.clone()));
+    let handle = serve("127.0.0.1:0", move |req| state.handle(req)).unwrap();
+    let addr = handle.addr;
+    let version = || {
+        let (_, body) = request(addr, "GET", "/stats", "");
+        Value::parse(&body).unwrap()["version"].as_u64().unwrap()
+    };
+
+    let before = version();
+    let batch: String = (0..2_000).map(|row| echo_line(&table, row) + "\n").collect();
+    assert!(batch.len() > 64 * 1024, "the batch must be over the old cap: {}", batch.len());
+    let (status, body) = request(addr, "POST", "/ingest", &batch);
+    assert_eq!(status, 200, "{body}");
+    let v = Value::parse(&body).unwrap();
+    assert_eq!(v["appended"].as_u64(), Some(2_000), "{body}");
+    assert_eq!(v["version"].as_u64(), Some(before + 1), "{body}");
+    assert_eq!(version(), before + 1);
+
+    let question = format!("{{\"question\": \"{}\"}}", "x".repeat(65 * 1024));
+    let (status, body) = request(addr, "POST", "/ask", &question);
+    assert_eq!(status, 413, "{body}");
+    let mut s = TcpStream::connect(addr).unwrap();
+    s.write_all(b"POST /ingest HTTP/1.1\r\nContent-Length: 1048577\r\n\r\n").unwrap();
+    let (status, body) = response(s);
+    assert_eq!(status, 413, "{body}");
+    assert_eq!(version(), before + 1);
     handle.shutdown();
 }

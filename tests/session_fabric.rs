@@ -4,46 +4,17 @@
 //! the full fabric a voice client holds open for a whole analysis
 //! conversation.
 
+mod support;
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use voxolap_data::flights::FlightsConfig;
 use voxolap_json::Value;
 use voxolap_server::{serve_with, AppState, HttpMetrics, ServerConfig};
 
-/// Abort the process if a test overruns its deadline (std's harness has
-/// no per-test timeout, and a transport bug shows up as a silent hang).
-struct Watchdog(Arc<AtomicBool>);
-
-fn watchdog(secs: u64) -> Watchdog {
-    let done = Arc::new(AtomicBool::new(false));
-    let observer = done.clone();
-    std::thread::spawn(move || {
-        let deadline = Instant::now() + Duration::from_secs(secs);
-        while Instant::now() < deadline {
-            if observer.load(Ordering::Relaxed) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        eprintln!("watchdog: test exceeded {secs}s hard timeout — aborting");
-        std::process::abort();
-    });
-    Watchdog(done)
-}
-
-impl Drop for Watchdog {
-    fn drop(&mut self) {
-        self.0.store(true, Ordering::Relaxed);
-    }
-}
-
-fn small_table() -> voxolap_data::Table {
-    FlightsConfig { rows: 6_000, seed: 42 }.generate()
-}
+use support::{ndjson_request as request, small_table, watchdog};
 
 /// An attached session connection: `101` handshake consumed, `hello`
 /// parsed, ready for line traffic.
@@ -104,26 +75,6 @@ impl SessionConn {
             }
         }
     }
-}
-
-/// One `Connection: close` request. Returns the status and the JSON
-/// lines of the body: one for a plain body, one per event for a chunked
-/// NDJSON body (the chunk-size lines between them are dropped).
-fn request(addr: std::net::SocketAddr, method: &str, path: &str, body: &str) -> (u16, Vec<Value>) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
-    write!(
-        stream,
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    )
-    .unwrap();
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let status = raw.split_whitespace().nth(1).and_then(|s| s.parse().ok()).expect("status line");
-    let (_, body) = raw.split_once("\r\n\r\n").expect("header end");
-    let lines = body.lines().filter(|l| l.starts_with('{'));
-    (status, lines.map(|l| Value::parse(l).unwrap_or_else(|e| panic!("{l:?}: {e:?}"))).collect())
 }
 
 fn count_sentences(events: &[Value]) -> usize {
@@ -377,11 +328,12 @@ fn idle_sessions_heartbeat_then_reap() {
         session_idle_timeout: Duration::from_millis(700),
         ..ServerConfig::default()
     };
-    let state = Arc::new(AppState::new(small_table()).with_session_timing(150, 700));
-    let (handle, metrics) = serve_state(config, state);
+    let (handle, metrics) = serve_state(config, Arc::new(AppState::new(small_table())));
 
+    // The hello announces the cadence of the config actually serving.
     let mut conn = SessionConn::attach(handle.addr, "quiet");
     assert_eq!(conn.hello["heartbeat_ms"].as_u64().unwrap(), 150);
+    assert_eq!(conn.hello["idle_timeout_ms"].as_u64().unwrap(), 700);
     let mut saw_heartbeat = false;
     loop {
         let mut line = String::new();
