@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use voxolap_bench::{arg_usize, flights_table};
+use voxolap_bench::{flights_table, usage_error, Flags};
 use voxolap_data::schema::MeasureId;
 use voxolap_data::{DimId, Table};
 use voxolap_json::Value;
@@ -37,11 +37,6 @@ extern "C" {
 
 const SIGKILL: i32 = 9;
 const SIGTERM: i32 = 15;
-
-fn arg_str(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
-}
 
 fn server_bin() -> PathBuf {
     if let Ok(p) = std::env::var("VOXOLAP_SERVER_BIN") {
@@ -126,13 +121,23 @@ fn echo_line(table: &Table, row: usize) -> String {
 }
 
 fn main() {
-    let port = arg_usize("--port", 18231);
-    let rows = arg_usize("--rows", 4_000);
-    let batches = arg_usize("--batches", 40);
-    let batch = arg_usize("--batch", 25);
-    let kill_after = arg_usize("--kill-after", batches * 3 / 5);
-    let out = arg_str("--out").unwrap_or_else(|| "CRASH_SMOKE.json".to_string());
-    let dir = arg_str("--data-dir").map(PathBuf::from).unwrap_or_else(|| {
+    let flags = Flags::from_env(&[
+        "--port",
+        "--rows",
+        "--batches",
+        "--batch",
+        "--kill-after",
+        "--data-dir",
+        "--out",
+    ]);
+    let number = |key: &str, default: usize| flags.usize(key, default).unwrap_or_else(usage_error);
+    let port = number("--port", 18231);
+    let rows = number("--rows", 4_000);
+    let batches = number("--batches", 40);
+    let batch = number("--batch", 25);
+    let kill_after = number("--kill-after", batches * 3 / 5);
+    let out = flags.str("--out").unwrap_or("CRASH_SMOKE.json").to_string();
+    let dir = flags.str("--data-dir").map(PathBuf::from).unwrap_or_else(|| {
         std::env::temp_dir().join(format!("voxolap-crash-smoke-{}", std::process::id()))
     });
     let addr = format!("127.0.0.1:{port}");
@@ -303,7 +308,7 @@ fn main() {
     ]);
     std::fs::write(&out, format!("{record}\n")).expect("write crash smoke record");
     eprintln!("wrote {out}");
-    if arg_str("--data-dir").is_none() {
+    if flags.str("--data-dir").is_none() {
         let _ = std::fs::remove_dir_all(&dir);
     }
 

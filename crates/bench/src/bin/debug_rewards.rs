@@ -6,11 +6,11 @@
 //! ranking. A flat exact-quality landscape here is a property of the
 //! paper's belief model, not a planner defect — many distinct refinements
 //! describe the data almost equally well at one-significant-digit
-//! granularity.
+//! granularity. Takes no arguments.
 
 use voxolap_belief::model::{rounding_bucket, BeliefModel};
 use voxolap_belief::normal::Normal;
-use voxolap_bench::{experiment_candidates, flights_table, region_season_query};
+use voxolap_bench::{experiment_candidates, flights_table, region_season_query, Flags};
 use voxolap_core::holistic::HolisticConfig;
 use voxolap_core::sampler::{calibrated_sigma, ShardWorker};
 use voxolap_core::tree::SpeechTree;
@@ -20,6 +20,7 @@ use voxolap_speech::constraints::SpeechConstraints;
 use voxolap_speech::render::Renderer;
 
 fn main() {
+    Flags::from_env(&[]);
     let table = flights_table(50_000);
     let query = region_season_query(&table);
     let schema = table.schema();

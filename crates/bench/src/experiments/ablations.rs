@@ -19,93 +19,65 @@ use voxolap_core::holistic::{Holistic, HolisticConfig};
 use voxolap_core::sampler::SelectionPolicy;
 use voxolap_core::voice::VirtualVoice;
 use voxolap_data::Table;
+use voxolap_engine::exact::evaluate;
 
-use crate::{experiment_config, markdown_table, outcome_quality, region_season_query};
+use crate::{experiment_config, outcome_quality, region_season_query};
 
-/// Average holistic quality over `seeds` runs with a given config and
-/// voice budget.
-fn mean_quality(
-    table: &Table,
-    cfg_of: impl Fn(u64) -> HolisticConfig,
-    iterations_per_char: f64,
-    seeds: &[u64],
-) -> f64 {
-    let query = region_season_query(table);
-    let total: f64 = seeds
-        .iter()
-        .map(|&s| {
-            let mut voice = VirtualVoice::new(iterations_per_char);
-            let outcome = Holistic::new(cfg_of(s)).vocalize(table, &query, &mut voice);
-            outcome_quality(&outcome, table, &query)
-        })
-        .sum();
-    total / seeds.len() as f64
+/// Mean holistic quality on the region × season query per setting of each
+/// ablation, as (setting, quality).
+#[derive(Debug, Clone)]
+pub struct Ablations {
+    /// Sampling iterations per spoken character.
+    pub pipelining: Vec<(f64, f64)>,
+    /// Tree-descent policy, at 200 iterations per character.
+    pub policy: Vec<(&'static str, f64)>,
+    /// Fixed cache-resample size.
+    pub resample_size: Vec<(usize, f64)>,
+    /// Belief σ as a fraction of the overall mean.
+    pub sigma: Vec<(f64, f64)>,
 }
 
-/// Run all four ablations and render markdown.
-pub fn run(table: &Table, seed: u64) -> String {
+/// Run all four ablations, each setting averaged over five seeds from
+/// `seed`.
+pub fn run(table: &Table, seed: u64) -> Ablations {
+    let query = region_season_query(table);
     let seeds: Vec<u64> = (0..5).map(|i| seed + i * 101).collect();
-    let mut out = String::from("### Ablations (flights, region x season, mean over 5 seeds)\n\n");
-
-    // 1. Pipelining budget.
-    let mut rows = Vec::new();
-    for ipc in [0.0, 50.0, 200.0, 600.0, 2000.0] {
-        let q = mean_quality(table, experiment_config, ipc, &seeds);
-        rows.push(vec![format!("{ipc:.0}"), format!("{q:.3}")]);
+    let mean_quality = |cfg_of: &dyn Fn(u64) -> HolisticConfig, iterations_per_char: f64| {
+        let total: f64 = seeds
+            .iter()
+            .map(|&s| {
+                let mut voice = VirtualVoice::new(iterations_per_char);
+                let outcome = Holistic::new(cfg_of(s)).vocalize(table, &query, &mut voice);
+                outcome_quality(&outcome, table, &query)
+            })
+            .sum();
+        total / seeds.len() as f64
+    };
+    // The σ sweep fixes σ through the override, from the exact mean.
+    let grand = evaluate(&query, table).grand_mean().abs();
+    Ablations {
+        pipelining: [0.0, 50.0, 200.0, 600.0, 2000.0]
+            .map(|ipc| (ipc, mean_quality(&experiment_config, ipc)))
+            .to_vec(),
+        policy: [("UCT", SelectionPolicy::Uct), ("uniform random", SelectionPolicy::UniformRandom)]
+            .map(|(name, policy)| {
+                (name, mean_quality(&|s| HolisticConfig { policy, ..experiment_config(s) }, 200.0))
+            })
+            .to_vec(),
+        resample_size: [10, 50, 100, 400, 1000]
+            .map(|rs| {
+                let cfg = |s| HolisticConfig { resample_size: rs, ..experiment_config(s) };
+                (rs, mean_quality(&cfg, 600.0))
+            })
+            .to_vec(),
+        sigma: [0.25, 0.5, 1.0, 2.0]
+            .map(|frac| {
+                let cfg = |s| HolisticConfig {
+                    sigma_override: Some(grand * frac),
+                    ..experiment_config(s)
+                };
+                (frac, mean_quality(&cfg, 600.0))
+            })
+            .to_vec(),
     }
-    out.push_str("#### Pipelining: sampling iterations per spoken character\n\n");
-    out.push_str(&markdown_table(&["iterations/char", "quality"], &rows));
-
-    // 2. UCT vs uniform random at a fixed modest budget.
-    let mut rows = Vec::new();
-    for (name, policy) in
-        [("UCT", SelectionPolicy::Uct), ("uniform random", SelectionPolicy::UniformRandom)]
-    {
-        let q = mean_quality(
-            table,
-            |s| HolisticConfig { policy, ..experiment_config(s) },
-            200.0,
-            &seeds,
-        );
-        rows.push(vec![name.to_string(), format!("{q:.3}")]);
-    }
-    out.push_str("\n#### Tree-descent policy (200 iterations/char)\n\n");
-    out.push_str(&markdown_table(&["policy", "quality"], &rows));
-
-    // 3. Resample size.
-    let mut rows = Vec::new();
-    for rs in [10usize, 50, 100, 400, 1000] {
-        let q = mean_quality(
-            table,
-            |s| HolisticConfig { resample_size: rs, ..experiment_config(s) },
-            600.0,
-            &seeds,
-        );
-        rows.push(vec![rs.to_string(), format!("{q:.3}")]);
-    }
-    out.push_str("\n#### Fixed cache-resample size (paper default: 10)\n\n");
-    out.push_str(&markdown_table(&["resample size", "quality"], &rows));
-
-    // 4. Sigma calibration (fraction of overall mean; paper: 0.5). The
-    // sweep fixes sigma via the override computed from the exact mean.
-    let exact = voxolap_engine::exact::evaluate(&region_season_query(table), table);
-    let grand = exact.grand_mean();
-    let mut rows = Vec::new();
-    for frac in [0.25, 0.5, 1.0, 2.0] {
-        let q = mean_quality(
-            table,
-            |s| HolisticConfig { sigma_override: Some(grand.abs() * frac), ..experiment_config(s) },
-            600.0,
-            &seeds,
-        );
-        rows.push(vec![format!("{frac}"), format!("{q:.3}")]);
-    }
-    out.push_str("\n#### Belief sigma as a fraction of the overall mean (paper: 0.5)\n\n");
-    out.push_str(&markdown_table(&["sigma fraction", "quality"], &rows));
-    out.push_str(
-        "\nNote: quality is itself measured under the paper's sigma = mean/2 model, so the \
-         sigma sweep shows planner robustness to mis-calibrated sampling beliefs, not \
-         listener-model changes.\n",
-    );
-    out
 }

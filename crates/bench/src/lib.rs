@@ -1,33 +1,23 @@
 //! # voxolap-bench
 //!
-//! Experiment harnesses regenerating every table and figure of the paper's
-//! evaluation (§5 and Appendix B).
+//! Experiment harness regenerating every table and figure of the paper's
+//! evaluation (§5 and Appendix B), plus two tools:
 //!
-//! Each `expX` binary prints the rows/series the corresponding paper
-//! artifact reports:
-//!
-//! | Binary | Paper artifact |
+//! | Binary | What it does |
 //! |---|---|
-//! | `fig3` | Figure 3 — latency and speech quality per approach |
-//! | `tab2_tab10` | Tables 2 & 10 — pilot study on implicit assumptions |
-//! | `tab5` | Table 5 — speeches for the region × season query |
-//! | `tab6_tab14` | Tables 6 & 14 — estimation errors and tendencies |
-//! | `tab7` | Table 7 — facts extracted in exploratory sessions |
-//! | `tab8_tab9` | Tables 8 & 9 — preferences and speech lengths |
-//! | `tab11` | Table 11 — dataset statistics |
-//! | `tab12` | Table 12 — full region × season result |
-//! | `tab13` | Table 13 — speeches for a large (hundreds of fields) query |
-//! | `all_experiments` | Everything above, in `EXPERIMENTS.md` format |
+//! | `all_experiments` | Figure 3, Tables 2 and 5–14, the ablations and the data-scale sweep, in `EXPERIMENTS.md` format; takes `--rows N` and `--seed S` |
+//! | `crash_smoke` | SIGKILLs the real server mid-ingest and audits recovery |
+//! | `debug_rewards` | Sampled vs exact quality of one tree's refinements |
 //!
-//! Run with `--release`; the optimal approach exhaustively scores large
-//! speech trees by design.
+//! The experiments live in [`experiments`] and return structured results;
+//! `all_experiments` renders them, and `tests/paper_claims.rs` asserts
+//! their shapes on the same results at test scale. Run with `--release`;
+//! the optimal approach exhaustively scores large speech trees by design.
 
 use voxolap_belief::model::BeliefModel;
 use voxolap_belief::quality::speech_quality;
-use voxolap_core::holistic::{Holistic, HolisticConfig};
-use voxolap_core::optimal::Optimal;
+use voxolap_core::holistic::HolisticConfig;
 use voxolap_core::outcome::VocalizationOutcome;
-use voxolap_core::unmerged::{SamplingBudget, Unmerged};
 use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::salary::SalaryConfig;
@@ -39,25 +29,63 @@ use voxolap_speech::scope::CompiledSpeech;
 
 pub mod experiments;
 
-/// Default flights scale for experiments (the paper's full 5.3 M rows are
-/// available via `--rows 5300000`; 200 k preserves every group's statistics
-/// at a fraction of the generation time).
+/// Default flights scale for experiments. 200 k rows preserve every
+/// group's statistics at a fraction of the generation time of the paper's
+/// [`PAPER_FLIGHTS_ROWS`].
 pub const DEFAULT_FLIGHTS_ROWS: usize = 200_000;
 
-/// `true` when `--json` was passed (experiment binaries emit machine-
-/// readable records instead of markdown).
-pub fn arg_json() -> bool {
-    std::env::args().any(|a| a == "--json")
+/// The paper's flights scale (Table 11).
+pub const PAPER_FLIGHTS_ROWS: usize = 5_300_000;
+
+/// `--flag value` arguments, checked against the flags a binary takes.
+#[derive(Debug)]
+pub struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    /// Parse `args` (program name excluded). An argument that is not one of
+    /// `known`, or a flag without a value after it, is an error naming it.
+    pub fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
+        let mut pairs = Vec::new();
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            if !known.contains(&flag.as_str()) {
+                let takes = if known.is_empty() { "none".to_string() } else { known.join(", ") };
+                return Err(format!("unknown argument `{flag}` (flags taken: {takes})"));
+            }
+            match args.next() {
+                Some(value) if !value.starts_with("--") => {
+                    pairs.push((flag.clone(), value.clone()))
+                }
+                _ => return Err(format!("{flag} needs a value")),
+            }
+        }
+        Ok(Flags(pairs))
+    }
+
+    /// This process's arguments; a usage error exits with status 2.
+    pub fn from_env(known: &[&str]) -> Flags {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Flags::parse(&args, known).unwrap_or_else(usage_error)
+    }
+
+    /// The value of `key`, if given (the last one, if given twice).
+    pub fn str(&self, key: &str) -> Option<&str> {
+        self.0.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    }
+
+    /// `key` as a whole number, or `default` when it is not given.
+    pub fn usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        match self.str(key) {
+            None => Ok(default),
+            Some(v) => v.parse().map_err(|_| format!("{key}: `{v}` is not a whole number")),
+        }
+    }
 }
 
-/// Parse `--key value` style arguments with a default.
-pub fn arg_usize(key: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Print `msg` as a usage error and exit with status 2.
+pub fn usage_error<T>(msg: String) -> T {
+    eprintln!("usage error: {msg}");
+    std::process::exit(2)
 }
 
 /// Generate the flights table at the given scale.
@@ -166,21 +194,6 @@ pub fn experiment_config(seed: u64) -> HolisticConfig {
     }
 }
 
-/// The holistic approach over [`experiment_config`].
-pub fn experiment_holistic(seed: u64) -> Holistic {
-    Holistic::new(experiment_config(seed))
-}
-
-/// The unmerged approach at the paper's 500 ms budget.
-pub fn experiment_unmerged(seed: u64) -> Unmerged {
-    Unmerged::new(experiment_config(seed), SamplingBudget::PAPER)
-}
-
-/// The optimal approach over the same candidate space (it reads no seed).
-pub fn experiment_optimal() -> Optimal {
-    Optimal::new(experiment_config(0))
-}
-
 /// Exact speech quality of an outcome's speech (Definition 2.2), measured
 /// against the full data set with the paper's σ = grand-mean / 2. Returns
 /// 0 for outcomes without a structured speech.
@@ -220,6 +233,36 @@ pub fn markdown_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 mod tests {
     use super::*;
 
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn flags_refuse_malformed_missing_and_unknown_values() {
+        let known = ["--rows", "--seed"];
+        let flags = Flags::parse(&argv("--rows 5300000 --seed 7"), &known).unwrap();
+        assert_eq!(flags.usize("--rows", 1), Ok(5_300_000));
+        assert_eq!(flags.usize("--seed", 1), Ok(7));
+        assert_eq!(Flags::parse(&[], &known).unwrap().usize("--rows", 9), Ok(9));
+
+        // A value that does not parse is an error naming the flag, never
+        // the default.
+        let flags = Flags::parse(&argv("--rows 5.3e6"), &known).unwrap();
+        let err = flags.usize("--rows", DEFAULT_FLIGHTS_ROWS).unwrap_err();
+        assert!(err.contains("--rows") && err.contains("5.3e6"), "{err}");
+        // So is a flag with nothing, or another flag, after it.
+        for line in ["--rows", "--rows --seed 3"] {
+            let err = Flags::parse(&argv(line), &known).unwrap_err();
+            assert!(err.starts_with("--rows needs a value"), "{line}: {err}");
+        }
+        // Retired flags and strays are refused, not ignored.
+        for line in ["--tab11-rows 5300000", "--max-rows 800000", "--json", "200000"] {
+            let err = Flags::parse(&argv(line), &known).unwrap_err();
+            assert!(err.contains(line.split(' ').next().unwrap()), "{line}: {err}");
+        }
+        assert!(Flags::parse(&argv("--rows 1"), &[]).is_err(), "a binary without flags");
+    }
+
     #[test]
     fn fig3_query_set_shapes() {
         let table = flights_table(2_000);
@@ -250,11 +293,12 @@ mod tests {
     #[test]
     fn quality_of_outcomes_is_comparable() {
         use voxolap_core::approach::Vocalizer;
+        use voxolap_core::optimal::Optimal;
         use voxolap_core::voice::InstantVoice;
         let table = flights_table(20_000);
         let q = region_season_query(&table);
         let mut voice = InstantVoice::default();
-        let optimal = experiment_optimal().vocalize(&table, &q, &mut voice);
+        let optimal = Optimal::new(experiment_config(0)).vocalize(&table, &q, &mut voice);
         let quality = outcome_quality(&optimal, &table, &q);
         assert!(quality > 0.0 && quality <= 1.0, "quality {quality}");
     }

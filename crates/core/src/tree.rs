@@ -446,11 +446,6 @@ impl SpeechTree {
         &self.tree
     }
 
-    /// Mutable access to the underlying UCT tree (for sampling updates).
-    pub fn tree_mut(&mut self) -> &mut Tree<NodeKind> {
-        &mut self.tree
-    }
-
     /// All node ids, in creation order (root first).
     pub fn all_nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.tree.node_count() as u32).map(NodeId)

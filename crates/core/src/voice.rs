@@ -46,11 +46,6 @@ impl VirtualVoice {
         assert!(iterations_per_char >= 0.0 && iterations_per_char.is_finite());
         VirtualVoice { iterations_per_char, remaining: 0.0, transcript: Vec::new() }
     }
-
-    /// Remaining iteration budget for the current sentence.
-    pub fn remaining_iterations(&self) -> f64 {
-        self.remaining
-    }
 }
 
 impl Default for VirtualVoice {
@@ -132,8 +127,7 @@ mod tests {
         let mut v = VirtualVoice::new(1.0);
         v.start("aaaaaaaaaa");
         assert!(v.is_playing());
-        v.start("b"); // interrupt with a short sentence
-        assert_eq!(v.remaining_iterations(), 1.0);
+        v.start("b"); // interrupt with a short sentence: one iteration left
         assert!(v.is_playing());
         assert!(!v.is_playing());
     }

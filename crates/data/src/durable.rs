@@ -312,11 +312,6 @@ impl DurableTable {
         self.live.version()
     }
 
-    /// Whether appends are backed by a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.store.is_some()
-    }
-
     /// Append a batch. In durable mode the batch is committed to the WAL
     /// (under the configured fsync policy) *before* the revision swap, so
     /// a success here means the batch survives a crash; any storage error
@@ -578,7 +573,6 @@ mod tests {
     #[test]
     fn memory_mode_is_passthrough() {
         let t = DurableTable::memory(seed_table());
-        assert!(!t.is_durable());
         assert!(t.stats().is_none());
         let report = t.append_rows(&[row("the North East", 3.0)]).unwrap();
         assert_eq!(report.version, 1);

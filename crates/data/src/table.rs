@@ -431,12 +431,6 @@ impl Table {
     pub fn scan_consumed(&self, seed: u64, m: MeasureId, progress: &[u32]) -> RowScanner<'_> {
         self.scan_pooled(Arc::new(MorselPool::consumed(self.scan_order(seed), progress)), m)
     }
-
-    /// Create a scanner over the primary measure in storage order.
-    pub fn scan_sequential(&self) -> RowScanner<'_> {
-        let pool = Arc::new(MorselPool::new(ScanOrder::sequential(self.row_count())));
-        self.scan_pooled(pool, MeasureId::PRIMARY)
-    }
 }
 
 /// Streaming scanner over a [`Table`].
@@ -725,19 +719,6 @@ mod tests {
         let mut tb = TableBuilder::new(t.schema().clone());
         let err = tb.push_row(&[MemberId(99)], 1.0).unwrap_err();
         assert!(matches!(err, DataError::InvalidId { .. }));
-    }
-
-    #[test]
-    fn sequential_scan_visits_all_rows_in_order() {
-        let t = tiny_table();
-        let mut s = t.scan_sequential();
-        let mut vals = Vec::new();
-        while let Some(r) = s.next_row() {
-            vals.push(r.value);
-        }
-        assert_eq!(vals, vec![1.0, 2.0, 3.0, 4.0]);
-        assert!(s.exhausted());
-        assert_eq!(s.rows_read(), 4);
     }
 
     #[test]

@@ -150,15 +150,6 @@ impl<'a> CandidateGenerator<'a> {
         out
     }
 
-    /// Upper bound on the branching factor `m` of the search tree.
-    pub fn max_branching(&self) -> usize {
-        let per_predicate = self.config.quantifiers.len() * 2;
-        let single = self.pool.len();
-        let pairs =
-            if self.config.max_predicates >= 2 { single * single.saturating_sub(1) / 2 } else { 0 };
-        (single + pairs) * per_predicate
-    }
-
     /// The schema this generator renders against.
     pub fn schema(&self) -> &'a Schema {
         self.schema
@@ -404,14 +395,6 @@ mod tests {
         // change variants.
         assert_eq!(pairs.len(), 8 * 12);
         assert!(pairs.iter().all(|r| r.predicates[0].dim != r.predicates[1].dim));
-    }
-
-    #[test]
-    fn max_branching_bounds_actual_candidates() {
-        let (table, q) = salary_query();
-        let g = CandidateGenerator::new(table.schema(), &q, CandidateConfig::default());
-        let refs = g.refinements(&Speech::baseline_only(90.0));
-        assert!(refs.len() <= g.max_branching());
     }
 
     #[test]

@@ -218,11 +218,6 @@ impl<'a> Session<'a> {
     pub fn breakdown(&self) -> &[(DimId, LevelId)] {
         &self.group
     }
-
-    /// The current filters.
-    pub fn current_filters(&self) -> &[(DimId, MemberId)] {
-        &self.filters
-    }
 }
 
 #[cfg(test)]
@@ -314,7 +309,7 @@ mod tests {
         s.input("winter").unwrap();
         s.input("remove the flight date").unwrap();
         assert!(s.breakdown().is_empty());
-        assert!(s.current_filters().is_empty());
+        assert!(s.query().unwrap().filters().is_empty());
     }
 
     #[test]
