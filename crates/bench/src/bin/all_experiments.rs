@@ -185,8 +185,8 @@ fn main() {
     println!("{}", ablation_table(title, "iterations/char", &ab.pipelining));
     let title = "Tree-descent policy (200 iterations/char)";
     println!("{}", ablation_table(title, "policy", &ab.policy));
-    let title = "Fixed cache-resample size (paper default: 10)";
-    println!("{}", ablation_table(title, "resample size", &ab.resample_size));
+    let title = "Reward estimator (600 iterations/char)";
+    println!("{}", ablation_table(title, "estimator", &ab.estimator));
     let title = "Belief sigma as a fraction of the overall mean (paper: 0.5)";
     println!("{}", ablation_table(title, "sigma fraction", &ab.sigma));
     println!(

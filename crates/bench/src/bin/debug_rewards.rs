@@ -31,8 +31,7 @@ fn main() {
     let renderer = Renderer::new(schema, &query);
     let constraints = SpeechConstraints { max_chars: 300, max_refinements: 1 };
 
-    let cfg = HolisticConfig { resample_size: 200, ..HolisticConfig::default() };
-    let mut worker = ShardWorker::solo(&table, &query, &cfg);
+    let mut worker = ShardWorker::solo(&table, &query, &HolisticConfig::default());
     let overall = worker.warmup(200).unwrap();
     let sigma = calibrated_sigma(overall, None);
     worker.set_sigma(sigma);

@@ -8,9 +8,11 @@
 //! 2. **UCT prioritization** — UCT descent vs. uniform-random descent at
 //!    equal iteration budgets. Shows what the exploration/exploitation
 //!    balance buys over plain Monte-Carlo sampling.
-//! 3. **Resample size** — the fixed cache-resample size (paper: 10) swept
-//!    over {10, 50, 100, 400, 1000} on the 0/1 cancellation measure.
-//!    Quantifies the substitution note in DESIGN.md.
+//! 3. **Estimator** — the reward's estimate as a draw from the normal
+//!    posterior of the bucket mean, the limit of the paper's fixed-size
+//!    cache resample (DESIGN.md §2) that the planners use. One row at the
+//!    settings the resample-size sweep ran at, so it reads against the
+//!    sweep EXPERIMENTS.md keeps as history.
 //! 4. **σ calibration** — the belief σ as a fraction of the overall mean
 //!    (paper: 0.5), swept to show the quality metric's sensitivity.
 
@@ -31,8 +33,8 @@ pub struct Ablations {
     pub pipelining: Vec<(f64, f64)>,
     /// Tree-descent policy, at 200 iterations per character.
     pub policy: Vec<(&'static str, f64)>,
-    /// Fixed cache-resample size.
-    pub resample_size: Vec<(usize, f64)>,
+    /// The posterior-draw estimator at 600 iterations per character.
+    pub estimator: Vec<(&'static str, f64)>,
     /// Belief σ as a fraction of the overall mean.
     pub sigma: Vec<(f64, f64)>,
 }
@@ -64,12 +66,7 @@ pub fn run(table: &Table, seed: u64) -> Ablations {
                 (name, mean_quality(&|s| HolisticConfig { policy, ..experiment_config(s) }, 200.0))
             })
             .to_vec(),
-        resample_size: [10, 50, 100, 400, 1000]
-            .map(|rs| {
-                let cfg = |s| HolisticConfig { resample_size: rs, ..experiment_config(s) };
-                (rs, mean_quality(&cfg, 600.0))
-            })
-            .to_vec(),
+        estimator: vec![("posterior", mean_quality(&experiment_config, 600.0))],
         sigma: [0.25, 0.5, 1.0, 2.0]
             .map(|frac| {
                 let cfg = |s| HolisticConfig {

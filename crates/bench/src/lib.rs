@@ -184,12 +184,6 @@ pub fn experiment_config(seed: u64) -> HolisticConfig {
         candidates: experiment_candidates(),
         seed,
         max_tree_nodes: 300_000,
-        // The flights measure is a 0/1 flag with a ~1.5% positive rate:
-        // 10-row resamples are almost always all-zero and carry no signal.
-        // The harness raises the fixed resample size so per-aggregate
-        // estimates resolve the rate at one significant digit (see
-        // DESIGN.md's substitution notes).
-        resample_size: 400,
         ..HolisticConfig::default()
     }
 }

@@ -99,9 +99,6 @@ impl ApproachOptions {
         HolisticConfig {
             seed: self.seed,
             uncertainty: self.uncertainty,
-            // The served datasets include the 0/1 flights measure; a larger
-            // resample keeps its estimates informative (DESIGN.md §2).
-            resample_size: 200,
             // Under an instant voice there is no speaking time to overlap,
             // so each sentence gets a real sampling floor (tens of
             // milliseconds of planning).
@@ -172,13 +169,13 @@ mod tests {
             assert_eq!(vocalizer(name, &opts).unwrap().name(), reports, "{name}");
         }
         assert!(vocalizer("quantum", &opts).err().unwrap().contains("quantum"));
-        // The serving configuration is the defaults plus these three, and
+        // The serving configuration is the defaults plus these two, and
         // the comparison approaches carry it too — not a default.
         let opts = ApproachOptions { seed: 9, ..opts };
         let cfg = opts.holistic_config();
-        assert_eq!((cfg.seed, cfg.resample_size, cfg.min_samples_per_sentence), (9, 200, 8_000));
+        assert_eq!((cfg.seed, cfg.min_samples_per_sentence), (9, 8_000));
         for served in [opts.optimal().config(), opts.unmerged().config()] {
-            assert_eq!((served.seed, served.resample_size), (9, 200));
+            assert_eq!((served.seed, served.min_samples_per_sentence), (9, 8_000));
         }
     }
 }

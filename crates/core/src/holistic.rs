@@ -69,14 +69,11 @@ pub struct HolisticConfig {
     pub sigma_override: Option<f64>,
     /// Uncertainty transmission mode (paper §4.4). *Holistic only.*
     pub uncertainty: UncertaintyMode,
-    /// Fixed resample size of the cache estimator. The paper uses 10; the
-    /// planner default is 100 because low-rate 0/1 measures (cancellation
-    /// flags) make 10-row resamples almost always all-zero, biasing
-    /// baseline selection low. Still constant cost per iteration,
-    /// however full the cache: the estimator touches O(`resample_size`)
-    /// slots of a persistent index pool
-    /// (`voxolap_engine::resample::ResampleScratch`), never the whole
-    /// bucket. *Sampling.*
+    /// Unread: no planner reads it. The sampling planners draw each
+    /// estimate from the normal posterior of the cache's running moments
+    /// (`ShardedSampleCache::posterior`), which needs no resample size.
+    /// Kept only because the benchmark's server configuration still names
+    /// it; it goes with that configuration (ROADMAP item 11c). *None.*
     pub resample_size: usize,
     /// Tree-descent policy during sampling (UCT by default; uniform random
     /// is the no-prioritization ablation). *Sampling.*
@@ -191,7 +188,17 @@ pub(crate) mod tests {
     use crate::voice::{InstantVoice, VirtualVoice};
 
     fn setup() -> (voxolap_data::Table, Query) {
-        let table = SalaryConfig::paper_scale().generate();
+        region_by_start_salary(SalaryConfig::paper_scale().generate())
+    }
+
+    /// The [`setup`] query over a 200 000-row salary table: a run at a few
+    /// thousand samples per sentence reads a small part of it, so its
+    /// confidence intervals are still open.
+    pub(crate) fn partial_scan_setup() -> (voxolap_data::Table, Query) {
+        region_by_start_salary(SalaryConfig { rows: 200_000, seed: 42 }.generate())
+    }
+
+    fn region_by_start_salary(table: voxolap_data::Table) -> (voxolap_data::Table, Query) {
         let q = Query::builder(AggFct::Avg)
             .group_by(DimId(0), LevelId(1))
             .group_by(DimId(1), LevelId(1))
@@ -286,13 +293,14 @@ pub(crate) mod tests {
 
     #[test]
     fn uncertainty_warning_mode_appends_note() {
-        let (table, q) = setup();
+        let (table, q) = partial_scan_setup();
         let mut voice = InstantVoice::default();
         let cfg = HolisticConfig {
             uncertainty: UncertaintyMode::Warning { max_relative_width: 0.0001 },
             ..fast_config()
         };
         let outcome = Holistic::new(cfg).vocalize(&table, &q, &mut voice);
+        assert!(outcome.stats.rows_read < table.row_count() as u64, "a partial scan");
         assert!(
             outcome.sentences.iter().any(|s| s.contains("confidence")),
             "warning appended: {:?}",

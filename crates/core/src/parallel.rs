@@ -162,10 +162,7 @@ pub fn sampling_throughput(
     duration: Duration,
 ) -> ThroughputReport {
     let threads = threads.max(1);
-    let cache = Arc::new(
-        ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
-            .with_resample_size(config.resample_size),
-    );
+    let cache = Arc::new(ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64));
     let pool = table.morsel_pool(config.seed);
     let res = ResCtx::inert();
     let mut workers: Vec<ShardWorker<'_>> = (0..threads)
@@ -347,8 +344,7 @@ impl ParallelHolistic {
         let ParallelHolistic { config: cfg, threads: n_workers, cache: semantic, .. } = self;
         let schema = table.schema();
 
-        let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
-            .with_resample_size(cfg.resample_size);
+        let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
         if let Some(inj) = res.bundle.injector() {
             shared = shared.with_faults(inj.clone(), res.bundle.stats().clone());
         }
@@ -546,7 +542,7 @@ mod tests {
 
     #[test]
     fn uncertainty_warning_works_in_parallel_mode() {
-        let (table, q) = setup();
+        let (table, q) = crate::holistic::tests::partial_scan_setup();
         let cfg = HolisticConfig {
             uncertainty: UncertaintyMode::Warning { max_relative_width: 0.0001 },
             min_samples_per_sentence: 200,
@@ -555,6 +551,7 @@ mod tests {
         };
         let mut voice = SleepyVoice::new(Duration::from_micros(100));
         let outcome = ParallelHolistic::new(cfg).with_threads(2).vocalize(&table, &q, &mut voice);
+        assert!(outcome.stats.rows_read < table.row_count() as u64, "a partial scan");
         assert!(
             outcome.sentences.iter().any(|s| s.contains("confidence")),
             "warning appended: {:?}",

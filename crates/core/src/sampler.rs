@@ -17,9 +17,8 @@ use voxolap_belief::normal::Normal;
 use voxolap_data::table::RowScanner;
 use voxolap_data::{MorselPool, Table};
 use voxolap_engine::query::{AggFct, Query};
-use voxolap_engine::resample::ResampleScratch;
 use voxolap_engine::semantic::{SampleSnapshot, SemanticCache};
-use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
+use voxolap_engine::sharded::{IngestBatch, Posterior, ShardedSampleCache};
 use voxolap_mcts::NodeId;
 
 use crate::holistic::HolisticConfig;
@@ -45,6 +44,23 @@ pub fn calibrated_sigma(overall_estimate: f64, sigma_override: Option<f64>) -> f
                 SIGMA_FALLBACK
             }
         }
+    }
+}
+
+/// One draw of an aggregate's `fct` value from the cache's posterior: x̄
+/// perturbed by `N(0, se)` (Box–Muller), `ê_C` × that for SUM, and `ê_C`
+/// itself for COUNT, which consumes no randomness. A point posterior
+/// (`se` = 0: under two values, or the whole scope read) is its mean.
+/// `NaN` for the AVG of an empty bucket; the SUM of one is 0.
+pub fn draw_estimate<R: rand::Rng + ?Sized>(post: &Posterior, fct: AggFct, rng: &mut R) -> f64 {
+    if fct == AggFct::Count {
+        return post.count;
+    }
+    let avg = if post.se > 0.0 { Normal::new(post.mean, post.se).sample(rng) } else { post.mean };
+    match fct {
+        AggFct::Sum if post.n == 0 => 0.0,
+        AggFct::Sum => post.count * avg,
+        _ => avg,
     }
 }
 
@@ -74,10 +90,7 @@ pub struct ShardWorker<'a> {
     cache: Arc<ShardedSampleCache>,
     scanner: RowScanner<'a>,
     rng: StdRng,
-    /// Reused resample buffers — keeps the per-iteration estimate
-    /// allocation-free.
-    scratch: ResampleScratch,
-    /// Reused descent path, for the same reason.
+    /// Reused descent path — keeps the iteration allocation-free.
     path: Vec<NodeId>,
     /// Thread-local morsel accumulator for the group-commit ingest path
     /// (`ShardedSampleCache::observe_batch`, DESIGN.md §14).
@@ -124,7 +137,6 @@ impl<'a> ShardWorker<'a> {
             rng: StdRng::seed_from_u64(
                 config.seed ^ 0x9e37_79b9_7f4a_7c15 ^ (worker as u64).wrapping_mul(WORKER_STREAM),
             ),
-            scratch: ResampleScratch::new(),
             path: Vec::new(),
             batch: IngestBatch::new(query.n_aggregates()),
             aggs: Vec::new(),
@@ -153,8 +165,7 @@ impl<'a> ShardWorker<'a> {
         config: &HolisticConfig,
         res: &ResCtx,
     ) -> Self {
-        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64)
-            .with_resample_size(config.resample_size);
+        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
         let pool = table.morsel_pool(config.seed);
         ShardWorker::new(table, query, Arc::new(cache), config, pool, 0, res)
     }
@@ -291,7 +302,8 @@ impl<'a> ShardWorker<'a> {
     }
 
     /// One sampling iteration (`ST.Sample`): ingest a few rows, pick an
-    /// eligible aggregate, estimate its value from the cache, descend the
+    /// eligible aggregate, draw its value from the cache's posterior
+    /// ([`draw_estimate`]), descend the
     /// tree from `from`, reward the path by the probability the leaf
     /// speech's belief assigns to the estimate, and update statistics.
     /// `use_vloss` selects the virtual-loss descent that spreads
@@ -308,10 +320,10 @@ impl<'a> ShardWorker<'a> {
         let Some(agg) = self.cache.pick_aggregate(self.query.fct(), &mut self.rng) else {
             return 0.0;
         };
-        let Some(estimate) = self.cache.estimate_with(agg, &mut self.rng, &mut self.scratch) else {
+        let Some(posterior) = self.cache.posterior(agg) else {
             return 0.0;
         };
-        let est = estimate.value(self.query.fct());
+        let est = draw_estimate(&posterior, self.query.fct(), &mut self.rng);
 
         let t = tree.tree();
         let path = &mut self.path;
@@ -377,13 +389,8 @@ mod tests {
         (table, q)
     }
 
-    /// The paper's resample size of 10.
     fn config(seed: u64) -> HolisticConfig {
-        HolisticConfig {
-            seed,
-            resample_size: voxolap_engine::resample::DEFAULT_RESAMPLE_SIZE,
-            ..HolisticConfig::default()
-        }
+        HolisticConfig { seed, ..HolisticConfig::default() }
     }
 
     #[test]
@@ -484,26 +491,29 @@ mod tests {
     }
 
     /// Warm-start a solo worker from `snap` and check its cache holds
-    /// exactly the rows the snapshot names: same `nr_read`, same count and
-    /// same values (hence sums) per aggregate.
+    /// exactly the rows the snapshot names: same `nr_read`, and per
+    /// aggregate the same count, and the sum and variance of the same
+    /// values up to the order they were added in.
     fn warm_cache_holds_the_named_rows<'a>(
         table: &'a Table,
         q: &'a Query,
         snap: &SampleSnapshot,
     ) -> ShardWorker<'a> {
-        // A resample that large copies the bucket out verbatim.
-        let cfg = HolisticConfig { resample_size: usize::MAX, ..config(snap.seed) };
-        let mut warm = ShardWorker::solo(table, q, &cfg);
+        let mut warm = ShardWorker::solo(table, q, &config(snap.seed));
         assert_eq!(warm.warm_start(snap), snap.nr_read, "the replay delivers the whole set");
         assert_eq!(warm.cache().nr_read(), snap.nr_read);
         assert_eq!(warm.rows_read(), 0, "replayed rows are not fresh reads");
-        let mut scratch = ResampleScratch::new();
-        let mut rng = StdRng::seed_from_u64(0);
         for (agg, want) in named_values(table, q, snap).iter().enumerate() {
             assert_eq!(warm.cache().seen(agg as u32), want.len() as u64, "agg {agg}");
-            let mut got = warm.cache().resample_into(agg as u32, &mut rng, &mut scratch).to_vec();
-            got.sort_by(f64::total_cmp);
-            assert_eq!(&got, want, "agg {agg}");
+            let got = warm.cache().moments(agg as u32);
+            assert_eq!(got.n(), want.len() as u64, "agg {agg}");
+            let n = want.len() as f64;
+            let sum: f64 = want.iter().sum();
+            let var = want.iter().map(|v| (v - sum / n).powi(2)).sum::<f64>() / (n - 1.0);
+            assert!((got.sum() - sum).abs() <= 1e-12 * sum.abs(), "agg {agg}: sum");
+            if want.len() >= 2 {
+                assert!((got.variance() - var).abs() <= 1e-9 * var, "agg {agg}: variance");
+            }
         }
         warm
     }
@@ -512,8 +522,7 @@ mod tests {
     fn warm_started_core_matches_cold_start_estimates_over_seeds() {
         // Property behind warm starts: a worker that replayed a donor's
         // snapshot and a cold worker that streamed the same prefix itself
-        // must hold bit-identical caches, hence identical estimates under
-        // identical estimator RNG streams.
+        // must hold bit-identical moments, hence identical posteriors.
         let (table, q) = setup();
         for seed in [3u64, 7, 11, 19, 23] {
             let cfg = config(seed);
@@ -530,16 +539,11 @@ mod tests {
             cold.ingest_rows(60);
             assert_eq!(warm.cache().nr_read(), cold.cache().nr_read());
             assert_eq!(warm.rows_read(), 60, "only fresh rows count as read");
-            let mut scratch = ResampleScratch::new();
             for agg in 0..q.n_aggregates() as u32 {
                 assert_eq!(warm.cache().size(agg), cold.cache().size(agg));
-                let mut rng_w = StdRng::seed_from_u64(seed ^ 0x77);
-                let mut rng_c = StdRng::seed_from_u64(seed ^ 0x77);
-                assert_eq!(
-                    warm.cache().estimate_with(agg, &mut rng_w, &mut scratch),
-                    cold.cache().estimate_with(agg, &mut rng_c, &mut scratch),
-                    "seed {seed} agg {agg}"
-                );
+                let (w, c) = (warm.cache().moments(agg), cold.cache().moments(agg));
+                assert_eq!(w.bits(), c.bits(), "seed {seed} agg {agg}");
+                assert_eq!(warm.cache().posterior(agg), cold.cache().posterior(agg));
             }
 
             // A repaired donor (table grown by 25 %) has no cold twin — a
@@ -602,6 +606,38 @@ mod tests {
         // Both warmed caches cover the same 150-row prefix of the same
         // seeded scan, so the overall estimates coincide.
         assert_eq!(warm_est, cold_est);
+    }
+
+    #[test]
+    fn posterior_draws_are_calibrated() {
+        // From a fixed cache state — 120 of 320 rows read — 10 000 draws
+        // have mean x̄ and standard deviation se, each within 4σ of its own
+        // sampling error.
+        let (table, q) = setup();
+        let mut worker = ShardWorker::solo(&table, &q, &config(5));
+        worker.ingest_rows(120);
+        let agg = (0..q.n_aggregates() as u32).max_by_key(|&a| worker.cache().size(a)).unwrap();
+        let post = worker.cache().posterior(agg).unwrap();
+        assert!(post.n >= 2 && post.se > 0.0, "{post:?}");
+        let mut rng = StdRng::seed_from_u64(99);
+        let k = 10_000;
+        let draws: Vec<f64> = (0..k).map(|_| draw_estimate(&post, AggFct::Avg, &mut rng)).collect();
+        let mean = draws.iter().sum::<f64>() / k as f64;
+        let sd = (draws.iter().map(|d| (d - mean).powi(2)).sum::<f64>() / (k - 1) as f64).sqrt();
+        let k = k as f64;
+        assert!((mean - post.mean).abs() <= 4.0 * post.se / k.sqrt(), "{mean} vs {}", post.mean);
+        assert!((sd - post.se).abs() <= 4.0 * post.se / (2.0 * k).sqrt(), "{sd} vs {}", post.se);
+        // COUNT is deterministic, SUM scales the AVG draw by ê_C.
+        let mut twin = StdRng::seed_from_u64(7);
+        assert_eq!(draw_estimate(&post, AggFct::Count, &mut rng), post.count);
+        let sum = draw_estimate(&post, AggFct::Sum, &mut StdRng::seed_from_u64(7));
+        assert_eq!(sum, post.count * draw_estimate(&post, AggFct::Avg, &mut twin));
+
+        // The whole table read: se is 0 and every draw is the exact mean.
+        worker.ingest_rows(usize::MAX);
+        let full = worker.cache().posterior(agg).unwrap();
+        assert_eq!(full.se, 0.0);
+        assert_eq!(draw_estimate(&full, AggFct::Avg, &mut rng), full.mean);
     }
 
     #[test]

@@ -115,7 +115,8 @@ mod tests {
 
     #[test]
     fn warning_fires_only_below_threshold() {
-        let (cache, q, table) = filled_cache(320);
+        // Half the table: the intervals are still open.
+        let (cache, q, table) = filled_cache(160);
         let aggs: Vec<u32> = (0..q.n_aggregates() as u32).collect();
         let unit = table.schema().measure_unit();
         // Salary spreads are ~10%; a generous threshold stays silent...
@@ -137,6 +138,22 @@ mod tests {
                 .unwrap();
         assert!(text.starts_with("With 95 percent confidence"));
         assert!(text.contains(" K"), "dollar values verbalized: {text}");
+    }
+
+    #[test]
+    fn an_exhaustive_scan_claims_no_uncertainty() {
+        // All 320 rows read: no warning at any threshold, and the spoken
+        // bounds close on the exact values.
+        let (cache, q, table) = filled_cache(320);
+        let aggs: Vec<u32> = (0..q.n_aggregates() as u32).collect();
+        let unit = table.schema().measure_unit();
+        let strict = UncertaintyMode::Warning { max_relative_width: 0.0 };
+        assert_eq!(annotate(strict, &cache, &aggs, unit), None);
+        for a in aggs {
+            let text = annotate(UncertaintyMode::SpokenBounds, &cache, &[a], unit).unwrap();
+            let (lo, hi) = cache.confidence_interval(a, Z95).unwrap();
+            assert_eq!(lo, hi, "{text}");
+        }
     }
 
     #[test]

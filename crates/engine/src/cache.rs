@@ -18,9 +18,12 @@
 //!   to `nr_read`).
 //!
 //! [`SampleCache`] is the sequential reference: the planners run on
-//! [`ShardedSampleCache`](crate::sharded::ShardedSampleCache), which shares
-//! the estimator code ([`crate::resample`]) and whose tests pin it against
-//! this cache observation for observation.
+//! [`ShardedSampleCache`](crate::sharded::ShardedSampleCache), whose tests
+//! pin its counts, sizes, overall estimates and exact sums against this
+//! cache observation for observation. Its per-aggregate estimate differs:
+//! the planners draw from the normal posterior of running moments, this
+//! cache keeps the paper's fixed-size resample and is the subject of the
+//! benchmark's `engine.estimate_ns`.
 
 use rand::Rng;
 

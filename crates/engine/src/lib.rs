@@ -12,11 +12,13 @@
 //! * [`exact`] — a full scan with group-by, used by the *Optimal* planner
 //!   variant and by exact speech-quality computation;
 //! * [`sharded`] — the continuously-filled sample cache of paper
-//!   Algorithm 3, supplying unbiased count/sum/average estimates from row
-//!   samples to the *Holistic* and *Unmerged* planners, at any thread
-//!   count. [`resample`] holds the fixed-size resample and the estimator
-//!   arithmetic, [`cache`] the sequential [`SampleCache`] the sharded cache
-//!   is defined (and tested) against.
+//!   Algorithm 3, supplying count estimates and the normal posterior of
+//!   each aggregate's mean from running moments to the *Holistic* and
+//!   *Unmerged* planners, at any thread count. [`cache`] holds the
+//!   sequential [`SampleCache`] the sharded cache is tested against, and
+//!   [`resample`] its fixed-size resample estimator; both are a reference
+//!   and the subject of a benchmark micro-measurement, with no planner
+//!   caller.
 //!
 //! ```
 //! use voxolap_data::salary::SalaryConfig;
@@ -57,4 +59,4 @@ pub use resample::{CacheEstimate, ResampleScratch};
 pub use semantic::{
     CacheStats, ExactAggregates, ExactLookup, PlanRecord, SampleSnapshot, SemanticCache,
 };
-pub use sharded::{IngestBatch, ShardedSampleCache};
+pub use sharded::{IngestBatch, Moments, Posterior, ShardedSampleCache};

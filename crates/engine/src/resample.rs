@@ -1,12 +1,16 @@
 //! The fixed-size resample (`CA.RESAMPLE`, paper §4.3) and the estimator
-//! arithmetic built on it — shared by every sample cache.
+//! arithmetic built on it — the estimator of the sequential reference
+//! [`SampleCache`](crate::cache::SampleCache). No planner uses it: they
+//! draw from the normal posterior of
+//! [`ShardedSampleCache`](crate::sharded::ShardedSampleCache)'s running
+//! moments instead (DESIGN.md §2). It stays as the subject of the
+//! benchmark's `engine.estimate_ns` until that metric moves.
 //!
 //! The paper fixes the resample size so that one estimate costs the same
 //! however many rows the cache holds. `resample_into_scratch` keeps that
 //! promise: it draws a partial Fisher–Yates sample and touches
 //! O(`amount`) index-pool slots per call, never O(bucket) — see
-//! [`ResampleScratch`] for how, and DESIGN.md §8 for the measured cost of
-//! the alternatives.
+//! [`ResampleScratch`] for how.
 
 use rand::Rng;
 
@@ -20,14 +24,15 @@ pub const DEFAULT_RESAMPLE_SIZE: usize = 10;
 /// pool refilled on every call; larger ones from the persistent identity
 /// pool. A sequential refill is branch-free and L1-resident, and beats the
 /// draw-then-undo of the persistent pool up to roughly 4 000 values at
-/// `amount` = 200 (DESIGN.md §8); past that its O(bucket) writes dominate
+/// `amount` = 200 (measured on 2 cores: 410 vs 930 ns at 1 000 values,
+/// 4 500 vs 780 ns at 50 000); past that its O(bucket) writes dominate
 /// the iteration. The rule reads a property of the input, so it is a
 /// constant, not a setting.
 const REFILL_MAX_RATIO: usize = 16;
 
-/// Reusable buffers for `resample_into` / `estimate_with`: the planner's
-/// inner loop calls these thousands of times per second, and reusing one
-/// scratch keeps the hot path allocation-free (the buffers grow to the
+/// Reusable buffers for `resample_into` / `estimate_with`: an estimator
+/// loop calls these thousands of times per second, and reusing one
+/// scratch keeps it allocation-free (the buffers grow to the
 /// working size once and are recycled) and its cost independent of how
 /// full the cache is.
 ///

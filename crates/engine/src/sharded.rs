@@ -8,8 +8,10 @@
 //! stream them into one shared cache concurrently. Contention is kept off
 //! the hot path by striping state per aggregate:
 //!
-//! * each aggregate's value bucket sits behind its **own** mutex, so two
-//!   workers only contend when their rows land in the same aggregate;
+//! * each aggregate's bucket is a fixed-size running summary
+//!   ([`Moments`]: n, Σx and shifted second moments) behind its **own**
+//!   mutex, so two workers only contend when their rows land in the same
+//!   aggregate, and a bucket costs the same however many rows it saw;
 //! * the global counters (`nr_read`, per-aggregate offered counts, scope
 //!   count/sum) are atomics — `nr_read` in particular is bumped once per
 //!   row by every worker and must not serialize them;
@@ -18,14 +20,18 @@
 //!   `fetch_add`, published by store) — `pick_aggregate` runs every planner
 //!   iteration on every thread and must not take a global lock.
 //!
-//! Readers (planner sampling threads) see a **merged view**: `estimate`,
-//! `pick_aggregate`, and `overall_estimate` have the same semantics as the
-//! sequential cache, computed over the union of all workers' insertions.
-//! Since the pool hands out whole chunks of the seeded two-level scan
-//! order, the union of the workers' progress at any point is a prefix of
-//! that order — a uniform random subset of the table, which is the
-//! property all the paper's estimators rest on (see
-//! `voxolap_data::chunk` for the uniformity argument).
+//! Readers (planner sampling threads) see a **merged view**: `posterior`,
+//! `pick_aggregate`, and `overall_estimate` are computed over the union of
+//! all workers' insertions. Counts, sizes, overall estimates and exact
+//! sums are those of the sequential reference
+//! [`SampleCache`](crate::cache::SampleCache) bit for bit; the per-aggregate
+//! estimate is the normal posterior of the bucket mean instead of the
+//! reference's fixed-size subsample (DESIGN.md §2). Since the pool hands
+//! out whole chunks of the seeded two-level scan order, the union of the
+//! workers' progress at any point is a prefix of that order — a uniform
+//! random subset of the table, which is the property all the paper's
+//! estimators rest on (see `voxolap_data::chunk` for the uniformity
+//! argument).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, MutexGuard};
@@ -36,13 +42,102 @@ use voxolap_faults::{DegradeStats, FaultInjector, FaultSite};
 
 use crate::poison::RecoveringMutex;
 use crate::query::{AggFct, AggIdx, AGG_OUT_OF_SCOPE};
-use crate::resample::{
-    estimate_from_resample, resample_into_scratch, CacheEstimate, ResampleScratch,
-    DEFAULT_RESAMPLE_SIZE,
-};
 
 /// Sentinel marking a reserved-but-not-yet-written `nonempty` slot.
 const UNPUBLISHED: u32 = u32::MAX;
+
+/// One aggregate's bucket: the running summary of every in-scope value
+/// committed to it, in commit order — a fixed-size record in place of the
+/// values themselves (online aggregation, Hellerstein, Haas & Wang 1997).
+///
+/// `sum` is a plain fold in commit order, so the exact sums a full scan
+/// admits carry the bits `values.iter().sum()` would. The spread is kept
+/// as moments shifted by the bucket's first value `K`: Σ(x − K) and
+/// Σ(x − K)² stay small for a large-offset, low-spread measure, where the
+/// textbook Σx² − (Σx)²/n would cancel catastrophically.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Moments {
+    n: u64,
+    sum: f64,
+    shift: f64,
+    shifted_sum: f64,
+    shifted_sq: f64,
+}
+
+impl Default for Moments {
+    fn default() -> Self {
+        // `-0.0` is the empty sum of `Iterator::sum`, so an empty bucket's
+        // exact sum has its bits too.
+        Moments { n: 0, sum: -0.0, shift: 0.0, shifted_sum: 0.0, shifted_sq: 0.0 }
+    }
+}
+
+impl Moments {
+    /// Fold one value in.
+    #[inline]
+    pub(crate) fn push(&mut self, x: f64) {
+        if self.n == 0 {
+            self.shift = x;
+        }
+        let d = x - self.shift;
+        self.n += 1;
+        self.sum += x;
+        self.shifted_sum += d;
+        self.shifted_sq += d * d;
+    }
+
+    /// Values folded in.
+    pub fn n(&self) -> u64 {
+        self.n
+    }
+
+    /// Σx, folded in commit order.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// The mean Σx / n; `NaN` when empty.
+    pub fn mean(&self) -> f64 {
+        if self.n == 0 {
+            f64::NAN
+        } else {
+            self.sum / self.n as f64
+        }
+    }
+
+    /// The unbiased sample variance s²; 0 below two values.
+    pub fn variance(&self) -> f64 {
+        if self.n < 2 {
+            return 0.0;
+        }
+        let n = self.n as f64;
+        ((self.shifted_sq - self.shifted_sum * self.shifted_sum / n) / (n - 1.0)).max(0.0)
+    }
+
+    /// Every field as raw bits, for bit-parity checks.
+    pub fn bits(&self) -> [u64; 5] {
+        let f = [self.sum, self.shift, self.shifted_sum, self.shifted_sq].map(f64::to_bits);
+        [self.n, f[0], f[1], f[2], f[3]]
+    }
+}
+
+/// The normal posterior of one aggregate's mean, as the cache holds it
+/// ([`ShardedSampleCache::posterior`]): an O(1) read of a bucket's
+/// [`Moments`] and the shared counters.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Posterior {
+    /// Estimated row count of the aggregate's scope,
+    /// `ê_C = nrRows · seen / nrRead` (deterministic).
+    pub count: f64,
+    /// Values in the bucket.
+    pub n: u64,
+    /// The bucket mean x̄; `NaN` when the bucket is empty.
+    pub mean: f64,
+    /// Standard error of x̄, `s/√n · √(1 − n/ê_C)`: the finite-population
+    /// factor makes it 0 once every row of the scope was read. 0 below two
+    /// values.
+    pub se: f64,
+}
 
 /// Thread-local accumulator for one morsel's rows, drained into the cache
 /// by [`ShardedSampleCache::observe_batch`] — the group-commit half of the
@@ -54,7 +149,8 @@ const UNPUBLISHED: u32 = u32::MAX;
 /// every row of the batch landing in that aggregate, while `scope_vals`
 /// keeps the in-scope values in scan order so the scope-sum fold preserves
 /// the sequential cache's floating-point association (threads=1
-/// bit-parity).
+/// bit-parity). Each bucket folds its group in scan order under its lock
+/// for the same reason.
 ///
 /// The per-aggregate vectors persist across batches (`clear` is
 /// `O(touched)`, not `O(n_aggregates)`), so a long-lived worker reuses its
@@ -130,13 +226,13 @@ impl IngestBatch {
 /// Concurrent, per-aggregate-striped sample cache (see module docs).
 #[derive(Debug)]
 pub struct ShardedSampleCache {
-    /// Per-aggregate value buckets, each locked independently of all the
-    /// others. Poison-recovering: a holder dying mid-update (real panic or
-    /// injected tear) costs that bucket its cached values on the next
-    /// access — never the whole cache.
-    buckets: Vec<RecoveringMutex<Vec<f64>>>,
+    /// Per-aggregate running summaries, each locked independently of all
+    /// the others. Poison-recovering: a holder dying mid-update (real panic
+    /// or injected tear) costs that bucket its moments on the next access —
+    /// never the whole cache.
+    buckets: Vec<RecoveringMutex<Moments>>,
     /// Rows offered per aggregate: the count estimates. Equal to the
-    /// bucket's length unless the bucket was rebuilt after poisoning.
+    /// bucket's `n` unless the bucket was rebuilt after poisoning.
     ///
     /// Ordering: `Relaxed`. A monotonic statistical counter — nothing is
     /// published through it; the bucket contents it describes sit behind
@@ -169,7 +265,6 @@ pub struct ShardedSampleCache {
     /// statistically indistinguishable from sampling a moment earlier.
     nr_read: AtomicU64,
     nr_rows_total: u64,
-    resample_size: usize,
     /// In-scope row count across all aggregates (overall estimates).
     ///
     /// Ordering: `Relaxed`, same monotonic-counter argument as `nr_read`.
@@ -190,14 +285,13 @@ impl ShardedSampleCache {
     /// over a table of `nr_rows_total` rows.
     pub fn new(n_aggregates: usize, nr_rows_total: u64) -> Self {
         ShardedSampleCache {
-            buckets: (0..n_aggregates).map(|_| RecoveringMutex::new(Vec::new())).collect(),
+            buckets: (0..n_aggregates).map(|_| RecoveringMutex::new(Moments::default())).collect(),
             offered: (0..n_aggregates).map(|_| AtomicU64::new(0)).collect(),
             listed: (0..n_aggregates).map(|_| AtomicBool::new(false)).collect(),
             nonempty: (0..n_aggregates).map(|_| AtomicU32::new(UNPUBLISHED)).collect(),
             nonempty_len: AtomicUsize::new(0),
             nr_read: AtomicU64::new(0),
             nr_rows_total,
-            resample_size: DEFAULT_RESAMPLE_SIZE,
             scope_count: AtomicU64::new(0),
             scope_sum_bits: AtomicU64::new(0f64.to_bits()),
             poison_recoveries: AtomicU64::new(0),
@@ -216,13 +310,13 @@ impl ShardedSampleCache {
     }
 
     /// Lock one aggregate's bucket, rebuilding it first if its previous
-    /// holder died mid-update. A rebuilt bucket loses its cached values
-    /// (the atomic `offered` counts survive, so count estimates stay
-    /// unbiased) and is counted in
+    /// holder died mid-update. A rebuilt bucket loses its moments (the
+    /// atomic `offered` counts survive, so count estimates stay unbiased)
+    /// and is counted in
     /// [`poison_recoveries`](ShardedSampleCache::poison_recoveries).
-    fn bucket(&self, a: usize) -> MutexGuard<'_, Vec<f64>> {
+    fn bucket(&self, a: usize) -> MutexGuard<'_, Moments> {
         self.buckets[a].lock_recovering(|bucket| {
-            *bucket = Vec::new();
+            *bucket = Moments::default();
             self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
             if let Some(stats) = &self.degrade_stats {
                 stats.poison_recoveries.fetch_add(1, Ordering::Relaxed);
@@ -233,13 +327,6 @@ impl ShardedSampleCache {
     /// Buckets rebuilt after lock poisoning / injected tears so far.
     pub fn poison_recoveries(&self) -> u64 {
         self.poison_recoveries.load(Ordering::Relaxed)
-    }
-
-    /// Override the fixed resample size.
-    pub fn with_resample_size(mut self, size: usize) -> Self {
-        assert!(size > 0, "resample size must be positive");
-        self.resample_size = size;
-        self
     }
 
     /// Add aggregate `a` to the `nonempty` array exactly once (first
@@ -287,7 +374,9 @@ impl ShardedSampleCache {
                 }
             }
             self.offered[a as usize].fetch_add(vals.len() as u64, Ordering::Relaxed);
-            self.bucket(a as usize).extend_from_slice(vals);
+            let mut bucket = self.bucket(a as usize);
+            vals.iter().for_each(|&v| bucket.push(v));
+            drop(bucket);
             self.publish_nonempty(a);
         }
         if !batch.scope_vals.is_empty() {
@@ -330,7 +419,7 @@ impl ShardedSampleCache {
         // Relaxed: callers only get a `Some` after the ingest threads were
         // joined (nr_read == total), and the join orders their stores.
         let counts = self.offered.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        let sums: Vec<f64> = (0..self.buckets.len()).map(|a| self.bucket(a).iter().sum()).collect();
+        let sums: Vec<f64> = (0..self.buckets.len()).map(|a| self.bucket(a).sum()).collect();
         // Re-check: a tear recovered *while* summing also voids exactness.
         if self.poison_recoveries() > 0 {
             return None;
@@ -338,9 +427,14 @@ impl ShardedSampleCache {
         Some((counts, sums))
     }
 
-    /// Number of cached entries for one aggregate (`CA.SIZE`).
+    /// Number of values folded into one aggregate's bucket (`CA.SIZE`).
     pub fn size(&self, agg: AggIdx) -> usize {
-        self.bucket(agg as usize).len()
+        self.bucket(agg as usize).n() as usize
+    }
+
+    /// One aggregate's running summary, copied out under its lock.
+    pub fn moments(&self, agg: AggIdx) -> Moments {
+        *self.bucket(agg as usize)
     }
 
     /// Total rows ever offered to one aggregate's bucket (counting rows a
@@ -395,37 +489,22 @@ impl ShardedSampleCache {
         }
     }
 
-    /// Allocation-free fixed-size uniform subsample of one aggregate's
-    /// cached entries; holds the bucket's lock for O(resample size) work,
-    /// however many values the bucket holds (see [`ResampleScratch`]).
-    pub fn resample_into<'s, R: Rng + ?Sized>(
-        &self,
-        agg: AggIdx,
-        rng: &mut R,
-        scratch: &'s mut ResampleScratch,
-    ) -> &'s [f64] {
-        let bucket = self.bucket(agg as usize);
-        resample_into_scratch(&bucket, self.resample_size, rng, scratch);
-        drop(bucket);
-        &scratch.out
-    }
-
-    /// Merged cache estimate for one aggregate, same estimators as the
-    /// sequential cache (`e_C = nrRows · seen / nrRead`, etc.). `None`
-    /// before any row was read.
-    pub fn estimate_with<R: Rng + ?Sized>(
-        &self,
-        agg: AggIdx,
-        rng: &mut R,
-        scratch: &mut ResampleScratch,
-    ) -> Option<CacheEstimate> {
+    /// The normal posterior of one aggregate's mean: `ê_C`, x̄ and its
+    /// standard error (see [`Posterior`]). O(1) under the bucket's lock,
+    /// however many rows the bucket saw — the property paper §4.3 fixes
+    /// its subsample size for. `None` before any row was read.
+    pub fn posterior(&self, agg: AggIdx) -> Option<Posterior> {
         let nr_read = self.nr_read();
         if nr_read == 0 {
             return None;
         }
-        let e_c = self.nr_rows_total as f64 * self.seen(agg) as f64 / nr_read as f64;
-        let v = self.resample_into(agg, rng, scratch);
-        Some(estimate_from_resample(e_c, v))
+        let count = self.nr_rows_total as f64 * self.seen(agg) as f64 / nr_read as f64;
+        let m = self.moments(agg);
+        let n = m.n() as f64;
+        // n ≥ 2 implies seen ≥ 2, so `count` > 0.
+        let se =
+            if m.n() < 2 { 0.0 } else { (m.variance() / n * (1.0 - n / count).max(0.0)).sqrt() };
+        Some(Posterior { count, n: m.n(), mean: m.mean(), se })
     }
 
     /// Estimate of the query-scope-wide aggregate value (see the
@@ -458,17 +537,13 @@ impl ShardedSampleCache {
     }
 
     /// Normal-approximation confidence interval for one aggregate's
-    /// average at `z` standard errors, over all cached entries.
+    /// average at `z` standard errors: the [`posterior`] mean ± `z`·se, so
+    /// an exhaustive scan has width 0. `None` below two values.
+    ///
+    /// [`posterior`]: ShardedSampleCache::posterior
     pub fn confidence_interval(&self, agg: AggIdx, z: f64) -> Option<(f64, f64)> {
-        let values = self.bucket(agg as usize);
-        if values.len() < 2 {
-            return None;
-        }
-        let n = values.len() as f64;
-        let mean = values.iter().sum::<f64>() / n;
-        let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        let se = (var / n).sqrt();
-        Some((mean - z * se, mean + z * se))
+        let p = self.posterior(agg).filter(|p| p.n >= 2)?;
+        Some((p.mean - z * p.se, p.mean + z * p.se))
     }
 }
 
@@ -562,12 +637,11 @@ mod tests {
         let (table, q) = salary_setup();
         let cache = parallel_fill(&table, &q, 4, 3);
         let exact = evaluate(&q, &table);
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut scratch = ResampleScratch::new();
         for agg in 0..q.n_aggregates() as u32 {
-            let est = cache.estimate_with(agg, &mut rng, &mut scratch).unwrap();
-            assert!((est.count - exact.count(agg) as f64).abs() < 1e-6);
-            assert!((est.avg - exact.value(agg)).abs() < 15.0, "resample mean in range");
+            let post = cache.posterior(agg).unwrap();
+            assert!((post.count - exact.count(agg) as f64).abs() < 1e-6);
+            assert!((post.mean - exact.value(agg)).abs() < 1e-9, "the bucket mean is exact");
+            assert_eq!(post.se, 0.0, "nothing left unread, agg {agg}");
         }
         // Scope-wide mean is exact with the whole table cached.
         let overall = cache.overall_estimate(AggFct::Avg).unwrap();
@@ -623,36 +697,25 @@ mod tests {
         assert_eq!(faulted.exact_result(), plain.exact_result());
     }
 
-    /// Full bucket contents in insertion order: with a resample size at
-    /// least the bucket length, `resample_into` copies the bucket verbatim
-    /// without consuming the resample RNG.
-    fn bucket_contents(cache: &ShardedSampleCache, agg: AggIdx) -> Vec<f64> {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut scratch = ResampleScratch::new();
-        cache.resample_into(agg, &mut rng, &mut scratch).to_vec()
-    }
-
     /// Ingest the whole shuffled table a row at a time into one cache and in
     /// batches of `batch_rows` (accumulated via [`IngestBatch`]) into the
-    /// other, then assert every observable — bucket contents, offered
-    /// counts, nr_read, scope aggregates, estimates — is identical. The
-    /// same scan order also feeds the sequential
+    /// other, then assert every observable — bucket moments, offered
+    /// counts, nr_read, scope aggregates, posteriors — is identical bit for
+    /// bit. The same scan order also feeds the sequential
     /// [`SampleCache`](crate::cache::SampleCache) row by row: it is the
-    /// reference the batched cache is defined against, so its observables
-    /// must match bit for bit too.
+    /// reference the batched cache is defined against, so counts, sizes,
+    /// `nr_read`, overall estimates and exact sums must match it bit for
+    /// bit too (its per-aggregate estimate is a subsample, not a posterior,
+    /// so that one is not compared).
     fn assert_batch_matches_row_at_a_time(
         table: &voxolap_data::Table,
         q: &Query,
         seed: u64,
         batch_rows: usize,
     ) {
-        let mk = || {
-            ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
-                .with_resample_size(100_000)
-        };
+        let mk = || ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let mut reference =
-            crate::cache::SampleCache::new(q.n_aggregates(), table.row_count() as u64)
-                .with_resample_size(100_000);
+            crate::cache::SampleCache::new(q.n_aggregates(), table.row_count() as u64);
         let mut scan = table.scan_shuffled(seed);
         while let Some(r) = scan.next_row() {
             reference.observe(q.layout().agg_of_row(r.members), r.value);
@@ -670,26 +733,11 @@ mod tests {
             assert_eq!(by_batch.seen(agg), reference.seen(agg), "offered vs sequential, agg {agg}");
             assert_eq!(by_batch.size(agg), reference.size(agg), "size vs sequential, agg {agg}");
             assert_eq!(
-                bucket_contents(&by_batch, agg).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                bucket_contents(&by_row, agg).iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "bucket contents, agg {agg} (batch {batch_rows})"
+                by_batch.moments(agg).bits(),
+                by_row.moments(agg).bits(),
+                "bucket moments, agg {agg} (batch {batch_rows})"
             );
-            let mut rng_a = StdRng::seed_from_u64(seed ^ 0xabc);
-            let mut rng_b = StdRng::seed_from_u64(seed ^ 0xabc);
-            let mut s_a = ResampleScratch::new();
-            let mut s_b = ResampleScratch::new();
-            assert_eq!(
-                by_batch.estimate_with(agg, &mut rng_a, &mut s_a),
-                by_row.estimate_with(agg, &mut rng_b, &mut s_b),
-                "estimates, agg {agg}"
-            );
-            let mut rng_a = StdRng::seed_from_u64(seed ^ 0xabc);
-            let mut rng_c = StdRng::seed_from_u64(seed ^ 0xabc);
-            assert_eq!(
-                by_batch.estimate_with(agg, &mut rng_a, &mut s_a),
-                reference.estimate_with(agg, &mut rng_c, &mut s_b),
-                "estimates vs sequential, agg {agg}"
-            );
+            assert_eq!(by_batch.posterior(agg), by_row.posterior(agg), "posterior, agg {agg}");
         }
         for fct in [AggFct::Avg, AggFct::Sum, AggFct::Count] {
             let a = by_batch.overall_estimate(fct).map(f64::to_bits);
@@ -700,8 +748,15 @@ mod tests {
                 assert_eq!(a, b.map(f64::to_bits), "overall estimate vs {which} ({fct:?})");
             }
         }
-        assert_eq!(by_batch.exact_result(), by_row.exact_result());
-        assert_eq!(by_batch.exact_result(), reference.exact_result());
+        let exact_bits = |exact: Option<(Vec<u64>, Vec<f64>)>| {
+            exact.map(|(counts, sums)| {
+                (counts, sums.iter().map(|s| s.to_bits()).collect::<Vec<_>>())
+            })
+        };
+        let batch = exact_bits(by_batch.exact_result());
+        assert!(batch.is_some(), "the whole table was streamed");
+        assert_eq!(batch, exact_bits(by_row.exact_result()));
+        assert_eq!(batch, exact_bits(reference.exact_result()), "exact sums vs `iter().sum()`");
     }
 
     #[test]
@@ -751,10 +806,10 @@ mod tests {
         for agg in 0..q.n_aggregates() as u32 {
             assert_eq!(cache.seen(agg), exact.count(agg), "offered counts survive tears");
         }
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut scratch = ResampleScratch::new();
         for agg in 0..q.n_aggregates() as u32 {
-            assert!(cache.estimate_with(agg, &mut rng, &mut scratch).is_some());
+            let post = cache.posterior(agg).unwrap();
+            assert!(post.n <= cache.seen(agg), "a rebuilt bucket holds fewer rows than offered");
+            assert!(post.se.is_finite());
         }
     }
 
@@ -772,52 +827,68 @@ mod tests {
         }
     }
 
-    /// Best-of-five nanoseconds per `estimate_with` call (resample size
-    /// 200) on one bucket of `values` entries.
-    fn estimate_ns_per_call(values: usize) -> f64 {
-        let cache = ShardedSampleCache::new(1, values as u64).with_resample_size(200);
+    /// A bucket of `values` drawn by `draw` from a seeded RNG, committed in
+    /// one batch, as (cache, the values in commit order).
+    fn one_bucket(
+        values: usize,
+        draw: impl Fn(&mut StdRng) -> f64,
+    ) -> (ShardedSampleCache, Vec<f64>) {
+        let cache = ShardedSampleCache::new(1, 10 * values as u64);
+        let mut rng = StdRng::seed_from_u64(values as u64);
+        let vals: Vec<f64> = (0..values).map(|_| draw(&mut rng)).collect();
         let mut batch = IngestBatch::new(1);
-        let mut fill = StdRng::seed_from_u64(values as u64);
-        for _ in 0..values {
-            batch.push(Some(0), fill.gen_range(0.0..1.0));
-        }
+        vals.iter().for_each(|&v| batch.push(Some(0), v));
         cache.observe_batch(&mut batch);
-        let mut rng = StdRng::seed_from_u64(7);
-        let mut scratch = ResampleScratch::new();
-        let calls = 20_000;
-        (0..5)
-            .map(|_| {
-                let start = std::time::Instant::now();
-                for _ in 0..calls {
-                    std::hint::black_box(cache.estimate_with(0, &mut rng, &mut scratch));
-                }
-                start.elapsed().as_nanos() as f64 / calls as f64
-            })
-            .fold(f64::INFINITY, f64::min)
+        (cache, vals)
     }
 
-    /// The timing form of `resample`'s pool-write guard (CI `multicore`
-    /// job, release build): an estimate over a 16× longer bucket may cost
-    /// at most 8× more. Refilling the index pool per call measured 18×
-    /// on the 2-core host, the persistent pool 2.7× — what remains being
-    /// cache misses on the 3.2 MB bucket itself.
     #[test]
-    #[ignore = "timing gate; release build (CI `multicore` job)"]
-    fn estimate_cost_does_not_follow_bucket_length() {
-        let (small, large) = (estimate_ns_per_call(25_000), estimate_ns_per_call(400_000));
-        println!(
-            "estimate_with: {small:.0} ns at 25 000 values, {large:.0} ns at 400 000 ({:.1}x)",
-            large / small
-        );
-        assert!(large <= 8.0 * small, "{large:.0} ns at 400 000 values vs {small:.0} at 25 000");
+    fn shifted_moments_keep_the_variance_of_a_large_offset_bucket() {
+        // 1e6 + U(0, 1): the textbook Σx² − (Σx)²/n loses every digit of
+        // a 1/12 variance next to 1e12-sized squares.
+        let (cache, vals) = one_bucket(100_000, |rng| 1e6 + rng.gen_range(0.0..1.0));
+        let n = vals.len() as f64;
+        let mean = vals.iter().sum::<f64>() / n;
+        let two_pass = vals.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (n - 1.0);
+        let var = cache.moments(0).variance();
+        assert!((var - two_pass).abs() <= 1e-9 * two_pass, "{var} vs two-pass {two_pass}");
+        assert_eq!(cache.moments(0).mean(), mean, "x̄ is Σx / n");
+    }
+
+    #[test]
+    fn posterior_se_carries_the_finite_population_factor() {
+        // 400 of 4 000 rows read, all in one aggregate: ê_C = 4 000, and
+        // se = s/√n · √(1 − 400/4 000).
+        let (cache, vals) = one_bucket(400, |rng| rng.gen_range(0.0..10.0));
+        let post = cache.posterior(0).unwrap();
+        assert_eq!((post.count, post.n), (4_000.0, 400));
+        let s2 = cache.moments(0).variance();
+        let want = (s2 / 400.0 * 0.9).sqrt();
+        assert!((post.se - want).abs() <= 1e-12 * want, "{} vs {want}", post.se);
+        let (lo, hi) = cache.confidence_interval(0, 2.0).unwrap();
+        assert_eq!((lo, hi), (post.mean - 2.0 * post.se, post.mean + 2.0 * post.se));
+        assert!((post.mean - vals.iter().sum::<f64>() / 400.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn posterior_below_two_values_is_a_point() {
+        let (cache, vals) = one_bucket(1, |rng| rng.gen_range(0.0..10.0));
+        let post = cache.posterior(0).unwrap();
+        assert_eq!((post.n, post.mean, post.se), (1, vals[0], 0.0));
+        assert_eq!(cache.confidence_interval(0, 1.96), None);
+    }
+
+    #[test]
+    fn an_empty_bucket_sums_to_the_bits_of_an_empty_sum() {
+        let empty: f64 = std::iter::empty::<f64>().sum();
+        assert_eq!(Moments::default().sum().to_bits(), empty.to_bits());
     }
 
     #[test]
     fn empty_cache_behaves_like_sequential() {
         let cache = ShardedSampleCache::new(4, 100);
         let mut rng = StdRng::seed_from_u64(0);
-        let mut scratch = ResampleScratch::new();
-        assert_eq!(cache.estimate_with(0, &mut rng, &mut scratch), None);
+        assert_eq!(cache.posterior(0), None);
         assert_eq!(cache.overall_estimate(AggFct::Avg), None);
         assert_eq!(cache.pick_aggregate(AggFct::Avg, &mut rng), None);
         assert!(cache.pick_aggregate(AggFct::Count, &mut rng).is_some());

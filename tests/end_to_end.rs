@@ -208,7 +208,6 @@ fn parallel_single_thread_matches_holistic_on_flights() {
     let cfg = HolisticConfig {
         min_samples_per_sentence: 300,
         max_tree_nodes: 30_000,
-        resample_size: 200,
         ..HolisticConfig::default()
     };
     let mut v1 = InstantVoice::default();

@@ -8,7 +8,9 @@
 //! * grammar shape of rendered speeches;
 //! * cache estimator consistency for arbitrary sampling prefixes;
 //! * uniformity of the two-level chunked scan order (prefix-sample means
-//!   converge at the estimator's error rate across 50 seeds).
+//!   converge at the estimator's error rate across 50 seeds);
+//! * the reward's posterior draw stays within its own error bound of the
+//!   exact aggregate across 50 seeds.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -248,6 +250,65 @@ fn prefix_sample_means_respect_the_estimator_error_bound() {
         (avg - truth).abs() <= 4.0 * se / (means.len() as f64).sqrt(),
         "biased scan order: cross-seed mean {avg} vs true mean {truth}"
     );
+}
+
+/// The sampling planners reward a leaf against one draw from the normal
+/// posterior of an aggregate's mean, N(x̄, se²) with se = s/√n·√(1 − n/N).
+/// Its error against the exact mean adds two independent terms — x̄'s own
+/// sampling error and the draw's spread — of about se each, so the draw
+/// is within 4·√2·se of the truth, where se is computed from the
+/// aggregate's exact variance: 50 seeds × 4 aggregates of a 2 000-row
+/// prefix of 20 000 salary rows, plus unbiasedness of the cross-seed mean.
+#[test]
+fn posterior_draws_respect_the_estimator_error_bound() {
+    use voxolap_core::sampler::draw_estimate;
+    let table = SalaryConfig { rows: 20_000, seed: 9 }.generate();
+    let q =
+        Query::builder(AggFct::Avg).group_by(DimId(0), LevelId(1)).build(table.schema()).unwrap();
+    let exact = evaluate(&q, &table);
+    let n_aggs = q.n_aggregates();
+    // Exact per-aggregate population variance, by brute force.
+    let mut groups = vec![Vec::new(); n_aggs];
+    let mut scan = table.scan_shuffled(0);
+    while let Some(r) = scan.next_row() {
+        groups[q.layout().agg_of_row(r.members).unwrap() as usize].push(r.value);
+    }
+    let pop_var = |a: usize| {
+        let g = &groups[a];
+        let mean = exact.value(a as u32);
+        g.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / (g.len() - 1) as f64
+    };
+
+    let k = 2_000;
+    let mut errors = vec![(0.0, 0.0); n_aggs];
+    for seed in 0..50u64 {
+        let cache = ShardedSampleCache::new(n_aggs, table.row_count() as u64);
+        let mut batch = IngestBatch::new(n_aggs);
+        let mut scan = table.scan_shuffled(seed);
+        for _ in 0..k {
+            let r = scan.next_row().unwrap();
+            batch.push(q.layout().agg_of_row(r.members), r.value);
+        }
+        cache.observe_batch(&mut batch);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xd4a7);
+        for (a, err) in errors.iter_mut().enumerate() {
+            let post = cache.posterior(a as u32).unwrap();
+            let (n, big_n) = (post.n as f64, groups[a].len() as f64);
+            let se = (pop_var(a) / n * (1.0 - n / big_n)).sqrt();
+            let draw = draw_estimate(&post, AggFct::Avg, &mut rng);
+            let truth = exact.value(a as u32);
+            assert!(
+                (draw - truth).abs() <= 4.0 * 2f64.sqrt() * se,
+                "seed {seed} agg {a}: draw {draw} vs exact {truth} (4·√2·se = {:.3})",
+                4.0 * 2f64.sqrt() * se
+            );
+            *err = (err.0 + (draw - truth), err.1 + se);
+        }
+    }
+    for (a, (sum_err, sum_se)) in errors.into_iter().enumerate() {
+        let (bias, se) = (sum_err / 50.0, sum_se / 50.0);
+        assert!(bias.abs() <= 4.0 * 2f64.sqrt() * se / 50f64.sqrt(), "agg {a}: bias {bias}");
+    }
 }
 
 /// Segmented scan orders (DESIGN.md §16) must stay permutations after

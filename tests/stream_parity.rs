@@ -91,12 +91,20 @@ fn stream_matches_blocking_for_every_approach() {
     }
 }
 
-/// Golden pin of the cooperative engine: this transcript was captured
-/// from the former sequential planner (row-at-a-time `SampleCache`) at
-/// the commit before the sharded engine replaced it. It anchors worker
-/// 0's RNG stream, the seeded scan order and the cooperative polling
-/// sequence — any drift means `Holistic` no longer speaks what that
-/// planner spoke.
+/// Golden pin of the cooperative engine. It anchors worker 0's RNG
+/// stream, the seeded scan order, the cooperative polling sequence and the
+/// reward's estimator — any drift means `Holistic` no longer speaks what it
+/// spoke when this was captured.
+///
+/// Re-captured when the reward's estimate became a draw from the normal
+/// posterior of the bucket mean instead of a fixed-size resample. The old
+/// transcript said "Around two point five percent" (truth 1.86 %). At 300
+/// samples per sentence the first commit comes after ~2 600 of 6 000 rows,
+/// when a bucket holds ~130 values, and the early iterations draw from
+/// buckets of ~10: the draw is honest about how little that is, and at
+/// this budget that costs the baseline. Over 20 seeds the median Def. 2.2
+/// lift here moved 0.85 → 0.79 at 300 samples per sentence, 0.95 → 0.96
+/// at 2 000 and 0.98 → 1.02 at 8 000, the served floor.
 #[test]
 fn holistic_seed_7_speaks_the_pinned_transcript() {
     let t = table();
@@ -110,9 +118,9 @@ fn holistic_seed_7_speaks_the_pinned_transcript() {
     assert_eq!(
         sentences,
         [
-            "Around two point five percent is the average cancellation probability.",
-            "Values decrease by 50 percent for flights scheduled in Winter.",
-            "Values decrease by 10 percent for flights scheduled in Spring.",
+            "Around eight percent is the average cancellation probability.",
+            "Values increase by 50 percent for flights scheduled in Fall.",
+            "Values decrease by 20 percent for flights scheduled in Spring.",
         ]
     );
 }
