@@ -39,7 +39,7 @@ fn main() {
     let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 300_000);
 
     for _ in 0..60_000 {
-        worker.sample_once(&tree, SpeechTree::ROOT, false);
+        worker.sample_once(&tree, SpeechTree::ROOT);
     }
 
     // Pick the best baseline, then rank its children.

@@ -11,7 +11,6 @@ use voxolap_faults::Resilience;
 use crate::holistic::{Holistic, HolisticConfig};
 use crate::optimal::Optimal;
 use crate::outcome::VocalizationOutcome;
-use crate::parallel::ParallelHolistic;
 use crate::pipeline::{CancelToken, SpeechStream};
 use crate::prior::PriorGreedy;
 use crate::uncertainty::UncertaintyMode;
@@ -64,6 +63,7 @@ pub struct ApproachOptions {
     /// Uncertainty transmission mode of the holistic engines (paper §4.4).
     pub uncertainty: UncertaintyMode,
     /// Planning threads of the `parallel` approach (`None`: one per core).
+    /// A `parallel` engine at one thread is the `holistic` one.
     pub threads: Option<usize>,
     /// Cross-query semantic cache, for the approaches that can use one
     /// (`holistic`, `parallel`, `optimal`).
@@ -128,18 +128,19 @@ impl ApproachOptions {
 /// the one place that decides which of them also gets the cache and the
 /// resilience bundle.
 pub fn vocalizer(name: &str, opts: &ApproachOptions) -> Result<Box<dyn Vocalizer>, String> {
-    let engine = |threads: Option<usize>| {
-        let mut engine = ParallelHolistic::new(opts.holistic_config());
-        if let Some(n) = threads {
-            engine = engine.with_threads(n);
+    let engine = |threads: usize| {
+        let engine = Holistic::new(opts.holistic_config())
+            .with_threads(threads)
+            .with_resilience(opts.resilience.clone());
+        match &opts.cache {
+            Some(cache) => engine.with_cache(cache.clone()),
+            None => engine,
         }
-        engine.cache = opts.cache.clone();
-        engine.resilience = opts.resilience.clone();
-        engine
     };
+    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get());
     Ok(match name {
-        "holistic" => Box::new(Holistic(engine(Some(1)))),
-        "parallel" | "concurrent" => Box::new(engine(opts.threads)),
+        "holistic" => Box::new(engine(1)),
+        "parallel" | "concurrent" => Box::new(engine(opts.threads.unwrap_or_else(cores))),
         "optimal" => Box::new(opts.optimal()),
         "unmerged" => Box::new(opts.unmerged()),
         "prior" => Box::new(PriorGreedy),
@@ -169,6 +170,9 @@ mod tests {
             assert_eq!(vocalizer(name, &opts).unwrap().name(), reports, "{name}");
         }
         assert!(vocalizer("quantum", &opts).err().unwrap().contains("quantum"));
+        // The name follows the thread count: a team of one is `holistic`.
+        let one = ApproachOptions { threads: Some(1), ..ApproachOptions::default() };
+        assert_eq!(vocalizer("parallel", &one).unwrap().name(), "holistic");
         // The serving configuration is the defaults plus these two, and
         // the comparison approaches carry it too — not a default.
         let opts = ApproachOptions { seed: 9, ..opts };

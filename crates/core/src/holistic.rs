@@ -14,26 +14,50 @@
 //!    it the new sampling root so all previously collected statistics in
 //!    its subtree remain available ("we avoid redundant planning work").
 //!
-//! [`Holistic`] is the engine of [`crate::parallel`] in its cooperative
-//! single-thread mode: deterministic under a seed and paced by the voice.
+//! There is one engine, and its thread count is the only thing that
+//! selects how it samples ([`Holistic::with_threads`]):
+//!
+//! * **One thread (the default)** — sampling and voice output interleave
+//!   on the calling thread: one worker samples while the previous sentence
+//!   plays, then the engine commits. Exact and deterministic under a fixed
+//!   seed; experiments and tests use it.
+//! * **N threads** — the paper's literal architecture ("while the current
+//!   sentence is spoken, we determine the best follow-up in the
+//!   background") scaled across cores: N workers run the same iteration on
+//!   scoped threads while the calling thread paces against the voice.
+//!   Outcomes depend on scheduling and are **not** bit-reproducible.
+//!
+//! Both share every piece: workers claim whole morsels of the seeded scan
+//! order from one shared [`MorselPool`](voxolap_data::MorselPool) — so the
+//! union of their prefixes stays a uniform sample, and one worker drains
+//! it in exactly the seeded order — into one [`ShardedSampleCache`]; they
+//! run the same plain UCT descent over one lock-free speech tree; and one
+//! commit rule moves the sampling root (see `pipeline::driver`).
 //! [`HolisticConfig`], declared here, is the configuration of every
 //! approach, not only this one.
 
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+use std::time::Instant;
 
 use voxolap_data::Table;
 use voxolap_engine::query::{AggIdx, Query, ResultLayout};
+use voxolap_engine::repair::repair_snapshot;
 use voxolap_engine::semantic::SemanticCache;
+use voxolap_engine::sharded::ShardedSampleCache;
 use voxolap_faults::Resilience;
 use voxolap_mcts::NodeId;
 use voxolap_speech::candidates::CandidateConfig;
 use voxolap_speech::constraints::SpeechConstraints;
+use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
-use crate::parallel::ParallelHolistic;
+use crate::optimal::{serve_stale_exact, ExactHit};
 use crate::pipeline::cancel::CancelToken;
-use crate::pipeline::stream::SpeechStream;
-use crate::sampler::SelectionPolicy;
+use crate::pipeline::driver::TeamSource;
+use crate::pipeline::stream::{Buffered, Deferred, SentenceSource, SpeechStream};
+use crate::resilience::ResCtx;
+use crate::sampler::{SelectionPolicy, ShardWorker};
 use crate::tree::SpeechTree;
 use crate::uncertainty::UncertaintyMode;
 use crate::voice::VoiceOutput;
@@ -114,10 +138,18 @@ impl HolisticConfig {
     }
 }
 
-/// The holistic vocalizer (paper §4): the one engine at one planning
-/// thread. [`ParallelHolistic`] is the same code at `threads = N`.
+/// The holistic vocalizer (paper §4) at a configurable planning-thread
+/// count (see module docs); one thread unless
+/// [`with_threads`](Holistic::with_threads) says otherwise.
 #[derive(Debug, Clone)]
-pub struct Holistic(pub(crate) ParallelHolistic);
+pub struct Holistic {
+    config: HolisticConfig,
+    threads: usize,
+    cache: Option<Arc<SemanticCache>>,
+    /// The degradation ladder every run of this engine opens its
+    /// [`ResCtx`] on; inert (no injector) unless replaced.
+    resilience: Arc<Resilience>,
+}
 
 impl Default for Holistic {
     fn default() -> Self {
@@ -126,27 +158,44 @@ impl Default for Holistic {
 }
 
 impl Holistic {
-    /// Create with the given configuration.
+    /// Create with the given configuration, at one planning thread.
     pub fn new(config: HolisticConfig) -> Self {
-        let resilience = Arc::default();
-        Holistic(ParallelHolistic { config, threads: 1, cache: None, resilience })
+        Holistic { config, threads: 1, cache: None, resilience: Arc::default() }
     }
 
-    /// Attach a cross-query semantic cache (see
-    /// [`ParallelHolistic::with_cache`]).
-    pub fn with_cache(self, cache: Arc<SemanticCache>) -> Self {
-        Holistic(self.0.with_cache(cache))
+    /// Attach a cross-query semantic cache. Repeats of an exactly-answered
+    /// query skip sampling entirely; scope-compatible snapshots warm-start
+    /// the sample cache. Snapshots record per-chunk morsel-pool progress:
+    /// a warm start requires a donor run with the same seed, but any
+    /// thread count can resume any donor's consumed prefix. With an empty
+    /// cache, a one-thread run is bit-identical to a cacheless one.
+    pub fn with_cache(mut self, cache: Arc<SemanticCache>) -> Self {
+        self.cache = Some(cache);
+        self
     }
 
-    /// Replace the resilience bundle (see
-    /// [`ParallelHolistic::with_resilience`]).
-    pub fn with_resilience(self, resilience: Arc<Resilience>) -> Self {
-        Holistic(self.0.with_resilience(resilience))
+    /// Set the number of planning threads (min 1) — the only selector
+    /// between the deterministic cooperative mode (`1`) and a team.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.threads = threads.max(1);
+        self
+    }
+
+    /// Replace the engine's resilience bundle (an inert one of its own by
+    /// default): fault injection at the engine's fault sites, the retry →
+    /// circuit-breaker read ladder, and the [`DegradeStats`] its answers
+    /// are counted in. Anytime-answer degradation needs no injector — a
+    /// deadline cut commits the best baseline, marked degraded, on either.
+    ///
+    /// [`DegradeStats`]: voxolap_faults::DegradeStats
+    pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
+        self.resilience = resilience;
+        self
     }
 
     /// The active configuration.
     pub fn config(&self) -> &HolisticConfig {
-        self.0.config()
+        &self.config
     }
 }
 
@@ -162,10 +211,20 @@ pub(crate) fn relevant_aggs(tree: &SpeechTree, node: NodeId, layout: &ResultLayo
 }
 
 impl Vocalizer for Holistic {
+    /// `holistic` at one thread, `holistic-parallel` for a team.
     fn name(&self) -> &'static str {
-        "holistic"
+        if self.threads == 1 {
+            "holistic"
+        } else {
+            "holistic-parallel"
+        }
     }
 
+    /// The part of Algorithm 1's Ingest stage that needs no data: the
+    /// semantic cache's exact lookup and the preamble. Everything else —
+    /// `Holistic::ingest`, or the exhaustive plan of an exact hit — is
+    /// deferred to the stream's first pull, after which the stream runs one
+    /// Plan/Sample → Commit round of the driver per sentence.
     fn stream<'a>(
         &self,
         table: &'a Table,
@@ -173,7 +232,132 @@ impl Vocalizer for Holistic {
         voice: &'a mut dyn VoiceOutput,
         cancel: CancelToken,
     ) -> SpeechStream<'a> {
-        self.0.stream(table, query, voice, cancel)
+        // One run per vocalization: the degrade ladder's per-run fault
+        // budget and first-cause tag.
+        let res = ResCtx::new(&self.resilience);
+
+        // Semantic cache, layer 1: a repeat of an exactly-answered query
+        // skips sampling entirely and plans against stored aggregates.
+        // Entries from an older table version are served only when fresh
+        // data is unreachable (§12 stale-serve, marked `stale: true`);
+        // otherwise they are invalidated and the query replans fresh.
+        let serve_stale = || serve_stale_exact(&cancel, &res);
+        let hit = ExactHit::lookup(self.cache.as_ref(), query, table.version(), serve_stale);
+
+        // Start voice output of the preamble; everything else overlaps it.
+        let t0 = Instant::now();
+        let preamble = Renderer::new(table.schema(), query).preamble();
+        voice.start(&preamble);
+        let latency = t0.elapsed();
+
+        let stale = hit.as_ref().is_some_and(|hit| hit.stale);
+        let source: Box<dyn SentenceSource<'a> + 'a> = match hit {
+            Some(hit) => {
+                let cfg = self.config.clone();
+                let run = res.run.clone();
+                let plan = move |cancel: &CancelToken| -> Box<dyn SentenceSource<'a> + 'a> {
+                    Box::new(hit.plan(table.schema(), query, &cfg, cancel, &run))
+                };
+                Box::new(Deferred::new(plan))
+            }
+            None => {
+                let engine = self.clone();
+                let res = res.clone();
+                Box::new(Deferred::new(move |_: &CancelToken| engine.ingest(table, query, res)))
+            }
+        };
+        let mut stream = SpeechStream::new(voice, cancel, t0, preamble, latency, source, res);
+        stream.stale = stale;
+        stream
+    }
+}
+
+impl Holistic {
+    /// The data-dependent part of Algorithm 1's Ingest stage, run by the
+    /// stream's first pull while the preamble plays: snapshot repair and
+    /// warm start, warm-up, σ calibration, tree construction. Returns the
+    /// team that samples from then on (or the no-data report).
+    fn ingest<'a>(
+        self,
+        table: &'a Table,
+        query: &'a Query,
+        res: ResCtx,
+    ) -> Box<dyn SentenceSource<'a> + 'a> {
+        let Holistic { config: cfg, threads: n_workers, cache: semantic, .. } = self;
+        let schema = table.schema();
+
+        let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
+        if let Some(inj) = res.bundle.injector() {
+            shared = shared.with_faults(inj.clone(), res.bundle.stats().clone());
+        }
+        let cache = Arc::new(shared);
+        let pool = table.morsel_pool(cfg.seed);
+        let mut workers: Vec<ShardWorker<'a>> = (0..n_workers)
+            .map(|w| ShardWorker::new(table, query, cache.clone(), &cfg, pool.clone(), w, &res))
+            .collect();
+
+        // Semantic cache, layer 2: a snapshot with the same scope (measure
+        // + filters) and seed names the donor's uniform row prefix. Worker
+        // 0 replays those rows from the pinned revision into the shared
+        // cache and the shared morsel pool advances past them, so sampling
+        // resumes where the donor stopped. A version-stale snapshot is
+        // first *repaired* — rebased onto the grown scan order with a
+        // proportional prefix of the appended suffix added, never a full
+        // rescan — and re-admitted; the suffix rows the repair added count
+        // as this run's rows read, the rest of the replay does not.
+        let mut seeded_total = 0u64;
+        if let Some(sem) = &semantic {
+            let scope = query.key().scope();
+            let donor = sem.lookup_snapshot(&scope, cfg.seed).and_then(|snap| {
+                if snap.version == table.version() {
+                    Some((snap, 0u64))
+                } else {
+                    repair_snapshot(&snap, table, &scope).map(|out| {
+                        sem.note_repair(out.rows_read);
+                        sem.admit_snapshot(&scope, out.snapshot.clone());
+                        (Arc::new(out.snapshot), out.rows_read)
+                    })
+                }
+            });
+            match donor {
+                Some((snap, repair_rows)) => {
+                    let replayed = workers[0].warm_start(&snap);
+                    sem.note_replay(replayed);
+                    seeded_total = replayed.saturating_sub(repair_rows);
+                }
+                None => sem.record_miss(),
+            }
+        }
+
+        // Warm up on worker 0's shard (a uniform sample of the table).
+        let Some(overall) = workers[0].warmup(cfg.warmup_rows) else {
+            // Entire table streamed, not one row in scope: report that —
+            // and still admit the exhausted scan to the semantic cache.
+            let fresh = cache.nr_read().saturating_sub(seeded_total);
+            let admit = move || {
+                if let Some(sem) = &semantic {
+                    workers[0].admit(sem);
+                }
+            };
+            return Box::new(Buffered::no_data(fresh, Some(Box::new(admit))));
+        };
+        let (sigma, tree) = SpeechTree::open(schema, query, &cfg, overall);
+        for w in &mut workers {
+            w.set_sigma(sigma);
+        }
+
+        Box::new(TeamSource {
+            workers,
+            tree,
+            renderer: Renderer::new(schema, query),
+            cfg,
+            current: SpeechTree::ROOT,
+            unit: schema.measure(query.measure()).unit,
+            samples: AtomicU64::new(0),
+            seeded_total,
+            semantic,
+            run: res.run,
+        })
     }
 }
 

@@ -19,10 +19,11 @@
 //!   compares against: enumerates the full result in value groups with
 //!   greedy scope merging and no length budget.
 //!
-//! [`parallel::ParallelHolistic`] is the same holistic engine with a
-//! configurable planning-thread count — sharded row ingestion and
-//! lock-free UCT sampling across scoped threads; [`holistic::Holistic`]
-//! is that engine at one thread, where it is deterministic under a seed.
+//! The holistic engine takes its planning-thread count from
+//! [`Holistic::with_threads`](holistic::Holistic::with_threads) and nothing
+//! else: at one thread (the default) it is deterministic under a seed; at N
+//! the same workers — sharded row ingestion, lock-free UCT sampling — run
+//! on scoped threads.
 //!
 //! Holistic, Optimal and Unmerged take one planner configuration,
 //! [`HolisticConfig`] (Unmerged adds its
@@ -68,7 +69,7 @@ pub use approach::Vocalizer;
 pub use holistic::{Holistic, HolisticConfig};
 pub use optimal::Optimal;
 pub use outcome::{PlanStats, VocalizationOutcome};
-pub use parallel::{ingest_throughput, IngestReport, ParallelHolistic};
+pub use parallel::{ingest_throughput, IngestReport};
 pub use pipeline::{CancelKind, CancelToken, PlannedSentence, SentenceStats, SpeechStream};
 pub use prior::PriorGreedy;
 pub use uncertainty::UncertaintyMode;

@@ -1,39 +1,10 @@
-//! The holistic engine — paper Algorithm 1 (`EvalVocal`) — over the
-//! lock-free speech tree, at one thread or many.
+//! Thread-scaling measurements of the holistic engine's two hot loops —
+//! UCT sampling ([`sampling_throughput`]) and batched morsel ingest
+//! ([`ingest_throughput`]) — over the pieces
+//! [`Holistic`] runs at any thread count.
 //!
-//! There is one engine. [`Holistic`](crate::holistic::Holistic) is its
-//! `threads == 1` face, [`ParallelHolistic`] the same code at
-//! `threads = N`; [`ParallelHolistic::with_threads`] is the only selector.
-//!
-//! * **Cooperative mode (`threads == 1`)** — sampling and voice output
-//!   interleave on the calling thread: one worker samples while the
-//!   previous sentence plays, then the engine commits. Exact and
-//!   deterministic under a fixed seed; experiments and tests use it.
-//! * **Multi-thread mode** — the paper's literal architecture ("while
-//!   the current sentence is spoken, we determine the best follow-up in
-//!   the background") scaled across cores; outcomes depend on scheduling
-//!   and are **not** bit-reproducible. Interactive deployments use it.
-//!
-//! Both modes share every piece:
-//!
-//! * **Morsel-driven row ingestion** — workers claim whole chunks
-//!   (morsels) of the seeded two-level scan order from one shared
-//!   [`MorselPool`](voxolap_data::MorselPool) ([`Table::scan_pooled`])
-//!   and stream them into one shared [`ShardedSampleCache`] whose
-//!   per-aggregate striped buckets keep workers from serializing on a
-//!   global cache lock. Claimed morsels partition the order with zero
-//!   overlap, so the union of worker prefixes remains a uniform sample
-//!   (see [`voxolap_data::chunk`] for the uniformity argument); a single
-//!   worker drains the pool in exactly the seeded order.
-//! * **Lock-free UCT sampling** — workers descend the pre-expanded speech
-//!   tree and commit visit/reward statistics with atomic CAS updates; no
-//!   tree lock exists at all. Teams of several add virtual losses
-//!   ([`select_path_vloss`](voxolap_mcts::Tree::select_path_vloss)) to
-//!   spread out.
-//! * **Commit** — at each sentence boundary the calling thread moves the
-//!   sampling root to the child with the best *mean* reward (Algorithm
-//!   1's exploitation-only commit), so all statistics collected in its
-//!   subtree remain available.
+//! [`ParallelHolistic`] is a second name for [`Holistic`], which takes its
+//! planning-thread count from [`Holistic::with_threads`].
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,93 +12,15 @@ use std::time::{Duration, Instant};
 
 use voxolap_data::Table;
 use voxolap_engine::query::Query;
-use voxolap_engine::repair::repair_snapshot;
-use voxolap_engine::semantic::SemanticCache;
 use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
-use voxolap_faults::Resilience;
-use voxolap_speech::render::Renderer;
 
-use crate::approach::Vocalizer;
-use crate::holistic::HolisticConfig;
-use crate::optimal::{serve_stale_exact, ExactHit};
-use crate::pipeline::cancel::CancelToken;
-use crate::pipeline::driver::TeamSource;
-use crate::pipeline::stream::{Buffered, Deferred, SentenceSource, SpeechStream};
+use crate::holistic::{Holistic, HolisticConfig};
 use crate::resilience::ResCtx;
 use crate::sampler::ShardWorker;
 use crate::tree::SpeechTree;
-use crate::voice::VoiceOutput;
 
-/// How long the committing thread sleeps between `VO.IsPlaying` polls.
-pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(2);
-
-/// The holistic engine with a configurable planning-thread count (see
-/// module docs); defaults to one thread per core.
-#[derive(Debug, Clone)]
-pub struct ParallelHolistic {
-    pub(crate) config: HolisticConfig,
-    pub(crate) threads: usize,
-    pub(crate) cache: Option<Arc<SemanticCache>>,
-    /// The degradation ladder every run of this engine opens its
-    /// [`ResCtx`] on; inert (no injector) unless replaced.
-    pub(crate) resilience: Arc<Resilience>,
-}
-
-impl Default for ParallelHolistic {
-    fn default() -> Self {
-        ParallelHolistic::new(HolisticConfig::default())
-    }
-}
-
-impl ParallelHolistic {
-    /// Create with the given configuration (shared with
-    /// [`Holistic`](crate::holistic::Holistic)) and as many planning
-    /// threads as the machine has cores.
-    pub fn new(config: HolisticConfig) -> Self {
-        let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        ParallelHolistic { config, threads, cache: None, resilience: Arc::default() }
-    }
-
-    /// Attach a cross-query semantic cache. Repeats of an exactly-answered
-    /// query skip sampling entirely; scope-compatible snapshots warm-start
-    /// the sample cache. Snapshots record per-chunk morsel-pool progress:
-    /// a warm start requires a donor run with the same seed, but any
-    /// thread count can resume any donor's consumed prefix. With an empty
-    /// cache, `threads == 1` output is bit-identical to a cacheless run.
-    pub fn with_cache(mut self, cache: Arc<SemanticCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Override the number of planning threads (min 1). `1` selects the
-    /// deterministic cooperative mode.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Replace the engine's resilience bundle (an inert one of its own by
-    /// default): fault injection at the engine's fault sites, the retry →
-    /// circuit-breaker read ladder, and the [`DegradeStats`] its answers
-    /// are counted in. Anytime-answer degradation needs no injector — a
-    /// deadline cut commits the best baseline, marked degraded, on either.
-    ///
-    /// [`DegradeStats`]: voxolap_faults::DegradeStats
-    pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HolisticConfig {
-        &self.config
-    }
-
-    /// The configured number of planning threads.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
+/// The holistic engine under the name the standalone benchmark imports.
+pub type ParallelHolistic = Holistic;
 
 /// Result of one [`sampling_throughput`] measurement.
 #[derive(Debug, Clone, Copy)]
@@ -176,7 +69,6 @@ pub fn sampling_throughput(
 
     let samples = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
-    let use_vloss = threads > 1;
     let t0 = Instant::now();
     std::thread::scope(|scope| {
         for mut worker in workers {
@@ -188,7 +80,7 @@ pub fn sampling_throughput(
                 // contention point in the measurement.
                 let mut local = 0u64;
                 while !stop.load(Ordering::Relaxed) {
-                    worker.sample_once(tree, SpeechTree::ROOT, use_vloss);
+                    worker.sample_once(tree, SpeechTree::ROOT);
                     local += 1;
                 }
                 samples.fetch_add(local, Ordering::Relaxed);
@@ -272,153 +164,6 @@ pub fn ingest_throughput(
     IngestReport { threads, rows, drains, elapsed: t0.elapsed() }
 }
 
-impl Vocalizer for ParallelHolistic {
-    fn name(&self) -> &'static str {
-        "holistic-parallel"
-    }
-
-    /// The part of Algorithm 1's Ingest stage that needs no data: the
-    /// semantic cache's exact lookup and the preamble. Everything else —
-    /// [`ParallelHolistic::ingest`], or the exhaustive plan of an exact
-    /// hit — is deferred to the stream's first pull, after which the
-    /// stream runs one Plan/Sample → Commit round of the driver per
-    /// sentence.
-    fn stream<'a>(
-        &self,
-        table: &'a Table,
-        query: &'a Query,
-        voice: &'a mut dyn VoiceOutput,
-        cancel: CancelToken,
-    ) -> SpeechStream<'a> {
-        // One run per vocalization: the degrade ladder's per-run fault
-        // budget and first-cause tag.
-        let res = ResCtx::new(&self.resilience);
-
-        // Semantic cache, layer 1: a repeat of an exactly-answered query
-        // skips sampling entirely and plans against stored aggregates.
-        // Entries from an older table version are served only when fresh
-        // data is unreachable (§12 stale-serve, marked `stale: true`);
-        // otherwise they are invalidated and the query replans fresh.
-        let serve_stale = || serve_stale_exact(&cancel, &res);
-        let hit = ExactHit::lookup(self.cache.as_ref(), query, table.version(), serve_stale);
-
-        // Start voice output of the preamble; everything else overlaps it.
-        let t0 = Instant::now();
-        let preamble = Renderer::new(table.schema(), query).preamble();
-        voice.start(&preamble);
-        let latency = t0.elapsed();
-
-        let stale = hit.as_ref().is_some_and(|hit| hit.stale);
-        let source: Box<dyn SentenceSource<'a> + 'a> = match hit {
-            Some(hit) => {
-                let cfg = self.config.clone();
-                let run = res.run.clone();
-                let plan = move |cancel: &CancelToken| -> Box<dyn SentenceSource<'a> + 'a> {
-                    Box::new(hit.plan(table.schema(), query, &cfg, cancel, &run))
-                };
-                Box::new(Deferred::new(plan))
-            }
-            None => {
-                let engine = self.clone();
-                let res = res.clone();
-                Box::new(Deferred::new(move |_: &CancelToken| engine.ingest(table, query, res)))
-            }
-        };
-        let mut stream = SpeechStream::new(voice, cancel, t0, preamble, latency, source, res);
-        stream.stale = stale;
-        stream
-    }
-}
-
-impl ParallelHolistic {
-    /// The data-dependent part of Algorithm 1's Ingest stage, run by the
-    /// stream's first pull while the preamble plays: snapshot repair and
-    /// warm start, warm-up, σ calibration, tree construction. Returns the
-    /// team that samples from then on (or the no-data report).
-    fn ingest<'a>(
-        self,
-        table: &'a Table,
-        query: &'a Query,
-        res: ResCtx,
-    ) -> Box<dyn SentenceSource<'a> + 'a> {
-        let ParallelHolistic { config: cfg, threads: n_workers, cache: semantic, .. } = self;
-        let schema = table.schema();
-
-        let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
-        if let Some(inj) = res.bundle.injector() {
-            shared = shared.with_faults(inj.clone(), res.bundle.stats().clone());
-        }
-        let cache = Arc::new(shared);
-        let pool = table.morsel_pool(cfg.seed);
-        let mut workers: Vec<ShardWorker<'a>> = (0..n_workers)
-            .map(|w| ShardWorker::new(table, query, cache.clone(), &cfg, pool.clone(), w, &res))
-            .collect();
-
-        // Semantic cache, layer 2: a snapshot with the same scope (measure
-        // + filters) and seed names the donor's uniform row prefix. Worker
-        // 0 replays those rows from the pinned revision into the shared
-        // cache and the shared morsel pool advances past them, so sampling
-        // resumes where the donor stopped. A version-stale snapshot is
-        // first *repaired* — rebased onto the grown scan order with a
-        // proportional prefix of the appended suffix added, never a full
-        // rescan — and re-admitted; the suffix rows the repair added count
-        // as this run's rows read, the rest of the replay does not.
-        let mut seeded_total = 0u64;
-        if let Some(sem) = &semantic {
-            let scope = query.key().scope();
-            let donor = sem.lookup_snapshot(&scope, cfg.seed).and_then(|snap| {
-                if snap.version == table.version() {
-                    Some((snap, 0u64))
-                } else {
-                    repair_snapshot(&snap, table, &scope).map(|out| {
-                        sem.note_repair(out.rows_read);
-                        sem.admit_snapshot(&scope, out.snapshot.clone());
-                        (Arc::new(out.snapshot), out.rows_read)
-                    })
-                }
-            });
-            match donor {
-                Some((snap, repair_rows)) => {
-                    let replayed = workers[0].warm_start(&snap);
-                    sem.note_replay(replayed);
-                    seeded_total = replayed.saturating_sub(repair_rows);
-                }
-                None => sem.record_miss(),
-            }
-        }
-
-        // Warm up on worker 0's shard (a uniform sample of the table).
-        let Some(overall) = workers[0].warmup(cfg.warmup_rows) else {
-            // Entire table streamed, not one row in scope: report that —
-            // and still admit the exhausted scan to the semantic cache.
-            let fresh = cache.nr_read().saturating_sub(seeded_total);
-            let admit = move || {
-                if let Some(sem) = &semantic {
-                    workers[0].admit(sem);
-                }
-            };
-            return Box::new(Buffered::no_data(fresh, Some(Box::new(admit))));
-        };
-        let (sigma, tree) = SpeechTree::open(schema, query, &cfg, overall);
-        for w in &mut workers {
-            w.set_sigma(sigma);
-        }
-
-        Box::new(TeamSource {
-            workers,
-            tree,
-            renderer: Renderer::new(schema, query),
-            cfg,
-            current: SpeechTree::ROOT,
-            unit: schema.measure(query.measure()).unit,
-            samples: AtomicU64::new(0),
-            seeded_total,
-            semantic,
-            run: res.run,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,10 +171,14 @@ mod tests {
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
     use voxolap_engine::query::AggFct;
+    use voxolap_engine::semantic::SemanticCache;
+    use voxolap_faults::Resilience;
     use voxolap_speech::constraints::SpeechConstraints;
 
+    use crate::approach::Vocalizer;
+    use crate::pipeline::cancel::CancelToken;
     use crate::uncertainty::UncertaintyMode;
-    use crate::voice::InstantVoice;
+    use crate::voice::{InstantVoice, VoiceOutput};
 
     /// A wall-clock voice local to these tests (the production one lives
     /// in voxolap-voice, which sits above this crate).
@@ -485,7 +234,7 @@ mod tests {
             ..HolisticConfig::default()
         };
         let mut voice = SleepyVoice::new(Duration::from_micros(200));
-        let outcome = ParallelHolistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
+        let outcome = Holistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
         let speech = outcome.speech.as_ref().expect("structured speech");
         assert!(speech.refinements.len() <= 2);
         assert!(!outcome.sentences.is_empty());
@@ -503,7 +252,7 @@ mod tests {
         };
         // ~20 ms of "speaking" per sentence buys thousands of iterations.
         let mut voice = SleepyVoice::new(Duration::from_micros(300));
-        let outcome = ParallelHolistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
+        let outcome = Holistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
         assert!(
             outcome.stats.samples > 500,
             "workers sampled during speech: {}",
@@ -521,7 +270,7 @@ mod tests {
             ..HolisticConfig::default()
         };
         let mut voice = SleepyVoice::new(Duration::from_micros(50));
-        let outcome = ParallelHolistic::new(cfg).with_threads(3).vocalize(&table, &q, &mut voice);
+        let outcome = Holistic::new(cfg).with_threads(3).vocalize(&table, &q, &mut voice);
         assert!(outcome.speech.unwrap().refinements.len() <= 1);
     }
 
@@ -534,7 +283,7 @@ mod tests {
         // which one depends on thread timing (≈40 % of solo runs landed
         // outside the band). 20 000 samples put 100 of 100 runs in 75–100.
         let cfg = HolisticConfig { min_samples_per_sentence: 20_000, ..fast_config() };
-        let outcome = ParallelHolistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
+        let outcome = Holistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
         let v = outcome.speech.unwrap().baseline.value;
         // Exact grand mean is ~88-92 K at one significant digit.
         assert!((70.0..=110.0).contains(&v), "baseline {v}");
@@ -549,30 +298,17 @@ mod tests {
             max_tree_nodes: 40_000,
             ..HolisticConfig::default()
         };
-        let mut voice = SleepyVoice::new(Duration::from_micros(100));
-        let outcome = ParallelHolistic::new(cfg).with_threads(2).vocalize(&table, &q, &mut voice);
+        // A short voice: at 100 µs a character, two idle cores read the
+        // whole 200 000 rows while the sentences play, and the warning
+        // rightly goes away.
+        let mut voice = SleepyVoice::new(Duration::from_micros(10));
+        let outcome = Holistic::new(cfg).with_threads(2).vocalize(&table, &q, &mut voice);
         assert!(outcome.stats.rows_read < table.row_count() as u64, "a partial scan");
         assert!(
             outcome.sentences.iter().any(|s| s.contains("confidence")),
             "warning appended: {:?}",
             outcome.sentences
         );
-    }
-
-    #[test]
-    fn repeat_query_hits_cache_in_cooperative_mode() {
-        let (table, q) = setup();
-        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
-        let engine = ParallelHolistic::new(fast_config()).with_threads(1).with_cache(cache.clone());
-        let mut voice = InstantVoice::default();
-        let cold = engine.vocalize(&table, &q, &mut voice);
-        assert_eq!(cold.stats.rows_read, 320, "cold run exhausts the table");
-        let mut voice = InstantVoice::default();
-        let hit = engine.vocalize(&table, &q, &mut voice);
-        assert_eq!(hit.stats.rows_read, 0, "repeat reads no rows");
-        assert_eq!(hit.stats.samples, 0, "repeat skips sampling");
-        assert!(hit.speech.is_some());
-        assert_eq!(cache.stats().exact_hits, 1);
     }
 
     #[test]
@@ -583,8 +319,7 @@ mod tests {
         for (cancel, pull) in [(CancelToken::never(), false), (fired.clone(), false), (fired, true)]
         {
             let cache = Arc::new(SemanticCache::with_capacity_mb(4));
-            let engine =
-                ParallelHolistic::new(fast_config()).with_threads(1).with_cache(cache.clone());
+            let engine = Holistic::new(fast_config()).with_cache(cache.clone());
             let mut voice = InstantVoice::default();
             let mut stream = engine.stream(&table, &q, &mut voice, cancel);
             let preamble = stream.preamble().to_string();
@@ -607,7 +342,7 @@ mod tests {
     fn an_exact_hit_plans_on_the_first_pull_not_in_stream() {
         let (table, q) = setup();
         let cache = Arc::new(SemanticCache::with_capacity_mb(4));
-        let engine = ParallelHolistic::new(fast_config()).with_threads(1).with_cache(cache.clone());
+        let engine = Holistic::new(fast_config()).with_cache(cache.clone());
         let cold = engine.vocalize(&table, &q, &mut InstantVoice::default());
         assert_eq!(cold.stats.rows_read, 320, "cold run exhausts the table and admits it");
 
@@ -635,7 +370,7 @@ mod tests {
         let target =
             Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(1)).build(schema).unwrap();
         let cache = Arc::new(SemanticCache::with_capacity_mb(4));
-        let engine = ParallelHolistic::new(fast_config()).with_threads(2).with_cache(cache.clone());
+        let engine = Holistic::new(fast_config()).with_threads(2).with_cache(cache.clone());
         let mut voice = SleepyVoice::new(Duration::from_micros(100));
         let cold = engine.vocalize(&table, &donor, &mut voice);
         assert_eq!(cold.stats.rows_read, 320, "donor exhausts the table");
@@ -666,7 +401,7 @@ mod tests {
             ..HolisticConfig::default()
         };
         let mut voice = SleepyVoice::new(Duration::from_micros(100));
-        let outcome = ParallelHolistic::new(cfg)
+        let outcome = Holistic::new(cfg)
             .with_threads(4)
             .with_resilience(res.clone())
             .vocalize(&table, &q, &mut voice);
@@ -694,8 +429,7 @@ mod tests {
             .build(schema)
             .unwrap();
         let mut voice = InstantVoice::default();
-        let outcome =
-            ParallelHolistic::new(fast_config()).with_threads(2).vocalize(&table, &q, &mut voice);
+        let outcome = Holistic::new(fast_config()).with_threads(2).vocalize(&table, &q, &mut voice);
         assert!(outcome.sentences[0].contains("No data"));
         assert!(outcome.speech.is_none());
     }

@@ -4,11 +4,13 @@
 //! [`ShardWorker`]s: sample while the previous sentence plays (or until
 //! the progress floor), then commit to the best-mean child and render it.
 //! A team of one samples cooperatively on the calling thread — exact and
-//! deterministic; a larger team fans the same sampling out over scoped
-//! worker threads while the calling thread paces against the voice.
+//! deterministic; a larger team fans the same iteration — the same plain
+//! UCT descent and update — out over scoped worker threads while the
+//! calling thread paces against the voice.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use voxolap_data::schema::MeasureUnit;
 use voxolap_engine::query::ResultLayout;
@@ -19,7 +21,6 @@ use voxolap_mcts::NodeId;
 use voxolap_speech::render::Renderer;
 
 use crate::holistic::{relevant_aggs, HolisticConfig};
-use crate::parallel::POLL_INTERVAL;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{FinishInfo, SentenceSource};
 use crate::resilience::{round_status, RoundEnd};
@@ -27,6 +28,10 @@ use crate::sampler::ShardWorker;
 use crate::tree::SpeechTree;
 use crate::uncertainty::{annotate, UncertaintyMode};
 use crate::voice::VoiceOutput;
+
+/// How long the pacing thread of a team sleeps between `VO.IsPlaying`
+/// polls.
+const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Advance `current` to the child [`SpeechTree::commit_child`] picks and
 /// render that sentence (with the configured uncertainty annotation);
@@ -102,7 +107,7 @@ impl<'a> SentenceSource<'a> for TeamSource<'a> {
                     // still aborts cleanly.
                     break round_status(cancel, run, at_root, at_leaf) == RoundEnd::Stop;
                 }
-                worker.sample_once(tree, current, false);
+                worker.sample_once(tree, current);
                 iterations += 1;
             };
             *self.samples.get_mut() += iterations;
@@ -119,7 +124,7 @@ impl<'a> SentenceSource<'a> for TeamSource<'a> {
                             && !cancel.fired()
                             && !run.budget_exhausted()
                         {
-                            worker.sample_once(tree, current, true);
+                            worker.sample_once(tree, current);
                             samples.fetch_add(1, Ordering::Relaxed);
                         }
                     });

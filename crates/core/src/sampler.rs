@@ -305,13 +305,14 @@ impl<'a> ShardWorker<'a> {
     /// eligible aggregate, draw its value from the cache's posterior
     /// ([`draw_estimate`]), descend the
     /// tree from `from`, reward the path by the probability the leaf
-    /// speech's belief assigns to the estimate, and update statistics.
-    /// `use_vloss` selects the virtual-loss descent that spreads
-    /// concurrent workers across the tree.
+    /// speech's belief assigns to the estimate, and update statistics. A
+    /// team's workers run it concurrently on one tree: a reward is a fresh
+    /// posterior draw, so two workers on one path still collect
+    /// independent rewards.
     ///
     /// Returns the observed reward (0 when nothing was evaluable yet, or
     /// the iteration faulted — the caller still counts it).
-    pub fn sample_once(&mut self, tree: &SpeechTree, from: NodeId, use_vloss: bool) -> f64 {
+    pub fn sample_once(&mut self, tree: &SpeechTree, from: NodeId) -> f64 {
         if self.res.sample_faulted() {
             return 0.0;
         }
@@ -328,9 +329,6 @@ impl<'a> ShardWorker<'a> {
         let t = tree.tree();
         let path = &mut self.path;
         match self.policy {
-            SelectionPolicy::Uct if use_vloss => {
-                t.select_path_vloss_into(from, &mut self.rng, path)
-            }
             SelectionPolicy::Uct => t.select_path_into(from, &mut self.rng, path),
             SelectionPolicy::UniformRandom => t.random_path_into(from, &mut self.rng, path),
         }
@@ -342,11 +340,7 @@ impl<'a> ShardWorker<'a> {
         } else {
             0.0
         };
-        if use_vloss && self.policy == SelectionPolicy::Uct {
-            t.update_path_vloss(path, reward);
-        } else {
-            t.update_path(path, reward);
-        }
+        t.update_path(path, reward);
         reward
     }
 
@@ -422,7 +416,7 @@ mod tests {
         worker.set_sigma(calibrated_sigma(overall, None));
         let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 100_000);
         for _ in 0..4000 {
-            worker.sample_once(&tree, SpeechTree::ROOT, false);
+            worker.sample_once(&tree, SpeechTree::ROOT);
         }
         let best = tree.tree().best_child(SpeechTree::ROOT).unwrap();
         let speech = tree.speech_at(best);
@@ -467,7 +461,7 @@ mod tests {
         // 0 without panicking.
         let mut worker = ShardWorker::solo(&table, &q, &config(3));
         let tree = SpeechTree::build(&gen, &renderer, &constraints, 88.0, 10_000);
-        let r = worker.sample_once(&tree, SpeechTree::ROOT, false);
+        let r = worker.sample_once(&tree, SpeechTree::ROOT);
         assert_eq!(r, 0.0);
         assert!(worker.rows_read() > 0 && worker.cache().nonempty_count() == 0);
     }

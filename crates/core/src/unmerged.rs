@@ -123,7 +123,7 @@ impl Vocalizer for Unmerged {
         while within_budget(samples)
             && round_status(&cancel, &res.run, true, false) == RoundEnd::Continue
         {
-            worker.sample_once(&tree, SpeechTree::ROOT, false);
+            worker.sample_once(&tree, SpeechTree::ROOT);
             samples += 1;
         }
 

@@ -32,9 +32,10 @@ pub enum Value {
 }
 
 impl Value {
-    /// Parse a JSON document (rejects trailing garbage).
+    /// Parse a JSON document (rejects trailing garbage, nesting deeper than
+    /// [`MAX_DEPTH`], and numbers too large for an `f64`).
     pub fn parse(text: &str) -> Result<Value, ParseError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -282,9 +283,17 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`Value::parse`] accepts. The
+/// parser recurses once per level, so without a bound a 20 KB body of `[`
+/// overflows the parsing thread's stack and aborts the process; every
+/// document the API exchanges nests a few levels at most.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -326,12 +335,26 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object with `container`, one level deeper.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Value, ParseError> {
@@ -417,9 +440,10 @@ impl<'a> Parser<'a> {
                                     self.pos += 1;
                                     self.expect(b'u')?;
                                     let lo = self.hex4()?;
-                                    let c = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
+                                    if !(0xDC00..0xE000).contains(&lo) {
+                                        return Err(self.err("bad surrogate pair"));
+                                    }
+                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
                                     out.push(
                                         char::from_u32(c)
                                             .ok_or_else(|| self.err("bad surrogate pair"))?,
@@ -487,9 +511,12 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
-            .map(Value::Num)
-            .map_err(|_| ParseError { msg: format!("bad number {text:?}"), offset: start })
+        // JSON has no infinity: a literal past `f64::MAX` would serialize
+        // as `null`.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Num(n)),
+            _ => Err(ParseError { msg: format!("bad number {text:?}"), offset: start }),
+        }
     }
 }
 
@@ -553,6 +580,97 @@ mod tests {
         assert!(Value::parse("[1,]").is_err());
         assert!(Value::parse("{} trailing").is_err());
         assert!(Value::parse("").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_on_a_default_stack() {
+        // A spawned thread has the default 2 MiB stack, as the server's
+        // workers do; 100 000 levels of recursion would overflow it.
+        std::thread::spawn(|| {
+            let err = Value::parse(&"[".repeat(100_000)).unwrap_err();
+            assert!(err.msg.contains("nesting"), "{err}");
+            assert_eq!(err.offset, MAX_DEPTH);
+        })
+        .join()
+        .unwrap();
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert_eq!(Value::parse(&deepest).unwrap().to_string(), deepest);
+        let nested = format!("{}{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Value::parse(&nested).is_err());
+    }
+
+    #[test]
+    fn non_finite_numbers_and_broken_surrogate_pairs_are_rejected() {
+        assert!(Value::parse("1e400").is_err());
+        assert!(Value::parse("-1e400").is_err());
+        assert_eq!(Value::parse("1e300").unwrap().as_f64(), Some(1e300));
+        assert!(Value::parse(r#""\ud83d\u0041""#).is_err());
+        assert_eq!(Value::parse(r#""\ud83d\ude00""#).unwrap().as_str(), Some("😀"));
+    }
+
+    /// Seeded mutational fuzz (ROADMAP 12b): 4 096 mutants of valid API
+    /// bodies, NDJSON ingest rows and a `/stats` document, by bit flips,
+    /// truncation, splices and runs of brackets. The parser never panics,
+    /// and whatever it accepts serializes to text that parses back to the
+    /// same value.
+    #[test]
+    fn mutated_documents_never_panic_and_what_parses_round_trips() {
+        const VALID: [&str; 6] = [
+            r#"{"question": "how does the cancellation probability depend on region?"}"#,
+            r#"{"text": "break down by season", "approach": "optimal", "explain": true}"#,
+            r#"{"dims": ["Kahului HI", ["South", "Texas", "Dallas TX"], "Winter"], "values": [1.0, 0.0, -2.5e-3]}"#,
+            r#"{"dims": ["Delta Air Lines Inc.", "summer"], "values": [0, 12]}"#,
+            r#"{"version":3,"cache":{"exact_hits":2,"plan_hits":2,"misses":[1,null]},"http":{"requests":17,"latency_ms":{"p50":0.25,"p99":12.5}},"degradation":{"degraded_answers":0,"clean_answers":9,"note":"é😀
+"},"ok":true}"#,
+            r#"[[], {}, [[[{"a": [false]}]]], "x\"y\\z"]"#,
+        ];
+        const BRACKETS: &[u8] = b"[{[[{\"k\":[";
+        // splitmix64, as in voxolap-faults: the case list is its seed.
+        let mut state = 0x12b_0150_u64;
+        let mut below = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut x = state;
+            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((x ^ (x >> 31)) % bound.max(1) as u64) as usize
+        };
+        let check = |buf: &[u8], case: &str| {
+            let Ok(v) = Value::parse_slice(buf) else { return false };
+            let text = v.to_string();
+            assert_eq!(Value::parse(&text).as_ref(), Ok(&v), "{case} → {text}");
+            true
+        };
+        for valid in VALID {
+            assert!(check(valid.as_bytes(), "unmutated"), "{valid}");
+        }
+        let mut parsed = 0;
+        for case in 0..4096 {
+            let mut buf = VALID[below(VALID.len())].as_bytes().to_vec();
+            for _ in 0..=below(3) {
+                match below(4) {
+                    0 if !buf.is_empty() => {
+                        let at = below(buf.len());
+                        buf[at] ^= 1 << below(8);
+                    }
+                    1 => buf.truncate(below(buf.len() + 1)),
+                    2 => {
+                        let donor = VALID[below(VALID.len())].as_bytes();
+                        let from = below(donor.len());
+                        let piece = &donor[from..from + below(donor.len() - from + 1)];
+                        let at = below(buf.len() + 1);
+                        buf.splice(at..at, piece.iter().copied());
+                    }
+                    _ => {
+                        let at = below(buf.len() + 1);
+                        let run = BRACKETS.repeat(1 + below(32));
+                        buf.splice(at..at, run);
+                    }
+                }
+            }
+            let case = format!("case {case}: {:?}", String::from_utf8_lossy(&buf));
+            parsed += usize::from(check(&buf, &case));
+        }
+        assert!(parsed > 256, "most mutants must not be trivially rejected: {parsed}");
     }
 
     #[test]

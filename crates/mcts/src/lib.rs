@@ -25,15 +25,9 @@
 //! compare-and-swap loop — so any number of threads can descend and update
 //! a shared tree concurrently through `&Tree` without locks. The tree
 //! *structure* is immutable during sampling (it is fully pre-expanded),
-//! which is what makes this safe: threads only race on counters.
-//!
-//! Concurrent descents through [`Tree::select_path_vloss`] additionally
-//! apply **virtual loss**: each traversed node temporarily counts the
-//! in-flight sample as a visit with zero reward, pushing other threads
-//! toward different subtrees until [`Tree::update_path_vloss`] replaces
-//! the pessimistic placeholder with the observed reward. With no virtual
-//! losses in flight the single-threaded code paths are arithmetically
-//! identical to the sequential planner, which keeps fixed-seed runs
+//! which is what makes this safe: threads only race on counters. Every
+//! thread runs the same [`Tree::select_path_into`] / [`Tree::update_path`]
+//! pair a single thread runs, so one sampler under a fixed seed is
 //! bit-reproducible.
 //!
 //! ```
@@ -83,8 +77,7 @@ fn fetch_add_f64(cell: &AtomicU64, delta: f64) {
 
 /// One search-tree node (paper Table 4: text fields live in `data`,
 /// `visits`/`reward` are the planner statistics). Statistics are atomic so
-/// sampling threads share the node without locking; `vloss` counts
-/// in-flight concurrent descents through this node (virtual loss).
+/// sampling threads share the node without locking.
 #[derive(Debug)]
 struct Node<T> {
     data: T,
@@ -93,7 +86,6 @@ struct Node<T> {
     visits: AtomicU64,
     /// Reward sum as `f64::to_bits`, updated by compare-and-swap.
     reward_bits: AtomicU64,
-    vloss: AtomicU64,
 }
 
 impl<T> Node<T> {
@@ -104,7 +96,6 @@ impl<T> Node<T> {
             children: Vec::new(),
             visits: AtomicU64::new(0),
             reward_bits: AtomicU64::new(0f64.to_bits()),
-            vloss: AtomicU64::new(0),
         }
     }
 
@@ -117,11 +108,6 @@ impl<T> Node<T> {
     fn reward(&self) -> f64 {
         f64::from_bits(self.reward_bits.load(Ordering::Relaxed))
     }
-
-    #[inline]
-    fn vloss(&self) -> u64 {
-        self.vloss.load(Ordering::Relaxed)
-    }
 }
 
 impl<T: Clone> Clone for Node<T> {
@@ -132,7 +118,6 @@ impl<T: Clone> Clone for Node<T> {
             children: self.children.clone(),
             visits: AtomicU64::new(self.visits()),
             reward_bits: AtomicU64::new(self.reward_bits.load(Ordering::Relaxed)),
-            vloss: AtomicU64::new(self.vloss()),
         }
     }
 }
@@ -203,13 +188,6 @@ impl<T> Tree<T> {
         self.nodes[n.index()].reward()
     }
 
-    /// Number of in-flight concurrent descents through the node (virtual
-    /// losses applied but not yet released). Zero outside parallel
-    /// sampling.
-    pub fn virtual_losses(&self, n: NodeId) -> u64 {
-        self.nodes[n.index()].vloss()
-    }
-
     /// Mean observed reward (`NaN` before the first visit).
     pub fn mean_reward(&self, n: NodeId) -> f64 {
         let node = &self.nodes[n.index()];
@@ -227,35 +205,16 @@ impl<T> Tree<T> {
     /// maximizing set).
     ///
     /// Returns `None` for leaves.
-    pub fn max_uct_child<R: Rng + ?Sized>(&self, n: NodeId, rng: &mut R) -> Option<NodeId> {
-        self.uct_child(n, rng, false)
-    }
-
-    /// UCT child selection; with `with_vloss`, in-flight descents count as
-    /// visits with zero reward (virtual loss). With zero virtual losses in
-    /// flight both modes are arithmetically identical.
-    fn uct_child<R: Rng + ?Sized>(
-        &self,
-        n: NodeId,
-        rng: &mut R,
-        with_vloss: bool,
-    ) -> Option<NodeId> {
+    fn max_uct_child<R: Rng + ?Sized>(&self, n: NodeId, rng: &mut R) -> Option<NodeId> {
         let node = &self.nodes[n.index()];
         if node.children.is_empty() {
             return None;
         }
-        let eff = |node: &Node<T>| {
-            if with_vloss {
-                node.visits() + node.vloss()
-            } else {
-                node.visits()
-            }
-        };
         // Reservoir-pick among unvisited children.
         let mut unvisited_seen = 0usize;
         let mut pick = None;
         for &c in &node.children {
-            if eff(&self.nodes[c.index()]) == 0 {
+            if self.nodes[c.index()].visits() == 0 {
                 unvisited_seen += 1;
                 if rng.gen_range(0..unvisited_seen) == 0 {
                     pick = Some(c);
@@ -266,22 +225,14 @@ impl<T> Tree<T> {
             return pick;
         }
         // All children visited: maximize the UCT bound, random tie-break.
-        // In vloss mode the caller holds one virtual loss on `n` itself
-        // (applied on the way down); exclude it so a descent with no other
-        // threads in flight scores exactly like the plain one.
-        let parent_eff = if with_vloss {
-            (node.visits() + node.vloss()).saturating_sub(1)
-        } else {
-            node.visits()
-        };
-        let ln_n = (parent_eff.max(1) as f64).ln();
+        let ln_n = (node.visits().max(1) as f64).ln();
         let mut best_score = f64::NEG_INFINITY;
         let mut ties = 0usize;
         let mut best = node.children[0];
         for &c in &node.children {
             let ch = &self.nodes[c.index()];
-            let n_eff = eff(ch) as f64;
-            let score = ch.reward() / n_eff + (2.0 * ln_n / n_eff).sqrt();
+            let visits = ch.visits() as f64;
+            let score = ch.reward() / visits + (2.0 * ln_n / visits).sqrt();
             if score > best_score {
                 best_score = score;
                 best = c;
@@ -365,46 +316,10 @@ impl<T> Tree<T> {
         }
     }
 
-    /// [`Tree::select_path`] for concurrent samplers: every node on the
-    /// returned path carries one **virtual loss** (an in-flight visit with
-    /// zero reward) that steers other threads away from the same subtree.
-    /// The path MUST be committed with [`Tree::update_path_vloss`], which
-    /// releases the virtual losses.
-    pub fn select_path_vloss<R: Rng + ?Sized>(&self, from: NodeId, rng: &mut R) -> Vec<NodeId> {
-        let mut path = Vec::new();
-        self.select_path_vloss_into(from, rng, &mut path);
-        path
-    }
-
-    /// [`Tree::select_path_vloss`] into a caller-owned buffer (cleared
-    /// first); the same commit obligation applies.
-    pub fn select_path_vloss_into<R: Rng + ?Sized>(
-        &self,
-        from: NodeId,
-        rng: &mut R,
-        path: &mut Vec<NodeId>,
-    ) {
-        path.clear();
-        path.push(from);
-        self.nodes[from.index()].vloss.fetch_add(1, Ordering::AcqRel);
-        let mut cur = from;
-        while let Some(next) = self.uct_child(cur, rng, true) {
-            self.nodes[next.index()].vloss.fetch_add(1, Ordering::AcqRel);
-            path.push(next);
-            cur = next;
-        }
-    }
-
     /// Descend from `from` choosing children uniformly at random — the
     /// no-prioritization ablation of UCT (pure Monte-Carlo sampling without
-    /// the exploration/exploitation balance the paper argues for).
-    pub fn random_path<R: Rng + ?Sized>(&self, from: NodeId, rng: &mut R) -> Vec<NodeId> {
-        let mut path = Vec::new();
-        self.random_path_into(from, rng, &mut path);
-        path
-    }
-
-    /// [`Tree::random_path`] into a caller-owned buffer (cleared first).
+    /// the exploration/exploitation balance the paper argues for), into a
+    /// caller-owned buffer (cleared first).
     pub fn random_path_into<R: Rng + ?Sized>(
         &self,
         from: NodeId,
@@ -431,17 +346,6 @@ impl<T> Tree<T> {
             let node = &self.nodes[n.index()];
             node.visits.fetch_add(1, Ordering::AcqRel);
             fetch_add_f64(&node.reward_bits, reward);
-        }
-    }
-
-    /// Commit a path obtained from [`Tree::select_path_vloss`]: records the
-    /// visit and reward and releases the path's virtual losses.
-    pub fn update_path_vloss(&self, path: &[NodeId], reward: f64) {
-        for &n in path {
-            let node = &self.nodes[n.index()];
-            node.visits.fetch_add(1, Ordering::AcqRel);
-            fetch_add_f64(&node.reward_bits, reward);
-            node.vloss.fetch_sub(1, Ordering::AcqRel);
         }
     }
 
@@ -607,55 +511,6 @@ mod tests {
     }
 
     #[test]
-    fn vloss_descent_spreads_until_committed() {
-        // With a virtual loss applied, a second in-flight descent avoids
-        // the subtree the first one is exploring.
-        let mut t = Tree::new(());
-        let a = t.add_child(Tree::<()>::ROOT, ());
-        let b = t.add_child(Tree::<()>::ROOT, ());
-        // Visit both once so the unvisited-first rule is out of the way.
-        let mut r = rng(11);
-        for _ in 0..2 {
-            t.sample(Tree::<()>::ROOT, &mut r, |_| 0.5);
-        }
-        let p1 = t.select_path_vloss(Tree::<()>::ROOT, &mut r);
-        let p2 = t.select_path_vloss(Tree::<()>::ROOT, &mut r);
-        // Equal means + equal visits: the vloss from p1 tips p2 to the
-        // other arm.
-        assert_ne!(p1[1], p2[1], "second descent repelled by virtual loss");
-        assert_eq!(t.virtual_losses(p1[1]), 1);
-        t.update_path_vloss(&p1, 0.5);
-        t.update_path_vloss(&p2, 0.5);
-        for n in [Tree::<()>::ROOT, a, b] {
-            assert_eq!(t.virtual_losses(n), 0, "all virtual losses released");
-        }
-        assert_eq!(t.visits(Tree::<()>::ROOT), 4);
-    }
-
-    #[test]
-    fn vloss_free_descent_matches_plain_descent() {
-        // Bit-reproducibility claim: with no virtual losses in flight,
-        // select_path_vloss chooses exactly like select_path.
-        let mut t = Tree::new(());
-        for _ in 0..3 {
-            let c = t.add_child(Tree::<()>::ROOT, ());
-            for _ in 0..2 {
-                t.add_child(c, ());
-            }
-        }
-        let mut r1 = rng(12);
-        let mut r2 = rng(12);
-        for i in 0..40 {
-            let plain = t.select_path(Tree::<()>::ROOT, &mut r1);
-            let vloss = t.select_path_vloss(Tree::<()>::ROOT, &mut r2);
-            assert_eq!(plain, vloss, "iteration {i}");
-            // Commit only the vloss path so the tree advances identically
-            // for both rngs (update_path_vloss == update_path + release).
-            t.update_path_vloss(&vloss, (i % 5) as f64 / 5.0);
-        }
-    }
-
-    #[test]
     fn into_descents_reuse_a_dirty_buffer_and_match_the_vec_forms() {
         let mut t = Tree::new(());
         for _ in 0..3 {
@@ -670,16 +525,14 @@ mod tests {
         let mut path = vec![NodeId(7); 5];
         for i in 0..40 {
             t.random_path_into(Tree::<()>::ROOT, &mut r1, &mut path);
-            assert_eq!(path, t.random_path(Tree::<()>::ROOT, &mut r2), "random, iteration {i}");
+            let mut fresh = Vec::new();
+            t.random_path_into(Tree::<()>::ROOT, &mut r2, &mut fresh);
+            assert_eq!(path, fresh, "random, iteration {i}");
             t.select_path_into(Tree::<()>::ROOT, &mut r1, &mut path);
             assert_eq!(path, t.select_path(Tree::<()>::ROOT, &mut r2), "uct, iteration {i}");
-            // The vloss descent mutates the tree, so its twin runs on a
-            // clone; committing it then moves the statistics on for the
-            // next iteration's UCT choices.
-            let vloss = t.clone().select_path_vloss(Tree::<()>::ROOT, &mut r2);
-            t.select_path_vloss_into(Tree::<()>::ROOT, &mut r1, &mut path);
-            assert_eq!(path, vloss, "vloss, iteration {i}");
-            t.update_path_vloss(&path, (i % 5) as f64 / 5.0);
+            // Committing moves the statistics on for the next iteration's
+            // UCT choices.
+            t.update_path(&path, (i % 5) as f64 / 5.0);
         }
     }
 }

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use voxolap_mcts::{NodeId, Tree};
 
 const THREADS: usize = 4;
@@ -40,10 +40,10 @@ fn no_lost_updates_under_contention() {
                 let mut rng = StdRng::seed_from_u64(0xbeef + t as u64);
                 let mut local = 0.0;
                 for _ in 0..SAMPLES_PER_THREAD {
-                    let path = tree.select_path_vloss(Tree::<u32>::ROOT, &mut rng);
+                    let path = tree.select_path(Tree::<u32>::ROOT, &mut rng);
                     let leaf = *path.last().unwrap();
                     let reward = (*tree.data(leaf) % 11) as f64 / 10.0;
-                    tree.update_path_vloss(&path, reward);
+                    tree.update_path(&path, reward);
                     local += reward;
                 }
                 // Fold the thread's reward into a shared f64 (same CAS
@@ -74,10 +74,9 @@ fn no_lost_updates_under_contention() {
         tree.children(Tree::<u32>::ROOT).iter().map(|&c| tree.visits(c)).sum();
     assert_eq!(root_child_sum, expected, "sum of root-child visits == total path updates");
 
-    // Per-node flow conservation and released virtual losses everywhere.
+    // Per-node flow conservation.
     for n in 0..tree.node_count() as u32 {
         let node = NodeId(n);
-        assert_eq!(tree.virtual_losses(node), 0, "node {n} has in-flight vloss after join");
         if !tree.is_leaf(node) {
             let child_sum: u64 = tree.children(node).iter().map(|&c| tree.visits(c)).sum();
             assert_eq!(tree.visits(node), child_sum, "visit flow at node {n}");
@@ -109,32 +108,4 @@ fn no_lost_updates_under_contention() {
         tree.reward(Tree::<u32>::ROOT),
         observed
     );
-}
-
-#[test]
-fn mixed_plain_and_vloss_updates_conserve_counts() {
-    // Plain update_path (used by the deterministic single-thread mode)
-    // and vloss commits interleave on the same tree without interfering.
-    let tree = build_tree(&[3, 3]);
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let tree = &tree;
-            scope.spawn(move || {
-                let mut rng = StdRng::seed_from_u64(0xabba + t as u64);
-                for i in 0..2_000 {
-                    if (t + i) % 2 == 0 {
-                        let path = tree.select_path_vloss(Tree::<u32>::ROOT, &mut rng);
-                        tree.update_path_vloss(&path, rng.gen::<f64>());
-                    } else {
-                        let path = tree.select_path(Tree::<u32>::ROOT, &mut rng);
-                        tree.update_path(&path, rng.gen::<f64>());
-                    }
-                }
-            });
-        }
-    });
-    assert_eq!(tree.visits(Tree::<u32>::ROOT), (THREADS * 2_000) as u64);
-    for n in 0..tree.node_count() as u32 {
-        assert_eq!(tree.virtual_losses(NodeId(n)), 0);
-    }
 }

@@ -99,7 +99,8 @@ fn select_path_always_ends_at_leaf() {
             assert_eq!(tree.parent(w[1]), Some(w[0]));
         }
         // Random descent has the same structural guarantees.
-        let rpath = tree.random_path(Tree::<u32>::ROOT, &mut rng);
+        let mut rpath = Vec::new();
+        tree.random_path_into(Tree::<u32>::ROOT, &mut rng, &mut rpath);
         assert!(tree.is_leaf(*rpath.last().unwrap()));
     }
 }

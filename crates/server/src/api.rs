@@ -209,6 +209,14 @@ fn sentence_event(sentence: &PlannedSentence) -> Value {
     ])
 }
 
+/// The cooperative planners pace on a virtual voice (speaking time
+/// measured in planner iterations); a team of planning threads paces its
+/// workers on the wall clock, so `/query/stream` gives it a fast real-time
+/// voice instead. `parallel` at one thread is the cooperative engine.
+fn paces_on_the_wall_clock(vocalizer: &dyn Vocalizer) -> bool {
+    vocalizer.name() == "holistic-parallel"
+}
+
 /// `cancelled` is the client's doing only (it hung up mid-turn); a
 /// deadline cut shows as `degraded`. `scope_warm` exists on session turns.
 fn done_event(
@@ -714,11 +722,7 @@ impl AppState {
         };
         let state = Arc::clone(self);
         Response::streaming(move |sink| {
-            // The cooperative planners pace on a virtual voice (speaking
-            // time measured in planner iterations); the multi-threaded
-            // planner paces its workers on the wall clock, so it gets a
-            // fast real-time voice instead.
-            let mut voice: Box<dyn VoiceOutput> = if turn.vocalizer.name() == "holistic-parallel" {
+            let mut voice: Box<dyn VoiceOutput> = if paces_on_the_wall_clock(&*turn.vocalizer) {
                 Box::new(RealTimeVoice::new(STREAM_CHARS_PER_SEC))
             } else {
                 Box::new(VirtualVoice::default())
@@ -1054,6 +1058,25 @@ mod tests {
         let v = Value::parse(&r.body).unwrap();
         assert_eq!(v["approach"], "parallel");
         assert!(v["text"].as_str().unwrap().contains("cancellation probability"));
+    }
+
+    /// `parallel` at one thread (`--threads 1`, or a one-core host) is the
+    /// cooperative engine: it is named `holistic` and streams on the
+    /// virtual voice, while replies still echo the approach asked for.
+    #[test]
+    fn parallel_at_one_thread_streams_on_the_virtual_voice() {
+        for (threads, name, wall_clock) in [(1, "holistic", false), (2, "holistic-parallel", true)]
+        {
+            let s = Arc::new(raw_state().with_threads(threads));
+            let v = s.vocalizer_for("parallel").unwrap();
+            assert_eq!((v.name(), paces_on_the_wall_clock(&*v)), (name, wall_clock), "{threads}");
+        }
+        let s = Arc::new(raw_state().with_threads(1));
+        let ask =
+            "{\"question\": \"cancellation probability by season\", \"approach\": \"parallel\"}";
+        let r = post(&s, "/ask", ask);
+        assert_eq!(Value::parse(&r.body).unwrap()["approach"], "parallel", "{}", r.body);
+        assert!(post(&s, "/query/stream", ask).stream.is_some());
     }
 
     #[test]

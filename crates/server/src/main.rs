@@ -24,6 +24,10 @@
 //! Without `--data-dir` the table is purely in-memory, exactly as
 //! before.
 //!
+//! Each flag takes one value. An unknown flag, a missing value, or a value
+//! its flag cannot take (`--rows 5.3e6`, `--threads two`, `--data salry`)
+//! is refused with `usage error: …` and exit status 2.
+//!
 //! `--scale-rows` selects the paper-scale synthetic scale-up (5.3M–50M
 //! flights rows) and takes precedence over `--rows`.
 //!
@@ -70,6 +74,7 @@
 //!   -d '{"text": "break down by region", "approach": "prior"}'
 //! ```
 
+use std::str::FromStr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -80,58 +85,131 @@ use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode};
 use voxolap_faults::Resilience;
 use voxolap_server::{serve_with, AppState, HttpMetrics, ServerConfig};
 
-fn arg(key: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
+/// Every flag of the module docs, checked once: a value is stored only
+/// after it parsed as its flag's type.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    port: Option<u16>,
+    salary: bool,
+    rows: Option<usize>,
+    scale_rows: Option<usize>,
+    threads: Option<usize>,
+    cache_mb: Option<usize>,
+    fault_plan: Option<String>,
+    http_threads: Option<usize>,
+    http_queue: Option<usize>,
+    http_timeout_ms: Option<u64>,
+    http_idle_ms: Option<u64>,
+    max_conns: Option<usize>,
+    session_idle_ms: Option<u64>,
+    heartbeat_ms: Option<u64>,
+    utterance_deadline_ms: Option<u64>,
+    data_dir: Option<String>,
+    fsync_mode: Option<FsyncMode>,
+    snapshot_every: Option<u64>,
+    shutdown_drain_ms: Option<u64>,
+}
+
+/// Parse `args` (program name excluded). An unknown flag, a flag without a
+/// value, or a value its flag cannot take is an error naming it.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    fn num<T: FromStr>(flag: &str, value: &str) -> Result<Option<T>, String> {
+        let err = |_| format!("{flag}: `{value}` is not a whole number in range");
+        value.parse().map(Some).map_err(err)
+    }
+    let mut a = Args::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let value = match args.next() {
+            Some(value) if !value.starts_with("--") => value.as_str(),
+            _ => return Err(format!("{flag} needs a value")),
+        };
+        match flag.as_str() {
+            "--port" => a.port = num(flag, value)?,
+            "--data" => {
+                a.salary = match value {
+                    "flights" => false,
+                    "salary" => true,
+                    _ => return Err(format!("--data: `{value}` is not flights or salary")),
+                }
+            }
+            "--rows" => a.rows = num(flag, value)?,
+            "--scale-rows" => a.scale_rows = num(flag, value)?,
+            "--threads" => a.threads = num(flag, value)?,
+            "--cache-mb" => a.cache_mb = num(flag, value)?,
+            "--fault-plan" => a.fault_plan = Some(value.to_string()),
+            "--http-threads" => a.http_threads = num(flag, value)?,
+            "--http-queue" => a.http_queue = num(flag, value)?,
+            "--http-timeout-ms" => a.http_timeout_ms = num(flag, value)?,
+            "--http-idle-ms" => a.http_idle_ms = num(flag, value)?,
+            "--max-conns" => a.max_conns = num(flag, value)?,
+            "--session-idle-ms" => a.session_idle_ms = num(flag, value)?,
+            "--heartbeat-ms" => a.heartbeat_ms = num(flag, value)?,
+            "--utterance-deadline-ms" => a.utterance_deadline_ms = num(flag, value)?,
+            "--data-dir" => a.data_dir = Some(value.to_string()),
+            "--fsync-mode" => {
+                a.fsync_mode =
+                    Some(FsyncMode::parse(value).map_err(|e| format!("--fsync-mode: {e}"))?)
+            }
+            "--snapshot-every" => a.snapshot_every = num(flag, value)?,
+            "--shutdown-drain-ms" => a.shutdown_drain_ms = num(flag, value)?,
+            _ => {
+                return Err(format!(
+                    "unknown flag `{flag}` (the flags are listed in the module docs)"
+                ))
+            }
+        }
+    }
+    Ok(a)
 }
 
 fn main() {
-    let port: u16 = arg("--port").and_then(|v| v.parse().ok()).unwrap_or(8080);
-    let rows: usize = arg("--scale-rows")
-        .or_else(|| arg("--rows"))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200_000);
-    let data = arg("--data").unwrap_or_else(|| "flights".to_string());
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("usage error: {e}");
+        std::process::exit(2)
+    });
+    let port = args.port.unwrap_or(8080);
+    let rows = args.scale_rows.or(args.rows).unwrap_or(200_000);
 
     let mut config = ServerConfig { log_requests: true, ..ServerConfig::default() };
-    if let Some(n) = arg("--http-threads").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.http_threads {
         config.threads = n;
     }
-    if let Some(n) = arg("--http-queue").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.http_queue {
         config.queue = n;
     }
-    if let Some(ms) = arg("--http-timeout-ms").and_then(|v| v.parse().ok()) {
+    if let Some(ms) = args.http_timeout_ms {
         config = config.with_timeout_ms(ms);
     }
-    if let Some(ms) = arg("--http-idle-ms").and_then(|v| v.parse().ok()) {
-        config.idle_timeout = std::time::Duration::from_millis(ms);
+    if let Some(ms) = args.http_idle_ms {
+        config.idle_timeout = Duration::from_millis(ms);
     }
-    if let Some(ms) = arg("--session-idle-ms").and_then(|v| v.parse().ok()) {
-        config.session_idle_timeout = std::time::Duration::from_millis(ms);
+    if let Some(ms) = args.session_idle_ms {
+        config.session_idle_timeout = Duration::from_millis(ms);
     }
-    if let Some(ms) = arg("--heartbeat-ms").and_then(|v| v.parse().ok()) {
-        config.heartbeat = std::time::Duration::from_millis(ms);
+    if let Some(ms) = args.heartbeat_ms {
+        config.heartbeat = Duration::from_millis(ms);
     }
-    if let Some(n) = arg("--max-conns").and_then(|v| v.parse().ok()) {
+    if let Some(n) = args.max_conns {
         config.max_connections = n;
     }
     // Thousands of parked sessions need thousands of fds; the default
     // soft limit is often 1024.
     let fd_limit = voxolap_server::raise_nofile_limit();
 
-    let table = match data.as_str() {
-        "salary" => SalaryConfig::paper_scale().generate(),
-        _ => {
-            eprintln!("generating flights dataset ({rows} rows)...");
-            FlightsConfig { rows, seed: 42 }.generate()
-        }
+    let table = if args.salary {
+        SalaryConfig::paper_scale().generate()
+    } else {
+        eprintln!("generating flights dataset ({rows} rows)...");
+        FlightsConfig { rows, seed: 42 }.generate()
     };
 
     // The fault plan is parsed before the durable table opens so the
     // storage sites (wal/fsync/snap) share the planner's injector.
-    let resilience = match arg("--fault-plan") {
+    let resilience = match &args.fault_plan {
         None => Arc::default(),
-        Some(spec) => match Resilience::from_spec(&spec) {
+        Some(spec) => match Resilience::from_spec(spec) {
             Ok(r) => {
                 eprintln!("fault plan attached: {spec}");
                 Arc::new(r)
@@ -145,24 +223,15 @@ fn main() {
 
     // Recovery runs here, before the listener exists: no request can
     // observe a partially recovered table.
-    let durable = match arg("--data-dir") {
+    let durable = match &args.data_dir {
         Some(dir) => {
-            let fsync_mode =
-                match FsyncMode::parse(arg("--fsync-mode").as_deref().unwrap_or("batch")) {
-                    Ok(m) => m,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                };
+            let fsync_mode = args.fsync_mode.unwrap_or(FsyncMode::Batch);
             let options = DurabilityOptions {
                 fsync_mode,
-                snapshot_every_batches: arg("--snapshot-every")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(32),
+                snapshot_every_batches: args.snapshot_every.unwrap_or(32),
                 faults: resilience.injector().cloned(),
             };
-            match DurableTable::open(table, &dir, options) {
+            match DurableTable::open(table, dir, options) {
                 Ok((durable, recovery)) => {
                     eprintln!(
                         "durability: data-dir={dir} fsync={} recovered version={} rows={} \
@@ -189,13 +258,13 @@ fn main() {
 
     let metrics = HttpMetrics::new();
     let mut state = AppState::durable(durable).with_http_metrics(metrics.clone());
-    if let Some(threads) = arg("--threads").and_then(|v| v.parse().ok()) {
+    if let Some(threads) = args.threads {
         state = state.with_threads(threads);
     }
-    if let Some(ms) = arg("--utterance-deadline-ms").and_then(|v| v.parse().ok()) {
-        state = state.with_utterance_deadline(std::time::Duration::from_millis(ms));
+    if let Some(ms) = args.utterance_deadline_ms {
+        state = state.with_utterance_deadline(Duration::from_millis(ms));
     }
-    if let Some(mb) = arg("--cache-mb").and_then(|v| v.parse().ok()) {
+    if let Some(mb) = args.cache_mb {
         state = state.with_cache_mb(mb);
     }
     let state = Arc::new(state.with_resilience(resilience));
@@ -220,9 +289,7 @@ fn main() {
     while !shutdown.load(Ordering::Relaxed) {
         std::thread::sleep(Duration::from_millis(100));
     }
-    let drain = Duration::from_millis(
-        arg("--shutdown-drain-ms").and_then(|v| v.parse().ok()).unwrap_or(2000),
-    );
+    let drain = Duration::from_millis(args.shutdown_drain_ms.unwrap_or(2000));
     eprintln!("shutdown: draining in-flight requests (up to {}ms)...", drain.as_millis());
     handle.shutdown_within(drain);
     match state_for_shutdown.shutdown_durability() {
@@ -230,6 +297,53 @@ fn main() {
         Err(e) => {
             eprintln!("shutdown: WAL flush failed ({e}); next boot will scan the tail");
             std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Args, String> {
+        parse_args(&args.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn every_flag_parses_to_its_type() {
+        let a = parse(
+            "--port 8099 --data salary --rows 5000 --scale-rows 5300000 --threads 2 \
+             --cache-mb 0 --fault-plan seed=7,read=0.2 --http-threads 4 --http-queue 8 \
+             --http-timeout-ms 200 --http-idle-ms 300 --max-conns 9 --session-idle-ms 400 \
+             --heartbeat-ms 500 --utterance-deadline-ms 1 --data-dir data \
+             --fsync-mode off --snapshot-every 0 --shutdown-drain-ms 600",
+        )
+        .unwrap();
+        assert_eq!(
+            (a.port, a.salary, a.scale_rows, a.fault_plan.as_deref(), a.data_dir.as_deref()),
+            (Some(8099), true, Some(5_300_000), Some("seed=7,read=0.2"), Some("data"))
+        );
+        assert_eq!(
+            (a.fsync_mode, a.http_timeout_ms, a.max_conns),
+            (Some(FsyncMode::Off), Some(200), Some(9))
+        );
+        assert_eq!(parse("").unwrap(), Args::default());
+    }
+
+    #[test]
+    fn bad_values_unknown_flags_and_missing_values_are_refused() {
+        for (args, names) in [
+            ("--rows 5.3e6", "--rows: `5.3e6`"),
+            ("--threads two", "--threads: `two`"),
+            ("--port 70000", "--port: `70000`"),
+            ("--data salry", "--data: `salry`"),
+            ("--fsync-mode sometimes", "--fsync-mode"),
+            ("--verbose 1", "`--verbose`"),
+            ("--rows", "--rows needs a value"),
+            ("--rows --threads 2", "--rows needs a value"),
+        ] {
+            let err = parse(args).unwrap_err();
+            assert!(err.contains(names), "{args}: {err}");
         }
     }
 }

@@ -35,9 +35,6 @@ use crate::verbalize::baseline_grid;
 pub struct CandidateConfig {
     /// Change quantifiers, in percent.
     pub quantifiers: Vec<u32>,
-    /// Allow "decrease" changes (decreases above 99 % are always excluded —
-    /// aggregate values would go non-positive).
-    pub allow_decrease: bool,
     /// Maximum predicates per refinement (the paper's examples use one;
     /// two-predicate refinements pinpoint single aggregates).
     pub max_predicates: usize,
@@ -50,7 +47,6 @@ impl Default for CandidateConfig {
     fn default() -> Self {
         CandidateConfig {
             quantifiers: vec![5, 10, 20, 25, 50, 100, 200],
-            allow_decrease: true,
             max_predicates: 1,
             include_coarser_levels: true,
         }
@@ -126,7 +122,9 @@ impl<'a> CandidateGenerator<'a> {
                     predicates: predicates.to_vec(),
                     change: Change { direction: Direction::Increase, percent: q },
                 });
-                if self.config.allow_decrease && q < 100 {
+                // A decrease of 100 % or more would take values to zero
+                // or below.
+                if q < 100 {
                     out.push(Refinement {
                         predicates: predicates.to_vec(),
                         change: Change { direction: Direction::Decrease, percent: q },

@@ -195,29 +195,6 @@ fn parallel_holistic_through_session() {
     assert!(outcome.speech.is_some());
 }
 
-#[test]
-fn parallel_single_thread_matches_holistic_on_flights() {
-    use voxolap_core::parallel::ParallelHolistic;
-    use voxolap_voice::question::parse_question;
-    let table = FlightsConfig { rows: 6_000, seed: 42 }.generate();
-    let query = parse_question(
-        table.schema(),
-        "how does the cancellation probability depend on region and season?",
-    )
-    .expect("question parses");
-    let cfg = HolisticConfig {
-        min_samples_per_sentence: 300,
-        max_tree_nodes: 30_000,
-        ..HolisticConfig::default()
-    };
-    let mut v1 = InstantVoice::default();
-    let seq = Holistic::new(cfg.clone()).vocalize(&table, &query, &mut v1);
-    let mut v2 = InstantVoice::default();
-    let par = ParallelHolistic::new(cfg).with_threads(1).vocalize(&table, &query, &mut v2);
-    assert_eq!(par.sentences, seq.sentences);
-    assert_eq!(par.stats.samples, seq.stats.samples);
-}
-
 /// One deadline means one thing on every approach (DESIGN.md §12): a
 /// planning loop the deadline cuts commits its anytime answer — at least
 /// the baseline — and the answer says `degraded`; an uncut answer never

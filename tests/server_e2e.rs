@@ -691,3 +691,23 @@ fn ingest_takes_a_two_thousand_row_batch_while_other_routes_keep_64_kib() {
     assert_eq!(version(), before + 1);
     handle.shutdown();
 }
+
+/// A body nested 20 000 arrays deep is 20 KB, well under every body cap.
+/// Parsing it used to recurse once per level and overflow a worker's
+/// stack, which aborts the whole server — no `catch_unwind` can stop
+/// that. Both JSON routes must refuse it, and the server must still be up.
+#[test]
+fn a_deeply_nested_body_is_a_400_not_an_abort() {
+    let _guard = watchdog(120);
+    let state = Arc::new(AppState::new(small_table()));
+    let handle = serve("127.0.0.1:0", move |req| state.handle(req)).unwrap();
+    let addr = handle.addr;
+    let deep = "[".repeat(20_000);
+    for path in ["/ask", "/ingest"] {
+        let (status, body) = request(addr, "POST", path, &deep);
+        assert_eq!(status, 400, "{path}: {body}");
+    }
+    let (status, body) = request(addr, "GET", "/health", "");
+    assert_eq!((status, body.as_str()), (200, "{\"status\":\"ok\"}"));
+    handle.shutdown();
+}

@@ -75,7 +75,6 @@ fn stream_matches_blocking_for_every_approach() {
     let q = region_season(&t);
     let approaches: Vec<Box<dyn Vocalizer>> = vec![
         Box::new(Holistic::new(config(7))),
-        Box::new(ParallelHolistic::new(config(7)).with_threads(1)),
         Box::new(Optimal::default()),
         Box::new(Unmerged::new(
             HolisticConfig { seed: 7, ..HolisticConfig::default() },
