@@ -9,9 +9,8 @@
 //!
 //! Options (before the subcommand):
 //!   --data flights|salary   dataset (default flights)
-//!   --rows N                generated rows for flights (default 200000)
-//!   --scale-rows N          paper-scale synthetic scale-up (5.3M-50M rows);
-//!                           takes precedence over --rows
+//!   --rows N                generated rows for flights (default 200000;
+//!                           the paper's scale is 5300000)
 //!   --csv PATH              load a CSV exported by voxolap instead
 //!   --approach NAME         holistic|parallel|optimal|unmerged|prior
 //!   --threads N             planning threads for --approach parallel
@@ -33,6 +32,9 @@
 //!                           clean-shutdown marker is written on exit
 //!   --fsync-mode MODE       always|batch|off (default batch); only
 //!                           meaningful with --data-dir
+//!
+//! An unknown flag, a missing value, or a value its flag cannot take is
+//! refused with a message and exit status 1.
 
 use std::io::BufRead;
 use std::process::ExitCode;
@@ -51,7 +53,7 @@ use voxolap_engine::semantic::SemanticCache;
 use voxolap_faults::Resilience;
 use voxolap_voice::question::parse_question;
 use voxolap_voice::session::{Response, Session};
-use voxolap_voice::tts::RealTimeVoice;
+use voxolap_voice::tts::{RealTimeVoice, DEFAULT_CHARS_PER_SEC};
 
 /// Parsed command-line options.
 struct Options {
@@ -76,8 +78,7 @@ fn usage() -> &'static str {
     "usage: voxolap [options] <ask \"question\" | repl | stats | compare \"question\">\n\
      options:\n\
        --data flights|salary   dataset to generate (default flights)\n\
-       --rows N                rows for the flights dataset (default 200000)\n\
-       --scale-rows N          paper-scale synthetic scale-up (5.3M-50M); overrides --rows\n\
+       --rows N                rows for the flights dataset (default 200000; paper: 5300000)\n\
        --csv PATH              load rows from a CSV exported by voxolap\n\
        --approach NAME         holistic|parallel|optimal|unmerged|prior (default holistic)\n\
        --threads N             planning threads for --approach parallel (default: all cores)\n\
@@ -93,14 +94,20 @@ fn usage() -> &'static str {
        --fsync-mode MODE       always|batch|off (default batch); with --data-dir"
 }
 
-fn parse_options() -> Result<Options, String> {
+/// `value` parsed as `flag`'s number type.
+fn num<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {flag} value"))
+}
+
+/// Parse `argv` (program name excluded).
+fn parse_options(argv: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         data: "flights".into(),
         rows: 200_000,
         csv: None,
         approach: "holistic".into(),
         threads: None,
-        chars_per_sec: 15.0,
+        chars_per_sec: DEFAULT_CHARS_PER_SEC,
         uncertainty: UncertaintyMode::Off,
         seed: 42,
         cache_mb: 64,
@@ -111,70 +118,44 @@ fn parse_options() -> Result<Options, String> {
         command: String::new(),
         args: Vec::new(),
     };
-    let mut scale_rows: Option<usize> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let take_value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            argv.get(*i).cloned().ok_or_else(|| format!("missing value after {}", argv[*i - 1]))
-        };
-        match argv[i].as_str() {
-            "--data" => opts.data = take_value(&mut i)?,
-            "--rows" => {
-                opts.rows =
-                    take_value(&mut i)?.parse().map_err(|_| "bad --rows value".to_string())?
-            }
-            "--scale-rows" => {
-                scale_rows = Some(
-                    take_value(&mut i)?
-                        .parse()
-                        .map_err(|_| "bad --scale-rows value".to_string())?,
-                )
-            }
-            "--csv" => opts.csv = Some(take_value(&mut i)?),
-            "--approach" => opts.approach = take_value(&mut i)?,
-            "--threads" => {
-                let n: usize =
-                    take_value(&mut i)?.parse().map_err(|_| "bad --threads value".to_string())?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                opts.threads = Some(n);
-            }
+    let mut argv = argv.iter();
+    while let Some(arg) = argv.next() {
+        let mut value = || argv.next().cloned().ok_or_else(|| format!("missing value after {arg}"));
+        match arg.as_str() {
+            "--data" => opts.data = value()?,
+            "--rows" => opts.rows = num(arg, value()?)?,
+            "--csv" => opts.csv = Some(value()?),
+            "--approach" => opts.approach = value()?,
+            "--threads" => match num(arg, value()?)? {
+                0 => return Err("--threads must be at least 1".to_string()),
+                n => opts.threads = Some(n),
+            },
             "--chars-per-sec" => {
-                opts.chars_per_sec = take_value(&mut i)?
-                    .parse()
-                    .map_err(|_| "bad --chars-per-sec value".to_string())?
+                opts.chars_per_sec = Some(num(arg, value()?)?)
+                    .filter(|r: &f64| r.is_finite() && *r >= 0.0)
+                    .ok_or("--chars-per-sec takes a finite number >= 0 (0 = instant)")?
             }
             "--uncertainty" => {
-                opts.uncertainty = match take_value(&mut i)?.as_str() {
+                opts.uncertainty = match value()?.as_str() {
                     "off" => UncertaintyMode::Off,
                     "warning" => UncertaintyMode::Warning { max_relative_width: 0.5 },
                     "bounds" => UncertaintyMode::SpokenBounds,
                     other => return Err(format!("unknown uncertainty mode {other:?}")),
                 }
             }
-            "--seed" => {
-                opts.seed =
-                    take_value(&mut i)?.parse().map_err(|_| "bad --seed value".to_string())?
-            }
-            "--cache-mb" => {
-                opts.cache_mb =
-                    take_value(&mut i)?.parse().map_err(|_| "bad --cache-mb value".to_string())?
-            }
+            "--seed" => opts.seed = num(arg, value()?)?,
+            "--cache-mb" => opts.cache_mb = num(arg, value()?)?,
             "--strict" => opts.strict = true,
-            "--fault-plan" => opts.fault_plan = Some(take_value(&mut i)?),
-            "--data-dir" => opts.data_dir = Some(take_value(&mut i)?),
-            "--fsync-mode" => opts.fsync_mode = FsyncMode::parse(&take_value(&mut i)?)?,
+            "--fault-plan" => opts.fault_plan = Some(value()?),
+            "--data-dir" => opts.data_dir = Some(value()?),
+            "--fsync-mode" => opts.fsync_mode = FsyncMode::parse(&value()?)?,
             "--help" | "-h" => return Err(usage().to_string()),
-            arg if opts.command.is_empty() => opts.command = arg.to_string(),
-            arg => opts.args.push(arg.to_string()),
+            flag if flag.starts_with("--") => {
+                return Err(format!("unknown flag {flag:?}\n{}", usage()))
+            }
+            _ if opts.command.is_empty() => opts.command = arg.clone(),
+            _ => opts.args.push(arg.clone()),
         }
-        i += 1;
-    }
-    if let Some(scaled) = scale_rows {
-        opts.rows = scaled;
     }
     if opts.command.is_empty() {
         opts.command = "repl".into();
@@ -244,7 +225,7 @@ fn shared_vocalizer(opts: &Options) -> Result<Box<dyn Vocalizer>, String> {
 }
 
 fn make_voice(opts: &Options) -> Box<dyn VoiceOutput> {
-    if opts.chars_per_sec <= 0.0 {
+    if opts.chars_per_sec == 0.0 {
         Box::new(InstantVoice::default())
     } else {
         Box::new(RealTimeVoice::new(opts.chars_per_sec))
@@ -363,7 +344,8 @@ fn cmd_repl(opts: &Options, table: &Table) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_options() {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let opts = match parse_options(&argv) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");
@@ -426,6 +408,34 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &str) -> Result<Options, String> {
+        parse_options(&args.split_whitespace().map(String::from).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn options_parse_from_a_slice_and_refuse_bad_rates_and_unknown_flags() {
+        let o = parse("--rows 2000 --chars-per-sec 0 ask q").unwrap();
+        assert_eq!((o.rows, o.chars_per_sec, o.command.as_str()), (2000, 0.0, "ask"));
+        let o = parse("").unwrap();
+        assert_eq!((o.chars_per_sec, o.command.as_str()), (DEFAULT_CHARS_PER_SEC, "repl"));
+        for (args, names) in [
+            ("--chars-per-sec nan ask q", "--chars-per-sec"),
+            ("--chars-per-sec inf", "--chars-per-sec"),
+            ("--chars-per-sec 1e400", "--chars-per-sec"),
+            ("--chars-per-sec -1", "--chars-per-sec"),
+            ("--scale-rows 5 ask q", "\"--scale-rows\""),
+            ("--verbose", "\"--verbose\""),
+        ] {
+            let err = parse(args).err().unwrap_or_else(|| panic!("{args} parsed"));
+            assert!(err.contains(names), "{args}: {err}");
         }
     }
 }

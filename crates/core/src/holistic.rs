@@ -15,17 +15,17 @@
 //!    its subtree remain available ("we avoid redundant planning work").
 //!
 //! There is one engine, and its thread count is the only thing that
-//! selects how it samples ([`Holistic::with_threads`]):
+//! selects how many threads run its one round loop
+//! ([`Holistic::with_threads`]):
 //!
-//! * **One thread (the default)** — sampling and voice output interleave
-//!   on the calling thread: one worker samples while the previous sentence
-//!   plays, then the engine commits. Exact and deterministic under a fixed
-//!   seed; experiments and tests use it.
+//! * **One thread (the default)** — the calling thread samples alone
+//!   while the previous sentence plays, then commits. Exact and
+//!   deterministic under a fixed seed; experiments and tests use it.
 //! * **N threads** — the paper's literal architecture ("while the current
 //!   sentence is spoken, we determine the best follow-up in the
-//!   background") scaled across cores: N workers run the same iteration on
-//!   scoped threads while the calling thread paces against the voice.
-//!   Outcomes depend on scheduling and are **not** bit-reproducible.
+//!   background") scaled across cores: N − 1 scoped threads join it, on
+//!   one shared iteration count the voice is polled with. Outcomes depend
+//!   on scheduling and are **not** bit-reproducible.
 //!
 //! Both share every piece: workers claim whole morsels of the seeded scan
 //! order from one shared [`MorselPool`](voxolap_data::MorselPool) — so the

@@ -178,34 +178,7 @@ mod tests {
     use crate::approach::Vocalizer;
     use crate::pipeline::cancel::CancelToken;
     use crate::uncertainty::UncertaintyMode;
-    use crate::voice::{InstantVoice, VoiceOutput};
-
-    /// A wall-clock voice local to these tests (the production one lives
-    /// in voxolap-voice, which sits above this crate).
-    struct SleepyVoice {
-        until: Option<Instant>,
-        per_char: Duration,
-        transcript: Vec<String>,
-    }
-
-    impl SleepyVoice {
-        fn new(per_char: Duration) -> Self {
-            SleepyVoice { until: None, per_char, transcript: Vec::new() }
-        }
-    }
-
-    impl VoiceOutput for SleepyVoice {
-        fn start(&mut self, sentence: &str) {
-            self.until = Some(Instant::now() + self.per_char * sentence.len() as u32);
-            self.transcript.push(sentence.to_string());
-        }
-        fn is_playing(&mut self) -> bool {
-            self.until.is_some_and(|t| Instant::now() < t)
-        }
-        fn transcript(&self) -> &[String] {
-            &self.transcript
-        }
-    }
+    use crate::voice::{InstantVoice, VirtualVoice, VoiceOutput};
 
     fn setup() -> (voxolap_data::Table, Query) {
         let table = SalaryConfig::paper_scale().generate();
@@ -233,7 +206,7 @@ mod tests {
             max_tree_nodes: 40_000,
             ..HolisticConfig::default()
         };
-        let mut voice = SleepyVoice::new(Duration::from_micros(200));
+        let mut voice = VirtualVoice::new(20.0);
         let outcome = Holistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
         let speech = outcome.speech.as_ref().expect("structured speech");
         assert!(speech.refinements.len() <= 2);
@@ -242,22 +215,27 @@ mod tests {
         assert!(outcome.latency.as_millis() < 500);
     }
 
+    /// A team samples while a sentence plays: on the virtual voice it runs,
+    /// per round, the iterations the sentence just started buys (or the
+    /// floor), give or take one per extra thread — not as many as it can
+    /// fit into wall-clock polls.
     #[test]
-    fn background_sampling_accumulates_during_speech() {
+    fn a_team_runs_the_virtual_voice_budget_per_round() {
         let (table, q) = setup();
-        let cfg = HolisticConfig {
-            min_samples_per_sentence: 1,
-            max_tree_nodes: 40_000,
-            ..HolisticConfig::default()
-        };
-        // ~20 ms of "speaking" per sentence buys thousands of iterations.
-        let mut voice = SleepyVoice::new(Duration::from_micros(300));
-        let outcome = Holistic::new(cfg).with_threads(4).vocalize(&table, &q, &mut voice);
-        assert!(
-            outcome.stats.samples > 500,
-            "workers sampled during speech: {}",
-            outcome.stats.samples
-        );
+        let cfg = HolisticConfig { min_samples_per_sentence: 300, ..fast_config() };
+        let mut voice = VirtualVoice::new(20.0);
+        let t0 = Instant::now();
+        let engine = Holistic::new(cfg).with_threads(2);
+        let mut stream = engine.stream(&table, &q, &mut voice, CancelToken::never());
+        let mut started = stream.preamble().to_string();
+        while let Some(sentence) = stream.next_sentence() {
+            let budget = (started.chars().count() as u64 * 20).max(300);
+            let ran = sentence.stats.samples;
+            assert!((budget..=budget + 1).contains(&ran), "{ran} after {started:?}");
+            started = sentence.text;
+        }
+        assert!(!stream.finish().sentences.is_empty());
+        assert!(t0.elapsed() < Duration::from_secs(5), "took {:?}", t0.elapsed());
     }
 
     #[test]
@@ -269,7 +247,7 @@ mod tests {
             max_tree_nodes: 40_000,
             ..HolisticConfig::default()
         };
-        let mut voice = SleepyVoice::new(Duration::from_micros(50));
+        let mut voice = VirtualVoice::new(20.0);
         let outcome = Holistic::new(cfg).with_threads(3).vocalize(&table, &q, &mut voice);
         assert!(outcome.speech.unwrap().refinements.len() <= 1);
     }
@@ -277,7 +255,7 @@ mod tests {
     #[test]
     fn multi_thread_baseline_lands_near_truth() {
         let (table, q) = setup();
-        let mut voice = SleepyVoice::new(Duration::from_micros(100));
+        let mut voice = VirtualVoice::new(20.0);
         // The commit takes the best *mean*, and at a 400-sample floor a
         // baseline visited once or twice can win on one lucky aggregate —
         // which one depends on thread timing (≈40 % of solo runs landed
@@ -298,10 +276,9 @@ mod tests {
             max_tree_nodes: 40_000,
             ..HolisticConfig::default()
         };
-        // A short voice: at 100 µs a character, two idle cores read the
-        // whole 200 000 rows while the sentences play, and the warning
-        // rightly goes away.
-        let mut voice = SleepyVoice::new(Duration::from_micros(10));
+        // On the instant voice each round runs the floor, so the scan of
+        // 200 000 rows stays partial and the warning stays.
+        let mut voice = InstantVoice::default();
         let outcome = Holistic::new(cfg).with_threads(2).vocalize(&table, &q, &mut voice);
         assert!(outcome.stats.rows_read < table.row_count() as u64, "a partial scan");
         assert!(
@@ -371,10 +348,10 @@ mod tests {
             Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(1)).build(schema).unwrap();
         let cache = Arc::new(SemanticCache::with_capacity_mb(4));
         let engine = Holistic::new(fast_config()).with_threads(2).with_cache(cache.clone());
-        let mut voice = SleepyVoice::new(Duration::from_micros(100));
+        let mut voice = VirtualVoice::new(20.0);
         let cold = engine.vocalize(&table, &donor, &mut voice);
         assert_eq!(cold.stats.rows_read, 320, "donor exhausts the table");
-        let mut voice = SleepyVoice::new(Duration::from_micros(100));
+        let mut voice = VirtualVoice::new(20.0);
         let warm = engine.vocalize(&table, &target, &mut voice);
         assert!(
             warm.stats.rows_read < cold.stats.rows_read,
@@ -400,7 +377,7 @@ mod tests {
             max_tree_nodes: 40_000,
             ..HolisticConfig::default()
         };
-        let mut voice = SleepyVoice::new(Duration::from_micros(100));
+        let mut voice = VirtualVoice::new(20.0);
         let outcome = Holistic::new(cfg)
             .with_threads(4)
             .with_resilience(res.clone())

@@ -3,14 +3,14 @@
 //! [`TeamSource`] runs Algorithm 1's per-sentence round over a team of
 //! [`ShardWorker`]s: sample while the previous sentence plays (or until
 //! the progress floor), then commit to the best-mean child and render it.
-//! A team of one samples cooperatively on the calling thread — exact and
-//! deterministic; a larger team fans the same iteration — the same plain
-//! UCT descent and update — out over scoped worker threads while the
-//! calling thread paces against the voice.
+//! Every member — the calling thread, and at N threads N − 1 scoped ones —
+//! runs one loop on one shared counter, and polls the voice with the
+//! iterations the team ran this round. One thread is exact and
+//! deterministic under a seed; on a virtual voice, N threads run the same
+//! iterations per sentence give or take N − 1.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use voxolap_data::schema::MeasureUnit;
 use voxolap_engine::query::ResultLayout;
@@ -28,10 +28,6 @@ use crate::sampler::ShardWorker;
 use crate::tree::SpeechTree;
 use crate::uncertainty::{annotate, UncertaintyMode};
 use crate::voice::VoiceOutput;
-
-/// How long the pacing thread of a team sleeps between `VO.IsPlaying`
-/// polls.
-const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
 /// Advance `current` to the child [`SpeechTree::commit_child`] picks and
 /// render that sentence (with the configured uncertainty annotation);
@@ -84,67 +80,42 @@ impl<'a> SentenceSource<'a> for TeamSource<'a> {
     /// started sentence plays (plus the progress floor for instant
     /// voices), then commit. An `Anytime` round status commits the best
     /// answer the tree holds right now instead of yielding nothing.
-    fn next(&mut self, voice: &mut dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
+    fn next(&mut self, voice: &dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
         let tree = &self.tree;
         let current = self.current;
         let at_root = current == SpeechTree::ROOT;
         let at_leaf = tree.tree().is_leaf(current);
         let run = &*self.run;
         let floor = self.cfg.min_samples_per_sentence;
-        let stop = if let [worker] = &mut self.workers[..] {
-            // Cooperative round. Checking the round status *first* in each
-            // iteration fixes the voice polling sequence — and therefore
-            // the sampling iteration count — under a seed.
-            let mut iterations = 0u64;
-            let stop = loop {
-                match round_status(cancel, run, at_root, at_leaf) {
-                    RoundEnd::Stop => break true,
-                    RoundEnd::Anytime => break false,
-                    RoundEnd::Continue => {}
-                }
-                if !(voice.is_playing() || iterations < floor) {
-                    // A token firing between the last poll and the commit
-                    // still aborts cleanly.
-                    break round_status(cancel, run, at_root, at_leaf) == RoundEnd::Stop;
+        let samples = &self.samples;
+        let round_start = samples.load(Ordering::Relaxed);
+        // Checking the round status *first* in each iteration fixes the
+        // voice polling sequence — and so, at one thread, the sampling
+        // iteration count — under a seed. `samples` is `Relaxed`: it
+        // publishes no data (the tree and cache synchronise themselves, and
+        // the scope's join orders the commit after every member), and a
+        // member that reads it one step late runs one more iteration.
+        let member = &|worker: &mut ShardWorker<'a>| {
+            while round_status(cancel, run, at_root, at_leaf) == RoundEnd::Continue {
+                let done = samples.load(Ordering::Relaxed) - round_start;
+                if !(voice.is_playing(done) || done < floor) {
+                    break;
                 }
                 worker.sample_once(tree, current);
-                iterations += 1;
-            };
-            *self.samples.get_mut() += iterations;
-            stop
-        } else {
-            let samples = &self.samples;
-            let target = samples.load(Ordering::Relaxed) + floor;
-            let halt = AtomicBool::new(false);
-            std::thread::scope(|scope| {
-                for worker in self.workers.iter_mut() {
-                    let halt = &halt;
-                    scope.spawn(move || {
-                        while !halt.load(Ordering::Relaxed)
-                            && !cancel.fired()
-                            && !run.budget_exhausted()
-                        {
-                            worker.sample_once(tree, current);
-                            samples.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-                // The calling thread paces: sleep while the previously
-                // started sentence plays, then until the progress floor. An
-                // exhausted fault budget ends the round early so the anytime
-                // path can commit whatever the tree holds.
-                let cut = || cancel.fired() || run.budget_exhausted();
-                while !cut() && voice.is_playing() {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                while !cut() && samples.load(Ordering::Relaxed) < target {
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-                halt.store(true, Ordering::Relaxed);
-            });
-            round_status(cancel, run, at_root, at_leaf) == RoundEnd::Stop
+                samples.fetch_add(1, Ordering::Relaxed);
+            }
         };
-        if stop {
+        let (lead, team) = self.workers.split_first_mut().expect("a team has a member");
+        std::thread::scope(|scope| {
+            for worker in team {
+                scope.spawn(move || member(worker));
+            }
+            member(lead);
+        });
+        // Asked again after the members stopped, so a token firing between
+        // the last poll and the commit still aborts cleanly; an `Anytime`
+        // status commits the best answer the tree holds right now.
+        if round_status(cancel, run, at_root, at_leaf) == RoundEnd::Stop {
             return None;
         }
         let lead = &self.workers[0];

@@ -17,8 +17,8 @@
 //! * **Plan/Sample + Commit** run once per
 //!   [`SpeechStream::next_sentence`] call through the holistic engine's
 //!   driver: a team of [`ShardWorker`](crate::sampler::ShardWorker)s
-//!   sampling under a `SelectionPolicy`, cooperatively at one thread or
-//!   on scoped threads at several.
+//!   sampling under a `SelectionPolicy`, each running one round loop on
+//!   a shared iteration counter that paces them all against the voice.
 //! * **Emit** is the pull: the caller decides when to ask for the next
 //!   sentence, and a [`CancelToken`] threaded through ingestion and UCT
 //!   sampling aborts planning within one iteration when the consumer is

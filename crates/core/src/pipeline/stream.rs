@@ -69,7 +69,7 @@ pub(crate) trait SentenceSource<'a> {
     /// complete or the token fired. Must NOT start voice output — the
     /// stream does that, so the voice-call sequence is identical for
     /// every source.
-    fn next(&mut self, voice: &mut dyn VoiceOutput, cancel: &CancelToken) -> Option<String>;
+    fn next(&mut self, voice: &dyn VoiceOutput, cancel: &CancelToken) -> Option<String>;
 
     /// Cumulative sampling iterations so far.
     fn samples(&self) -> u64;
@@ -132,7 +132,7 @@ impl<'a> Buffered<'a> {
 }
 
 impl<'a> SentenceSource<'a> for Buffered<'a> {
-    fn next(&mut self, _voice: &mut dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
+    fn next(&mut self, _voice: &dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
         // A gone client stops delivery; a passed deadline only bounds
         // *planning* — sentences already planned are the anytime answer
         // and still play.
@@ -185,7 +185,7 @@ impl<'a, F> SentenceSource<'a> for Deferred<'a, F>
 where
     F: FnOnce(&CancelToken) -> Box<dyn SentenceSource<'a> + 'a>,
 {
-    fn next(&mut self, voice: &mut dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
+    fn next(&mut self, voice: &dyn VoiceOutput, cancel: &CancelToken) -> Option<String> {
         if let Some(ingest) = self.ingest.take() {
             // A client gone before the first pull gets no Ingest at all. A
             // passed deadline still does: the anytime answer needs a tree
@@ -289,7 +289,7 @@ impl<'a> SpeechStream<'a> {
         let samples_before = self.source.samples();
         let rows_before = self.source.rows_read();
         let t = Instant::now();
-        let Some(text) = self.source.next(&mut *self.voice, &self.cancel) else {
+        let Some(text) = self.source.next(&*self.voice, &self.cancel) else {
             self.done = true;
             return None;
         };

@@ -1,25 +1,26 @@
 //! Voice output abstraction (`VO.Start` / `VO.IsPlaying`, paper Table 3).
 //!
 //! Algorithm 1 only observes voice output through two operations: an
-//! asynchronous `start` and an `is_playing` poll. That makes the engine
-//! testable against a **virtual clock** — [`VirtualVoice`] models speaking
-//! time as a per-character iteration budget, so a unit test or benchmark
-//! deterministically reproduces the pipelining behaviour ("while the
-//! current sentence is spoken, we determine the best follow-up in the
-//! background") without real time or audio. A wall-clock implementation
-//! lives in `voxolap-voice`.
+//! asynchronous `start` and an `is_playing(done)` poll, where `done` is the
+//! number of sampling iterations the planner (all its threads) ran since
+//! the last `start`. That makes the engine testable against a **virtual
+//! clock** — [`VirtualVoice`] turns speaking time into an iteration budget
+//! per character, so a test or benchmark reproduces the pipelining ("while
+//! the current sentence is spoken, we determine the best follow-up in the
+//! background") without real time or audio, at any thread count. A
+//! wall-clock implementation, which ignores `done`, lives in `voxolap-voice`.
 
 /// Asynchronous voice output as seen by the planner.
-pub trait VoiceOutput {
+///
+/// `Sync` so that every thread of a planning team can poll one voice.
+pub trait VoiceOutput: Sync {
     /// Start speaking `sentence`; returns immediately (`VO.Start`).
     fn start(&mut self, sentence: &str);
 
-    /// `true` iff the last sentence is still playing (`VO.IsPlaying`).
-    ///
-    /// Takes `&mut self` because virtual implementations advance their
-    /// clock by one planner iteration per poll — the planner calls this
-    /// exactly once per sampling iteration.
-    fn is_playing(&mut self) -> bool;
+    /// `true` iff the last sentence is still playing (`VO.IsPlaying`),
+    /// given that the planner has run `done` sampling iterations since the
+    /// last [`start`](VoiceOutput::start).
+    fn is_playing(&self, done: u64) -> bool;
 
     /// Everything spoken so far, in order.
     fn transcript(&self) -> &[String];
@@ -36,7 +37,7 @@ pub trait VoiceOutput {
 #[derive(Debug, Clone)]
 pub struct VirtualVoice {
     iterations_per_char: f64,
-    remaining: f64,
+    budget: f64,
     transcript: Vec<String>,
 }
 
@@ -44,7 +45,7 @@ impl VirtualVoice {
     /// Create with an explicit iterations-per-character budget.
     pub fn new(iterations_per_char: f64) -> Self {
         assert!(iterations_per_char >= 0.0 && iterations_per_char.is_finite());
-        VirtualVoice { iterations_per_char, remaining: 0.0, transcript: Vec::new() }
+        VirtualVoice { iterations_per_char, budget: 0.0, transcript: Vec::new() }
     }
 }
 
@@ -56,18 +57,12 @@ impl Default for VirtualVoice {
 
 impl VoiceOutput for VirtualVoice {
     fn start(&mut self, sentence: &str) {
-        self.remaining = sentence.chars().count() as f64 * self.iterations_per_char;
+        self.budget = sentence.chars().count() as f64 * self.iterations_per_char;
         self.transcript.push(sentence.to_string());
     }
 
-    fn is_playing(&mut self) -> bool {
-        if self.remaining >= 1.0 {
-            self.remaining -= 1.0;
-            true
-        } else {
-            self.remaining = 0.0;
-            false
-        }
+    fn is_playing(&self, done: u64) -> bool {
+        (done + 1) as f64 <= self.budget
     }
 
     fn transcript(&self) -> &[String] {
@@ -88,7 +83,7 @@ impl VoiceOutput for InstantVoice {
         self.transcript.push(sentence.to_string());
     }
 
-    fn is_playing(&mut self) -> bool {
+    fn is_playing(&self, _done: u64) -> bool {
         false
     }
 
@@ -101,23 +96,23 @@ impl VoiceOutput for InstantVoice {
 mod tests {
     use super::*;
 
+    /// How many iterations the planner runs before `voice` stops playing.
+    fn iterations(voice: &dyn VoiceOutput) -> u64 {
+        (0..).find(|&done| !voice.is_playing(done)).unwrap()
+    }
+
     #[test]
     fn virtual_voice_budget_scales_with_length() {
         let mut v = VirtualVoice::new(2.0);
         v.start("abcde"); // 5 chars -> 10 iterations
-        let mut polls = 0;
-        while v.is_playing() {
-            polls += 1;
-        }
-        assert_eq!(polls, 10);
-        assert!(!v.is_playing(), "stays stopped");
+        assert_eq!(iterations(&v), 10);
+        assert!(!v.is_playing(11), "stays stopped");
     }
 
     #[test]
     fn virtual_voice_records_transcript() {
         let mut v = VirtualVoice::default();
         v.start("one");
-        while v.is_playing() {}
         v.start("two");
         assert_eq!(v.transcript(), &["one".to_string(), "two".to_string()]);
     }
@@ -126,17 +121,23 @@ mod tests {
     fn starting_new_sentence_resets_budget() {
         let mut v = VirtualVoice::new(1.0);
         v.start("aaaaaaaaaa");
-        assert!(v.is_playing());
+        assert!(v.is_playing(5));
         v.start("b"); // interrupt with a short sentence: one iteration left
-        assert!(v.is_playing());
-        assert!(!v.is_playing());
+        assert_eq!(iterations(&v), 1);
+    }
+
+    #[test]
+    fn a_fractional_budget_plays_its_whole_iterations() {
+        let mut v = VirtualVoice::new(0.75);
+        v.start("abc"); // 2.25 iterations
+        assert_eq!(iterations(&v), 2);
     }
 
     #[test]
     fn instant_voice_never_plays() {
         let mut v = InstantVoice::default();
         v.start("hello");
-        assert!(!v.is_playing());
+        assert!(!v.is_playing(0));
         assert_eq!(v.transcript().len(), 1);
     }
 
@@ -144,6 +145,6 @@ mod tests {
     fn zero_budget_voice_is_instant() {
         let mut v = VirtualVoice::new(0.0);
         v.start("hello");
-        assert!(!v.is_playing());
+        assert!(!v.is_playing(0));
     }
 }

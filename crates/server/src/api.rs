@@ -31,17 +31,11 @@ use voxolap_engine::semantic::SemanticCache;
 use voxolap_faults::{BreakerState, CircuitBreaker, Resilience};
 use voxolap_voice::question::parse_question;
 use voxolap_voice::session::{Response as SessionResponse, Session};
-use voxolap_voice::tts::RealTimeVoice;
 
 use crate::http::{HttpMetrics, LineSink, Request, Response, SessionUpgrade, SessionVerdict};
 
 /// Default semantic-cache budget when `--cache-mb` is not given.
 const DEFAULT_CACHE_MB: usize = 64;
-
-/// Speaking rate of the wall-clock voice pacing multi-threaded streams:
-/// fast enough that a stream completes promptly, slow enough that the
-/// planner genuinely samples behind each "playing" sentence.
-const STREAM_CHARS_PER_SEC: f64 = 2_000.0;
 
 /// Per-session server-side state, kept across utterances and transports
 /// (the blocking `/session/<id>/input` route and the long-lived attach
@@ -207,14 +201,6 @@ fn sentence_event(sentence: &PlannedSentence) -> Value {
         ("rows_read", sentence.stats.rows_read.into()),
         ("elapsed_ms", millis(sentence.stats.elapsed).into()),
     ])
-}
-
-/// The cooperative planners pace on a virtual voice (speaking time
-/// measured in planner iterations); a team of planning threads paces its
-/// workers on the wall clock, so `/query/stream` gives it a fast real-time
-/// voice instead. `parallel` at one thread is the cooperative engine.
-fn paces_on_the_wall_clock(vocalizer: &dyn Vocalizer) -> bool {
-    vocalizer.name() == "holistic-parallel"
 }
 
 /// `cancelled` is the client's doing only (it hung up mid-turn); a
@@ -722,12 +708,7 @@ impl AppState {
         };
         let state = Arc::clone(self);
         Response::streaming(move |sink| {
-            let mut voice: Box<dyn VoiceOutput> = if paces_on_the_wall_clock(&*turn.vocalizer) {
-                Box::new(RealTimeVoice::new(STREAM_CHARS_PER_SEC))
-            } else {
-                Box::new(VirtualVoice::default())
-            };
-            state.speak(turn, voice.as_mut(), Some(sink), None);
+            state.speak(turn, &mut VirtualVoice::default(), Some(sink), None);
         })
     }
 
@@ -1061,15 +1042,14 @@ mod tests {
     }
 
     /// `parallel` at one thread (`--threads 1`, or a one-core host) is the
-    /// cooperative engine: it is named `holistic` and streams on the
-    /// virtual voice, while replies still echo the approach asked for.
+    /// one-thread engine: it is named `holistic`, while replies still echo
+    /// the approach asked for. Every thread count streams on the virtual
+    /// voice.
     #[test]
     fn parallel_at_one_thread_streams_on_the_virtual_voice() {
-        for (threads, name, wall_clock) in [(1, "holistic", false), (2, "holistic-parallel", true)]
-        {
+        for (threads, name) in [(1, "holistic"), (2, "holistic-parallel")] {
             let s = Arc::new(raw_state().with_threads(threads));
-            let v = s.vocalizer_for("parallel").unwrap();
-            assert_eq!((v.name(), paces_on_the_wall_clock(&*v)), (name, wall_clock), "{threads}");
+            assert_eq!(s.vocalizer_for("parallel").unwrap().name(), name, "{threads}");
         }
         let s = Arc::new(raw_state().with_threads(1));
         let ask =

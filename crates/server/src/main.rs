@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! voxolap-server [--port 8080] [--data flights|salary] [--rows N]
-//!                [--scale-rows N] [--threads N] [--cache-mb N]
+//!                [--threads N] [--cache-mb N]
 //!                [--fault-plan SPEC] [--http-threads N] [--http-queue N]
 //!                [--http-timeout-ms N] [--http-idle-ms N] [--max-conns N]
 //!                [--session-idle-ms N] [--heartbeat-ms N]
@@ -28,8 +28,8 @@
 //! its flag cannot take (`--rows 5.3e6`, `--threads two`, `--data salry`)
 //! is refused with `usage error: …` and exit status 2.
 //!
-//! `--scale-rows` selects the paper-scale synthetic scale-up (5.3M–50M
-//! flights rows) and takes precedence over `--rows`.
+//! `--rows` sets the generated flights rows (default 200 000; the paper's
+//! scale is 5 300 000).
 //!
 //! `--threads` bounds the planning threads used by the `parallel`
 //! approach (default: all cores). `--cache-mb` sizes the cross-query
@@ -92,7 +92,6 @@ struct Args {
     port: Option<u16>,
     salary: bool,
     rows: Option<usize>,
-    scale_rows: Option<usize>,
     threads: Option<usize>,
     cache_mb: Option<usize>,
     fault_plan: Option<String>,
@@ -134,7 +133,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 }
             }
             "--rows" => a.rows = num(flag, value)?,
-            "--scale-rows" => a.scale_rows = num(flag, value)?,
             "--threads" => a.threads = num(flag, value)?,
             "--cache-mb" => a.cache_mb = num(flag, value)?,
             "--fault-plan" => a.fault_plan = Some(value.to_string()),
@@ -170,7 +168,7 @@ fn main() {
         std::process::exit(2)
     });
     let port = args.port.unwrap_or(8080);
-    let rows = args.scale_rows.or(args.rows).unwrap_or(200_000);
+    let rows = args.rows.unwrap_or(200_000);
 
     let mut config = ServerConfig { log_requests: true, ..ServerConfig::default() };
     if let Some(n) = args.http_threads {
@@ -312,7 +310,7 @@ mod tests {
     #[test]
     fn every_flag_parses_to_its_type() {
         let a = parse(
-            "--port 8099 --data salary --rows 5000 --scale-rows 5300000 --threads 2 \
+            "--port 8099 --data salary --rows 5300000 --threads 2 \
              --cache-mb 0 --fault-plan seed=7,read=0.2 --http-threads 4 --http-queue 8 \
              --http-timeout-ms 200 --http-idle-ms 300 --max-conns 9 --session-idle-ms 400 \
              --heartbeat-ms 500 --utterance-deadline-ms 1 --data-dir data \
@@ -320,7 +318,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(
-            (a.port, a.salary, a.scale_rows, a.fault_plan.as_deref(), a.data_dir.as_deref()),
+            (a.port, a.salary, a.rows, a.fault_plan.as_deref(), a.data_dir.as_deref()),
             (Some(8099), true, Some(5_300_000), Some("seed=7,read=0.2"), Some("data"))
         );
         assert_eq!(
@@ -339,6 +337,7 @@ mod tests {
             ("--data salry", "--data: `salry`"),
             ("--fsync-mode sometimes", "--fsync-mode"),
             ("--verbose 1", "`--verbose`"),
+            ("--scale-rows 5", "`--scale-rows`"),
             ("--rows", "--rows needs a value"),
             ("--rows --threads 2", "--rows needs a value"),
         ] {

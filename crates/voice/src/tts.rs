@@ -3,8 +3,9 @@
 //! Stands in for the ResponsiveVoiceJS / Google TTS service of the paper's
 //! web interface: speaking time is `characters / rate`. `start` returns
 //! immediately (as the paper's `VO.Start` requires) and `is_playing`
-//! compares against the wall clock, so the holistic planner genuinely
-//! overlaps sampling with "speaking" in real time.
+//! compares against the wall clock, ignoring how many iterations the
+//! planner ran, so the holistic planner genuinely overlaps sampling with
+//! "speaking" in real time.
 
 use std::time::{Duration, Instant};
 
@@ -47,30 +48,15 @@ impl RealTimeVoice {
     }
 }
 
-impl Default for RealTimeVoice {
-    fn default() -> Self {
-        RealTimeVoice::new(DEFAULT_CHARS_PER_SEC)
-    }
-}
-
 impl VoiceOutput for RealTimeVoice {
     fn start(&mut self, sentence: &str) {
         self.playing_until = Some(Instant::now() + self.duration_of(sentence));
         self.transcript.push(sentence.to_string());
     }
 
-    fn is_playing(&mut self) -> bool {
-        match self.playing_until {
-            Some(t) => {
-                if Instant::now() < t {
-                    true
-                } else {
-                    self.playing_until = None;
-                    false
-                }
-            }
-            None => false,
-        }
+    /// Reads the wall clock; the planner's iteration count plays no part.
+    fn is_playing(&self, _done: u64) -> bool {
+        self.playing_until.is_some_and(|t| Instant::now() < t)
     }
 
     fn transcript(&self) -> &[String] {
@@ -87,9 +73,9 @@ mod tests {
         // Very fast voice: 10 chars in 1 ms.
         let mut v = RealTimeVoice::new(10_000.0);
         v.start("aaaaaaaaaa");
-        assert!(v.is_playing());
+        assert!(v.is_playing(0));
         std::thread::sleep(Duration::from_millis(5));
-        assert!(!v.is_playing());
+        assert!(!v.is_playing(0));
     }
 
     #[test]
@@ -106,7 +92,7 @@ mod tests {
         let t0 = Instant::now();
         v.wait_until_done();
         assert!(t0.elapsed() >= Duration::from_millis(15));
-        assert!(!v.is_playing());
+        assert!(!v.is_playing(0));
     }
 
     #[test]
