@@ -54,8 +54,7 @@ fn main() {
     let mut rows: Vec<(f64, f64, u64, String)> = tree
         .tree()
         .children(base)
-        .iter()
-        .map(|&c| {
+        .map(|c| {
             let mean = tree.tree().mean_reward(c);
             // exact quality of this child's speech
             let mut total = 0.0;

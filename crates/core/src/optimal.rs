@@ -14,8 +14,9 @@
 //! calibration. The holistic engine's exact cache hit runs the same
 //! scoring over cached aggregates.
 //!
-//! Scoring happens *while* the space is enumerated (`tree::SpeechSpace::walk`):
-//! no tree is stored. A node's belief means are sums of per-depth
+//! Scoring walks the stored tree the sampled approaches descend
+//! ([`SpeechTree`]), node by node in creation order, so its node count and
+//! cut are the tree's. A node's belief means are sums of per-depth
 //! contribution rows carried down the walk, and the probability mass of a
 //! rounding bucket under a mean is memoized — a path's means are sums of a
 //! few dozen distinct contributions and one-significant-digit rounding
@@ -42,7 +43,8 @@ use voxolap_engine::exact::{evaluate, ExactResult};
 use voxolap_engine::query::{Query, ResultLayout};
 use voxolap_engine::semantic::{ExactAggregates, ExactLookup, PlanRecord, SemanticCache};
 use voxolap_faults::{DegradeReason, Resilience, RunState};
-use voxolap_speech::ast::{Baseline, Speech};
+use voxolap_mcts::NodeId;
+use voxolap_speech::ast::Speech;
 use voxolap_speech::render::Renderer;
 
 use crate::approach::Vocalizer;
@@ -50,7 +52,7 @@ use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::{CancelKind, CancelToken};
 use crate::pipeline::stream::{Buffered, SpeechStream};
 use crate::resilience::ResCtx;
-use crate::tree::{SpaceVisitor, SpeechSpace};
+use crate::tree::{NodeKind, SpeechSpace, SpeechTree};
 use crate::voice::VoiceOutput;
 
 /// The optimal vocalizer.
@@ -123,12 +125,7 @@ struct Scorer {
 }
 
 impl Scorer {
-    fn new(
-        space: &SpeechSpace<'_>,
-        sigma: f64,
-        exact: &ExactResult,
-        layout: &ResultLayout,
-    ) -> Self {
+    fn new(tree: &SpeechTree, sigma: f64, exact: &ExactResult, layout: &ResultLayout) -> Self {
         let mut buckets = Vec::new();
         let mut bucket_of = Vec::new();
         let mut coords = Vec::new();
@@ -145,7 +142,7 @@ impl Scorer {
             bucket_of.push(id as u32);
             coords.push(layout.coords_of_agg(agg));
         }
-        let entries = space.catalogue().entries();
+        let entries = tree.catalogue().entries();
         let n = layout.n_aggregates() as f64;
         Scorer {
             sigma,
@@ -158,7 +155,7 @@ impl Scorer {
                 .iter()
                 .map(|e| (e.scope.size() as f64, n - e.scope.size() as f64))
                 .collect(),
-            rows: vec![0.0; space.max_depth() * bucket_of.len()],
+            rows: vec![0.0; tree.max_depth() * bucket_of.len()],
             bucket_of,
             memo: vec![(u32::MAX, 0, 0.0); MEMO_SLOTS],
             evaluations: 0,
@@ -222,8 +219,8 @@ impl Scorer {
     }
 }
 
-/// The walk's consumer that keeps only the best speech seen: ties go to
-/// the shorter speech, then to the earlier one.
+/// Scores the tree node by node and keeps only the best speech seen: ties
+/// go to the shorter speech, then to the earlier one.
 struct Chooser<'a> {
     scorer: Scorer,
     cancel: &'a CancelToken,
@@ -231,16 +228,13 @@ struct Chooser<'a> {
     since_poll: u32,
     /// The deadline fired: no later node is scored.
     cut: bool,
-    /// The current path: baseline ordinal, then catalogue entry ids.
-    path: Vec<u32>,
-    /// The best speech so far: its quality and its path (see
-    /// [`PlanRecord::path`]).
-    best: Option<(f64, Vec<u32>)>,
+    /// The best speech so far: its quality, node and fragment count.
+    best: Option<(f64, NodeId, usize)>,
 }
 
 impl<'a> Chooser<'a> {
     fn new(
-        space: &SpeechSpace<'_>,
+        tree: &SpeechTree,
         sigma: f64,
         exact: &ExactResult,
         layout: &ResultLayout,
@@ -248,22 +242,18 @@ impl<'a> Chooser<'a> {
         run: &'a RunState,
     ) -> Self {
         Chooser {
-            scorer: Scorer::new(space, sigma, exact, layout),
+            scorer: Scorer::new(tree, sigma, exact, layout),
             cancel,
             run,
             since_poll: 0,
             cut: false,
-            path: vec![0; space.max_depth()],
             best: None,
         }
     }
 
     /// Whether the node being entered is still scored. The token is polled
-    /// every 32 nodes; once it has fired the walk only counts.
+    /// every 32 nodes; once it has fired the walk stops.
     fn live(&mut self) -> bool {
-        if self.cut {
-            return false;
-        }
         self.since_poll += 1;
         if self.since_poll >= 32 {
             self.since_poll = 0;
@@ -275,33 +265,30 @@ impl<'a> Chooser<'a> {
         !self.cut
     }
 
-    fn consider(&mut self, depth: usize) {
-        let q = self.scorer.quality(depth);
-        let better = match &self.best {
-            None => true,
-            Some((bq, best)) => q > bq + 1e-12 || (q > bq - 1e-12 && depth < best.len()),
-        };
-        if better {
-            self.best = Some((q, self.path[..depth].to_vec()));
-        }
-    }
-}
-
-impl SpaceVisitor for Chooser<'_> {
-    fn baseline(&mut self, ordinal: u32, baseline: Baseline) {
-        if self.live() {
-            self.path[0] = ordinal;
-            self.scorer.enter_baseline(baseline.value);
-            self.consider(1);
-        }
-    }
-
-    fn refinement(&mut self, depth: usize, entry: u32, delta: f64, _implied_value: f64) {
-        if self.live() {
-            self.path[depth - 1] = entry;
-            self.scorer.enter_refinement(depth, entry, delta);
-            self.consider(depth);
-        }
+    /// Score every node of `tree` but the root, in creation order — each
+    /// node's ancestors come before it, so the scorer's rows above its
+    /// depth hold its path — until the deadline cuts the walk.
+    fn choose(&mut self, tree: &SpeechTree) {
+        tree.walk(|node, depth, kind| {
+            if !self.live() {
+                return false;
+            }
+            match kind {
+                NodeKind::Baseline(baseline) => self.scorer.enter_baseline(baseline.value),
+                NodeKind::Refinement { entry, delta, .. } => {
+                    self.scorer.enter_refinement(depth, entry, delta)
+                }
+            }
+            let q = self.scorer.quality(depth);
+            let better = match self.best {
+                None => true,
+                Some((bq, _, frags)) => q > bq + 1e-12 || (q > bq - 1e-12 && depth < frags),
+            };
+            if better {
+                self.best = Some((q, node, depth));
+            }
+            true
+        });
     }
 }
 
@@ -331,9 +318,9 @@ pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffer
 }
 
 /// Plan the best speech against exact aggregates — the Optimal variant's
-/// exhaustive scoring: every speech of the search space T is scored as the
-/// walk enumerates it. Returns `None` when the grand mean is undefined
-/// (empty query scope).
+/// exhaustive scoring: every speech of the search space T is scored, in
+/// the stored tree's creation order. Returns `None` when the grand mean is
+/// undefined (empty query scope).
 ///
 /// `slot` is the semantic-cache entry the aggregates are: a hit's, or the
 /// one Optimal just admitted. The plan comes out of it when an earlier run
@@ -345,11 +332,10 @@ pub(crate) fn plan_source<'a>(plan: Option<ExactPlan>, rows_read: u64) -> Buffer
 ///
 /// The `cancel` token is polled between nodes: a fired token keeps the best
 /// speech found so far (the anytime cut of the exhaustive search) and marks
-/// `run` degraded. The rest of the walk scores nothing but still counts, so
-/// a cut answer reports the `tree_nodes` and `truncated` of the whole space
-/// like any other: neither Optimal nor an exact hit outlasts the deadline
-/// that bounds the sampled path by more than one bare enumeration (6 ms at
-/// the 500 000-node cap; DESIGN §12).
+/// `run` degraded. The tree was counted when it was built, so a cut answer
+/// reports the `tree_nodes` and `truncated` of the whole space like any
+/// other: neither Optimal nor an exact hit outlasts the deadline that
+/// bounds the sampled path by more than one tree build (DESIGN §12).
 pub(crate) fn plan_exact(
     schema: &Schema,
     query: &Query,
@@ -364,24 +350,24 @@ pub(crate) fn plan_exact(
         return None;
     }
     let (sigma, space) = SpeechSpace::open(schema, query, cfg, grand);
-    let spoken = |path: &[u32], tree_nodes, truncated| {
-        let (speech, sentences) = space.speak(path);
-        Some(ExactPlan { speech, sentences, tree_nodes, truncated })
-    };
     let fingerprint = cfg.plan_fingerprint(query);
     if let Some(kept) = slot.and_then(|(cache, data)| cache.lookup_plan(data, fingerprint)) {
-        return spoken(&kept.path, kept.tree_nodes, kept.truncated);
+        let (speech, sentences) = space.speak(&kept.path);
+        let (tree_nodes, truncated) = (kept.tree_nodes, kept.truncated);
+        return Some(ExactPlan { speech, sentences, tree_nodes, truncated });
     }
-    let mut chooser = Chooser::new(&space, sigma, exact, query.layout(), cancel, run);
-    let (tree_nodes, truncated) = space.walk(&mut chooser);
-    // No node scored (no baseline fits the budgets): the empty path.
-    let path = chooser.best.map_or(Vec::new(), |(_, path)| path);
-    let plan = spoken(&path, tree_nodes, truncated);
+    let tree = space.into_tree();
+    let mut chooser = Chooser::new(&tree, sigma, exact, query.layout(), cancel, run);
+    chooser.choose(&tree);
+    // No node scored (no baseline fits the budgets): the root.
+    let best = chooser.best.map_or(SpeechTree::ROOT, |(_, node, _)| node);
+    let (speech, sentences) = tree.speak(best, &Renderer::new(schema, query));
+    let (tree_nodes, truncated) = (tree.tree().node_count(), tree.truncated());
     if let (Some((cache, data)), false) = (slot, chooser.cut) {
-        let record = PlanRecord { path, tree_nodes, truncated, fingerprint };
+        let record = PlanRecord { path: tree.path(best), tree_nodes, truncated, fingerprint };
         cache.admit_plan(&query.key(), data, record);
     }
-    plan
+    Some(ExactPlan { speech, sentences, tree_nodes, truncated })
 }
 
 /// A semantic-cache exact entry a run plans on instead of scanning.
@@ -511,10 +497,10 @@ mod tests {
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;
     use voxolap_engine::query::AggFct;
-    use voxolap_mcts::NodeId;
+    use voxolap_speech::ast::Baseline;
     use voxolap_speech::scope::CompiledSpeech;
 
-    use crate::tree::SpeechTree;
+    use crate::tree::tests::walked;
     use crate::voice::InstantVoice;
 
     /// What the oracle needs to know about one aggregate with a finite
@@ -565,9 +551,8 @@ mod tests {
         let renderer = voxolap_speech::render::Renderer::new(schema, query);
         let targets = scoring_targets(exact, query.layout(), sigma);
         let mut best: Option<(NodeId, f64, usize)> = None;
-        for node in tree.all_nodes().skip(1) {
+        for (node, frags, _) in walked(&tree) {
             let q = node_quality(&tree, node, &targets, sigma);
-            let frags = tree.fragment_count(node);
             let better = match best {
                 None => true,
                 Some((_, bq, bf)) => q > bq + 1e-12 || (q > bq - 1e-12 && frags < bf),
@@ -578,31 +563,13 @@ mod tests {
         }
         let (best_node, _, _) = best.unwrap_or((SpeechTree::ROOT, 0.0, 0));
         let mut chain: Vec<NodeId> =
-            std::iter::successors(Some(best_node), |&n| tree.tree().parent(n)).collect();
+            std::iter::successors(Some(best_node), |&n| tree.parent(n)).collect();
         chain.reverse();
         ExactPlan {
             speech: tree.speech_at(best_node),
             sentences: chain.iter().filter_map(|&n| tree.sentence(n, &renderer)).collect(),
             tree_nodes: tree.tree().node_count(),
             truncated: tree.truncated(),
-        }
-    }
-
-    /// A walk consumer that records every node's quality.
-    struct Recorder {
-        scorer: Scorer,
-        bits: Vec<u64>,
-    }
-
-    impl SpaceVisitor for Recorder {
-        fn baseline(&mut self, _ordinal: u32, baseline: Baseline) {
-            self.scorer.enter_baseline(baseline.value);
-            self.bits.push(self.scorer.quality(1).to_bits());
-        }
-
-        fn refinement(&mut self, depth: usize, entry: u32, delta: f64, _implied_value: f64) {
-            self.scorer.enter_refinement(depth, entry, delta);
-            self.bits.push(self.scorer.quality(depth).to_bits());
         }
     }
 
@@ -616,18 +583,25 @@ mod tests {
                 let exact = evaluate(q, &table);
                 let (sigma, tree) = SpeechTree::open(schema, q, &cfg, estimate);
                 let targets = scoring_targets(&exact, q.layout(), sigma);
-                let want: Vec<u64> = tree
-                    .all_nodes()
-                    .skip(1)
-                    .map(|n| node_quality(&tree, n, &targets, sigma).to_bits())
+                let want: Vec<u64> = walked(&tree)
+                    .into_iter()
+                    .map(|(n, ..)| node_quality(&tree, n, &targets, sigma).to_bits())
                     .collect();
 
-                let (_, space) = SpeechSpace::open(schema, q, &cfg, estimate);
-                let scorer = Scorer::new(&space, sigma, &exact, q.layout());
-                let mut recorder = Recorder { scorer, bits: Vec::new() };
-                let counted = space.walk(&mut recorder);
-                assert_eq!(counted, (tree.tree().node_count(), tree.truncated()), "{:?}", q.key());
-                assert_eq!(recorder.bits, want, "{:?}", q.key());
+                // What the chooser feeds the scorer, node by node.
+                let mut scorer = Scorer::new(&tree, sigma, &exact, q.layout());
+                let mut got = Vec::new();
+                tree.walk(|_, depth, kind| {
+                    match kind {
+                        NodeKind::Baseline(baseline) => scorer.enter_baseline(baseline.value),
+                        NodeKind::Refinement { entry, delta, .. } => {
+                            scorer.enter_refinement(depth, entry, delta)
+                        }
+                    }
+                    got.push(scorer.quality(depth).to_bits());
+                    true
+                });
+                assert_eq!(got, want, "{:?}", q.key());
                 compared += want.len();
             }
         }
@@ -815,10 +789,11 @@ mod tests {
         let q = Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(2)).build(schema).unwrap();
         let exact = evaluate(&q, &table);
         let cfg = HolisticConfig::default();
-        let (sigma, space) = SpeechSpace::open(schema, &q, &cfg, exact.grand_mean());
+        let (sigma, tree) = SpeechTree::open(schema, &q, &cfg, exact.grand_mean());
+        assert_eq!((tree.tree().node_count(), tree.truncated()), (500_000, true));
         let (never, run) = (CancelToken::never(), RunState::default());
-        let mut chooser = Chooser::new(&space, sigma, &exact, q.layout(), &never, &run);
-        assert_eq!(space.walk(&mut chooser), (500_000, true));
+        let mut chooser = Chooser::new(&tree, sigma, &exact, q.layout(), &never, &run);
+        chooser.choose(&tree);
         let lookups = 499_999 * 12;
         let computed = chooser.scorer.evaluations;
         assert!(computed > 0 && computed * 8 <= lookups, "{computed} of {lookups}");
@@ -837,9 +812,8 @@ mod tests {
         (o.speech.clone(), o.preamble.clone(), o.sentences.clone(), stats)
     }
 
-    /// No hit stores a tree: `plan_exact` names no `SpeechTree`, and it
-    /// still borrows the `SpeechSpace` to speak after the walk, which
-    /// `into_tree` would have consumed.
+    /// A kept plan is spoken from the compiled space: the hit that reads it
+    /// expands no tree, and says what the hit that scored it said.
     #[test]
     fn a_kept_plan_says_what_the_rescored_hit_said() {
         let (table, q) = setup();

@@ -43,9 +43,6 @@ fn commit_and_render(
     layout: &ResultLayout,
     unit: MeasureUnit,
 ) -> Option<String> {
-    if tree.tree().is_leaf(*current) {
-        return None;
-    }
     let next = tree.commit_child(*current)?;
     let mut sentence = tree.sentence(next, renderer)?;
     *current = next;

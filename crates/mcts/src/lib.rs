@@ -1,7 +1,7 @@
 //! # voxolap-mcts
 //!
-//! A generic UCT (Upper Confidence bounds applied to Trees) implementation
-//! over **pre-expanded** trees, following paper Algorithm 2.
+//! The UCT (Upper Confidence bounds applied to Trees) rules of paper
+//! Algorithm 2, over **pre-expanded** trees.
 //!
 //! The paper's planner deviates from typical MCTS applications in that the
 //! search tree is generated *in its entirety* during preprocessing — user
@@ -14,51 +14,84 @@
 //! reward/visits + sqrt(2 · ln(parent.visits) / visits)
 //! ```
 //!
-//! with unvisited children prioritized, evaluates the leaf with a
-//! caller-supplied reward function, and adds the observed reward to every
-//! node on the path.
+//! with unvisited children prioritized, and adds the reward the caller
+//! observed for the leaf to every node on the path.
+//!
+//! The crate keeps the rules, not the tree. The caller owns the shape and
+//! tells the rules a node's children through [`Children`]; the crate keeps
+//! one row of [`Stats`] — 16 bytes — per node id. A [`Tree`] is the two
+//! borrowed together: the unvisited-first reservoir pick, the UCT score
+//! with its random tie-break, the best-mean child and the path update are
+//! written once, over whatever shape the caller stores.
 //!
 //! ## Lock-free parallel sampling
 //!
-//! Per-node statistics are atomics — visit counts are plain `AtomicU64`
-//! counters, reward sums are `f64` updated through a bit-level
-//! compare-and-swap loop — so any number of threads can descend and update
-//! a shared tree concurrently through `&Tree` without locks. The tree
-//! *structure* is immutable during sampling (it is fully pre-expanded),
-//! which is what makes this safe: threads only race on counters. Every
-//! thread runs the same [`Tree::select_path_into`] / [`Tree::update_path`]
-//! pair a single thread runs, so one sampler under a fixed seed is
-//! bit-reproducible.
+//! Statistics are atomics — visit counts are plain `AtomicU64` counters,
+//! reward sums are `f64` updated through a bit-level compare-and-swap loop
+//! — so any number of threads can descend and update a shared tree
+//! concurrently through `&Stats` without locks. The shape is immutable
+//! during sampling (it is fully pre-expanded), which is what makes this
+//! safe: threads only race on counters. Every thread runs the same
+//! [`Tree::select_path_into`] / [`Tree::update_path`] pair a single thread
+//! runs, so one sampler under a fixed seed is bit-reproducible.
 //!
 //! ```
-//! use voxolap_mcts::Tree;
+//! use voxolap_mcts::{NodeId, Stats, Tree};
 //! use rand::SeedableRng;
 //!
-//! let mut tree = Tree::new("root");
-//! let a = tree.add_child(Tree::<&str>::ROOT, "good");
-//! let b = tree.add_child(Tree::<&str>::ROOT, "bad");
+//! // A root with two children, as plain adjacency lists.
+//! let (good, bad) = (NodeId(1), NodeId(2));
+//! let shape = vec![vec![good, bad], vec![], vec![]];
+//! let stats = Stats::new(shape.len());
+//! let tree = Tree::new(&shape, &stats);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(0);
 //! for _ in 0..200 {
-//!     tree.sample(Tree::<&str>::ROOT, &mut rng,
-//!                 |&data| if data == "good" { 1.0 } else { 0.0 });
+//!     let path = tree.select_path(NodeId::ROOT, &mut rng);
+//!     let reward = if path.last() == Some(&good) { 1.0 } else { 0.0 };
+//!     tree.update_path(&path, reward);
 //! }
-//! assert_eq!(tree.best_child(Tree::<&str>::ROOT), Some(a));
-//! let _ = b;
+//! assert_eq!(tree.best_child(NodeId::ROOT), Some(good));
 //! ```
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
 
-/// Identifier of a node in a [`Tree`] arena.
+/// Identifier of a node: an index into its tree's [`Stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
-    /// Index into the arena.
+    /// The root of every tree.
+    pub const ROOT: NodeId = NodeId(0);
+
+    /// Index into the statistics.
     #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+}
+
+/// The shape UCT descends: which nodes are a node's children, in a fixed
+/// order. The order matters: the reservoir pick among unvisited children
+/// and the tie-breaks draw from the RNG in it.
+pub trait Children {
+    /// The children of `n`, in order (none for a leaf). A clone restarts
+    /// the same sequence, so the rules read it more than once per node.
+    fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_;
+
+    /// Number of nodes in the shape, the root included.
+    fn node_count(&self) -> usize;
+}
+
+/// The plain adjacency shape: node `n`'s children are `self[n]`.
+impl Children for Vec<Vec<NodeId>> {
+    fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + Clone + '_ {
+        self[n.index()].iter().copied()
+    }
+
+    fn node_count(&self) -> usize {
+        self.len()
     }
 }
 
@@ -75,128 +108,69 @@ fn fetch_add_f64(cell: &AtomicU64, delta: f64) {
     }
 }
 
-/// One search-tree node (paper Table 4: text fields live in `data`,
-/// `visits`/`reward` are the planner statistics). Statistics are atomic so
-/// sampling threads share the node without locking.
-#[derive(Debug)]
-struct Node<T> {
-    data: T,
-    parent: Option<NodeId>,
-    children: Vec<NodeId>,
+/// One node's planner statistics (paper Table 4's `visits` / `reward`).
+#[derive(Debug, Default)]
+struct Stat {
     visits: AtomicU64,
     /// Reward sum as `f64::to_bits`, updated by compare-and-swap.
     reward_bits: AtomicU64,
 }
 
-impl<T> Node<T> {
-    fn new(data: T, parent: Option<NodeId>) -> Self {
-        Node {
-            data,
-            parent,
-            children: Vec::new(),
-            visits: AtomicU64::new(0),
-            reward_bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
+/// One row of statistics per node id, all zero at first: what sampling
+/// writes, shared by every thread through `&Stats`.
+#[derive(Debug)]
+pub struct Stats {
+    rows: Box<[Stat]>,
+}
 
-    #[inline]
-    fn visits(&self) -> u64 {
-        self.visits.load(Ordering::Relaxed)
-    }
-
-    #[inline]
-    fn reward(&self) -> f64 {
-        f64::from_bits(self.reward_bits.load(Ordering::Relaxed))
+impl Stats {
+    /// Zeroed statistics for node ids `0..ids`.
+    pub fn new(ids: usize) -> Self {
+        Stats { rows: std::iter::repeat_with(Stat::default).take(ids).collect() }
     }
 }
 
-impl<T: Clone> Clone for Node<T> {
-    fn clone(&self) -> Self {
-        Node {
-            data: self.data.clone(),
-            parent: self.parent,
-            children: self.children.clone(),
-            visits: AtomicU64::new(self.visits()),
-            reward_bits: AtomicU64::new(self.reward_bits.load(Ordering::Relaxed)),
-        }
-    }
+/// A shape and its statistics, borrowed together: the UCT rules.
+#[derive(Debug)]
+pub struct Tree<'a, S> {
+    shape: &'a S,
+    stats: &'a Stats,
 }
 
-/// An arena-allocated search tree with UCT sampling.
-///
-/// Structure mutation ([`Tree::add_child`]) takes `&mut self`; all sampling
-/// statistics go through `&self` and atomics, so a `&Tree` shared across
-/// threads supports concurrent sampling.
-#[derive(Debug, Clone)]
-pub struct Tree<T> {
-    nodes: Vec<Node<T>>,
-}
-
-impl<T> Tree<T> {
-    /// The root node id of every tree.
-    pub const ROOT: NodeId = NodeId(0);
-
-    /// Create a tree holding only a root.
-    pub fn new(root_data: T) -> Self {
-        Tree { nodes: vec![Node::new(root_data, None)] }
+impl<'a, S: Children> Tree<'a, S> {
+    /// The rules over `shape`, whose node ids must index `stats`.
+    pub fn new(shape: &'a S, stats: &'a Stats) -> Self {
+        Tree { shape, stats }
     }
 
-    /// Create a tree holding only a root, with room for `nodes` nodes: a
-    /// caller that can bound the size of its pre-expanded tree gets one
-    /// arena allocation instead of a doubling series of reallocations.
-    pub fn with_capacity(root_data: T, nodes: usize) -> Self {
-        let mut arena = Vec::with_capacity(nodes.max(1));
-        arena.push(Node::new(root_data, None));
-        Tree { nodes: arena }
-    }
-
-    /// Add a child under `parent` (paper `ST.AddChild`), returning its id.
-    pub fn add_child(&mut self, parent: NodeId, data: T) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::new(data, Some(parent)));
-        self.nodes[parent.index()].children.push(id);
-        id
-    }
-
-    /// Payload of a node.
-    pub fn data(&self, n: NodeId) -> &T {
-        &self.nodes[n.index()].data
-    }
-
-    /// Children of a node.
-    pub fn children(&self, n: NodeId) -> &[NodeId] {
-        &self.nodes[n.index()].children
-    }
-
-    /// Parent of a node (`None` for the root).
-    pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n.index()].parent
+    /// Children of a node, in order.
+    pub fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + Clone + 'a {
+        self.shape.children(n)
     }
 
     /// `true` iff the node has no children (paper field `isLeaf`).
     pub fn is_leaf(&self, n: NodeId) -> bool {
-        self.nodes[n.index()].children.is_empty()
+        self.children(n).next().is_none()
     }
 
     /// Number of times the node appeared on a sampled path.
     pub fn visits(&self, n: NodeId) -> u64 {
-        self.nodes[n.index()].visits()
+        self.stats.rows[n.index()].visits.load(Ordering::Relaxed)
     }
 
     /// Accumulated reward over all sampled paths through the node.
     pub fn reward(&self, n: NodeId) -> f64 {
-        self.nodes[n.index()].reward()
+        f64::from_bits(self.stats.rows[n.index()].reward_bits.load(Ordering::Relaxed))
     }
 
     /// Mean observed reward (`NaN` before the first visit).
     pub fn mean_reward(&self, n: NodeId) -> f64 {
-        let node = &self.nodes[n.index()];
-        node.reward() / node.visits() as f64
+        self.reward(n) / self.visits(n) as f64
     }
 
     /// Total number of nodes in the tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.shape.node_count()
     }
 
     /// `ST.MaxUctChild`: the child of `n` maximizing the UCT formula.
@@ -206,15 +180,13 @@ impl<T> Tree<T> {
     ///
     /// Returns `None` for leaves.
     fn max_uct_child<R: Rng + ?Sized>(&self, n: NodeId, rng: &mut R) -> Option<NodeId> {
-        let node = &self.nodes[n.index()];
-        if node.children.is_empty() {
-            return None;
-        }
+        let children = self.children(n);
+        let mut best = children.clone().next()?;
         // Reservoir-pick among unvisited children.
         let mut unvisited_seen = 0usize;
         let mut pick = None;
-        for &c in &node.children {
-            if self.nodes[c.index()].visits() == 0 {
+        for c in children.clone() {
+            if self.visits(c) == 0 {
                 unvisited_seen += 1;
                 if rng.gen_range(0..unvisited_seen) == 0 {
                     pick = Some(c);
@@ -225,14 +197,12 @@ impl<T> Tree<T> {
             return pick;
         }
         // All children visited: maximize the UCT bound, random tie-break.
-        let ln_n = (node.visits().max(1) as f64).ln();
+        let ln_n = (self.visits(n).max(1) as f64).ln();
         let mut best_score = f64::NEG_INFINITY;
         let mut ties = 0usize;
-        let mut best = node.children[0];
-        for &c in &node.children {
-            let ch = &self.nodes[c.index()];
-            let visits = ch.visits() as f64;
-            let score = ch.reward() / visits + (2.0 * ln_n / visits).sqrt();
+        for c in children {
+            let visits = self.visits(c) as f64;
+            let score = self.reward(c) / visits + (2.0 * ln_n / visits).sqrt();
             if score > best_score {
                 best_score = score;
                 best = c;
@@ -249,49 +219,25 @@ impl<T> Tree<T> {
 
     /// The child with the highest **mean** reward — exploitation only, used
     /// by the main loop when committing to the next sentence (Algorithm 1
-    /// "cannot afford further exploration"). Unvisited children lose
-    /// against any visited one. Returns `None` for leaves.
+    /// "cannot afford further exploration"); the last of equal maxima.
+    /// Unvisited children lose against any visited one. Returns `None` for
+    /// leaves.
     pub fn best_child(&self, n: NodeId) -> Option<NodeId> {
-        self.nodes[n.index()].children.iter().copied().max_by(|&a, &b| {
-            let ma = self.mean_or_neg_inf(a);
-            let mb = self.mean_or_neg_inf(b);
-            ma.total_cmp(&mb)
-        })
+        self.children(n)
+            .max_by(|&a, &b| self.mean_or_neg_inf(a).total_cmp(&self.mean_or_neg_inf(b)))
     }
 
     fn mean_or_neg_inf(&self, n: NodeId) -> f64 {
-        let node = &self.nodes[n.index()];
-        let visits = node.visits();
-        if visits == 0 {
-            f64::NEG_INFINITY
-        } else {
-            node.reward() / visits as f64
+        match self.visits(n) {
+            0 => f64::NEG_INFINITY,
+            visits => self.reward(n) / visits as f64,
         }
     }
 
-    /// One sampling iteration (paper `ST.Sample` / Algorithm 2 `SAMPLE`):
-    /// descend from `from` by UCT until a leaf, evaluate the leaf's payload
-    /// with `eval`, and add the returned reward to every node on the path.
-    ///
-    /// Returns the observed reward.
-    pub fn sample<R: Rng + ?Sized>(
-        &self,
-        from: NodeId,
-        rng: &mut R,
-        eval: impl FnOnce(&T) -> f64,
-    ) -> f64 {
-        let path = self.select_path(from, rng);
-        let leaf = *path.last().expect("path contains at least `from`");
-        let reward = eval(&self.nodes[leaf.index()].data);
-        self.update_path(&path, reward);
-        reward
-    }
-
     /// Descend from `from` by UCT choices until a leaf, returning the full
-    /// path (including `from`). Callers that need the path's payloads to
-    /// compute the reward (as the speech planner does — the reward depends
-    /// on every fragment on the path, not just the leaf) use this together
-    /// with [`Tree::update_path`].
+    /// path (including `from`). The caller computes the reward from the
+    /// path — the speech planner's depends on every fragment on it, not
+    /// just the leaf — and hands it to [`Tree::update_path`].
     pub fn select_path<R: Rng + ?Sized>(&self, from: NodeId, rng: &mut R) -> Vec<NodeId> {
         let mut path = Vec::new();
         self.select_path_into(from, rng, &mut path);
@@ -331,10 +277,11 @@ impl<T> Tree<T> {
         let mut cur = from;
         loop {
             let children = self.children(cur);
-            if children.is_empty() {
+            let count = children.clone().count();
+            if count == 0 {
                 return;
             }
-            cur = children[rng.gen_range(0..children.len())];
+            cur = children.clone().nth(rng.gen_range(0..count)).expect("counted");
             path.push(cur);
         }
     }
@@ -343,15 +290,10 @@ impl<T> Tree<T> {
     /// (the statistics update of Algorithm 2's `SAMPLE`).
     pub fn update_path(&self, path: &[NodeId], reward: f64) {
         for &n in path {
-            let node = &self.nodes[n.index()];
-            node.visits.fetch_add(1, Ordering::AcqRel);
-            fetch_add_f64(&node.reward_bits, reward);
+            let row = &self.stats.rows[n.index()];
+            row.visits.fetch_add(1, Ordering::AcqRel);
+            fetch_add_f64(&row.reward_bits, reward);
         }
-    }
-
-    /// Depth of the subtree rooted at `n` (a leaf has depth 0).
-    pub fn depth(&self, n: NodeId) -> usize {
-        self.children(n).iter().map(|&c| 1 + self.depth(c)).max().unwrap_or(0)
     }
 }
 
@@ -365,113 +307,140 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
+    /// A root with `fanout[0]` children, each with `fanout[1]`, and so on:
+    /// adjacency lists in breadth-first id order.
+    fn uniform(fanout: &[usize]) -> Vec<Vec<NodeId>> {
+        let (mut shape, mut level) = (vec![Vec::new()], 0..1);
+        for &b in fanout {
+            let next = shape.len();
+            for n in level {
+                shape[n] = (0..b).map(|i| NodeId((shape.len() + i) as u32)).collect();
+                shape.resize(shape.len() + b, Vec::new());
+            }
+            level = next..shape.len();
+        }
+        shape
+    }
+
+    /// One sampling iteration with the leaf's reward from `eval`.
+    fn sample(tree: &Tree<'_, Vec<Vec<NodeId>>>, rng: &mut StdRng, eval: fn(NodeId) -> f64) {
+        let path = tree.select_path(NodeId::ROOT, rng);
+        tree.update_path(&path, eval(*path.last().unwrap()));
+    }
+
     #[test]
     fn arena_structure() {
-        let mut t = Tree::new(0u32);
-        let a = t.add_child(Tree::<u32>::ROOT, 1);
-        let b = t.add_child(Tree::<u32>::ROOT, 2);
-        let c = t.add_child(a, 3);
-        assert_eq!(t.node_count(), 4);
-        assert_eq!(t.children(Tree::<u32>::ROOT), &[a, b]);
-        assert_eq!(t.parent(c), Some(a));
-        assert_eq!(t.parent(Tree::<u32>::ROOT), None);
-        assert!(t.is_leaf(b));
-        assert!(!t.is_leaf(a));
-        assert_eq!(*t.data(c), 3);
-        assert_eq!(t.depth(Tree::<u32>::ROOT), 2);
+        // Statistics are one 16-byte row per id, whatever the shape.
+        assert_eq!(std::mem::size_of::<Stat>(), 16);
+        let shape = uniform(&[2, 1]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
+        assert_eq!(t.node_count(), 5);
+        assert_eq!(t.children(NodeId::ROOT).collect::<Vec<_>>(), [NodeId(1), NodeId(2)]);
+        assert!(t.is_leaf(NodeId(3)));
+        assert!(!t.is_leaf(NodeId(1)));
+        assert_eq!((t.visits(NodeId(4)), t.reward(NodeId(4))), (0, 0.0));
     }
 
     #[test]
     fn unvisited_children_sampled_first() {
-        let mut t = Tree::new(());
-        for _ in 0..5 {
-            t.add_child(Tree::<()>::ROOT, ());
-        }
+        let shape = uniform(&[5]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
         let mut r = rng(1);
         for _ in 0..5 {
-            t.sample(Tree::<()>::ROOT, &mut r, |_| 0.5);
+            sample(&t, &mut r, |_| 0.5);
         }
         // After exactly 5 samples every child was visited exactly once.
-        for &c in t.children(Tree::<()>::ROOT) {
+        for c in t.children(NodeId::ROOT) {
             assert_eq!(t.visits(c), 1);
         }
     }
 
     #[test]
     fn sample_updates_whole_path() {
-        let mut t = Tree::new("root");
-        let mid = t.add_child(Tree::<&str>::ROOT, "mid");
-        let leaf = t.add_child(mid, "leaf");
-        let mut r = rng(2);
-        let reward = t.sample(Tree::<&str>::ROOT, &mut r, |_| 0.7);
-        assert_eq!(reward, 0.7);
-        for n in [Tree::<&str>::ROOT, mid, leaf] {
+        let shape = uniform(&[1, 1]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
+        sample(&t, &mut rng(2), |_| 0.7);
+        for n in [NodeId::ROOT, NodeId(1), NodeId(2)] {
             assert_eq!(t.visits(n), 1);
             assert!((t.reward(n) - 0.7).abs() < 1e-12);
         }
     }
 
+    /// Two-armed bandit: arm 1 pays 0.9, arm 2 pays 0.1.
+    fn bandit(leaf: NodeId) -> f64 {
+        if leaf == NodeId(1) {
+            0.9
+        } else {
+            0.1
+        }
+    }
+
     #[test]
     fn uct_converges_to_better_arm() {
-        // Two-armed bandit: arm "a" pays 0.9, arm "b" pays 0.1.
-        let mut t = Tree::new("root");
-        let a = t.add_child(Tree::<&str>::ROOT, "a");
-        let b = t.add_child(Tree::<&str>::ROOT, "b");
+        let shape = uniform(&[2]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
         let mut r = rng(3);
         for _ in 0..500 {
-            t.sample(Tree::<&str>::ROOT, &mut r, |&d| if d == "a" { 0.9 } else { 0.1 });
+            sample(&t, &mut r, bandit);
         }
+        let (a, b) = (NodeId(1), NodeId(2));
         assert!(
             t.visits(a) > 5 * t.visits(b),
             "exploitation dominates: {} vs {}",
             t.visits(a),
             t.visits(b)
         );
-        assert_eq!(t.best_child(Tree::<&str>::ROOT), Some(a));
+        assert_eq!(t.best_child(NodeId::ROOT), Some(a));
     }
 
     #[test]
     fn exploration_revisits_inferior_arm() {
         // UCT must not starve the worse arm completely.
-        let mut t = Tree::new("root");
-        let _a = t.add_child(Tree::<&str>::ROOT, "a");
-        let b = t.add_child(Tree::<&str>::ROOT, "b");
+        let shape = uniform(&[2]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
         let mut r = rng(4);
         for _ in 0..300 {
-            t.sample(Tree::<&str>::ROOT, &mut r, |&d| if d == "a" { 0.9 } else { 0.1 });
+            sample(&t, &mut r, bandit);
         }
+        let b = NodeId(2);
         assert!(t.visits(b) >= 5, "inferior arm still explored: {}", t.visits(b));
     }
 
     #[test]
     fn best_child_ignores_unvisited() {
-        let mut t = Tree::new(());
-        let a = t.add_child(Tree::<()>::ROOT, ());
-        let _b = t.add_child(Tree::<()>::ROOT, ());
-        let mut r = rng(5);
-        t.sample(a, &mut r, |_| 0.2);
-        assert_eq!(t.best_child(Tree::<()>::ROOT), Some(a));
+        let shape = uniform(&[2]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
+        let a = NodeId(1);
+        t.update_path(&[a], 0.2);
+        assert_eq!(t.best_child(NodeId::ROOT), Some(a));
     }
 
     #[test]
     fn max_uct_child_none_for_leaf() {
-        let t = Tree::new(());
-        let mut r = rng(6);
-        assert_eq!(t.clone().max_uct_child(Tree::<()>::ROOT, &mut r), None);
-        assert_eq!(t.best_child(Tree::<()>::ROOT), None);
+        let shape = uniform(&[]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
+        assert_eq!(t.max_uct_child(NodeId::ROOT, &mut rng(6)), None);
+        assert_eq!(t.best_child(NodeId::ROOT), None);
     }
 
     #[test]
     fn select_path_reaches_leaf_and_update_path_accumulates() {
-        let mut t = Tree::new(0u8);
-        let a = t.add_child(Tree::<u8>::ROOT, 1);
-        let leaf = t.add_child(a, 2);
-        let mut r = rng(7);
-        let path = t.select_path(Tree::<u8>::ROOT, &mut r);
-        assert_eq!(path, vec![Tree::<u8>::ROOT, a, leaf]);
+        let shape = uniform(&[1, 1]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
+        let (a, leaf) = (NodeId(1), NodeId(2));
+        let path = t.select_path(NodeId::ROOT, &mut rng(7));
+        assert_eq!(path, vec![NodeId::ROOT, a, leaf]);
         t.update_path(&path, 0.4);
         t.update_path(&path[1..], 0.6);
-        assert_eq!(t.visits(Tree::<u8>::ROOT), 1);
+        assert_eq!(t.visits(NodeId::ROOT), 1);
         assert_eq!(t.visits(a), 2);
         assert!((t.reward(a) - 1.0).abs() < 1e-12);
         assert!((t.mean_reward(a) - 0.5).abs() < 1e-12);
@@ -479,57 +448,38 @@ mod tests {
 
     #[test]
     fn deterministic_under_seed() {
-        let build = |seed| {
-            let mut t = Tree::new(());
-            for _ in 0..4 {
-                let c = t.add_child(Tree::<()>::ROOT, ());
-                for _ in 0..3 {
-                    t.add_child(c, ());
-                }
-            }
+        let run = |seed| {
+            let shape = uniform(&[4, 3]);
+            let stats = Stats::new(shape.len());
+            let t = Tree::new(&shape, &stats);
             let mut r = rng(seed);
-            let mut rewards = Vec::new();
+            let mut paths = Vec::new();
             for i in 0..50 {
-                rewards.push(t.sample(Tree::<()>::ROOT, &mut r, |_| (i % 7) as f64 / 7.0));
+                let path = t.select_path(NodeId::ROOT, &mut r);
+                t.update_path(&path, (i % 7) as f64 / 7.0);
+                paths.push(path);
             }
-            (rewards, t.visits(Tree::<()>::ROOT))
+            (paths, t.visits(NodeId::ROOT))
         };
-        assert_eq!(build(9), build(9));
-    }
-
-    #[test]
-    fn clone_copies_statistics() {
-        let mut t = Tree::new(());
-        let a = t.add_child(Tree::<()>::ROOT, ());
-        let mut r = rng(10);
-        for _ in 0..7 {
-            t.sample(Tree::<()>::ROOT, &mut r, |_| 0.25);
-        }
-        let t2 = t.clone();
-        assert_eq!(t2.visits(a), t.visits(a));
-        assert!((t2.reward(a) - t.reward(a)).abs() < 1e-12);
+        assert_eq!(run(9), run(9));
     }
 
     #[test]
     fn into_descents_reuse_a_dirty_buffer_and_match_the_vec_forms() {
-        let mut t = Tree::new(());
-        for _ in 0..3 {
-            let c = t.add_child(Tree::<()>::ROOT, ());
-            for _ in 0..2 {
-                t.add_child(c, ());
-            }
-        }
+        let shape = uniform(&[3, 2]);
+        let stats = Stats::new(shape.len());
+        let t = Tree::new(&shape, &stats);
         let (mut r1, mut r2) = (rng(13), rng(13));
         // Starts dirty, and stays so: each descent leaves its path behind
         // for the next one to clear.
         let mut path = vec![NodeId(7); 5];
         for i in 0..40 {
-            t.random_path_into(Tree::<()>::ROOT, &mut r1, &mut path);
+            t.random_path_into(NodeId::ROOT, &mut r1, &mut path);
             let mut fresh = Vec::new();
-            t.random_path_into(Tree::<()>::ROOT, &mut r2, &mut fresh);
+            t.random_path_into(NodeId::ROOT, &mut r2, &mut fresh);
             assert_eq!(path, fresh, "random, iteration {i}");
-            t.select_path_into(Tree::<()>::ROOT, &mut r1, &mut path);
-            assert_eq!(path, t.select_path(Tree::<()>::ROOT, &mut r2), "uct, iteration {i}");
+            t.select_path_into(NodeId::ROOT, &mut r1, &mut path);
+            assert_eq!(path, t.select_path(NodeId::ROOT, &mut r2), "uct, iteration {i}");
             // Committing moves the statistics on for the next iteration's
             // UCT choices.
             t.update_path(&path, (i % 5) as f64 / 5.0);

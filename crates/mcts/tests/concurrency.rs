@@ -6,31 +6,30 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use voxolap_mcts::{NodeId, Tree};
+use voxolap_mcts::{NodeId, Stats, Tree};
 
 const THREADS: usize = 4;
 const SAMPLES_PER_THREAD: usize = 5_000;
 
-fn build_tree(branching: &[usize]) -> Tree<u32> {
-    let mut tree = Tree::new(0u32);
-    let mut frontier = vec![Tree::<u32>::ROOT];
-    let mut val = 1u32;
+/// A uniform tree as adjacency lists, ids in breadth-first order.
+fn build_shape(branching: &[usize]) -> Vec<Vec<NodeId>> {
+    let (mut shape, mut level) = (vec![Vec::new()], 0..1);
     for &b in branching {
-        let mut next = Vec::new();
-        for &n in &frontier {
-            for _ in 0..b {
-                next.push(tree.add_child(n, val));
-                val += 1;
-            }
+        let next = shape.len();
+        for n in level {
+            shape[n] = (0..b).map(|i| NodeId((shape.len() + i) as u32)).collect();
+            shape.resize(shape.len() + b, Vec::new());
         }
-        frontier = next;
+        level = next..shape.len();
     }
-    tree
+    shape
 }
 
 #[test]
 fn no_lost_updates_under_contention() {
-    let tree = build_tree(&[4, 3, 2]);
+    let shape = build_shape(&[4, 3, 2]);
+    let stats = Stats::new(shape.len());
+    let tree = Tree::new(&shape, &stats);
     let total_reward = AtomicU64::new(0f64.to_bits());
     std::thread::scope(|scope| {
         for t in 0..THREADS {
@@ -40,9 +39,9 @@ fn no_lost_updates_under_contention() {
                 let mut rng = StdRng::seed_from_u64(0xbeef + t as u64);
                 let mut local = 0.0;
                 for _ in 0..SAMPLES_PER_THREAD {
-                    let path = tree.select_path(Tree::<u32>::ROOT, &mut rng);
+                    let path = tree.select_path(NodeId::ROOT, &mut rng);
                     let leaf = *path.last().unwrap();
-                    let reward = (*tree.data(leaf) % 11) as f64 / 10.0;
+                    let reward = (leaf.0 % 11) as f64 / 10.0;
                     tree.update_path(&path, reward);
                     local += reward;
                 }
@@ -69,18 +68,17 @@ fn no_lost_updates_under_contention() {
 
     // Not a single visit lost: the root saw every sample, and each level
     // of the tree accounts for all of them.
-    assert_eq!(tree.visits(Tree::<u32>::ROOT), expected);
-    let root_child_sum: u64 =
-        tree.children(Tree::<u32>::ROOT).iter().map(|&c| tree.visits(c)).sum();
+    assert_eq!(tree.visits(NodeId::ROOT), expected);
+    let root_child_sum: u64 = tree.children(NodeId::ROOT).map(|c| tree.visits(c)).sum();
     assert_eq!(root_child_sum, expected, "sum of root-child visits == total path updates");
 
     // Per-node flow conservation.
     for n in 0..tree.node_count() as u32 {
         let node = NodeId(n);
         if !tree.is_leaf(node) {
-            let child_sum: u64 = tree.children(node).iter().map(|&c| tree.visits(c)).sum();
+            let child_sum: u64 = tree.children(node).map(|c| tree.visits(c)).sum();
             assert_eq!(tree.visits(node), child_sum, "visit flow at node {n}");
-            let child_reward: f64 = tree.children(node).iter().map(|&c| tree.reward(c)).sum();
+            let child_reward: f64 = tree.children(node).map(|c| tree.reward(c)).sum();
             assert!(
                 (tree.reward(node) - child_reward).abs() < 1e-6,
                 "reward flow at node {n}: {} vs {}",
@@ -103,9 +101,9 @@ fn no_lost_updates_under_contention() {
     // double-counted CAS update).
     let observed = f64::from_bits(total_reward.load(Ordering::Relaxed));
     assert!(
-        (tree.reward(Tree::<u32>::ROOT) - observed).abs() < 1e-6,
+        (tree.reward(NodeId::ROOT) - observed).abs() < 1e-6,
         "root reward {} vs observed {}",
-        tree.reward(Tree::<u32>::ROOT),
+        tree.reward(NodeId::ROOT),
         observed
     );
 }

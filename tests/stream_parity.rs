@@ -124,6 +124,68 @@ fn holistic_seed_7_speaks_the_pinned_transcript() {
     );
 }
 
+/// Golden pins of a speech space the node cap cuts, captured before the
+/// refinement subtree was stored once for every baseline: the seed-7
+/// `Holistic` transcript and the `Optimal` sentences, with the node count
+/// and the cut both report. By region and airline the 500 000-node cap
+/// keeps 11 of the 17 baselines, the last one in part; region × season at
+/// a 100 000-node cap is cut inside a baseline's subtree.
+#[test]
+fn cut_spaces_speak_the_pinned_transcripts() {
+    let t = table();
+    let region_airline = Query::builder(AggFct::Avg)
+        .group_by(DimId(0), LevelId(1))
+        .group_by(DimId(2), LevelId(1))
+        .build(t.schema())
+        .unwrap();
+    // Name, query, node cap, then the Holistic and the Optimal sentences.
+    type Golden = (&'static str, Query, usize, [&'static str; 3], [&'static str; 3]);
+    let cases: [Golden; 2] = [
+        (
+            "region x airline",
+            region_airline,
+            500_000,
+            [
+                "Around seven percent is the average cancellation probability.",
+                "Values decrease by 25 percent for flights operated by Delta Air Lines Inc..",
+                "Values increase by 10 percent for flights starting from the Midwest.",
+            ],
+            [
+                "Around two percent is the average cancellation probability.",
+                "Values increase by 50 percent for flights starting from the Midwest.",
+                "Values increase by 50 percent for flights operated by Virgin America.",
+            ],
+        ),
+        (
+            "region x season",
+            region_season(&t),
+            100_000,
+            [
+                "Around two percent is the average cancellation probability.",
+                "Values decrease by 20 percent for flights starting from the South.",
+                "Values increase by 200 percent for flights starting from the Midwest.",
+            ],
+            [
+                "Around two point five percent is the average cancellation probability.",
+                "Values increase by 100 percent for flights starting from the Midwest.",
+                "Values decrease by 25 percent for flights scheduled in Fall.",
+            ],
+        ),
+    ];
+    for (name, q, max_tree_nodes, holistic, optimal) in &cases {
+        let max_tree_nodes = *max_tree_nodes;
+        let engine = Holistic::new(HolisticConfig { max_tree_nodes, ..config(7) });
+        let optimal_engine =
+            Optimal::new(HolisticConfig { max_tree_nodes, ..HolisticConfig::default() });
+        for (v, want) in [(&engine as &dyn Vocalizer, holistic), (&optimal_engine, optimal)] {
+            let o = v.vocalize(&t, q, &mut InstantVoice::default());
+            assert_eq!(o.sentences, want, "{name}: {}", v.name());
+            let cut = (o.stats.tree_nodes, o.stats.truncated);
+            assert_eq!(cut, (max_tree_nodes, true), "{name}: {}", v.name());
+        }
+    }
+}
+
 #[test]
 fn four_thread_stream_is_internally_consistent() {
     let t = table();
