@@ -36,12 +36,6 @@ impl Normal {
         Normal { mean, sigma }
     }
 
-    /// Probability density at `x`.
-    pub fn pdf(&self, x: f64) -> f64 {
-        let z = (x - self.mean) / self.sigma;
-        (-0.5 * z * z).exp() / (self.sigma * (2.0 * std::f64::consts::PI).sqrt())
-    }
-
     /// Cumulative distribution function at `x`.
     pub fn cdf(&self, x: f64) -> f64 {
         0.5 * (1.0 + erf((x - self.mean) / (self.sigma * std::f64::consts::SQRT_2)))
@@ -100,14 +94,6 @@ mod tests {
         assert!(n.prob_interval(0.0, 1.0) > n.prob_interval(1.0, 2.0));
         // Degenerate interval carries none.
         assert!(n.prob_interval(0.5, 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pdf_peaks_at_mean() {
-        let n = Normal::new(5.0, 3.0);
-        assert!(n.pdf(5.0) > n.pdf(6.0));
-        assert!(n.pdf(5.0) > n.pdf(4.0));
-        assert!((n.pdf(4.0) - n.pdf(6.0)).abs() < 1e-12, "symmetric density");
     }
 
     #[test]

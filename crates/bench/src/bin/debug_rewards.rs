@@ -8,12 +8,11 @@
 //! describe the data almost equally well at one-significant-digit
 //! granularity. Takes no arguments.
 
-use voxolap_belief::model::{rounding_bucket, BeliefModel};
-use voxolap_belief::normal::Normal;
 use voxolap_bench::{experiment_candidates, flights_table, region_season_query, Flags};
 use voxolap_core::holistic::HolisticConfig;
-use voxolap_core::sampler::{calibrated_sigma, ShardWorker};
+use voxolap_core::sampler::Team;
 use voxolap_core::tree::SpeechTree;
+use voxolap_core::CancelToken;
 use voxolap_engine::exact::evaluate;
 use voxolap_speech::candidates::CandidateGenerator;
 use voxolap_speech::constraints::SpeechConstraints;
@@ -31,16 +30,10 @@ fn main() {
     let renderer = Renderer::new(schema, &query);
     let constraints = SpeechConstraints { max_chars: 300, max_refinements: 1 };
 
-    let mut worker = ShardWorker::solo(&table, &query, &HolisticConfig::default());
-    let overall = worker.warmup(200).unwrap();
-    let sigma = calibrated_sigma(overall, None);
-    worker.set_sigma(sigma);
-    let model = BeliefModel::new(sigma);
+    let mut team = Team::new(&table, &query, &HolisticConfig::default(), 1);
+    let overall = team.warmup(200).unwrap();
     let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 300_000);
-
-    for _ in 0..60_000 {
-        worker.sample_once(&tree, SpeechTree::ROOT);
-    }
+    team.sample(&tree, SpeechTree::ROOT, |done| done < 60_000, &CancelToken::never());
 
     // Pick the best baseline, then rank its children.
     let base = tree.tree().best_child(SpeechTree::ROOT).unwrap();
@@ -64,9 +57,7 @@ fn main() {
                 if !actual.is_finite() {
                     continue;
                 }
-                let m = tree.mean_for(c, &layout.coords_of_agg(agg));
-                let (lo, hi) = rounding_bucket(actual, model.sigma() / 10.0);
-                total += Normal::new(m, model.sigma()).prob_interval(lo, hi);
+                total += tree.reward(c, agg, actual);
                 n += 1;
             }
             let q = total / n as f64;

@@ -72,8 +72,9 @@ pub struct ApproachOptions {
     /// (`holistic`, `parallel`, `optimal`, `unmerged`), inert by default: a
     /// deadline cut commits the anytime answer marked `degraded`, and each
     /// answer is counted clean or degraded in its `DegradeStats`. With an
-    /// injector, the row-reading approaches (all but `optimal`) roll its
-    /// read and sample sites and every stream its Emit site. `prior`
+    /// injector, the sampling approaches (`holistic`, `parallel`,
+    /// `unmerged`: one sampling team each) roll its read, sample and cache
+    /// shard sites, and every stream its Emit site. `prior`
     /// computes its whole answer before output and has nothing to cut: it
     /// takes no bundle and its answers are not counted here.
     pub resilience: Arc<Resilience>,

@@ -27,16 +27,12 @@
 //!   one shared iteration count the voice is polled with. Outcomes depend
 //!   on scheduling and are **not** bit-reproducible.
 //!
-//! Both share every piece: workers claim whole morsels of the seeded scan
-//! order from one shared [`MorselPool`](voxolap_data::MorselPool) — so the
-//! union of their prefixes stays a uniform sample, and one worker drains
-//! it in exactly the seeded order — into one [`ShardedSampleCache`]; they
-//! run the same plain UCT descent over one lock-free speech tree; and one
-//! commit rule moves the sampling root (see `pipeline::driver`).
+//! Both are one [`Team`] of that many workers — one shared morsel pool,
+//! one sample cache, one sampling loop over one lock-free speech tree —
+//! and one commit rule moves the sampling root (see `pipeline::driver`).
 //! [`HolisticConfig`], declared here, is the configuration of every
 //! approach, not only this one.
 
-use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -44,7 +40,6 @@ use voxolap_data::Table;
 use voxolap_engine::query::{AggIdx, Query, ResultLayout};
 use voxolap_engine::repair::repair_snapshot;
 use voxolap_engine::semantic::SemanticCache;
-use voxolap_engine::sharded::ShardedSampleCache;
 use voxolap_faults::Resilience;
 use voxolap_mcts::NodeId;
 use voxolap_speech::candidates::CandidateConfig;
@@ -57,7 +52,7 @@ use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::driver::TeamSource;
 use crate::pipeline::stream::{Buffered, Deferred, SentenceSource, SpeechStream};
 use crate::resilience::ResCtx;
-use crate::sampler::{SelectionPolicy, ShardWorker};
+use crate::sampler::{SelectionPolicy, Team};
 use crate::tree::SpeechTree;
 use crate::uncertainty::UncertaintyMode;
 use crate::voice::VoiceOutput;
@@ -283,22 +278,13 @@ impl Holistic {
         query: &'a Query,
         res: ResCtx,
     ) -> Box<dyn SentenceSource<'a> + 'a> {
-        let Holistic { config: cfg, threads: n_workers, cache: semantic, .. } = self;
+        let Holistic { config: cfg, threads, cache: semantic, .. } = self;
         let schema = table.schema();
-
-        let mut shared = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
-        if let Some(inj) = res.bundle.injector() {
-            shared = shared.with_faults(inj.clone(), res.bundle.stats().clone());
-        }
-        let cache = Arc::new(shared);
-        let pool = table.morsel_pool(cfg.seed);
-        let mut workers: Vec<ShardWorker<'a>> = (0..n_workers)
-            .map(|w| ShardWorker::new(table, query, cache.clone(), &cfg, pool.clone(), w, &res))
-            .collect();
+        let mut team = Team::in_run(table, query, &cfg, threads, res);
 
         // Semantic cache, layer 2: a snapshot with the same scope (measure
-        // + filters) and seed names the donor's uniform row prefix. Worker
-        // 0 replays those rows from the pinned revision into the shared
+        // + filters) and seed names the donor's uniform row prefix. The lead
+        // worker replays those rows from the pinned revision into the shared
         // cache and the shared morsel pool advances past them, so sampling
         // resumes where the donor stopped. A version-stale snapshot is
         // first *repaired* — rebased onto the grown scan order with a
@@ -321,7 +307,7 @@ impl Holistic {
             });
             match donor {
                 Some((snap, repair_rows)) => {
-                    let replayed = workers[0].warm_start(&snap);
+                    let replayed = team.warm_start(&snap);
                     sem.note_replay(replayed);
                     seeded_total = replayed.saturating_sub(repair_rows);
                 }
@@ -329,34 +315,28 @@ impl Holistic {
             }
         }
 
-        // Warm up on worker 0's shard (a uniform sample of the table).
-        let Some(overall) = workers[0].warmup(cfg.warmup_rows) else {
+        let Some(overall) = team.warmup(cfg.warmup_rows) else {
             // Entire table streamed, not one row in scope: report that —
             // and still admit the exhausted scan to the semantic cache.
-            let fresh = cache.nr_read().saturating_sub(seeded_total);
+            let fresh = team.cache().nr_read().saturating_sub(seeded_total);
             let admit = move || {
                 if let Some(sem) = &semantic {
-                    workers[0].admit(sem);
+                    team.admit(sem);
                 }
             };
             return Box::new(Buffered::no_data(fresh, Some(Box::new(admit))));
         };
-        let (sigma, tree) = SpeechTree::open(schema, query, &cfg, overall);
-        for w in &mut workers {
-            w.set_sigma(sigma);
-        }
 
         Box::new(TeamSource {
-            workers,
-            tree,
+            tree: SpeechTree::open(schema, query, &cfg, overall),
+            team,
             renderer: Renderer::new(schema, query),
             cfg,
             current: SpeechTree::ROOT,
             unit: schema.measure(query.measure()).unit,
-            samples: AtomicU64::new(0),
+            samples: 0,
             seeded_total,
             semantic,
-            run: res.run,
         })
     }
 }

@@ -125,7 +125,8 @@ struct Scorer {
 }
 
 impl Scorer {
-    fn new(tree: &SpeechTree, sigma: f64, exact: &ExactResult, layout: &ResultLayout) -> Self {
+    fn new(tree: &SpeechTree, exact: &ExactResult, layout: &ResultLayout) -> Self {
+        let sigma = tree.sigma();
         let mut buckets = Vec::new();
         let mut bucket_of = Vec::new();
         let mut coords = Vec::new();
@@ -187,7 +188,7 @@ impl Scorer {
     /// each target's mean summed deepest fragment first, baseline last —
     /// the order an ancestor walk from the node adds them in, so the sums
     /// (and therefore the masses and their mean) are bit for bit those of
-    /// `SpeechTree::mean_for` and one `prob_interval` per pair.
+    /// one `SpeechTree::reward` per pair.
     fn quality(&mut self, depth: usize) -> f64 {
         let targets = self.bucket_of.len();
         if targets == 0 {
@@ -235,14 +236,13 @@ struct Chooser<'a> {
 impl<'a> Chooser<'a> {
     fn new(
         tree: &SpeechTree,
-        sigma: f64,
         exact: &ExactResult,
         layout: &ResultLayout,
         cancel: &'a CancelToken,
         run: &'a RunState,
     ) -> Self {
         Chooser {
-            scorer: Scorer::new(tree, sigma, exact, layout),
+            scorer: Scorer::new(tree, exact, layout),
             cancel,
             run,
             since_poll: 0,
@@ -349,7 +349,7 @@ pub(crate) fn plan_exact(
     if !grand.is_finite() {
         return None;
     }
-    let (sigma, space) = SpeechSpace::open(schema, query, cfg, grand);
+    let space = SpeechSpace::open(schema, query, cfg, grand);
     let fingerprint = cfg.plan_fingerprint(query);
     if let Some(kept) = slot.and_then(|(cache, data)| cache.lookup_plan(data, fingerprint)) {
         let (speech, sentences) = space.speak(&kept.path);
@@ -357,7 +357,7 @@ pub(crate) fn plan_exact(
         return Some(ExactPlan { speech, sentences, tree_nodes, truncated });
     }
     let tree = space.into_tree();
-    let mut chooser = Chooser::new(&tree, sigma, exact, query.layout(), cancel, run);
+    let mut chooser = Chooser::new(&tree, exact, query.layout(), cancel, run);
     chooser.choose(&tree);
     // No node scored (no baseline fits the budgets): the root.
     let best = chooser.best.map_or(SpeechTree::ROOT, |(_, node, _)| node);
@@ -503,39 +503,16 @@ mod tests {
     use crate::tree::tests::walked;
     use crate::voice::InstantVoice;
 
-    /// What the oracle needs to know about one aggregate with a finite
-    /// exact value.
-    struct Target {
-        coords: Vec<u32>,
-        /// The rounding bucket `[lo, hi)` around its exact value.
-        bucket: (f64, f64),
-    }
-
-    fn scoring_targets(exact: &ExactResult, layout: &ResultLayout, sigma: f64) -> Vec<Target> {
-        (0..layout.n_aggregates() as u32)
-            .filter_map(|agg| {
-                let actual = exact.value(agg);
-                actual.is_finite().then(|| Target {
-                    coords: layout.coords_of_agg(agg),
-                    bucket: rounding_bucket(actual, sigma / 10.0),
-                })
-            })
-            .collect()
-    }
-
     /// The scorer this module replaced, kept as the oracle: exact quality
-    /// of the speech at `node` of a stored tree — an ancestor walk per
-    /// aggregate (`SpeechTree::mean_for`) and one `prob_interval` per call.
-    fn node_quality(tree: &SpeechTree, node: NodeId, targets: &[Target], sigma: f64) -> f64 {
+    /// of the speech at `node` of a stored tree — one
+    /// [`SpeechTree::reward`] per aggregate with a finite exact value.
+    fn node_quality(tree: &SpeechTree, node: NodeId, exact: &ExactResult) -> f64 {
+        let targets: Vec<u32> =
+            (0..exact.len() as u32).filter(|&agg| exact.value(agg).is_finite()).collect();
         if targets.is_empty() {
             return 0.0;
         }
-        let mut total = 0.0;
-        for target in targets {
-            let mean = tree.mean_for(node, &target.coords);
-            let (lo, hi) = target.bucket;
-            total += Normal::new(mean, sigma).prob_interval(lo, hi);
-        }
+        let total: f64 = targets.iter().map(|&agg| tree.reward(node, agg, exact.value(agg))).sum();
         total / targets.len() as f64
     }
 
@@ -547,12 +524,11 @@ mod tests {
         exact: &ExactResult,
         cfg: &HolisticConfig,
     ) -> ExactPlan {
-        let (sigma, tree) = SpeechTree::open(schema, query, cfg, exact.grand_mean());
+        let tree = SpeechTree::open(schema, query, cfg, exact.grand_mean());
         let renderer = voxolap_speech::render::Renderer::new(schema, query);
-        let targets = scoring_targets(exact, query.layout(), sigma);
         let mut best: Option<(NodeId, f64, usize)> = None;
         for (node, frags, _) in walked(&tree) {
-            let q = node_quality(&tree, node, &targets, sigma);
+            let q = node_quality(&tree, node, exact);
             let better = match best {
                 None => true,
                 Some((_, bq, bf)) => q > bq + 1e-12 || (q > bq - 1e-12 && frags < bf),
@@ -581,15 +557,14 @@ mod tests {
             for q in &queries {
                 let cfg = HolisticConfig { max_tree_nodes: 5_000, ..HolisticConfig::default() };
                 let exact = evaluate(q, &table);
-                let (sigma, tree) = SpeechTree::open(schema, q, &cfg, estimate);
-                let targets = scoring_targets(&exact, q.layout(), sigma);
+                let tree = SpeechTree::open(schema, q, &cfg, estimate);
                 let want: Vec<u64> = walked(&tree)
                     .into_iter()
-                    .map(|(n, ..)| node_quality(&tree, n, &targets, sigma).to_bits())
+                    .map(|(n, ..)| node_quality(&tree, n, &exact).to_bits())
                     .collect();
 
                 // What the chooser feeds the scorer, node by node.
-                let mut scorer = Scorer::new(&tree, sigma, &exact, q.layout());
+                let mut scorer = Scorer::new(&tree, &exact, q.layout());
                 let mut got = Vec::new();
                 tree.walk(|_, depth, kind| {
                     match kind {
@@ -789,10 +764,10 @@ mod tests {
         let q = Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(2)).build(schema).unwrap();
         let exact = evaluate(&q, &table);
         let cfg = HolisticConfig::default();
-        let (sigma, tree) = SpeechTree::open(schema, &q, &cfg, exact.grand_mean());
+        let tree = SpeechTree::open(schema, &q, &cfg, exact.grand_mean());
         assert_eq!((tree.tree().node_count(), tree.truncated()), (500_000, true));
         let (never, run) = (CancelToken::never(), RunState::default());
-        let mut chooser = Chooser::new(&tree, sigma, &exact, q.layout(), &never, &run);
+        let mut chooser = Chooser::new(&tree, &exact, q.layout(), &never, &run);
         chooser.choose(&tree);
         let lookups = 499_999 * 12;
         let computed = chooser.scorer.evaluations;

@@ -1,22 +1,20 @@
 //! Thread-scaling measurements of the holistic engine's two hot loops —
 //! UCT sampling ([`sampling_throughput`]) and batched morsel ingest
-//! ([`ingest_throughput`]) — over the pieces
-//! [`Holistic`] runs at any thread count.
+//! ([`ingest_throughput`]). Both run the engine's own [`Team`], the one
+//! [`Holistic`] runs at any thread count: the measures time product code,
+//! one shared iteration counter included, not a copy of it.
 //!
 //! [`ParallelHolistic`] is a second name for [`Holistic`], which takes its
 //! planning-thread count from [`Holistic::with_threads`].
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use voxolap_data::Table;
 use voxolap_engine::query::Query;
-use voxolap_engine::sharded::{IngestBatch, ShardedSampleCache};
 
 use crate::holistic::{Holistic, HolisticConfig};
-use crate::resilience::ResCtx;
-use crate::sampler::ShardWorker;
+use crate::pipeline::cancel::CancelToken;
+use crate::sampler::Team;
 use crate::tree::SpeechTree;
 
 /// The holistic engine under the name the standalone benchmark imports.
@@ -42,11 +40,12 @@ impl ThroughputReport {
     }
 }
 
-/// Measure raw sampling throughput: `threads` workers hammer a freshly
-/// built speech tree and sharded cache from the root for `duration`
-/// (no voice, no commit steps — pure planning work). This is the
-/// scaling benchmark's engine; setup (table scan permutations, warm-up,
-/// tree construction) happens before the clock starts.
+/// Measure raw sampling throughput: a [`Team`] of `threads` workers
+/// samples a freshly built speech tree and sharded cache from the root for
+/// `duration` — the engine's own loop with a clock for its stop test (no
+/// voice, no commit steps: pure planning work). Setup (table scan
+/// permutations, warm-up, tree construction) happens before the clock
+/// starts.
 pub fn sampling_throughput(
     table: &Table,
     query: &Query,
@@ -55,46 +54,13 @@ pub fn sampling_throughput(
     duration: Duration,
 ) -> ThroughputReport {
     let threads = threads.max(1);
-    let cache = Arc::new(ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64));
-    let pool = table.morsel_pool(config.seed);
-    let res = ResCtx::inert();
-    let mut workers: Vec<ShardWorker<'_>> = (0..threads)
-        .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w, &res))
-        .collect();
-    let overall = workers[0].warmup(config.warmup_rows).unwrap_or(0.0);
-    let (sigma, tree) = SpeechTree::open(table.schema(), query, config, overall);
-    for w in &mut workers {
-        w.set_sigma(sigma);
-    }
-
-    let samples = AtomicU64::new(0);
-    let stop = AtomicBool::new(false);
+    let mut team = Team::new(table, query, config, threads);
+    let overall = team.warmup(config.warmup_rows).unwrap_or(0.0);
+    let tree = SpeechTree::open(table.schema(), query, config, overall);
     let t0 = Instant::now();
-    std::thread::scope(|scope| {
-        for mut worker in workers {
-            let tree = &tree;
-            let stop = &stop;
-            let samples = &samples;
-            scope.spawn(move || {
-                // Count locally so the shared counter isn't itself a
-                // contention point in the measurement.
-                let mut local = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    worker.sample_once(tree, SpeechTree::ROOT);
-                    local += 1;
-                }
-                samples.fetch_add(local, Ordering::Relaxed);
-            });
-        }
-        std::thread::sleep(duration);
-        stop.store(true, Ordering::Relaxed);
-    });
-    ThroughputReport {
-        threads,
-        samples: samples.load(Ordering::Relaxed),
-        rows_read: cache.nr_read(),
-        elapsed: t0.elapsed(),
-    }
+    let more = |_| t0.elapsed() < duration;
+    let samples = team.sample(&tree, SpeechTree::ROOT, more, &CancelToken::never());
+    ThroughputReport { threads, samples, rows_read: team.cache().nr_read(), elapsed: t0.elapsed() }
 }
 
 /// Result of one [`ingest_throughput`] measurement.
@@ -117,12 +83,14 @@ impl IngestReport {
     }
 }
 
-/// Measure raw **ingest-only** throughput: `threads` workers drain whole
-/// seeded scans of the table into fresh [`ShardedSampleCache`]s via the
-/// batched morsel path (columnar aggregate resolution + group-commit) with
-/// planning disabled — no tree, no estimates, no RNG draws. Full-table
-/// drains repeat until `min_duration` has elapsed, so the figure is stable
-/// even when one drain takes microseconds. This isolates the scan+observe
+/// Measure raw **ingest-only** throughput: a [`Team`] of `threads`
+/// workers drains a whole seeded scan of the table into its fresh
+/// [`ShardedSampleCache`](voxolap_engine::sharded::ShardedSampleCache)
+/// through the engine's batched morsel path, `ShardWorker::ingest_rows`
+/// (columnar aggregate resolution and group-commit), with planning
+/// disabled — no tree, no estimates, no RNG draws. Full-table drains
+/// repeat until `min_duration` has elapsed, so the figure is stable even
+/// when one drain takes microseconds. This isolates the scan+observe
 /// scaling that the end-to-end samples/sec figure mixes with planning
 /// work.
 pub fn ingest_throughput(
@@ -137,28 +105,15 @@ pub fn ingest_throughput(
     let mut drains = 0u64;
     let t0 = Instant::now();
     while drains == 0 || t0.elapsed() < min_duration {
-        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
-        let pool = table.morsel_pool(seed.wrapping_add(drains));
+        let config =
+            HolisticConfig { seed: seed.wrapping_add(drains), ..HolisticConfig::default() };
+        let mut team = Team::new(table, query, &config, threads);
         std::thread::scope(|scope| {
-            for _ in 0..threads {
-                let cache = &cache;
-                let pool = pool.clone();
-                scope.spawn(move || {
-                    let mut scan = table.scan_pooled(pool, query.measure());
-                    let layout = query.layout();
-                    let mut batch = IngestBatch::new(query.n_aggregates());
-                    let mut aggs = Vec::new();
-                    while let Some(block) = scan.next_block(usize::MAX) {
-                        layout.agg_of_block(block.dims, block.rows, &mut aggs);
-                        for (i, &r) in block.rows.iter().enumerate() {
-                            batch.push_resolved(aggs[i], block.values[r as usize]);
-                        }
-                        cache.observe_batch(&mut batch);
-                    }
-                });
+            for worker in &mut team.workers {
+                scope.spawn(move || worker.ingest_rows(usize::MAX));
             }
         });
-        rows += cache.nr_read();
+        rows += team.cache().nr_read();
         drains += 1;
     }
     IngestReport { threads, rows, drains, elapsed: t0.elapsed() }
@@ -167,6 +122,7 @@ pub fn ingest_throughput(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use voxolap_data::dimension::LevelId;
     use voxolap_data::salary::SalaryConfig;
     use voxolap_data::DimId;

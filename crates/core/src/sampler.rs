@@ -1,28 +1,31 @@
-//! The planning worker: row streaming into the sample cache, σ
-//! calibration, and the speech-evaluation sampling iteration (`ST.Sample`
-//! combining Algorithms 2 and 3).
+//! The planning team: row streaming into the sample cache, warm-up, and
+//! the speech-evaluation sampling loop (`ST.Sample`, combining Algorithms
+//! 2 and 3).
 //!
-//! The holistic engine and the Unmerged planner drive the same
-//! [`ShardWorker`]; they differ only in *when* they sample (overlapped
-//! with voice output vs. a fixed pre-output budget) and in how many
-//! workers share one cache.
+//! Every sampled plan — the holistic engine's rounds, Unmerged's budget,
+//! the throughput measure and the reward diagnostic — opens one [`Team`]
+//! and runs its one loop, [`Team::sample`]; they differ only in the stop
+//! test they pass it (the voice, a budget, a duration, an iteration count)
+//! and in how many workers share the team's cache.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use voxolap_belief::model::rounding_bucket;
 use voxolap_belief::normal::Normal;
 use voxolap_data::table::RowScanner;
 use voxolap_data::{MorselPool, Table};
 use voxolap_engine::query::{AggFct, Query};
 use voxolap_engine::semantic::{SampleSnapshot, SemanticCache};
 use voxolap_engine::sharded::{IngestBatch, Posterior, ShardedSampleCache};
+use voxolap_faults::RunState;
 use voxolap_mcts::NodeId;
 
 use crate::holistic::HolisticConfig;
-use crate::resilience::ResCtx;
+use crate::pipeline::cancel::CancelToken;
+use crate::resilience::{round_status, ResCtx, RoundEnd};
 use crate::tree::SpeechTree;
 
 /// Fallback σ when the measure's overall mean is zero or unavailable.
@@ -81,10 +84,8 @@ pub enum SelectionPolicy {
 const WORKER_STREAM: u64 = 0xd1b5_4a32_d192_ed03;
 
 /// One planning worker: a pooled morsel scanner and private RNG stream
-/// over a sample cache and speech tree it may share with teammates. The
-/// holistic engine runs one worker cooperatively or a team of them on
-/// scoped threads; Unmerged drives a solo worker for a fixed budget.
-pub struct ShardWorker<'a> {
+/// over the sample cache and speech tree of its [`Team`].
+pub(crate) struct ShardWorker<'a> {
     table: &'a Table,
     query: &'a Query,
     cache: Arc<ShardedSampleCache>,
@@ -97,11 +98,6 @@ pub struct ShardWorker<'a> {
     batch: IngestBatch,
     /// Reused per-block aggregate-code buffer for the columnar kernel.
     aggs: Vec<u32>,
-    /// Decomposed coordinates of every aggregate, indexed by aggregate —
-    /// a per-query table, so an iteration looks its aggregate up instead
-    /// of allocating `coords_of_agg`.
-    coords: Vec<Vec<u32>>,
-    sigma: f64,
     policy: SelectionPolicy,
     /// Rows a warm start replayed into the cache (0 for cold runs);
     /// warm-up tops up the difference instead of reading that many more.
@@ -120,7 +116,7 @@ pub struct ShardWorker<'a> {
 impl<'a> ShardWorker<'a> {
     /// Worker number `worker` of a team sharing `cache`, `pool` and the
     /// run `res`; no rows are read yet.
-    pub(crate) fn new(
+    fn new(
         table: &'a Table,
         query: &'a Query,
         cache: Arc<ShardedSampleCache>,
@@ -140,10 +136,6 @@ impl<'a> ShardWorker<'a> {
             path: Vec::new(),
             batch: IngestBatch::new(query.n_aggregates()),
             aggs: Vec::new(),
-            coords: (0..query.n_aggregates() as u32)
-                .map(|agg| query.layout().coords_of_agg(agg))
-                .collect(),
-            sigma: SIGMA_FALLBACK,
             policy: config.policy,
             seeded: 0,
             res: res.clone(),
@@ -152,27 +144,10 @@ impl<'a> ShardWorker<'a> {
         }
     }
 
-    /// A team of one over its own fresh cache and morsel pool, outside
-    /// any engine's run (tests and tools).
-    pub fn solo(table: &'a Table, query: &'a Query, config: &HolisticConfig) -> Self {
-        ShardWorker::solo_in(table, query, config, &ResCtx::inert())
-    }
-
-    /// [`ShardWorker::solo`] inside the run `res`.
-    pub(crate) fn solo_in(
-        table: &'a Table,
-        query: &'a Query,
-        config: &HolisticConfig,
-        res: &ResCtx,
-    ) -> Self {
-        let cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
-        let pool = table.morsel_pool(config.seed);
-        ShardWorker::new(table, query, Arc::new(cache), config, pool, 0, res)
-    }
-
-    /// Fix σ for this run (see [`calibrated_sigma`]).
-    pub fn set_sigma(&mut self, sigma: f64) {
-        self.sigma = sigma;
+    /// The one worker of a fresh one-member team.
+    #[cfg(test)]
+    pub(crate) fn solo(table: &'a Table, query: &'a Query, config: &HolisticConfig) -> Self {
+        Team::new(table, query, config, 1).workers.remove(0)
     }
 
     /// Warm-start this worker's team from a [`SampleSnapshot`] of the
@@ -188,7 +163,7 @@ impl<'a> ShardWorker<'a> {
     /// [`ShardWorker::ingest_rows`] path, read ladder included. Returns the
     /// rows it delivered — all the snapshot names, or none when the ladder
     /// refused the read, in which case the run stays cold.
-    pub fn warm_start(&mut self, snapshot: &SampleSnapshot) -> u64 {
+    pub(crate) fn warm_start(&mut self, snapshot: &SampleSnapshot) -> u64 {
         debug_assert_eq!(snapshot.version, self.version, "repair stale snapshots first");
         let replay = self.table.scan_consumed(self.seed, self.query.measure(), &snapshot.progress);
         let live = std::mem::replace(&mut self.scanner, replay);
@@ -203,7 +178,7 @@ impl<'a> ShardWorker<'a> {
     /// The sample this worker's team holds (a donor's replayed rows plus
     /// its fresh ones) as a semantic-cache snapshot: the shared pool's
     /// scan progress and the shared cache's `nr_read`, whatever their size.
-    pub fn take_snapshot(&self) -> SampleSnapshot {
+    pub(crate) fn take_snapshot(&self) -> SampleSnapshot {
         SampleSnapshot {
             seed: self.seed,
             progress: self.scanner.progress(),
@@ -213,20 +188,9 @@ impl<'a> ShardWorker<'a> {
         }
     }
 
-    /// Offer a finished run's results to the semantic cache: exact
-    /// aggregates when the scan was exhausted (uncapped), and the team's
-    /// consumed set as a warm-start snapshot any later team can replay.
-    pub(crate) fn admit(&self, sem: &SemanticCache) {
-        let key = self.query.key();
-        if let Some((counts, sums)) = self.cache.exact_result() {
-            sem.admit_exact(&key, self.version, counts, sums);
-        }
-        sem.admit_snapshot(&key.scope(), self.take_snapshot());
-    }
-
     /// Stream up to `k` rows of this worker's share of the scan into the
     /// cache; returns how many were read.
-    pub fn ingest_rows(&mut self, k: usize) -> usize {
+    pub(crate) fn ingest_rows(&mut self, k: usize) -> usize {
         if !self.res.read_allowed() {
             // Breaker open: the run continues on whatever the cache
             // already holds.
@@ -264,7 +228,7 @@ impl<'a> ShardWorker<'a> {
     /// estimate of exactly 0 spans no baseline value grid, so warm-up keeps
     /// reading (bounded by 50× `min_rows`) until the estimate turns
     /// non-zero or the table is exhausted.
-    pub fn warmup(&mut self, min_rows: usize) -> Option<f64> {
+    pub(crate) fn warmup(&mut self, min_rows: usize) -> Option<f64> {
         let n_aggs = self.query.n_aggregates() as f64;
         let per_aggregate = |est: f64, fct: AggFct| match fct {
             AggFct::Avg => est,
@@ -303,16 +267,15 @@ impl<'a> ShardWorker<'a> {
 
     /// One sampling iteration (`ST.Sample`): ingest a few rows, pick an
     /// eligible aggregate, draw its value from the cache's posterior
-    /// ([`draw_estimate`]), descend the
-    /// tree from `from`, reward the path by the probability the leaf
-    /// speech's belief assigns to the estimate, and update statistics. A
-    /// team's workers run it concurrently on one tree: a reward is a fresh
-    /// posterior draw, so two workers on one path still collect
-    /// independent rewards.
+    /// ([`draw_estimate`]), descend the tree from `from`, and update the
+    /// path's statistics with the [`SpeechTree::reward`] the leaf speech
+    /// earns for that estimate. A team's workers run it concurrently on
+    /// one tree: a reward is a fresh posterior draw, so two workers on one
+    /// path still collect independent rewards.
     ///
     /// Returns the observed reward (0 when nothing was evaluable yet, or
     /// the iteration faulted — the caller still counts it).
-    pub fn sample_once(&mut self, tree: &SpeechTree, from: NodeId) -> f64 {
+    pub(crate) fn sample_once(&mut self, tree: &SpeechTree, from: NodeId) -> f64 {
         if self.res.sample_faulted() {
             return 0.0;
         }
@@ -333,30 +296,151 @@ impl<'a> ShardWorker<'a> {
             SelectionPolicy::UniformRandom => t.random_path_into(from, &mut self.rng, path),
         }
         let leaf = *path.last().expect("a descent starts at `from`");
-        let reward = if est.is_finite() {
-            let mean = tree.mean_for(leaf, &self.coords[agg as usize]);
-            let (lo, hi) = rounding_bucket(est, self.sigma / 10.0);
-            Normal::new(mean, self.sigma).prob_interval(lo, hi)
-        } else {
-            0.0
-        };
+        let reward = tree.reward(leaf, agg, est);
         t.update_path(path, reward);
         reward
     }
 
     /// Fresh rows this worker streamed (a warm-start prefix excluded).
-    pub fn rows_read(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rows_read(&self) -> u64 {
         self.scanner.rows_read() as u64
     }
 
     /// The sample cache this worker feeds.
-    pub fn cache(&self) -> &ShardedSampleCache {
+    #[cfg(test)]
+    pub(crate) fn cache(&self) -> &ShardedSampleCache {
+        &self.cache
+    }
+}
+
+/// The workers of one sampled plan: `threads` [`ShardWorker`]s that claim
+/// whole morsels of the seeded scan order from one shared pool — so the
+/// union of their prefixes stays a uniform sample, and one worker drains
+/// it in exactly the seeded order — into one [`ShardedSampleCache`]. The
+/// cache carries the run's fault injector, so every sampled approach rolls
+/// the same `CacheShard` site. Worker 0 leads: it replays a warm start,
+/// warms up, and admits the run to the semantic cache.
+pub struct Team<'a> {
+    /// Worker 0 first; crate code that drives the members itself (the
+    /// ingest measure) reaches them here.
+    pub(crate) workers: Vec<ShardWorker<'a>>,
+    cache: Arc<ShardedSampleCache>,
+    res: ResCtx,
+}
+
+impl<'a> Team<'a> {
+    /// A team of `threads` workers (at least one) outside any engine's
+    /// run: no injector, no deadline (tools and measures).
+    pub fn new(
+        table: &'a Table,
+        query: &'a Query,
+        config: &HolisticConfig,
+        threads: usize,
+    ) -> Self {
+        Team::in_run(table, query, config, threads, ResCtx::inert())
+    }
+
+    /// A team of `threads` workers (at least one) inside the run `res`: its
+    /// reads walk the run's ladder and its cache rolls the run's injector.
+    pub(crate) fn in_run(
+        table: &'a Table,
+        query: &'a Query,
+        config: &HolisticConfig,
+        threads: usize,
+        res: ResCtx,
+    ) -> Self {
+        let mut cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
+        if let Some(inj) = res.bundle.injector() {
+            cache = cache.with_faults(inj.clone(), res.bundle.stats().clone());
+        }
+        let cache = Arc::new(cache);
+        let pool = table.morsel_pool(config.seed);
+        let workers = (0..threads.max(1))
+            .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w, &res))
+            .collect();
+        Team { workers, cache, res }
+    }
+
+    /// [`ShardWorker::warm_start`] on the lead worker.
+    pub(crate) fn warm_start(&mut self, snapshot: &SampleSnapshot) -> u64 {
+        self.workers[0].warm_start(snapshot)
+    }
+
+    /// [`ShardWorker::warmup`] on the lead worker, whose prefix of the
+    /// shared scan is a uniform sample of the table.
+    pub fn warmup(&mut self, min_rows: usize) -> Option<f64> {
+        self.workers[0].warmup(min_rows)
+    }
+
+    /// Offer the finished run to the semantic cache: exact aggregates when
+    /// the scan was exhausted (uncapped), and the team's consumed set as a
+    /// warm-start snapshot any later team can replay.
+    pub(crate) fn admit(&self, sem: &SemanticCache) {
+        let lead = &self.workers[0];
+        let key = lead.query.key();
+        if let Some((counts, sums)) = self.cache.exact_result() {
+            sem.admit_exact(&key, lead.version, counts, sums);
+        }
+        sem.admit_snapshot(&key.scope(), lead.take_snapshot());
+    }
+
+    /// Sample the tree below `from` while `more(done)` holds, `done` being
+    /// the iterations the team ran in this call; returns that count. Every
+    /// member — the calling thread, and N − 1 scoped threads — runs one
+    /// loop on one shared counter.
+    ///
+    /// Each iteration asks the round status *first*: a gone client stops
+    /// the loop, and a passed deadline or an exhausted fault budget stops
+    /// it too, marking the run degraded (see `resilience::round_status`).
+    /// That order fixes the sequence in which `more` is asked — and so, at
+    /// one thread, the iteration count — under a seed. The counter is
+    /// `Relaxed`: it publishes no data (the tree and cache synchronise
+    /// themselves, and the scope's join orders the caller after every
+    /// member), and a member that reads it one step late runs one more
+    /// iteration.
+    pub fn sample(
+        &mut self,
+        tree: &SpeechTree,
+        from: NodeId,
+        more: impl Fn(u64) -> bool + Sync,
+        cancel: &CancelToken,
+    ) -> u64 {
+        let at_root = from == SpeechTree::ROOT;
+        let at_leaf = tree.tree().is_leaf(from);
+        let run = &*self.res.run;
+        let done = AtomicU64::new(0);
+        let member = &|worker: &mut ShardWorker<'a>| {
+            while round_status(cancel, run, at_root, at_leaf) == RoundEnd::Continue
+                && more(done.load(Ordering::Relaxed))
+            {
+                worker.sample_once(tree, from);
+                done.fetch_add(1, Ordering::Relaxed);
+            }
+        };
+        let (lead, team) = self.workers.split_first_mut().expect("a team has a member");
+        std::thread::scope(|scope| {
+            for worker in team {
+                scope.spawn(move || member(worker));
+            }
+            member(lead);
+        });
+        done.into_inner()
+    }
+
+    /// The sample cache the team feeds.
+    pub(crate) fn cache(&self) -> &ShardedSampleCache {
         &self.cache
     }
 
-    /// The query this worker samples for.
-    pub fn query(&self) -> &'a Query {
-        self.query
+    /// The query the team samples for.
+    pub(crate) fn query(&self) -> &'a Query {
+        self.workers[0].query
+    }
+
+    /// The degrade state of the team's run.
+    pub(crate) fn run(&self) -> &RunState {
+        &self.res.run
     }
 }
 
@@ -413,7 +497,6 @@ mod tests {
         let constraints = SpeechConstraints { max_chars: 300, max_refinements: 0 };
         let mut worker = ShardWorker::solo(&table, &q, &config(11));
         let overall = worker.warmup(100).unwrap();
-        worker.set_sigma(calibrated_sigma(overall, None));
         let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 100_000);
         for _ in 0..4000 {
             worker.sample_once(&tree, SpeechTree::ROOT);
@@ -561,13 +644,7 @@ mod tests {
             .group_by(DimId(0), LevelId(1))
             .build(table.schema())
             .unwrap();
-        let cfg = config(13);
-        let cache = Arc::new(ShardedSampleCache::new(q.n_aggregates(), 200_000));
-        let pool = table.morsel_pool(cfg.seed);
-        let res = ResCtx::inert();
-        let mut team: Vec<ShardWorker<'_>> = (0..2)
-            .map(|w| ShardWorker::new(&table, &q, cache.clone(), &cfg, pool.clone(), w, &res))
-            .collect();
+        let mut team = Team::new(&table, &q, &config(13), 2).workers;
         team[0].ingest_rows(70_000);
         team[1].ingest_rows(30_000);
         let snap = team[0].take_snapshot();

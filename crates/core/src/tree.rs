@@ -22,8 +22,10 @@
 //! kept iff its step fits its baseline's room and comes before that
 //! baseline's kept bound (DESIGN.md §4).
 
+use voxolap_belief::model::rounding_bucket;
+use voxolap_belief::normal::Normal;
 use voxolap_data::schema::Schema;
-use voxolap_engine::query::Query;
+use voxolap_engine::query::{AggIdx, Query};
 use voxolap_mcts::{Children, NodeId, Stats, Tree};
 use voxolap_speech::ast::{Baseline, Speech};
 use voxolap_speech::candidates::{CandidateGenerator, CatalogueEntry, RefinementCatalogue};
@@ -101,9 +103,14 @@ pub struct SpeechTree {
     nodes: usize,
     truncated: bool,
     max_depth: usize,
-    n_aggs: usize,
+    /// Decomposed coordinates of every aggregate, indexed by aggregate, so
+    /// a reward looks its aggregate up instead of allocating
+    /// `coords_of_agg`.
+    coords: Vec<Vec<u32>>,
     /// The estimate the baseline candidates were generated around.
     opened_around: f64,
+    /// The belief σ of every speech in the tree.
+    sigma: f64,
 }
 
 /// A query's speech space, compiled but not expanded: the baseline
@@ -117,9 +124,10 @@ pub(crate) struct SpeechSpace<'a> {
     baselines: Vec<Baseline>,
     /// The estimate `baselines` were generated around.
     opened_around: f64,
+    sigma: f64,
     constraints: SpeechConstraints,
     max_nodes: usize,
-    n_aggs: usize,
+    coords: Vec<Vec<u32>>,
 }
 
 /// What `ST.Expand` carries down one path of the shared subtree.
@@ -143,18 +151,17 @@ impl<'a> SpeechSpace<'a> {
     /// Open a plan: calibrate σ from `overall` (a warm-up estimate, or the
     /// exact grand mean) and compile `cfg`'s speech space around it. Every
     /// approach — sampled or exhaustive — opens through here, so they plan
-    /// over the same space under the same belief model. Returns `(σ, space)`.
+    /// over the same space under the same belief model.
     pub(crate) fn open(
         schema: &'a Schema,
         query: &'a Query,
         cfg: &HolisticConfig,
         overall: f64,
-    ) -> (f64, Self) {
-        let sigma = calibrated_sigma(overall, cfg.sigma_override);
+    ) -> Self {
         let generator = CandidateGenerator::new(schema, query, cfg.candidates.clone());
         let renderer = Renderer::new(schema, query);
-        let max_nodes = cfg.max_tree_nodes;
-        (sigma, SpeechSpace::compile(&generator, &renderer, &cfg.constraints, overall, max_nodes))
+        let (max_nodes, sigma) = (cfg.max_tree_nodes, cfg.sigma_override);
+        SpeechSpace::compile(&generator, &renderer, &cfg.constraints, overall, max_nodes, sigma)
     }
 
     fn compile(
@@ -163,16 +170,21 @@ impl<'a> SpeechSpace<'a> {
         constraints: &SpeechConstraints,
         overall_estimate: f64,
         max_nodes: usize,
+        sigma_override: Option<f64>,
     ) -> Self {
+        let layout = generator.query().layout();
         SpeechSpace {
             schema: generator.schema(),
             renderer: *renderer,
             catalogue: RefinementCatalogue::compile(generator, renderer),
             baselines: generator.baselines(overall_estimate),
             opened_around: overall_estimate,
+            sigma: calibrated_sigma(overall_estimate, sigma_override),
             constraints: *constraints,
             max_nodes,
-            n_aggs: generator.query().layout().n_aggregates(),
+            coords: (0..layout.n_aggregates() as u32)
+                .map(|agg| layout.coords_of_agg(agg))
+                .collect(),
         }
     }
 
@@ -263,8 +275,9 @@ impl<'a> SpeechSpace<'a> {
             nodes,
             truncated,
             max_depth: 1 + max_refinements,
-            n_aggs: self.n_aggs,
+            coords: self.coords,
             opened_around: self.opened_around,
+            sigma: self.sigma,
         }
     }
 
@@ -430,20 +443,15 @@ impl SpeechTree {
     /// The root node (represents the preamble).
     pub const ROOT: NodeId = NodeId::ROOT;
 
-    /// [`SpeechSpace::open`], expanded. Returns `(σ, tree)`.
-    pub(crate) fn open(
-        schema: &Schema,
-        query: &Query,
-        cfg: &HolisticConfig,
-        overall: f64,
-    ) -> (f64, Self) {
-        let (sigma, space) = SpeechSpace::open(schema, query, cfg, overall);
-        (sigma, space.into_tree())
+    /// [`SpeechSpace::open`], expanded.
+    pub(crate) fn open(schema: &Schema, query: &Query, cfg: &HolisticConfig, overall: f64) -> Self {
+        SpeechSpace::open(schema, query, cfg, overall).into_tree()
     }
 
     /// Expand the full tree (`ST.Expand` from the root): one child per
     /// baseline candidate around `overall_estimate`, then recursively one
     /// child per valid refinement, bounded by `constraints` and `max_nodes`.
+    /// σ is calibrated from `overall_estimate` with no override.
     pub fn build(
         generator: &CandidateGenerator<'_>,
         renderer: &Renderer<'_>,
@@ -451,7 +459,7 @@ impl SpeechTree {
         overall_estimate: f64,
         max_nodes: usize,
     ) -> Self {
-        SpeechSpace::compile(generator, renderer, constraints, overall_estimate, max_nodes)
+        SpeechSpace::compile(generator, renderer, constraints, overall_estimate, max_nodes, None)
             .into_tree()
     }
 
@@ -538,15 +546,36 @@ impl SpeechTree {
         path
     }
 
+    /// The belief σ of every speech in the tree: calibrated from the
+    /// estimate the tree was opened around (see
+    /// [`calibrated_sigma`](crate::sampler::calibrated_sigma)).
+    pub fn sigma(&self) -> f64 {
+        self.sigma
+    }
+
+    /// The probability the belief of the speech at `node` about aggregate
+    /// `agg`, `N(M(agg, node), σ)`, gives the rounding bucket of `estimate`
+    /// (Definition 2.2 at one aggregate): a sampling iteration's reward for
+    /// a posterior draw, or a speech's exact quality term for an exact
+    /// value. 0 for a non-finite estimate (the AVG of an empty bucket).
+    pub fn reward(&self, node: NodeId, agg: AggIdx, estimate: f64) -> f64 {
+        if !estimate.is_finite() {
+            return 0.0;
+        }
+        let mean = self.mean_for(node, &self.coords[agg as usize]);
+        let (lo, hi) = rounding_bucket(estimate, self.sigma / 10.0);
+        Normal::new(mean, self.sigma).prob_interval(lo, hi)
+    }
+
     /// Belief mean `M(a, t)` for the speech at `node` and the aggregate with
     /// decomposed coordinates `coords` — `O(k)` ancestor walk (Lemma A.2),
     /// summed deepest fragment first, baseline last.
-    pub fn mean_for(&self, node: NodeId, coords: &[u32]) -> f64 {
+    fn mean_for(&self, node: NodeId, coords: &[u32]) -> f64 {
         let Some((b, r)) = self.locate(node) else {
             return 0.0;
         };
         let branch = &self.branches[b];
-        let n = self.n_aggs as f64;
+        let n = self.coords.len() as f64;
         let mut mean = 0.0;
         for step in self.lineage(r) {
             let scope = &self.catalogue.entry(step.entry).scope;

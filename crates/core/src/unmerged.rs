@@ -1,11 +1,12 @@
 //! The "unmerged" comparison approach (paper §5.1).
 //!
 //! Identical sampling strategy to the holistic planner — the same
-//! [`HolisticConfig`], the same worker, the same plan opening — but
-//! **without** merging vocalization, sampling, and planning: it samples for
-//! a fixed budget (the 500 ms interactivity threshold), then commits to the
-//! speech with the highest quality estimates and speaks it in one go.
-//! Because it
+//! [`HolisticConfig`], the same [`Team`] at one thread, the same plan
+//! opening, the same sampling loop ([`Team::sample`]) — but **without**
+//! merging vocalization, sampling, and planning: its stop test is a fixed
+//! budget (the 500 ms interactivity threshold) instead of the voice, after
+//! which it commits to the speech with the highest quality estimates and
+//! speaks it in one go. Because it
 //! "cannot overlap sampling and planning time with vocalization, it has
 //! less time to read data and explore the search space" — which is exactly
 //! the quality gap Figure 3 shows.
@@ -22,8 +23,8 @@ use crate::approach::Vocalizer;
 use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
 use crate::pipeline::stream::{Buffered, SpeechStream};
-use crate::resilience::{round_status, ResCtx, RoundEnd};
-use crate::sampler::ShardWorker;
+use crate::resilience::ResCtx;
+use crate::sampler::Team;
 use crate::tree::SpeechTree;
 use crate::voice::VoiceOutput;
 
@@ -66,9 +67,10 @@ impl Unmerged {
         Unmerged { config, budget, resilience: Arc::default() }
     }
 
-    /// Replace the resilience bundle: the worker is the holistic engine's,
-    /// so its reads walk the same ladder and its sampling loop is cut —
-    /// and the cut marked — by the same deadline and fault budget.
+    /// Replace the resilience bundle: the team is the holistic engine's,
+    /// so its reads walk the same ladder, its cache rolls the same shard
+    /// faults, and its sampling loop is cut — and the cut marked — by the
+    /// same deadline and fault budget.
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
         self.resilience = resilience;
         self
@@ -98,34 +100,27 @@ impl Vocalizer for Unmerged {
         let renderer = Renderer::new(schema, query);
         let preamble = renderer.preamble();
 
-        // The holistic engine's worker, solo: same sampling strategy, no
-        // overlap with voice output.
+        // The holistic engine's team at one thread: same sampling strategy,
+        // same cache and fault sites, no overlap with voice output.
         let res = ResCtx::new(&self.resilience);
-        let mut worker = ShardWorker::solo_in(table, query, cfg, &res);
-        let Some(overall) = worker.warmup(cfg.warmup_rows) else {
+        let mut team = Team::in_run(table, query, cfg, 1, res.clone());
+        let Some(overall) = team.warmup(cfg.warmup_rows) else {
             let latency = t0.elapsed();
             voice.start(&preamble);
-            let source = Buffered::no_data(worker.rows_read(), None);
+            let source = Buffered::no_data(team.cache().nr_read(), None);
             return SpeechStream::new(voice, cancel, t0, preamble, latency, Box::new(source), res);
         };
-        let (sigma, tree) = SpeechTree::open(schema, query, cfg, overall);
-        worker.set_sigma(sigma);
+        let tree = SpeechTree::open(schema, query, cfg, overall);
 
         // Sample until the budget runs out — no voice output yet. A gone
         // consumer, a passed deadline or an exhausted fault budget ends the
         // loop early; the latter two mark the run degraded, and the commit
         // below is their anytime answer.
-        let mut samples = 0u64;
-        let within_budget = |samples: u64| match self.budget {
+        let within_budget = |done: u64| match self.budget {
             SamplingBudget::WallClock(d) => Instant::now() < t0 + d,
-            SamplingBudget::Iterations(n) => samples < n,
+            SamplingBudget::Iterations(n) => done < n,
         };
-        while within_budget(samples)
-            && round_status(&cancel, &res.run, true, false) == RoundEnd::Continue
-        {
-            worker.sample_once(&tree, SpeechTree::ROOT);
-            samples += 1;
-        }
+        let samples = team.sample(&tree, SpeechTree::ROOT, within_budget, &cancel);
 
         // Commit to the best path by mean reward down to the last sampled
         // node. A budget too tight to sample even once (huge trees eat it
@@ -146,7 +141,7 @@ impl Vocalizer for Unmerged {
             sentences,
             Some(tree.speech_at(current)),
             samples,
-            worker.rows_read(),
+            team.cache().nr_read(),
             tree.tree().node_count(),
             tree.truncated(),
         );
@@ -225,6 +220,28 @@ mod tests {
         let speech = outcome.speech.unwrap();
         // Nearest grid value to the warm-up estimate (~88-92 K).
         assert!((60.0..=120.0).contains(&speech.baseline.value));
+    }
+
+    /// Unmerged samples on the engine's team, whose cache carries the
+    /// run's injector: a plan with only `CacheShard` faults tears buckets,
+    /// the cache rebuilds them, and the answer still stands.
+    #[test]
+    fn cache_shard_faults_roll_on_unmerged_and_are_recovered() {
+        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
+        let (table, q) = setup();
+        let plan = FaultPlan::new(7).with_site(FaultSite::CacheShard, SiteSchedule::error(0.5));
+        let res = Arc::new(Resilience::new(Some(plan)));
+        let outcome = fast(SamplingBudget::Iterations(800)).with_resilience(res.clone()).vocalize(
+            &table,
+            &q,
+            &mut InstantVoice::default(),
+        );
+        let injected = res.injector().unwrap().injected(FaultSite::CacheShard);
+        assert!(injected > 0, "the cache rolled its shard site");
+        let snap = res.stats().snapshot();
+        assert!(snap.poison_recoveries > 0, "torn buckets were rebuilt: {snap:?}");
+        assert!(outcome.speech.is_some() && !outcome.sentences.is_empty(), "a baseline is spoken");
+        assert_eq!(snap.clean_answers + snap.degraded_answers, 1, "{snap:?}");
     }
 
     #[test]

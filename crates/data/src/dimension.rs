@@ -161,32 +161,6 @@ impl Dimension {
         }
     }
 
-    /// The ancestor of `member` at `level`.
-    ///
-    /// Returns an error if `member` is shallower than `level`.
-    pub fn ancestor_at_level(
-        &self,
-        member: MemberId,
-        level: LevelId,
-    ) -> Result<MemberId, DataError> {
-        let mut cur = member;
-        loop {
-            let m = &self.members[cur.index()];
-            if m.level == level {
-                return Ok(cur);
-            }
-            match m.parent {
-                Some(p) => cur = p,
-                None => {
-                    return Err(DataError::LevelMismatch {
-                        expected: level.index(),
-                        actual: self.members[member.index()].level.index(),
-                    })
-                }
-            }
-        }
-    }
-
     /// Path of member ids from the root (inclusive) to `member` (inclusive).
     pub fn path(&self, member: MemberId) -> Vec<MemberId> {
         let mut path = vec![member];
@@ -412,17 +386,6 @@ mod tests {
         assert!(d.is_ancestor_or_self(ny, ny));
         assert!(!d.is_ancestor_or_self(ne, oh));
         assert!(!d.is_ancestor_or_self(ny, ne));
-    }
-
-    #[test]
-    fn ancestor_at_level_walks_up() {
-        let d = sample_dim();
-        let ny = d.member_by_phrase("New York").unwrap();
-        let ne = d.member_by_phrase("the North East").unwrap();
-        assert_eq!(d.ancestor_at_level(ny, LevelId(1)).unwrap(), ne);
-        assert_eq!(d.ancestor_at_level(ny, LevelId::ROOT).unwrap(), d.root());
-        // Walking *down* is an error.
-        assert!(d.ancestor_at_level(ne, LevelId(2)).is_err());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Table schemas: a set of dimension hierarchies plus one measure column.
 
 use crate::dimension::Dimension;
-use crate::error::DataError;
 
 /// Identifier of a dimension within a schema.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -112,15 +111,6 @@ impl Schema {
         self.dimensions.iter().enumerate().map(|(i, d)| (DimId(i as u8), d))
     }
 
-    /// Resolve a dimension by name.
-    pub fn dimension_by_name(&self, name: &str) -> Result<DimId, DataError> {
-        self.dimensions
-            .iter()
-            .position(|d| d.name() == name)
-            .map(|i| DimId(i as u8))
-            .ok_or_else(|| DataError::UnknownName { kind: "dimension", name: name.to_string() })
-    }
-
     /// Spoken name of the primary measure column.
     pub fn measure_name(&self) -> &str {
         &self.measures[0].name
@@ -145,15 +135,6 @@ impl Schema {
     pub fn measure(&self, id: MeasureId) -> &Measure {
         &self.measures[id.index()]
     }
-
-    /// Resolve a measure by name.
-    pub fn measure_by_name(&self, name: &str) -> Result<MeasureId, DataError> {
-        self.measures
-            .iter()
-            .position(|m| m.name == name)
-            .map(|i| MeasureId(i as u8))
-            .ok_or_else(|| DataError::UnknownName { kind: "measure", name: name.to_string() })
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +154,6 @@ mod tests {
         let salary = b.build();
 
         Schema::new("salaries", vec![college, salary], "mid-career salary", MeasureUnit::DollarsK)
-    }
-
-    #[test]
-    fn lookup_by_name() {
-        let s = schema();
-        assert_eq!(s.dimension_by_name("start salary").unwrap(), DimId(1));
-        assert!(s.dimension_by_name("airline").is_err());
     }
 
     #[test]
@@ -211,8 +185,6 @@ mod tests {
             ],
         );
         assert_eq!(schema.measure_count(), 2);
-        assert_eq!(schema.measure_by_name("second").unwrap(), MeasureId(1));
-        assert!(schema.measure_by_name("third").is_err());
         assert_eq!(schema.measure(MeasureId(1)).unit, MeasureUnit::Plain);
         // Primary accessors keep working.
         assert_eq!(schema.measure_name(), "first");

@@ -4,9 +4,11 @@
 //! data nor in the plan space", paper §5.1) and by exact speech-quality
 //! measurement over the entire data set.
 
-use voxolap_data::Table;
+use std::sync::Arc;
 
-use crate::query::{AggFct, AggIdx, Query};
+use voxolap_data::{MorselPool, ScanOrder, Table};
+
+use crate::query::{AggFct, AggIdx, Query, AGG_OUT_OF_SCOPE};
 
 /// Exact result of a query: per-aggregate count, sum, and value.
 #[derive(Debug, Clone)]
@@ -87,21 +89,25 @@ impl ExactResult {
     }
 }
 
-/// Evaluate `query` exactly against `table` with a single full scan.
+/// Evaluate `query` exactly against `table` with a single full scan, in
+/// storage order through the columnar block kernel the sampler ingests
+/// with (`ResultLayout::agg_of_block`). Storage order adds every row's
+/// value in row order, so each sum has the bits a row-by-row loop gives.
 pub fn evaluate(query: &Query, table: &Table) -> ExactResult {
     let layout = query.layout();
     let n = layout.n_aggregates();
     let mut counts = vec![0u64; n];
     let mut sums = vec![0.0f64; n];
-    let n_dims = table.schema().dimensions().len();
-    let mut members = vec![voxolap_data::MemberId::ROOT; n_dims];
-    for row in 0..table.row_count() {
-        for (d, slot) in members.iter_mut().enumerate() {
-            *slot = table.member_at(voxolap_data::DimId(d as u8), row);
-        }
-        if let Some(agg) = layout.agg_of_row(&members) {
-            counts[agg as usize] += 1;
-            sums[agg as usize] += table.measure_value(query.measure(), row);
+    let pool = Arc::new(MorselPool::new(ScanOrder::sequential(table.row_count())));
+    let mut scan = table.scan_pooled(pool, query.measure());
+    let mut aggs = Vec::new();
+    while let Some(block) = scan.next_block(usize::MAX) {
+        layout.agg_of_block(block.dims, block.rows, &mut aggs);
+        for (&agg, &r) in aggs.iter().zip(block.rows) {
+            if agg != AGG_OUT_OF_SCOPE {
+                counts[agg as usize] += 1;
+                sums[agg as usize] += block.values[r as usize];
+            }
         }
     }
     ExactResult { fct: query.fct(), counts, sums }

@@ -19,8 +19,8 @@
 //! — is compiled once into a [`RefinementCatalogue`] that the tree refers
 //! to by index.
 
-use voxolap_data::dimension::{LevelId, MemberId};
-use voxolap_data::schema::{DimId, Schema};
+use voxolap_data::dimension::LevelId;
+use voxolap_data::schema::Schema;
 use voxolap_engine::query::Query;
 
 use std::collections::HashMap;
@@ -252,18 +252,13 @@ fn predicate_pool(schema: &Schema, query: &Query, config: &CandidateConfig) -> V
     pool
 }
 
-/// Convenience: the grouping-level coordinate members of one dimension
-/// (exposed for tests and baselines that need the exact aggregate grid).
-pub fn grouping_members(query: &Query, dim: DimId) -> &[MemberId] {
-    query.layout().coords(dim)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use voxolap_data::dimension::LevelId;
     use voxolap_data::flights::FlightsConfig;
     use voxolap_data::salary::SalaryConfig;
+    use voxolap_data::DimId;
     use voxolap_engine::query::AggFct;
 
     fn salary_query() -> (voxolap_data::Table, Query) {
@@ -393,12 +388,5 @@ mod tests {
         // change variants.
         assert_eq!(pairs.len(), 8 * 12);
         assert!(pairs.iter().all(|r| r.predicates[0].dim != r.predicates[1].dim));
-    }
-
-    #[test]
-    fn grouping_members_exposes_coords() {
-        let (_table, q) = salary_query();
-        assert_eq!(grouping_members(&q, DimId(0)).len(), 4);
-        assert_eq!(grouping_members(&q, DimId(1)).len(), 2);
     }
 }

@@ -143,17 +143,6 @@ impl<'a> Renderer<'a> {
     pub fn speech_text(&self, speech: &Speech) -> String {
         format!("{} {}", self.preamble(), self.body_text(speech))
     }
-
-    /// The sentence a given fragment index contributes:
-    /// fragment 0 is the baseline, fragment `i ≥ 1` the `i`-th refinement.
-    /// Used by the pipelined engine to hand single sentences to the TTS.
-    pub fn fragment_sentence(&self, speech: &Speech, fragment: usize) -> String {
-        if fragment == 0 {
-            self.baseline_sentence(speech)
-        } else {
-            self.refinement_sentence(&speech.refinements[fragment - 1])
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,20 +207,6 @@ mod tests {
              Values increase by 5 percent for graduates from the North East. \
              Values increase by 20 percent for a start salary of at least 50 K."
         );
-    }
-
-    #[test]
-    fn fragment_sentences_decompose_body() {
-        let (table, q) = setup();
-        let r = Renderer::new(table.schema(), &q);
-        let s = example_speech(table.schema());
-        let joined = format!(
-            "{} {} {}",
-            r.fragment_sentence(&s, 0),
-            r.fragment_sentence(&s, 1),
-            r.fragment_sentence(&s, 2)
-        );
-        assert_eq!(joined, r.body_text(&s));
     }
 
     #[test]

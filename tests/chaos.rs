@@ -1,5 +1,6 @@
 //! Chaos suite: 100 deterministic, seeded fault schedules thrown at the
-//! holistic and parallel engines (DESIGN.md §12).
+//! holistic engine, at one thread and as a team, and at Unmerged
+//! (DESIGN.md §12).
 //!
 //! Each seed derives a randomized [`FaultPlan`] — read/sample/shard/emit
 //! error probabilities, optional injected latency, a per-run fault budget,
@@ -30,6 +31,7 @@ use voxolap_core::approach::Vocalizer;
 use voxolap_core::holistic::{Holistic, HolisticConfig};
 use voxolap_core::outcome::VocalizationOutcome;
 use voxolap_core::parallel::ParallelHolistic;
+use voxolap_core::unmerged::{SamplingBudget, Unmerged};
 use voxolap_core::voice::InstantVoice;
 use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
@@ -102,9 +104,10 @@ fn engine_for(seed: u64, res: Arc<Resilience>) -> Box<dyn Vocalizer> {
         seed,
         ..HolisticConfig::default()
     };
-    // Alternate single-threaded and multi-threaded engines so both the
-    // cooperative and the sharded/lock-free paths face every schedule
-    // shape (shard faults only exist on the parallel path).
+    // Alternate one-thread engines and two-thread teams so both the
+    // deterministic loop and concurrent members on one lock-free tree face
+    // every schedule shape; both sample into the sharded cache, so both
+    // roll its shard faults.
     if seed.is_multiple_of(2) {
         Box::new(Holistic::new(config).with_resilience(res))
     } else {
@@ -217,6 +220,35 @@ fn hundred_seeded_fault_schedules_never_break_the_invariants() {
     assert!(injected_total > 100, "only {injected_total} faults injected across the suite");
     assert!(degraded_runs > 0, "no schedule degraded an answer");
     assert!(degraded_runs < SEEDS, "every schedule degraded; mild ones should survive clean");
+}
+
+/// Unmerged samples on the holistic engine's team, so every schedule's
+/// read, sample, shard and emit faults reach it too: the same invariants
+/// hold for its whole-speech-at-once answers under an iteration budget.
+#[test]
+fn seeded_fault_schedules_never_break_unmerged() {
+    let t = table();
+    let mut injected_shard = 0u64;
+    for seed in 0..SEEDS {
+        let res = chaos_resilience(seed);
+        let q = query(&t, seed % 3 != 0);
+        let config = HolisticConfig { max_tree_nodes: 30_000, seed, ..HolisticConfig::default() };
+        let engine = Unmerged::new(config, SamplingBudget::Iterations(400))
+            .with_resilience(Arc::clone(&res));
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            engine.vocalize(&t, &q, &mut InstantVoice::default())
+        }))
+        .unwrap_or_else(|e| {
+            record_failure_seed(seed, "panic escaped Unmerged");
+            std::panic::resume_unwind(e);
+        });
+        if let Err(why) = check_invariants(&t, &q, &res, &outcome) {
+            record_failure_seed(seed, &why);
+            panic!("seed {seed}: Unmerged: {why}");
+        }
+        injected_shard += res.injector().map_or(0, |inj| inj.injected(FaultSite::CacheShard));
+    }
+    assert!(injected_shard > 0, "no schedule tore a shard of Unmerged's cache");
 }
 
 #[test]

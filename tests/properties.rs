@@ -365,21 +365,7 @@ fn repaired_snapshot_estimates_match_the_fresh_sample_bound() {
 
     let old = SalaryConfig { rows: 20_000, seed: 9 }.generate();
     // Append a 4,000-row suffix echoing early rows (no new members).
-    let suffix: Vec<voxolap_data::IngestRow> = (0..4_000)
-        .map(|i| voxolap_data::IngestRow {
-            dims: (0..old.schema().dimensions().len())
-                .map(|d| {
-                    let id = DimId(d as u8);
-                    let m = old.member_at(id, i);
-                    voxolap_data::DimValue::Phrase(
-                        old.schema().dimension(id).member(m).phrase.clone(),
-                    )
-                })
-                .collect(),
-            values: vec![old.value_at(i)],
-        })
-        .collect();
-    let (new, _) = old.append_rows(&suffix).unwrap();
+    let (new, _) = old.append_rows(&echo_rows(&old, 4_000)).unwrap();
     let n = new.row_count();
     let values = new.measure();
     let truth = values.iter().sum::<f64>() / n as f64;
@@ -435,31 +421,56 @@ fn repaired_snapshot_estimates_match_the_fresh_sample_bound() {
     );
 }
 
+/// Rows that echo `table`'s first `n` rows (no new members): an append
+/// the dictionaries already cover.
+fn echo_rows(table: &voxolap_data::Table, n: usize) -> Vec<voxolap_data::IngestRow> {
+    (0..n)
+        .map(|i| voxolap_data::IngestRow {
+            dims: (0..table.schema().dimensions().len())
+                .map(|d| {
+                    let id = DimId(d as u8);
+                    let m = table.member_at(id, i);
+                    voxolap_data::DimValue::Phrase(
+                        table.schema().dimension(id).member(m).phrase.clone(),
+                    )
+                })
+                .collect(),
+            values: vec![table.value_at(i)],
+        })
+        .collect()
+}
+
+/// `evaluate` against the row loop it replaced (`agg_of_row` per row, in
+/// row order): equal counts and bit-equal sums — on small tables, on one
+/// that spans two chunks, and on each of them grown by an append — for a
+/// grouped query and a filtered one.
 #[test]
 fn exact_evaluation_matches_brute_force() {
-    for seed in 0u64..16 {
-        let table = SalaryConfig { rows: 48, seed }.generate();
-        let q = Query::builder(AggFct::Avg)
-            .group_by(DimId(1), LevelId(1))
-            .build(table.schema())
-            .unwrap();
-        let result = evaluate(&q, &table);
-        // Brute force per aggregate.
-        let layout = q.layout();
-        for agg in 0..layout.n_aggregates() as u32 {
-            let mut sum = 0.0;
-            let mut n = 0u64;
+    let mut tables: Vec<voxolap_data::Table> =
+        (0u64..16).map(|seed| SalaryConfig { rows: 48, seed }.generate()).collect();
+    tables.push(SalaryConfig { rows: voxolap_data::CHUNK_ROWS + 100, seed: 3 }.generate());
+    let grown: Vec<_> =
+        tables.iter().map(|t| t.append_rows(&echo_rows(t, 20)).unwrap().0).collect();
+    for table in tables.iter().chain(&grown) {
+        let grouped = Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(1));
+        let filtered = Query::builder(AggFct::Avg)
+            .filter(DimId(0), table.member_at(DimId(0), 0))
+            .group_by(DimId(1), LevelId(1));
+        for q in [grouped, filtered] {
+            let q = q.build(table.schema()).unwrap();
+            let result = evaluate(&q, table);
+            let layout = q.layout();
+            let mut counts = vec![0u64; layout.n_aggregates()];
+            let mut sums = vec![0.0f64; layout.n_aggregates()];
             for row in 0..table.row_count() {
-                let members = table.row_members(row);
-                if layout.agg_of_row(&members) == Some(agg) {
-                    sum += table.value_at(row);
-                    n += 1;
+                if let Some(agg) = layout.agg_of_row(&table.row_members(row)) {
+                    counts[agg as usize] += 1;
+                    sums[agg as usize] += table.value_at(row);
                 }
             }
-            assert_eq!(result.count(agg), n);
-            if n > 0 {
-                assert!((result.value(agg) - sum / n as f64).abs() < 1e-9);
-            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(result.counts(), counts, "{} rows", table.row_count());
+            assert_eq!(bits(result.sums()), bits(&sums), "{} rows", table.row_count());
         }
     }
 }
