@@ -5,7 +5,7 @@
 //! starting the preamble — so the preamble is available (and on the
 //! holistic engine's wire) within microseconds. The rest of the Ingest
 //! stage (snapshot repair, warm start, warm-up, σ, tree build; the whole
-//! exhaustive plan on an exact hit) is [`Deferred`] to the first
+//! exhaustive plan on an exact hit) is `Deferred` to the first
 //! [`next_sentence`](SpeechStream::next_sentence) call, where it overlaps
 //! the preamble being spoken. Each call runs one Plan/Sample → Commit
 //! round and returns the committed sentence together with that round's

@@ -314,7 +314,7 @@ impl<'a> ShardWorker<'a> {
     }
 }
 
-/// The workers of one sampled plan: `threads` [`ShardWorker`]s that claim
+/// The workers of one sampled plan: `threads` `ShardWorker`s that claim
 /// whole morsels of the seeded scan order from one shared pool — so the
 /// union of their prefixes stays a uniform sample, and one worker drains
 /// it in exactly the seeded order — into one [`ShardedSampleCache`]. The
@@ -367,7 +367,7 @@ impl<'a> Team<'a> {
         self.workers[0].warm_start(snapshot)
     }
 
-    /// [`ShardWorker::warmup`] on the lead worker, whose prefix of the
+    /// `ShardWorker::warmup` on the lead worker, whose prefix of the
     /// shared scan is a uniform sample of the table.
     pub fn warmup(&mut self, min_rows: usize) -> Option<f64> {
         self.workers[0].warmup(min_rows)

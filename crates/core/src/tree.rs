@@ -548,7 +548,7 @@ impl SpeechTree {
 
     /// The belief σ of every speech in the tree: calibrated from the
     /// estimate the tree was opened around (see
-    /// [`calibrated_sigma`](crate::sampler::calibrated_sigma)).
+    /// [`calibrated_sigma`]).
     pub fn sigma(&self) -> f64 {
         self.sigma
     }

@@ -144,7 +144,7 @@ impl ResultLayout {
     /// Instead of materializing a `&[MemberId]` per row, each dimension is
     /// walked as one tight loop over its narrow integer ids: the lookup
     /// table maps ids to coordinate contributions (`coord * stride`,
-    /// filters already folded in as [`OUT_OF_SCOPE`] entries), and the
+    /// filters already folded in as `OUT_OF_SCOPE` entries), and the
     /// out-of-scope sentinel is kept sticky by a saturating add — once a
     /// row is `u32::MAX` it stays there, because every legitimate partial
     /// sum is bounded by the aggregate count, which `QueryBuilder::build`

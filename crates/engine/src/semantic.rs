@@ -4,8 +4,7 @@
 //! issues streams of repeated and overlapping queries, and every `vocalize`
 //! call cold-starts from row zero. This module caches work across queries
 //! at two levels, both keyed by canonical query identities
-//! ([`QueryKey`](crate::query::QueryKey) /
-//! [`ScopeKey`](crate::query::ScopeKey)):
+//! ([`QueryKey`] / [`ScopeKey`]):
 //!
 //! * **Exact results** — once a query's exact per-aggregate counts and sums
 //!   are known (the Optimal variant always computes them; a Holistic run

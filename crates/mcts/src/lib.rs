@@ -95,6 +95,10 @@ impl Children for Vec<Vec<NodeId>> {
     }
 }
 
+/// Visit counts below this get their UCT exploration term memoized within
+/// one scan of a node's children (see `Tree::max_uct_child`).
+const EXPLORE_MEMO: usize = 64;
+
 /// Add `delta` to an `f64` stored as bits in an [`AtomicU64`].
 #[inline]
 fn fetch_add_f64(cell: &AtomicU64, delta: f64) {
@@ -178,31 +182,51 @@ impl<'a, S: Children> Tree<'a, S> {
     /// at random (paper Algorithm 2 returns a "random pick" from the
     /// maximizing set).
     ///
+    /// The pick among `U` unvisited children is a reservoir: for `j` in
+    /// `1..=U` it draws `gen_range(0..j)` and keeps the `j`-th unvisited
+    /// child when the draw is 0. The draws depend on `U` alone, so the
+    /// children are counted first, the draws run without touching the
+    /// tree, and a second walk stops at the pick. Under a team a child may
+    /// be visited between the count and the walk; a walk that runs out
+    /// falls through to the UCT pass, so an inner node always has a pick.
+    ///
     /// Returns `None` for leaves.
     fn max_uct_child<R: Rng + ?Sized>(&self, n: NodeId, rng: &mut R) -> Option<NodeId> {
         let children = self.children(n);
         let mut best = children.clone().next()?;
-        // Reservoir-pick among unvisited children.
-        let mut unvisited_seen = 0usize;
-        let mut pick = None;
-        for c in children.clone() {
-            if self.visits(c) == 0 {
-                unvisited_seen += 1;
-                if rng.gen_range(0..unvisited_seen) == 0 {
-                    pick = Some(c);
+        let unvisited = children.clone().filter(|&c| self.visits(c) == 0);
+        let count = unvisited.clone().count();
+        if count > 0 {
+            let mut pick = 0;
+            for j in 1..=count {
+                if rng.gen_range(0..j) == 0 {
+                    pick = j;
                 }
             }
+            if let Some(c) = unvisited.clone().nth(pick - 1) {
+                return Some(c);
+            }
         }
-        if pick.is_some() {
-            return pick;
-        }
-        // All children visited: maximize the UCT bound, random tie-break.
+        // All children visited (or the walk ran out): maximize the UCT
+        // bound, random tie-break. The exploration term depends on a
+        // child's visits alone, so a scan computes it once per small visit
+        // count it meets.
         let ln_n = (self.visits(n).max(1) as f64).ln();
+        let exploration = |v: u64| (2.0 * ln_n / v as f64).sqrt();
+        let mut explore = [f64::NAN; EXPLORE_MEMO];
         let mut best_score = f64::NEG_INFINITY;
         let mut ties = 0usize;
         for c in children {
-            let visits = self.visits(c) as f64;
-            let score = self.reward(c) / visits + (2.0 * ln_n / visits).sqrt();
+            let v = self.visits(c);
+            let bonus = match explore.get_mut(v as usize) {
+                Some(memo) if !memo.is_nan() => *memo,
+                Some(memo) => {
+                    *memo = exploration(v);
+                    *memo
+                }
+                None => exploration(v),
+            };
+            let score = self.reward(c) / v as f64 + bonus;
             if score > best_score {
                 best_score = score;
                 best = c;

@@ -107,3 +107,42 @@ fn no_lost_updates_under_contention() {
         observed
     );
 }
+
+/// A wide tree that stays mostly unvisited (33 289 nodes, 32 768 leaves,
+/// 20 000 descents): nearly every descent takes the unvisited-first
+/// pick, so threads often visit a counted child before another thread's
+/// walk reaches it, and that walk falls through to the UCT pass. Every
+/// path must still run parent to child down to a leaf, and no update may
+/// be lost.
+#[test]
+fn wide_unvisited_descents_stay_consistent_under_contention() {
+    let shape = build_shape(&[8, 64, 64]);
+    let stats = Stats::new(shape.len());
+    let tree = Tree::new(&shape, &stats);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let tree = &tree;
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0xcafe + t as u64);
+                let mut path = Vec::new();
+                for _ in 0..SAMPLES_PER_THREAD {
+                    tree.select_path_into(NodeId::ROOT, &mut rng, &mut path);
+                    assert_eq!(path.len(), 4, "{path:?}");
+                    assert!(tree.is_leaf(path[3]), "{path:?}");
+                    for w in path.windows(2) {
+                        assert!(tree.children(w[0]).any(|c| c == w[1]), "{path:?}");
+                    }
+                    tree.update_path(&path, 1.0);
+                }
+            });
+        }
+    });
+    let expected = (THREADS * SAMPLES_PER_THREAD) as u64;
+    assert_eq!(tree.visits(NodeId::ROOT), expected);
+    assert_eq!(tree.reward(NodeId::ROOT), expected as f64);
+    for n in (0..tree.node_count() as u32).map(NodeId).filter(|&n| !tree.is_leaf(n)) {
+        let child_sum: u64 = tree.children(n).map(|c| tree.visits(c)).sum();
+        assert_eq!(tree.visits(n), child_sum, "visit flow at {n:?}");
+        assert_eq!(tree.reward(n), tree.visits(n) as f64, "reward flow at {n:?}");
+    }
+}

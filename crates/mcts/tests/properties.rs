@@ -3,7 +3,7 @@
 //! proptest configuration).
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use voxolap_mcts::{NodeId, Stats, Tree};
 
 /// A random tree shape from a branching list, as adjacency lists with ids
@@ -158,4 +158,103 @@ fn mean_rewards_are_bounded_by_observations() {
             }
         }
     }
+}
+
+/// The UCT rules as they were first written, over `Tree`'s public reads:
+/// one pass that reservoir-picks among unvisited children as it meets
+/// them, then — only when every child is visited — one pass that
+/// maximizes the UCT bound with a random tie-break. The library's descent
+/// must make the same choices with the same draws.
+fn reference_path(
+    tree: &Tree<'_, Vec<Vec<NodeId>>>,
+    from: NodeId,
+    rng: &mut StdRng,
+) -> Vec<NodeId> {
+    let mut path = vec![from];
+    let mut cur = from;
+    loop {
+        let children = tree.children(cur);
+        let Some(mut best) = children.clone().next() else { return path };
+        let (mut unvisited_seen, mut pick) = (0usize, None);
+        for c in children.clone() {
+            if tree.visits(c) == 0 {
+                unvisited_seen += 1;
+                if rng.gen_range(0..unvisited_seen) == 0 {
+                    pick = Some(c);
+                }
+            }
+        }
+        if pick.is_none() {
+            let ln_n = (tree.visits(cur).max(1) as f64).ln();
+            let (mut best_score, mut ties) = (f64::NEG_INFINITY, 0usize);
+            for c in children {
+                let visits = tree.visits(c) as f64;
+                let score = tree.reward(c) / visits + (2.0 * ln_n / visits).sqrt();
+                if score > best_score {
+                    (best_score, best, ties) = (score, c, 1);
+                } else if score == best_score {
+                    ties += 1;
+                    if rng.gen_range(0..ties) == 0 {
+                        best = c;
+                    }
+                }
+            }
+            pick = Some(best);
+        }
+        cur = pick.expect("picked");
+        path.push(cur);
+    }
+}
+
+/// Seeded random shapes in random visit states — some nodes unvisited,
+/// the rest holding 1 to 70 visits (past the exploration memo's reach)
+/// of rewards from a small set, so equal sums at equal visits make exact
+/// score ties — descended from every inner node: the library and the
+/// reference return the same path and leave the generator in the same
+/// state.
+#[test]
+fn descents_match_the_two_pass_reference_path_and_draws() {
+    let mut gen = StdRng::seed_from_u64(0xfeed_0005);
+    let (mut descents, mut tied_states) = (0, 0);
+    for _ in 0..4 * CASES {
+        let depth = gen.gen_range(1..4);
+        let branching: Vec<u8> = (0..depth).map(|_| gen.gen_range(1u8..9)).collect();
+        let adjacency = build_shape(&branching);
+        let stats = Stats::new(adjacency.len());
+        let tree = Tree::new(&adjacency, &stats);
+        let unvisited = gen.gen_range(0.0..0.6);
+        for n in 0..tree.node_count() as u32 {
+            if gen.gen_bool(unvisited) {
+                continue;
+            }
+            let visits = if gen.gen_bool(0.7) { gen.gen_range(1..4) } else { gen.gen_range(1..71) };
+            for _ in 0..visits {
+                tree.update_path(&[NodeId(n)], [0.0, 0.25, 0.5][gen.gen_range(0..3usize)]);
+            }
+        }
+        // Inner nodes whose children are all visited and two of them
+        // score alike: the UCT pass breaks a tie there.
+        tied_states += (0..tree.node_count() as u32)
+            .map(|n| tree.children(NodeId(n)).map(|c| (tree.visits(c), tree.reward(c).to_bits())))
+            .filter(|kids| kids.clone().all(|(v, _)| v > 0))
+            .filter(|kids| {
+                kids.clone().enumerate().any(|(i, a)| kids.clone().skip(i + 1).any(|b| a == b))
+            })
+            .count();
+        for from in (0..tree.node_count() as u32).map(NodeId).filter(|&n| !tree.is_leaf(n)) {
+            let seed = gen.gen_range(0u64..1 << 32);
+            let (mut lib_rng, mut ref_rng) =
+                (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+            let mut path = Vec::new();
+            tree.select_path_into(from, &mut lib_rng, &mut path);
+            assert_eq!(
+                path,
+                reference_path(&tree, from, &mut ref_rng),
+                "{branching:?} from {from:?}"
+            );
+            assert_eq!(lib_rng.next_u64(), ref_rng.next_u64(), "{branching:?} from {from:?}");
+            descents += 1;
+        }
+    }
+    assert!(descents > 2_000 && tied_states > 100, "{descents} descents, {tied_states} ties");
 }

@@ -7,19 +7,81 @@
 
 use voxolap_data::schema::MeasureUnit;
 
-/// Round `v` to `digits` significant digits (`digits ≥ 1`).
+/// Round `v` to `digits` significant digits (`digits ≥ 1`), ties to even:
+/// the value `format!("{v:.prec$e}")` writes, read back.
 ///
-/// `0`, `NaN`, and infinities are returned unchanged. Rounding goes
-/// through scientific-notation formatting rather than multiply/divide by
-/// powers of ten — the arithmetic route returns values like
-/// `199999.99999999997` for `round_significant(200000.0, 1)` because
-/// `1e-5` is not exactly representable.
+/// `0`, `NaN`, and infinities are returned unchanged. Rounding is exact:
+/// the decimal digits come from integer arithmetic on `v`'s binary value
+/// (see `round_in_integers`), not from multiplying or dividing by
+/// powers of ten — that route returns values like `199999.99999999997`
+/// for `round_significant(200000.0, 1)` because `1e-5` is not exactly
+/// representable. Outside the integer route's window the formatter itself
+/// rounds.
 pub fn round_significant(v: f64, digits: u32) -> f64 {
     if v == 0.0 || !v.is_finite() {
         return v;
     }
-    let prec = (digits.max(1) - 1) as usize;
-    format!("{v:.prec$e}").parse().expect("scientific notation round-trips")
+    let digits = digits.max(1);
+    round_in_integers(v, digits).unwrap_or_else(|| {
+        let prec = (digits - 1) as usize;
+        format!("{v:.prec$e}").parse().expect("scientific notation round-trips")
+    })
+}
+
+/// `10^0 ..= 10^22`, every one exact in an `f64` (`5^22 < 2^53`).
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// [`round_significant`] of a finite, non-zero, normal `v` when the
+/// rounded value is `n · 10^p` with `|p| ≤ 22` and `digits ≤ 15`; `None`
+/// otherwise.
+///
+/// `|v| = m · 2^e` exactly, so `|v| / 10^p = m · 2^(e − p) / 5^p` is a
+/// ratio of integers that fits a `u128`: its quotient is the `digits`
+/// leading digits and its remainder decides the rounding, ties to even.
+/// `n < 2^53` and `10^|p|` are exact `f64`s, so one IEEE multiply or
+/// divide rounds `n · 10^p` correctly — the nearest `f64`, which is what
+/// parsing the formatter's digits returns.
+fn round_in_integers(v: f64, digits: u32) -> Option<f64> {
+    let bits = v.to_bits();
+    let biased = (bits >> 52 & 0x7ff) as i32;
+    if biased == 0 || digits > 15 {
+        return None;
+    }
+    let m = u128::from(bits & ((1 << 52) - 1) | 1 << 52);
+    let e = biased - 1075;
+    let limit = 10u128.pow(digits);
+    // `2^(e + 52) ≤ |v| < 2^(e + 53)`, so `⌊log10 |v|⌋` is `⌊log10 2^(e + 52)⌋`
+    // (`78 913 / 2^18 ≈ log10 2` gives it exactly at every `f64` exponent)
+    // or one more, which a quotient with one digit too many shows.
+    let mut k = ((e + 52) * 78_913) >> 18;
+    loop {
+        let p = k + 1 - digits as i32;
+        if p.unsigned_abs() > 22 {
+            return None;
+        }
+        let five = 5u128.pow(p.unsigned_abs());
+        let (num, den) = if p >= 0 { (m, five) } else { (m * five, 1) };
+        // Keep a spare bit in each, so `2 · rem` below cannot overflow.
+        let shift = |x: u128, by: u32| (by + 1 < x.leading_zeros()).then(|| x << by);
+        let (num, den) = match e - p {
+            s if s >= 0 => (shift(num, s.unsigned_abs())?, den),
+            s => (num, shift(den, s.unsigned_abs())?),
+        };
+        let n = num / den;
+        if n >= limit {
+            k += 1;
+            continue;
+        }
+        let rem = num - n * den;
+        let up = 2 * rem > den || (2 * rem == den && n % 2 == 1);
+        let n = (n + u128::from(up)) as f64;
+        let pow = POW10[p.unsigned_abs() as usize];
+        let r = if p >= 0 { n * pow } else { n / pow };
+        return Some(r.copysign(v));
+    }
 }
 
 /// English words for small cardinals; larger values fall back to digits.
@@ -211,6 +273,64 @@ mod tests {
         assert_eq!(round_significant(150000.0, 2), 150000.0);
         assert_eq!(round_significant(199999.99999999997, 1), 200000.0);
         assert_eq!(round_significant(1e-5, 1), 1e-5);
+    }
+
+    /// What `round_significant` must return: the formatter's digits,
+    /// read back.
+    fn formatted(v: f64, digits: u32) -> f64 {
+        let prec = (digits - 1) as usize;
+        format!("{v:.prec$e}").parse().unwrap()
+    }
+
+    fn assert_formatted(v: f64) {
+        for digits in [1, 2] {
+            let (got, want) = (round_significant(v, digits), formatted(v, digits));
+            assert_eq!(got.to_bits(), want.to_bits(), "{v:e} at {digits}: {got:e} vs {want:e}");
+        }
+    }
+
+    #[test]
+    fn round_significant_matches_the_formatter_on_random_magnitudes() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed_0017);
+        for _ in 0..100_000 {
+            let v = 10f64.powf(rng.gen_range(-30.0..30.0)) * rng.gen_range(1.0..10.0);
+            assert_formatted(if rng.gen_bool(0.5) { v } else { -v });
+        }
+    }
+
+    /// Every exactly representable tie `(q + ½) · 10^p` at one and two
+    /// digits for `p` in −12..=12, and its one-ulp neighbours: the
+    /// rounding mode (ties to even) and the boundary of the remainder
+    /// test. A tie with `p < 0` is dyadic only when `5^−p` divides
+    /// `2q + 1`.
+    #[test]
+    fn round_significant_matches_the_formatter_at_every_exact_tie() {
+        let mut ties = 0;
+        for digits in [1u32, 2] {
+            for p in -12i32..=12 {
+                for q in 10u64.pow(digits - 1)..10u64.pow(digits) {
+                    let odd = 2 * q + 1;
+                    let tie = if p >= 0 {
+                        (odd * 10u64.pow(p as u32)) as f64 / 2.0
+                    } else {
+                        let five = 5u64.pow(p.unsigned_abs());
+                        if odd % five != 0 {
+                            continue;
+                        }
+                        (odd / five) as f64 / 2f64.powi(1 - p)
+                    };
+                    ties += 1;
+                    for t in
+                        [tie, f64::from_bits(tie.to_bits() - 1), f64::from_bits(tie.to_bits() + 1)]
+                    {
+                        assert_formatted(t);
+                        assert_formatted(-t);
+                    }
+                }
+            }
+        }
+        assert_eq!(ties, 1_312);
     }
 
     #[test]
