@@ -46,7 +46,8 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// Rows per chunk: 64K rows keep one morsel's working set (narrow
-/// dictionary columns plus one `f64` measure column) L2-resident.
+/// dictionary columns plus one measure column, one-byte codes or `f64`s)
+/// L2-resident.
 pub const CHUNK_ROWS: usize = 1 << 16;
 
 /// SplitMix64 finalizer — used to derive independent per-chunk keys from

@@ -325,17 +325,18 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = FlightsConfig { rows: 500, seed: 1 }.generate();
-        let b = FlightsConfig { rows: 500, seed: 1 }.generate();
-        assert_eq!(a.measure(), b.measure());
-        let c = FlightsConfig { rows: 500, seed: 2 }.generate();
-        assert_ne!(a.measure(), c.measure());
+        let values = |seed| {
+            let t = FlightsConfig { rows: 500, seed }.generate();
+            (0..t.row_count()).map(|r| t.value_at(r)).collect::<Vec<f64>>()
+        };
+        assert_eq!(values(1), values(1));
+        assert_ne!(values(1), values(2));
     }
 
     #[test]
     fn primary_measure_is_binary() {
         let t = FlightsConfig { rows: 1_000, seed: 5 }.generate();
-        assert!(t.measure().iter().all(|&v| v == 0.0 || v == 1.0));
+        assert!((0..t.row_count()).map(|r| t.value_at(r)).all(|v| v == 0.0 || v == 1.0));
     }
 
     #[test]
@@ -343,7 +344,8 @@ mod tests {
         use crate::schema::MeasureId;
         let t = FlightsConfig { rows: 30_000, seed: 5 }.generate();
         assert_eq!(t.schema().measure_count(), 2);
-        let delays = t.measure_column(MeasureId(1));
+        let delays: Vec<f64> =
+            (0..t.row_count()).map(|r| t.measure_value(MeasureId(1), r)).collect();
         assert!(delays.iter().all(|&d| d >= 0.0));
         let mean = delays.iter().sum::<f64>() / delays.len() as f64;
         assert!((5.0..25.0).contains(&mean), "mean delay {mean} minutes");
@@ -402,7 +404,7 @@ mod tests {
     fn winter_northeast_is_worst() {
         let t = FlightsConfig { rows: 60_000, seed: 42 }.generate();
         // Overall cancellation rate should be low single digits.
-        let overall: f64 = t.measure().iter().sum::<f64>() / t.row_count() as f64;
+        let overall = (0..t.row_count()).map(|r| t.value_at(r)).sum::<f64>() / t.row_count() as f64;
         assert!(overall > 0.005 && overall < 0.05, "overall {overall}");
     }
 }

@@ -33,7 +33,6 @@ pub mod flights;
 pub mod live;
 pub mod salary;
 pub mod schema;
-pub mod star;
 pub mod stats;
 pub mod table;
 pub mod wal;
@@ -46,9 +45,9 @@ pub use durable::{
 pub use error::DataError;
 pub use live::{AppendReport, LiveTable};
 pub use schema::{DimId, Schema};
-pub use star::{DimensionTable, FactTable, StarSchema};
 pub use stats::DatasetStats;
 pub use table::{
-    DimSlice, DimValue, IngestRow, Row, RowBlock, RowScanner, Table, TableBuilder, TableVersion,
+    DimSlice, DimValue, IngestRow, MeasureSlice, Row, RowBlock, RowScanner, Table, TableBuilder,
+    TableVersion,
 };
 pub use wal::{FsyncMode, WalBatch};

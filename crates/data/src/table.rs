@@ -2,8 +2,10 @@
 //!
 //! A [`Table`] stores one dense dictionary-id column per dimension — packed
 //! at the narrowest integer width the dimension's cardinality allows
-//! ([`DimColumn`]) — plus one `f64` column per measure. A [`RowScanner`]
-//! streams rows in a deterministic pseudo-random order driven by the
+//! ([`DimColumn`]) — plus one column per measure, stored as one-byte codes
+//! into a dictionary of its exact `f64` bit patterns when it has at most
+//! 256 distinct values and that is smaller ([`MeasureColumn`]). A
+//! [`RowScanner`] streams rows in a deterministic pseudo-random order driven by the
 //! chunked two-level scan scheme in [`crate::chunk`]: a seeded permutation
 //! of 64K-row chunks plus an on-the-fly in-chunk bijection. This is the row
 //! source the sampling cache consumes (paper §4.3 assumes rows arrive in
@@ -11,6 +13,7 @@
 //! scanners claim whole chunks from a shared [`MorselPool`] so they
 //! partition the order without touching a shared memory stream.
 
+use std::ops::Index;
 use std::sync::Arc;
 
 use crate::chunk::{Morsel, MorselPool, ScanOrder, CHUNK_ROWS};
@@ -67,6 +70,50 @@ impl DimSlice<'_> {
     }
 }
 
+/// Borrowed view of one measure column over a contiguous row range (one
+/// chunk of the table). The variants mirror [`MeasureColumn`]; indexing
+/// decodes, so `values[i]` reads the stored `f64` bit for bit either way.
+#[derive(Debug, Clone, Copy)]
+pub enum MeasureSlice<'a> {
+    /// Plain values.
+    F64(&'a [f64]),
+    /// One dictionary code per row.
+    Coded {
+        /// `dict[codes[i] as usize]` is the value of in-slice row `i`.
+        codes: &'a [u8],
+        /// The column's distinct values, in first-seen order.
+        dict: &'a [f64],
+    },
+}
+
+impl MeasureSlice<'_> {
+    /// Number of rows covered by the slice.
+    pub fn len(&self) -> usize {
+        match self {
+            MeasureSlice::F64(v) => v.len(),
+            MeasureSlice::Coded { codes, .. } => codes.len(),
+        }
+    }
+
+    /// `true` iff the slice covers no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+impl Index<usize> for MeasureSlice<'_> {
+    type Output = f64;
+
+    /// Value at in-slice index `i`.
+    #[inline]
+    fn index(&self, i: usize) -> &f64 {
+        match self {
+            MeasureSlice::F64(v) => &v[i],
+            MeasureSlice::Coded { codes, dict } => &dict[codes[i] as usize],
+        }
+    }
+}
+
 /// Borrowed columnar view of one scan batch. All rows of a block lie in a
 /// **single chunk**: `dims` and `values` cover the whole chunk contiguously
 /// and `rows` holds the in-chunk indices the batch visits, in scan order —
@@ -81,7 +128,7 @@ pub struct RowBlock<'a> {
     /// Per-dimension dictionary-id slices of the chunk (schema order).
     pub dims: &'a [DimSlice<'a>],
     /// The chunk's values of the scanned measure.
-    pub values: &'a [f64],
+    pub values: MeasureSlice<'a>,
 }
 
 impl RowBlock<'_> {
@@ -195,6 +242,145 @@ impl DimColumn {
     }
 }
 
+/// One measure's values, one per row. A column with at most 256 distinct
+/// `f64` bit patterns is stored as one-byte codes into a dictionary of
+/// those exact patterns when that takes fewer bytes than plain `f64`s
+/// ([`MeasureColumn::pack`]); every value reads back bit for bit, so sums
+/// over either form are identical.
+#[derive(Debug, Clone)]
+pub enum MeasureColumn {
+    /// Plain values.
+    F64(Vec<f64>),
+    /// One dictionary code per row.
+    Coded {
+        /// `dict[codes[r] as usize]` is the value of row `r`.
+        codes: Vec<u8>,
+        /// The column's distinct values (at most 256), in first-seen order.
+        dict: Vec<f64>,
+    },
+}
+
+impl MeasureColumn {
+    /// Pack `values`: coded if they hold at most 256 distinct bit patterns
+    /// and codes plus dictionary take fewer bytes than `values`, plain
+    /// otherwise. Gives up at the 257th distinct pattern.
+    pub fn pack(values: Vec<f64>) -> Self {
+        let mut index = CodeIndex::new(&[]);
+        let mut codes = Vec::with_capacity(values.len());
+        let mut dict = Vec::new();
+        for &v in &values {
+            match index.code(v, &mut dict) {
+                Some(c) => codes.push(c),
+                None => return MeasureColumn::F64(values),
+            }
+        }
+        let coded_bytes = codes.len() + dict.len() * std::mem::size_of::<f64>();
+        if coded_bytes < values.len() * std::mem::size_of::<f64>() {
+            MeasureColumn::Coded { codes, dict }
+        } else {
+            MeasureColumn::F64(values)
+        }
+    }
+
+    /// Append `values`, keeping every bit: a value the dictionary holds
+    /// reuses its code, a new one takes the next code while there is
+    /// room, and the 257th distinct value turns the column into plain
+    /// `f64`s for good.
+    fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
+        let mut values = values.into_iter();
+        let (codes, dict) = match self {
+            MeasureColumn::F64(v) => return v.extend(values),
+            MeasureColumn::Coded { codes, dict } => (codes, dict),
+        };
+        let mut index = CodeIndex::new(dict);
+        while let Some(v) = values.next() {
+            match index.code(v, dict) {
+                Some(c) => codes.push(c),
+                None => {
+                    let mut wide: Vec<f64> = codes.iter().map(|&c| dict[c as usize]).collect();
+                    wide.push(v);
+                    wide.extend(values);
+                    *self = MeasureColumn::F64(wide);
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Value of row `row`.
+    #[inline]
+    pub fn get(&self, row: usize) -> f64 {
+        match self {
+            MeasureColumn::F64(v) => v[row],
+            MeasureColumn::Coded { codes, dict } => dict[codes[row] as usize],
+        }
+    }
+
+    /// Rows stored.
+    pub fn len(&self) -> usize {
+        match self {
+            MeasureColumn::F64(v) => v.len(),
+            MeasureColumn::Coded { codes, .. } => codes.len(),
+        }
+    }
+
+    /// `true` iff no rows are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes held: 8 per row plain, or 1 per row plus the dictionary.
+    pub fn approx_bytes(&self) -> usize {
+        match self {
+            MeasureColumn::F64(v) => std::mem::size_of_val(v.as_slice()),
+            MeasureColumn::Coded { codes, dict } => {
+                codes.len() + std::mem::size_of_val(dict.as_slice())
+            }
+        }
+    }
+
+    /// Borrow the values of rows `base..base + len` (one chunk).
+    #[inline]
+    pub fn slice(&self, base: usize, len: usize) -> MeasureSlice<'_> {
+        match self {
+            MeasureColumn::F64(v) => MeasureSlice::F64(&v[base..base + len]),
+            MeasureColumn::Coded { codes, dict } => {
+                MeasureSlice::Coded { codes: &codes[base..base + len], dict }
+            }
+        }
+    }
+}
+
+/// A coded column's dictionary as (bit pattern, code) pairs sorted by
+/// pattern: packing and appends look values up by binary search.
+struct CodeIndex(Vec<(u64, u8)>);
+
+impl CodeIndex {
+    fn new(dict: &[f64]) -> Self {
+        let mut pairs: Vec<(u64, u8)> =
+            dict.iter().enumerate().map(|(c, v)| (v.to_bits(), c as u8)).collect();
+        pairs.sort_unstable();
+        CodeIndex(pairs)
+    }
+
+    /// The code of `v`'s bit pattern, adding it to `dict` if new; `None`
+    /// when it is new and `dict` already holds 256 patterns.
+    #[inline]
+    fn code(&mut self, v: f64, dict: &mut Vec<f64>) -> Option<u8> {
+        let bits = v.to_bits();
+        match self.0.binary_search_by_key(&bits, |&(b, _)| b) {
+            Ok(i) => Some(self.0[i].1),
+            Err(_) if dict.len() > u8::MAX as usize => None,
+            Err(i) => {
+                let c = dict.len() as u8;
+                dict.push(v);
+                self.0.insert(i, (bits, c));
+                Some(c)
+            }
+        }
+    }
+}
+
 /// Monotonically increasing revision counter of a [`Table`]: the seed load
 /// is version 0 and every append batch produces a table one version
 /// higher. Caches stamp entries with the version they were computed
@@ -227,8 +413,8 @@ pub struct Table {
     schema: Schema,
     /// `dim_cols[d]` = packed leaf ids of dimension `d`, one per row.
     dim_cols: Vec<DimColumn>,
-    /// `measures[m][r]` = value of measure `m` in row `r`.
-    measures: Vec<Vec<f64>>,
+    /// `measures[m]` = values of measure `m`, one per row.
+    measures: Vec<MeasureColumn>,
     /// Revision of this table value (0 = seed load).
     version: TableVersion,
     /// Row counts of the seed load and every append batch, in order.
@@ -313,14 +499,14 @@ impl Table {
             .zip(schema.dimensions())
             .map(|(col, d)| col.repacked_for_cardinality(d.member_count()))
             .collect();
-        let mut measures = self.measures.clone();
-        for (members, values) in &resolved {
+        for (members, _) in &resolved {
             for (col, &m) in dim_cols.iter_mut().zip(members) {
                 col.push(m);
             }
-            for (col, &v) in measures.iter_mut().zip(*values) {
-                col.push(v);
-            }
+        }
+        let mut measures = self.measures.clone();
+        for (m, col) in measures.iter_mut().enumerate() {
+            col.extend(resolved.iter().map(|(_, values)| values[m]));
         }
         let mut segments = self.segments.clone();
         if !rows.is_empty() {
@@ -344,13 +530,13 @@ impl Table {
     /// Primary-measure value of row `row`.
     #[inline]
     pub fn value_at(&self, row: usize) -> f64 {
-        self.measures[0][row]
+        self.measures[0].get(row)
     }
 
     /// Value of measure `m` in row `row`.
     #[inline]
     pub fn measure_value(&self, m: MeasureId, row: usize) -> f64 {
-        self.measures[m.index()][row]
+        self.measures[m.index()].get(row)
     }
 
     /// Materialize row `row` into per-dimension leaf ids.
@@ -365,18 +551,8 @@ impl Table {
     pub fn approx_bytes(&self) -> usize {
         let rows = self.row_count();
         self.dim_cols.iter().map(|c| c.bytes_per_row() * rows).sum::<usize>()
-            + self.measures.len() * rows * std::mem::size_of::<f64>()
+            + self.measures.iter().map(MeasureColumn::approx_bytes).sum::<usize>()
             + self.scan_order(0).approx_bytes()
-    }
-
-    /// Full primary-measure column (read-only).
-    pub fn measure(&self) -> &[f64] {
-        &self.measures[0]
-    }
-
-    /// Full column of one measure (read-only).
-    pub fn measure_column(&self, m: MeasureId) -> &[f64] {
-        &self.measures[m.index()]
     }
 
     /// The seeded two-level scan order over this table's rows, segmented
@@ -496,7 +672,7 @@ impl<'a> RowScanner<'a> {
                     for (d, col) in self.table.dim_cols.iter().enumerate() {
                         self.buf[d] = col.get(r);
                     }
-                    let value = self.table.measures[self.measure.index()][r];
+                    let value = self.table.measures[self.measure.index()].get(r);
                     return Some(Row { members: &self.buf, value });
                 }
                 self.cur = None;
@@ -542,7 +718,7 @@ impl<'a> RowScanner<'a> {
                     for col in &self.table.dim_cols {
                         self.dim_slices.push(col.slice(base, len));
                     }
-                    let values = &self.table.measures[self.measure.index()][base..base + len];
+                    let values = self.table.measures[self.measure.index()].slice(base, len);
                     return Some(RowBlock {
                         base,
                         rows: &self.idx_buf,
@@ -646,13 +822,14 @@ impl TableBuilder {
         &self.schema
     }
 
-    /// Finalize the table (version 0, one seed segment).
+    /// Finalize the table (version 0, one seed segment), packing each
+    /// measure column ([`MeasureColumn::pack`]).
     pub fn build(self) -> Table {
         let rows = self.measures[0].len();
         Table {
             schema: self.schema,
             dim_cols: self.dim_cols,
-            measures: self.measures,
+            measures: self.measures.into_iter().map(MeasureColumn::pack).collect(),
             version: 0,
             segments: vec![rows],
         }
@@ -695,6 +872,81 @@ mod tests {
         // plus 8 per measure row plus the (single-chunk) scan-order slot
         // (base + len + id).
         assert_eq!(t.approx_bytes(), 4 * (1 + 8) + 16);
+    }
+
+    #[test]
+    fn measure_columns_read_back_every_bit_and_code_exactly_by_the_rule() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let special = [0.0, -0.0, f64::from_bits(0x7ff8_0000_0000_1234), f64::INFINITY]
+            .into_iter()
+            .chain([f64::NEG_INFINITY, f64::from_bits(1)]);
+        let mut gen = StdRng::seed_from_u64(0x5eed);
+        for case in 0..200 {
+            // Every tenth case sits on the size rule's tie: 8 rows of 7
+            // patterns take 64 bytes either way, so they stay plain.
+            let (distinct, len) = match case % 10 {
+                0 => (7, 8),
+                _ => (gen.gen_range(1..=300), gen.gen_range(1..2_000)),
+            };
+            let mut pool: Vec<f64> = special.clone().collect();
+            while pool.len() < distinct {
+                pool.push(f64::from_bits(gen.gen()));
+            }
+            pool.truncate(distinct);
+            let values: Vec<f64> = (0..len)
+                .map(|i| pool[if i < distinct { i } else { gen.gen_range(0..distinct) }])
+                .collect();
+            let mut seen: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            seen.sort_unstable();
+            seen.dedup();
+            let coded = seen.len() <= 256 && len + 8 * seen.len() < 8 * len;
+            let col = MeasureColumn::pack(values.clone());
+            assert_eq!(matches!(col, MeasureColumn::Coded { .. }), coded, "{len} rows");
+            assert_eq!(col.len(), len);
+            for (r, v) in values.iter().enumerate() {
+                assert_eq!(col.get(r).to_bits(), v.to_bits(), "row {r}");
+            }
+            let base = gen.gen_range(0..len);
+            let slice = col.slice(base, gen.gen_range(0..=len - base));
+            for i in 0..slice.len() {
+                assert_eq!(slice[i].to_bits(), values[base + i].to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn appends_keep_every_bit_and_widen_at_the_257th_distinct_value() {
+        let mut tb = TableBuilder::new(tiny_table().schema().clone());
+        for row in 0..1_000 {
+            tb.push_row(&[MemberId(1)], (row % 2) as f64).unwrap();
+        }
+        let mut t = tb.build();
+        let mut want: Vec<f64> = (0..1_000).map(|r| (r % 2) as f64).collect();
+        let row = |v: f64| IngestRow {
+            dims: vec![DimValue::Phrase("the North East".into())],
+            values: vec![v],
+        };
+        // 254 new values fill the dictionary to 256; the next batch repeats
+        // one and brings the 257th, `-0.0`, whose bits are not `0.0`'s.
+        for (batch, coded) in
+            [((2..256).map(f64::from).collect::<Vec<_>>(), true), (vec![7.0, -0.0], false)]
+        {
+            t = t.append_rows(&batch.iter().map(|&v| row(v)).collect::<Vec<_>>()).unwrap().0;
+            want.extend(&batch);
+            assert_eq!(matches!(t.measures[0], MeasureColumn::Coded { .. }), coded);
+            assert_eq!(t.row_count(), want.len());
+            assert!(want.iter().enumerate().all(|(r, v)| t.value_at(r).to_bits() == v.to_bits()));
+        }
+    }
+
+    #[test]
+    fn flights_cancellation_flags_take_one_byte_a_row() {
+        let t = crate::flights::FlightsConfig { rows: 200_000, seed: 3 }.generate();
+        // Three one-byte id columns, the coded 0/1 flag with its two-entry
+        // dictionary, the delay as plain f64, and the scan-order slots.
+        let rows = t.row_count();
+        assert_eq!(t.approx_bytes(), rows * (3 + 1 + 8) + 2 * 8 + t.scan_order(0).approx_bytes());
     }
 
     #[test]

@@ -384,7 +384,8 @@ mod tests {
         let (table, q) = salary_setup();
         let cache = fill_cache(&table, &q, 320, 3);
         let overall = cache.overall_estimate(AggFct::Avg).unwrap();
-        let exact_mean: f64 = table.measure().iter().sum::<f64>() / table.row_count() as f64;
+        let n = table.row_count();
+        let exact_mean = (0..n).map(|r| table.value_at(r)).sum::<f64>() / n as f64;
         assert!((overall - exact_mean).abs() < 1e-9, "full cache reproduces scope mean");
         // Count estimate equals table size with a full scan.
         assert!((cache.overall_estimate(AggFct::Count).unwrap() - 320.0).abs() < 1e-9);

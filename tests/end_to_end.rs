@@ -139,26 +139,6 @@ fn filters_shrink_the_preamble_scope() {
 }
 
 #[test]
-fn star_schema_pipeline_matches_denormalized() {
-    use voxolap_data::star::StarSchema;
-    let denorm = FlightsConfig { rows: 8_000, seed: 42 }.generate();
-    let star = StarSchema::from_table(&denorm, 11);
-    let table = star.materialize().expect("valid star rows");
-    let query =
-        Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(1)).build(table.schema()).unwrap();
-    // Exact results over the materialized star equal the denormalized ones.
-    let a = voxolap_engine::exact::evaluate(&query, &denorm);
-    let b = voxolap_engine::exact::evaluate(&query, &table);
-    for agg in 0..query.n_aggregates() as u32 {
-        assert_eq!(a.count(agg), b.count(agg));
-    }
-    // And the planner runs over it unchanged.
-    let mut voice = InstantVoice::default();
-    let outcome = fast_holistic(12).vocalize(&table, &query, &mut voice);
-    assert!(!outcome.sentences.is_empty());
-}
-
-#[test]
 fn question_to_speech_end_to_end() {
     use voxolap_voice::question::parse_question;
     let table = FlightsConfig { rows: 12_000, seed: 42 }.generate();

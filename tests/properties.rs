@@ -209,7 +209,7 @@ fn cache_counts_are_exact_on_any_prefix() {
 fn prefix_sample_means_respect_the_estimator_error_bound() {
     let table = SalaryConfig { rows: 20_000, seed: 9 }.generate();
     let n = table.row_count();
-    let values = table.measure();
+    let values: Vec<f64> = (0..n).map(|r| table.value_at(r)).collect();
     let truth = values.iter().sum::<f64>() / n as f64;
     let var = values.iter().map(|v| (v - truth).powi(2)).sum::<f64>() / n as f64;
 
@@ -367,7 +367,7 @@ fn repaired_snapshot_estimates_match_the_fresh_sample_bound() {
     // Append a 4,000-row suffix echoing early rows (no new members).
     let (new, _) = old.append_rows(&echo_rows(&old, 4_000)).unwrap();
     let n = new.row_count();
-    let values = new.measure();
+    let values: Vec<f64> = (0..n).map(|r| new.value_at(r)).collect();
     let truth = values.iter().sum::<f64>() / n as f64;
     let var = values.iter().map(|v| (v - truth).powi(2)).sum::<f64>() / n as f64;
 
