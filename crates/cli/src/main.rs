@@ -22,10 +22,6 @@
 //!                           (default 64; 0 disables caching)
 //!   --strict                fail on the first malformed CSV row instead of
 //!                           skipping it (lenient-skip is the default)
-//!   --fault-plan SPEC       deterministic fault injection + degradation
-//!                           ladder, e.g. "seed=7,read=0.05,budget=64"
-//!                           (every approach but prior, which has no
-//!                           planning loop and no fault site)
 //!   --data-dir PATH         recover ingested batches from a durable store
 //!                           (WAL + snapshots, DESIGN.md §17) on top of the
 //!                           generated/loaded seed before answering; a
@@ -50,7 +46,6 @@ use voxolap_data::stats::DatasetStats;
 use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode, Table};
 use voxolap_engine::query::Query;
 use voxolap_engine::semantic::SemanticCache;
-use voxolap_faults::Resilience;
 use voxolap_voice::question::parse_question;
 use voxolap_voice::session::{Response, Session};
 use voxolap_voice::tts::{RealTimeVoice, DEFAULT_CHARS_PER_SEC};
@@ -67,7 +62,6 @@ struct Options {
     seed: u64,
     cache_mb: usize,
     strict: bool,
-    fault_plan: Option<String>,
     data_dir: Option<String>,
     fsync_mode: FsyncMode,
     command: String,
@@ -87,9 +81,6 @@ fn usage() -> &'static str {
        --seed N                RNG seed (default 42)\n\
        --cache-mb N            semantic-cache budget in MiB (default 64; 0 disables)\n\
        --strict                fail on the first malformed CSV row (default: skip + count)\n\
-       --fault-plan SPEC       fault injection + degradation ladder, e.g.\n\
-                               \"seed=7,read=0.05,sample=0.01,budget=64,breaker=5\"\n\
-                               (every approach but prior)\n\
        --data-dir PATH         recover durable ingest state (WAL + snapshots) over the seed\n\
        --fsync-mode MODE       always|batch|off (default batch); with --data-dir"
 }
@@ -112,7 +103,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
         seed: 42,
         cache_mb: 64,
         strict: false,
-        fault_plan: None,
         data_dir: None,
         fsync_mode: FsyncMode::Batch,
         command: String::new(),
@@ -146,7 +136,6 @@ fn parse_options(argv: &[String]) -> Result<Options, String> {
             "--seed" => opts.seed = num(arg, value()?)?,
             "--cache-mb" => opts.cache_mb = num(arg, value()?)?,
             "--strict" => opts.strict = true,
-            "--fault-plan" => opts.fault_plan = Some(value()?),
             "--data-dir" => opts.data_dir = Some(value()?),
             "--fsync-mode" => opts.fsync_mode = FsyncMode::parse(&value()?)?,
             "--help" | "-h" => return Err(usage().to_string()),
@@ -199,7 +188,7 @@ fn load_table(opts: &Options) -> Result<Table, String> {
 }
 
 /// This invocation's seed, uncertainty mode and thread count for the
-/// workspace's approach factory; no cache, no fault plan.
+/// workspace's approach factory; no cache.
 fn approach_options(opts: &Options) -> ApproachOptions {
     ApproachOptions {
         seed: opts.seed,
@@ -211,16 +200,11 @@ fn approach_options(opts: &Options) -> ApproachOptions {
 
 /// Build `--approach` with what every query of one invocation shares: the
 /// semantic cache (repeated and scope-overlapping repl questions get
-/// faster as the session goes on; `--cache-mb 0` turns it off) and the
-/// `--fault-plan` resilience bundle (without the flag the bundle is the
-/// inert default: no injector, nothing rolls).
+/// faster as the session goes on; `--cache-mb 0` turns it off).
 fn shared_vocalizer(opts: &Options) -> Result<Box<dyn Vocalizer>, String> {
     let mut options = approach_options(opts);
     options.cache =
         (opts.cache_mb > 0).then(|| Arc::new(SemanticCache::with_capacity_mb(opts.cache_mb)));
-    if let Some(spec) = &opts.fault_plan {
-        options.resilience = Arc::new(Resilience::from_spec(spec)?);
-    }
     approach::vocalizer(&opts.approach, &options)
 }
 
@@ -233,11 +217,8 @@ fn make_voice(opts: &Options) -> Box<dyn VoiceOutput> {
 }
 
 fn speak_stats(outcome: &voxolap_core::outcome::VocalizationOutcome) {
-    // The degraded marker only appears on degraded answers, so fault-free
-    // runs print byte-identical stats lines to earlier releases.
-    let degraded = if outcome.stats.degraded { " | DEGRADED" } else { "" };
     eprintln!(
-        "[latency {:?} | {} rows sampled | {} planner iterations | {} chars{degraded}]",
+        "[latency {:?} | {} rows sampled | {} planner iterations | {} chars]",
         outcome.latency,
         outcome.stats.rows_read,
         outcome.stats.samples,
@@ -275,7 +256,7 @@ fn cmd_compare(opts: &Options, table: &Table) -> Result<(), String> {
     let question = opts.args.first().ok_or("compare needs a quoted question")?;
     let query = parse_question(table.schema(), question).map_err(|e| e.to_string())?;
     for name in ["holistic", "optimal", "unmerged", "prior"] {
-        // No shared cache or fault plan in compare mode: each approach
+        // No shared cache in compare mode: each approach
         // plans cold so the side-by-side isolates the planning strategies.
         let vocalizer = approach::vocalizer(name, &approach_options(opts))?;
         let mut voice: Box<dyn VoiceOutput> = Box::new(InstantVoice::default());
@@ -433,6 +414,7 @@ mod tests {
             ("--chars-per-sec -1", "--chars-per-sec"),
             ("--scale-rows 5 ask q", "\"--scale-rows\""),
             ("--verbose", "\"--verbose\""),
+            ("--fault-plan seed=1 ask q", "\"--fault-plan\""),
         ] {
             let err = parse(args).err().unwrap_or_else(|| panic!("{args} parsed"));
             assert!(err.contains(names), "{args}: {err}");

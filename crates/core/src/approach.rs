@@ -68,13 +68,12 @@ pub struct ApproachOptions {
     /// Cross-query semantic cache, for the approaches that can use one
     /// (`holistic`, `parallel`, `optimal`).
     pub cache: Option<Arc<SemanticCache>>,
-    /// The degradation ladder of every approach with a planning loop
+    /// The resilience bundle of every approach with a planning loop
     /// (`holistic`, `parallel`, `optimal`, `unmerged`), inert by default: a
     /// deadline cut commits the anytime answer marked `degraded`, and each
     /// answer is counted clean or degraded in its `DegradeStats`. With an
     /// injector, the sampling approaches (`holistic`, `parallel`,
-    /// `unmerged`: one sampling team each) roll its read, sample and cache
-    /// shard sites, and every stream its Emit site. `prior`
+    /// `unmerged`: one sampling team each) roll its cache shard site. `prior`
     /// computes its whole answer before output and has nothing to cut: it
     /// takes no bundle and its answers are not counted here.
     pub resilience: Arc<Resilience>,

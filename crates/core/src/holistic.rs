@@ -141,7 +141,7 @@ pub struct Holistic {
     config: HolisticConfig,
     threads: usize,
     cache: Option<Arc<SemanticCache>>,
-    /// The degradation ladder every run of this engine opens its
+    /// The resilience bundle every run of this engine opens its
     /// [`ResCtx`] on; inert (no injector) unless replaced.
     resilience: Arc<Resilience>,
 }
@@ -177,10 +177,10 @@ impl Holistic {
     }
 
     /// Replace the engine's resilience bundle (an inert one of its own by
-    /// default): fault injection at the engine's fault sites, the retry →
-    /// circuit-breaker read ladder, and the [`DegradeStats`] its answers
-    /// are counted in. Anytime-answer degradation needs no injector — a
-    /// deadline cut commits the best baseline, marked degraded, on either.
+    /// default): fault injection at the sample cache's shard site, and the
+    /// [`DegradeStats`] its answers are counted in. Anytime-answer
+    /// degradation needs no injector — a deadline cut commits the best
+    /// baseline, marked degraded, on either.
     ///
     /// [`DegradeStats`]: voxolap_faults::DegradeStats
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
@@ -227,16 +227,15 @@ impl Vocalizer for Holistic {
         voice: &'a mut dyn VoiceOutput,
         cancel: CancelToken,
     ) -> SpeechStream<'a> {
-        // One run per vocalization: the degrade ladder's per-run fault
-        // budget and first-cause tag.
+        // One run per vocalization, with its own degraded flag.
         let res = ResCtx::new(&self.resilience);
 
         // Semantic cache, layer 1: a repeat of an exactly-answered query
         // skips sampling entirely and plans against stored aggregates.
-        // Entries from an older table version are served only when fresh
-        // data is unreachable (§12 stale-serve, marked `stale: true`);
+        // Entries from an older table version are served only when the
+        // deadline has already fired (§12 stale-serve, marked `stale: true`);
         // otherwise they are invalidated and the query replans fresh.
-        let serve_stale = || serve_stale_exact(&cancel, &res);
+        let serve_stale = || serve_stale_exact(&cancel, &res.run);
         let hit = ExactHit::lookup(self.cache.as_ref(), query, table.version(), serve_stale);
 
         // Start voice output of the preamble; everything else overlaps it.
@@ -618,102 +617,26 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn a_warm_start_replay_walks_the_read_ladder() {
-        use std::time::Duration;
-        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
-        // A cached snapshot of the current version, no exact entry for the
-        // follow-up, and a dead source: the replay is refused like any
-        // other read, so there is nothing to plan on.
-        let (table, _) = setup();
-        let schema = table.schema();
-        let donor =
-            Query::builder(AggFct::Avg).group_by(DimId(0), LevelId(1)).build(schema).unwrap();
-        let target =
-            Query::builder(AggFct::Avg).group_by(DimId(1), LevelId(1)).build(schema).unwrap();
-        let cache = Arc::new(SemanticCache::with_capacity_mb(4));
-        let holistic = Holistic::new(fast_config()).with_cache(cache.clone());
-        let _ = holistic.vocalize(&table, &donor, &mut InstantVoice::default());
-
-        let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
-        let res = Arc::new(Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600)));
-        let outcome =
-            holistic.with_resilience(res).vocalize(&table, &target, &mut InstantVoice::default());
-        assert!(outcome.stats.degraded, "a refused replay degrades the answer");
-        assert_eq!(outcome.stats.rows_read, 0, "no row was readable");
-        assert!(outcome.sentences[0].contains("No data"), "{:?}", outcome.sentences);
-        let stats = cache.stats();
-        assert_eq!((stats.warm_hits, stats.replayed_rows), (1, 0), "{stats:?}");
-    }
-
-    #[test]
     fn unreachable_source_serves_stale_exact_marked() {
-        use std::time::Duration;
-        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
         let (table, q) = setup();
         let cache = Arc::new(SemanticCache::with_capacity_mb(4));
         let mut voice = InstantVoice::default();
-        let _ =
-            Holistic::new(fast_config()).with_cache(cache.clone()).vocalize(&table, &q, &mut voice);
+        let holistic = Holistic::new(fast_config()).with_cache(cache.clone());
+        let _ = holistic.vocalize(&table, &q, &mut voice);
         let (grown, _) = table.append_rows(&echo_rows(&table, 40)).unwrap();
 
-        // Dead data source: the §12 ladder cannot replan fresh, so the
-        // version-stale exact entry is served, marked stale + degraded.
-        let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
-        let res = Arc::new(Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600)));
-        let mut voice = InstantVoice::default();
-        let outcome = Holistic::new(fast_config())
-            .with_cache(cache.clone())
-            .with_resilience(res)
-            .vocalize(&grown, &q, &mut voice);
+        // The deadline fired before planning began: fresh data is out of
+        // reach, so the version-stale exact entry is served (§12), marked
+        // stale + degraded.
+        let expired = CancelToken::with_deadline(Instant::now());
+        let outcome = holistic.stream(&grown, &q, &mut InstantVoice::default(), expired).drain();
         assert!(outcome.stats.stale, "served answer is marked stale");
-        assert!(outcome.stats.degraded, "stale serves ride the degrade ladder");
+        assert!(outcome.stats.degraded, "a stale serve is marked degraded too");
         assert!(outcome.speech.is_some(), "the stale answer is still an answer");
-        assert_eq!(outcome.stats.rows_read, 0, "no fresh row was readable");
+        assert_eq!(outcome.stats.rows_read, 0, "no fresh row was read");
         let stats = cache.stats();
         assert_eq!(stats.stale_serves, 1, "{stats:?}");
         assert_eq!(stats.exact_invalidations, 0, "the entry stays cached");
-    }
-
-    #[test]
-    fn dead_data_source_falls_back_and_degrades() {
-        use std::time::Duration;
-        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
-        // Every read errors forever: retries exhaust, the breaker opens,
-        // and the cold run (nothing cached) reports no data — degraded.
-        let (table, q) = setup();
-        let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
-        let res = Arc::new(Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600)));
-        let mut voice = InstantVoice::default();
-        let outcome = Holistic::new(fast_config())
-            .with_resilience(res.clone())
-            .vocalize(&table, &q, &mut voice);
-        assert!(outcome.stats.degraded, "fallback answers are tagged");
-        assert_eq!(outcome.stats.rows_read, 0, "no row ever arrived");
-        assert!(outcome.sentences[0].contains("No data"));
-        let snap = res.stats().snapshot();
-        assert!(snap.retries >= 2, "the ladder retried before tripping: {snap:?}");
-        assert!(snap.breaker_trips >= 1);
-        assert_eq!(snap.cache_fallbacks, 1, "one fallback per run");
-        assert_eq!(snap.degraded_answers, 1);
-    }
-
-    #[test]
-    fn exhausted_fault_budget_yields_anytime_answer() {
-        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
-        // Every sampling iteration faults; a tiny budget exhausts at the
-        // root, so the anytime path commits whatever the tree holds and
-        // tags the answer degraded instead of hanging or panicking.
-        let (table, q) = setup();
-        let plan = FaultPlan::new(3).with_site(FaultSite::Sample, SiteSchedule::error(1.0));
-        let res = Arc::new(Resilience::new(Some(plan)).with_budget(8));
-        let mut voice = InstantVoice::default();
-        let outcome = Holistic::new(fast_config())
-            .with_resilience(res.clone())
-            .vocalize(&table, &q, &mut voice);
-        assert!(outcome.stats.degraded, "budget exhaustion tags the answer");
-        assert!(outcome.stats.samples <= 16, "planning stopped early: {}", outcome.stats.samples);
-        assert!(!outcome.preamble.is_empty(), "the preamble is always delivered");
-        assert_eq!(res.stats().snapshot().degraded_answers, 1);
     }
 
     #[test]

@@ -42,7 +42,7 @@ use voxolap_data::Table;
 use voxolap_engine::exact::{evaluate, ExactResult};
 use voxolap_engine::query::{Query, ResultLayout};
 use voxolap_engine::semantic::{ExactAggregates, ExactLookup, PlanRecord, SemanticCache};
-use voxolap_faults::{DegradeReason, Resilience, RunState};
+use voxolap_faults::{Resilience, RunState};
 use voxolap_mcts::NodeId;
 use voxolap_speech::ast::Speech;
 use voxolap_speech::render::Renderer;
@@ -258,7 +258,7 @@ impl<'a> Chooser<'a> {
         if self.since_poll >= 32 {
             self.since_poll = 0;
             if self.cancel.fired() {
-                self.run.mark_degraded(DegradeReason::Deadline);
+                self.run.mark_degraded();
                 self.cut = true;
             }
         }
@@ -426,20 +426,17 @@ impl ExactHit {
 }
 
 /// §12 stale-serve decision for a version-stale exact cache entry: serve
-/// it (marked `stale: true`) only when fresh data is unreachable — the
-/// run's deadline has already fired, or the data source's read ladder
-/// refuses the read (breaker open / dead source). Otherwise the entry is
+/// it (marked `stale: true`) only when there is no time left to replan —
+/// the run's deadline has already fired. Otherwise the entry is
 /// invalidated and the query replans fresh. Serving marks the run
-/// degraded; without an injector the ladder always allows reads, so the
-/// decision consumes nothing and appendless runs stay byte-identical.
-pub(crate) fn serve_stale_exact(cancel: &CancelToken, res: &ResCtx) -> bool {
-    if cancel.fired_kind() == Some(CancelKind::Deadline) {
-        res.run.mark_degraded(DegradeReason::Deadline);
-        return true;
+/// degraded; the decision consumes nothing, so appendless runs stay
+/// byte-identical.
+pub(crate) fn serve_stale_exact(cancel: &CancelToken, run: &RunState) -> bool {
+    let late = cancel.fired_kind() == Some(CancelKind::Deadline);
+    if late {
+        run.mark_degraded();
     }
-    // `read_allowed` walks the full retry → breaker ladder; its fallback
-    // path already marks the run degraded.
-    !res.read_allowed()
+    late
 }
 
 impl Vocalizer for Optimal {
@@ -725,32 +722,29 @@ mod tests {
         assert_eq!(stats.admissions, 1);
     }
 
-    /// Optimal always evaluates exactly: even with its data source dead, a
-    /// version-stale entry is invalidated, never served, and the rescan
-    /// keeps the plan its repeat reads.
+    /// Optimal always evaluates exactly: even past its deadline, a
+    /// version-stale entry is invalidated, never served, and the rescan is
+    /// what a repeat reads.
     #[test]
-    fn optimal_rescans_a_grown_table_under_a_dead_source_and_keeps_its_plan() {
+    fn optimal_rescans_a_grown_table_even_past_its_deadline() {
         use crate::holistic::tests::echo_rows;
-        use std::time::Duration;
-        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
         let (table, q) = setup();
         let cache = Arc::new(SemanticCache::with_capacity_mb(4));
-        let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
-        let dead = Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600));
-        let optimal = Optimal::default().with_cache(cache.clone()).with_resilience(Arc::new(dead));
+        let optimal = Optimal::default().with_cache(cache.clone());
         optimal.vocalize(&table, &q, &mut InstantVoice::default());
         let (grown, _) = table.append_rows(&echo_rows(&table, 40)).unwrap();
 
-        let rescan = optimal.vocalize(&grown, &q, &mut InstantVoice::default());
+        let expired = CancelToken::with_deadline(Instant::now());
+        let rescan = optimal.stream(&grown, &q, &mut InstantVoice::default(), expired).drain();
         let stats = cache.stats();
         assert_eq!((stats.exact_invalidations, stats.stale_serves), (1, 0), "{stats:?}");
-        assert!(!rescan.stats.stale);
+        assert!(!rescan.stats.stale && rescan.stats.degraded, "a cut, not a stale serve");
         assert_eq!(rescan.stats.rows_read, grown.row_count() as u64);
 
         let repeat = optimal.vocalize(&grown, &q, &mut InstantVoice::default());
-        assert_eq!(cache.stats().plan_hits, 1, "the rescan kept its plan");
+        assert_eq!(cache.stats().exact_hits, 1, "the rescan admitted the grown table");
         assert_eq!(repeat.stats.rows_read, 0);
-        assert_eq!((&repeat.speech, &repeat.sentences), (&rescan.speech, &rescan.sentences));
+        assert!(!repeat.stats.stale && !repeat.stats.degraded);
     }
 
     /// Under 12 aggregates the 500 000-node by-month space looks a bucket
@@ -830,29 +824,27 @@ mod tests {
     #[test]
     fn a_stale_serve_keeps_and_reads_the_plan_of_its_own_entry() {
         use crate::holistic::tests::echo_rows;
-        use std::time::Duration;
-        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
         let (table, q) = setup();
         let (cache, holistic) = cached_holistic();
         holistic.vocalize(&table, &q, &mut InstantVoice::default());
+        // The first repeat scores a plan on the entry's aggregates and
+        // keeps it beside them.
+        let fresh = holistic.vocalize(&table, &q, &mut InstantVoice::default());
         let (grown, _) = table.append_rows(&echo_rows(&table, 40)).unwrap();
 
-        // A dead data source: the version-stale entry is served (§12), and
-        // the plan scored on its aggregates is kept beside them.
-        let dead = || {
-            let plan = FaultPlan::new(5).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
-            Arc::new(Resilience::new(Some(plan)).with_breaker(2, Duration::from_secs(3600)))
-        };
+        // Past the deadline the version-stale entry is served (§12), and
+        // its kept plan needs no scoring, so no cut can shorten it.
         let serve = || {
-            let engine = holistic.clone().with_resilience(dead());
-            engine.vocalize(&grown, &q, &mut InstantVoice::default())
+            let expired = CancelToken::with_deadline(Instant::now());
+            holistic.stream(&grown, &q, &mut InstantVoice::default(), expired).drain()
         };
-        let rescored = serve();
-        let kept = serve();
+        let first = serve();
+        let second = serve();
         let stats = cache.stats();
-        assert_eq!((stats.stale_serves, stats.plan_hits), (2, 1), "{stats:?}");
-        assert!(rescored.stats.stale && kept.stats.stale, "a kept plan is no fresher");
-        assert_eq!(untimed(&kept), untimed(&rescored));
+        assert_eq!((stats.stale_serves, stats.plan_hits), (2, 2), "{stats:?}");
+        assert!(first.stats.stale && first.stats.degraded, "a kept plan is no fresher");
+        assert_eq!(untimed(&first), untimed(&second));
+        assert_eq!((&first.speech, &first.sentences), (&fresh.speech, &fresh.sentences));
     }
 
     #[test]

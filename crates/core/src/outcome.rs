@@ -17,14 +17,13 @@ pub struct PlanStats {
     pub truncated: bool,
     /// Total planning time, including any exact evaluation.
     pub planning_time: Duration,
-    /// `true` when the answer was degraded (anytime commit after a
-    /// deadline or exhausted fault budget, cache fallback, or a failed
-    /// emission). A deadline cut sets it on every approach; the other
-    /// causes need a fault plan.
+    /// `true` when the answer was degraded: a deadline cut it, and the
+    /// anytime commit (or a stale serve) answered instead. Every approach
+    /// with a planning loop sets it.
     pub degraded: bool,
     /// `true` when the answer was served from a version-stale cached
     /// exact result (the table grew since the entry was computed and the
-    /// §12 ladder chose the stale answer over a fresh plan). Always
+    /// deadline had fired before a fresh plan could start). Always
     /// `false` on tables that never saw an append.
     pub stale: bool,
 }

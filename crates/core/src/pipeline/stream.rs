@@ -20,7 +20,6 @@
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
-use voxolap_faults::{DegradeReason, FaultSite};
 use voxolap_speech::ast::Speech;
 
 use crate::outcome::{PlanStats, VocalizationOutcome};
@@ -235,8 +234,8 @@ pub struct SpeechStream<'a> {
     next_index: usize,
     done: bool,
     source: Box<dyn SentenceSource<'a> + 'a>,
-    /// This run's degrade state and its engine's bundle: emission
-    /// consults the Emit fault site, `finish` tags and counts the outcome.
+    /// This run's degrade state and its engine's bundle: `finish` tags and
+    /// counts the outcome.
     res: ResCtx,
     /// `true` when the answer comes from a version-stale cached exact
     /// result (§12 stale-serve); surfaces as `PlanStats::stale`. Never set
@@ -293,19 +292,6 @@ impl<'a> SpeechStream<'a> {
             self.done = true;
             return None;
         };
-        // Emit fault site: a latency fault stalls the hand-off to the
-        // voice; an error fault cuts the speech short — except for the
-        // very first body sentence (the baseline), which must always be
-        // delivered for the answer to remain grammar-valid.
-        if let Some(fault) = self.res.bundle.roll(FaultSite::Emit) {
-            self.res.run.note_fault();
-            fault.stall();
-            if fault.error && self.next_index > 0 {
-                self.res.run.mark_degraded(DegradeReason::EmitFailure);
-                self.done = true;
-                return None;
-            }
-        }
         self.voice.start(&text);
         let stats = SentenceStats {
             samples: self.source.samples().saturating_sub(samples_before),

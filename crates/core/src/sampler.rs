@@ -102,10 +102,6 @@ pub(crate) struct ShardWorker<'a> {
     /// Rows a warm start replayed into the cache (0 for cold runs);
     /// warm-up tops up the difference instead of reading that many more.
     seeded: u64,
-    /// This run's degradation context: the read ladder in front of row
-    /// ingestion and the Sample fault site (inert without an injector —
-    /// the hooks consume no randomness).
-    res: ResCtx,
     /// Run seed and pinned table version, stamped into snapshots and
     /// exact admissions so the semantic cache can invalidate or repair
     /// them after appends.
@@ -114,8 +110,8 @@ pub(crate) struct ShardWorker<'a> {
 }
 
 impl<'a> ShardWorker<'a> {
-    /// Worker number `worker` of a team sharing `cache`, `pool` and the
-    /// run `res`; no rows are read yet.
+    /// Worker number `worker` of a team sharing `cache` and `pool`; no
+    /// rows are read yet.
     fn new(
         table: &'a Table,
         query: &'a Query,
@@ -123,7 +119,6 @@ impl<'a> ShardWorker<'a> {
         config: &HolisticConfig,
         pool: Arc<MorselPool>,
         worker: usize,
-        res: &ResCtx,
     ) -> Self {
         ShardWorker {
             table,
@@ -138,7 +133,6 @@ impl<'a> ShardWorker<'a> {
             aggs: Vec::new(),
             policy: config.policy,
             seeded: 0,
-            res: res.clone(),
             seed: config.seed,
             version: table.version(),
         }
@@ -159,10 +153,8 @@ impl<'a> ShardWorker<'a> {
     /// version-stale snapshot describes a different scan order; repair it
     /// first (see `voxolap_engine::repair`). Call before any row is read.
     ///
-    /// The replay is a read like any other: it takes the
-    /// [`ShardWorker::ingest_rows`] path, read ladder included. Returns the
-    /// rows it delivered — all the snapshot names, or none when the ladder
-    /// refused the read, in which case the run stays cold.
+    /// The replay takes the [`ShardWorker::ingest_rows`] path. Returns the
+    /// rows it delivered: all the snapshot names.
     pub(crate) fn warm_start(&mut self, snapshot: &SampleSnapshot) -> u64 {
         debug_assert_eq!(snapshot.version, self.version, "repair stale snapshots first");
         let replay = self.table.scan_consumed(self.seed, self.query.measure(), &snapshot.progress);
@@ -191,11 +183,6 @@ impl<'a> ShardWorker<'a> {
     /// Stream up to `k` rows of this worker's share of the scan into the
     /// cache; returns how many were read.
     pub(crate) fn ingest_rows(&mut self, k: usize) -> usize {
-        if !self.res.read_allowed() {
-            // Breaker open: the run continues on whatever the cache
-            // already holds.
-            return 0;
-        }
         // Batched morsel ingest (DESIGN.md §14): per block, resolve all
         // aggregate codes with the columnar kernel, accumulate into the
         // thread-local batch, and group-commit once — one shared-counter
@@ -273,12 +260,8 @@ impl<'a> ShardWorker<'a> {
     /// one tree: a reward is a fresh posterior draw, so two workers on one
     /// path still collect independent rewards.
     ///
-    /// Returns the observed reward (0 when nothing was evaluable yet, or
-    /// the iteration faulted — the caller still counts it).
+    /// Returns the observed reward (0 when nothing was evaluable yet).
     pub(crate) fn sample_once(&mut self, tree: &SpeechTree, from: NodeId) -> f64 {
-        if self.res.sample_faulted() {
-            return 0.0;
-        }
         self.ingest_rows(ROWS_PER_ITERATION);
 
         let Some(agg) = self.cache.pick_aggregate(self.query.fct(), &mut self.rng) else {
@@ -342,7 +325,7 @@ impl<'a> Team<'a> {
     }
 
     /// A team of `threads` workers (at least one) inside the run `res`: its
-    /// reads walk the run's ladder and its cache rolls the run's injector.
+    /// cache rolls the run's injector and its rounds mark the run's cuts.
     pub(crate) fn in_run(
         table: &'a Table,
         query: &'a Query,
@@ -357,7 +340,7 @@ impl<'a> Team<'a> {
         let cache = Arc::new(cache);
         let pool = table.morsel_pool(config.seed);
         let workers = (0..threads.max(1))
-            .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w, &res))
+            .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w))
             .collect();
         Team { workers, cache, res }
     }
@@ -391,8 +374,8 @@ impl<'a> Team<'a> {
     /// loop on one shared counter.
     ///
     /// Each iteration asks the round status *first*: a gone client stops
-    /// the loop, and a passed deadline or an exhausted fault budget stops
-    /// it too, marking the run degraded (see `resilience::round_status`).
+    /// the loop, and a passed deadline stops it too, marking the run
+    /// degraded (see `resilience::round_status`).
     /// That order fixes the sequence in which `more` is asked — and so, at
     /// one thread, the iteration count — under a seed. The counter is
     /// `Relaxed`: it publishes no data (the tree and cache synchronise

@@ -68,9 +68,8 @@ impl Unmerged {
     }
 
     /// Replace the resilience bundle: the team is the holistic engine's,
-    /// so its reads walk the same ladder, its cache rolls the same shard
-    /// faults, and its sampling loop is cut — and the cut marked — by the
-    /// same deadline and fault budget.
+    /// so its cache rolls the same shard faults, and its sampling loop is
+    /// cut — and the cut marked — by the same deadline.
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
         self.resilience = resilience;
         self
@@ -113,9 +112,9 @@ impl Vocalizer for Unmerged {
         let tree = SpeechTree::open(schema, query, cfg, overall);
 
         // Sample until the budget runs out — no voice output yet. A gone
-        // consumer, a passed deadline or an exhausted fault budget ends the
-        // loop early; the latter two mark the run degraded, and the commit
-        // below is their anytime answer.
+        // consumer or a passed deadline ends the loop early; the deadline
+        // marks the run degraded, and the commit below is its anytime
+        // answer.
         let within_budget = |done: u64| match self.budget {
             SamplingBudget::WallClock(d) => Instant::now() < t0 + d,
             SamplingBudget::Iterations(n) => done < n,

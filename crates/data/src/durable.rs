@@ -116,6 +116,9 @@ pub struct DurabilitySnapshot {
     pub clean_start: bool,
     /// Wall-clock milliseconds spent in boot recovery.
     pub recovery_ms: f64,
+    /// Whether a failed fsync poisoned the WAL (fsyncgate): every append
+    /// is refused until a restart recovers from disk.
+    pub wal_poisoned: bool,
 }
 
 /// What startup recovery found and did.
@@ -315,11 +318,14 @@ impl DurableTable {
     /// Append a batch. In durable mode the batch is committed to the WAL
     /// (under the configured fsync policy) *before* the revision swap, so
     /// a success here means the batch survives a crash; any storage error
-    /// leaves the in-memory revision untouched and unpublished.
+    /// leaves the in-memory revision untouched and unpublished. A log
+    /// poisoned by a failed fsync refuses the batch before its revision is
+    /// built.
     pub fn append_rows(&self, rows: &[IngestRow]) -> Result<AppendReport, DataError> {
         let Some(store) = &self.store else {
             return self.live.append_rows(rows);
         };
+        store.state.lock().wal.check_writable("append")?;
         let report = self.live.append_rows_with(rows, |report, rows| {
             let mut state = store.state.lock();
             state.wal.append_batch(report.version, rows)?;
@@ -415,6 +421,7 @@ impl DurableTable {
             torn_tail_truncations: r.torn_tail_truncations,
             clean_start: r.clean_start,
             recovery_ms: r.recovery_ms,
+            wal_poisoned: store.state.lock().wal.poisoned(),
         })
     }
 }

@@ -384,6 +384,18 @@ impl Wal {
         self.poisoned
     }
 
+    /// Refuse `op` once the log is poisoned: every later write fails
+    /// until a restart recovers from what disk really has.
+    pub(crate) fn check_writable(&self, op: &'static str) -> Result<(), DataError> {
+        if self.poisoned {
+            return Err(DataError::Wal {
+                op,
+                message: "log poisoned by an earlier fsync failure; restart to recover".into(),
+            });
+        }
+        Ok(())
+    }
+
     fn roll_error(&self, site: FaultSite) -> Option<String> {
         let fault = self.faults.as_ref()?.roll(site)?;
         fault.stall();
@@ -398,12 +410,7 @@ impl Wal {
         version: TableVersion,
         rows: &[IngestRow],
     ) -> Result<(), DataError> {
-        if self.poisoned {
-            return Err(DataError::Wal {
-                op: "append",
-                message: "log poisoned by an earlier fsync failure; restart to recover".into(),
-            });
-        }
+        self.check_writable("append")?;
         if let Some(message) = self.roll_error(FaultSite::WalAppend) {
             return Err(DataError::Wal { op: "append", message });
         }
@@ -461,12 +468,7 @@ impl Wal {
     /// Flush and fsync regardless of mode (graceful shutdown); respects
     /// poisoning.
     pub(crate) fn flush_and_sync(&mut self) -> Result<(), DataError> {
-        if self.poisoned {
-            return Err(DataError::Wal {
-                op: "fsync",
-                message: "log poisoned by an earlier fsync failure".into(),
-            });
-        }
+        self.check_writable("fsync")?;
         if self.unsynced > 0 || self.mode == FsyncMode::Off {
             self.fsync()?;
         }

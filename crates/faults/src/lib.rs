@@ -1,10 +1,13 @@
 //! # voxolap-faults
 //!
-//! Deterministic fault injection and graceful-degradation primitives
-//! (DESIGN.md §12).
+//! Deterministic fault injection at the sites where this process can
+//! really fail, and the counters that say how often it did (DESIGN.md
+//! §12).
 //!
-//! The pipeline stages of the streaming planner — Ingest, Plan/Sample,
-//! Commit, Emit — each expose a named **fault site** ([`FaultSite`]). A
+//! A **fault site** ([`FaultSite`]) names one failure this process can
+//! meet: a worker panicking while it holds a sample-cache stripe
+//! (`CacheShard`), and the storage layer's write-ahead-log write, fsync
+//! and snapshot write (`WalAppend`, `WalFsync`, `SnapshotWrite`). A
 //! seeded [`FaultPlan`] assigns a probability/latency/error schedule to
 //! any subset of sites; a [`FaultInjector`] rolls against it with a
 //! counter-hash (splitmix64 over `seed ^ site ^ counter`), so a schedule
@@ -13,33 +16,19 @@
 //! attached every roll is a branch on a `None` — planning output stays
 //! bit-identical to a build without the harness.
 //!
-//! On top of the injector, the crate carries the degradation ladder the
-//! engine climbs when a site actually fails:
-//!
-//! 1. [`RetryPolicy`] — exponential backoff with deterministic full
-//!    jitter around data-source reads;
-//! 2. [`CircuitBreaker`] — the data source's closed → open → half-open
-//!    breaker; while open, ingestion stops and planning continues on the
-//!    sample cache already built (semantic-cache warm rows included);
-//! 3. the *anytime answer*: when a deadline or the run's fault budget
-//!    ([`RunState`]) is exhausted mid-plan, the planner commits the best
-//!    baseline it has and stops, tagging the answer `degraded`. Every run
-//!    has a [`RunState`], injector or not, so a deadline means this on
-//!    every engine.
-//!
-//! [`DegradeStats`] aggregates what happened across runs for
-//! observability (`GET /stats`).
+//! The third failure, a deadline, needs no injector: when it passes
+//! mid-plan the planner commits the best baseline it has and stops,
+//! tagging the answer degraded in its [`RunState`]. Every run has one,
+//! injector or not, so a deadline means this on every engine.
+//! [`DegradeStats`] counts clean and degraded answers and rebuilt stripes
+//! across runs for observability (`GET /stats`).
 
-mod breaker;
 mod hub;
 mod plan;
-mod retry;
 mod stats;
 
-pub use breaker::{BreakerState, CircuitBreaker};
-pub use hub::{DegradeReason, Resilience, RunState};
+pub use hub::{Resilience, RunState};
 pub use plan::{Fault, FaultInjector, FaultPlan, FaultSite, SiteSchedule};
-pub use retry::RetryPolicy;
 pub use stats::{DegradeSnapshot, DegradeStats};
 
 /// splitmix64 — the crate's only randomness primitive. Stateless: the

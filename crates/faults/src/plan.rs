@@ -5,41 +5,32 @@ use std::time::Duration;
 
 use crate::{splitmix64, unit_f64};
 
-/// Named injection points in the Ingest→Plan/Sample→Commit→Emit graph.
+/// Named injection points: the failures this process can meet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// A batch read from the data source (table scan) — Ingest stage.
-    DataRead = 0,
     /// An access to a sharded sample-cache bucket — models a thread dying
     /// while holding a shard lock (the bucket is marked torn).
-    CacheShard = 1,
-    /// One UCT sampling iteration — Plan/Sample stage.
-    Sample = 2,
-    /// Starting a committed sentence on the voice output — Emit stage.
-    Emit = 3,
+    CacheShard = 0,
     /// A write-ahead-log record write during a durable ingest commit —
     /// Storage stage (transient: the batch fails but the log stays
     /// usable).
-    WalAppend = 4,
+    WalAppend = 1,
     /// A WAL fsync — Storage stage. Fatal for the log by the fsyncgate
     /// rule: a failed fsync may have lost pages silently, so the log is
     /// poisoned rather than retried.
-    WalFsync = 5,
+    WalFsync = 2,
     /// A snapshot compaction write — Storage stage (non-fatal: the WAL
     /// keeps the data and compaction is retried at the next interval).
-    SnapshotWrite = 6,
+    SnapshotWrite = 3,
 }
 
 /// Number of distinct fault sites.
-pub const N_SITES: usize = 7;
+pub const N_SITES: usize = 4;
 
 impl FaultSite {
     /// All sites, in wire order.
     pub const ALL: [FaultSite; N_SITES] = [
-        FaultSite::DataRead,
         FaultSite::CacheShard,
-        FaultSite::Sample,
-        FaultSite::Emit,
         FaultSite::WalAppend,
         FaultSite::WalFsync,
         FaultSite::SnapshotWrite,
@@ -48,10 +39,7 @@ impl FaultSite {
     /// Stable short name (used by the `--fault-plan` spec).
     pub fn name(self) -> &'static str {
         match self {
-            FaultSite::DataRead => "read",
             FaultSite::CacheShard => "shard",
-            FaultSite::Sample => "sample",
-            FaultSite::Emit => "emit",
             FaultSite::WalAppend => "wal",
             FaultSite::WalFsync => "fsync",
             FaultSite::SnapshotWrite => "snap",
@@ -61,15 +49,8 @@ impl FaultSite {
     /// Per-site hash salt so the same counter value rolls independently
     /// at different sites.
     fn salt(self) -> u64 {
-        [
-            0xA076_1D64_78BD_642F,
-            0xE703_7ED1_A0B4_28DB,
-            0x8EBC_6AF0_9C88_C6E3,
-            0x5899_65CC_7537_4CC3,
-            0x1D8E_4E27_C47D_124F,
-            0xEB44_ACCA_B455_D165,
-            0x9E6C_63D0_76CC_4391,
-        ][self as usize]
+        [0xE703_7ED1_A0B4_28DB, 0x1D8E_4E27_C47D_124F, 0xEB44_ACCA_B455_D165, 0x9E6C_63D0_76CC_4391]
+            [self as usize]
     }
 }
 
@@ -119,25 +100,19 @@ impl FaultPlan {
         self.sites[site as usize]
     }
 
-    /// Whether no site has a schedule (the injector is inert).
-    pub fn is_empty(&self) -> bool {
-        self.sites.iter().all(Option::is_none)
-    }
-
     /// Parse a `--fault-plan` spec: comma-separated `key=value` pairs.
     ///
-    /// Plan keys: `seed=N`, per-site probabilities `read=P`, `shard=P`,
-    /// `sample=P`, `emit=P`, `wal=P`, `fsync=P`, `snap=P` (each in
-    /// `[0,1]`), `latency_us=N` (stall added
+    /// Plan keys: `seed=N`, per-site probabilities `shard=P`, `wal=P`,
+    /// `fsync=P`, `snap=P` (each in `[0,1]`), `latency_us=N` (stall added
     /// to every enabled site), and `latency_only` (faults stall but do not
     /// error). Unknown keys are rejected so typos surface immediately.
     ///
     /// ```
     /// use voxolap_faults::{FaultPlan, FaultSite};
-    /// let plan = FaultPlan::parse("seed=7,read=0.2,emit=0.05").unwrap();
+    /// let plan = FaultPlan::parse("seed=7,shard=0.2,fsync=0.05").unwrap();
     /// assert_eq!(plan.seed, 7);
-    /// assert_eq!(plan.site(FaultSite::DataRead).unwrap().probability, 0.2);
-    /// assert!(plan.site(FaultSite::Sample).is_none());
+    /// assert_eq!(plan.site(FaultSite::CacheShard).unwrap().probability, 0.2);
+    /// assert!(plan.site(FaultSite::WalAppend).is_none());
     /// ```
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
@@ -189,8 +164,8 @@ pub struct Fault {
     pub latency: Duration,
     /// Whether this fault is an error (vs. latency only).
     pub error: bool,
-    /// The roll's hash — a deterministic token callers may reuse to
-    /// derive further per-fault randomness (e.g. retry jitter).
+    /// The roll's hash — a deterministic token that names the fault in
+    /// error messages.
     pub token: u64,
 }
 
@@ -227,11 +202,6 @@ impl FaultInjector {
         }
     }
 
-    /// The plan being rolled.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Roll at `site`: `None` (nothing happens) or the fault to apply.
     #[inline]
     pub fn roll(&self, site: FaultSite) -> Option<Fault> {
@@ -266,19 +236,19 @@ mod tests {
     fn empty_plan_never_faults_and_keeps_counters_idle() {
         let inj = FaultInjector::new(FaultPlan::new(9));
         for _ in 0..1000 {
-            assert!(inj.roll(FaultSite::DataRead).is_none());
+            assert!(inj.roll(FaultSite::CacheShard).is_none());
         }
         assert_eq!(inj.total_injected(), 0);
         // The site had no schedule, so its counter never advanced.
-        assert_eq!(inj.counters[FaultSite::DataRead as usize].load(Ordering::Relaxed), 0);
+        assert_eq!(inj.counters[FaultSite::CacheShard as usize].load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn rolls_are_deterministic_under_seed() {
-        let plan = FaultPlan::new(3).with_site(FaultSite::Sample, SiteSchedule::error(0.3));
+        let plan = FaultPlan::new(3).with_site(FaultSite::CacheShard, SiteSchedule::error(0.3));
         let run = || {
             let inj = FaultInjector::new(plan.clone());
-            (0..200).map(|_| inj.roll(FaultSite::Sample).is_some()).collect::<Vec<_>>()
+            (0..200).map(|_| inj.roll(FaultSite::CacheShard).is_some()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
         assert!(run().iter().any(|&f| f), "p=0.3 over 200 rolls fires");
@@ -287,37 +257,34 @@ mod tests {
 
     #[test]
     fn probability_is_roughly_honored() {
-        let plan = FaultPlan::new(11).with_site(FaultSite::DataRead, SiteSchedule::error(0.2));
+        let plan = FaultPlan::new(11).with_site(FaultSite::CacheShard, SiteSchedule::error(0.2));
         let inj = FaultInjector::new(plan);
         for _ in 0..10_000 {
-            inj.roll(FaultSite::DataRead);
+            inj.roll(FaultSite::CacheShard);
         }
-        let rate = inj.injected(FaultSite::DataRead) as f64 / 10_000.0;
+        let rate = inj.injected(FaultSite::CacheShard) as f64 / 10_000.0;
         assert!((0.15..0.25).contains(&rate), "rate {rate}");
     }
 
     #[test]
     fn sites_roll_independently() {
         let plan = FaultPlan::new(5)
-            .with_site(FaultSite::DataRead, SiteSchedule::error(1.0))
-            .with_site(FaultSite::Emit, SiteSchedule::error(0.0));
+            .with_site(FaultSite::CacheShard, SiteSchedule::error(1.0))
+            .with_site(FaultSite::WalAppend, SiteSchedule::error(0.0));
         let inj = FaultInjector::new(plan);
-        assert!(inj.roll(FaultSite::DataRead).is_some());
-        assert!(inj.roll(FaultSite::Emit).is_none());
-        assert!(inj.roll(FaultSite::Sample).is_none(), "unscheduled site is silent");
+        assert!(inj.roll(FaultSite::CacheShard).is_some());
+        assert!(inj.roll(FaultSite::WalAppend).is_none());
+        assert!(inj.roll(FaultSite::SnapshotWrite).is_none(), "unscheduled site is silent");
     }
 
     #[test]
     fn parse_full_spec() {
-        let plan =
-            FaultPlan::parse("seed=17, read=0.5, shard=0.1, sample=0.2, emit=0.05, latency_us=250")
-                .unwrap();
+        let plan = FaultPlan::parse("seed=17, shard=0.5, wal=0.1, latency_us=250").unwrap();
         assert_eq!(plan.seed, 17);
-        let read = plan.site(FaultSite::DataRead).unwrap();
-        assert_eq!(read.probability, 0.5);
-        assert_eq!(read.latency, Duration::from_micros(250));
-        assert!(read.error);
-        assert!(!plan.is_empty());
+        let shard = plan.site(FaultSite::CacheShard).unwrap();
+        assert_eq!(shard.probability, 0.5);
+        assert_eq!(shard.latency, Duration::from_micros(250));
+        assert!(shard.error);
     }
 
     #[test]
@@ -326,7 +293,7 @@ mod tests {
         assert_eq!(plan.site(FaultSite::WalAppend).unwrap().probability, 0.2);
         assert_eq!(plan.site(FaultSite::WalFsync).unwrap().probability, 0.1);
         assert_eq!(plan.site(FaultSite::SnapshotWrite).unwrap().probability, 0.5);
-        assert!(plan.site(FaultSite::DataRead).is_none());
+        assert!(plan.site(FaultSite::CacheShard).is_none());
         let inj = FaultInjector::new(
             FaultPlan::new(1).with_site(FaultSite::WalFsync, SiteSchedule::error(1.0)),
         );
@@ -336,13 +303,20 @@ mod tests {
 
     #[test]
     fn parse_latency_only_and_rejects_garbage() {
-        let plan = FaultPlan::parse("emit=1.0,latency_only,latency_us=10").unwrap();
-        let emit = plan.site(FaultSite::Emit).unwrap();
-        assert!(!emit.error);
-        assert_eq!(emit.latency, Duration::from_micros(10));
+        let plan = FaultPlan::parse("shard=1.0,latency_only,latency_us=10").unwrap();
+        let shard = plan.site(FaultSite::CacheShard).unwrap();
+        assert!(!shard.error);
+        assert_eq!(shard.latency, Duration::from_micros(10));
         assert!(FaultPlan::parse("bogus=1").is_err());
-        assert!(FaultPlan::parse("read=1.5").is_err());
-        assert!(FaultPlan::parse("read").is_err());
-        assert!(FaultPlan::parse("").unwrap().is_empty());
+        assert!(FaultPlan::parse("shard=1.5").is_err());
+        assert!(FaultPlan::parse("shard").is_err());
+        assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
+        // Keys of sites and ladder rungs this process cannot meet fail
+        // loudly instead of being ignored.
+        let removed =
+            ["read", "sample", "emit", "budget", "retries", "backoff_us", "breaker", "cooldown_ms"];
+        for key in removed {
+            assert!(FaultPlan::parse(&format!("{key}=1")).is_err(), "{key}");
+        }
     }
 }

@@ -2,18 +2,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic counters recording how often each rung of the
-/// degradation ladder was exercised. One instance typically lives for a
+/// Shared atomic counters recording how answers ended and how often a
+/// torn cache stripe was rebuilt. One instance typically lives for a
 /// whole process (CLI session, server) and is fed by every run.
 #[derive(Debug, Default)]
 pub struct DegradeStats {
-    /// Data-source read retries performed.
-    pub retries: AtomicU64,
-    /// Circuit-breaker trips (closed→open and failed-probe re-opens).
-    pub breaker_trips: AtomicU64,
-    /// Runs that fell back to already-cached samples because their
-    /// source's breaker was open.
-    pub cache_fallbacks: AtomicU64,
     /// Cache shards rebuilt after lock poisoning / torn state.
     pub poison_recoveries: AtomicU64,
     /// Answers completed with `degraded: true`.
@@ -26,9 +19,6 @@ impl DegradeStats {
     /// A plain-value copy of the counters.
     pub fn snapshot(&self) -> DegradeSnapshot {
         DegradeSnapshot {
-            retries: self.retries.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            cache_fallbacks: self.cache_fallbacks.load(Ordering::Relaxed),
             poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
             degraded_answers: self.degraded_answers.load(Ordering::Relaxed),
             clean_answers: self.clean_answers.load(Ordering::Relaxed),
@@ -39,12 +29,6 @@ impl DegradeStats {
 /// Point-in-time copy of [`DegradeStats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DegradeSnapshot {
-    /// See [`DegradeStats::retries`].
-    pub retries: u64,
-    /// See [`DegradeStats::breaker_trips`].
-    pub breaker_trips: u64,
-    /// See [`DegradeStats::cache_fallbacks`].
-    pub cache_fallbacks: u64,
     /// See [`DegradeStats::poison_recoveries`].
     pub poison_recoveries: u64,
     /// See [`DegradeStats::degraded_answers`].
@@ -60,10 +44,10 @@ mod tests {
     #[test]
     fn snapshot_reflects_counters() {
         let s = DegradeStats::default();
-        s.retries.fetch_add(3, Ordering::Relaxed);
+        s.poison_recoveries.fetch_add(3, Ordering::Relaxed);
         s.degraded_answers.fetch_add(1, Ordering::Relaxed);
         let snap = s.snapshot();
-        assert_eq!(snap.retries, 3);
+        assert_eq!(snap.poison_recoveries, 3);
         assert_eq!(snap.degraded_answers, 1);
         assert_eq!(snap.clean_answers, 0);
     }

@@ -28,7 +28,7 @@ use voxolap_data::stats::DatasetStats;
 use voxolap_data::{DataError, DimValue, DurableTable, IngestRow, Table};
 use voxolap_engine::query::Query;
 use voxolap_engine::semantic::SemanticCache;
-use voxolap_faults::{BreakerState, CircuitBreaker, Resilience};
+use voxolap_faults::Resilience;
 use voxolap_voice::question::parse_question;
 use voxolap_voice::session::{Response as SessionResponse, Session};
 
@@ -65,12 +65,10 @@ pub struct AppState {
     /// snapshot for its whole run, so a query's result layout stays
     /// consistent however many `POST /ingest` batches land while it
     /// plans; the next request sees the new revision. In durable mode an
-    /// ingest acknowledges only after the WAL commit lands.
+    /// ingest acknowledges only after the WAL commit lands, and a log
+    /// poisoned by a failed fsync refuses every later batch (fsyncgate);
+    /// queries are unaffected.
     live: DurableTable,
-    /// Trips on the first storage failure (fsyncgate: a failed fsync may
-    /// have lost pages, so ingest stops acknowledging immediately) and
-    /// probes again after a short cooldown. Queries are unaffected.
-    ingest_breaker: CircuitBreaker,
     sessions: SessionStore,
     /// Planning threads used by the `parallel` approach.
     threads: usize,
@@ -81,7 +79,7 @@ pub struct AppState {
     /// subsequent request (vocalizers are stateless apart from shared
     /// caches, so one instance serves all connections).
     vocalizers: Mutex<HashMap<String, Arc<dyn Vocalizer>>>,
-    /// Degradation policy shared by every vocalizer built here: inert
+    /// Resilience bundle shared by every vocalizer built here: inert
     /// (deadline cuts and the clean/degraded tally only) unless
     /// `--fault-plan` attached an injecting one.
     resilience: Arc<Resilience>,
@@ -371,7 +369,6 @@ impl AppState {
         let threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         AppState {
             live: table,
-            ingest_breaker: CircuitBreaker::new(1, Duration::from_millis(500)),
             sessions: Mutex::new(HashMap::new()),
             threads,
             semantic: Some(Arc::new(SemanticCache::with_capacity_mb(DEFAULT_CACHE_MB))),
@@ -409,13 +406,13 @@ impl AppState {
         self
     }
 
-    /// Replace the degradation policy (the server's `--fault-plan` flag;
-    /// see `voxolap_faults::Resilience::from_spec` for the spec grammar).
-    /// Vocalizers built after this call retry faulted reads, trip the data
-    /// source's breaker, and finish with anytime answers when the fault
-    /// budget runs out. The server binary builds the policy itself, to
-    /// share one fault injector between the durability layer (which needs
-    /// it before the table opens) and the planner.
+    /// Replace the resilience bundle (the server's `--fault-plan` flag;
+    /// see `voxolap_faults::FaultPlan::parse` for the spec grammar).
+    /// Vocalizers built after this call roll its injector at their sample
+    /// cache's shard site and count their answers in its stats. The server
+    /// binary builds the bundle itself, to share one fault injector between
+    /// the durability layer (which needs it before the table opens) and
+    /// the planner.
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
         self.resilience = resilience;
         self
@@ -520,8 +517,8 @@ impl AppState {
         ])
     }
 
-    /// Degradation-ladder counters for `/stats`: how often each rung
-    /// fired, plus planning-latency percentiles split degraded vs clean.
+    /// Degradation counters for `/stats`: rebuilt locks, clean and degraded
+    /// answers, plus planning-latency percentiles split degraded vs clean.
     fn degradation_json(&self) -> Value {
         let s = self.resilience.stats().snapshot();
         // Serving-layer lock recoveries (http pool) count under the same
@@ -530,9 +527,6 @@ impl AppState {
         let http_recoveries =
             self.http_metrics.as_ref().map_or(0, |m| m.snapshot().poison_recoveries);
         Value::obj([
-            ("retries", s.retries.into()),
-            ("breaker_trips", s.breaker_trips.into()),
-            ("cache_fallbacks", s.cache_fallbacks.into()),
             ("poison_recoveries", (s.poison_recoveries + http_recoveries).into()),
             ("degraded_answers", s.degraded_answers.into()),
             ("clean_answers", s.clean_answers.into()),
@@ -543,7 +537,7 @@ impl AppState {
 
     /// Storage counters for `/stats` (`null` when the table is purely
     /// in-memory): WAL and snapshot activity, what boot recovery did, and
-    /// the ingest breaker's state.
+    /// whether a failed fsync poisoned the log.
     fn durability_json(&self) -> Value {
         let Some(s) = self.live.stats() else { return Value::Null };
         Value::obj([
@@ -559,8 +553,7 @@ impl AppState {
             ("torn_tail_truncations", s.torn_tail_truncations.into()),
             ("clean_start", s.clean_start.into()),
             ("recovery_ms", s.recovery_ms.into()),
-            ("breaker_open", (self.ingest_breaker.state() != BreakerState::Closed).into()),
-            ("breaker_trips", self.ingest_breaker.trips().into()),
+            ("wal_poisoned", s.wal_poisoned.into()),
         ])
     }
 
@@ -809,16 +802,8 @@ impl AppState {
         if rows.is_empty() {
             return Response::error(400, "empty ingest batch");
         }
-        // fsyncgate gate: after a storage failure the breaker refuses
-        // ingest outright (503 + Retry-After) until a cooldown probe gets
-        // through. A poisoned WAL keeps failing probes, keeping the
-        // breaker open until the operator restarts into recovery.
-        if !self.ingest_breaker.allow() {
-            return Response::error(503, "ingest unavailable: storage breaker open");
-        }
         match self.live.append_rows(&rows) {
             Ok(report) => {
-                self.ingest_breaker.on_success();
                 self.ingest_batches.fetch_add(1, Ordering::Relaxed);
                 self.ingest_rows.fetch_add(report.appended as u64, Ordering::Relaxed);
                 Response::ok(
@@ -833,22 +818,13 @@ impl AppState {
             }
             Err(e @ DataError::Wal { .. }) => {
                 // The batch is NOT acknowledged: it never published and
-                // (per the fsyncgate rule) is never retried here — the
-                // client owns the retry, after Retry-After, against a
-                // recovered process.
-                self.ingest_breaker.on_failure();
+                // (per the fsyncgate rule) is never retried here — a
+                // poisoned log refuses every later batch too, and the
+                // client owns the retry against a recovered process.
                 Response::error(503, &format!("ingest not durable: {e}"))
             }
-            Err(e) => {
-                // Validation failure — storage was never touched. If we
-                // held the half-open probe slot, return it (closing the
-                // breaker: with threshold 1 a still-broken disk re-trips
-                // on the next real append).
-                if self.ingest_breaker.state() == BreakerState::HalfOpen {
-                    self.ingest_breaker.on_success();
-                }
-                Response::error(400, &e.to_string())
-            }
+            // Validation failure — storage was never touched.
+            Err(e) => Response::error(400, &e.to_string()),
         }
     }
 
@@ -931,7 +907,8 @@ mod tests {
 
     /// What `--fault-plan <spec>` serves.
     fn faulty_state(spec: &str) -> AppState {
-        raw_state().with_resilience(Arc::new(Resilience::from_spec(spec).unwrap()))
+        let plan = voxolap_faults::FaultPlan::parse(spec).unwrap();
+        raw_state().with_resilience(Arc::new(Resilience::new(Some(plan))))
     }
 
     fn post(state: &Arc<AppState>, path: &str, body: &str) -> Response {
@@ -1083,12 +1060,13 @@ mod tests {
     }
 
     /// A planning turn holds up nothing but its own session. Every
-    /// sentence of the `POST /session/a/input` below is stalled 400 ms by
-    /// a latency-only Emit fault; while it is in flight `/stats` answers
+    /// sample-cache stripe lock of the `POST /session/a/input` below is
+    /// stalled 200 µs by a latency-only shard fault (thousands of them: the
+    /// turn reads the whole table); while it is in flight `/stats` answers
     /// and a turn on session `b` completes.
     #[test]
     fn a_planning_session_turn_blocks_neither_stats_nor_other_sessions() {
-        let plan = "seed=1,emit=1.0,latency_us=400000,latency_only";
+        let plan = "seed=1,shard=1.0,latency_us=200,latency_only";
         let s = Arc::new(faulty_state(plan));
         let slow = {
             let s = Arc::clone(&s);
@@ -1102,7 +1080,7 @@ mod tests {
         while active() != Some(1) {
             std::thread::yield_now();
         }
-        // `prior` has no Emit site, so this turn is not stalled itself.
+        // `prior` has no sample cache, so this turn is not stalled itself.
         let other = "{\"text\": \"break down by season\", \"approach\": \"prior\"}";
         assert_eq!(post(&s, "/session/b/input", other).status, 200);
         assert!(!slow.is_finished(), "/stats and session b had to wait for session a's turn");
@@ -1177,25 +1155,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_degrades_answers_and_stats_report_the_ladder() {
-        let s = Arc::new(faulty_state("seed=7,read=1.0,breaker=2,cooldown_ms=60000"));
-        let r = post(&s, "/ask", "{\"question\": \"cancellation probability by season\"}");
-        assert_eq!(r.status, 200, "{}", r.body);
-        let v = Value::parse(&r.body).unwrap();
-        assert_eq!(v["degraded"].as_bool(), Some(true), "{}", r.body);
-        assert!(v["text"].as_str().unwrap().contains("No data"), "{}", r.body);
-        let stats = Value::parse(&get(&s, "/stats").body).unwrap();
-        let d = &stats["degradation"];
-        assert!(d["retries"].as_u64().unwrap() >= 1, "{stats:?}");
-        assert!(d["breaker_trips"].as_u64().unwrap() >= 1, "{stats:?}");
-        assert!(d["cache_fallbacks"].as_u64().unwrap() >= 1, "{stats:?}");
-        assert_eq!(d["degraded_answers"].as_u64().unwrap(), 1, "{stats:?}");
-        assert_eq!(d["clean_answers"].as_u64().unwrap(), 0, "{stats:?}");
-        assert_eq!(d["planning_ms_degraded"]["count"].as_u64().unwrap(), 1, "{stats:?}");
-        assert_eq!(d["planning_ms_clean"]["count"].as_u64().unwrap(), 0, "{stats:?}");
-    }
-
-    #[test]
     fn fault_free_plan_counts_clean_answers_and_omits_degraded_field() {
         // A plan with a seed but no fault sites: the resilience machinery
         // is live yet every answer completes clean.
@@ -1219,9 +1178,20 @@ mod tests {
         }
         let stats = Value::parse(&get(&s, "/stats").body).unwrap();
         let d = &stats["degradation"];
-        for rung in ["retries", "breaker_trips", "cache_fallbacks", "degraded_answers"] {
-            assert_eq!(d[rung].as_u64(), Some(0), "{rung}: {stats:?}");
-        }
+        let Value::Object(fields) = d else { panic!("{stats:?}") };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            keys,
+            [
+                "poison_recoveries",
+                "degraded_answers",
+                "clean_answers",
+                "planning_ms_degraded",
+                "planning_ms_clean"
+            ],
+            "only counters that can move"
+        );
+        assert_eq!(d["degraded_answers"].as_u64(), Some(0), "{stats:?}");
         assert_eq!(d["clean_answers"].as_u64(), Some(2), "{stats:?}");
         assert_eq!(stats["latency_ms"]["count"].as_u64(), Some(2), "every answer served");
     }
@@ -1239,7 +1209,10 @@ mod tests {
         assert_eq!(v["degraded"].as_bool(), Some(true), "{}", r.body);
         assert!(v["text"].as_str().unwrap().contains("cancellation probability"), "{}", r.body);
         let stats = Value::parse(&get(&s, "/stats").body).unwrap();
-        assert_eq!(stats["degradation"]["degraded_answers"].as_u64(), Some(1), "{stats:?}");
+        let d = &stats["degradation"];
+        assert_eq!(d["degraded_answers"].as_u64(), Some(1), "{stats:?}");
+        assert_eq!(d["planning_ms_degraded"]["count"].as_u64(), Some(1), "{stats:?}");
+        assert_eq!(d["planning_ms_clean"]["count"].as_u64(), Some(0), "{stats:?}");
     }
 
     /// One NDJSON ingest line that clones `row` of the pinned table, so
@@ -1276,6 +1249,39 @@ mod tests {
         assert_eq!(stats["version"].as_u64(), Some(1));
         assert_eq!(stats["ingest"]["batches"].as_u64(), Some(1));
         assert_eq!(stats["ingest"]["rows"].as_u64(), Some(2));
+    }
+
+    /// A failed fsync poisons the WAL (fsyncgate): the batch it hit is not
+    /// acknowledged, every later batch is refused before a revision is
+    /// built, and queries keep answering.
+    #[test]
+    fn a_poisoned_wal_refuses_ingest_and_keeps_answering() {
+        use voxolap_data::{DurabilityOptions, FsyncMode};
+        use voxolap_faults::{FaultInjector, FaultPlan};
+        let dir = std::env::temp_dir().join(format!("voxolap_api_fsync_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let table = FlightsConfig { rows: 8_000, seed: 42 }.generate();
+        let plan = FaultPlan::parse("fsync=1.0").unwrap();
+        let options = DurabilityOptions {
+            fsync_mode: FsyncMode::Always,
+            faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..DurabilityOptions::default()
+        };
+        let (durable, _) = DurableTable::open(table.clone(), &dir, options).unwrap();
+        let s = Arc::new(AppState::durable(durable));
+        let batch = format!("{}\n", echo_line(&table, 0));
+        let first = post(&s, "/ingest", &batch);
+        assert_eq!(first.status, 503, "{}", first.body);
+        assert!(first.body.contains("not durable"), "{}", first.body);
+        let second = post(&s, "/ingest", &batch);
+        assert_eq!(second.status, 503, "{}", second.body);
+        let ask = post(&s, "/ask", "{\"question\": \"cancellation probability by season\"}");
+        assert_eq!(ask.status, 200, "{}", ask.body);
+        let stats = Value::parse(&get(&s, "/stats").body).unwrap();
+        assert_eq!(stats["version"].as_u64(), Some(0), "nothing was published: {stats:?}");
+        assert_eq!(stats["durability"]["wal_poisoned"].as_bool(), Some(true), "{stats:?}");
+        assert_eq!(stats["durability"]["fsync_failures"].as_u64(), Some(1), "{stats:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -35,10 +35,13 @@
 //! approach (default: all cores). `--cache-mb` sizes the cross-query
 //! semantic cache shared by all requests (default 64; `0` disables it).
 //! `--fault-plan` attaches a deterministic fault-injection schedule to
-//! the degradation policy every vocalizer carries (e.g.
-//! `seed=7,read=0.2,budget=64`; DESIGN.md §12); degraded answers carry
-//! `"degraded":true` and the `"degradation"` section of `GET /stats`
-//! (always present) counts the ladder's rungs.
+//! the sites where this process can really fail (e.g.
+//! `seed=7,shard=0.2,fsync=0.01`; DESIGN.md §12): `shard` tears
+//! sample-cache stripes as a worker panicking under their lock would, and
+//! `wal`, `fsync` and `snap` fail the storage writes of `--data-dir`. Any
+//! other key is refused with exit status 2. Answers cut by a deadline
+//! carry `"degraded":true`; the `"degradation"` section of `GET /stats`
+//! (always present) counts clean and degraded answers and rebuilt locks.
 //!
 //! The serving layer is an epoll reactor feeding a bounded worker pool
 //! (DESIGN.md §15): `--http-threads` sets the pool size (default 8),
@@ -82,7 +85,7 @@ use std::time::Duration;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::salary::SalaryConfig;
 use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode};
-use voxolap_faults::Resilience;
+use voxolap_faults::{FaultPlan, Resilience};
 use voxolap_server::{serve_with, AppState, HttpMetrics, ServerConfig};
 
 /// Every flag of the module docs, checked once: a value is stored only
@@ -207,10 +210,10 @@ fn main() {
     // storage sites (wal/fsync/snap) share the planner's injector.
     let resilience = match &args.fault_plan {
         None => Arc::default(),
-        Some(spec) => match Resilience::from_spec(spec) {
-            Ok(r) => {
+        Some(spec) => match FaultPlan::parse(spec) {
+            Ok(plan) => {
                 eprintln!("fault plan attached: {spec}");
-                Arc::new(r)
+                Arc::new(Resilience::new(Some(plan)))
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -311,7 +314,7 @@ mod tests {
     fn every_flag_parses_to_its_type() {
         let a = parse(
             "--port 8099 --data salary --rows 5300000 --threads 2 \
-             --cache-mb 0 --fault-plan seed=7,read=0.2 --http-threads 4 --http-queue 8 \
+             --cache-mb 0 --fault-plan seed=7,shard=0.2 --http-threads 4 --http-queue 8 \
              --http-timeout-ms 200 --http-idle-ms 300 --max-conns 9 --session-idle-ms 400 \
              --heartbeat-ms 500 --utterance-deadline-ms 1 --data-dir data \
              --fsync-mode off --snapshot-every 0 --shutdown-drain-ms 600",
@@ -319,7 +322,7 @@ mod tests {
         .unwrap();
         assert_eq!(
             (a.port, a.salary, a.rows, a.fault_plan.as_deref(), a.data_dir.as_deref()),
-            (Some(8099), true, Some(5_300_000), Some("seed=7,read=0.2"), Some("data"))
+            (Some(8099), true, Some(5_300_000), Some("seed=7,shard=0.2"), Some("data"))
         );
         assert_eq!(
             (a.fsync_mode, a.http_timeout_ms, a.max_conns),

@@ -340,25 +340,41 @@ mod tests {
     #[test]
     fn degraded_outcomes_surface_through_session_vocalization() {
         use std::sync::Arc;
-        use voxolap_faults::{FaultPlan, FaultSite, Resilience, SiteSchedule};
+        use std::time::Instant;
+        use voxolap_core::{CancelToken, SpeechStream};
+        use voxolap_faults::Resilience;
+
+        /// The engine, asked after its deadline has already passed.
+        struct Late(Holistic);
+        impl Vocalizer for Late {
+            fn name(&self) -> &'static str {
+                "late"
+            }
+            fn stream<'a>(
+                &self,
+                table: &'a Table,
+                query: &'a Query,
+                voice: &'a mut dyn VoiceOutput,
+                _: CancelToken,
+            ) -> SpeechStream<'a> {
+                self.0.stream(table, query, voice, CancelToken::with_deadline(Instant::now()))
+            }
+        }
+
         let t = table();
         let mut s = Session::new(&t);
         s.input("break down by region").unwrap();
-        // Every data read fails and the breaker trips immediately: the
-        // session answer must still come back, marked degraded.
-        let plan = FaultPlan::new(9).with_site(FaultSite::DataRead, SiteSchedule::error(1.0));
-        let res = Arc::new(
-            Resilience::new(Some(plan)).with_breaker(2, std::time::Duration::from_secs(3600)),
-        );
-        let faulty = Holistic::new(HolisticConfig::default()).with_resilience(res.clone());
+        // The deadline cuts the plan before its first sample: the session
+        // answer must still come back, marked degraded.
+        let res = Arc::new(Resilience::default());
+        let late = Late(Holistic::new(HolisticConfig::default()).with_resilience(res.clone()));
         let mut voice = InstantVoice::default();
-        let outcome = s.vocalize_with(&faulty, &mut voice).unwrap();
-        assert!(outcome.stats.degraded, "dead source must mark the answer degraded");
-        assert_eq!(outcome.stats.rows_read, 0);
+        let outcome = s.vocalize_with(&late, &mut voice).unwrap();
+        assert!(outcome.stats.degraded, "a deadline cut must mark the answer degraded");
+        assert_eq!(outcome.sentences.len(), 1, "the anytime answer is a baseline");
         assert_eq!(res.stats().snapshot().degraded_answers, 1);
-        // The same session state with inert resilience stays clean.
-        let clean = Holistic::new(HolisticConfig::default())
-            .with_resilience(Arc::new(Resilience::default()));
+        // The same session state with no deadline stays clean.
+        let clean = Holistic::new(HolisticConfig::default()).with_resilience(res.clone());
         let outcome = s.vocalize_with(&clean, &mut voice).unwrap();
         assert!(!outcome.stats.degraded);
     }

@@ -2,13 +2,13 @@
 //! holistic engine, at one thread and as a team, and at Unmerged
 //! (DESIGN.md §12).
 //!
-//! Each seed derives a randomized [`FaultPlan`] — read/sample/shard/emit
-//! error probabilities, optional injected latency, a per-run fault budget,
-//! and breaker settings — and vocalizes a real query under it. Invariants
-//! checked for every run:
+//! Each seed derives a randomized [`FaultPlan`] — a cache-shard tear
+//! probability with an optional stall, the one in-process fault the
+//! planner meets — and a deadline: none, or one already past. It
+//! vocalizes a real query under both. Invariants checked for every run:
 //!
-//! 1. no panic escapes the engine (a poisoned shard or dead source must
-//!    degrade, not crash);
+//! 1. no panic escapes the engine (a poisoned shard must be rebuilt, a
+//!    passed deadline must degrade, neither may crash);
 //! 2. exactly one answer is accounted, clean xor degraded;
 //! 3. the spoken text is never empty, and a "No data" fallback on a table
 //!    that *has* data is always marked degraded;
@@ -33,6 +33,7 @@ use voxolap_core::outcome::VocalizationOutcome;
 use voxolap_core::parallel::ParallelHolistic;
 use voxolap_core::unmerged::{SamplingBudget, Unmerged};
 use voxolap_core::voice::InstantVoice;
+use voxolap_core::CancelToken;
 use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::{DimId, Table};
@@ -70,31 +71,23 @@ fn query(table: &Table, two_dims: bool) -> Query {
     b.build(table.schema()).unwrap()
 }
 
-/// Derive one randomized-but-deterministic resilience bundle from `seed`.
-fn chaos_resilience(seed: u64) -> Arc<Resilience> {
+/// Derive one randomized-but-deterministic schedule from `seed`: the
+/// resilience bundle, and the cancel token that carries its deadline.
+fn chaos_schedule(seed: u64) -> (Arc<Resilience>, CancelToken) {
     let mut gen = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let mut plan = FaultPlan::new(seed);
-    // Sample-fault probability stays ≤ 0.5 so planning always makes
-    // progress between faults; read faults may be total (breaker + cache
-    // fallback must carry the answer then).
-    plan = plan.with_site(
-        FaultSite::DataRead,
-        SiteSchedule {
-            probability: gen.gen_range(0.0..=1.0),
-            latency: Duration::from_micros(gen.gen_range(0..100)),
-            error: true,
-        },
-    );
-    plan = plan.with_site(FaultSite::Sample, SiteSchedule::error(gen.gen_range(0.0..0.5)));
-    plan = plan.with_site(FaultSite::CacheShard, SiteSchedule::error(gen.gen_range(0.0..0.05)));
-    plan = plan.with_site(FaultSite::Emit, SiteSchedule::error(gen.gen_range(0.0..0.1)));
-    let budget = gen.gen_range(16..256);
-    let threshold = gen.gen_range(2..6);
-    Arc::new(
-        Resilience::new(Some(plan))
-            .with_budget(budget)
-            .with_breaker(threshold, Duration::from_millis(1)),
-    )
+    let shard = SiteSchedule {
+        probability: gen.gen_range(0.0..0.05),
+        latency: Duration::from_micros(gen.gen_range(0..20)),
+        error: true,
+    };
+    let plan = FaultPlan::new(seed).with_site(FaultSite::CacheShard, shard);
+    // A quarter of the schedules run out of time before planning starts:
+    // the anytime answer (or a stale exact serve) must carry them.
+    let cancel = match gen.gen_bool(0.25) {
+        true => CancelToken::with_deadline(Instant::now()),
+        false => CancelToken::never(),
+    };
+    (Arc::new(Resilience::new(Some(plan))), cancel)
 }
 
 fn engine_for(seed: u64, res: Arc<Resilience>) -> Box<dyn Vocalizer> {
@@ -194,12 +187,12 @@ fn hundred_seeded_fault_schedules_never_break_the_invariants() {
     let mut injected_total = 0u64;
     for seed in 0..SEEDS {
         current_seed.store(seed, Ordering::Relaxed);
-        let res = chaos_resilience(seed);
+        let (res, cancel) = chaos_schedule(seed);
         let q = query(&t, seed % 3 != 0);
         let engine = engine_for(seed, Arc::clone(&res));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut voice = InstantVoice::default();
-            engine.vocalize(&t, &q, &mut voice)
+            engine.stream(&t, &q, &mut voice, cancel).drain()
         }))
         .unwrap_or_else(|e| {
             record_failure_seed(seed, "panic escaped the engine");
@@ -215,28 +208,29 @@ fn hundred_seeded_fault_schedules_never_break_the_invariants() {
     done.store(true, Ordering::Relaxed);
     watchdog.join().unwrap();
 
-    // The schedules must actually bite: plenty of injected faults, some
-    // degraded answers, and some runs that rode the faults out clean.
+    // The schedules must actually bite: plenty of torn shards, some
+    // answers degraded by their deadline, and some runs that rode the
+    // tears out clean.
     assert!(injected_total > 100, "only {injected_total} faults injected across the suite");
     assert!(degraded_runs > 0, "no schedule degraded an answer");
     assert!(degraded_runs < SEEDS, "every schedule degraded; mild ones should survive clean");
 }
 
 /// Unmerged samples on the holistic engine's team, so every schedule's
-/// read, sample, shard and emit faults reach it too: the same invariants
-/// hold for its whole-speech-at-once answers under an iteration budget.
+/// shard faults and deadline reach it too: the same invariants hold for
+/// its whole-speech-at-once answers under an iteration budget.
 #[test]
 fn seeded_fault_schedules_never_break_unmerged() {
     let t = table();
     let mut injected_shard = 0u64;
     for seed in 0..SEEDS {
-        let res = chaos_resilience(seed);
+        let (res, cancel) = chaos_schedule(seed);
         let q = query(&t, seed % 3 != 0);
         let config = HolisticConfig { max_tree_nodes: 30_000, seed, ..HolisticConfig::default() };
         let engine = Unmerged::new(config, SamplingBudget::Iterations(400))
             .with_resilience(Arc::clone(&res));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            engine.vocalize(&t, &q, &mut InstantVoice::default())
+            engine.stream(&t, &q, &mut InstantVoice::default(), cancel).drain()
         }))
         .unwrap_or_else(|e| {
             record_failure_seed(seed, "panic escaped Unmerged");
@@ -251,52 +245,14 @@ fn seeded_fault_schedules_never_break_unmerged() {
     assert!(injected_shard > 0, "no schedule tore a shard of Unmerged's cache");
 }
 
-#[test]
-fn total_read_outage_on_the_morsel_path_still_answers() {
-    // DataRead probability 1.0: every attempt to pull rows off the shared
-    // morsel pool is refused, the breaker opens, and no worker ever claims
-    // a morsel — at any thread count the engine must still deliver the
-    // (degraded) no-data fallback instead of hanging or panicking.
-    let t = table();
-    let q = query(&t, true);
-    for threads in [1usize, 2, 4] {
-        let plan = FaultPlan::new(5).with_site(
-            FaultSite::DataRead,
-            SiteSchedule { probability: 1.0, latency: Duration::ZERO, error: true },
-        );
-        let res = Arc::new(
-            Resilience::new(Some(plan)).with_budget(64).with_breaker(3, Duration::from_millis(1)),
-        );
-        let config = HolisticConfig {
-            min_samples_per_sentence: 200,
-            max_tree_nodes: 30_000,
-            seed: 5,
-            ..HolisticConfig::default()
-        };
-        let mut voice = InstantVoice::default();
-        let outcome = ParallelHolistic::new(config)
-            .with_threads(threads)
-            .with_resilience(Arc::clone(&res))
-            .vocalize(&t, &q, &mut voice);
-        assert!(!outcome.full_text().is_empty(), "{threads} threads: silent engine");
-        assert!(outcome.stats.degraded, "{threads} threads: outage answer not marked degraded");
-        assert_eq!(
-            outcome.stats.rows_read, 0,
-            "{threads} threads: breaker-open workers must not consume morsels"
-        );
-        let snap = res.stats().snapshot();
-        assert_eq!(snap.clean_answers + snap.degraded_answers, 1, "{threads} threads");
-    }
-}
-
 /// Fault schedules firing while append + repair traffic flows (DESIGN.md
 /// §16): every iteration fills a shared cache clean, appends a batch —
 /// making all cached entries version-stale — and replans under a
 /// randomized fault plan. The cache must never pass a wrong-version
 /// result off as fresh: a stale entry never counts as an exact hit, and
-/// any stale serve must surface on the answer as `stale: true` (riding
-/// the degradation ladder, so it is also marked degraded). No schedule
-/// may let a panic escape the append/repair path.
+/// any stale serve — a schedule whose deadline has passed — must surface
+/// on the answer as `stale: true` (and so be marked degraded). No
+/// schedule may let a panic escape the append/repair path.
 #[test]
 fn append_chaos_never_serves_wrong_version_results_unmarked() {
     use voxolap_data::schema::MeasureId;
@@ -363,12 +319,12 @@ fn append_chaos_never_serves_wrong_version_results_unmarked() {
         }
         let before = cache.stats();
         live.append_rows(&echo(seed as usize * 100, 100)).expect("append");
-        let res = chaos_resilience(seed);
+        let (res, cancel) = chaos_schedule(seed);
         let snap = live.snapshot();
         let q = query(&snap, two_dims);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut voice = InstantVoice::default();
-            engine(Some(Arc::clone(&res))).vocalize(&snap, &q, &mut voice)
+            engine(Some(Arc::clone(&res))).stream(&snap, &q, &mut voice, cancel).drain()
         }))
         .unwrap_or_else(|e| {
             record_failure_seed(seed, "panic escaped the append/repair path");
@@ -392,8 +348,8 @@ fn append_chaos_never_serves_wrong_version_results_unmarked() {
         stale_total += stale_serves;
     }
     // The schedule mix must exercise both outcomes: snapshots repaired
-    // under fire, and at least one schedule harsh enough that the ladder
-    // fell back to the (marked) stale exact answer.
+    // under fire, and at least one schedule out of time that fell back to
+    // the (marked) stale exact answer.
     assert!(repairs_total > 0, "no snapshot was ever repaired under chaos");
     assert!(stale_total > 0, "no schedule forced a stale exact serve");
 }
@@ -455,9 +411,10 @@ fn append_rounds_under_chaos_repair_each_suffix_at_most_once() {
             let snap = live.snapshot();
             // Alternating group-bys share the one unfiltered scope.
             let q = query(&snap, round % 2 == 0);
-            let faulty = engine.clone().with_resilience(chaos_resilience(seed * ROUNDS + round));
+            let (res, cancel) = chaos_schedule(seed * ROUNDS + round);
+            let faulty = engine.clone().with_resilience(res);
             std::panic::catch_unwind(AssertUnwindSafe(|| {
-                faulty.vocalize(&snap, &q, &mut InstantVoice::default())
+                faulty.stream(&snap, &q, &mut InstantVoice::default(), cancel).drain()
             }))
             .unwrap_or_else(|e| {
                 record_failure_seed(seed, "panic escaped an append round");
