@@ -23,9 +23,9 @@
 //!   --strict                fail on the first malformed CSV row instead of
 //!                           skipping it (lenient-skip is the default)
 //!   --data-dir PATH         recover ingested batches from a durable store
-//!                           (WAL + snapshots, DESIGN.md §17) on top of the
-//!                           generated/loaded seed before answering; a
-//!                           clean-shutdown marker is written on exit
+//!                           (the WAL, DESIGN.md §17) on top of the
+//!                           generated/loaded seed before answering; the
+//!                           WAL is flushed on exit
 //!   --fsync-mode MODE       always|batch|off (default batch); only
 //!                           meaningful with --data-dir
 //!
@@ -81,7 +81,7 @@ fn usage() -> &'static str {
        --seed N                RNG seed (default 42)\n\
        --cache-mb N            semantic-cache budget in MiB (default 64; 0 disables)\n\
        --strict                fail on the first malformed CSV row (default: skip + count)\n\
-       --data-dir PATH         recover durable ingest state (WAL + snapshots) over the seed\n\
+       --data-dir PATH         recover durable ingest state (the WAL) over the seed\n\
        --fsync-mode MODE       always|batch|off (default batch); with --data-dir"
 }
 
@@ -352,7 +352,7 @@ fn main() -> ExitCode {
                     eprintln!(
                         "recovered {} batch(es), {} row(s) from {dir} \
                          (version {}, torn_truncations {}, {:.1}ms)",
-                        recovery.snapshot_batches + recovery.replayed_batches,
+                        recovery.replayed_batches,
                         recovery.replayed_rows,
                         recovery.version,
                         recovery.torn_tail_truncations,
@@ -380,9 +380,8 @@ fn main() -> ExitCode {
         "repl" => cmd_repl(&opts, table),
         other => Err(format!("unknown command {other:?}\n{}", usage())),
     };
-    // Leave a clean-shutdown marker so the next open skips tail scanning.
     if let Err(e) = durable.shutdown_clean() {
-        eprintln!("warning: could not write clean-shutdown marker: {e}");
+        eprintln!("warning: could not flush the WAL: {e}");
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,

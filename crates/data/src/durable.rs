@@ -1,48 +1,41 @@
 //! Crash-safe wrapper around [`LiveTable`]: WAL commit before the
-//! revision swap, periodic snapshot compaction, and startup recovery
-//! (DESIGN.md §17).
+//! revision swap, and startup recovery (DESIGN.md §17).
 //!
 //! ## On-disk layout (inside `--data-dir`)
 //!
 //! ```text
-//! wal.log              append-only log of batches since the snapshot
-//! snapshot-<V>.snap    compacted log of every batch up to version V
-//! clean                clean-shutdown marker (version + wal length)
-//! *.tmp                in-flight snapshot/marker writes (deleted on boot)
+//! wal.log    append-only log of every acknowledged batch since the seed
 //! ```
 //!
-//! A snapshot is *not* a serialized table — it is the same record format
-//! as the WAL, produced by concatenating the previous snapshot's records
-//! with the current WAL's (compaction is a byte-level copy). Replaying a
-//! snapshot therefore recreates every batch in original order, which
-//! reproduces the exact [`TableVersion`] sequence and dictionary-member
-//! assignment order; engine caches keyed by version repair correctly
-//! against a recovered table with no special cases.
+//! The durable store is the seed table plus this one log. There is no
+//! snapshot: replaying the log onto the seed recreates every batch in
+//! original order, which reproduces the exact [`TableVersion`] sequence
+//! and dictionary-member assignment order, so engine caches keyed by
+//! version repair correctly against a recovered table with no special
+//! cases. A directory that still holds a `snapshot-<V>.snap` of the
+//! older two-file layout is refused: its log no longer holds the
+//! batches the snapshot took.
 //!
 //! ## Recovery state machine
 //!
 //! ```text
-//! boot ─▶ delete *.tmp
-//!      ─▶ newest valid snapshot? ──replay──▶ version V
-//!      ─▶ clean marker matches wal.log? ──yes──▶ trust framing (no CRC scan)
-//!                                       └─no───▶ CRC-scan, truncate torn tail
-//!      ─▶ replay WAL batches with version > current (idempotent skip ≤)
-//!      ─▶ delete marker (now dirty) ─▶ open WAL for append ─▶ serve
+//! boot ─▶ snapshot-*.snap present? ──yes──▶ refuse (name the file)
+//!      ─▶ CRC-scan wal.log, truncate the torn tail
+//!      ─▶ replay batches with version > current (idempotent skip ≤)
+//!      ─▶ open WAL for append ─▶ serve
 //! ```
 //!
-//! The idempotent version check makes a crash *between* snapshot rename
-//! and WAL truncation safe: the next boot replays the snapshot, then
-//! skips the WAL records it already contains.
+//! Every boot runs the same path, after a crash or a graceful shutdown.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::fs::{self, OpenOptions};
+use std::io::Write;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use voxolap_faults::{FaultInjector, FaultSite};
+use voxolap_faults::FaultInjector;
 
 use crate::error::DataError;
 use crate::live::{AppendReport, LiveTable};
@@ -50,18 +43,18 @@ use crate::table::{IngestRow, Table, TableVersion};
 use crate::wal::{self, FsyncMode, Wal, MAGIC};
 
 const WAL_FILE: &str = "wal.log";
-const MARKER_FILE: &str = "clean";
 
 /// Tuning for [`DurableTable::open`].
 #[derive(Debug, Clone)]
 pub struct DurabilityOptions {
     /// When the WAL fsyncs (see [`FsyncMode`]).
     pub fsync_mode: FsyncMode,
-    /// Compact the WAL into a snapshot every this many batches
-    /// (0 disables snapshots; the WAL then grows unbounded).
+    /// Unread: the store is one log and never compacts. Kept only because
+    /// the benchmark builds this struct field by field; it goes with that
+    /// code (ROADMAP item 11c). *None.*
     pub snapshot_every_batches: u64,
-    /// Fault injector whose `WalAppend`/`WalFsync`/`SnapshotWrite` sites
-    /// fire inside the storage path.
+    /// Fault injector whose `WalAppend`/`WalFsync` sites fire inside the
+    /// storage path.
     pub faults: Option<Arc<FaultInjector>>,
 }
 
@@ -82,11 +75,6 @@ pub struct DurabilityStats {
     pub fsyncs: AtomicU64,
     /// Failed fsyncs (each poisons the log — fsyncgate).
     pub fsync_failures: AtomicU64,
-    /// Snapshot compactions completed.
-    pub snapshots_written: AtomicU64,
-    /// Snapshot compactions that failed (data stays safe in the WAL;
-    /// retried once the next batch lands).
-    pub snapshot_failures: AtomicU64,
 }
 
 /// Point-in-time copy of [`DurabilityStats`] plus recovery facts.
@@ -102,18 +90,12 @@ pub struct DurabilitySnapshot {
     pub fsyncs: u64,
     /// Failed (poisoning) fsyncs since boot.
     pub fsync_failures: u64,
-    /// Snapshot compactions completed since boot.
-    pub snapshots_written: u64,
-    /// Snapshot compactions that failed since boot.
-    pub snapshot_failures: u64,
-    /// Batches replayed during boot recovery (snapshot + WAL).
+    /// Batches replayed during boot recovery.
     pub replayed_batches: u64,
     /// Rows replayed during boot recovery.
     pub replayed_rows: u64,
     /// Torn tails truncated during boot recovery.
     pub torn_tail_truncations: u64,
-    /// Whether the previous shutdown left a valid clean marker.
-    pub clean_start: bool,
     /// Wall-clock milliseconds spent in boot recovery.
     pub recovery_ms: f64,
     /// Whether a failed fsync poisoned the WAL (fsyncgate): every append
@@ -122,19 +104,18 @@ pub struct DurabilitySnapshot {
 }
 
 /// What startup recovery found and did.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RecoveryReport {
-    /// Batches replayed from the snapshot file.
+    /// Always 0: every batch is replayed from the one log. Kept only
+    /// because the benchmark reads it; it goes with that code (ROADMAP
+    /// item 11c). *None.*
     pub snapshot_batches: u64,
-    /// Batches replayed from the WAL suffix (after idempotent skips).
+    /// Batches replayed from the log (after idempotent skips).
     pub replayed_batches: u64,
-    /// Rows replayed in total (snapshot + WAL).
+    /// Rows replayed in total.
     pub replayed_rows: u64,
-    /// Torn tails truncated (0 or 1 per file scanned).
+    /// Torn tails truncated (0 or 1).
     pub torn_tail_truncations: u64,
-    /// Whether a valid clean-shutdown marker let recovery skip the
-    /// CRC tail scan.
-    pub clean_start: bool,
     /// Table version after recovery.
     pub version: TableVersion,
     /// Total rows after recovery.
@@ -143,41 +124,13 @@ pub struct RecoveryReport {
     pub recovery_ms: f64,
 }
 
-impl RecoveryReport {
-    fn in_memory(version: TableVersion, total_rows: usize) -> Self {
-        RecoveryReport {
-            snapshot_batches: 0,
-            replayed_batches: 0,
-            replayed_rows: 0,
-            torn_tail_truncations: 0,
-            clean_start: true,
-            version,
-            total_rows,
-            recovery_ms: 0.0,
-        }
-    }
-}
-
-/// Serialized WAL state: the open log plus compaction bookkeeping. One
-/// mutex orders appends, compaction, and shutdown flush against each
-/// other (readers never touch it).
-#[derive(Debug)]
-struct WalState {
-    wal: Wal,
-    /// Batches appended since the last completed snapshot.
-    batches_since_snapshot: u64,
-    /// Current snapshot file, if any.
-    snapshot: Option<PathBuf>,
-}
-
 #[derive(Debug)]
 struct Store {
-    dir: PathBuf,
-    state: Mutex<WalState>,
+    /// The open log. Its mutex orders appends against the shutdown flush
+    /// (readers never touch it).
+    wal: Mutex<Wal>,
     stats: Arc<DurabilityStats>,
     fsync_mode: FsyncMode,
-    snapshot_every: u64,
-    faults: Option<Arc<FaultInjector>>,
     recovery: RecoveryReport,
 }
 
@@ -207,47 +160,30 @@ impl DurableTable {
         options: DurabilityOptions,
     ) -> Result<(DurableTable, RecoveryReport), DataError> {
         let t0 = Instant::now();
-        let dir = dir.as_ref().to_path_buf();
+        let dir = dir.as_ref();
         let io = |op: &'static str| {
             move |e: std::io::Error| DataError::Wal { op, message: e.to_string() }
         };
-        fs::create_dir_all(&dir).map_err(io("open"))?;
+        fs::create_dir_all(dir).map_err(io("open"))?;
+        for entry in fs::read_dir(dir).map_err(io("recovery"))? {
+            let path = entry.map_err(io("recovery"))?.path();
+            if path.extension().is_some_and(|e| e == "snap") {
+                return Err(DataError::Wal {
+                    op: "recovery",
+                    message: format!(
+                        "{} is a snapshot of the older two-file layout, which this version \
+                         cannot read; its batches are not in {WAL_FILE}",
+                        path.display()
+                    ),
+                });
+            }
+        }
 
         let live = LiveTable::new(seed);
-        let stats = Arc::new(DurabilityStats::default());
-        let mut report = RecoveryReport::in_memory(live.version(), live.snapshot().row_count());
-        report.clean_start = false;
-
-        // 1. Sweep in-flight temp files from a crashed snapshot/marker write.
-        for entry in fs::read_dir(&dir).map_err(io("recovery"))? {
-            let path = entry.map_err(io("recovery"))?.path();
-            if path.extension().is_some_and(|e| e == "tmp") {
-                fs::remove_file(&path).ok();
-            }
-        }
-
-        // 2. Newest valid snapshot wins; unreadable ones are skipped (the
-        //    WAL still has everything since the one before).
-        let mut snapshot: Option<PathBuf> = None;
-        for (path, _version) in snapshots_newest_first(&dir).map_err(io("recovery"))? {
-            let read = wal::read_log(&path, true).map_err(io("recovery"))?;
-            if read.torn || read.batches.is_empty() {
-                continue;
-            }
-            replay(&live, read.batches, &mut report, true)?;
-            snapshot = Some(path);
-            break;
-        }
-
-        // 3. The WAL suffix. A clean marker matching the file lets us
-        //    trust record framing without the CRC scan.
+        let mut report = RecoveryReport::default();
         let wal_path = dir.join(WAL_FILE);
-        let marker_path = dir.join(MARKER_FILE);
         if wal_path.exists() {
-            let marker = read_marker(&marker_path);
-            let wal_len = fs::metadata(&wal_path).map_err(io("recovery"))?.len();
-            let clean = marker.is_some_and(|(_, len)| len == wal_len);
-            let read = wal::read_log(&wal_path, !clean).map_err(io("recovery"))?;
+            let read = wal::read_log(&wal_path).map_err(io("recovery"))?;
             if read.torn {
                 // Truncate the torn (never-acknowledged) tail so the next
                 // append starts from a valid record boundary. If even the
@@ -262,39 +198,19 @@ impl DurableTable {
                 f.sync_all().map_err(io("recovery"))?;
                 report.torn_tail_truncations += 1;
             }
-            report.clean_start = clean && !read.torn;
-            replay(&live, read.batches, &mut report, false)?;
-        } else {
-            // Fresh directory: nothing to recover is a clean start.
-            report.clean_start = !marker_path.exists() && snapshot.is_none();
+            replay(&live, read.batches, &mut report)?;
         }
 
-        // 4. Running ⇒ dirty: only a graceful shutdown rewrites the marker.
-        fs::remove_file(&marker_path).ok();
-
-        let version = live.version();
-        report.version = version;
+        report.version = live.version();
         report.total_rows = live.snapshot().row_count();
-        let wal = Wal::open_at(
-            &wal_path,
-            options.fsync_mode,
-            version,
-            Arc::clone(&stats),
-            options.faults.clone(),
-        )?;
+        let stats = Arc::new(DurabilityStats::default());
+        let wal = Wal::open_at(&wal_path, options.fsync_mode, Arc::clone(&stats), options.faults)?;
         report.recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
 
         let store = Store {
-            dir,
-            state: Mutex::new(WalState {
-                wal,
-                batches_since_snapshot: report.replayed_batches,
-                snapshot,
-            }),
+            wal: Mutex::new(wal),
             stats,
             fsync_mode: options.fsync_mode,
-            snapshot_every: options.snapshot_every_batches,
-            faults: options.faults,
             recovery: report.clone(),
         };
         Ok((DurableTable { live, store: Some(store) }, report))
@@ -325,77 +241,18 @@ impl DurableTable {
         let Some(store) = &self.store else {
             return self.live.append_rows(rows);
         };
-        store.state.lock().wal.check_writable("append")?;
-        let report = self.live.append_rows_with(rows, |report, rows| {
-            let mut state = store.state.lock();
-            state.wal.append_batch(report.version, rows)?;
-            state.batches_since_snapshot += 1;
-            Ok(())
-        })?;
-        if report.appended > 0 && store.snapshot_every > 0 {
-            self.maybe_compact(store);
-        }
-        Ok(report)
+        store.wal.lock().check_writable("append")?;
+        self.live.append_rows_with(rows, |report, rows| {
+            store.wal.lock().append_batch(report.version, rows)
+        })
     }
 
-    /// Compact WAL into a snapshot if the interval elapsed. Failure is
-    /// non-fatal: the WAL still holds every batch, and the next append
-    /// retries. Runs outside the table's writer lock — only the WAL mutex
-    /// is held, so readers and (brief) appenders queue behind the copy.
-    fn maybe_compact(&self, store: &Store) {
-        let mut state = store.state.lock();
-        if state.batches_since_snapshot < store.snapshot_every {
-            return;
-        }
-        let injected = store
-            .faults
-            .as_ref()
-            .and_then(|f| f.roll(FaultSite::SnapshotWrite))
-            .inspect(|f| f.stall())
-            .is_some_and(|f| f.error);
-        let result = if injected {
-            Err(DataError::Wal { op: "snapshot", message: "injected snapshot fault".into() })
-        } else {
-            write_snapshot(&store.dir, &mut state)
-        };
-        match result {
-            Ok(()) => {
-                state.batches_since_snapshot = 0;
-                store.stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(_) => {
-                store.stats.snapshot_failures.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Force a compaction now regardless of the interval (tests, CLI).
-    pub fn compact_now(&self) -> Result<(), DataError> {
-        let Some(store) = &self.store else { return Ok(()) };
-        let mut state = store.state.lock();
-        write_snapshot(&store.dir, &mut state)?;
-        state.batches_since_snapshot = 0;
-        store.stats.snapshots_written.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Graceful shutdown: flush and fsync the WAL (whatever the mode),
-    /// then write the clean-shutdown marker so the next boot can skip
-    /// the CRC tail scan. In-memory mode is a no-op.
+    /// Graceful shutdown: flush and fsync the WAL, whatever the mode. The
+    /// next boot recovers exactly as after a crash. In-memory mode is a
+    /// no-op.
     pub fn shutdown_clean(&self) -> Result<(), DataError> {
         let Some(store) = &self.store else { return Ok(()) };
-        let mut state = store.state.lock();
-        state.wal.flush_and_sync()?;
-        let marker =
-            format!("version={} wal_len={}\n", state.wal.last_version(), state.wal.bytes());
-        let io = |e: std::io::Error| DataError::Wal { op: "marker", message: e.to_string() };
-        let tmp = store.dir.join("clean.tmp");
-        let mut f = File::create(&tmp).map_err(io)?;
-        f.write_all(marker.as_bytes()).map_err(io)?;
-        f.sync_all().map_err(io)?;
-        drop(f);
-        fs::rename(&tmp, store.dir.join(MARKER_FILE)).map_err(io)?;
-        Ok(())
+        store.wal.lock().flush_and_sync()
     }
 
     /// What boot recovery found (None for in-memory tables).
@@ -414,27 +271,22 @@ impl DurableTable {
             wal_appends: s.wal_appends.load(Ordering::Relaxed),
             fsyncs: s.fsyncs.load(Ordering::Relaxed),
             fsync_failures: s.fsync_failures.load(Ordering::Relaxed),
-            snapshots_written: s.snapshots_written.load(Ordering::Relaxed),
-            snapshot_failures: s.snapshot_failures.load(Ordering::Relaxed),
-            replayed_batches: r.snapshot_batches + r.replayed_batches,
+            replayed_batches: r.replayed_batches,
             replayed_rows: r.replayed_rows,
             torn_tail_truncations: r.torn_tail_truncations,
-            clean_start: r.clean_start,
             recovery_ms: r.recovery_ms,
-            wal_poisoned: store.state.lock().wal.poisoned(),
+            wal_poisoned: store.wal.lock().poisoned(),
         })
     }
 }
 
 /// Replay recovered batches onto the live table, skipping versions the
 /// table already has (idempotence — replaying the same log twice is a
-/// no-op, and a crash between snapshot rename and WAL truncation leaves
-/// duplicates that are skipped here).
+/// no-op).
 fn replay(
     live: &LiveTable,
     batches: Vec<wal::WalBatch>,
     report: &mut RecoveryReport,
-    from_snapshot: bool,
 ) -> Result<(), DataError> {
     for batch in batches {
         if batch.version <= live.version() {
@@ -453,90 +305,8 @@ fn replay(
                 ),
             });
         }
-        if from_snapshot {
-            report.snapshot_batches += 1;
-        } else {
-            report.replayed_batches += 1;
-        }
+        report.replayed_batches += 1;
         report.replayed_rows += applied.appended as u64;
-    }
-    Ok(())
-}
-
-/// Enumerate `snapshot-<V>.snap` files, newest version first.
-fn snapshots_newest_first(dir: &Path) -> std::io::Result<Vec<(PathBuf, TableVersion)>> {
-    let mut found = Vec::new();
-    for entry in fs::read_dir(dir)? {
-        let path = entry?.path();
-        let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-        let Some(version) = name
-            .strip_prefix("snapshot-")
-            .and_then(|rest| rest.strip_suffix(".snap"))
-            .and_then(|v| v.parse::<TableVersion>().ok())
-        else {
-            continue;
-        };
-        found.push((path, version));
-    }
-    found.sort_by_key(|&(_, version)| std::cmp::Reverse(version));
-    Ok(found)
-}
-
-/// Parse the clean marker: `version=<V> wal_len=<N>`.
-fn read_marker(path: &Path) -> Option<(TableVersion, u64)> {
-    let mut text = String::new();
-    File::open(path).ok()?.read_to_string(&mut text).ok()?;
-    let mut version = None;
-    let mut wal_len = None;
-    for part in text.split_whitespace() {
-        if let Some(v) = part.strip_prefix("version=") {
-            version = v.parse().ok();
-        } else if let Some(n) = part.strip_prefix("wal_len=") {
-            wal_len = n.parse().ok();
-        }
-    }
-    Some((version?, wal_len?))
-}
-
-/// Compact: new snapshot = old snapshot records + WAL records, copied
-/// byte-for-byte (same framing), written tmp → fsync → rename, then the
-/// WAL is truncated and the old snapshot deleted. A crash at any point
-/// is safe: before the rename the tmp is swept on boot; between rename
-/// and truncation the idempotent replay skips the duplicated batches.
-fn write_snapshot(dir: &Path, state: &mut WalState) -> Result<(), DataError> {
-    let io = |e: std::io::Error| DataError::Wal { op: "snapshot", message: e.to_string() };
-    let version = state.wal.last_version();
-    let tmp = dir.join(format!("snapshot-{version}.tmp"));
-    let mut out = File::create(&tmp).map_err(io)?;
-    out.write_all(&MAGIC).map_err(io)?;
-    if let Some(prev) = &state.snapshot {
-        copy_records(prev, &mut out).map_err(io)?;
-    }
-    copy_records(state.wal.path(), &mut out).map_err(io)?;
-    out.sync_all().map_err(io)?;
-    drop(out);
-    let final_path = dir.join(format!("snapshot-{version}.snap"));
-    fs::rename(&tmp, &final_path).map_err(io)?;
-    // Make the rename itself durable before dropping the WAL bytes.
-    if let Ok(d) = File::open(dir) {
-        d.sync_all().ok();
-    }
-    state.wal.truncate_to_magic()?;
-    if let Some(prev) = state.snapshot.take() {
-        if prev != final_path {
-            fs::remove_file(&prev).ok();
-        }
-    }
-    state.snapshot = Some(final_path);
-    Ok(())
-}
-
-/// Append every record byte of `src` (sans magic) to `out`.
-fn copy_records(src: &Path, out: &mut File) -> std::io::Result<()> {
-    let mut bytes = Vec::new();
-    File::open(src)?.read_to_end(&mut bytes)?;
-    if bytes.len() > MAGIC.len() {
-        out.write_all(&bytes[MAGIC.len()..])?;
     }
     Ok(())
 }
@@ -547,6 +317,7 @@ mod tests {
     use crate::dimension::DimensionBuilder;
     use crate::schema::{MeasureUnit, Schema};
     use crate::table::{DimValue, TableBuilder};
+    use std::path::PathBuf;
 
     fn seed_table() -> Table {
         let mut b = DimensionBuilder::new("region", "in", "anywhere");
@@ -592,16 +363,14 @@ mod tests {
         let opts = DurabilityOptions { fsync_mode: FsyncMode::Always, ..Default::default() };
         let (t, rec) = DurableTable::open(seed_table(), &dir, opts.clone()).unwrap();
         assert_eq!(rec.version, 0);
-        assert!(rec.clean_start, "fresh dir counts as clean");
         t.append_rows(&[row("the North East", 3.0)]).unwrap();
         t.append_rows(&[row("the Midwest", 4.0), row("the Midwest", 5.0)]).unwrap();
-        drop(t); // hard crash: no clean marker
+        drop(t); // hard crash: no graceful flush
 
         let (t2, rec2) = DurableTable::open(seed_table(), &dir, opts).unwrap();
         assert_eq!(rec2.replayed_batches, 2);
         assert_eq!(rec2.replayed_rows, 3);
         assert_eq!(rec2.version, 2);
-        assert!(!rec2.clean_start);
         assert_eq!(t2.version(), 2);
         assert_eq!(t2.snapshot().row_count(), 5);
         assert_eq!(t2.snapshot().segments(), &[2, 1, 2], "batch boundaries survive replay");
@@ -609,90 +378,20 @@ mod tests {
     }
 
     #[test]
-    fn clean_shutdown_marker_marks_next_boot_clean() {
-        let dir = tempdir("dur_clean");
-        let opts = DurabilityOptions { fsync_mode: FsyncMode::Batch, ..Default::default() };
-        let (t, _) = DurableTable::open(seed_table(), &dir, opts.clone()).unwrap();
-        t.append_rows(&[row("the North East", 3.0)]).unwrap();
-        t.shutdown_clean().unwrap();
-        drop(t);
-        assert!(dir.join(MARKER_FILE).exists());
-
-        let (t2, rec) = DurableTable::open(seed_table(), &dir, opts).unwrap();
-        assert!(rec.clean_start, "marker lets recovery skip the tail scan");
-        assert_eq!(rec.replayed_batches, 1);
-        assert_eq!(t2.version(), 1);
-        assert!(!dir.join(MARKER_FILE).exists(), "running process is dirty");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_compaction_truncates_the_wal_and_survives_reopen() {
-        let dir = tempdir("dur_compact");
-        let opts = DurabilityOptions {
-            fsync_mode: FsyncMode::Off,
-            snapshot_every_batches: 3,
-            faults: None,
-        };
-        let (t, _) = DurableTable::open(seed_table(), &dir, opts.clone()).unwrap();
-        for i in 0..7 {
-            t.append_rows(&[row("the North East", i as f64)]).unwrap();
-        }
-        let stats = t.stats().unwrap();
-        assert_eq!(stats.snapshots_written, 2, "compactions at batches 3 and 6");
-        assert!(dir.join("snapshot-6.snap").exists());
-        assert!(!dir.join("snapshot-3.snap").exists(), "old snapshot deleted");
-        assert_eq!(stats.wal_appends, 7);
-        drop(t);
-
-        let (t2, rec) = DurableTable::open(seed_table(), &dir, opts).unwrap();
-        assert_eq!(rec.snapshot_batches, 6);
-        assert_eq!(rec.replayed_batches, 1, "wal holds the post-snapshot suffix");
-        assert_eq!(t2.version(), 7);
-        assert_eq!(t2.snapshot().row_count(), 9);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn wal_failure_leaves_revision_unpublished() {
-        use voxolap_faults::{FaultPlan, SiteSchedule};
+        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
         let dir = tempdir("dur_walfail");
         let plan = FaultPlan::new(9).with_site(FaultSite::WalAppend, SiteSchedule::error(1.0));
         let opts = DurabilityOptions {
             fsync_mode: FsyncMode::Off,
-            snapshot_every_batches: 0,
             faults: Some(Arc::new(FaultInjector::new(plan))),
+            ..Default::default()
         };
         let (t, _) = DurableTable::open(seed_table(), &dir, opts).unwrap();
         let err = t.append_rows(&[row("the North East", 3.0)]).unwrap_err();
         assert!(matches!(err, DataError::Wal { op: "append", .. }), "{err}");
         assert_eq!(t.version(), 0, "failed WAL commit must not publish");
         assert_eq!(t.snapshot().row_count(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn snapshot_failure_is_nonfatal_and_retried() {
-        use voxolap_faults::{FaultPlan, SiteSchedule};
-        let dir = tempdir("dur_snapfail");
-        // Roughly half the snapshot attempts fail; ingest must never fail
-        // and the data must always recover.
-        let plan = FaultPlan::new(5).with_site(FaultSite::SnapshotWrite, SiteSchedule::error(0.5));
-        let opts = DurabilityOptions {
-            fsync_mode: FsyncMode::Off,
-            snapshot_every_batches: 2,
-            faults: Some(Arc::new(FaultInjector::new(plan))),
-        };
-        let (t, _) = DurableTable::open(seed_table(), &dir, opts.clone()).unwrap();
-        for i in 0..10 {
-            t.append_rows(&[row("the Midwest", i as f64)]).unwrap();
-        }
-        let stats = t.stats().unwrap();
-        assert!(stats.snapshot_failures > 0, "seed 5 should fail at least one snapshot");
-        drop(t);
-        let (t2, _) = DurableTable::open(seed_table(), &dir, DurabilityOptions::default()).unwrap();
-        assert_eq!(t2.version(), 10);
-        assert_eq!(t2.snapshot().row_count(), 12);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -704,8 +403,7 @@ mod tests {
         t.append_rows(&[row("the North East", 1.5)]).unwrap();
         t.append_rows(&[row("the Midwest", 2.5)]).unwrap();
         drop(t);
-        // Duplicate every WAL record (simulates crash between snapshot
-        // rename and WAL truncation: same batches present twice).
+        // Duplicate every WAL record: the same batches present twice.
         let wal_path = dir.join(WAL_FILE);
         let bytes = std::fs::read(&wal_path).unwrap();
         let mut doubled = bytes.clone();
@@ -716,6 +414,43 @@ mod tests {
         assert_eq!(rec.replayed_batches, 2, "duplicates skipped by version");
         assert_eq!(t2.version(), 2);
         assert_eq!(t2.snapshot().row_count(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_graceful_shutdown_leaves_only_the_log_and_the_next_boot_verifies_it() {
+        let dir = tempdir("dur_one_file");
+        let opts = DurabilityOptions { fsync_mode: FsyncMode::Batch, ..Default::default() };
+        let (t, _) = DurableTable::open(seed_table(), &dir, opts.clone()).unwrap();
+        for i in 0..40 {
+            t.append_rows(&[row("the North East", i as f64)]).unwrap();
+        }
+        t.shutdown_clean().unwrap();
+        drop(t);
+        let names: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names, [WAL_FILE], "one file, however many batches");
+
+        // A graceful shutdown vouches for nothing: a flipped byte in the
+        // last record is found by the next boot's CRC scan.
+        let wal_path = dir.join(WAL_FILE);
+        let mut bytes = fs::read(&wal_path).unwrap();
+        *bytes.last_mut().unwrap() ^= 0xFF;
+        fs::write(&wal_path, &bytes).unwrap();
+        let (t2, rec) = DurableTable::open(seed_table(), &dir, opts).unwrap();
+        assert_eq!(rec.torn_tail_truncations, 1);
+        assert_eq!(rec.replayed_batches, 39);
+        assert_eq!(t2.version(), 39);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_directory_of_the_snapshot_layout_is_refused_naming_the_file() {
+        let dir = tempdir("dur_old_layout");
+        fs::write(dir.join(WAL_FILE), MAGIC).unwrap();
+        fs::write(dir.join("snapshot-6.snap"), MAGIC).unwrap();
+        let err = DurableTable::open(seed_table(), &dir, DurabilityOptions::default()).unwrap_err();
+        assert!(matches!(err, DataError::Wal { op: "recovery", .. }), "{err}");
+        assert!(err.to_string().contains("snapshot-6.snap"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -34,8 +34,8 @@ pub enum DataError {
         /// Observed level index.
         actual: usize,
     },
-    /// The durability layer failed: a write-ahead-log append or fsync, a
-    /// snapshot write, or recovery found the on-disk state unusable. The
+    /// The durability layer failed: a write-ahead-log append or fsync, or
+    /// recovery found the on-disk state unusable. The
     /// in-memory revision is left untouched when this surfaces from an
     /// append.
     Wal {

@@ -15,9 +15,7 @@
 //! str    := len:u32le utf8
 //! ```
 //!
-//! Snapshot files reuse the exact same framing (a snapshot *is* a
-//! compacted log), so one reader and one torn-tail rule serve both. A
-//! record is valid iff its length prefix fits in the file and its CRC
+//! A record is valid iff its length prefix fits in the file and its CRC
 //! matches; the first invalid record marks the torn tail and everything
 //! before it is the recoverable prefix — always a whole number of
 //! batches.
@@ -32,11 +30,13 @@
 //! fsyncgate rule: the write may be silently gone from the page cache,
 //! so the log is poisoned — every later append fails until the process
 //! restarts and recovers from disk. Retrying would re-acknowledge
-//! possibly-lost pages.
+//! possibly-lost pages. Before it poisons, an append whose fsync failed
+//! cuts the log back to the last acknowledged length, so the refused
+//! batch is not replayed by the next boot.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -46,7 +46,7 @@ use crate::durable::DurabilityStats;
 use crate::error::DataError;
 use crate::table::{DimValue, IngestRow, TableVersion};
 
-/// Leading file magic of WAL and snapshot files.
+/// Leading file magic of the WAL.
 pub const MAGIC: [u8; 8] = *b"VOXWAL01";
 
 /// Appends per fsync under [`FsyncMode::Batch`] group commit.
@@ -247,7 +247,7 @@ pub(crate) fn decode_batch(payload: &[u8]) -> Result<WalBatch, String> {
 }
 
 // ---------------------------------------------------------------------------
-// Log reading (shared by WAL and snapshot files).
+// Log reading.
 
 /// Result of scanning a log file for its valid record prefix.
 #[derive(Debug)]
@@ -261,11 +261,9 @@ pub(crate) struct LogRead {
     pub torn: bool,
 }
 
-/// Scan `path` for its valid prefix of whole records. With `verify`
-/// unset (a marker-attested clean file) checksums are skipped — framing
-/// errors still stop the scan. A missing magic makes the whole file
-/// invalid (`valid_len` 0).
-pub(crate) fn read_log(path: &Path, verify: bool) -> std::io::Result<LogRead> {
+/// Scan `path` for its valid prefix of whole, checksummed records. A
+/// missing magic makes the whole file invalid (`valid_len` 0).
+pub(crate) fn read_log(path: &Path) -> std::io::Result<LogRead> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
     let file_len = bytes.len() as u64;
@@ -291,7 +289,7 @@ pub(crate) fn read_log(path: &Path, verify: bool) -> std::io::Result<LogRead> {
             return torn(batches, pos);
         }
         let payload = &bytes[pos + 8..pos + 8 + len as usize];
-        if verify && crc32(payload) != crc {
+        if crc32(payload) != crc {
             return torn(batches, pos);
         }
         match decode_batch(payload) {
@@ -309,12 +307,9 @@ pub(crate) fn read_log(path: &Path, verify: bool) -> std::io::Result<LogRead> {
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     mode: FsyncMode,
     /// Current file length (magic included).
     bytes: u64,
-    /// Last version appended (or recovered); snapshot naming uses it.
-    last_version: TableVersion,
     /// Appends since the last fsync (group-commit trigger).
     unsynced: u64,
     /// Set by a failed fsync (fsyncgate): the log refuses all further
@@ -326,12 +321,10 @@ pub struct Wal {
 
 impl Wal {
     /// Open `path` for appending, creating it (with magic) if missing.
-    /// The caller must have truncated any torn tail first; `bytes` and
-    /// `last_version` describe the recovered state.
+    /// The caller must have truncated any torn tail first.
     pub(crate) fn open_at(
         path: &Path,
         mode: FsyncMode,
-        last_version: TableVersion,
         stats: Arc<DurabilityStats>,
         faults: Option<Arc<FaultInjector>>,
     ) -> Result<Wal, DataError> {
@@ -356,27 +349,12 @@ impl Wal {
             len
         };
         stats.wal_bytes.store(bytes, Ordering::Relaxed);
-        Ok(Wal {
-            file,
-            path: path.to_path_buf(),
-            mode,
-            bytes,
-            last_version,
-            unsynced: 0,
-            poisoned: false,
-            stats,
-            faults,
-        })
+        Ok(Wal { file, mode, bytes, unsynced: 0, poisoned: false, stats, faults })
     }
 
     /// Current file length in bytes (magic included).
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Last version committed to (or recovered from) this log.
-    pub fn last_version(&self) -> TableVersion {
-        self.last_version
     }
 
     /// Whether a failed fsync has poisoned the log (fsyncgate).
@@ -404,7 +382,9 @@ impl Wal {
 
     /// Commit one batch: write the record, then apply the fsync policy.
     /// On any failure the batch is *not* durable and the caller must not
-    /// publish it; an fsync failure additionally poisons the log.
+    /// publish it. A failed fsync cuts the log back to the last
+    /// acknowledged length and poisons it; if even that cut fails, the
+    /// error says the batch's outcome is unknown.
     pub(crate) fn append_batch(
         &mut self,
         version: TableVersion,
@@ -427,16 +407,36 @@ impl Wal {
             let _ = self.file.set_len(self.bytes);
             return Err(DataError::Wal { op: "append", message: e.to_string() });
         }
+        let acked = self.bytes;
         self.bytes += record.len() as u64;
-        self.last_version = version;
         self.stats.wal_bytes.store(self.bytes, Ordering::Relaxed);
         self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
         self.unsynced += 1;
-        match self.mode {
+        let synced = match self.mode {
             FsyncMode::Always => self.fsync(),
             FsyncMode::Batch if self.unsynced >= GROUP_COMMIT_BATCHES => self.fsync(),
             _ => Ok(()),
+        };
+        synced.map_err(|e| self.cut_back(acked, e))
+    }
+
+    /// After a failed fsync, drop the refused record so recovery does not
+    /// replay a batch the caller answers as not durable: set the file back
+    /// to `acked` bytes, then sync the cut, best effort. Batches
+    /// acknowledged before (the rest of a group commit) stay.
+    fn cut_back(&mut self, acked: u64, err: DataError) -> DataError {
+        if let Err(cut) = self.file.set_len(acked) {
+            return DataError::Wal {
+                op: "fsync",
+                message: format!(
+                    "{err}; cutting the refused batch failed too ({cut}): outcome unknown"
+                ),
+            };
         }
+        let _ = self.file.sync_all();
+        self.bytes = acked;
+        self.stats.wal_bytes.store(acked, Ordering::Relaxed);
+        err
     }
 
     /// One fsync, honoring fault injection and the fsyncgate rule.
@@ -474,30 +474,13 @@ impl Wal {
         }
         Ok(())
     }
-
-    /// Truncate the log back to just the magic (post-compaction), leaving
-    /// the file synced.
-    pub(crate) fn truncate_to_magic(&mut self) -> Result<(), DataError> {
-        let io = |e: std::io::Error| DataError::Wal { op: "truncate", message: e.to_string() };
-        self.file.set_len(MAGIC.len() as u64).map_err(io)?;
-        self.file.seek(SeekFrom::End(0)).map_err(io)?;
-        self.file.sync_all().map_err(io)?;
-        self.bytes = MAGIC.len() as u64;
-        self.unsynced = 0;
-        self.stats.wal_bytes.store(self.bytes, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// The log's path (snapshot compaction reads it back).
-    pub(crate) fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::durable::DurabilityStats;
+    use std::path::PathBuf;
 
     fn row(phrase: &str, v: f64) -> IngestRow {
         IngestRow { dims: vec![DimValue::Phrase(phrase.into())], values: vec![v] }
@@ -539,11 +522,11 @@ mod tests {
         let dir = tempdir("wal_roundtrip");
         let path = dir.join("wal.log");
         let stats = Arc::new(DurabilityStats::default());
-        let mut wal = Wal::open_at(&path, FsyncMode::Always, 0, stats.clone(), None).unwrap();
+        let mut wal = Wal::open_at(&path, FsyncMode::Always, stats.clone(), None).unwrap();
         wal.append_batch(1, &[row("a", 1.0)]).unwrap();
         wal.append_batch(2, &[row("b", 2.0), row("c", 3.0)]).unwrap();
         assert_eq!(stats.fsyncs.load(Ordering::Relaxed), 2, "always mode syncs per batch");
-        let read = read_log(&path, true).unwrap();
+        let read = read_log(&path).unwrap();
         assert!(!read.torn);
         assert_eq!(read.valid_len, wal.bytes());
         assert_eq!(read.batches.len(), 2);
@@ -557,7 +540,7 @@ mod tests {
         let dir = tempdir("wal_group");
         let stats = Arc::new(DurabilityStats::default());
         let mut wal =
-            Wal::open_at(&dir.join("wal.log"), FsyncMode::Batch, 0, stats.clone(), None).unwrap();
+            Wal::open_at(&dir.join("wal.log"), FsyncMode::Batch, stats.clone(), None).unwrap();
         for v in 1..=GROUP_COMMIT_BATCHES {
             wal.append_batch(v, &[row("a", 1.0)]).unwrap();
         }
@@ -573,7 +556,7 @@ mod tests {
         let dir = tempdir("wal_torn");
         let path = dir.join("wal.log");
         let stats = Arc::new(DurabilityStats::default());
-        let mut wal = Wal::open_at(&path, FsyncMode::Off, 0, stats, None).unwrap();
+        let mut wal = Wal::open_at(&path, FsyncMode::Off, stats, None).unwrap();
         wal.append_batch(1, &[row("a", 1.0)]).unwrap();
         let good_len = wal.bytes();
         wal.append_batch(2, &[row("b", 2.0)]).unwrap();
@@ -582,7 +565,7 @@ mod tests {
         let f = OpenOptions::new().write(true).open(&path).unwrap();
         f.set_len(good_len + 5).unwrap();
         drop(f);
-        let read = read_log(&path, true).unwrap();
+        let read = read_log(&path).unwrap();
         assert!(read.torn);
         assert_eq!(read.valid_len, good_len);
         assert_eq!(read.batches.len(), 1);
@@ -595,7 +578,7 @@ mod tests {
         let dir = tempdir("wal_crc");
         let path = dir.join("wal.log");
         let stats = Arc::new(DurabilityStats::default());
-        let mut wal = Wal::open_at(&path, FsyncMode::Off, 0, stats, None).unwrap();
+        let mut wal = Wal::open_at(&path, FsyncMode::Off, stats, None).unwrap();
         wal.append_batch(1, &[row("a", 1.0)]).unwrap();
         let good_len = wal.bytes();
         wal.append_batch(2, &[row("b", 2.0)]).unwrap();
@@ -604,7 +587,7 @@ mod tests {
         let flip = good_len as usize + 10;
         bytes[flip] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
-        let read = read_log(&path, true).unwrap();
+        let read = read_log(&path).unwrap();
         assert!(read.torn);
         assert_eq!(read.batches.len(), 1, "corrupt record invalidates itself, not the prefix");
         std::fs::remove_dir_all(&dir).ok();
@@ -618,10 +601,11 @@ mod tests {
         let plan = FaultPlan::new(1).with_site(FaultSite::WalFsync, SiteSchedule::error(1.0));
         let inj = Some(Arc::new(FaultInjector::new(plan)));
         let mut wal =
-            Wal::open_at(&dir.join("wal.log"), FsyncMode::Always, 0, stats.clone(), inj).unwrap();
+            Wal::open_at(&dir.join("wal.log"), FsyncMode::Always, stats.clone(), inj).unwrap();
         let err = wal.append_batch(1, &[row("a", 1.0)]).unwrap_err();
         assert!(matches!(err, DataError::Wal { op: "fsync", .. }), "{err}");
         assert!(wal.poisoned());
+        assert_eq!(wal.bytes(), MAGIC.len() as u64, "the refused record is cut");
         // fsyncgate: no retry — every later append refuses.
         let err = wal.append_batch(2, &[row("b", 2.0)]).unwrap_err();
         assert!(matches!(err, DataError::Wal { op: "append", .. }), "{err}");
@@ -679,7 +663,7 @@ mod tests {
         let dir = tempdir("wal_fuzz");
         let path = dir.join("wal.log");
         let stats = Arc::new(DurabilityStats::default());
-        let mut wal = Wal::open_at(&path, FsyncMode::Off, 0, stats, None).unwrap();
+        let mut wal = Wal::open_at(&path, FsyncMode::Off, stats, None).unwrap();
         for (v, rows) in rows.iter().enumerate() {
             wal.append_batch(v as u64 + 1, rows).unwrap();
         }
@@ -689,16 +673,12 @@ mod tests {
         for case in 0..512 {
             let buf = mutate(log.clone());
             std::fs::write(&path, &buf).unwrap();
-            for verify in [true, false] {
-                let read = read_log(&path, verify).unwrap();
-                assert!(read.valid_len <= buf.len() as u64, "case {case}");
-                assert_eq!(read.torn, read.valid_len < buf.len() as u64, "case {case}");
-                let got: Vec<Vec<u8>> = read.batches.iter().map(encoded).collect();
-                if verify {
-                    assert_eq!(got, payloads[..got.len()], "case {case}");
-                    shortened += usize::from(got.len() < payloads.len());
-                }
-            }
+            let read = read_log(&path).unwrap();
+            assert!(read.valid_len <= buf.len() as u64, "case {case}");
+            assert_eq!(read.torn, read.valid_len < buf.len() as u64, "case {case}");
+            let got: Vec<Vec<u8>> = read.batches.iter().map(encoded).collect();
+            assert_eq!(got, payloads[..got.len()], "case {case}");
+            shortened += usize::from(got.len() < payloads.len());
         }
         assert!(shortened > 0, "some mutants must cut the recovered prefix");
         std::fs::remove_dir_all(&dir).ok();

@@ -51,7 +51,7 @@ fn echo_rows(table: &Table, start: usize, n: usize) -> Vec<IngestRow> {
 }
 
 fn opts() -> DurabilityOptions {
-    DurabilityOptions { fsync_mode: FsyncMode::Off, snapshot_every_batches: 3, faults: None }
+    DurabilityOptions { fsync_mode: FsyncMode::Off, ..DurabilityOptions::default() }
 }
 
 fn append_junk(path: &Path, bytes: &[u8]) {
@@ -69,10 +69,10 @@ impl Lcg {
     }
 }
 
-/// The tentpole guarantee: across 50 seeded crash points — varying batch
-/// counts, batch sizes, snapshot timing, and the shape of the torn tail
-/// — reopening recovers *exactly* the acknowledged state, then keeps
-/// accepting appends.
+/// The core guarantee: across 50 seeded crash points — varying batch
+/// counts, batch sizes, and the shape of the torn tail — reopening
+/// recovers *exactly* the acknowledged state, then keeps accepting
+/// appends.
 #[test]
 fn zero_acked_batch_loss_across_50_seeded_crash_points() {
     let seed = seed_table();
@@ -81,20 +81,17 @@ fn zero_acked_batch_loss_across_50_seeded_crash_points() {
         let mut rng = Lcg(0x9E37_79B9_7F4A_7C15 ^ s);
         let (t, _) = DurableTable::open(seed.clone(), &dir, opts()).unwrap();
 
-        let batches = 1 + (s % 6) as usize;
+        let crash_mode = s % 5;
+        // Mode 4 tears a log of at least two batches.
+        let batches = (1 + (s % 6) as usize).max(1 + usize::from(crash_mode == 4));
         let mut acked_rows = 0usize;
         for b in 0..batches {
             let n = 1 + (rng.next() % 4) as usize;
             t.append_rows(&echo_rows(&seed, b * 7 + s as usize, n)).unwrap();
             acked_rows += n;
         }
-        let crash_mode = s % 5;
-        if crash_mode == 4 {
-            // Crash with the log already compacted: snapshot + empty WAL.
-            t.compact_now().unwrap();
-        }
         let acked_version = t.version();
-        drop(t); // crash: no clean marker, no graceful flush
+        drop(t); // crash: no graceful flush
 
         // Inject the never-acknowledged tail a dying writer could leave.
         let wal = dir.join("wal.log");
@@ -122,7 +119,7 @@ fn zero_acked_batch_loss_across_50_seeded_crash_points() {
                 1
             }
             _ => {
-                // Garbage after the compacted (magic-only) WAL.
+                // Garbage after the last whole record of a multi-batch log.
                 append_junk(&wal, &(rng.next() as u32).to_le_bytes());
                 1
             }
@@ -136,7 +133,7 @@ fn zero_acked_batch_loss_across_50_seeded_crash_points() {
             "seed {s}: acked rows lost"
         );
         assert_eq!(rec.torn_tail_truncations, expect_torn, "seed {s}");
-        assert!(!rec.clean_start, "seed {s}: a crash must not report a clean start");
+        assert_eq!(rec.replayed_batches, batches as u64, "seed {s}: every batch is in the log");
 
         // The repaired log accepts new appends and survives another cycle.
         t2.append_rows(&echo_rows(&seed, 3, 2)).unwrap();

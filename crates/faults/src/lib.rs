@@ -6,8 +6,8 @@
 //!
 //! A **fault site** ([`FaultSite`]) names one failure this process can
 //! meet: a worker panicking while it holds a sample-cache stripe
-//! (`CacheShard`), and the storage layer's write-ahead-log write, fsync
-//! and snapshot write (`WalAppend`, `WalFsync`, `SnapshotWrite`). A
+//! (`CacheShard`), and the storage layer's write-ahead-log write and
+//! fsync (`WalAppend`, `WalFsync`). A
 //! seeded [`FaultPlan`] assigns a probability/latency/error schedule to
 //! any subset of sites; a [`FaultInjector`] rolls against it with a
 //! counter-hash (splitmix64 over `seed ^ site ^ counter`), so a schedule

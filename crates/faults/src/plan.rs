@@ -19,22 +19,15 @@ pub enum FaultSite {
     /// rule: a failed fsync may have lost pages silently, so the log is
     /// poisoned rather than retried.
     WalFsync = 2,
-    /// A snapshot compaction write — Storage stage (non-fatal: the WAL
-    /// keeps the data and compaction is retried at the next interval).
-    SnapshotWrite = 3,
 }
 
 /// Number of distinct fault sites.
-pub const N_SITES: usize = 4;
+pub const N_SITES: usize = 3;
 
 impl FaultSite {
     /// All sites, in wire order.
-    pub const ALL: [FaultSite; N_SITES] = [
-        FaultSite::CacheShard,
-        FaultSite::WalAppend,
-        FaultSite::WalFsync,
-        FaultSite::SnapshotWrite,
-    ];
+    pub const ALL: [FaultSite; N_SITES] =
+        [FaultSite::CacheShard, FaultSite::WalAppend, FaultSite::WalFsync];
 
     /// Stable short name (used by the `--fault-plan` spec).
     pub fn name(self) -> &'static str {
@@ -42,15 +35,13 @@ impl FaultSite {
             FaultSite::CacheShard => "shard",
             FaultSite::WalAppend => "wal",
             FaultSite::WalFsync => "fsync",
-            FaultSite::SnapshotWrite => "snap",
         }
     }
 
     /// Per-site hash salt so the same counter value rolls independently
     /// at different sites.
     fn salt(self) -> u64 {
-        [0xE703_7ED1_A0B4_28DB, 0x1D8E_4E27_C47D_124F, 0xEB44_ACCA_B455_D165, 0x9E6C_63D0_76CC_4391]
-            [self as usize]
+        [0xE703_7ED1_A0B4_28DB, 0x1D8E_4E27_C47D_124F, 0xEB44_ACCA_B455_D165][self as usize]
     }
 }
 
@@ -103,7 +94,7 @@ impl FaultPlan {
     /// Parse a `--fault-plan` spec: comma-separated `key=value` pairs.
     ///
     /// Plan keys: `seed=N`, per-site probabilities `shard=P`, `wal=P`,
-    /// `fsync=P`, `snap=P` (each in `[0,1]`), `latency_us=N` (stall added
+    /// `fsync=P` (each in `[0,1]`), `latency_us=N` (stall added
     /// to every enabled site), and `latency_only` (faults stall but do not
     /// error). Unknown keys are rejected so typos surface immediately.
     ///
@@ -274,7 +265,7 @@ mod tests {
         let inj = FaultInjector::new(plan);
         assert!(inj.roll(FaultSite::CacheShard).is_some());
         assert!(inj.roll(FaultSite::WalAppend).is_none());
-        assert!(inj.roll(FaultSite::SnapshotWrite).is_none(), "unscheduled site is silent");
+        assert!(inj.roll(FaultSite::WalFsync).is_none(), "unscheduled site is silent");
     }
 
     #[test]
@@ -289,10 +280,9 @@ mod tests {
 
     #[test]
     fn parse_storage_sites() {
-        let plan = FaultPlan::parse("seed=4,wal=0.2,fsync=0.1,snap=0.5").unwrap();
+        let plan = FaultPlan::parse("seed=4,wal=0.2,fsync=0.1").unwrap();
         assert_eq!(plan.site(FaultSite::WalAppend).unwrap().probability, 0.2);
         assert_eq!(plan.site(FaultSite::WalFsync).unwrap().probability, 0.1);
-        assert_eq!(plan.site(FaultSite::SnapshotWrite).unwrap().probability, 0.5);
         assert!(plan.site(FaultSite::CacheShard).is_none());
         let inj = FaultInjector::new(
             FaultPlan::new(1).with_site(FaultSite::WalFsync, SiteSchedule::error(1.0)),
@@ -313,8 +303,17 @@ mod tests {
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
         // Keys of sites and ladder rungs this process cannot meet fail
         // loudly instead of being ignored.
-        let removed =
-            ["read", "sample", "emit", "budget", "retries", "backoff_us", "breaker", "cooldown_ms"];
+        let removed = [
+            "read",
+            "sample",
+            "emit",
+            "snap",
+            "budget",
+            "retries",
+            "backoff_us",
+            "breaker",
+            "cooldown_ms",
+        ];
         for key in removed {
             assert!(FaultPlan::parse(&format!("{key}=1")).is_err(), "{key}");
         }

@@ -536,8 +536,8 @@ impl AppState {
     }
 
     /// Storage counters for `/stats` (`null` when the table is purely
-    /// in-memory): WAL and snapshot activity, what boot recovery did, and
-    /// whether a failed fsync poisoned the log.
+    /// in-memory): WAL activity, what boot recovery did, and whether a
+    /// failed fsync poisoned the log.
     fn durability_json(&self) -> Value {
         let Some(s) = self.live.stats() else { return Value::Null };
         Value::obj([
@@ -546,20 +546,16 @@ impl AppState {
             ("wal_appends", s.wal_appends.into()),
             ("fsyncs", s.fsyncs.into()),
             ("fsync_failures", s.fsync_failures.into()),
-            ("snapshots_written", s.snapshots_written.into()),
-            ("snapshot_failures", s.snapshot_failures.into()),
             ("replayed_batches", s.replayed_batches.into()),
             ("replayed_rows", s.replayed_rows.into()),
             ("torn_tail_truncations", s.torn_tail_truncations.into()),
-            ("clean_start", s.clean_start.into()),
             ("recovery_ms", s.recovery_ms.into()),
             ("wal_poisoned", s.wal_poisoned.into()),
         ])
     }
 
-    /// Flush and fsync the WAL and write the clean-shutdown marker; part
-    /// of graceful shutdown, after the serving layer drained. A no-op for
-    /// in-memory tables.
+    /// Flush and fsync the WAL; part of graceful shutdown, after the
+    /// serving layer drained. A no-op for in-memory tables.
     pub fn shutdown_durability(&self) -> Result<(), DataError> {
         self.live.shutdown_clean()
     }

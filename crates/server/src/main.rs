@@ -7,20 +7,17 @@
 //!                [--http-timeout-ms N] [--http-idle-ms N] [--max-conns N]
 //!                [--session-idle-ms N] [--heartbeat-ms N]
 //!                [--utterance-deadline-ms N] [--data-dir PATH]
-//!                [--fsync-mode always|batch|off] [--snapshot-every N]
-//!                [--shutdown-drain-ms N]
+//!                [--fsync-mode always|batch|off] [--shutdown-drain-ms N]
 //! ```
 //!
 //! `--data-dir` makes ingest crash-safe (DESIGN.md §17): acknowledged
-//! batches are committed to a write-ahead log in that directory before
-//! they become visible, periodically compacted into snapshot files, and
-//! recovered on boot — *before* the listener accepts its first
-//! connection. `--fsync-mode` picks the log's durability/throughput
-//! trade (default `batch` group-commit), `--snapshot-every` the
-//! compaction interval in batches (default 32, `0` disables). On
+//! batches are committed to a write-ahead log (`wal.log`, the directory's
+//! one file) before they become visible, and every boot CRC-checks and
+//! replays that log onto the generated table — *before* the listener
+//! accepts its first connection. `--fsync-mode` picks the log's
+//! durability/throughput trade (default `batch` group-commit). On
 //! `SIGTERM`/`SIGINT` the server drains in-flight requests (bounded by
-//! `--shutdown-drain-ms`, default 2000), flushes + fsyncs the WAL, and
-//! writes a clean-shutdown marker so the next boot skips tail scanning.
+//! `--shutdown-drain-ms`, default 2000), then flushes + fsyncs the WAL.
 //! Without `--data-dir` the table is purely in-memory, exactly as
 //! before.
 //!
@@ -38,7 +35,7 @@
 //! the sites where this process can really fail (e.g.
 //! `seed=7,shard=0.2,fsync=0.01`; DESIGN.md §12): `shard` tears
 //! sample-cache stripes as a worker panicking under their lock would, and
-//! `wal`, `fsync` and `snap` fail the storage writes of `--data-dir`. Any
+//! `wal` and `fsync` fail the storage writes of `--data-dir`. Any
 //! other key is refused with exit status 2. Answers cut by a deadline
 //! carry `"degraded":true`; the `"degradation"` section of `GET /stats`
 //! (always present) counts clean and degraded answers and rebuilt locks.
@@ -108,7 +105,6 @@ struct Args {
     utterance_deadline_ms: Option<u64>,
     data_dir: Option<String>,
     fsync_mode: Option<FsyncMode>,
-    snapshot_every: Option<u64>,
     shutdown_drain_ms: Option<u64>,
 }
 
@@ -152,7 +148,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 a.fsync_mode =
                     Some(FsyncMode::parse(value).map_err(|e| format!("--fsync-mode: {e}"))?)
             }
-            "--snapshot-every" => a.snapshot_every = num(flag, value)?,
             "--shutdown-drain-ms" => a.shutdown_drain_ms = num(flag, value)?,
             _ => {
                 return Err(format!(
@@ -207,7 +202,7 @@ fn main() {
     };
 
     // The fault plan is parsed before the durable table opens so the
-    // storage sites (wal/fsync/snap) share the planner's injector.
+    // storage sites (wal/fsync) share the planner's injector.
     let resilience = match &args.fault_plan {
         None => Arc::default(),
         Some(spec) => match FaultPlan::parse(spec) {
@@ -229,21 +224,19 @@ fn main() {
             let fsync_mode = args.fsync_mode.unwrap_or(FsyncMode::Batch);
             let options = DurabilityOptions {
                 fsync_mode,
-                snapshot_every_batches: args.snapshot_every.unwrap_or(32),
                 faults: resilience.injector().cloned(),
+                ..DurabilityOptions::default()
             };
             match DurableTable::open(table, dir, options) {
                 Ok((durable, recovery)) => {
                     eprintln!(
                         "durability: data-dir={dir} fsync={} recovered version={} rows={} \
-                         (snapshot_batches={} wal_batches={} torn_truncations={} clean={} {:.1}ms)",
+                         (wal_batches={} torn_truncations={} {:.1}ms)",
                         fsync_mode.name(),
                         recovery.version,
                         recovery.total_rows,
-                        recovery.snapshot_batches,
                         recovery.replayed_batches,
                         recovery.torn_tail_truncations,
-                        recovery.clean_start,
                         recovery.recovery_ms,
                     );
                     durable
@@ -294,9 +287,9 @@ fn main() {
     eprintln!("shutdown: draining in-flight requests (up to {}ms)...", drain.as_millis());
     handle.shutdown_within(drain);
     match state_for_shutdown.shutdown_durability() {
-        Ok(()) => eprintln!("shutdown: WAL flushed, clean marker written"),
+        Ok(()) => eprintln!("shutdown: WAL flushed"),
         Err(e) => {
-            eprintln!("shutdown: WAL flush failed ({e}); next boot will scan the tail");
+            eprintln!("shutdown: WAL flush failed ({e}); the next boot recovers what reached disk");
             std::process::exit(1);
         }
     }
@@ -317,7 +310,7 @@ mod tests {
              --cache-mb 0 --fault-plan seed=7,shard=0.2 --http-threads 4 --http-queue 8 \
              --http-timeout-ms 200 --http-idle-ms 300 --max-conns 9 --session-idle-ms 400 \
              --heartbeat-ms 500 --utterance-deadline-ms 1 --data-dir data \
-             --fsync-mode off --snapshot-every 0 --shutdown-drain-ms 600",
+             --fsync-mode off --shutdown-drain-ms 600",
         )
         .unwrap();
         assert_eq!(
@@ -341,6 +334,7 @@ mod tests {
             ("--fsync-mode sometimes", "--fsync-mode"),
             ("--verbose 1", "`--verbose`"),
             ("--scale-rows 5", "`--scale-rows`"),
+            ("--snapshot-every 8", "`--snapshot-every`"),
             ("--rows", "--rows needs a value"),
             ("--rows --threads 2", "--rows needs a value"),
         ] {

@@ -83,9 +83,8 @@ extern "C" fn note_shutdown(_signum: c_int) {
 /// Install `SIGTERM`/`SIGINT` handlers that request a graceful shutdown
 /// instead of killing the process outright, and return the flag the main
 /// loop polls. Graceful shutdown is what lets the server drain in-flight
-/// requests, flush + fsync the WAL, and write the clean-shutdown marker
-/// (DESIGN.md §17) — a `SIGKILL` skips all of that and exercises the
-/// recovery path instead.
+/// requests and flush + fsync the WAL (DESIGN.md §17) — a `SIGKILL`
+/// skips both, and the next boot recovers what reached the log.
 pub fn install_shutdown_signals() -> &'static std::sync::atomic::AtomicBool {
     unsafe {
         signal(SIGINT, note_shutdown);

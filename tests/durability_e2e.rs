@@ -1,16 +1,17 @@
-//! End-to-end pin for §17 graceful shutdown: after the deadline-bounded
-//! drain, the WAL must be flushed + fsynced and the clean-shutdown
-//! marker written, so the next boot reports `clean_start` — i.e. skips
-//! the CRC tail scan entirely. A dropped (crashed) handle must *not*
-//! leave that marker behind.
+//! End-to-end pins for §17 over real TCP: graceful shutdown flushes the
+//! WAL and the next boot recovers every acknowledged batch from it, and
+//! a batch refused with `503` because its fsync failed stays refused
+//! after a restart.
 
 mod support;
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode};
+use voxolap_data::flights::FlightsConfig;
+use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode, Table};
+use voxolap_faults::{FaultInjector, FaultPlan};
 use voxolap_json::Value;
 use voxolap_server::{serve, AppState};
 
@@ -23,15 +24,14 @@ fn tempdir(tag: &str) -> PathBuf {
 }
 
 #[test]
-fn graceful_shutdown_writes_the_clean_marker_and_the_next_boot_skips_the_scan() {
+fn graceful_shutdown_flushes_the_wal_and_the_next_boot_recovers_every_batch() {
     let table = small_table();
     let dir = tempdir("graceful");
-    let opts =
-        DurabilityOptions { fsync_mode: FsyncMode::Batch, snapshot_every_batches: 0, faults: None };
+    let opts = DurabilityOptions { fsync_mode: FsyncMode::Batch, ..DurabilityOptions::default() };
 
     // Boot one: serve over real TCP, ingest over HTTP, drain, shut down.
     let (durable, recovery) = DurableTable::open(table.clone(), &dir, opts.clone()).unwrap();
-    assert!(recovery.clean_start, "a fresh directory is a clean start");
+    assert_eq!(recovery.replayed_batches, 0, "a fresh directory has nothing to replay");
     let state = Arc::new(AppState::durable(durable));
     let handler = Arc::clone(&state);
     let handle = serve("127.0.0.1:0", move |req| handler.handle(req)).unwrap();
@@ -53,24 +53,69 @@ fn graceful_shutdown_writes_the_clean_marker_and_the_next_boot_skips_the_scan() 
     // sequence the server binary runs on SIGTERM.
     handle.shutdown_within(Duration::from_secs(5));
     state.shutdown_durability().unwrap();
-    assert!(dir.join("clean").exists(), "graceful shutdown must leave the marker");
 
-    // Boot two: the marker is honored (no tail scan) and nothing acked
+    // Boot two: the same recovery as after a crash, and nothing acked
     // was lost.
     let (durable, recovery) = DurableTable::open(table.clone(), &dir, opts.clone()).unwrap();
-    assert!(recovery.clean_start, "marker must let the next boot skip the tail scan");
     assert_eq!(recovery.torn_tail_truncations, 0);
+    assert_eq!(recovery.replayed_batches, 3);
     assert_eq!(recovery.version, acked_version);
     assert_eq!(durable.snapshot().row_count(), table.row_count() + 6);
-    assert!(!dir.join("clean").exists(), "a running process is dirty: boot eats the marker");
 
-    // Boot three, after a crash (drop with no shutdown_clean): the boot
-    // is dirty, the scan runs, and the acked batches still all survive.
+    // Boot three, after a crash (drop with no shutdown_clean): the
+    // acked batches still all survive.
     drop(durable);
     let (durable, recovery) = DurableTable::open(table.clone(), &dir, opts).unwrap();
-    assert!(!recovery.clean_start, "no marker ⇒ the boot must scan the tail");
     assert_eq!(recovery.version, acked_version);
     assert_eq!(durable.snapshot().row_count(), table.row_count() + 6);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Serve a durable `table` from `dir` whose every fsync fails, POST
+/// `batches` one-row batches, and return each batch's status.
+fn ingest_with_failing_fsync(
+    table: &Table,
+    dir: &Path,
+    mode: FsyncMode,
+    batches: usize,
+) -> Vec<u16> {
+    let faults = Some(Arc::new(FaultInjector::new(FaultPlan::parse("fsync=1.0").unwrap())));
+    let opts = DurabilityOptions { fsync_mode: mode, faults, ..DurabilityOptions::default() };
+    let (durable, _) = DurableTable::open(table.clone(), dir, opts).unwrap();
+    let state = Arc::new(AppState::durable(durable));
+    let handler = Arc::clone(&state);
+    let handle = serve("127.0.0.1:0", move |req| handler.handle(req)).unwrap();
+    let statuses = (0..batches)
+        .map(|b| request(handle.addr, "POST", "/ingest", &format!("{}\n", echo_line(table, b))).0)
+        .collect();
+    handle.shutdown_within(Duration::from_secs(5));
+    statuses
+}
+
+#[test]
+fn a_batch_refused_by_a_failed_fsync_stays_refused_after_a_restart() {
+    let table = FlightsConfig { rows: 1_000, seed: 42 }.generate();
+    let reopen = |dir: &Path| {
+        let (durable, recovery) =
+            DurableTable::open(table.clone(), dir, DurabilityOptions::default()).unwrap();
+        (recovery.version, durable.snapshot().row_count())
+    };
+
+    // Every batch syncs: the first one's fsync fails, so nothing was
+    // acknowledged and nothing comes back.
+    let dir = tempdir("refused-always");
+    assert_eq!(ingest_with_failing_fsync(&table, &dir, FsyncMode::Always, 1), [503]);
+    assert_eq!(reopen(&dir), (0, 1_000), "the refused row must not be replayed");
+    std::fs::remove_dir_all(&dir).ok();
+
+    // Group commit: seven batches are acknowledged unsynced, the eighth
+    // runs the group's fsync and is refused; the seven stay, the eighth
+    // does not, and the poisoned log refuses the ninth.
+    let dir = tempdir("refused-batch");
+    let mut expect = vec![200; 7];
+    expect.extend([503, 503]);
+    assert_eq!(ingest_with_failing_fsync(&table, &dir, FsyncMode::Batch, 9), expect);
+    assert_eq!(reopen(&dir), (7, 1_007), "acked batches stay, the refused one goes");
     std::fs::remove_dir_all(&dir).ok();
 }
 
