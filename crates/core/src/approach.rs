@@ -68,14 +68,12 @@ pub struct ApproachOptions {
     /// Cross-query semantic cache, for the approaches that can use one
     /// (`holistic`, `parallel`, `optimal`).
     pub cache: Option<Arc<SemanticCache>>,
-    /// The resilience bundle of every approach with a planning loop
-    /// (`holistic`, `parallel`, `optimal`, `unmerged`), inert by default: a
-    /// deadline cut commits the anytime answer marked `degraded`, and each
-    /// answer is counted clean or degraded in its `DegradeStats`. With an
-    /// injector, the sampling approaches (`holistic`, `parallel`,
-    /// `unmerged`: one sampling team each) roll its cache shard site. `prior`
-    /// computes its whole answer before output and has nothing to cut: it
-    /// takes no bundle and its answers are not counted here.
+    /// The answer counters of every approach with a planning loop
+    /// (`holistic`, `parallel`, `optimal`, `unmerged`): a deadline cut
+    /// commits the anytime answer marked `degraded`, and each answer is
+    /// counted clean or degraded in the bundle. `prior` computes its whole
+    /// answer before output and has nothing to cut: it takes no bundle and
+    /// its answers are not counted here.
     pub resilience: Arc<Resilience>,
 }
 

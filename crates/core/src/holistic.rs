@@ -141,8 +141,8 @@ pub struct Holistic {
     config: HolisticConfig,
     threads: usize,
     cache: Option<Arc<SemanticCache>>,
-    /// The resilience bundle every run of this engine opens its
-    /// [`ResCtx`] on; inert (no injector) unless replaced.
+    /// The answer counters every run of this engine opens its [`ResCtx`]
+    /// on; a fresh bundle of its own unless replaced.
     resilience: Arc<Resilience>,
 }
 
@@ -176,13 +176,9 @@ impl Holistic {
         self
     }
 
-    /// Replace the engine's resilience bundle (an inert one of its own by
-    /// default): fault injection at the sample cache's shard site, and the
-    /// [`DegradeStats`] its answers are counted in. Anytime-answer
-    /// degradation needs no injector — a deadline cut commits the best
-    /// baseline, marked degraded, on either.
-    ///
-    /// [`DegradeStats`]: voxolap_faults::DegradeStats
+    /// Replace the bundle the engine's answers are counted in (a fresh one
+    /// of its own by default). A deadline cut commits the best baseline,
+    /// marked degraded, on either.
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
         self.resilience = resilience;
         self

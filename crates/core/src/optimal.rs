@@ -60,7 +60,7 @@ use crate::voice::VoiceOutput;
 pub struct Optimal {
     pub(crate) config: HolisticConfig,
     pub(crate) cache: Option<Arc<SemanticCache>>,
-    /// Inert unless replaced; see [`Optimal::with_resilience`].
+    /// A bundle of its own unless replaced; see [`Optimal::with_resilience`].
     pub(crate) resilience: Arc<Resilience>,
 }
 
@@ -71,9 +71,9 @@ impl Optimal {
         Optimal { config, cache: None, resilience: Arc::default() }
     }
 
-    /// Replace the resilience bundle the answers are counted in. Optimal
-    /// reads no fault site before output, but its scoring loop is cut by a
-    /// deadline like any other planning loop, and the cut is marked.
+    /// Replace the bundle the answers are counted in. Optimal's scoring
+    /// loop is cut by a deadline like any other planning loop, and the
+    /// cut is marked.
     pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
         self.resilience = resilience;
         self

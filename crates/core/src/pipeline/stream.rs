@@ -17,7 +17,6 @@
 //! builds no node and admits nothing.
 //! `Vocalizer::vocalize()` is just [`drain`](SpeechStream::drain).
 
-use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use voxolap_speech::ast::Speech;
@@ -310,9 +309,7 @@ impl<'a> SpeechStream<'a> {
     pub fn finish(mut self) -> VocalizationOutcome {
         let info = self.source.finish();
         let degraded = self.res.run.degraded();
-        let stats = self.res.bundle.stats();
-        let tally = if degraded { &stats.degraded_answers } else { &stats.clean_answers };
-        tally.fetch_add(1, Ordering::Relaxed);
+        self.res.bundle.count_answer(degraded);
         VocalizationOutcome {
             speech: info.speech,
             preamble: self.preamble,

@@ -4,20 +4,18 @@
 //! through ingestion, sampling and emission. Of the failures this process
 //! can meet, two reach the planner:
 //!
-//! - **a worker panicking while it holds a cache stripe** — the sample
-//!   cache rolls the bundle's injector at its `CacheShard` site and
-//!   rebuilds a torn stripe on its next lock; the answer stands;
 //! - **a deadline** — when the run's deadline passes mid-plan, the driver
 //!   commits what it has ([`round_status`]): a shortened but
 //!   grammar-valid speech tagged `degraded: true`. A version-stale exact
 //!   entry is served (`stale: true`) only once the deadline has fired.
+//! - **a panicking worker** — its panic ends the run (`Team::sample`
+//!   re-raises it), and the server's pool answers the request with a 500.
+//!   The sample cache is built per run, so no later answer reads what the
+//!   dead worker left behind.
 //!
-//! Storage failures stay in the storage layer (`voxolap_data::wal`). The
-//! engine has two states, not three: a bundle without an injector (the
-//! default of every engine) and one with. Without an injector the shard
-//! site rolls nothing and consumes no randomness, so fault-free runs stay
-//! bit-identical to the pre-fault engines (guarded by parity tests); the
-//! deadline needs no injector, so it means the same thing on both.
+//! Storage failures, and the only fault injector, stay in the storage
+//! layer (`voxolap_data::wal`). The planners roll nothing, so a run is a
+//! pure function of its seed, table and deadline.
 
 use std::sync::Arc;
 
@@ -40,8 +38,8 @@ impl ResCtx {
         ResCtx { bundle: bundle.clone(), run: Arc::default() }
     }
 
-    /// A run on an inert bundle of its own, for planning outside any
-    /// engine (the prior baseline, solo workers of tests and tools).
+    /// A run on a bundle of its own, for planning outside any engine (the
+    /// prior baseline, solo workers of tests and tools).
     pub(crate) fn inert() -> Self {
         ResCtx::new(&Arc::default())
     }

@@ -300,10 +300,9 @@ impl<'a> ShardWorker<'a> {
 /// The workers of one sampled plan: `threads` `ShardWorker`s that claim
 /// whole morsels of the seeded scan order from one shared pool — so the
 /// union of their prefixes stays a uniform sample, and one worker drains
-/// it in exactly the seeded order — into one [`ShardedSampleCache`]. The
-/// cache carries the run's fault injector, so every sampled approach rolls
-/// the same `CacheShard` site. Worker 0 leads: it replays a warm start,
-/// warms up, and admits the run to the semantic cache.
+/// it in exactly the seeded order — into one [`ShardedSampleCache`], built
+/// per run. Worker 0 leads: it replays a warm start, warms up, and admits
+/// the run to the semantic cache.
 pub struct Team<'a> {
     /// Worker 0 first; crate code that drives the members itself (the
     /// ingest measure) reaches them here.
@@ -314,7 +313,7 @@ pub struct Team<'a> {
 
 impl<'a> Team<'a> {
     /// A team of `threads` workers (at least one) outside any engine's
-    /// run: no injector, no deadline (tools and measures).
+    /// run: no deadline (tools and measures).
     pub fn new(
         table: &'a Table,
         query: &'a Query,
@@ -325,7 +324,7 @@ impl<'a> Team<'a> {
     }
 
     /// A team of `threads` workers (at least one) inside the run `res`: its
-    /// cache rolls the run's injector and its rounds mark the run's cuts.
+    /// rounds mark the run's cuts.
     pub(crate) fn in_run(
         table: &'a Table,
         query: &'a Query,
@@ -333,11 +332,8 @@ impl<'a> Team<'a> {
         threads: usize,
         res: ResCtx,
     ) -> Self {
-        let mut cache = ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64);
-        if let Some(inj) = res.bundle.injector() {
-            cache = cache.with_faults(inj.clone(), res.bundle.stats().clone());
-        }
-        let cache = Arc::new(cache);
+        let cache =
+            Arc::new(ShardedSampleCache::new(query.n_aggregates(), table.row_count() as u64));
         let pool = table.morsel_pool(config.seed);
         let workers = (0..threads.max(1))
             .map(|w| ShardWorker::new(table, query, cache.clone(), config, pool.clone(), w))
@@ -371,7 +367,9 @@ impl<'a> Team<'a> {
     /// Sample the tree below `from` while `more(done)` holds, `done` being
     /// the iterations the team ran in this call; returns that count. Every
     /// member — the calling thread, and N − 1 scoped threads — runs one
-    /// loop on one shared counter.
+    /// loop on one shared counter. A member's panic is re-raised here by
+    /// the scope, ending the run, so the per-run cache never has to
+    /// recover a bucket its holder left half-written.
     ///
     /// Each iteration asks the round status *first*: a gone client stops
     /// the loop, and a passed deadline stops it too, marking the run
@@ -493,6 +491,34 @@ mod tests {
             speech.baseline.value
         );
         assert_eq!(tree.tree().visits(SpeechTree::ROOT), 4000);
+    }
+
+    /// The premise of the plain-mutex sample cache: a member that panics
+    /// ends the whole run, because the scope re-raises its panic in the
+    /// caller once the other members are done.
+    #[test]
+    fn a_panicking_member_ends_the_run() {
+        let (table, q) = setup();
+        let schema = table.schema();
+        let gen = CandidateGenerator::new(schema, &q, CandidateConfig::default());
+        let renderer = Renderer::new(schema, &q);
+        let constraints = SpeechConstraints::paper_default();
+        let mut team = Team::new(&table, &q, &config(5), 2);
+        let overall = team.warmup(100).unwrap();
+        let tree = SpeechTree::build(&gen, &renderer, &constraints, overall, 10_000);
+        let caller = std::thread::current().id();
+        let ended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            team.sample(
+                &tree,
+                SpeechTree::ROOT,
+                |done| {
+                    assert_eq!(std::thread::current().id(), caller, "the spawned member dies");
+                    done < 200
+                },
+                &CancelToken::never(),
+            )
+        }));
+        assert!(ended.is_err(), "the member's panic reached the caller");
     }
 
     /// An 8-row salary table and an AVG query filtered to a start-salary

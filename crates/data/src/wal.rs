@@ -376,8 +376,7 @@ impl Wal {
 
     fn roll_error(&self, site: FaultSite) -> Option<String> {
         let fault = self.faults.as_ref()?.roll(site)?;
-        fault.stall();
-        fault.error.then(|| format!("injected {} fault (token {:#x})", site.name(), fault.token))
+        Some(format!("injected {} fault (token {:#x})", site.name(), fault.token))
     }
 
     /// Commit one batch: write the record, then apply the fsync policy.

@@ -198,9 +198,9 @@ fn every_byte_truncation_recovers_exactly_a_whole_batch_prefix() {
     std::fs::remove_dir_all(&scratch).ok();
 }
 
-/// Replaying the same records twice (the on-disk shape a crash between
-/// snapshot rename and WAL truncation leaves behind) converges to the
-/// same version and row count as replaying them once.
+/// Replaying the same records twice (a log that holds every record a
+/// second time: recovery skips each version the table already has)
+/// converges to the same version and row count as replaying them once.
 #[test]
 fn replaying_a_doubled_log_is_idempotent() {
     let seed = seed_table();

@@ -1,84 +1,53 @@
-//! Poison-recovering mutexes for shared cache state.
+//! Poison-recovering mutexes for state that outlives a request.
 //!
-//! The sharded sample cache and the semantic cache are shared across
-//! planner threads; with a plain `lock().unwrap()` a single panicking
-//! holder would permanently poison its shard and take every later query
-//! down with it. [`RecoveringMutex`] instead treats a poisoned (or
-//! injected-torn) lock as *damaged data, not a damaged program*: the next
-//! locker hands the torn value to a reset closure that rebuilds a
-//! consistent (if emptier) state, clears the poison flag, and proceeds.
-//! Degradation is counted by the caller inside its reset closure, so the
-//! recovery shows up in `/stats` instead of as a crash.
+//! The semantic cache and the HTTP pool's queues live for the whole
+//! process and are shared by every request; with a plain
+//! `lock().unwrap()` a single request panicking while it held a lock
+//! would permanently poison it and take every later request down with
+//! it. [`RecoveringMutex`] instead treats a poisoned lock as *damaged
+//! data, not a damaged program*: the next locker hands the poisoned value
+//! to a reset closure that rebuilds a consistent (if emptier) state,
+//! clears the poison flag, and proceeds. Degradation is counted by the
+//! caller inside its reset closure, so the recovery shows up in `/stats`
+//! instead of as a crash.
+//!
+//! The planners' sample cache needs none of this: it lives for one run,
+//! and a member's panic ends that run (see `Team::sample`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-/// A `std::sync::Mutex` whose lock path rebuilds torn state instead of
-/// panicking on poison.
-///
-/// Two tear signals feed the same recovery path:
-///
-/// * **real poisoning** — a thread panicked while holding the guard
-///   (std's `PoisonError`);
-/// * **injected tearing** — [`mark_torn`](RecoveringMutex::mark_torn),
-///   used by the fault-injection harness to model a holder dying
-///   mid-update without actually unwinding a panic through the engine.
+/// A `std::sync::Mutex` whose lock path rebuilds a poisoned value instead
+/// of panicking: a thread panicked while holding the guard (std's
+/// `PoisonError`).
 #[derive(Debug, Default)]
 pub struct RecoveringMutex<T> {
     inner: Mutex<T>,
-    torn: AtomicBool,
 }
 
 impl<T> RecoveringMutex<T> {
     /// Wrap `value`.
     pub fn new(value: T) -> Self {
-        RecoveringMutex { inner: Mutex::new(value), torn: AtomicBool::new(false) }
+        RecoveringMutex { inner: Mutex::new(value) }
     }
 
     /// Lock, recovering first if the previous holder died mid-update:
-    /// `reset` receives the torn value and must leave it consistent
-    /// (callers also count the recovery there). The untorn fast path is
-    /// one extra relaxed load over a plain lock.
+    /// `reset` receives the poisoned value and must leave it consistent
+    /// (callers also count the recovery there). Exactly one locker sees
+    /// the poison, since it is cleared under the lock.
     pub fn lock_recovering(&self, reset: impl FnOnce(&mut T)) -> MutexGuard<'_, T> {
-        let (mut guard, recovered) = match self.inner.lock() {
-            Ok(guard) => (guard, false),
-            Err(poisoned) => {
-                self.inner.clear_poison();
-                (poisoned.into_inner(), true)
-            }
-        };
-        // The torn flag is checked under the lock, so exactly one locker
-        // performs the rebuild.
-        if recovered || self.torn.swap(false, Ordering::Relaxed) {
+        self.inner.lock().unwrap_or_else(|poisoned| {
+            self.inner.clear_poison();
+            let mut guard = poisoned.into_inner();
             reset(&mut guard);
-        }
-        guard
-    }
-
-    /// Simulate a holder dying mid-update (fault injection): the next
-    /// [`lock_recovering`](RecoveringMutex::lock_recovering) rebuilds.
-    pub fn mark_torn(&self) {
-        self.torn.store(true, Ordering::Relaxed);
-    }
-
-    /// Consume the mutex, recovering a torn value the same way locking
-    /// would.
-    pub fn into_inner(self, reset: impl FnOnce(&mut T)) -> T {
-        let (mut value, recovered) = match self.inner.into_inner() {
-            Ok(v) => (v, false),
-            Err(poisoned) => (poisoned.into_inner(), true),
-        };
-        if recovered || self.torn.load(Ordering::Relaxed) {
-            reset(&mut value);
-        }
-        value
+            guard
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
     #[test]
@@ -126,46 +95,5 @@ mod tests {
         });
         assert!(g.is_empty());
         assert_eq!(recoveries.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn mark_torn_triggers_exactly_one_rebuild() {
-        let m = RecoveringMutex::new(7u32);
-        m.mark_torn();
-        let resets = AtomicU64::new(0);
-        let reset = |v: &mut u32| {
-            *v = 0;
-            resets.fetch_add(1, Ordering::Relaxed);
-        };
-        assert_eq!(*m.lock_recovering(reset), 0);
-        assert_eq!(*m.lock_recovering(reset), 0);
-        assert_eq!(resets.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn concurrent_lockers_survive_a_torn_mark() {
-        let m = Arc::new(RecoveringMutex::new(0u64));
-        let recoveries = Arc::new(AtomicU64::new(0));
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                let m = m.clone();
-                let recoveries = recoveries.clone();
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        if i % 97 == 0 {
-                            m.mark_torn();
-                        }
-                        let mut g = m.lock_recovering(|v| {
-                            *v = 0;
-                            recoveries.fetch_add(1, Ordering::Relaxed);
-                        });
-                        *g += 1;
-                    }
-                });
-            }
-        });
-        assert!(recoveries.load(Ordering::Relaxed) >= 1, "tears were recovered");
-        let final_value = *m.lock_recovering(|_| {});
-        assert!(final_value <= 4000);
     }
 }

@@ -154,7 +154,7 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Approximate bytes currently held across all shards.
     pub bytes_used: u64,
-    /// Shards rebuilt (emptied) after lock poisoning or injected tears.
+    /// Shards rebuilt (emptied) after a request panicked holding one.
     pub poison_recoveries: u64,
     /// Exact entries dropped because the table moved past their version.
     pub exact_invalidations: u64,
@@ -742,9 +742,17 @@ mod tests {
         let (counts, sums) = exact_payload(4);
         cache.admit_exact(&k, 0, counts, sums);
         assert!(fresh(cache.lookup_exact(&k, 0)).is_some());
-        // Simulate a holder dying mid-update on that entry's shard: the
-        // next locker rebuilds the shard empty instead of panicking.
-        cache.shard_of(&k).mark_torn();
+        // A request panics while it holds that entry's shard: the next
+        // locker rebuilds the shard empty instead of panicking.
+        let died = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = cache.lock_shard(cache.shard_of(&k));
+                    panic!("holder dies mid-update");
+                })
+                .join()
+        });
+        assert!(died.is_err(), "the holder really panicked");
         assert!(fresh(cache.lookup_exact(&k, 0)).is_none(), "torn shard forgets its entries");
         let stats = cache.stats();
         assert_eq!(stats.poison_recoveries, 1);

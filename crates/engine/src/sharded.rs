@@ -12,9 +12,9 @@
 //!   ([`Moments`]: n, Σx and shifted second moments) behind its **own**
 //!   mutex, so two workers only contend when their rows land in the same
 //!   aggregate, and a bucket costs the same however many rows it saw;
-//! * the global counters (`nr_read`, per-aggregate offered counts, scope
-//!   count/sum) are atomics — `nr_read` in particular is bumped once per
-//!   row by every worker and must not serialize them;
+//! * the global counters (`nr_read`, scope count/sum) are atomics —
+//!   `nr_read` in particular is bumped once per row by every worker and
+//!   must not serialize them;
 //! * the non-empty aggregate list used by `PickAggregate` is a lock-free
 //!   append-only array (capacity = number of aggregates, slots reserved by
 //!   `fetch_add`, published by store) — `pick_aggregate` runs every planner
@@ -34,13 +34,10 @@
 //! argument).
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::{Mutex, MutexGuard};
 
 use rand::Rng;
 
-use voxolap_faults::{DegradeStats, FaultInjector, FaultSite};
-
-use crate::poison::RecoveringMutex;
 use crate::query::{AggFct, AggIdx, AGG_OUT_OF_SCOPE};
 
 /// Sentinel marking a reserved-but-not-yet-written `nonempty` slot.
@@ -227,20 +224,10 @@ impl IngestBatch {
 #[derive(Debug)]
 pub struct ShardedSampleCache {
     /// Per-aggregate running summaries, each locked independently of all
-    /// the others. Poison-recovering: a holder dying mid-update (real panic
-    /// or injected tear) costs that bucket its moments on the next access —
-    /// never the whole cache.
-    buckets: Vec<RecoveringMutex<Moments>>,
-    /// Rows offered per aggregate: the count estimates. Equal to the
-    /// bucket's `n` unless the bucket was rebuilt after poisoning.
-    ///
-    /// Ordering: `Relaxed`. A monotonic statistical counter — nothing is
-    /// published through it; the bucket contents it describes sit behind
-    /// their own mutex (whose lock/unlock pair orders them), and readers
-    /// that need a consistent final value (`exact_result`) only run after
-    /// the worker threads were joined, which is itself a happens-before
-    /// edge covering every `Relaxed` store.
-    offered: Vec<AtomicU64>,
+    /// the others. A plain mutex: the cache lives for one run, and a
+    /// member panicking while it holds a bucket ends that run (see
+    /// `Team::sample`), so no reader ever needs a rebuilt bucket.
+    buckets: Vec<Mutex<Moments>>,
     /// Whether the aggregate is already in `nonempty`.
     ///
     /// Ordering: the `swap(true, AcqRel)` is the claim on the right to
@@ -259,10 +246,13 @@ pub struct ShardedSampleCache {
     nonempty_len: AtomicUsize,
     /// Total rows ever observed (`CA.NRREAD`).
     ///
-    /// Ordering: `Relaxed`. Like `offered`, a monotonic counter with no
-    /// release-dependent payload: estimators divide by it, and a reader
-    /// racing an ingest batch merely sees a slightly staler prefix —
-    /// statistically indistinguishable from sampling a moment earlier.
+    /// Ordering: `Relaxed`. A monotonic counter with no release-dependent
+    /// payload: estimators divide by it, and a reader racing an ingest
+    /// batch merely sees a slightly staler prefix — statistically
+    /// indistinguishable from sampling a moment earlier. Readers that need
+    /// a consistent final value (`exact_result`) only run after the worker
+    /// threads were joined, which is itself a happens-before edge covering
+    /// every `Relaxed` store.
     nr_read: AtomicU64,
     nr_rows_total: u64,
     /// In-scope row count across all aggregates (overall estimates).
@@ -272,12 +262,6 @@ pub struct ShardedSampleCache {
     /// In-scope measure sum as `f64` bits, advanced by a CAS fold (see
     /// [`ShardedSampleCache::observe_batch`]).
     scope_sum_bits: AtomicU64,
-    /// Buckets rebuilt after lock poisoning / torn state.
-    poison_recoveries: AtomicU64,
-    /// Fault injection at the CacheShard site (chaos testing only).
-    faults: Option<Arc<FaultInjector>>,
-    /// Process-wide degradation counters recoveries are mirrored into.
-    degrade_stats: Option<Arc<DegradeStats>>,
 }
 
 impl ShardedSampleCache {
@@ -285,8 +269,7 @@ impl ShardedSampleCache {
     /// over a table of `nr_rows_total` rows.
     pub fn new(n_aggregates: usize, nr_rows_total: u64) -> Self {
         ShardedSampleCache {
-            buckets: (0..n_aggregates).map(|_| RecoveringMutex::new(Moments::default())).collect(),
-            offered: (0..n_aggregates).map(|_| AtomicU64::new(0)).collect(),
+            buckets: (0..n_aggregates).map(|_| Mutex::new(Moments::default())).collect(),
             listed: (0..n_aggregates).map(|_| AtomicBool::new(false)).collect(),
             nonempty: (0..n_aggregates).map(|_| AtomicU32::new(UNPUBLISHED)).collect(),
             nonempty_len: AtomicUsize::new(0),
@@ -294,39 +277,15 @@ impl ShardedSampleCache {
             nr_rows_total,
             scope_count: AtomicU64::new(0),
             scope_sum_bits: AtomicU64::new(0f64.to_bits()),
-            poison_recoveries: AtomicU64::new(0),
-            faults: None,
-            degrade_stats: None,
         }
     }
 
-    /// Attach a fault injector (CacheShard site) and the degradation
-    /// counters recoveries feed. Without this, the ingest hot path pays
-    /// a single `Option` branch.
-    pub fn with_faults(mut self, injector: Arc<FaultInjector>, stats: Arc<DegradeStats>) -> Self {
-        self.faults = Some(injector);
-        self.degrade_stats = Some(stats);
-        self
-    }
-
-    /// Lock one aggregate's bucket, rebuilding it first if its previous
-    /// holder died mid-update. A rebuilt bucket loses its moments (the
-    /// atomic `offered` counts survive, so count estimates stay unbiased)
-    /// and is counted in
-    /// [`poison_recoveries`](ShardedSampleCache::poison_recoveries).
+    /// Lock one aggregate's bucket. A poisoned bucket means a member of
+    /// this run panicked while holding it, and that panic ends the run;
+    /// the member that meets the poison panics too rather than read a
+    /// half-written bucket.
     fn bucket(&self, a: usize) -> MutexGuard<'_, Moments> {
-        self.buckets[a].lock_recovering(|bucket| {
-            *bucket = Moments::default();
-            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            if let Some(stats) = &self.degrade_stats {
-                stats.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            }
-        })
-    }
-
-    /// Buckets rebuilt after lock poisoning / injected tears so far.
-    pub fn poison_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
+        self.buckets[a].lock().expect("a team member panicked holding this bucket")
     }
 
     /// Add aggregate `a` to the `nonempty` array exactly once (first
@@ -344,10 +303,10 @@ impl ShardedSampleCache {
     /// Group-commit one accumulated morsel batch and clear it — the one
     /// way rows enter the cache, callable from any worker thread
     /// concurrently (DESIGN.md §14). Per batch this costs: one `Relaxed`
-    /// add to `nr_read`; per *touched aggregate* one fault roll, one
-    /// `offered` add, and one bucket-lock acquisition; one `scope_count`
-    /// add; and a single scope-sum CAS — versus one of each **per row**
-    /// when rows are committed one at a time.
+    /// add to `nr_read`; per *touched aggregate* one bucket-lock
+    /// acquisition; one `scope_count` add; and a single scope-sum CAS —
+    /// versus one of each **per row** when rows are committed one at a
+    /// time.
     ///
     /// Equivalence with row-at-a-time ingest: each bucket receives its
     /// rows in scan order (a bucket depends on no other, so the
@@ -356,8 +315,7 @@ impl ShardedSampleCache {
     /// reproducing the sequential association bit for bit when only one
     /// writer is active. Counters advance at batch rather than row
     /// granularity, which no reader can distinguish from having sampled a
-    /// moment earlier. The `CacheShard` fault site rolls once per touched
-    /// aggregate (the unit of lock tenure) instead of once per row.
+    /// moment earlier.
     pub fn observe_batch(&self, batch: &mut IngestBatch) {
         if batch.rows == 0 {
             return;
@@ -365,17 +323,6 @@ impl ShardedSampleCache {
         self.nr_read.fetch_add(batch.rows, Ordering::Relaxed);
         for &a in &batch.touched {
             let vals = &batch.per_agg[a as usize];
-            // CacheShard fault site: a tear while holding this bucket's
-            // lock; the recovery path below rebuilds it on acquisition.
-            if let Some(inj) = &self.faults {
-                if let Some(fault) = inj.roll(FaultSite::CacheShard) {
-                    fault.stall();
-                    if fault.error {
-                        self.buckets[a as usize].mark_torn();
-                    }
-                }
-            }
-            self.offered[a as usize].fetch_add(vals.len() as u64, Ordering::Relaxed);
             let mut bucket = self.bucket(a as usize);
             vals.iter().for_each(|&v| bucket.push(v));
             drop(bucket);
@@ -408,25 +355,21 @@ impl ShardedSampleCache {
 
     /// The exact per-aggregate `(counts, sums)` of the query once the whole
     /// table was streamed into the cache; `None` while the scan is partial
-    /// or after a bucket was rebuilt (see `SampleCache::exact_result`).
+    /// (see `SampleCache::exact_result`).
     pub fn exact_result(&self) -> Option<(Vec<u64>, Vec<f64>)> {
         if self.nr_read() < self.nr_rows_total {
             return None;
         }
-        // A rebuilt bucket lost values: sums would silently undercount,
-        // so a recovered cache never claims exactness.
-        if self.poison_recoveries() > 0 {
-            return None;
-        }
-        // Relaxed: callers only get a `Some` after the ingest threads were
-        // joined (nr_read == total), and the join orders their stores.
-        let counts = self.offered.iter().map(|o| o.load(Ordering::Relaxed)).collect();
-        let sums: Vec<f64> = (0..self.buckets.len()).map(|a| self.bucket(a).sum()).collect();
-        // Re-check: a tear recovered *while* summing also voids exactness.
-        if self.poison_recoveries() > 0 {
-            return None;
-        }
-        Some((counts, sums))
+        // Callers only get a `Some` after the ingest threads were joined
+        // (nr_read == total), and the join orders their stores.
+        Some(
+            (0..self.buckets.len() as AggIdx)
+                .map(|a| {
+                    let m = self.moments(a);
+                    (m.n(), m.sum())
+                })
+                .unzip(),
+        )
     }
 
     /// Number of values folded into one aggregate's bucket (`CA.SIZE`).
@@ -439,10 +382,10 @@ impl ShardedSampleCache {
         *self.bucket(agg as usize)
     }
 
-    /// Total rows ever offered to one aggregate's bucket (counting rows a
-    /// rebuilt bucket lost, so count estimates stay unbiased).
+    /// Total rows offered to one aggregate's bucket — the count the
+    /// estimators use; [`ShardedSampleCache::size`] as a `u64`.
     pub fn seen(&self, agg: AggIdx) -> u64 {
-        self.offered[agg as usize].load(Ordering::Relaxed)
+        self.bucket(agg as usize).n()
     }
 
     /// Total rows considered so far across all workers (`CA.NRREAD`).
@@ -500,10 +443,10 @@ impl ShardedSampleCache {
         if nr_read == 0 {
             return None;
         }
-        let count = self.nr_rows_total as f64 * self.seen(agg) as f64 / nr_read as f64;
         let m = self.moments(agg);
         let n = m.n() as f64;
-        // n ≥ 2 implies seen ≥ 2, so `count` > 0.
+        let count = self.nr_rows_total as f64 * n / nr_read as f64;
+        // n ≥ 2 implies `count` > 0.
         let se =
             if m.n() < 2 { 0.0 } else { (m.variance() / n * (1.0 - n / count).max(0.0)).sqrt() };
         Some(Posterior { count, n: m.n(), mean: m.mean(), se })
@@ -679,31 +622,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn zero_probability_faults_change_nothing() {
-        use voxolap_faults::{FaultPlan, SiteSchedule};
-        let (table, q) = salary_setup();
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::new(1).with_site(FaultSite::CacheShard, SiteSchedule::error(0.0)),
-        ));
-        let stats = Arc::new(DegradeStats::default());
-        let faulted = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
-            .with_faults(injector, stats);
-        let plain = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64);
-        ingest(&faulted, &mut table.scan_shuffled(7), &q, 1);
-        ingest(&plain, &mut table.scan_shuffled(7), &q, 1);
-        assert_eq!(faulted.poison_recoveries(), 0);
-        for agg in 0..q.n_aggregates() as u32 {
-            assert_eq!(faulted.size(agg), plain.size(agg));
-            assert_eq!(faulted.seen(agg), plain.seen(agg));
-        }
-        assert_eq!(faulted.exact_result(), plain.exact_result());
-    }
-
     /// Ingest the whole shuffled table a row at a time into one cache and in
     /// batches of `batch_rows` (accumulated via [`IngestBatch`]) into the
-    /// other, then assert every observable — bucket moments, offered
-    /// counts, nr_read, scope aggregates, posteriors — is identical bit for
+    /// other, then assert every observable — bucket moments, counts,
+    /// nr_read, scope aggregates, posteriors — is identical bit for
     /// bit. The same scan order also feeds the sequential
     /// [`SampleCache`](crate::cache::SampleCache) row by row: it is the
     /// reference the batched cache is defined against, so counts, sizes,
@@ -732,8 +654,8 @@ mod tests {
         assert_eq!(by_batch.nr_read(), reference.nr_read());
         assert_eq!(by_batch.nonempty_count(), by_row.nonempty_count());
         for agg in 0..q.n_aggregates() as u32 {
-            assert_eq!(by_batch.seen(agg), by_row.seen(agg), "offered, agg {agg}");
-            assert_eq!(by_batch.seen(agg), reference.seen(agg), "offered vs sequential, agg {agg}");
+            assert_eq!(by_batch.seen(agg), by_row.seen(agg), "seen, agg {agg}");
+            assert_eq!(by_batch.seen(agg), reference.seen(agg), "seen vs sequential, agg {agg}");
             assert_eq!(by_batch.size(agg), reference.size(agg), "size vs sequential, agg {agg}");
             assert_eq!(
                 by_batch.moments(agg).bits(),
@@ -786,34 +708,6 @@ mod tests {
             .build(schema)
             .unwrap();
         assert_batch_matches_row_at_a_time(&table, &q, 23, 113);
-    }
-
-    #[test]
-    fn injected_tears_fire_and_recover_inside_observe_batch() {
-        use voxolap_faults::{FaultPlan, SiteSchedule};
-        let (table, q) = salary_setup();
-        let injector = Arc::new(FaultInjector::new(
-            FaultPlan::new(99).with_site(FaultSite::CacheShard, SiteSchedule::error(0.5)),
-        ));
-        let stats = Arc::new(DegradeStats::default());
-        let cache = ShardedSampleCache::new(q.n_aggregates(), table.row_count() as u64)
-            .with_faults(injector.clone(), stats.clone());
-        let cache = fill(cache, &table, &q, 4, 7, usize::MAX);
-        assert!(injector.injected(FaultSite::CacheShard) > 0, "tear site fires in batch path");
-        assert!(cache.poison_recoveries() > 0, "torn buckets rebuilt");
-        assert_eq!(stats.snapshot().poison_recoveries, cache.poison_recoveries());
-        assert!(cache.exact_result().is_none(), "recovered cache never claims exactness");
-        assert_eq!(cache.nr_read(), table.row_count() as u64);
-        // Offered counts stay exact through tears.
-        let exact = evaluate(&q, &table);
-        for agg in 0..q.n_aggregates() as u32 {
-            assert_eq!(cache.seen(agg), exact.count(agg), "offered counts survive tears");
-        }
-        for agg in 0..q.n_aggregates() as u32 {
-            let post = cache.posterior(agg).unwrap();
-            assert!(post.n <= cache.seen(agg), "a rebuilt bucket holds fewer rows than offered");
-            assert!(post.se.is_finite());
-        }
     }
 
     #[test]

@@ -1,10 +1,6 @@
-//! The resilience bundle an engine carries, and per-run degrade state.
+//! The answer counters an engine carries, and per-run degrade state.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-use crate::plan::{FaultInjector, FaultPlan};
-use crate::stats::DegradeStats;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Per-run degrade state: the degraded flag the answer is tagged with.
 /// Every run has one, shared (via `Arc`) between the samplers, the
@@ -26,58 +22,52 @@ impl RunState {
     }
 }
 
-/// Everything an engine needs to count and inject failures, bundled: the
-/// (optional) fault injector its sample cache rolls, and the process-wide
-/// [`DegradeStats`]. Every engine holds one behind an `Arc`; the default
-/// has no injector and is inert — every roll is a `None` branch and no
-/// planner randomness or iteration count changes — but a deadline cut is
-/// still committed through the anytime path and counted degraded.
+/// How an engine's answers ended: clean, or degraded by a deadline cut
+/// committed through the anytime path. Every engine holds one behind an
+/// `Arc`, typically shared for a whole process (CLI session, server) and
+/// fed by every run; counting consumes no planner randomness.
 #[derive(Debug, Default)]
 pub struct Resilience {
-    injector: Option<Arc<FaultInjector>>,
-    stats: Arc<DegradeStats>,
+    degraded_answers: AtomicU64,
+    clean_answers: AtomicU64,
 }
 
 impl Resilience {
-    /// A bundle counting into fresh stats; `plan` enables injection.
-    pub fn new(plan: Option<FaultPlan>) -> Self {
-        Resilience {
-            injector: plan.map(|p| Arc::new(FaultInjector::new(p))),
-            stats: Arc::default(),
-        }
+    /// Count one finished answer.
+    pub fn count_answer(&self, degraded: bool) {
+        let tally = if degraded { &self.degraded_answers } else { &self.clean_answers };
+        tally.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The attached injector, if any (shared with engine caches and the
-    /// storage layer).
-    pub fn injector(&self) -> Option<&Arc<FaultInjector>> {
-        self.injector.as_ref()
+    /// Answers completed with `degraded: true`.
+    pub fn degraded_answers(&self) -> u64 {
+        self.degraded_answers.load(Ordering::Relaxed)
     }
 
-    /// The shared degradation counters.
-    pub fn stats(&self) -> &Arc<DegradeStats> {
-        &self.stats
+    /// Answers completed clean.
+    pub fn clean_answers(&self) -> u64 {
+        self.clean_answers.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{FaultSite, SiteSchedule};
 
     #[test]
     fn inert_bundle_never_rolls_faults() {
         let r = Resilience::default();
-        assert!(r.injector().is_none());
-        assert_eq!(r.stats().snapshot(), Default::default());
+        assert_eq!((r.clean_answers(), r.degraded_answers()), (0, 0));
+        assert!(!RunState::default().degraded());
     }
 
     #[test]
-    fn roll_respects_attached_plan() {
-        let plan = FaultPlan::new(1).with_site(FaultSite::CacheShard, SiteSchedule::error(1.0));
-        let r = Resilience::new(Some(plan));
-        let inj = r.injector().expect("plan attached");
-        assert!(inj.roll(FaultSite::CacheShard).is_some());
-        assert!(inj.roll(FaultSite::WalAppend).is_none());
-        assert_eq!(r.stats().snapshot().poison_recoveries, 0);
+    fn counters_reflect_each_answer() {
+        let r = Resilience::default();
+        r.count_answer(true);
+        r.count_answer(false);
+        r.count_answer(false);
+        assert_eq!(r.degraded_answers(), 1);
+        assert_eq!(r.clean_answers(), 2);
     }
 }

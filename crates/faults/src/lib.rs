@@ -1,35 +1,30 @@
 //! # voxolap-faults
 //!
-//! Deterministic fault injection at the sites where this process can
-//! really fail, and the counters that say how often it did (DESIGN.md
-//! §12).
+//! Deterministic fault injection at the storage layer, where this process
+//! can really fail, and the counters that say how its answers ended
+//! (DESIGN.md §12).
 //!
-//! A **fault site** ([`FaultSite`]) names one failure this process can
-//! meet: a worker panicking while it holds a sample-cache stripe
-//! (`CacheShard`), and the storage layer's write-ahead-log write and
-//! fsync (`WalAppend`, `WalFsync`). A
-//! seeded [`FaultPlan`] assigns a probability/latency/error schedule to
-//! any subset of sites; a [`FaultInjector`] rolls against it with a
+//! A **fault site** ([`FaultSite`]) names one failure the storage layer
+//! can meet: its write-ahead-log write and fsync (`WalAppend`,
+//! `WalFsync`). A seeded [`FaultPlan`] assigns a fault probability to any
+//! subset of sites; a [`FaultInjector`] rolls against it with a
 //! counter-hash (splitmix64 over `seed ^ site ^ counter`), so a schedule
 //! is reproducible from its seed alone, independent of thread
-//! interleaving, and consumes **no planner randomness**: with no schedule
-//! attached every roll is a branch on a `None` — planning output stays
-//! bit-identical to a build without the harness.
+//! interleaving. The planners roll nothing, so their output is the same
+//! with or without a plan.
 //!
-//! The third failure, a deadline, needs no injector: when it passes
-//! mid-plan the planner commits the best baseline it has and stops,
-//! tagging the answer degraded in its [`RunState`]. Every run has one,
-//! injector or not, so a deadline means this on every engine.
-//! [`DegradeStats`] counts clean and degraded answers and rebuilt stripes
-//! across runs for observability (`GET /stats`).
+//! The one failure a planner meets, a deadline, needs no injector: when
+//! it passes mid-plan the planner commits the best baseline it has and
+//! stops, tagging the answer degraded in its [`RunState`]. A worker
+//! panicking ends its run, and the request with it. [`Resilience`]
+//! counts clean and degraded answers across runs for observability
+//! (`GET /stats`).
 
 mod hub;
 mod plan;
-mod stats;
 
 pub use hub::{Resilience, RunState};
 pub use plan::{Fault, FaultInjector, FaultPlan, FaultSite, SiteSchedule};
-pub use stats::{DegradeSnapshot, DegradeStats};
 
 /// splitmix64 — the crate's only randomness primitive. Stateless: the
 /// caller supplies the full input, so identical inputs give identical

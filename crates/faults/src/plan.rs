@@ -1,66 +1,60 @@
 //! Seeded fault plans and the injector that rolls against them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use crate::{splitmix64, unit_f64};
 
-/// Named injection points: the failures this process can meet.
+/// Named injection points: the storage layer's failures this process can
+/// meet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// An access to a sharded sample-cache bucket — models a thread dying
-    /// while holding a shard lock (the bucket is marked torn).
-    CacheShard = 0,
     /// A write-ahead-log record write during a durable ingest commit —
     /// Storage stage (transient: the batch fails but the log stays
     /// usable).
-    WalAppend = 1,
+    WalAppend = 0,
     /// A WAL fsync — Storage stage. Fatal for the log by the fsyncgate
     /// rule: a failed fsync may have lost pages silently, so the log is
     /// poisoned rather than retried.
-    WalFsync = 2,
+    WalFsync = 1,
 }
 
 /// Number of distinct fault sites.
-pub const N_SITES: usize = 3;
+pub const N_SITES: usize = 2;
 
 impl FaultSite {
     /// All sites, in wire order.
-    pub const ALL: [FaultSite; N_SITES] =
-        [FaultSite::CacheShard, FaultSite::WalAppend, FaultSite::WalFsync];
+    pub const ALL: [FaultSite; N_SITES] = [FaultSite::WalAppend, FaultSite::WalFsync];
 
     /// Stable short name (used by the `--fault-plan` spec).
     pub fn name(self) -> &'static str {
         match self {
-            FaultSite::CacheShard => "shard",
             FaultSite::WalAppend => "wal",
             FaultSite::WalFsync => "fsync",
         }
     }
 
     /// Per-site hash salt so the same counter value rolls independently
-    /// at different sites.
+    /// at different sites. Fixed per site, so a plan's `wal` and `fsync`
+    /// rolls do not move when a site is added or removed.
     fn salt(self) -> u64 {
-        [0xE703_7ED1_A0B4_28DB, 0x1D8E_4E27_C47D_124F, 0xEB44_ACCA_B455_D165][self as usize]
+        match self {
+            FaultSite::WalAppend => 0x1D8E_4E27_C47D_124F,
+            FaultSite::WalFsync => 0xEB44_ACCA_B455_D165,
+        }
     }
 }
 
-/// What happens at a site when its roll comes up: an added stall, an
-/// error, or both.
+/// How often a site fails when rolled.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SiteSchedule {
     /// Per-roll fault probability in `[0, 1]`.
     pub probability: f64,
-    /// Stall injected on each fault (zero = none).
-    pub latency: Duration,
-    /// Whether the fault is an error (vs. latency only).
-    pub error: bool,
 }
 
 impl SiteSchedule {
-    /// An error schedule with the given probability and no added latency.
+    /// An error schedule with the given probability.
     pub fn error(probability: f64) -> Self {
-        SiteSchedule { probability, latency: Duration::ZERO, error: true }
+        SiteSchedule { probability }
     }
 }
 
@@ -91,39 +85,27 @@ impl FaultPlan {
         self.sites[site as usize]
     }
 
-    /// Parse a `--fault-plan` spec: comma-separated `key=value` pairs.
-    ///
-    /// Plan keys: `seed=N`, per-site probabilities `shard=P`, `wal=P`,
-    /// `fsync=P` (each in `[0,1]`), `latency_us=N` (stall added
-    /// to every enabled site), and `latency_only` (faults stall but do not
-    /// error). Unknown keys are rejected so typos surface immediately.
+    /// Parse a `--fault-plan` spec: comma-separated `key=value` pairs,
+    /// `seed=N` and the per-site probabilities `wal=P` and `fsync=P`
+    /// (each in `[0,1]`). Unknown keys are rejected so typos surface
+    /// immediately.
     ///
     /// ```
     /// use voxolap_faults::{FaultPlan, FaultSite};
-    /// let plan = FaultPlan::parse("seed=7,shard=0.2,fsync=0.05").unwrap();
+    /// let plan = FaultPlan::parse("seed=7,fsync=0.05").unwrap();
     /// assert_eq!(plan.seed, 7);
-    /// assert_eq!(plan.site(FaultSite::CacheShard).unwrap().probability, 0.2);
+    /// assert_eq!(plan.site(FaultSite::WalFsync).unwrap().probability, 0.05);
     /// assert!(plan.site(FaultSite::WalAppend).is_none());
     /// ```
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        let mut latency = Duration::ZERO;
-        let mut error = true;
         for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            if part == "latency_only" {
-                error = false;
-                continue;
-            }
             let (key, value) = part
                 .split_once('=')
                 .ok_or_else(|| format!("fault-plan: expected key=value, got {part:?}"))?;
             let bad = |what: &str| format!("fault-plan: bad {what} in {part:?}");
             match key.trim() {
                 "seed" => plan.seed = value.trim().parse().map_err(|_| bad("seed"))?,
-                "latency_us" => {
-                    latency =
-                        Duration::from_micros(value.trim().parse().map_err(|_| bad("latency"))?);
-                }
                 site_key => {
                     let site = FaultSite::ALL
                         .into_iter()
@@ -133,14 +115,9 @@ impl FaultPlan {
                     if !(0.0..=1.0).contains(&p) {
                         return Err(bad("probability (must be in [0,1])"));
                     }
-                    plan.sites[site as usize] =
-                        Some(SiteSchedule { probability: p, latency: Duration::ZERO, error: true });
+                    plan.sites[site as usize] = Some(SiteSchedule::error(p));
                 }
             }
-        }
-        for slot in plan.sites.iter_mut().flatten() {
-            slot.latency = latency;
-            slot.error = error;
         }
         Ok(plan)
     }
@@ -151,22 +128,9 @@ impl FaultPlan {
 pub struct Fault {
     /// Where it was injected.
     pub site: FaultSite,
-    /// Stall to apply (already the schedule's value).
-    pub latency: Duration,
-    /// Whether this fault is an error (vs. latency only).
-    pub error: bool,
     /// The roll's hash — a deterministic token that names the fault in
     /// error messages.
     pub token: u64,
-}
-
-impl Fault {
-    /// Apply the fault's latency (no-op for zero stalls).
-    pub fn stall(&self) {
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-    }
 }
 
 /// Rolls faults against a [`FaultPlan`].
@@ -180,17 +144,12 @@ impl Fault {
 pub struct FaultInjector {
     plan: FaultPlan,
     counters: [AtomicU64; N_SITES],
-    injected: [AtomicU64; N_SITES],
 }
 
 impl FaultInjector {
     /// Create an injector over `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        FaultInjector {
-            plan,
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            injected: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
+        FaultInjector { plan, counters: std::array::from_fn(|_| AtomicU64::new(0)) }
     }
 
     /// Roll at `site`: `None` (nothing happens) or the fault to apply.
@@ -200,22 +159,7 @@ impl FaultInjector {
         let n = self.counters[site as usize].fetch_add(1, Ordering::Relaxed);
         let token =
             splitmix64(self.plan.seed ^ site.salt() ^ n.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        if unit_f64(token) < sched.probability {
-            self.injected[site as usize].fetch_add(1, Ordering::Relaxed);
-            Some(Fault { site, latency: sched.latency, error: sched.error, token })
-        } else {
-            None
-        }
-    }
-
-    /// Faults injected so far at `site`.
-    pub fn injected(&self, site: FaultSite) -> u64 {
-        self.injected[site as usize].load(Ordering::Relaxed)
-    }
-
-    /// Faults injected so far across all sites.
-    pub fn total_injected(&self) -> u64 {
-        self.injected.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        (unit_f64(token) < sched.probability).then_some(Fault { site, token })
     }
 }
 
@@ -227,19 +171,18 @@ mod tests {
     fn empty_plan_never_faults_and_keeps_counters_idle() {
         let inj = FaultInjector::new(FaultPlan::new(9));
         for _ in 0..1000 {
-            assert!(inj.roll(FaultSite::CacheShard).is_none());
+            assert!(inj.roll(FaultSite::WalAppend).is_none());
         }
-        assert_eq!(inj.total_injected(), 0);
         // The site had no schedule, so its counter never advanced.
-        assert_eq!(inj.counters[FaultSite::CacheShard as usize].load(Ordering::Relaxed), 0);
+        assert_eq!(inj.counters[FaultSite::WalAppend as usize].load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn rolls_are_deterministic_under_seed() {
-        let plan = FaultPlan::new(3).with_site(FaultSite::CacheShard, SiteSchedule::error(0.3));
+        let plan = FaultPlan::new(3).with_site(FaultSite::WalAppend, SiteSchedule::error(0.3));
         let run = || {
             let inj = FaultInjector::new(plan.clone());
-            (0..200).map(|_| inj.roll(FaultSite::CacheShard).is_some()).collect::<Vec<_>>()
+            (0..200).map(|_| inj.roll(FaultSite::WalAppend).is_some()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
         assert!(run().iter().any(|&f| f), "p=0.3 over 200 rolls fires");
@@ -248,42 +191,40 @@ mod tests {
 
     #[test]
     fn probability_is_roughly_honored() {
-        let plan = FaultPlan::new(11).with_site(FaultSite::CacheShard, SiteSchedule::error(0.2));
+        let plan = FaultPlan::new(11).with_site(FaultSite::WalAppend, SiteSchedule::error(0.2));
         let inj = FaultInjector::new(plan);
-        for _ in 0..10_000 {
-            inj.roll(FaultSite::CacheShard);
-        }
-        let rate = inj.injected(FaultSite::CacheShard) as f64 / 10_000.0;
+        let fired = (0..10_000).filter(|_| inj.roll(FaultSite::WalAppend).is_some()).count();
+        let rate = fired as f64 / 10_000.0;
         assert!((0.15..0.25).contains(&rate), "rate {rate}");
     }
 
     #[test]
     fn sites_roll_independently() {
         let plan = FaultPlan::new(5)
-            .with_site(FaultSite::CacheShard, SiteSchedule::error(1.0))
-            .with_site(FaultSite::WalAppend, SiteSchedule::error(0.0));
+            .with_site(FaultSite::WalAppend, SiteSchedule::error(1.0))
+            .with_site(FaultSite::WalFsync, SiteSchedule::error(0.0));
         let inj = FaultInjector::new(plan);
-        assert!(inj.roll(FaultSite::CacheShard).is_some());
-        assert!(inj.roll(FaultSite::WalAppend).is_none());
-        assert!(inj.roll(FaultSite::WalFsync).is_none(), "unscheduled site is silent");
+        assert!(inj.roll(FaultSite::WalAppend).is_some());
+        assert!(inj.roll(FaultSite::WalFsync).is_none());
+        let inj = FaultInjector::new(
+            FaultPlan::new(5).with_site(FaultSite::WalFsync, SiteSchedule::error(1.0)),
+        );
+        assert!(inj.roll(FaultSite::WalAppend).is_none(), "unscheduled site is silent");
     }
 
     #[test]
     fn parse_full_spec() {
-        let plan = FaultPlan::parse("seed=17, shard=0.5, wal=0.1, latency_us=250").unwrap();
+        let plan = FaultPlan::parse("seed=17, wal=0.1, fsync=0.5").unwrap();
         assert_eq!(plan.seed, 17);
-        let shard = plan.site(FaultSite::CacheShard).unwrap();
-        assert_eq!(shard.probability, 0.5);
-        assert_eq!(shard.latency, Duration::from_micros(250));
-        assert!(shard.error);
+        assert_eq!(plan.site(FaultSite::WalAppend).unwrap().probability, 0.1);
+        assert_eq!(plan.site(FaultSite::WalFsync).unwrap().probability, 0.5);
     }
 
     #[test]
     fn parse_storage_sites() {
-        let plan = FaultPlan::parse("seed=4,wal=0.2,fsync=0.1").unwrap();
-        assert_eq!(plan.site(FaultSite::WalAppend).unwrap().probability, 0.2);
+        let plan = FaultPlan::parse("seed=4,fsync=0.1").unwrap();
         assert_eq!(plan.site(FaultSite::WalFsync).unwrap().probability, 0.1);
-        assert!(plan.site(FaultSite::CacheShard).is_none());
+        assert!(plan.site(FaultSite::WalAppend).is_none());
         let inj = FaultInjector::new(
             FaultPlan::new(1).with_site(FaultSite::WalFsync, SiteSchedule::error(1.0)),
         );
@@ -293,13 +234,9 @@ mod tests {
 
     #[test]
     fn parse_latency_only_and_rejects_garbage() {
-        let plan = FaultPlan::parse("shard=1.0,latency_only,latency_us=10").unwrap();
-        let shard = plan.site(FaultSite::CacheShard).unwrap();
-        assert!(!shard.error);
-        assert_eq!(shard.latency, Duration::from_micros(10));
         assert!(FaultPlan::parse("bogus=1").is_err());
-        assert!(FaultPlan::parse("shard=1.5").is_err());
-        assert!(FaultPlan::parse("shard").is_err());
+        assert!(FaultPlan::parse("wal=1.5").is_err());
+        assert!(FaultPlan::parse("wal").is_err());
         assert_eq!(FaultPlan::parse("").unwrap(), FaultPlan::default());
         // Keys of sites and ladder rungs this process cannot meet fail
         // loudly instead of being ignored.
@@ -308,6 +245,8 @@ mod tests {
             "sample",
             "emit",
             "snap",
+            "shard",
+            "latency_us",
             "budget",
             "retries",
             "backoff_us",
@@ -317,5 +256,7 @@ mod tests {
         for key in removed {
             assert!(FaultPlan::parse(&format!("{key}=1")).is_err(), "{key}");
         }
+        assert!(FaultPlan::parse("latency_only").is_err());
+        assert!(FaultPlan::parse("wal=0.5,latency_only").is_err());
     }
 }

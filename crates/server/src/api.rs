@@ -79,9 +79,8 @@ pub struct AppState {
     /// subsequent request (vocalizers are stateless apart from shared
     /// caches, so one instance serves all connections).
     vocalizers: Mutex<HashMap<String, Arc<dyn Vocalizer>>>,
-    /// Resilience bundle shared by every vocalizer built here: inert
-    /// (deadline cuts and the clean/degraded tally only) unless
-    /// `--fault-plan` attached an injecting one.
+    /// The clean/degraded answer tally shared by every vocalizer built
+    /// here.
     resilience: Arc<Resilience>,
     /// Latency distributions and stream counters behind `/stats`, shared
     /// with in-flight streaming responses.
@@ -406,18 +405,6 @@ impl AppState {
         self
     }
 
-    /// Replace the resilience bundle (the server's `--fault-plan` flag;
-    /// see `voxolap_faults::FaultPlan::parse` for the spec grammar).
-    /// Vocalizers built after this call roll its injector at their sample
-    /// cache's shard site and count their answers in its stats. The server
-    /// binary builds the bundle itself, to share one fault injector between
-    /// the durability layer (which needs it before the table opens) and
-    /// the planner.
-    pub fn with_resilience(mut self, resilience: Arc<Resilience>) -> Self {
-        self.resilience = resilience;
-        self
-    }
-
     /// Attach the serving-layer counter block so `GET /stats` can report
     /// it. Pass the same `Arc` to [`crate::http::serve_with`].
     pub fn with_http_metrics(mut self, metrics: Arc<HttpMetrics>) -> Self {
@@ -504,6 +491,7 @@ impl AppState {
             ("snapshot_repairs", s.snapshot_repairs.into()),
             ("repair_rows_read", s.repair_rows_read.into()),
             ("stale_serves", s.stale_serves.into()),
+            ("poison_recoveries", s.poison_recoveries.into()),
             ("bytes_used", s.bytes_used.into()),
             ("capacity_bytes", cache.capacity_bytes().into()),
         ])
@@ -517,19 +505,12 @@ impl AppState {
         ])
     }
 
-    /// Degradation counters for `/stats`: rebuilt locks, clean and degraded
-    /// answers, plus planning-latency percentiles split degraded vs clean.
+    /// Degradation counters for `/stats`: clean and degraded answers,
+    /// plus planning-latency percentiles split degraded vs clean.
     fn degradation_json(&self) -> Value {
-        let s = self.resilience.stats().snapshot();
-        // Serving-layer lock recoveries (http pool) count under the same
-        // stat as engine-side ones: one number answers "how often did a
-        // poisoned lock get rebuilt instead of crashing something".
-        let http_recoveries =
-            self.http_metrics.as_ref().map_or(0, |m| m.snapshot().poison_recoveries);
         Value::obj([
-            ("poison_recoveries", (s.poison_recoveries + http_recoveries).into()),
-            ("degraded_answers", s.degraded_answers.into()),
-            ("clean_answers", s.clean_answers.into()),
+            ("degraded_answers", self.resilience.degraded_answers().into()),
+            ("clean_answers", self.resilience.clean_answers().into()),
             ("planning_ms_degraded", self.stats.planning_degraded.to_json()),
             ("planning_ms_clean", self.stats.planning_clean.to_json()),
         ])
@@ -901,12 +882,6 @@ mod tests {
         Arc::new(raw_state())
     }
 
-    /// What `--fault-plan <spec>` serves.
-    fn faulty_state(spec: &str) -> AppState {
-        let plan = voxolap_faults::FaultPlan::parse(spec).unwrap();
-        raw_state().with_resilience(Arc::new(Resilience::new(Some(plan))))
-    }
-
     fn post(state: &Arc<AppState>, path: &str, body: &str) -> Response {
         state.handle(&Request::new("POST", path, body.as_bytes()))
     }
@@ -938,6 +913,7 @@ mod tests {
         assert_eq!(stats["cache"]["misses"].as_u64().unwrap(), 1);
         assert_eq!(stats["cache"]["admissions"].as_u64().unwrap(), 1);
         assert!(stats["cache"]["capacity_bytes"].as_u64().unwrap() > 0);
+        assert_eq!(stats["cache"]["poison_recoveries"].as_u64(), Some(0));
         assert_eq!(stats["latency_ms"]["count"].as_u64().unwrap(), 2);
         assert!(stats["latency_ms"]["p50"].as_f64().unwrap() >= 0.0);
         assert!(
@@ -1055,19 +1031,18 @@ mod tests {
         assert!(quit.body.contains("\"ended\":true"));
     }
 
-    /// A planning turn holds up nothing but its own session. Every
-    /// sample-cache stripe lock of the `POST /session/a/input` below is
-    /// stalled 200 µs by a latency-only shard fault (thousands of them: the
-    /// turn reads the whole table); while it is in flight `/stats` answers
-    /// and a turn on session `b` completes.
+    /// A planning turn holds up nothing but its own session. The
+    /// `POST /session/a/input` below asks `unmerged`, which samples for
+    /// 500 ms of wall clock before it says a word; while it is in flight
+    /// `/stats` answers and a turn on session `b` completes.
     #[test]
     fn a_planning_session_turn_blocks_neither_stats_nor_other_sessions() {
-        let plan = "seed=1,shard=1.0,latency_us=200,latency_only";
-        let s = Arc::new(faulty_state(plan));
+        let s = state();
         let slow = {
             let s = Arc::clone(&s);
             std::thread::spawn(move || {
-                post(&s, "/session/a/input", "{\"text\": \"break down by region\"}").status
+                let turn = "{\"text\": \"break down by region\", \"approach\": \"unmerged\"}";
+                post(&s, "/session/a/input", turn).status
             })
         };
         // Session `a` is listed from the moment its turn starts.
@@ -1076,7 +1051,7 @@ mod tests {
         while active() != Some(1) {
             std::thread::yield_now();
         }
-        // `prior` has no sample cache, so this turn is not stalled itself.
+        // `prior` plans without a sampling budget, so this turn is quick.
         let other = "{\"text\": \"break down by season\", \"approach\": \"prior\"}";
         assert_eq!(post(&s, "/session/b/input", other).status, 200);
         assert!(!slow.is_finished(), "/stats and session b had to wait for session a's turn");
@@ -1152,9 +1127,9 @@ mod tests {
 
     #[test]
     fn fault_free_plan_counts_clean_answers_and_omits_degraded_field() {
-        // A plan with a seed but no fault sites: the resilience machinery
-        // is live yet every answer completes clean.
-        let s = Arc::new(faulty_state("seed=1"));
+        // No deadline, no fault: every answer completes clean and its
+        // body carries no `degraded` field.
+        let s = state();
         let r = post(&s, "/ask", "{\"question\": \"cancellation probability by season\"}");
         assert_eq!(r.status, 200, "{}", r.body);
         assert!(!r.body.contains("\"degraded\""), "{}", r.body);
@@ -1178,13 +1153,7 @@ mod tests {
         let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             keys,
-            [
-                "poison_recoveries",
-                "degraded_answers",
-                "clean_answers",
-                "planning_ms_degraded",
-                "planning_ms_clean"
-            ],
+            ["degraded_answers", "clean_answers", "planning_ms_degraded", "planning_ms_clean"],
             "only counters that can move"
         );
         assert_eq!(d["degraded_answers"].as_u64(), Some(0), "{stats:?}");

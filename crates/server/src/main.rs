@@ -32,13 +32,12 @@
 //! approach (default: all cores). `--cache-mb` sizes the cross-query
 //! semantic cache shared by all requests (default 64; `0` disables it).
 //! `--fault-plan` attaches a deterministic fault-injection schedule to
-//! the sites where this process can really fail (e.g.
-//! `seed=7,shard=0.2,fsync=0.01`; DESIGN.md §12): `shard` tears
-//! sample-cache stripes as a worker panicking under their lock would, and
-//! `wal` and `fsync` fail the storage writes of `--data-dir`. Any
-//! other key is refused with exit status 2. Answers cut by a deadline
-//! carry `"degraded":true`; the `"degradation"` section of `GET /stats`
-//! (always present) counts clean and degraded answers and rebuilt locks.
+//! the storage writes of `--data-dir`, where this process can really fail
+//! (e.g. `seed=7,wal=0.2,fsync=0.01`; DESIGN.md §12): `wal` fails log
+//! record writes and `fsync` fails log fsyncs. Any other key is refused
+//! with exit status 2. Answers cut by a deadline carry
+//! `"degraded":true`; the `"degradation"` section of `GET /stats` (always
+//! present) counts clean and degraded answers.
 //!
 //! The serving layer is an epoll reactor feeding a bounded worker pool
 //! (DESIGN.md §15): `--http-threads` sets the pool size (default 8),
@@ -82,7 +81,7 @@ use std::time::Duration;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::salary::SalaryConfig;
 use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode};
-use voxolap_faults::{FaultPlan, Resilience};
+use voxolap_faults::{FaultInjector, FaultPlan};
 use voxolap_server::{serve_with, AppState, HttpMetrics, ServerConfig};
 
 /// Every flag of the module docs, checked once: a value is stored only
@@ -94,7 +93,7 @@ struct Args {
     rows: Option<usize>,
     threads: Option<usize>,
     cache_mb: Option<usize>,
-    fault_plan: Option<String>,
+    fault_plan: Option<FaultPlan>,
     http_threads: Option<usize>,
     http_queue: Option<usize>,
     http_timeout_ms: Option<u64>,
@@ -134,7 +133,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--rows" => a.rows = num(flag, value)?,
             "--threads" => a.threads = num(flag, value)?,
             "--cache-mb" => a.cache_mb = num(flag, value)?,
-            "--fault-plan" => a.fault_plan = Some(value.to_string()),
+            "--fault-plan" => a.fault_plan = Some(FaultPlan::parse(value)?),
             "--http-threads" => a.http_threads = num(flag, value)?,
             "--http-queue" => a.http_queue = num(flag, value)?,
             "--http-timeout-ms" => a.http_timeout_ms = num(flag, value)?,
@@ -201,22 +200,6 @@ fn main() {
         FlightsConfig { rows, seed: 42 }.generate()
     };
 
-    // The fault plan is parsed before the durable table opens so the
-    // storage sites (wal/fsync) share the planner's injector.
-    let resilience = match &args.fault_plan {
-        None => Arc::default(),
-        Some(spec) => match FaultPlan::parse(spec) {
-            Ok(plan) => {
-                eprintln!("fault plan attached: {spec}");
-                Arc::new(Resilience::new(Some(plan)))
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        },
-    };
-
     // Recovery runs here, before the listener exists: no request can
     // observe a partially recovered table.
     let durable = match &args.data_dir {
@@ -224,7 +207,10 @@ fn main() {
             let fsync_mode = args.fsync_mode.unwrap_or(FsyncMode::Batch);
             let options = DurabilityOptions {
                 fsync_mode,
-                faults: resilience.injector().cloned(),
+                faults: args.fault_plan.clone().map(|plan| {
+                    eprintln!("fault plan attached to the durable store: {plan:?}");
+                    Arc::new(FaultInjector::new(plan))
+                }),
                 ..DurabilityOptions::default()
             };
             match DurableTable::open(table, dir, options) {
@@ -261,7 +247,7 @@ fn main() {
     if let Some(mb) = args.cache_mb {
         state = state.with_cache_mb(mb);
     }
-    let state = Arc::new(state.with_resilience(resilience));
+    let state = Arc::new(state);
     let state_for_shutdown = Arc::clone(&state);
 
     let shutdown = voxolap_server::install_shutdown_signals();
@@ -307,15 +293,21 @@ mod tests {
     fn every_flag_parses_to_its_type() {
         let a = parse(
             "--port 8099 --data salary --rows 5300000 --threads 2 \
-             --cache-mb 0 --fault-plan seed=7,shard=0.2 --http-threads 4 --http-queue 8 \
+             --cache-mb 0 --fault-plan seed=7,wal=0.2 --http-threads 4 --http-queue 8 \
              --http-timeout-ms 200 --http-idle-ms 300 --max-conns 9 --session-idle-ms 400 \
              --heartbeat-ms 500 --utterance-deadline-ms 1 --data-dir data \
              --fsync-mode off --shutdown-drain-ms 600",
         )
         .unwrap();
         assert_eq!(
-            (a.port, a.salary, a.rows, a.fault_plan.as_deref(), a.data_dir.as_deref()),
-            (Some(8099), true, Some(5_300_000), Some("seed=7,shard=0.2"), Some("data"))
+            (a.port, a.salary, a.rows, a.fault_plan.clone(), a.data_dir.as_deref()),
+            (
+                Some(8099),
+                true,
+                Some(5_300_000),
+                FaultPlan::parse("seed=7,wal=0.2").ok(),
+                Some("data")
+            )
         );
         assert_eq!(
             (a.fsync_mode, a.http_timeout_ms, a.max_conns),
@@ -335,6 +327,7 @@ mod tests {
             ("--verbose 1", "`--verbose`"),
             ("--scale-rows 5", "`--scale-rows`"),
             ("--snapshot-every 8", "`--snapshot-every`"),
+            ("--fault-plan seed=1,shard=0.5", "fault-plan: unknown key \"shard\""),
             ("--rows", "--rows needs a value"),
             ("--rows --threads 2", "--rows needs a value"),
         ] {

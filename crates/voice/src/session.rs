@@ -372,7 +372,7 @@ mod tests {
         let outcome = s.vocalize_with(&late, &mut voice).unwrap();
         assert!(outcome.stats.degraded, "a deadline cut must mark the answer degraded");
         assert_eq!(outcome.sentences.len(), 1, "the anytime answer is a baseline");
-        assert_eq!(res.stats().snapshot().degraded_answers, 1);
+        assert_eq!(res.degraded_answers(), 1);
         // The same session state with no deadline stays clean.
         let clean = Holistic::new(HolisticConfig::default()).with_resilience(res.clone());
         let outcome = s.vocalize_with(&clean, &mut voice).unwrap();

@@ -1,14 +1,14 @@
-//! Chaos suite: 100 deterministic, seeded fault schedules thrown at the
-//! holistic engine, at one thread and as a team, and at Unmerged
-//! (DESIGN.md §12).
+//! Chaos suite: 100 seeded deadline schedules thrown at the holistic
+//! engine, at one thread and as a team, and at Unmerged (DESIGN.md §12).
 //!
-//! Each seed derives a randomized [`FaultPlan`] — a cache-shard tear
-//! probability with an optional stall, the one in-process fault the
-//! planner meets — and a deadline: none, or one already past. It
-//! vocalizes a real query under both. Invariants checked for every run:
+//! A deadline is the one failure the planner meets (a worker panicking
+//! ends its run; storage faults stay in the storage layer). Each seed
+//! draws one: none, one already past, or one a few milliseconds into the
+//! run, so some cuts land mid-plan. It vocalizes a real query under it.
+//! Invariants checked for every run:
 //!
-//! 1. no panic escapes the engine (a poisoned shard must be rebuilt, a
-//!    passed deadline must degrade, neither may crash);
+//! 1. no panic escapes the engine (a passed deadline must degrade, not
+//!    crash);
 //! 2. exactly one answer is accounted, clean xor degraded;
 //! 3. the spoken text is never empty, and a "No data" fallback on a table
 //!    that *has* data is always marked degraded;
@@ -38,7 +38,7 @@ use voxolap_data::dimension::LevelId;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::{DimId, Table};
 use voxolap_engine::query::{AggFct, Query};
-use voxolap_faults::{FaultPlan, FaultSite, Resilience, SiteSchedule};
+use voxolap_faults::Resilience;
 use voxolap_speech::parse::parse_body;
 use voxolap_speech::scope::CompiledSpeech;
 
@@ -71,23 +71,20 @@ fn query(table: &Table, two_dims: bool) -> Query {
     b.build(table.schema()).unwrap()
 }
 
-/// Derive one randomized-but-deterministic schedule from `seed`: the
-/// resilience bundle, and the cancel token that carries its deadline.
-fn chaos_schedule(seed: u64) -> (Arc<Resilience>, CancelToken) {
+/// Derive one schedule from `seed`: the cancel token that carries its
+/// deadline, drawn when the run is about to start.
+fn chaos_schedule(seed: u64) -> CancelToken {
     let mut gen = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    let shard = SiteSchedule {
-        probability: gen.gen_range(0.0..0.05),
-        latency: Duration::from_micros(gen.gen_range(0..20)),
-        error: true,
-    };
-    let plan = FaultPlan::new(seed).with_site(FaultSite::CacheShard, shard);
     // A quarter of the schedules run out of time before planning starts:
-    // the anytime answer (or a stale exact serve) must carry them.
-    let cancel = match gen.gen_bool(0.25) {
-        true => CancelToken::with_deadline(Instant::now()),
-        false => CancelToken::never(),
-    };
-    (Arc::new(Resilience::new(Some(plan))), cancel)
+    // the anytime answer (or a stale exact serve) must carry them. A
+    // quarter more run out a few milliseconds in, mid-plan.
+    match gen.gen_range(0..4) {
+        0 => CancelToken::with_deadline(Instant::now()),
+        1 => {
+            CancelToken::with_deadline(Instant::now() + Duration::from_millis(gen.gen_range(1..=5)))
+        }
+        _ => CancelToken::never(),
+    }
 }
 
 fn engine_for(seed: u64, res: Arc<Resilience>) -> Box<dyn Vocalizer> {
@@ -99,8 +96,7 @@ fn engine_for(seed: u64, res: Arc<Resilience>) -> Box<dyn Vocalizer> {
     };
     // Alternate one-thread engines and two-thread teams so both the
     // deterministic loop and concurrent members on one lock-free tree face
-    // every schedule shape; both sample into the sharded cache, so both
-    // roll its shard faults.
+    // every schedule shape.
     if seed.is_multiple_of(2) {
         Box::new(Holistic::new(config).with_resilience(res))
     } else {
@@ -116,17 +112,16 @@ fn check_invariants(
     res: &Resilience,
     outcome: &VocalizationOutcome,
 ) -> Result<(), String> {
-    let snap = res.stats().snapshot();
-    if snap.clean_answers + snap.degraded_answers != 1 {
+    let (clean, degraded) = (res.clean_answers(), res.degraded_answers());
+    if clean + degraded != 1 {
         return Err(format!(
-            "run accounted {} clean + {} degraded answers, want exactly 1",
-            snap.clean_answers, snap.degraded_answers
+            "run accounted {clean} clean + {degraded} degraded answers, want exactly 1"
         ));
     }
-    if (snap.degraded_answers == 1) != outcome.stats.degraded {
+    if (degraded == 1) != outcome.stats.degraded {
         return Err(format!(
-            "stats counter ({} degraded) disagrees with outcome flag ({})",
-            snap.degraded_answers, outcome.stats.degraded
+            "stats counter ({degraded} degraded) disagrees with outcome flag ({})",
+            outcome.stats.degraded
         ));
     }
     let text = outcome.full_text();
@@ -145,7 +140,7 @@ fn check_invariants(
     if outcome.sentences.is_empty() {
         return Err("non-degraded run delivered no body sentences".to_string());
     }
-    // Grammar validity + Theorem A.1: whatever survived the faults must
+    // Grammar validity + Theorem A.1: whatever survived the cut must
     // still parse as a speech whose induced belief means average back to
     // the spoken baseline.
     let speech = parse_body(&body, table.schema(), q)
@@ -184,12 +179,12 @@ fn hundred_seeded_fault_schedules_never_break_the_invariants() {
     };
 
     let mut degraded_runs = 0u64;
-    let mut injected_total = 0u64;
     for seed in 0..SEEDS {
         current_seed.store(seed, Ordering::Relaxed);
-        let (res, cancel) = chaos_schedule(seed);
+        let res = Arc::new(Resilience::default());
         let q = query(&t, seed % 3 != 0);
         let engine = engine_for(seed, Arc::clone(&res));
+        let cancel = chaos_schedule(seed);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut voice = InstantVoice::default();
             engine.stream(&t, &q, &mut voice, cancel).drain()
@@ -203,32 +198,29 @@ fn hundred_seeded_fault_schedules_never_break_the_invariants() {
             panic!("seed {seed}: {why}");
         }
         degraded_runs += u64::from(outcome.stats.degraded);
-        injected_total += res.injector().map_or(0, |inj| inj.total_injected());
     }
     done.store(true, Ordering::Relaxed);
     watchdog.join().unwrap();
 
-    // The schedules must actually bite: plenty of torn shards, some
-    // answers degraded by their deadline, and some runs that rode the
-    // tears out clean.
-    assert!(injected_total > 100, "only {injected_total} faults injected across the suite");
+    // The schedules must actually bite: some answers degraded by their
+    // deadline, and some runs that finished clean.
     assert!(degraded_runs > 0, "no schedule degraded an answer");
     assert!(degraded_runs < SEEDS, "every schedule degraded; mild ones should survive clean");
 }
 
 /// Unmerged samples on the holistic engine's team, so every schedule's
-/// shard faults and deadline reach it too: the same invariants hold for
-/// its whole-speech-at-once answers under an iteration budget.
+/// deadline reaches it too: the same invariants hold for its
+/// whole-speech-at-once answers under an iteration budget.
 #[test]
 fn seeded_fault_schedules_never_break_unmerged() {
     let t = table();
-    let mut injected_shard = 0u64;
     for seed in 0..SEEDS {
-        let (res, cancel) = chaos_schedule(seed);
+        let res = Arc::new(Resilience::default());
         let q = query(&t, seed % 3 != 0);
         let config = HolisticConfig { max_tree_nodes: 30_000, seed, ..HolisticConfig::default() };
         let engine = Unmerged::new(config, SamplingBudget::Iterations(400))
             .with_resilience(Arc::clone(&res));
+        let cancel = chaos_schedule(seed);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             engine.stream(&t, &q, &mut InstantVoice::default(), cancel).drain()
         }))
@@ -240,15 +232,13 @@ fn seeded_fault_schedules_never_break_unmerged() {
             record_failure_seed(seed, &why);
             panic!("seed {seed}: Unmerged: {why}");
         }
-        injected_shard += res.injector().map_or(0, |inj| inj.injected(FaultSite::CacheShard));
     }
-    assert!(injected_shard > 0, "no schedule tore a shard of Unmerged's cache");
 }
 
-/// Fault schedules firing while append + repair traffic flows (DESIGN.md
-/// §16): every iteration fills a shared cache clean, appends a batch —
-/// making all cached entries version-stale — and replans under a
-/// randomized fault plan. The cache must never pass a wrong-version
+/// Deadline schedules firing while append + repair traffic flows
+/// (DESIGN.md §16): every iteration fills a shared cache clean, appends a
+/// batch — making all cached entries version-stale — and replans under a
+/// seeded deadline. The cache must never pass a wrong-version
 /// result off as fresh: a stale entry never counts as an exact hit, and
 /// any stale serve — a schedule whose deadline has passed — must surface
 /// on the answer as `stale: true` (and so be marked degraded). No
@@ -292,39 +282,27 @@ fn append_chaos_never_serves_wrong_version_results_unmarked() {
             seed,
             ..HolisticConfig::default()
         };
-        let engine = |res: Option<Arc<Resilience>>| -> Box<dyn Vocalizer> {
-            if seed.is_multiple_of(2) {
-                let mut v = Holistic::new(config.clone()).with_cache(Arc::clone(&cache));
-                if let Some(res) = res {
-                    v = v.with_resilience(res);
-                }
-                Box::new(v)
-            } else {
-                let mut v = ParallelHolistic::new(config.clone())
-                    .with_threads(2)
-                    .with_cache(Arc::clone(&cache));
-                if let Some(res) = res {
-                    v = v.with_resilience(res);
-                }
-                Box::new(v)
-            }
+        let engine: Box<dyn Vocalizer> = if seed.is_multiple_of(2) {
+            Box::new(Holistic::new(config).with_cache(Arc::clone(&cache)))
+        } else {
+            Box::new(ParallelHolistic::new(config).with_threads(2).with_cache(Arc::clone(&cache)))
         };
         let two_dims = seed % 3 != 0;
-        // Fault-free warm-up on the current revision fills the cache.
+        // Deadline-free warm-up on the current revision fills the cache.
         {
             let snap = live.snapshot();
             let q = query(&snap, two_dims);
             let mut voice = InstantVoice::default();
-            engine(None).vocalize(&snap, &q, &mut voice);
+            engine.vocalize(&snap, &q, &mut voice);
         }
         let before = cache.stats();
         live.append_rows(&echo(seed as usize * 100, 100)).expect("append");
-        let (res, cancel) = chaos_schedule(seed);
         let snap = live.snapshot();
         let q = query(&snap, two_dims);
+        let cancel = chaos_schedule(seed);
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut voice = InstantVoice::default();
-            engine(Some(Arc::clone(&res))).stream(&snap, &q, &mut voice, cancel).drain()
+            engine.stream(&snap, &q, &mut voice, cancel).drain()
         }))
         .unwrap_or_else(|e| {
             record_failure_seed(seed, "panic escaped the append/repair path");
@@ -357,7 +335,7 @@ fn append_chaos_never_serves_wrong_version_results_unmarked() {
 /// ROADMAP item 5 under fire: one table that keeps growing while the same
 /// scope is asked again and again, through a cache too small to hold a
 /// copy of the sample. Every repair must start from the previous repair,
-/// whatever the fault plan did to the run in between — so over a seed's
+/// wherever the deadline cut the run in between — so over a seed's
 /// rounds the repairs together cover each appended row at most once — and
 /// no answer may count a version-stale exact entry as a fresh hit (every
 /// round appends first, so there is never a fresh one).
@@ -396,7 +374,7 @@ fn append_rounds_under_chaos_repair_each_suffix_at_most_once() {
         })
         .with_threads(1 + (seed % 2) as usize)
         .with_cache(Arc::clone(&cache));
-        // Fault-free cold answer: the scope's first snapshot.
+        // Deadline-free cold answer: the scope's first snapshot.
         {
             let snap = live.snapshot();
             engine.vocalize(&snap, &query(&snap, true), &mut InstantVoice::default());
@@ -411,10 +389,9 @@ fn append_rounds_under_chaos_repair_each_suffix_at_most_once() {
             let snap = live.snapshot();
             // Alternating group-bys share the one unfiltered scope.
             let q = query(&snap, round % 2 == 0);
-            let (res, cancel) = chaos_schedule(seed * ROUNDS + round);
-            let faulty = engine.clone().with_resilience(res);
+            let cancel = chaos_schedule(seed * ROUNDS + round);
             std::panic::catch_unwind(AssertUnwindSafe(|| {
-                faulty.stream(&snap, &q, &mut InstantVoice::default(), cancel).drain()
+                engine.stream(&snap, &q, &mut InstantVoice::default(), cancel).drain()
             }))
             .unwrap_or_else(|e| {
                 record_failure_seed(seed, "panic escaped an append round");
@@ -435,32 +412,4 @@ fn append_rounds_under_chaos_repair_each_suffix_at_most_once() {
     }
     // Most rounds must get as far as a repair, or the bound is vacuous.
     assert!(repairs_total > 20 * ROUNDS / 2, "only {repairs_total} repairs in 240 rounds");
-}
-
-#[test]
-fn inert_resilience_is_bit_identical_to_no_resilience() {
-    // The zero-cost-when-disabled guarantee, end to end: an attached but
-    // fault-free bundle must not change a single byte of the transcript
-    // or a single planner statistic, single-threaded.
-    let t = table();
-    for two_dims in [false, true] {
-        let q = query(&t, two_dims);
-        let config = HolisticConfig {
-            min_samples_per_sentence: 200,
-            max_tree_nodes: 30_000,
-            seed: 7,
-            ..HolisticConfig::default()
-        };
-        let mut v1 = InstantVoice::default();
-        let bare = Holistic::new(config.clone()).vocalize(&t, &q, &mut v1);
-        let mut v2 = InstantVoice::default();
-        let inert = Holistic::new(config.clone())
-            .with_resilience(Arc::new(Resilience::default()))
-            .vocalize(&t, &q, &mut v2);
-        assert_eq!(inert.preamble, bare.preamble);
-        assert_eq!(inert.sentences, bare.sentences);
-        assert_eq!(inert.stats.samples, bare.stats.samples);
-        assert_eq!(inert.stats.rows_read, bare.stats.rows_read);
-        assert!(!inert.stats.degraded);
-    }
 }

@@ -202,14 +202,11 @@ fn the_deadline_matrix() {
         resilience: bundle.clone(),
         ..ApproachOptions::default()
     };
-    let answered = || {
-        let s = bundle.stats().snapshot();
-        s.clean_answers + s.degraded_answers
-    };
+    let answered = || bundle.clean_answers() + bundle.degraded_answers();
 
     // (name, approach, has a planning loop, counted in `bundle`): `prior`
     // has no loop to cut and takes no bundle; the bare engine has a loop
-    // and an inert bundle of its own.
+    // and a bundle of its own.
     let built = |name| vocalizer(name, &opts).unwrap();
     let bare: Box<dyn Vocalizer> = Box::new(Holistic::new(opts.holistic_config()));
     let approaches = [
