@@ -42,7 +42,7 @@ use voxolap_data::Table;
 use voxolap_engine::exact::{evaluate, ExactResult};
 use voxolap_engine::query::{Query, ResultLayout};
 use voxolap_engine::semantic::{ExactAggregates, ExactLookup, PlanRecord, SemanticCache};
-use voxolap_faults::{Resilience, RunState};
+use voxolap_faults::Resilience;
 use voxolap_mcts::NodeId;
 use voxolap_speech::ast::Speech;
 use voxolap_speech::render::Renderer;
@@ -51,7 +51,7 @@ use crate::approach::Vocalizer;
 use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::{CancelKind, CancelToken};
 use crate::pipeline::stream::{Buffered, SpeechStream};
-use crate::resilience::ResCtx;
+use crate::resilience::{ResCtx, RunState};
 use crate::tree::{NodeKind, SpeechSpace, SpeechTree};
 use crate::voice::VoiceOutput;
 

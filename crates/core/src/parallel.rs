@@ -320,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn multi_thread_engine_survives_injected_faults() {
+    fn four_member_team_answers_and_is_accounted_once() {
         let (table, q) = setup();
         let res = Arc::new(Resilience::default());
         let cfg = HolisticConfig {

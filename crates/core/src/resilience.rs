@@ -13,15 +13,36 @@
 //!   The sample cache is built per run, so no later answer reads what the
 //!   dead worker left behind.
 //!
-//! Storage failures, and the only fault injector, stay in the storage
-//! layer (`voxolap_data::wal`). The planners roll nothing, so a run is a
-//! pure function of its seed, table and deadline.
+//! Storage failures stay in the storage layer (`voxolap_data::wal`). The
+//! planners inject nothing, so a run is a pure function of its seed, table
+//! and deadline.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use voxolap_faults::{Resilience, RunState};
+use voxolap_faults::Resilience;
 
 use crate::pipeline::cancel::{CancelKind, CancelToken};
+
+/// Per-run degrade state: the degraded flag the answer is tagged with.
+/// Every run has one, shared (via `Arc`) between the samplers, the
+/// sentence source, and the emitting stream.
+#[derive(Debug, Default)]
+pub(crate) struct RunState {
+    degraded: AtomicBool,
+}
+
+impl RunState {
+    /// Tag the run degraded.
+    pub(crate) fn mark_degraded(&self) {
+        self.degraded.store(true, Ordering::Relaxed);
+    }
+
+    /// Whether the answer must be tagged `degraded: true`.
+    pub(crate) fn degraded(&self) -> bool {
+        self.degraded.load(Ordering::Relaxed)
+    }
+}
 
 /// One run's resilience context: the engine's shared [`Resilience`] bundle
 /// and this run's [`RunState`]. Opened once per vocalization; the stream,

@@ -20,12 +20,11 @@ use voxolap_data::{MorselPool, Table};
 use voxolap_engine::query::{AggFct, Query};
 use voxolap_engine::semantic::{SampleSnapshot, SemanticCache};
 use voxolap_engine::sharded::{IngestBatch, Posterior, ShardedSampleCache};
-use voxolap_faults::RunState;
 use voxolap_mcts::NodeId;
 
 use crate::holistic::HolisticConfig;
 use crate::pipeline::cancel::CancelToken;
-use crate::resilience::{round_status, ResCtx, RoundEnd};
+use crate::resilience::{round_status, ResCtx, RoundEnd, RunState};
 use crate::tree::SpeechTree;
 
 /// Fallback σ when the measure's overall mean is zero or unavailable.

@@ -26,6 +26,12 @@
 //! ```
 //!
 //! Every boot runs the same path, after a crash or a graceful shutdown.
+//!
+//! ## Storage errors
+//!
+//! A failed log write leaves the revision unpublished and the log usable;
+//! a failed fsync cuts the refused record and poisons the log (see
+//! [`wal`]). Tests force either through [`DurabilityOptions::faults`].
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
@@ -35,12 +41,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use voxolap_faults::FaultInjector;
 
 use crate::error::DataError;
 use crate::live::{AppendReport, LiveTable};
 use crate::table::{IngestRow, Table, TableVersion};
-use crate::wal::{self, FsyncMode, Wal, MAGIC};
+use crate::wal::{self, FsyncMode, Wal, WalFaults, MAGIC};
 
 const WAL_FILE: &str = "wal.log";
 
@@ -53,9 +58,9 @@ pub struct DurabilityOptions {
     /// the benchmark builds this struct field by field; it goes with that
     /// code (ROADMAP item 11c). *None.*
     pub snapshot_every_batches: u64,
-    /// Fault injector whose `WalAppend`/`WalFsync` sites fire inside the
-    /// storage path.
-    pub faults: Option<Arc<FaultInjector>>,
+    /// Log calls forced to fail, for tests of the storage error paths.
+    /// `None` behaves like every switch off.
+    pub faults: Option<WalFaults>,
 }
 
 impl Default for DurabilityOptions {
@@ -379,12 +384,10 @@ mod tests {
 
     #[test]
     fn wal_failure_leaves_revision_unpublished() {
-        use voxolap_faults::{FaultPlan, FaultSite, SiteSchedule};
         let dir = tempdir("dur_walfail");
-        let plan = FaultPlan::new(9).with_site(FaultSite::WalAppend, SiteSchedule::error(1.0));
         let opts = DurabilityOptions {
             fsync_mode: FsyncMode::Off,
-            faults: Some(Arc::new(FaultInjector::new(plan))),
+            faults: Some(WalFaults { write: true, ..WalFaults::default() }),
             ..Default::default()
         };
         let (t, _) = DurableTable::open(seed_table(), &dir, opts).unwrap();

@@ -50,4 +50,4 @@ pub use table::{
     DimSlice, DimValue, IngestRow, MeasureSlice, Row, RowBlock, RowScanner, Table, TableBuilder,
     TableVersion,
 };
-pub use wal::{FsyncMode, WalBatch};
+pub use wal::{FsyncMode, WalBatch, WalFaults};

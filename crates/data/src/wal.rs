@@ -33,14 +33,18 @@
 //! possibly-lost pages. Before it poisons, an append whose fsync failed
 //! cuts the log back to the last acknowledged length, so the refused
 //! batch is not replayed by the next boot.
+//!
+//! ## Forced failures
+//!
+//! Tests reach these error paths through [`WalFaults`]: each switch makes
+//! one storage call fail on every attempt (the record write, the fsync,
+//! the cut). No binary sets them.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-use voxolap_faults::{FaultInjector, FaultSite};
 
 use crate::durable::DurabilityStats;
 use crate::error::DataError;
@@ -89,6 +93,20 @@ impl FsyncMode {
             FsyncMode::Off => "off",
         }
     }
+}
+
+/// Storage calls of the log forced to fail on every attempt, for tests
+/// of its error paths. All off by default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WalFaults {
+    /// Fail every record write: the batch is refused and the log stays
+    /// usable.
+    pub write: bool,
+    /// Fail every fsync: the refused record is cut and the log poisoned.
+    pub fsync: bool,
+    /// Fail the `set_len` that cuts a refused record back out of the log:
+    /// the batch's outcome is unknown.
+    pub cut: bool,
 }
 
 /// One decoded log record: the batch that produced `version`.
@@ -316,7 +334,7 @@ pub struct Wal {
     /// writes until the process restarts and recovers from disk.
     poisoned: bool,
     stats: Arc<DurabilityStats>,
-    faults: Option<Arc<FaultInjector>>,
+    faults: WalFaults,
 }
 
 impl Wal {
@@ -326,7 +344,7 @@ impl Wal {
         path: &Path,
         mode: FsyncMode,
         stats: Arc<DurabilityStats>,
-        faults: Option<Arc<FaultInjector>>,
+        faults: Option<WalFaults>,
     ) -> Result<Wal, DataError> {
         let io = |e: std::io::Error| DataError::Wal { op: "open", message: e.to_string() };
         let mut file = OpenOptions::new()
@@ -349,6 +367,7 @@ impl Wal {
             len
         };
         stats.wal_bytes.store(bytes, Ordering::Relaxed);
+        let faults = faults.unwrap_or_default();
         Ok(Wal { file, mode, bytes, unsynced: 0, poisoned: false, stats, faults })
     }
 
@@ -374,11 +393,6 @@ impl Wal {
         Ok(())
     }
 
-    fn roll_error(&self, site: FaultSite) -> Option<String> {
-        let fault = self.faults.as_ref()?.roll(site)?;
-        Some(format!("injected {} fault (token {:#x})", site.name(), fault.token))
-    }
-
     /// Commit one batch: write the record, then apply the fsync policy.
     /// On any failure the batch is *not* durable and the caller must not
     /// publish it. A failed fsync cuts the log back to the last
@@ -390,8 +404,8 @@ impl Wal {
         rows: &[IngestRow],
     ) -> Result<(), DataError> {
         self.check_writable("append")?;
-        if let Some(message) = self.roll_error(FaultSite::WalAppend) {
-            return Err(DataError::Wal { op: "append", message });
+        if self.faults.write {
+            return Err(DataError::Wal { op: "append", message: "injected write fault".into() });
         }
         let payload = encode_batch(version, rows);
         let mut record = Vec::with_capacity(8 + payload.len());
@@ -424,7 +438,12 @@ impl Wal {
     /// to `acked` bytes, then sync the cut, best effort. Batches
     /// acknowledged before (the rest of a group commit) stay.
     fn cut_back(&mut self, acked: u64, err: DataError) -> DataError {
-        if let Err(cut) = self.file.set_len(acked) {
+        let cut = if self.faults.cut {
+            Err(std::io::Error::other("injected cut fault"))
+        } else {
+            self.file.set_len(acked)
+        };
+        if let Err(cut) = cut {
             return DataError::Wal {
                 op: "fsync",
                 message: format!(
@@ -438,12 +457,12 @@ impl Wal {
         err
     }
 
-    /// One fsync, honoring fault injection and the fsyncgate rule.
+    /// One fsync, honoring the forced failure and the fsyncgate rule.
     fn fsync(&mut self) -> Result<(), DataError> {
-        let injected = self.roll_error(FaultSite::WalFsync);
-        let result = match injected {
-            Some(message) => Err(std::io::Error::other(message)),
-            None => self.file.sync_all(),
+        let result = if self.faults.fsync {
+            Err(std::io::Error::other("injected fsync fault"))
+        } else {
+            self.file.sync_all()
         };
         match result {
             Ok(()) => {
@@ -594,13 +613,11 @@ mod tests {
 
     #[test]
     fn injected_fsync_failure_poisons_the_log() {
-        use voxolap_faults::{FaultPlan, SiteSchedule};
         let dir = tempdir("wal_fsyncgate");
         let stats = Arc::new(DurabilityStats::default());
-        let plan = FaultPlan::new(1).with_site(FaultSite::WalFsync, SiteSchedule::error(1.0));
-        let inj = Some(Arc::new(FaultInjector::new(plan)));
+        let faults = Some(WalFaults { fsync: true, ..WalFaults::default() });
         let mut wal =
-            Wal::open_at(&dir.join("wal.log"), FsyncMode::Always, stats.clone(), inj).unwrap();
+            Wal::open_at(&dir.join("wal.log"), FsyncMode::Always, stats.clone(), faults).unwrap();
         let err = wal.append_batch(1, &[row("a", 1.0)]).unwrap_err();
         assert!(matches!(err, DataError::Wal { op: "fsync", .. }), "{err}");
         assert!(wal.poisoned());
@@ -612,6 +629,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    #[test]
+    fn a_failed_cut_after_a_failed_fsync_leaves_the_outcome_unknown() {
+        let dir = tempdir("wal_cut_fails");
+        let stats = Arc::new(DurabilityStats::default());
+        let faults = Some(WalFaults { fsync: true, cut: true, ..WalFaults::default() });
+        let mut wal = Wal::open_at(&dir.join("wal.log"), FsyncMode::Always, stats, faults).unwrap();
+        let err = wal.append_batch(1, &[row("a", 1.0)]).unwrap_err();
+        assert!(matches!(err, DataError::Wal { op: "fsync", .. }), "{err}");
+        assert!(err.to_string().ends_with("outcome unknown"), "{err}");
+        assert!(wal.poisoned());
+        assert!(wal.bytes() > MAGIC.len() as u64, "the refused record is still counted");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Seeded mutational fuzz (ROADMAP 12b): bit flips, truncations,
     /// extensions and splices of valid batch payloads (2 048 cases) and of
     /// a whole valid log file (512 cases). Neither decoder panics; a
@@ -620,7 +651,7 @@ mod tests {
     /// of the batches written.
     #[test]
     fn mutated_payloads_and_logs_never_panic_and_recover_a_prefix() {
-        // splitmix64, as in voxolap-faults: the case list is its seed.
+        // splitmix64, as in `crate::chunk`: the case list is its seed.
         let mut state = 0x12b_0a1_u64;
         let mut below = move |bound: usize| {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);

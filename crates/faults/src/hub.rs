@@ -1,26 +1,6 @@
-//! The answer counters an engine carries, and per-run degrade state.
+//! The answer counters an engine carries.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Per-run degrade state: the degraded flag the answer is tagged with.
-/// Every run has one, shared (via `Arc`) between the samplers, the
-/// sentence source, and the emitting stream.
-#[derive(Debug, Default)]
-pub struct RunState {
-    degraded: AtomicBool,
-}
-
-impl RunState {
-    /// Tag the run degraded.
-    pub fn mark_degraded(&self) {
-        self.degraded.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the answer must be tagged `degraded: true`.
-    pub fn degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How an engine's answers ended: clean, or degraded by a deadline cut
 /// committed through the anytime path. Every engine holds one behind an
@@ -55,10 +35,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn inert_bundle_never_rolls_faults() {
+    fn a_fresh_bundle_has_counted_no_answers() {
         let r = Resilience::default();
         assert_eq!((r.clean_answers(), r.degraded_answers()), (0, 0));
-        assert!(!RunState::default().degraded());
     }
 
     #[test]

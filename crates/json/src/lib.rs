@@ -625,7 +625,7 @@ mod tests {
             r#"[[], {}, [[[{"a": [false]}]]], "x\"y\\z"]"#,
         ];
         const BRACKETS: &[u8] = b"[{[[{\"k\":[";
-        // splitmix64, as in voxolap-faults: the case list is its seed.
+        // splitmix64, as in `voxolap_data::chunk`: the case list is its seed.
         let mut state = 0x12b_0150_u64;
         let mut below = move |bound: usize| {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -1141,7 +1141,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_degradation_counts_clean_answers_without_a_fault_plan() {
+    fn stats_degradation_serves_only_counters_that_can_move() {
         let s = state();
         for approach in ["holistic", "optimal"] {
             let ask = format!("{{\"question\": \"by season\", \"approach\": \"{approach}\"}}");
@@ -1221,15 +1221,13 @@ mod tests {
     /// built, and queries keep answering.
     #[test]
     fn a_poisoned_wal_refuses_ingest_and_keeps_answering() {
-        use voxolap_data::{DurabilityOptions, FsyncMode};
-        use voxolap_faults::{FaultInjector, FaultPlan};
+        use voxolap_data::{DurabilityOptions, FsyncMode, WalFaults};
         let dir = std::env::temp_dir().join(format!("voxolap_api_fsync_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         let table = FlightsConfig { rows: 8_000, seed: 42 }.generate();
-        let plan = FaultPlan::parse("fsync=1.0").unwrap();
         let options = DurabilityOptions {
             fsync_mode: FsyncMode::Always,
-            faults: Some(Arc::new(FaultInjector::new(plan))),
+            faults: Some(WalFaults { fsync: true, ..WalFaults::default() }),
             ..DurabilityOptions::default()
         };
         let (durable, _) = DurableTable::open(table.clone(), &dir, options).unwrap();

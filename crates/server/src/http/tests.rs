@@ -160,7 +160,7 @@ fn parse_request_survives_mutated_requests() {
         b"POST /ingest HTTP/1.1\nContent-Length: 4\nContent-Length: 4\n\nabcd",
     ];
     const GARBAGE: &[u8] = b"\xff\n\nGET /next HTTP/1.1\r\nContent-Length: 9\r\n\r\n\0";
-    // splitmix64, as in voxolap-faults: the case list is its seed.
+    // splitmix64, as in `voxolap_data::chunk`: the case list is its seed.
     let mut state = 0x10b_f022_u64;
     let mut below = move |bound: usize| {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! voxolap-server [--port 8080] [--data flights|salary] [--rows N]
-//!                [--threads N] [--cache-mb N]
-//!                [--fault-plan SPEC] [--http-threads N] [--http-queue N]
+//!                [--threads N] [--cache-mb N] [--http-threads N] [--http-queue N]
 //!                [--http-timeout-ms N] [--http-idle-ms N] [--max-conns N]
 //!                [--session-idle-ms N] [--heartbeat-ms N]
 //!                [--utterance-deadline-ms N] [--data-dir PATH]
@@ -31,11 +30,7 @@
 //! `--threads` bounds the planning threads used by the `parallel`
 //! approach (default: all cores). `--cache-mb` sizes the cross-query
 //! semantic cache shared by all requests (default 64; `0` disables it).
-//! `--fault-plan` attaches a deterministic fault-injection schedule to
-//! the storage writes of `--data-dir`, where this process can really fail
-//! (e.g. `seed=7,wal=0.2,fsync=0.01`; DESIGN.md §12): `wal` fails log
-//! record writes and `fsync` fails log fsyncs. Any other key is refused
-//! with exit status 2. Answers cut by a deadline carry
+//! No flag injects faults (DESIGN.md §12). Answers cut by a deadline carry
 //! `"degraded":true`; the `"degradation"` section of `GET /stats` (always
 //! present) counts clean and degraded answers.
 //!
@@ -81,7 +76,6 @@ use std::time::Duration;
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::salary::SalaryConfig;
 use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode};
-use voxolap_faults::{FaultInjector, FaultPlan};
 use voxolap_server::{serve_with, AppState, HttpMetrics, ServerConfig};
 
 /// Every flag of the module docs, checked once: a value is stored only
@@ -93,7 +87,6 @@ struct Args {
     rows: Option<usize>,
     threads: Option<usize>,
     cache_mb: Option<usize>,
-    fault_plan: Option<FaultPlan>,
     http_threads: Option<usize>,
     http_queue: Option<usize>,
     http_timeout_ms: Option<u64>,
@@ -133,7 +126,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--rows" => a.rows = num(flag, value)?,
             "--threads" => a.threads = num(flag, value)?,
             "--cache-mb" => a.cache_mb = num(flag, value)?,
-            "--fault-plan" => a.fault_plan = Some(FaultPlan::parse(value)?),
             "--http-threads" => a.http_threads = num(flag, value)?,
             "--http-queue" => a.http_queue = num(flag, value)?,
             "--http-timeout-ms" => a.http_timeout_ms = num(flag, value)?,
@@ -205,14 +197,7 @@ fn main() {
     let durable = match &args.data_dir {
         Some(dir) => {
             let fsync_mode = args.fsync_mode.unwrap_or(FsyncMode::Batch);
-            let options = DurabilityOptions {
-                fsync_mode,
-                faults: args.fault_plan.clone().map(|plan| {
-                    eprintln!("fault plan attached to the durable store: {plan:?}");
-                    Arc::new(FaultInjector::new(plan))
-                }),
-                ..DurabilityOptions::default()
-            };
+            let options = DurabilityOptions { fsync_mode, ..DurabilityOptions::default() };
             match DurableTable::open(table, dir, options) {
                 Ok((durable, recovery)) => {
                     eprintln!(
@@ -293,21 +278,15 @@ mod tests {
     fn every_flag_parses_to_its_type() {
         let a = parse(
             "--port 8099 --data salary --rows 5300000 --threads 2 \
-             --cache-mb 0 --fault-plan seed=7,wal=0.2 --http-threads 4 --http-queue 8 \
+             --cache-mb 0 --http-threads 4 --http-queue 8 \
              --http-timeout-ms 200 --http-idle-ms 300 --max-conns 9 --session-idle-ms 400 \
              --heartbeat-ms 500 --utterance-deadline-ms 1 --data-dir data \
              --fsync-mode off --shutdown-drain-ms 600",
         )
         .unwrap();
         assert_eq!(
-            (a.port, a.salary, a.rows, a.fault_plan.clone(), a.data_dir.as_deref()),
-            (
-                Some(8099),
-                true,
-                Some(5_300_000),
-                FaultPlan::parse("seed=7,wal=0.2").ok(),
-                Some("data")
-            )
+            (a.port, a.salary, a.rows, a.data_dir.as_deref()),
+            (Some(8099), true, Some(5_300_000), Some("data"))
         );
         assert_eq!(
             (a.fsync_mode, a.http_timeout_ms, a.max_conns),
@@ -327,7 +306,7 @@ mod tests {
             ("--verbose 1", "`--verbose`"),
             ("--scale-rows 5", "`--scale-rows`"),
             ("--snapshot-every 8", "`--snapshot-every`"),
-            ("--fault-plan seed=1,shard=0.5", "fault-plan: unknown key \"shard\""),
+            ("--fault-plan seed=1", "`--fault-plan`"),
             ("--rows", "--rows needs a value"),
             ("--rows --threads 2", "--rows needs a value"),
         ] {

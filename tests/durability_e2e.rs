@@ -10,8 +10,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use voxolap_data::flights::FlightsConfig;
-use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode, Table};
-use voxolap_faults::{FaultInjector, FaultPlan};
+use voxolap_data::{DurabilityOptions, DurableTable, FsyncMode, Table, WalFaults};
 use voxolap_json::Value;
 use voxolap_server::{serve, AppState};
 
@@ -79,7 +78,7 @@ fn ingest_with_failing_fsync(
     mode: FsyncMode,
     batches: usize,
 ) -> Vec<u16> {
-    let faults = Some(Arc::new(FaultInjector::new(FaultPlan::parse("fsync=1.0").unwrap())));
+    let faults = Some(WalFaults { fsync: true, ..WalFaults::default() });
     let opts = DurabilityOptions { fsync_mode: mode, faults, ..DurabilityOptions::default() };
     let (durable, _) = DurableTable::open(table.clone(), dir, opts).unwrap();
     let state = Arc::new(AppState::durable(durable));
