@@ -4,7 +4,7 @@
 //! HTTP, SIGKILLs the process mid-stream, restarts it on the same
 //! directory, and asserts that **every acknowledged batch survived** —
 //! the server's ack contract is "durable before 200", and that every
-//! recovered batch came from the one log. A second pass SIGTERMs the
+//! recovered batch and row came from the one log. A second pass SIGTERMs the
 //! recovered server and asserts the next boot keeps its version and rows
 //! and finds no torn tail.
 //!
@@ -253,11 +253,18 @@ fn main() {
         failures.push("stats has no durability section after recovery".to_string());
     } else {
         // Every batch since the seed lives in the one log, so a fresh
-        // process replays all of them.
+        // process replays all of them, and every row beyond the seed.
         let replayed = durability["replayed_batches"].as_u64().unwrap_or(0);
         if replayed != recovered_version {
             failures.push(format!(
                 "recovery replayed {replayed} batches for version {recovered_version}"
+            ));
+        }
+        let replayed_rows = durability["replayed_rows"].as_u64();
+        if replayed_rows != recovered_rows.checked_sub(rows as u64) {
+            failures.push(format!(
+                "recovery replayed {replayed_rows:?} rows for {recovered_rows} recovered rows \
+                 over a seed of {rows}"
             ));
         }
         eprintln!(

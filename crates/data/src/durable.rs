@@ -21,7 +21,9 @@
 //! ```text
 //! boot ─▶ snapshot-*.snap present? ──yes──▶ refuse (name the file)
 //!      ─▶ CRC-scan wal.log, truncate the torn tail
-//!      ─▶ replay batches with version > current (idempotent skip ≤)
+//!      ─▶ replay batches with version > seed's (idempotent skip ≤) in
+//!         one build of the table: one column copy, one segment and
+//!         version per batch
 //!      ─▶ open WAL for append ─▶ serve
 //! ```
 //!
@@ -184,7 +186,7 @@ impl DurableTable {
             }
         }
 
-        let live = LiveTable::new(seed);
+        let mut table = seed;
         let mut report = RecoveryReport::default();
         let wal_path = dir.join(WAL_FILE);
         if wal_path.exists() {
@@ -203,11 +205,12 @@ impl DurableTable {
                 f.sync_all().map_err(io("recovery"))?;
                 report.torn_tail_truncations += 1;
             }
-            replay(&live, read.batches, &mut report)?;
+            table = replay(table, &read.batches, &mut report)?;
         }
 
-        report.version = live.version();
-        report.total_rows = live.snapshot().row_count();
+        report.version = table.version();
+        report.total_rows = table.row_count();
+        let live = LiveTable::new(table);
         let stats = Arc::new(DurabilityStats::default());
         let wal = Wal::open_at(&wal_path, options.fsync_mode, Arc::clone(&stats), options.faults)?;
         report.recovery_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -219,11 +222,6 @@ impl DurableTable {
             recovery: report.clone(),
         };
         Ok((DurableTable { live, store: Some(store) }, report))
-    }
-
-    /// The wrapped live table (readers pin snapshots through it).
-    pub fn live(&self) -> &LiveTable {
-        &self.live
     }
 
     /// Pin the current revision (see [`LiveTable::snapshot`]).
@@ -260,11 +258,6 @@ impl DurableTable {
         store.wal.lock().flush_and_sync()
     }
 
-    /// What boot recovery found (None for in-memory tables).
-    pub fn recovery(&self) -> Option<&RecoveryReport> {
-        self.store.as_ref().map(|s| &s.recovery)
-    }
-
     /// Current storage counters (None for in-memory tables).
     pub fn stats(&self) -> Option<DurabilitySnapshot> {
         let store = self.store.as_ref()?;
@@ -285,35 +278,36 @@ impl DurableTable {
     }
 }
 
-/// Replay recovered batches onto the live table, skipping versions the
-/// table already has (idempotence — replaying the same log twice is a
-/// no-op).
+/// Replay recovered batches onto the seed in one build of the table,
+/// skipping versions the seed already has (idempotence — replaying the
+/// same log twice is a no-op) and refusing a gap in the version sequence.
 fn replay(
-    live: &LiveTable,
-    batches: Vec<wal::WalBatch>,
+    seed: Table,
+    batches: &[wal::WalBatch],
     report: &mut RecoveryReport,
-) -> Result<(), DataError> {
+) -> Result<Table, DataError> {
+    let refuse = |message| DataError::Wal { op: "recovery", message };
+    let mut run: Vec<&wal::WalBatch> = Vec::with_capacity(batches.len());
     for batch in batches {
-        if batch.version <= live.version() {
-            continue;
+        let next = seed.version() + run.len() as u64 + 1;
+        if batch.version > next {
+            let v = batch.version;
+            return Err(refuse(format!("log gap: replay produced version {next}, log says {v}")));
         }
-        let applied = live.append_rows(&batch.rows).map_err(|e| DataError::Wal {
-            op: "recovery",
-            message: format!("replaying batch for version {} failed: {e}", batch.version),
-        })?;
-        if applied.version != batch.version {
-            return Err(DataError::Wal {
-                op: "recovery",
-                message: format!(
-                    "log gap: replay produced version {}, log says {}",
-                    applied.version, batch.version
-                ),
-            });
+        if batch.version == next {
+            run.push(batch);
         }
-        report.replayed_batches += 1;
-        report.replayed_rows += applied.appended as u64;
     }
-    Ok(())
+    if run.is_empty() {
+        return Ok(seed);
+    }
+    let (table, _) =
+        seed.append_batches(run.iter().map(|b| b.rows.as_slice())).map_err(|(i, e)| {
+            refuse(format!("replaying batch for version {} failed: {e}", run[i].version))
+        })?;
+    report.replayed_batches = run.len() as u64;
+    report.replayed_rows = run.iter().map(|b| b.rows.len() as u64).sum();
+    Ok(table)
 }
 
 #[cfg(test)]
@@ -380,6 +374,58 @@ mod tests {
         assert_eq!(t2.snapshot().row_count(), 5);
         assert_eq!(t2.snapshot().segments(), &[2, 1, 2], "batch boundaries survive replay");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn one_build_replay_equals_the_live_appends() {
+        let dir = tempdir("dur_one_build");
+        let opts = DurabilityOptions { fsync_mode: FsyncMode::Off, ..Default::default() };
+        let (t, _) = DurableTable::open(seed_table(), &dir, opts.clone()).unwrap();
+        for i in 0..12 {
+            let mut rows = vec![row("the North East", i as f64)];
+            if i % 3 == 0 {
+                // A path row creates a member that later batches name.
+                let path = DimValue::Path(vec![format!("region {i}")]);
+                rows.push(IngestRow { dims: vec![path], values: vec![0.5 * i as f64] });
+            }
+            if i > 3 {
+                rows.push(row("region 3", 1.0 / i as f64));
+            }
+            t.append_rows(&rows).unwrap();
+        }
+        let live = t.snapshot();
+        drop(t);
+
+        let (t2, rec) = DurableTable::open(seed_table(), &dir, opts).unwrap();
+        let got = t2.snapshot();
+        assert_eq!((rec.replayed_batches, rec.replayed_rows), (12, live.row_count() as u64 - 2));
+        let shape = |t: &Table| (t.version(), t.segments().to_vec(), t.row_count());
+        assert_eq!(shape(&got), shape(&live));
+        let members = got.schema().dimension(crate::schema::DimId(0)).member_count();
+        assert_eq!(members, 3 + 4, "root, two seed members, four created");
+        // Debug prints every member, member id and value bit for bit.
+        assert_eq!(format!("{got:?}"), format!("{live:?}"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_names_the_batch_it_cannot_apply_and_refuses_a_gap() {
+        let boot = |tag: &str, log: &[(u64, &str)]| {
+            let dir = tempdir(tag);
+            let mut wal =
+                Wal::open_at(&dir.join(WAL_FILE), FsyncMode::Off, Arc::default(), None).unwrap();
+            for &(version, phrase) in log {
+                wal.append_batch(version, &[row(phrase, 1.0)]).unwrap();
+            }
+            wal.flush_and_sync().unwrap();
+            let err = DurableTable::open(seed_table(), &dir, DurabilityOptions::default());
+            std::fs::remove_dir_all(&dir).ok();
+            err.unwrap_err().to_string()
+        };
+        let err = boot("dur_bad_batch", &[(1, "the Midwest"), (2, "Atlantis")]);
+        assert!(err.contains("replaying batch for version 2 failed"), "{err}");
+        let err = boot("dur_gap", &[(1, "the Midwest"), (3, "the Midwest")]);
+        assert!(err.contains("log gap: replay produced version 2, log says 3"), "{err}");
     }
 
     #[test]

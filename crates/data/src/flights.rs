@@ -130,11 +130,6 @@ impl FlightsConfig {
         FlightsConfig { rows: 20_000, seed: 42 }
     }
 
-    /// 200 000 rows — default benchmark scale.
-    pub fn medium() -> Self {
-        FlightsConfig { rows: 200_000, seed: 42 }
-    }
-
     /// 5.3 M rows — the paper's full dataset scale.
     pub fn paper_scale() -> Self {
         FlightsConfig { rows: 5_300_000, seed: 42 }

@@ -439,21 +439,30 @@ impl Table {
         &self.segments
     }
 
-    /// Append a batch of rows, producing the next version of the table.
-    ///
-    /// The storage is copied (readers keep scanning the old value
-    /// untouched — see [`crate::live::LiveTable`] for the swap-on-append
-    /// wrapper), the batch becomes a new sealed segment of the scan order,
-    /// and dictionaries grow for any [`DimValue::Path`] members not seen
-    /// before (packed columns re-widen when a dictionary outgrows its
-    /// integer width). Validation happens before any state is built, so an
-    /// error leaves nothing half-appended. Returns the grown table and the
-    /// number of dictionary members created.
+    /// Append one batch of rows: [`Table::append_batches`] of one.
     pub fn append_rows(&self, rows: &[IngestRow]) -> Result<(Table, usize), DataError> {
+        self.append_batches([rows]).map_err(|(_, e)| e)
+    }
+
+    /// Append a run of batches, producing the table they grow this one to.
+    ///
+    /// The storage is copied once (readers keep scanning the old value
+    /// untouched — see [`crate::live::LiveTable`] for the swap-on-append
+    /// wrapper). Each batch takes the next version and becomes a new
+    /// sealed segment of the scan order, and dictionaries grow for any
+    /// [`DimValue::Path`] members not seen before, in row order (packed
+    /// columns re-widen when a dictionary outgrows its integer width): the
+    /// result equals one call per batch. Validation happens before any
+    /// state is built, so an error, which carries the index of the failing
+    /// batch, leaves nothing half-appended. Returns the grown table and the
+    /// number of dictionary members created.
+    pub fn append_batches<'a>(
+        &self,
+        batches: impl IntoIterator<Item = &'a [IngestRow]>,
+    ) -> Result<(Table, usize), (usize, DataError)> {
         let mut dims: Vec<Dimension> = self.schema.dimensions().to_vec();
         let mut created = 0usize;
-        let mut resolved: Vec<(Vec<MemberId>, &[f64])> = Vec::with_capacity(rows.len());
-        for row in rows {
+        let mut resolve = |row: &IngestRow| -> Result<Vec<MemberId>, DataError> {
             if row.dims.len() != dims.len() {
                 return Err(DataError::LengthMismatch {
                     expected: dims.len(),
@@ -487,7 +496,19 @@ impl Table {
                 };
                 members.push(m);
             }
-            resolved.push((members, &row.values));
+            Ok(members)
+        };
+        let mut resolved: Vec<(Vec<MemberId>, &[f64])> = Vec::new();
+        let mut segments = self.segments.clone();
+        let mut version = self.version;
+        for (b, rows) in batches.into_iter().enumerate() {
+            for row in rows {
+                resolved.push((resolve(row).map_err(|e| (b, e))?, &row.values));
+            }
+            if !rows.is_empty() {
+                segments.push(rows.len());
+            }
+            version += 1;
         }
 
         let schema =
@@ -508,12 +529,7 @@ impl Table {
         for (m, col) in measures.iter_mut().enumerate() {
             col.extend(resolved.iter().map(|(_, values)| values[m]));
         }
-        let mut segments = self.segments.clone();
-        if !rows.is_empty() {
-            segments.push(rows.len());
-        }
-        let table = Table { schema, dim_cols, measures, version: self.version + 1, segments };
-        Ok((table, created))
+        Ok((Table { schema, dim_cols, measures, version, segments }, created))
     }
 
     /// Number of fact rows.

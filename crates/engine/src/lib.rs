@@ -40,7 +40,6 @@
 pub mod cache;
 pub mod error;
 pub mod exact;
-pub mod poison;
 pub mod query;
 pub mod repair;
 pub mod resample;

@@ -248,10 +248,9 @@ mod tests {
     #[test]
     fn resample_matches_the_refill_loop_across_every_boundary() {
         // Up and back down the boundaries, so each is crossed in both
-        // directions through one scratch: growth between calls, a bucket
-        // emptied by poison recovery (0), a capped reservoir (a length
-        // that stops moving), and the copy-out resample of `sampler.rs`'s
-        // tests (`usize::MAX`).
+        // directions through one scratch: growth between calls, an empty
+        // bucket (0), a capped reservoir (a length that stops moving), and
+        // the copy-out resample of `sampler.rs`'s tests (`usize::MAX`).
         for amount in [1usize, 10, 200, usize::MAX] {
             let mut lens = boundary_lengths(amount);
             lens.sort_unstable();
@@ -296,8 +295,8 @@ mod tests {
         resample_into_scratch(&backing[..50_500], 200, &mut rng, &mut scratch);
         let grown = scratch.pool_writes() - after_first;
         assert!((500..=500 + 4 * 200).contains(&grown), "500 new slots + the draw, not {grown}");
-        // A shrunken bucket (reservoir replacement, poison recovery) reuses
-        // the longer pool as it is.
+        // A bucket shorter than the last call's reuses the longer pool as
+        // it is.
         resample_into_scratch(&backing[..20_000], 200, &mut rng, &mut scratch);
         assert_eq!(scratch.pool.len(), 50_500);
         assert_pool_is_identity(&scratch);

@@ -23,22 +23,17 @@
 //!   prefix is a uniform sample for *any* query over the same scope,
 //!   preserving the invariant of paper Algorithm 3.
 //!
-//! The cache is shard-locked (entries hash to one of a few independently
-//! locked shards) with a per-shard byte budget and least-recently-used
-//! eviction, and keeps hit/miss/admission/eviction counters for the
-//! server's `/stats` endpoint.
+//! Both maps, the LRU clock and the counters sit behind one lock: a turn
+//! takes a handful of lock holds of microseconds each, against an answer
+//! of tens of milliseconds. One byte budget with least-recently-used
+//! eviction spans both maps, and hit/miss/admission/eviction counters
+//! feed the server's `/stats` endpoint.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::exact::ExactResult;
-use crate::poison::RecoveringMutex;
 use crate::query::{AggFct, QueryKey, ScopeKey};
-
-/// Number of independently locked cache shards.
-const N_SHARDS: usize = 8;
 
 /// Approximate fixed overhead of one cache entry (map slot, key, header).
 const ENTRY_OVERHEAD: usize = 128;
@@ -152,10 +147,8 @@ pub struct CacheStats {
     pub admissions: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
-    /// Approximate bytes currently held across all shards.
+    /// Approximate bytes currently held.
     pub bytes_used: u64,
-    /// Shards rebuilt (emptied) after a request panicked holding one.
-    pub poison_recoveries: u64,
     /// Exact entries dropped because the table moved past their version.
     pub exact_invalidations: u64,
     /// Sample snapshots rebased onto a grown table after an append.
@@ -185,77 +178,58 @@ struct ExactEntry {
     data: Arc<ExactAggregates>,
     /// Table version the aggregates were computed against.
     version: u64,
-    bytes: usize,
+    bytes: u64,
     last_used: u64,
 }
 
 struct SampleEntry {
     snap: Arc<SampleSnapshot>,
-    bytes: usize,
+    bytes: u64,
     last_used: u64,
 }
 
+/// Everything behind the cache's one lock.
 #[derive(Default)]
-struct Shard {
+struct Inner {
     exact: HashMap<QueryKey, ExactEntry>,
     samples: HashMap<ScopeKey, SampleEntry>,
-    bytes: usize,
+    /// Logical clock driving LRU ordering.
+    tick: u64,
+    stats: CacheStats,
 }
 
-impl Shard {
+impl Inner {
+    fn next_tick(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
     /// Evict least-recently-used entries (across both maps) until the
-    /// shard fits its budget. Returns the number of evictions.
-    fn enforce_budget(&mut self, budget: usize) -> u64 {
-        let mut evicted = 0;
-        while self.bytes > budget {
+    /// cache fits `budget`, counting each eviction.
+    fn enforce_budget(&mut self, budget: usize) {
+        while self.stats.bytes_used > budget as u64 {
             let oldest_exact = self.exact.iter().min_by_key(|(_, e)| e.last_used);
             let oldest_sample = self.samples.iter().min_by_key(|(_, e)| e.last_used);
-            match (oldest_exact, oldest_sample) {
-                (Some((k, e)), Some((s, se))) => {
-                    if e.last_used <= se.last_used {
-                        let k = k.clone();
-                        self.bytes -= self.exact.remove(&k).map_or(0, |e| e.bytes);
-                    } else {
-                        let s = s.clone();
-                        self.bytes -= self.samples.remove(&s).map_or(0, |e| e.bytes);
-                    }
-                }
-                (Some((k, _)), None) => {
+            self.stats.bytes_used -= match (oldest_exact, oldest_sample) {
+                (Some((k, e)), s) if s.is_none_or(|(_, s)| e.last_used <= s.last_used) => {
                     let k = k.clone();
-                    self.bytes -= self.exact.remove(&k).map_or(0, |e| e.bytes);
+                    self.exact.remove(&k).map_or(0, |e| e.bytes)
                 }
-                (None, Some((s, _))) => {
+                (_, Some((s, _))) => {
                     let s = s.clone();
-                    self.bytes -= self.samples.remove(&s).map_or(0, |e| e.bytes);
+                    self.samples.remove(&s).map_or(0, |e| e.bytes)
                 }
-                (None, None) => break,
-            }
-            evicted += 1;
+                _ => break,
+            };
+            self.stats.evictions += 1;
         }
-        evicted
     }
 }
 
-/// Size-bounded, shard-locked cross-query cache (see module docs).
+/// Size-bounded cross-query cache under one lock (see module docs).
 pub struct SemanticCache {
-    shards: Vec<RecoveringMutex<Shard>>,
-    /// Byte budget per shard (total budget / [`N_SHARDS`]).
-    shard_budget: usize,
+    inner: Mutex<Inner>,
     capacity_bytes: usize,
-    /// Logical clock driving LRU ordering.
-    tick: AtomicU64,
-    exact_hits: AtomicU64,
-    plan_hits: AtomicU64,
-    warm_hits: AtomicU64,
-    replayed_rows: AtomicU64,
-    misses: AtomicU64,
-    admissions: AtomicU64,
-    evictions: AtomicU64,
-    poison_recoveries: AtomicU64,
-    exact_invalidations: AtomicU64,
-    snapshot_repairs: AtomicU64,
-    repair_rows_read: AtomicU64,
-    stale_serves: AtomicU64,
 }
 
 impl std::fmt::Debug for SemanticCache {
@@ -270,24 +244,7 @@ impl std::fmt::Debug for SemanticCache {
 impl SemanticCache {
     /// Create a cache with a total byte budget.
     pub fn new(capacity_bytes: usize) -> Self {
-        SemanticCache {
-            shards: (0..N_SHARDS).map(|_| RecoveringMutex::new(Shard::default())).collect(),
-            shard_budget: (capacity_bytes / N_SHARDS).max(ENTRY_OVERHEAD),
-            capacity_bytes,
-            tick: AtomicU64::new(0),
-            exact_hits: AtomicU64::new(0),
-            plan_hits: AtomicU64::new(0),
-            warm_hits: AtomicU64::new(0),
-            replayed_rows: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            admissions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
-            exact_invalidations: AtomicU64::new(0),
-            snapshot_repairs: AtomicU64::new(0),
-            repair_rows_read: AtomicU64::new(0),
-            stale_serves: AtomicU64::new(0),
-        }
+        SemanticCache { inner: Mutex::new(Inner::default()), capacity_bytes }
     }
 
     /// Create a cache budgeted in mebibytes (the CLI's `--cache-mb`).
@@ -300,28 +257,10 @@ impl SemanticCache {
         self.capacity_bytes
     }
 
-    fn shard_of<K: Hash>(&self, key: &K) -> &RecoveringMutex<Shard> {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % N_SHARDS]
-    }
-
-    /// Lock a shard, rebuilding it empty first if its previous holder
-    /// died mid-update. A cache may always forget, so dropping the torn
-    /// shard's entries restores consistency; the rebuild is surfaced via
-    /// [`CacheStats::poison_recoveries`].
-    fn lock_shard<'a>(
-        &'a self,
-        shard: &'a RecoveringMutex<Shard>,
-    ) -> std::sync::MutexGuard<'a, Shard> {
-        shard.lock_recovering(|s| {
-            *s = Shard::default();
-            self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-        })
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    /// Every critical section is map and counter arithmetic that cannot
+    /// panic, so the lock is never poisoned.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up the exact result of a canonically identical earlier query,
@@ -331,17 +270,15 @@ impl SemanticCache {
     /// unavailable; the normal path calls
     /// [`SemanticCache::invalidate_exact`] instead.
     pub fn lookup_exact(&self, key: &QueryKey, version: u64) -> ExactLookup {
-        let mut shard = self.lock_shard(self.shard_of(key));
-        let tick = self.next_tick();
-        let Some(entry) = shard.exact.get_mut(key) else {
+        let mut inner = self.lock();
+        let tick = inner.next_tick();
+        let Some(entry) = inner.exact.get_mut(key) else {
             return ExactLookup::Miss;
         };
         entry.last_used = tick;
         let data = entry.data.clone();
-        let fresh = entry.version == version;
-        drop(shard);
-        if fresh {
-            self.exact_hits.fetch_add(1, Ordering::Relaxed);
+        if entry.version == version {
+            inner.stats.exact_hits += 1;
             ExactLookup::Fresh(data)
         } else {
             ExactLookup::Stale(data)
@@ -351,11 +288,10 @@ impl SemanticCache {
     /// Drop a version-stale exact entry (the table moved past it and the
     /// caller is replanning fresh).
     pub fn invalidate_exact(&self, key: &QueryKey) {
-        let mut shard = self.lock_shard(self.shard_of(key));
-        if let Some(old) = shard.exact.remove(key) {
-            shard.bytes -= old.bytes;
-            drop(shard);
-            self.exact_invalidations.fetch_add(1, Ordering::Relaxed);
+        let mut inner = self.lock();
+        if let Some(old) = inner.exact.remove(key) {
+            inner.stats.bytes_used -= old.bytes;
+            inner.stats.exact_invalidations += 1;
         }
     }
 
@@ -368,7 +304,7 @@ impl SemanticCache {
         fingerprint: u64,
     ) -> Option<&'d PlanRecord> {
         let plan = data.plan.get().filter(|p| p.fingerprint == fingerprint)?;
-        self.plan_hits.fetch_add(1, Ordering::Relaxed);
+        self.lock().stats.plan_hits += 1;
         Some(plan)
     }
 
@@ -378,8 +314,8 @@ impl SemanticCache {
     /// overwritten by swapping in a copy of the aggregates that carries
     /// `plan` (values already handed out keep the plan they had).
     pub fn admit_plan(&self, key: &QueryKey, data: &Arc<ExactAggregates>, plan: PlanRecord) {
-        let mut shard = self.lock_shard(self.shard_of(key));
-        let Some(entry) = shard.exact.get_mut(key).filter(|e| Arc::ptr_eq(&e.data, data)) else {
+        let mut inner = self.lock();
+        let Some(entry) = inner.exact.get_mut(key).filter(|e| Arc::ptr_eq(&e.data, data)) else {
             return;
         };
         if let Err(plan) = data.plan.set(plan) {
@@ -390,19 +326,20 @@ impl SemanticCache {
 
     /// Record a snapshot repair and the suffix rows it added.
     pub fn note_repair(&self, rows_read: u64) {
-        self.snapshot_repairs.fetch_add(1, Ordering::Relaxed);
-        self.repair_rows_read.fetch_add(rows_read, Ordering::Relaxed);
+        let stats = &mut self.lock().stats;
+        stats.snapshot_repairs += 1;
+        stats.repair_rows_read += rows_read;
     }
 
     /// Record the rows one warm start replayed.
     pub fn note_replay(&self, rows: u64) {
-        self.replayed_rows.fetch_add(rows, Ordering::Relaxed);
+        self.lock().stats.replayed_rows += rows;
     }
 
     /// Record that a version-stale exact result was served (marked) under
     /// degradation.
     pub fn note_stale_serve(&self) {
-        self.stale_serves.fetch_add(1, Ordering::Relaxed);
+        self.lock().stats.stale_serves += 1;
     }
 
     /// Look up a warm-start donor for a query over `scope`: a snapshot is
@@ -411,23 +348,19 @@ impl SemanticCache {
     /// worker count is irrelevant — morsel-pool progress describes the
     /// consumed set itself, so any thread layout can resume it.
     pub fn lookup_snapshot(&self, scope: &ScopeKey, seed: u64) -> Option<Arc<SampleSnapshot>> {
-        let mut shard = self.lock_shard(self.shard_of(scope));
-        let tick = self.next_tick();
-        let entry = shard.samples.get_mut(scope)?;
-        if entry.snap.seed != seed {
-            return None;
-        }
+        let mut inner = self.lock();
+        let tick = inner.next_tick();
+        let entry = inner.samples.get_mut(scope).filter(|e| e.snap.seed == seed)?;
         entry.last_used = tick;
         let snap = entry.snap.clone();
-        drop(shard);
-        self.warm_hits.fetch_add(1, Ordering::Relaxed);
+        inner.stats.warm_hits += 1;
         Some(snap)
     }
 
     /// Record that a query found neither an exact result nor a warm-start
     /// donor (called by the engines so hit rates are well-defined).
     pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.lock().stats.misses += 1;
     }
 
     /// Admit the exact per-aggregate counts and sums of a completed query,
@@ -444,18 +377,16 @@ impl SemanticCache {
         let data = Arc::new(ExactAggregates::new(counts, sums));
         // The version stamp is counted toward the budget like any other
         // entry metadata.
-        let bytes = data.approx_bytes() + std::mem::size_of::<u64>();
-        let tick = self.next_tick();
-        let mut shard = self.lock_shard(self.shard_of(key));
-        let entry = ExactEntry { data: data.clone(), version, bytes, last_used: tick };
-        if let Some(old) = shard.exact.insert(key.clone(), entry) {
-            shard.bytes -= old.bytes;
+        let bytes = (data.approx_bytes() + std::mem::size_of::<u64>()) as u64;
+        let mut inner = self.lock();
+        let last_used = inner.next_tick();
+        let entry = ExactEntry { data: data.clone(), version, bytes, last_used };
+        if let Some(old) = inner.exact.insert(key.clone(), entry) {
+            inner.stats.bytes_used -= old.bytes;
         }
-        shard.bytes += bytes;
-        let evicted = shard.enforce_budget(self.shard_budget);
-        drop(shard);
-        self.admissions.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        inner.stats.bytes_used += bytes;
+        inner.stats.admissions += 1;
+        inner.enforce_budget(self.capacity_bytes);
         data
     }
 
@@ -465,13 +396,12 @@ impl SemanticCache {
     /// newer table version (repaired snapshots supersede their donor even
     /// when the proportional suffix read rounded to zero rows).
     pub fn admit_snapshot(&self, scope: &ScopeKey, snap: SampleSnapshot) {
-        let bytes = snap.approx_bytes();
-        if bytes > self.shard_budget {
+        let bytes = snap.approx_bytes() as u64;
+        if bytes > self.capacity_bytes as u64 {
             return;
         }
-        let tick = self.next_tick();
-        let mut shard = self.lock_shard(self.shard_of(scope));
-        if let Some(existing) = shard.samples.get(scope) {
+        let mut inner = self.lock();
+        if let Some(existing) = inner.samples.get(scope) {
             if existing.snap.seed == snap.seed
                 && existing.snap.version >= snap.version
                 && existing.snap.nr_read >= snap.nr_read
@@ -479,41 +409,26 @@ impl SemanticCache {
                 return;
             }
         }
-        let entry = SampleEntry { snap: Arc::new(snap), bytes, last_used: tick };
-        if let Some(old) = shard.samples.insert(scope.clone(), entry) {
-            shard.bytes -= old.bytes;
+        let last_used = inner.next_tick();
+        let entry = SampleEntry { snap: Arc::new(snap), bytes, last_used };
+        if let Some(old) = inner.samples.insert(scope.clone(), entry) {
+            inner.stats.bytes_used -= old.bytes;
         }
-        shard.bytes += bytes;
-        let evicted = shard.enforce_budget(self.shard_budget);
-        drop(shard);
-        self.admissions.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
+        inner.stats.bytes_used += bytes;
+        inner.stats.admissions += 1;
+        inner.enforce_budget(self.capacity_bytes);
     }
 
     /// Current counter values.
     pub fn stats(&self) -> CacheStats {
-        let bytes_used: usize = self.shards.iter().map(|s| self.lock_shard(s).bytes).sum();
-        CacheStats {
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            plan_hits: self.plan_hits.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            replayed_rows: self.replayed_rows.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            admissions: self.admissions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes_used: bytes_used as u64,
-            poison_recoveries: self.poison_recoveries.load(Ordering::Relaxed),
-            exact_invalidations: self.exact_invalidations.load(Ordering::Relaxed),
-            snapshot_repairs: self.snapshot_repairs.load(Ordering::Relaxed),
-            repair_rows_read: self.repair_rows_read.load(Ordering::Relaxed),
-            stale_serves: self.stale_serves.load(Ordering::Relaxed),
-        }
+        self.lock().stats
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
     use voxolap_data::dimension::{LevelId, MemberId};
     use voxolap_data::schema::MeasureId;
     use voxolap_data::DimId;
@@ -633,34 +548,14 @@ mod tests {
 
     #[test]
     fn lru_evicts_least_recently_used_first() {
-        // Budget fits two exact entries per shard; with a deterministic
-        // single-key-shard workload the third admission must evict the
-        // least recently *used* entry, not the oldest inserted.
+        // Budget fits two exact entries; the third admission must evict
+        // the least recently *used* entry, not the oldest inserted.
         let (counts, sums) = exact_payload(64);
         let probe = ExactAggregates::new(counts.clone(), sums.clone());
         // Admitted entries carry an extra version stamp.
         let entry_bytes = probe.approx_bytes() + std::mem::size_of::<u64>();
-        let cache = SemanticCache::new(entry_bytes * 2 * N_SHARDS + N_SHARDS);
-        // Find three keys hashing to the same shard so the budget math is
-        // exercised within one lock.
-        let mut same_shard = Vec::new();
-        let target = {
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            key(0).hash(&mut h);
-            (h.finish() as usize) % N_SHARDS
-        };
-        for n in 0..=u8::MAX {
-            let k = key(n);
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            k.hash(&mut h);
-            if (h.finish() as usize) % N_SHARDS == target {
-                same_shard.push(k);
-                if same_shard.len() == 3 {
-                    break;
-                }
-            }
-        }
-        let [a, b, c] = <[QueryKey; 3]>::try_from(same_shard).expect("3 colliding keys");
+        let cache = SemanticCache::new(entry_bytes * 2 + 1);
+        let (a, b, c) = (key(0), key(1), key(2));
         cache.admit_exact(&a, 0, counts.clone(), sums.clone());
         cache.admit_exact(&b, 0, counts.clone(), sums.clone());
         // Touch `a` so `b` becomes the least recently used.
@@ -685,7 +580,7 @@ mod tests {
             table_rows: 10_000,
         };
         let entry_bytes = probe.approx_bytes();
-        let cache = SemanticCache::new(entry_bytes * 2 * N_SHARDS);
+        let cache = SemanticCache::new(entry_bytes * 2);
         for n in 0..32u8 {
             let mut snap = probe.clone();
             snap.seed = n as u64;
@@ -736,31 +631,52 @@ mod tests {
     }
 
     #[test]
-    fn torn_shard_is_rebuilt_empty_and_counted() {
-        let cache = SemanticCache::with_capacity_mb(1);
-        let k = key(0);
-        let (counts, sums) = exact_payload(4);
-        cache.admit_exact(&k, 0, counts, sums);
-        assert!(fresh(cache.lookup_exact(&k, 0)).is_some());
-        // A request panics while it holds that entry's shard: the next
-        // locker rebuilds the shard empty instead of panicking.
-        let died = std::thread::scope(|scope| {
-            scope
-                .spawn(|| {
-                    let _guard = cache.lock_shard(cache.shard_of(&k));
-                    panic!("holder dies mid-update");
-                })
-                .join()
+    fn concurrent_callers_keep_bytes_and_hits_exact() {
+        // Four threads admit, look up and invalidate twelve overlapping
+        // keys under a budget of about eight exact entries. A thread looks
+        // a key up 12 steps after admitting it and invalidates it 48 after.
+        let (counts, sums) = &exact_payload(16);
+        let entry_bytes = ExactAggregates::new(counts.clone(), sums.clone()).approx_bytes() + 8;
+        let cache = &SemanticCache::new(entry_bytes * 8);
+        let snap = &SampleSnapshot {
+            seed: 7,
+            progress: vec![10; 4],
+            nr_read: 40,
+            version: 0,
+            table_rows: 40,
+        };
+        let (exact_seen, warm_seen) = (&AtomicU64::new(0), &AtomicU64::new(0));
+        let start = &std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u32 {
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..20_000u32 {
+                        let k = key(((t * 3 + i) % 12) as u8);
+                        match i % 5 {
+                            0 => drop(cache.admit_exact(&k, 0, counts.clone(), sums.clone())),
+                            1 if cache.lookup_snapshot(&k.scope(), 7).is_some() => {
+                                warm_seen.fetch_add(1, Ordering::Relaxed);
+                            }
+                            2 if fresh(cache.lookup_exact(&k, 0)).is_some() => {
+                                exact_seen.fetch_add(1, Ordering::Relaxed);
+                            }
+                            3 => cache.invalidate_exact(&k),
+                            4 => cache.admit_snapshot(&k.scope(), snap.clone()),
+                            _ => {}
+                        }
+                    }
+                });
+            }
         });
-        assert!(died.is_err(), "the holder really panicked");
-        assert!(fresh(cache.lookup_exact(&k, 0)).is_none(), "torn shard forgets its entries");
-        let stats = cache.stats();
-        assert_eq!(stats.poison_recoveries, 1);
-        assert_eq!(stats.bytes_used, 0, "rebuilt shard holds no bytes");
-        // The cache keeps working after recovery.
-        let (counts, sums) = exact_payload(4);
-        cache.admit_exact(&k, 0, counts, sums);
-        assert!(fresh(cache.lookup_exact(&k, 0)).is_some());
+        let (stats, inner) = (cache.stats(), cache.lock());
+        let held: u64 = inner.exact.values().map(|e| e.bytes).sum::<u64>()
+            + inner.samples.values().map(|e| e.bytes).sum::<u64>();
+        assert!(stats.bytes_used <= cache.capacity_bytes() as u64, "{stats:?}");
+        assert_eq!(stats.bytes_used, held, "the count is the bytes still held");
+        assert_eq!(stats.exact_hits, exact_seen.load(Ordering::Relaxed));
+        assert_eq!(stats.warm_hits, warm_seen.load(Ordering::Relaxed));
+        assert!(stats.exact_hits > 0 && stats.warm_hits > 0, "{stats:?}");
     }
 
     #[test]

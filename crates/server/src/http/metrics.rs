@@ -93,9 +93,6 @@ http_counters! {
     queue_wait_us => "queue_wait_ms_total" / 1e3,
     /// Total time spent handling + responding, in microseconds.
     handle_us => "handler_ms_total" / 1e3,
-    /// Shared-state locks (job queue, return lane) found poisoned or torn
-    /// and rebuilt by the next locker instead of crashing the pool.
-    poison_recoveries,
 }
 
 impl HttpMetrics {

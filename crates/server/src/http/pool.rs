@@ -1,6 +1,10 @@
 //! The worker pool: the bounded job queue the reactor feeds, one worker
 //! turn per job, the hand-back of a connection to the reactor, and
 //! shutdown.
+//!
+//! The queue and the return lane are plain locks. A handler runs under
+//! `catch_unwind` with neither held, so a panic is answered `500` and
+//! counted in `panics`; no critical section here can panic.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
@@ -11,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar};
 use std::time::{Duration, Instant};
 
-use voxolap_engine::poison::RecoveringMutex;
+use parking_lot::Mutex;
 
 use crate::reactor::{Interest, Poller};
 
@@ -42,7 +46,8 @@ pub(super) enum Work {
 
 /// State shared between the reactor, the workers, and the handle.
 pub(super) struct Shared {
-    queue: RecoveringMutex<VecDeque<Job>>,
+    /// Jobs waiting for a worker.
+    pub(super) queue: Mutex<VecDeque<Job>>,
     /// Signaled when work is pushed (workers wait here).
     pub(super) ready: Condvar,
     /// Signaled when the queue becomes empty (shutdown drains wait here —
@@ -51,39 +56,20 @@ pub(super) struct Shared {
     stop: AtomicBool,
     /// Connections coming back from workers for keep-alive / session
     /// parking; the reactor drains this after every `notify`.
-    returns: RecoveringMutex<Vec<Conn>>,
+    pub(super) returns: Mutex<Vec<Conn>>,
     pub(super) poller: Poller,
     pub(super) config: ServerConfig,
     pub(super) metrics: Arc<HttpMetrics>,
 }
 
 impl Shared {
-    pub(super) fn lock_queue(&self) -> std::sync::MutexGuard<'_, VecDeque<Job>> {
-        // Handlers run under catch_unwind and the lock is never held
-        // across them, so poisoning should be unreachable; if a holder
-        // dies anyway, the torn queue is dropped (each pending connection
-        // closes, clients see a reset and retry) and the pool keeps
-        // serving — counted, not fatal.
-        self.queue.lock_recovering(|q| {
-            q.clear();
-            HttpMetrics::add(&self.metrics.poison_recoveries, 1);
-        })
-    }
-
-    pub(super) fn lock_returns(&self) -> std::sync::MutexGuard<'_, Vec<Conn>> {
-        self.returns.lock_recovering(|r| {
-            r.clear();
-            HttpMetrics::add(&self.metrics.poison_recoveries, 1);
-        })
-    }
-
     pub(super) fn stopped(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 
     /// Hand a connection back to the reactor.
     fn park(&self, conn: Conn) {
-        self.lock_returns().push(conn);
+        self.returns.lock().push(conn);
         self.poller.notify();
     }
 }
@@ -94,7 +80,7 @@ where
 {
     loop {
         let job = {
-            let mut queue = shared.lock_queue();
+            let mut queue = shared.queue.lock();
             loop {
                 if let Some(job) = queue.pop_front() {
                     if queue.is_empty() {
@@ -288,7 +274,7 @@ impl ServerHandle {
         }
         let deadline = Instant::now() + drain;
         let stale: Vec<Job> = {
-            let mut queue = self.shared.lock_queue();
+            let mut queue = self.shared.queue.lock();
             loop {
                 if queue.is_empty() {
                     break Vec::new();
@@ -313,7 +299,7 @@ impl ServerHandle {
             let _ = w.join(); // workers exit once stopped and drained
         }
         // Connections workers handed back after the reactor exited.
-        for conn in self.shared.lock_returns().drain(..) {
+        for conn in self.shared.returns.lock().drain(..) {
             conn.farewell(&self.shared.metrics);
         }
     }
@@ -393,11 +379,11 @@ where
     let bound = listener.local_addr()?;
     let poller = Poller::new()?;
     let shared = Arc::new(Shared {
-        queue: RecoveringMutex::new(VecDeque::new()),
+        queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
         drained: Condvar::new(),
         stop: AtomicBool::new(false),
-        returns: RecoveringMutex::new(Vec::new()),
+        returns: Mutex::new(Vec::new()),
         poller,
         config: ServerConfig { threads: config.threads.max(1), ..config },
         metrics,

@@ -318,7 +318,7 @@ impl Reactor {
                 // Admission control: a full queue answers 503 through the
                 // reactor's nonblocking write path, never a worker.
                 let admitted = {
-                    let mut q = shared.lock_queue();
+                    let mut q = shared.queue.lock();
                     if q.len() >= shared.config.queue {
                         false
                     } else {
@@ -375,7 +375,7 @@ impl Reactor {
         };
         HttpMetrics::add(&shared.metrics.session_lines, 1);
         let Some(conn) = self.remove(idx) else { return };
-        shared.lock_queue().push_back(Job {
+        shared.queue.lock().push_back(Job {
             conn,
             queued_at: Instant::now(),
             work: Work::Line(line),
@@ -469,7 +469,7 @@ impl Reactor {
 
     /// Reinsert connections handed back by workers.
     fn drain_returns(&mut self) {
-        let returned: Vec<Conn> = std::mem::take(&mut *self.shared.lock_returns());
+        let returned: Vec<Conn> = std::mem::take(&mut *self.shared.returns.lock());
         for conn in returned {
             if self.shared.stopped() {
                 conn.farewell(&self.shared.metrics);

@@ -281,7 +281,7 @@ fn saturated_queue_yields_503_with_retry_after() {
     occupy.push(std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n")));
     let deadline = Instant::now() + Duration::from_secs(5);
     while {
-        let q = server.shared.lock_queue().len();
+        let q = server.shared.queue.lock().len();
         q < 1 && Instant::now() < deadline
     } {
         std::thread::sleep(Duration::from_millis(5));

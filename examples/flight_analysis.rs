@@ -21,7 +21,7 @@ use voxolap_engine::query::{AggFct, Query};
 
 fn main() {
     println!("generating flights dataset...");
-    let table = FlightsConfig::medium().generate();
+    let table = FlightsConfig { rows: 200_000, seed: 42 }.generate();
     let schema = table.schema();
 
     // "How does the cancellation probability in New York depend on flight

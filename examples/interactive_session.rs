@@ -17,7 +17,7 @@ use voxolap_voice::tts::RealTimeVoice;
 
 fn main() {
     println!("generating flights dataset...");
-    let table = FlightsConfig::medium().generate();
+    let table = FlightsConfig { rows: 200_000, seed: 42 }.generate();
     let mut session = Session::new(&table);
     let holistic = Holistic::new(HolisticConfig::default());
     // A brisk voice so the demo doesn't crawl; 15 chars/s is realistic.
