@@ -180,7 +180,10 @@ fn load_table(opts: &Options) -> Result<Table, String> {
     match opts.data.as_str() {
         "flights" => {
             eprintln!("generating flights dataset ({} rows)...", opts.rows);
-            Ok(FlightsConfig { rows: opts.rows, seed: opts.seed }.generate())
+            let start = std::time::Instant::now();
+            let table = FlightsConfig { rows: opts.rows, seed: opts.seed }.generate();
+            eprintln!("generated {} rows in {} ms", opts.rows, start.elapsed().as_millis());
+            Ok(table)
         }
         "salary" => Ok(SalaryConfig::paper_scale().generate()),
         other => Err(format!("unknown --data {other:?}")),

@@ -23,12 +23,16 @@
 //! the cancellation risk factors (bad-weather regions and seasons also
 //! delay flights), scaled to a ~12-minute overall mean.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use std::num::NonZeroUsize;
+use std::thread;
 
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
+
+use crate::chunk::CHUNK_ROWS;
 use crate::dimension::{DimensionBuilder, MemberId};
 use crate::schema::{Measure, MeasureUnit, Schema};
-use crate::table::{Table, TableBuilder};
+use crate::table::{DimColumn, Table};
 
 /// Region names, matching the paper's Table 12 row labels.
 pub const REGIONS: [&str; 5] =
@@ -200,19 +204,34 @@ impl FlightsConfig {
         )
     }
 
-    /// Generate the dataset.
+    /// Generate the dataset, on every core: contiguous ranges of whole
+    /// [`CHUNK_ROWS`]-row chunks, one scoped thread each, written straight
+    /// into the table's final columns. After the seeded prefix every row
+    /// draws exactly seven values, so a range starting at row `f` steps a
+    /// clone of the stream `7 · f` draws and runs the serial row body: the
+    /// table is the same bytes on any core count.
     pub fn generate(&self) -> Table {
+        self.generate_in(thread::available_parallelism().map_or(1, NonZeroUsize::get))
+    }
+
+    /// [`FlightsConfig::generate`] in at most `ranges` ranges.
+    pub(crate) fn generate_in(&self, ranges: usize) -> Table {
         let schema = Self::schema();
         let mut rng = StdRng::seed_from_u64(self.seed);
 
         let airport_dim = schema.dimension(crate::schema::DimId(0));
         let date_dim = schema.dimension(crate::schema::DimId(1));
         let airline_dim = schema.dimension(crate::schema::DimId(2));
+        // Every flights dimension has under 256 members: the id columns
+        // are one byte wide, and the lookups below hold those bytes.
+        let bytes = |ms: &[MemberId]| -> Vec<u8> {
+            ms.iter().map(|m| u8::try_from(m.0).expect("flights ids fit one byte")).collect()
+        };
 
-        // Pre-index airport leaves by region, and leaf -> region index.
+        // Pre-index airport leaves by region.
         let region_members = airport_dim.level_members(crate::dimension::LevelId(1));
-        let leaves_by_region: Vec<Vec<MemberId>> =
-            region_members.iter().map(|&r| airport_dim.leaves_under(r)).collect();
+        let leaves_by_region: Vec<Vec<u8>> =
+            region_members.iter().map(|&r| bytes(&airport_dim.leaves_under(r))).collect();
 
         // Per-airport-leaf factor, normalized per region to mean 1 so that
         // region x season means stay pinned to Table 12.
@@ -221,17 +240,17 @@ impl FlightsConfig {
             let mut sum = 0.0;
             for &l in leaves {
                 let f = rng.gen_range(0.6..1.4);
-                leaf_factor[l.index()] = f;
+                leaf_factor[l as usize] = f;
                 sum += f;
             }
             let mean = sum / leaves.len() as f64;
             for &l in leaves {
-                leaf_factor[l.index()] /= mean;
+                leaf_factor[l as usize] /= mean;
             }
         }
 
         // Airline factors, weighted mean 1 under the airline draw weights.
-        let airline_members = airline_dim.leaves().to_vec();
+        let airline_members = bytes(airline_dim.leaves());
         let airline_weights: Vec<f64> =
             (0..airline_members.len()).map(|i| 1.0 + (i % 5) as f64 * 0.45).collect();
         let weight_sum: f64 = airline_weights.iter().sum();
@@ -245,21 +264,14 @@ impl FlightsConfig {
 
         // Month leaves by season, month factor 1 (uniform within season).
         let season_members = date_dim.level_members(crate::dimension::LevelId(1));
-        let months_by_season: Vec<Vec<MemberId>> =
-            season_members.iter().map(|&s| date_dim.leaves_under(s)).collect();
+        let months_by_season: Vec<Vec<u8>> =
+            season_members.iter().map(|&s| bytes(&date_dim.leaves_under(s))).collect();
 
-        let mut tb = TableBuilder::new(schema);
-        for _ in 0..self.rows {
+        // One row: its airport, month and airline ids, cancellation flag
+        // and delay, drawing `DRAWS_PER_ROW` values.
+        let row = |rng: &mut StdRng| {
             // Region by traffic weight.
-            let mut x: f64 = rng.gen();
-            let mut region = REGION_WEIGHTS.len() - 1;
-            for (i, w) in REGION_WEIGHTS.iter().enumerate() {
-                if x < *w {
-                    region = i;
-                    break;
-                }
-                x -= w;
-            }
+            let region = weighted_pick(rng.gen(), &REGION_WEIGHTS);
             let leaves = &leaves_by_region[region];
             let airport = leaves[rng.gen_range(0..leaves.len())];
 
@@ -268,19 +280,10 @@ impl FlightsConfig {
             let month = months[rng.gen_range(0..months.len())];
 
             // Airline by weight.
-            let mut x = rng.gen_range(0.0..weight_sum);
-            let mut airline_idx = airline_members.len() - 1;
-            for (i, w) in airline_weights.iter().enumerate() {
-                if x < *w {
-                    airline_idx = i;
-                    break;
-                }
-                x -= w;
-            }
-            let airline = airline_members[airline_idx];
+            let airline_idx = weighted_pick(rng.gen_range(0.0..weight_sum), &airline_weights);
 
             let risk = TABLE12[region][season]
-                * leaf_factor[airport.index()]
+                * leaf_factor[airport as usize]
                 * airline_factor[airline_idx];
             let p = risk.clamp(0.0, 1.0);
             let cancelled = if rng.gen::<f64>() < p { 1.0 } else { 0.0 };
@@ -288,19 +291,66 @@ impl FlightsConfig {
             // 12 minutes (risk mean ~0.0145 x 830), with noise and a floor
             // at zero.
             let delay = (risk * 830.0 * rng.gen_range(0.3..1.7)).max(0.0);
+            (airport, month, airline_members[airline_idx], cancelled, delay)
+        };
 
-            tb.push_row_values(&[airport, month, airline], &[cancelled, delay])
-                .expect("generator produces valid leaf rows");
-        }
-        tb.build()
+        let rows = self.rows;
+        let (mut airport, mut month, mut airline) = (vec![0; rows], vec![0; rows], vec![0; rows]);
+        let (mut cancelled, mut delay) = (vec![0.0; rows], vec![0.0; rows]);
+        let range_rows = rows.div_ceil(CHUNK_ROWS).div_ceil(ranges.max(1)).max(1) * CHUNK_ROWS;
+        thread::scope(|s| {
+            let ranges = airport
+                .chunks_mut(range_rows)
+                .zip(month.chunks_mut(range_rows))
+                .zip(airline.chunks_mut(range_rows))
+                .zip(cancelled.chunks_mut(range_rows).zip(delay.chunks_mut(range_rows)));
+            for (i, (((a, m), l), (c, d))) in ranges.enumerate() {
+                let mut rng = rng.clone();
+                for _ in 0..DRAWS_PER_ROW * range_rows * i {
+                    rng.next_u64();
+                }
+                let row = &row;
+                s.spawn(move || {
+                    let cols = a.iter_mut().zip(m).zip(l).zip(c.iter_mut().zip(d));
+                    for (((a, m), l), (c, d)) in cols {
+                        (*a, *m, *l, *c, *d) = row(&mut rng);
+                    }
+                });
+            }
+        });
+        let dims = vec![DimColumn::U8(airport), DimColumn::U8(month), DimColumn::U8(airline)];
+        Table::from_columns(schema, dims, vec![cancelled, delay])
+            .expect("generator produces valid leaf rows")
     }
+}
+
+/// Values each generated row draws from the seeded stream: region,
+/// airport, season, month, airline, cancellation and delay, on every row.
+/// [`FlightsConfig::generate_in`] places each range in the stream by it.
+const DRAWS_PER_ROW: usize = 7;
+
+/// The first index `i` with `x < weights[i]`, `x` having had the weights
+/// before `i` subtracted in order, or the last index if none: the walk of
+/// a loop that `break`s at the hit, run to its end without a branch (the
+/// data-dependent exit mispredicts).
+#[inline]
+fn weighted_pick(mut x: f64, weights: &[f64]) -> usize {
+    let (mut pick, mut open) = (weights.len() - 1, true);
+    for (i, &w) in weights.iter().enumerate() {
+        let hit = open & (x < w);
+        pick = if hit { i } else { pick };
+        open &= !hit;
+        x -= w;
+    }
+    pick
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dimension::LevelId;
-    use crate::schema::DimId;
+    use crate::error::DataError;
+    use crate::schema::{DimId, MeasureId};
 
     #[test]
     fn schema_shape_matches_paper() {
@@ -320,12 +370,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let values = |seed| {
-            let t = FlightsConfig { rows: 500, seed }.generate();
-            (0..t.row_count()).map(|r| t.value_at(r)).collect::<Vec<f64>>()
-        };
-        assert_eq!(values(1), values(1));
-        assert_ne!(values(1), values(2));
+        let bytes = |seed| fingerprint(&FlightsConfig { rows: 500, seed }.generate(), 500);
+        assert_eq!(bytes(1), bytes(1));
+        assert_ne!(bytes(1), bytes(2));
     }
 
     #[test]
@@ -393,6 +440,71 @@ mod tests {
                 "region {r} season {s}: mean {mean:.4} vs table {expect:.4}"
             );
         }
+    }
+
+    /// FNV-1a over the member ids and measure value bits of the first
+    /// `rows` rows.
+    fn fingerprint(t: &Table, rows: usize) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        };
+        for row in 0..rows {
+            for m in t.row_members(row) {
+                eat(&m.0.to_le_bytes());
+            }
+            for m in 0..t.schema().measure_count() {
+                eat(&t.measure_value(MeasureId(m as u8), row).to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn every_range_count_generates_the_same_bytes() {
+        // Five chunks, the last one partial: a range's stream position is
+        // only right if every row draws exactly `DRAWS_PER_ROW` values.
+        let config = FlightsConfig { rows: 300_000, seed: 7 };
+        let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let serial = fingerprint(&config.generate_in(1), config.rows);
+        for ranges in [2, 3, 5, cores] {
+            let t = config.generate_in(ranges);
+            assert_eq!(fingerprint(&t, config.rows), serial, "{ranges} ranges");
+        }
+    }
+
+    #[test]
+    fn edge_sizes_are_prefixes_of_one_stream() {
+        let longest = FlightsConfig { rows: CHUNK_ROWS + 1, seed: 3 }.generate_in(2);
+        for n in [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1] {
+            let t = FlightsConfig { rows: n, seed: 3 }.generate_in(2);
+            assert_eq!((t.row_count(), fingerprint(&t, n)), (n, fingerprint(&longest, n)));
+        }
+    }
+
+    #[test]
+    fn seed_42_table_is_pinned() {
+        // Any change to the generated stream has to edit this golden.
+        let t = FlightsConfig { rows: 200_000, seed: 42 }.generate();
+        assert_eq!(fingerprint(&t, t.row_count()), 0xddae_cbff_145b_10dd);
+    }
+
+    #[test]
+    fn bulk_constructor_refuses_what_push_row_values_refuses() {
+        let build = |airport: u8, delays: Vec<f64>| {
+            let dims = [airport, 2, 1].map(|id| DimColumn::U8(vec![id])).to_vec();
+            Table::from_columns(FlightsConfig::schema(), dims, vec![vec![0.0], delays])
+                .map(|t| t.row_count())
+        };
+        let leaf = FlightsConfig::schema().dimension(DimId(0)).leaves()[0].0 as u8;
+        assert_eq!(build(leaf, vec![1.0]), Ok(1));
+        let unequal = DataError::LengthMismatch { expected: 1, actual: 2 };
+        assert_eq!(build(leaf, vec![1.0, 2.0]), Err(unequal));
+        assert_eq!(build(255, vec![1.0]), Err(DataError::InvalidId { kind: "member", id: 255 }));
+        let not_a_leaf = DataError::LevelMismatch { expected: 4, actual: 1 };
+        assert_eq!(build(1, vec![1.0]), Err(not_a_leaf));
     }
 
     #[test]

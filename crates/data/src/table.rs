@@ -211,6 +211,15 @@ impl DimColumn {
         }
     }
 
+    /// The first stored id that `ok` refuses, if any.
+    fn find_id(&self, ok: impl Fn(usize) -> bool) -> Option<usize> {
+        match self {
+            DimColumn::U8(v) => v.iter().map(|&x| x as usize).find(|&i| !ok(i)),
+            DimColumn::U16(v) => v.iter().map(|&x| x as usize).find(|&i| !ok(i)),
+            DimColumn::U32(v) => v.iter().map(|&x| x as usize).find(|&i| !ok(i)),
+        }
+    }
+
     /// Borrow the packed ids of rows `base..base + len` (one chunk).
     #[inline]
     pub fn slice(&self, base: usize, len: usize) -> DimSlice<'_> {
@@ -532,6 +541,39 @@ impl Table {
         Ok((Table { schema, dim_cols, measures, version, segments }, created))
     }
 
+    /// A seed table (version 0, one segment) from whole columns, the bulk
+    /// form of [`TableBuilder`]: the checks
+    /// [`TableBuilder::push_row_values`] makes per row are made once per
+    /// column, refusing with the same [`DataError`] variants, and each
+    /// measure column is packed ([`MeasureColumn::pack`]).
+    pub(crate) fn from_columns(
+        schema: Schema,
+        dim_cols: Vec<DimColumn>,
+        measures: Vec<Vec<f64>>,
+    ) -> Result<Table, DataError> {
+        let dims = schema.dimensions();
+        for (expected, actual) in
+            [(dims.len(), dim_cols.len()), (schema.measure_count(), measures.len())]
+        {
+            if actual != expected {
+                return Err(DataError::LengthMismatch { expected, actual });
+            }
+        }
+        let rows = measures[0].len();
+        let mut lens = dim_cols.iter().map(DimColumn::len).chain(measures.iter().map(Vec::len));
+        if let Some(actual) = lens.find(|&n| n != rows) {
+            return Err(DataError::LengthMismatch { expected: rows, actual });
+        }
+        for (dim, col) in dims.iter().zip(&dim_cols) {
+            let is_leaf: Vec<bool> =
+                (0..dim.member_count()).map(|i| check_leaf(dim, i).is_ok()).collect();
+            if let Some(id) = col.find_id(|i| is_leaf.get(i) == Some(&true)) {
+                check_leaf(dim, id)?;
+            }
+        }
+        Ok(TableBuilder { schema, dim_cols, measures }.build())
+    }
+
     /// Number of fact rows.
     pub fn row_count(&self) -> usize {
         self.measures[0].len()
@@ -758,6 +800,18 @@ impl<'a> RowScanner<'a> {
     }
 }
 
+/// Refuse dictionary id `id` unless it names a leaf member of `dim`.
+fn check_leaf(dim: &Dimension, id: usize) -> Result<(), DataError> {
+    if id >= dim.member_count() {
+        return Err(DataError::InvalidId { kind: "member", id });
+    }
+    let (leaf, level) = (dim.leaf_level(), dim.member(MemberId(id as u32)).level);
+    if level != leaf {
+        return Err(DataError::LevelMismatch { expected: leaf.index(), actual: level.index() });
+    }
+    Ok(())
+}
+
 /// Builder accumulating rows for a [`Table`].
 #[derive(Debug)]
 pub struct TableBuilder {
@@ -806,18 +860,8 @@ impl TableBuilder {
                 actual: values.len(),
             });
         }
-        for (d, &m) in members.iter().enumerate() {
-            let dim = self.schema.dimension(DimId(d as u8));
-            if m.index() >= dim.member_count() {
-                return Err(DataError::InvalidId { kind: "member", id: m.index() });
-            }
-            let level = dim.member(m).level;
-            if level != dim.leaf_level() {
-                return Err(DataError::LevelMismatch {
-                    expected: dim.leaf_level().index(),
-                    actual: level.index(),
-                });
-            }
+        for (dim, &m) in self.schema.dimensions().iter().zip(members) {
+            check_leaf(dim, m.index())?;
         }
         for (d, &m) in members.iter().enumerate() {
             self.dim_cols[d].push(m);
@@ -826,11 +870,6 @@ impl TableBuilder {
             col.push(v);
         }
         Ok(())
-    }
-
-    /// Rows accumulated so far.
-    pub fn row_count(&self) -> usize {
-        self.measures[0].len()
     }
 
     /// Schema the table is being built against.

@@ -71,7 +71,7 @@
 use std::str::FromStr;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use voxolap_data::flights::FlightsConfig;
 use voxolap_data::salary::SalaryConfig;
@@ -189,7 +189,10 @@ fn main() {
         SalaryConfig::paper_scale().generate()
     } else {
         eprintln!("generating flights dataset ({rows} rows)...");
-        FlightsConfig { rows, seed: 42 }.generate()
+        let start = Instant::now();
+        let table = FlightsConfig { rows, seed: 42 }.generate();
+        eprintln!("generated {rows} rows in {} ms", start.elapsed().as_millis());
+        table
     };
 
     // Recovery runs here, before the listener exists: no request can
