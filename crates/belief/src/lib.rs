@@ -29,6 +29,8 @@
 //! assert!((n.cdf(120_000.0) - 0.5).abs() < 1e-9);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod model;
 pub mod normal;
 pub mod quality;

@@ -31,7 +31,7 @@ use voxolap_data::schema::MeasureId;
 use voxolap_data::{DimId, Table};
 use voxolap_json::Value;
 
-// Same no-libc idiom as the server's reactor: raw syscall wrappers.
+// Same no-libc idiom as the server's `sys` module: raw syscall wrappers.
 extern "C" {
     fn kill(pid: i32, sig: i32) -> i32;
 }

@@ -32,6 +32,8 @@
 //! An unknown flag, a missing value, or a value its flag cannot take is
 //! refused with a message and exit status 1.
 
+#![deny(unsafe_code)]
+
 use std::io::BufRead;
 use std::process::ExitCode;
 use std::sync::Arc;

@@ -51,6 +51,8 @@
 //! assert!(outcome.body_text().contains("mid-career salary"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod approach;
 pub mod holistic;
 pub mod optimal;

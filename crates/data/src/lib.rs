@@ -24,6 +24,8 @@
 //! assert_eq!(table.schema().dimensions().len(), 3);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod chunk;
 pub mod csv;
 pub mod dimension;

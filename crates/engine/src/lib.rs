@@ -37,6 +37,8 @@
 //! assert_eq!(result.values().len(), 4 * 2); // 4 regions x 2 rough bins
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cache;
 pub mod error;
 pub mod exact;

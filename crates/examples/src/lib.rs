@@ -8,3 +8,5 @@
 //! cargo run --release -p voxolap-examples --example interactive_session
 //! cargo run --release -p voxolap-examples --example custom_dataset
 //! ```
+
+#![deny(unsafe_code)]

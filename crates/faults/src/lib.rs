@@ -10,6 +10,8 @@
 //! and the request with it. Storage failures stay in the storage layer
 //! (`voxolap_data::wal`), where tests force them through `WalFaults`.
 
+#![deny(unsafe_code)]
+
 mod hub;
 
 pub use hub::Resilience;

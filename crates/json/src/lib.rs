@@ -17,6 +17,8 @@
 //! assert_eq!(out.to_string(), r#"{"ok":true,"rows":8000}"#);
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::fmt;
 
 /// A JSON value. Object keys keep insertion order so serialized output

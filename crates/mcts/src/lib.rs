@@ -53,6 +53,8 @@
 //! assert_eq!(tree.best_child(NodeId::ROOT), Some(good));
 //! ```
 
+#![deny(unsafe_code)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;

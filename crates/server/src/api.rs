@@ -96,10 +96,10 @@ pub struct AppState {
     debug_routes: bool,
     /// Planning deadline of every turn, on every route. A wide scope (say,
     /// a city-level drill-down crossed with another breakdown) can take
-    /// minutes to converge; unbounded, one such turn pins a worker and
-    /// starves the pool. Past the deadline the planner commits the §12
-    /// anytime answer and the answer carries `"degraded":true`. `None` =
-    /// run to convergence.
+    /// minutes to converge; unbounded, one such turn pins a planning
+    /// permit and starves every other request of it. Past the deadline
+    /// the planner commits the §12 anytime answer and the answer carries
+    /// `"degraded":true`. `None` = run to convergence.
     utterance_deadline: Option<Duration>,
 }
 
@@ -385,7 +385,7 @@ impl AppState {
     /// Bound every turn's planning time, on all four answer routes: past
     /// the deadline the answer is committed through the anytime path
     /// (DESIGN.md §12) and reports `"degraded":true`. Keeps one wide-scope
-    /// turn from monopolizing a serving worker for minutes.
+    /// turn from monopolizing a planning permit for minutes.
     pub fn with_utterance_deadline(mut self, deadline: Duration) -> Self {
         self.utterance_deadline = Some(deadline);
         self

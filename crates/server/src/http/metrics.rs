@@ -49,9 +49,10 @@ macro_rules! http_counters {
 }
 
 http_counters! {
-    /// Connections accepted and parked in the reactor.
+    /// Connections accepted and given a thread.
     accepted,
-    /// Requests answered `503` (queue full, connection cap, shutdown).
+    /// Requests answered `503` (too many waiting for a permit, connection
+    /// cap, shutdown).
     rejected,
     /// Requests successfully parsed and dispatched to the handler.
     requests,
@@ -81,15 +82,18 @@ http_counters! {
     sessions_closed,
     /// NDJSON lines received from session clients.
     session_lines,
-    /// Heartbeat events written to parked sessions.
+    /// Heartbeat events written to idle sessions.
     heartbeats_sent,
-    /// Connections reaped by the idle sweeps (keep-alive + session).
+    /// Connections closed for idling (keep-alive + session).
     idle_closed,
     /// Request body bytes read.
     bytes_in,
     /// Response body bytes written.
     bytes_out,
-    /// Total time requests spent queued, in microseconds.
+    /// Requests and session lines that had to wait for a planning permit.
+    queued,
+    /// Total time requests and session lines spent waiting for a permit,
+    /// in microseconds.
     queue_wait_us => "queue_wait_ms_total" / 1e3,
     /// Total time spent handling + responding, in microseconds.
     handle_us => "handler_ms_total" / 1e3,

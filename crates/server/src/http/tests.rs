@@ -241,7 +241,7 @@ fn panicking_handler_returns_500_and_counts() {
     let out = raw_request(server.addr, "GET /boom HTTP/1.1\r\n\r\n");
     assert!(out.starts_with("HTTP/1.1 500"), "{out}");
     assert!(out.contains("{\"error\":\"internal server error\"}"), "{out}");
-    // The worker survives the panic and keeps serving.
+    // The server survives the panic and keeps serving.
     let out = raw_request(server.addr, "GET /fine HTTP/1.1\r\n\r\n");
     assert!(out.starts_with("HTTP/1.1 200"), "{out}");
     let snap = server.metrics().snapshot();
@@ -253,7 +253,7 @@ fn panicking_handler_returns_500_and_counts() {
 #[test]
 fn saturated_queue_yields_503_with_retry_after() {
     use std::sync::mpsc;
-    // One worker stuck in the handler + a single queue slot: the
+    // One permit held in the handler + a single waiting place: the
     // third concurrent connection must be rejected up front.
     let (release_tx, release_rx) = mpsc::channel::<()>();
     let release_rx = Mutex::new(release_rx);
@@ -270,20 +270,17 @@ fn saturated_queue_yields_503_with_retry_after() {
 
     let mut occupy = Vec::new();
     // First connection: wait until its request is *in the handler*
-    // (the `requests` counter ticks just before dispatch), so the
-    // single worker is provably busy before the next one arrives.
+    // (the `requests` counter ticks once it holds the permit), so the
+    // single permit is provably busy before the next one arrives.
     occupy.push(std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n")));
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().snapshot().requests < 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
-    // Second connection: fills the single queue slot.
+    // Second connection: fills the single waiting place.
     occupy.push(std::thread::spawn(move || raw_request(addr, "GET /slow HTTP/1.1\r\n\r\n")));
     let deadline = Instant::now() + Duration::from_secs(5);
-    while {
-        let q = server.shared.queue.lock().len();
-        q < 1 && Instant::now() < deadline
-    } {
+    while server.metrics().snapshot().queued < 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
     }
     let out = raw_request(addr, "GET /rejected HTTP/1.1\r\n\r\n");
@@ -517,12 +514,12 @@ fn idle_session_gets_heartbeats_and_is_eventually_reaped() {
 #[test]
 fn reject_write_failure_is_counted_not_panicked() {
     // A client that vanishes before its 503 can be written: the
-    // reactor counts the failed delivery and moves on.
+    // accept thread counts the failed delivery and moves on.
     let config = ServerConfig { max_connections: 1, ..ServerConfig::default() };
     let server =
         serve_with("127.0.0.1:0", config, HttpMetrics::new(), |_| Response::ok("{}".to_string()))
             .unwrap();
-    // Occupy the single slot with a parked connection.
+    // Occupy the single connection place with an idle connection.
     let _held = TcpStream::connect(server.addr).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
     while server.metrics().snapshot().accepted < 1 && Instant::now() < deadline {

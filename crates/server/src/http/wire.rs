@@ -54,7 +54,7 @@ pub type StreamBody = Box<dyn FnOnce(&mut LineSink<'_>) + Send>;
 /// What a session-line handler decides about the connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionVerdict {
-    /// Park the connection back in the reactor and await the next line.
+    /// Keep the connection open and await the next line.
     Continue,
     /// Close the session (the handler already wrote any farewell event).
     Close,
@@ -73,8 +73,8 @@ pub type SessionCallback = Arc<dyn Fn(&str, &mut LineSink<'_>) -> SessionVerdict
 pub struct SessionUpgrade {
     /// Session identifier, announced in the `hello` event.
     pub id: String,
-    /// Invoked on the worker pool for every complete line the client
-    /// sends.
+    /// Invoked, with a planning permit held, for every complete line the
+    /// client sends.
     pub on_line: SessionCallback,
 }
 
@@ -267,7 +267,7 @@ pub(super) fn session_handshake(id: &str, heartbeat: Duration, idle_timeout: Dur
 }
 
 // ---------------------------------------------------------------------------
-// Incremental request parsing (reactor side).
+// Incremental request parsing.
 
 /// Outcome of trying to parse one request from the accumulated bytes.
 pub(super) enum Parsed {
@@ -306,7 +306,7 @@ fn body_cap(method: &str, path: &str) -> usize {
     }
 }
 
-/// Incremental HTTP/1.1 request parser over the reactor's per-connection
+/// Incremental HTTP/1.1 request parser over a connection's read
 /// buffer. Framing rules match the §10 parser: capped header section,
 /// strict `Content-Length` validation, oversized bodies rejected without
 /// being read.

@@ -6,10 +6,11 @@
 //! "users can switch freely between the two compared vocalization methods
 //! for each single query").
 //!
-//! A deliberately dependency-free HTTP/1.1 implementation over
-//! `std::net::TcpListener` — a bounded worker pool with socket timeouts,
-//! panic isolation, graceful shutdown, and per-request counters (see
-//! [`http`] and DESIGN.md §10) — with a small JSON API:
+//! A deliberately dependency-free HTTP/1.1 implementation over blocking
+//! `std::net` — one thread per open connection, planning bounded by a
+//! fixed number of permits, socket timeouts, panic isolation, graceful
+//! shutdown, and per-request counters (see [`http`] and DESIGN.md §10) —
+//! with a small JSON API:
 //!
 //! | Method & path | Body | Response |
 //! |---|---|---|
@@ -28,13 +29,15 @@
 //! sessions; the `approach` field switches vocalization method per
 //! request, enabling the Table 8 comparison workflow.
 
+#![deny(unsafe_code)]
+
 pub mod api;
 pub mod http;
-pub mod reactor;
+mod sys;
 
 pub use api::{AppState, SessionEntry, SessionStore};
 pub use http::{
     serve, serve_with, HttpMetrics, HttpMetricsSnapshot, LineSink, Request, Response, ServerConfig,
     ServerHandle, SessionUpgrade, SessionVerdict, StreamBody,
 };
-pub use reactor::{install_shutdown_signals, raise_nofile_limit};
+pub use sys::{install_shutdown_signals, raise_nofile_limit};

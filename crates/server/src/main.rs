@@ -34,25 +34,26 @@
 //! `"degraded":true`; the `"degradation"` section of `GET /stats` (always
 //! present) counts clean and degraded answers.
 //!
-//! The serving layer is an epoll reactor feeding a bounded worker pool
-//! (DESIGN.md §15): `--http-threads` sets the pool size (default 8),
-//! `--http-queue` the pending-request queue capacity beyond which
-//! clients get `503` + `Retry-After` (default 64), `--http-timeout-ms`
-//! the one socket timeout — a stalled request gets a `408` after it, a
-//! write to a client that stops reading fails after it (default 5000,
-//! at least 1) — `--http-idle-ms` how long a parked keep-alive connection
-//! may idle (default 30000; keep-alive is the client's choice, per
-//! request), and `--max-conns` the open-connection cap. Long-lived
-//! session connections (`GET /session/<id>/attach`, NDJSON both ways)
-//! heartbeat every `--heartbeat-ms` (default 15000) and are reaped after
-//! `--session-idle-ms` of silence (default 120000); the transport's
+//! The serving layer gives every open connection a thread (DESIGN.md
+//! §15): `--http-threads` sets how many requests plan at once (default 8,
+//! at least 1), `--http-queue` how many more may wait for their turn
+//! before clients get `503` + `Retry-After` (default 64),
+//! `--http-timeout-ms` the one socket timeout — a stalled request gets a
+//! `408` after it, a write to a client that stops reading fails after it
+//! (default 5000, at least 1) — `--http-idle-ms` how long a keep-alive
+//! connection may idle between requests (default 30000; keep-alive is the
+//! client's choice, per request), and `--max-conns` the open-connection
+//! cap, and so the cap on connection threads (default 1024, at least 1).
+//! Long-lived session connections (`GET /session/<id>/attach`, NDJSON both
+//! ways) heartbeat every `--heartbeat-ms` (default 15000) and are reaped
+//! after `--session-idle-ms` of silence (default 120000); the transport's
 //! `hello` announces both values. `POST /ingest` bodies may be up to
 //! 1 MiB, every other request body up to 64 KiB.
 //! `--utterance-deadline-ms` bounds the planning time of every turn on
 //! every answer route and every approach with a planning loop (`optimal`
 //! and `unmerged` too) — past it the answer is committed through the §12
 //! anytime path with `"degraded":true` (default: run to convergence),
-//! keeping one wide-scope turn from pinning a serving worker. Each request is
+//! keeping one wide-scope turn from pinning a planning permit. Each request is
 //! logged to stderr with its status, byte counts, queue wait, and
 //! handler latency; the same counters are served under `"http"` in
 //! `GET /stats`.
@@ -67,6 +68,8 @@
 //! curl -s -X POST localhost:8080/session/worker7/input \
 //!   -d '{"text": "break down by region", "approach": "prior"}'
 //! ```
+
+#![deny(unsafe_code)]
 
 use std::str::FromStr;
 use std::sync::atomic::Ordering;
@@ -107,6 +110,12 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         let err = |_| format!("{flag}: `{value}` is not a whole number in range");
         value.parse().map(Some).map_err(err)
     }
+    fn positive(flag: &str, value: &str) -> Result<Option<usize>, String> {
+        match num(flag, value)? {
+            Some(0) => Err(format!("{flag}: `0` is not at least 1")),
+            n => Ok(n),
+        }
+    }
     let mut a = Args::default();
     let mut args = args.iter();
     while let Some(flag) = args.next() {
@@ -126,11 +135,11 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
             "--rows" => a.rows = num(flag, value)?,
             "--threads" => a.threads = num(flag, value)?,
             "--cache-mb" => a.cache_mb = num(flag, value)?,
-            "--http-threads" => a.http_threads = num(flag, value)?,
+            "--http-threads" => a.http_threads = positive(flag, value)?,
             "--http-queue" => a.http_queue = num(flag, value)?,
             "--http-timeout-ms" => a.http_timeout_ms = num(flag, value)?,
             "--http-idle-ms" => a.http_idle_ms = num(flag, value)?,
-            "--max-conns" => a.max_conns = num(flag, value)?,
+            "--max-conns" => a.max_conns = positive(flag, value)?,
             "--session-idle-ms" => a.session_idle_ms = num(flag, value)?,
             "--heartbeat-ms" => a.heartbeat_ms = num(flag, value)?,
             "--utterance-deadline-ms" => a.utterance_deadline_ms = num(flag, value)?,
@@ -181,8 +190,8 @@ fn main() {
     if let Some(n) = args.max_conns {
         config.max_connections = n;
     }
-    // Thousands of parked sessions need thousands of fds; the default
-    // soft limit is often 1024.
+    // A thousand open connections need a thousand fds and more; the
+    // default soft limit is often 1024.
     let fd_limit = voxolap_server::raise_nofile_limit();
 
     let table = if args.salary {
@@ -244,7 +253,7 @@ fn main() {
     })
     .expect("bind server port");
     eprintln!(
-        "voxolap-server listening on http://{} (workers={} queue={} timeout={}ms fd_limit={})",
+        "voxolap-server listening on http://{} (permits={} queue={} timeout={}ms fd_limit={})",
         handle.addr,
         config.threads,
         config.queue,
@@ -310,6 +319,8 @@ mod tests {
             ("--scale-rows 5", "`--scale-rows`"),
             ("--snapshot-every 8", "`--snapshot-every`"),
             ("--fault-plan seed=1", "`--fault-plan`"),
+            ("--http-threads 0", "--http-threads: `0`"),
+            ("--max-conns 0", "--max-conns: `0`"),
             ("--rows", "--rows needs a value"),
             ("--rows --threads 2", "--rows needs a value"),
         ] {

@@ -19,6 +19,8 @@
 //!   length-driven preference model;
 //! * [`explore`] — fact extraction from vocalizations (Table 7 analogue).
 
+#![deny(unsafe_code)]
+
 pub mod estimation;
 pub mod explore;
 pub mod listener;

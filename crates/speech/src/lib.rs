@@ -43,6 +43,8 @@
 //! assert!(text.contains("increase by 5 percent"));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod ast;
 pub mod candidates;
 pub mod constraints;

@@ -19,6 +19,8 @@
 //! assert_eq!(query.n_aggregates(), 20); // 5 regions x 4 seasons
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod parser;
 pub mod question;
 pub mod session;

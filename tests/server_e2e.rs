@@ -19,17 +19,14 @@ use voxolap_server::{serve, serve_with, AppState, HttpMetrics, Response, ServerC
 use support::{echo_line, request, response, send, small_table, watchdog};
 
 /// Saturate a `threads: 1, queue: 1` server with two `/health` requests —
-/// one in the worker, one in the queue slot — and return the threads
-/// waiting for their answers (both must be `200`).
+/// one holding the permit, one in the waiting place — and return the
+/// threads waiting for their answers (both must be `200`).
 ///
-/// `metrics.accepted` counts connections parked in the reactor. It proves
-/// the reactor holds the connection; it does not prove a worker has taken
-/// its request off the queue. So occupant 2 is sent only once `requests`
-/// shows a worker dequeued occupant 1 — sent any earlier it can find
-/// occupant 1 still in the one queue slot and be 503'd. For occupant 2
-/// itself `accepted` is enough: its request is written before the wait, so
-/// the one reactor thread reads and queues it before the request of any
-/// connection made after this returns.
+/// `metrics.accepted` counts connections given a thread; it does not prove
+/// that a request holds the permit or waits for one. So occupant 2 is sent
+/// only once `requests` shows occupant 1 holding the permit, and this
+/// returns only once `queued` shows occupant 2 waiting: the request of any
+/// connection made after it finds the one waiting place taken.
 fn saturate(
     addr: std::net::SocketAddr,
     metrics: &HttpMetrics,
@@ -43,7 +40,7 @@ fn saturate(
     let in_worker = std::thread::spawn(move || request(addr, "GET", "/health", ""));
     wait_for(|| metrics.snapshot().requests >= 1);
     let queued = send(addr, "GET", "/health", "");
-    wait_for(|| metrics.snapshot().accepted >= 2);
+    wait_for(|| metrics.snapshot().queued >= 1);
     vec![in_worker, std::thread::spawn(move || response(queued))]
 }
 
@@ -309,7 +306,7 @@ fn saturation_yields_503s_and_counts_rejections() {
     let _guard = watchdog(120);
     let metrics = HttpMetrics::new();
     let state = Arc::new(AppState::new(small_table()).with_http_metrics(metrics.clone()));
-    // One worker that takes ~300ms per request + one queue slot.
+    // One permit, held ~300ms per request, + one waiting place.
     let config = ServerConfig { threads: 1, queue: 1, ..ServerConfig::default() };
     let handle = serve_with("127.0.0.1:0", config, metrics.clone(), move |req| {
         std::thread::sleep(Duration::from_millis(300));
@@ -318,7 +315,7 @@ fn saturation_yields_503s_and_counts_rejections() {
     .unwrap();
     let addr = handle.addr;
 
-    // Occupy the worker, then the queue slot.
+    // Occupy the permit, then the waiting place.
     let slow = saturate(addr, &metrics);
 
     // Both capacity slots taken: the next connection is turned away.
@@ -343,7 +340,7 @@ fn saturation_yields_503s_and_counts_rejections() {
 }
 
 /// A panicking handler yields a 500 JSON error (not a dropped
-/// connection), the worker survives, and the panic counter shows up in
+/// connection), the server survives, and the panic counter shows up in
 /// /stats.
 #[test]
 fn panicking_route_returns_500_json_and_counts() {
@@ -361,7 +358,7 @@ fn panicking_route_returns_500_json_and_counts() {
     assert_eq!(status, 500, "{body}");
     assert_eq!(body, "{\"error\":\"internal server error\"}");
 
-    // The pool keeps serving afterwards, and the counter is exposed.
+    // The server keeps serving afterwards, and the counter is exposed.
     let (status, body) = request(addr, "GET", "/stats", "");
     assert_eq!(status, 200);
     let v = voxolap_json::Value::parse(&body).unwrap();
@@ -413,15 +410,15 @@ fn parsing_rejections_and_bounded_shutdown() {
 /// Regression (§15): clients that accept their 503 but never read it
 /// ("slowloris" on the reject path) must not stall the accept loop. The
 /// old pool lingered up to 4 s per rejected connection *on the accept
-/// thread*; the reactor bounds the linger by a deadline and handles it
-/// off the accept path, so a healthy client still gets its (prompt)
+/// thread*; now a deadline bounds the linger, on the rejected
+/// connection's own thread, so a healthy client still gets its (prompt)
 /// answer while a crowd of slowloris rejects is mid-linger.
 #[test]
 fn slowloris_rejects_do_not_delay_healthy_accepts() {
     let _guard = watchdog(120);
     let metrics = HttpMetrics::new();
     let state = Arc::new(AppState::new(small_table()).with_http_metrics(metrics.clone()));
-    // One busy worker + one queue slot: everything else is rejected.
+    // One busy permit + one waiting place: everything else is rejected.
     let config = ServerConfig { threads: 1, queue: 1, ..ServerConfig::default() };
     let handle = serve_with("127.0.0.1:0", config, metrics.clone(), move |req| {
         std::thread::sleep(Duration::from_millis(1500));
@@ -430,7 +427,7 @@ fn slowloris_rejects_do_not_delay_healthy_accepts() {
     .unwrap();
     let addr = handle.addr;
 
-    // Saturate: one request in the worker, one in the queue.
+    // Saturate: one request holding the permit, one waiting for it.
     let occupants = saturate(addr, &metrics);
 
     // A crowd of slowloris clients: send a request, never read the 503.
@@ -464,9 +461,9 @@ fn slowloris_rejects_do_not_delay_healthy_accepts() {
 }
 
 /// Regression (§15): shutdown under load answers every admitted request
-/// exactly once — workers drain the queue (no busy-poll race that could
-/// 503 a request a worker already dequeued), and late rejects cover the
-/// rest. Every client sees exactly one well-formed HTTP response.
+/// exactly once — each connection is written only by its own thread, and
+/// a request still waiting for a permit at the drain deadline gets a
+/// `503`. Every client sees exactly one well-formed HTTP response.
 #[test]
 fn shutdown_under_load_answers_every_admitted_request_exactly_once() {
     let _guard = watchdog(120);
@@ -497,12 +494,12 @@ fn shutdown_under_load_answers_every_admitted_request_exactly_once() {
         })
         .collect();
     // Let the load build, then shut down mid-flight. Accepts alone are not
-    // enough: shutdown stops parsing new requests, so a connection that was
+    // enough: shutdown interrupts connections waiting for input, so one
     // accepted but never read owes its client nothing — on a loaded host
     // (debug profile, suites in parallel) shutdown can land before any
     // request is parsed and every client legitimately ends empty. Wait for
-    // a worker to dispatch at least one request (the `requests` counter
-    // ticks at dequeue) with more accepted connections still behind it; the
+    // at least one request to hold a permit (the `requests` counter ticks
+    // once it does) with more accepted connections still behind it; the
     // deadline only bounds a wedged server.
     let deadline = Instant::now() + Duration::from_secs(60);
     while Instant::now() < deadline {
@@ -540,7 +537,7 @@ fn shutdown_under_load_answers_every_admitted_request_exactly_once() {
 
 /// Regression (§15): a client that disappears while its 503 is being
 /// written (reset instead of FIN) must be counted as a reject-write
-/// failure — never a panic, never a wedged reactor.
+/// failure — never a panic, never a wedged server.
 #[test]
 fn client_reset_during_rejection_is_counted_not_fatal() {
     let _guard = watchdog(120);
@@ -693,7 +690,7 @@ fn ingest_takes_a_two_thousand_row_batch_while_other_routes_keep_64_kib() {
 }
 
 /// A body nested 20 000 arrays deep is 20 KB, well under every body cap.
-/// Parsing it used to recurse once per level and overflow a worker's
+/// Parsing it used to recurse once per level and overflow a serving thread's
 /// stack, which aborts the whole server — no `catch_unwind` can stop
 /// that. Both JSON routes must refuse it, and the server must still be up.
 #[test]

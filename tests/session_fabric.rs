@@ -293,7 +293,7 @@ fn dialogue_state_survives_reattach() {
 fn malformed_lines_recoverable_and_quit_closes() {
     let _guard = watchdog(120);
     let state = Arc::new(AppState::new(small_table()));
-    let (handle, _metrics) = serve_state(ServerConfig::default(), state);
+    let (handle, metrics) = serve_state(ServerConfig::default(), state);
 
     let mut conn = SessionConn::attach(handle.addr, "messy");
     conn.send("this is not json");
@@ -314,12 +314,21 @@ fn malformed_lines_recoverable_and_quit_closes() {
     let mut rest = Vec::new();
     conn.reader.read_to_end(&mut rest).unwrap();
     assert!(rest.is_empty(), "server must close after quit");
+
+    // A line that never ends: one byte past the 64 KiB line cap, the
+    // server closes the connection and counts the session closed once.
+    let mut conn = SessionConn::attach(handle.addr, "endless");
+    conn.reader.get_mut().write_all(&vec![b'x'; 64 * 1024 + 1]).unwrap();
+    let mut rest = Vec::new();
+    conn.reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "server must close on an endless line");
+    assert_eq!(metrics.snapshot().sessions_closed, 2);
     handle.shutdown();
 }
 
 /// Idle sessions receive heartbeats at the configured cadence and are
 /// reaped with `bye(reason=idle)` at the idle timeout — holding a fleet
-/// of silent connections costs heartbeat writes, not worker threads.
+/// of silent connections costs heartbeat writes, not planning permits.
 #[test]
 fn idle_sessions_heartbeat_then_reap() {
     let _guard = watchdog(60);
@@ -359,8 +368,8 @@ fn idle_sessions_heartbeat_then_reap() {
 /// route: past it the answer commits through the anytime path and says
 /// `degraded` — not `cancelled`, which is the client's doing only. Without
 /// the bound, a wide-scope utterance (e.g. a city-level drill-down)
-/// converges for minutes while pinning a serving worker — starving every
-/// other session on the pool.
+/// converges for minutes while pinning a planning permit — starving every
+/// other session of it.
 #[test]
 fn utterance_deadline_degrades_instead_of_pinning_a_worker() {
     let _guard = watchdog(120);
@@ -397,8 +406,9 @@ fn utterance_deadline_degrades_instead_of_pinning_a_worker() {
 /// shutdown)` and closes them — a client blocked on its next event gets
 /// a clean goodbye, not a hang or a reset. A hundred rounds (fresh server
 /// each, one shared table and cache) because the window is narrow: `stop`
-/// flips while a worker still holds the socket of the utterance the
-/// client just saw `done` for, and that connection must be farewelled too.
+/// flips while the connection's thread may still be in the turn of the
+/// utterance the client just saw `done` for, and that connection must be
+/// farewelled too.
 #[test]
 fn shutdown_farewells_attached_sessions() {
     let _guard = watchdog(180);
